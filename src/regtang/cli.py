@@ -41,6 +41,7 @@ from .fields import FilippovSystem
 from .integrate import IntegratorConfig, SectionSpec, flow, trajectory_to_csv
 from .maps import (
     TransitionConfig,
+    fit_line,
     fit_scaling,
     lower_transition_map,
     predicted_upper_boundary,
@@ -54,7 +55,7 @@ from .regularize import (
     manifold_table_csv,
     slow_manifold_sandwich_check,
 )
-from .scenarios import build_scenario, oval_polyline
+from .scenarios import SCENARIOS, build_scenario, oval_polyline
 
 F17 = "{:.17g}"
 
@@ -101,6 +102,10 @@ def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
             continue
         if val is not None:
             cfg[key] = val
+    if "scenario" in cfg and cfg["scenario"] not in SCENARIOS:
+        raise RegtangError(
+            f"unknown scenario {cfg['scenario']!r}; available: {sorted(SCENARIOS)}"
+        )
     return cfg
 
 
@@ -144,8 +149,13 @@ def _eps_grid(cfg: Dict[str, object], default: Optional[str] = "-6:-2") -> List[
     if "eps" in cfg and "eps_decades" not in cfg:
         return [float(cfg["eps"])]
     span = str(cfg.get("eps_decades", default))
-    lo_s, hi_s = span.split(":")
-    lo, hi = float(lo_s), float(hi_s)
+    try:
+        lo_s, hi_s = span.split(":")
+        lo, hi = float(lo_s), float(hi_s)
+    except ValueError:
+        raise RegtangError(
+            f"--eps-decades must be lo:hi, got {span!r}"
+        ) from None
     if lo > 0 and hi > 0:           # raw eps bounds given instead of decades
         lo, hi = math.log10(lo), math.log10(hi)
     pts = int(cfg.get("points", 9))
@@ -300,18 +310,11 @@ def _cmd_map(cfg: Dict[str, object], side: str) -> int:
         # image diameter ~ exp(-c / eps^q): log-diameter affine in eps^{-q}
         tcfg = _tcfg(cfg)
         q = 1.0 - tcfg.lam / tcfg.lambda_star
-        xs = np.array([r["eps"] ** (-q) for r in rows])
-        ys = np.array([math.log(r["image_diameter"]) for r in rows])
-        A = np.column_stack([xs, np.ones_like(xs)])
-        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        fitted = A @ coef
-        ss_res = float(np.sum((ys - fitted) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+        slope, intercept, r2 = fit_line(
+            np.array([r["eps"] ** (-q) for r in rows]),
+            np.array([math.log(r["image_diameter"]) for r in rows]))
         summary["contraction_fit"] = {
-            "q": q,
-            "slope": float(coef[0]),
-            "intercept": float(coef[1]),
-            "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+            "q": q, "slope": slope, "intercept": intercept, "r2": r2,
         }
     return _finish(f"{side}-map", cfg, {f"{side}-map.csv": body}, summary)
 

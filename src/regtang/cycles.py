@@ -16,7 +16,7 @@ when the contraction is below floating-point resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +38,7 @@ from .integrate import (
     flow_to_section_traj,
     sample_dense,
 )
+from .maps import fit_line
 from .phi import TransitionFunction
 from .regularize import RegularizedField
 
@@ -166,8 +167,7 @@ def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float,
     sec = SectionSpec("vertical", -rho, interval=y_window, direction="up",
                       ident="inflow")
     try:
-        hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec, integ,
-                                         graze_probe=False)
+        hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec, integ)
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(f"outer excursion from (theta, {y_in:g}) lost: {exc}") from exc
     y_out = float(hit.point[1])
@@ -185,8 +185,7 @@ def loop_period(system: FilippovSystem, start: Tuple[float, float] = (0.0, 2.0),
     integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", start[0], interval=(1.0, math.inf),
                       direction="down", ident="top")
-    hit, _ = flow_to_section_traj(system.x_plus, start, sec, integ,
-                                  graze_probe=False)
+    hit, _ = flow_to_section_traj(system.x_plus, start, sec, integ)
     return float(hit.t)
 
 
@@ -215,10 +214,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
     crossings counted only with x increasing.
     """
     reg = RegularizedField(system, tf, eps)
-    base = integ or IntegratorConfig()
-    integ = IntegratorConfig(rtol=base.rtol, atol=base.atol,
-                             max_step=base.max_step, event_tol=base.event_tol,
-                             max_time=max_time, norm_guard=base.norm_guard)
+    integ = replace(integ or IntegratorConfig(), max_time=max_time)
     sec = SectionSpec("vertical", -rho, interval=y_window, direction="up",
                       ident="return")
     counter = SectionSpec("vertical", -rho, ident="anycross")
@@ -230,8 +226,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
         p0 = (-rho, y_in)
     try:
         hit, traj = flow_to_section_traj(rhs, p0, sec, integ,
-                                         record_sections=[counter, *extra_records],
-                                         graze_probe=False)
+                                         record_sections=[counter, *extra_records])
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(
             f"orbit from (x=-{rho:g}, y={y_in:g}) did not come back: {exc}"
@@ -380,7 +375,7 @@ def default_bracket(system: FilippovSystem, eps: float, rho: float,
     integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", -rho)
     hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec, integ,
-                                  t_direction="backward", graze_probe=False)
+                                  t_direction="backward")
     y_bar = float(hit.point[1])
     return (0.25 * eps, y_bar + 4.0 * eps)
 
@@ -469,12 +464,11 @@ def grazing_half_map(system: FilippovSystem, eps: float, x_in: float,
     integ = integ or IntegratorConfig()
     if side == "unstable":
         sec = SectionSpec("vertical", theta, ident="outflow")
-        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ,
-                                      graze_probe=False)
+        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ)
     elif side == "stable":
         sec = SectionSpec("vertical", -rho, ident="inflow")
         hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ,
-                                      t_direction="backward", graze_probe=False)
+                                      t_direction="backward")
     else:
         raise ValueError("side must be 'unstable' or 'stable'")
     return float(hit.point[1])
@@ -499,17 +493,11 @@ def grazing_exponent_fit(system: FilippovSystem, eps: float, psi: float,
         ds.append(d)
         gaps.append(abs(gap))
         signs.append(math.copysign(1.0, gap))
-    ld, lg = np.log(ds), np.log(gaps)
-    A = np.column_stack([ld, np.ones_like(ld)])
-    coef, *_ = np.linalg.lstsq(A, lg, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((lg - fitted) ** 2))
-    ss_tot = float(np.sum((lg - lg.mean()) ** 2))
-    kappa = signs[0] * math.exp(coef[1])
+    exponent, intercept, r2 = fit_line(np.log(ds), np.log(gaps))
     return {
-        "exponent": float(coef[0]),
-        "kappa": float(kappa),
-        "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+        "exponent": exponent,
+        "kappa": signs[0] * math.exp(intercept),
+        "r2": r2,
         "base": base,
         "n_offsets": len(ds),
     }

@@ -13,7 +13,7 @@ class RegtangError(Exception):
 # --- field / classification errors -----------------------------------------
 
 class DomainError(RegtangError):
-    """A point lies outside the rectangular domain a field was declared on."""
+    """A point lies outside the domain where a map or expansion is defined."""
 
 
 class UnresolvedContact(RegtangError):
@@ -54,8 +54,9 @@ class NoCrossing(RegtangError):
     """No admissible section crossing happened within max_time."""
 
 
-class TangentialGraze(RegtangError):
-    """The section residual touched zero without changing sign."""
+class TangentialGraze(NoCrossing):
+    """No admissible crossing: the section residual touched zero without
+    changing sign."""
 
     def __init__(self, message, t=None, point=None):
         super().__init__(message)
@@ -64,10 +65,6 @@ class TangentialGraze(RegtangError):
 
 
 # --- regularization / slow-manifold errors ----------------------------------
-
-class NotCanonical(RegtangError):
-    """The Filippov system is not in canonical band coordinates (X^- = (0,1), h = y)."""
-
 
 class ConditionViolated(RegtangError):
     """f(x, 0) >= 0 somewhere on [-L, 0): the critical manifold is not defined."""

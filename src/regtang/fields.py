@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    DomainError,
     PrecisionWarning,
     UnresolvedContact,
 )
@@ -26,7 +25,6 @@ class PlanarField:
     eval: Callable[[float, float], np.ndarray] = None
     poly_form: Optional[Tuple[Poly2, Poly2]] = None
     params: Dict[str, float] = field(default_factory=dict)
-    domain: Optional[Tuple[float, float, float, float]] = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
         if self.eval is None:
@@ -37,13 +35,6 @@ class PlanarField:
 
     def __call__(self, x: float, y: float) -> np.ndarray:
         return self.eval(x, y)
-
-    def check_domain(self, p: Point) -> None:
-        if self.domain is None:
-            return
-        xmin, xmax, ymin, ymax = self.domain
-        if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-            raise DomainError(f"point {p} outside field domain {self.domain}")
 
     def divergence(self) -> Callable[[float, float], float]:
         """Exact divergence for polynomial fields, central differences otherwise."""
@@ -120,7 +111,6 @@ def lie_derivative(f: PlanarField, h: SwitchingFunction, order: int, p: Point) -
     """Iterated derivative of h along the flow of f, evaluated at p."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    f.check_domain(p)
     if f.poly_form is not None and h.poly is not None:
         return _lie_poly_chain(f, h, order)(p[0], p[1])
 

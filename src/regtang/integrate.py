@@ -2,8 +2,10 @@
 
 Everything rides on DOP853 (8th-order embedded pair with a matching-order
 interpolant).  Section crossings are located on the dense output and verified
-against ``event_tol``; tangential touches are surfaced as ``TangentialGraze``
-instead of being silently missed or "refined" to a bogus crossing.
+against ``event_tol``.  A leg that ends without an admissible crossing is
+checked for a tangential touch of its target section: a turning point of the
+residual within ``sqrt(event_tol)`` of zero is surfaced as ``TangentialGraze``
+(a ``NoCrossing``) instead of a plain ``NoCrossing``.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class Trajectory:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with one row per accepted step; event rows carry the section id."""
     lines = ["t,x,y,event"]
-    ev_by_t = {}
-    for ev in traj.events:
-        ev_by_t.setdefault(ev.t, ev.section_id)
     for ti, (xi, yi) in zip(traj.t, traj.points):
         lines.append(f"{ti:.17g},{xi:.17g},{yi:.17g},")
     for ev in traj.events:
@@ -125,6 +124,18 @@ def _hit_direction(rate: float, forward: bool) -> str:
     return "up" if along_orbit > 0 else "down"
 
 
+def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
+              forward: bool) -> Optional[EventHit]:
+    """The hit, if the crossing lies in the section's interval and runs in its
+    admitted sense; None otherwise."""
+    if not sec.admits(p):
+        return None
+    d = _hit_direction(rate, forward)
+    if sec.direction is not None and d != sec.direction:
+        return None
+    return EventHit(t, p, sec.ident, d)
+
+
 # On smooth polynomial fields DOP853's error estimate can vanish and the step
 # size explodes; scipy then only reports an event when the residual's sign
 # differs at the step endpoints, so a dip across a section and back inside a
@@ -132,6 +143,9 @@ def _hit_direction(rate: float, forward: bool) -> str:
 # the dense interpolant on a sub-step grid instead of trusting the endpoint
 # test.
 SCAN_SUBDIV = 8
+
+# Upper bound on solver restarts (one per rejected crossing) in one leg.
+MAX_SEGMENTS = 200
 
 
 def _scan_grid(sol) -> np.ndarray:
@@ -177,6 +191,40 @@ def _scan_crossings(sol, rhs: RHS, forward: bool, sections: Sequence[SectionSpec
     return found
 
 
+def _admitted_hits(sol, rhs: RHS, forward: bool, sections: Sequence[SectionSpec]):
+    """Yield (section, hit) for each scanned crossing that its section admits,
+    in orbit order."""
+    for te, pe, sec, rate in _scan_crossings(sol, rhs, forward, sections):
+        hit = _classify(sec, te, pe, rate, forward)
+        if hit is not None:
+            yield sec, hit
+
+
+def _find_graze(segments, rhs: RHS, section: SectionSpec,
+                config: IntegratorConfig) -> Optional[Tuple[float, np.ndarray]]:
+    """First turning point of the section residual within sqrt(event_tol) of
+    zero, as (t, point); None if the orbit never comes that close.
+
+    Candidates are the extrema of the residual on each segment's scan grid;
+    only those are polished, with brentq on the residual's rate.
+    """
+    band = math.sqrt(config.event_tol)
+    for sol in segments:
+        def rate(s):
+            return section.residual_rate(rhs(s, sol.sol(s)))
+        ts = _scan_grid(sol)
+        d = np.diff(section.residual(sol.sol(ts)))
+        for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
+            lo, hi = sorted((float(ts[i - 1]), float(ts[i + 1])))
+            tg = float(ts[i])
+            if rate(lo) * rate(hi) < 0:
+                tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            pg = np.array(sol.sol(tg))
+            if abs(section.residual(pg)) < band:
+                return tg, pg
+    return None
+
+
 def flow(
     field,
     p0: Sequence[float],
@@ -202,14 +250,7 @@ def flow(
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
 
-    hits: List[EventHit] = []
-    for te, pe, sec, rate in _scan_crossings(sol, rhs, forward, sections):
-        if not sec.admits(pe):
-            continue
-        d = _hit_direction(rate, forward)
-        if sec.direction is not None and d != sec.direction:
-            continue
-        hits.append(EventHit(te, pe, sec.ident, d))
+    hits = [hit for _, hit in _admitted_hits(sol, rhs, forward, sections)]
     if len(sol.t_events[0]):
         raise DomainExit(
             f"trajectory norm exceeded {config.norm_guard:g} at t={sol.t_events[0][0]:g}"
@@ -244,15 +285,16 @@ def flow_to_section_traj(
     config: Optional[IntegratorConfig] = None,
     t_direction: str = "forward",
     record_sections: Iterable[SectionSpec] = (),
-    graze_probe: bool = True,
-    max_restarts: int = 200,
 ) -> Tuple[EventHit, Trajectory]:
     """Integrate until the section is crossed in the admitted sense.
 
     The crossing is located on the dense output and verified to ``event_tol``.
-    Crossings outside the section's interval are skipped.  If the residual
-    merely touches zero (detected through a zero of its time derivative inside
-    the near-section band), a ``TangentialGraze`` is raised.
+    Crossings outside the section's interval or against its direction are
+    skipped: the solver restarts just past them, at most ``MAX_SEGMENTS``
+    times.  Crossings of ``record_sections`` met on the way are recorded.
+    If no admissible crossing comes within ``max_time``, the residual is
+    checked for a turning point within ``sqrt(event_tol)`` of zero: such a
+    touch raises ``TangentialGraze``, anything else ``NoCrossing``.
     """
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
@@ -271,38 +313,28 @@ def flow_to_section_traj(
     if abs(section.residual(p_cur)) <= 10 * config.event_tol:
         t_cur, p_cur = _nudge_off_section(rhs, t_cur, p_cur, section, config, forward)
 
-    for _ in range(max_restarts):
+    # The stopper only bounds the work per segment; crossings themselves are
+    # located by the dense-output scan, which also sees pairs of crossings
+    # that cancel across one step.
+    def stopper(t, p):
+        return section.residual(p)
+    stopper.terminal = True
+    stopper.direction = 0.0
+
+    def guard(t, p):
+        return float(np.max(np.abs(p))) - config.norm_guard
+    guard.terminal = True
+
+    for _ in range(MAX_SEGMENTS):
         remaining = config.max_time - abs(t_cur)
         if remaining <= 0:
             break
         t_end = t_cur + (remaining if forward else -remaining)
 
-        # The stopper only bounds the work per segment; crossings themselves
-        # are located by the dense-output scan below, which also sees pairs
-        # of crossings that cancel across one step.
-        def stopper(t, p):
-            return section.residual(p)
-        stopper.terminal = True
-        stopper.direction = 0.0
-
-        events = [stopper]
-
-        if graze_probe:
-            def probe(t, p):
-                return section.residual_rate(rhs(t, p))
-            probe.terminal = True
-            probe.direction = 0.0
-            events.append(probe)
-
-        def guard(t, p):
-            return float(np.max(np.abs(p))) - config.norm_guard
-        guard.terminal = True
-        events.append(guard)
-
         sol = solve_ivp(
             rhs, (t_cur, t_end), p_cur,
             method="DOP853", rtol=config.rtol, atol=config.atol,
-            max_step=config.max_step, dense_output=True, events=events,
+            max_step=config.max_step, dense_output=True, events=[stopper, guard],
         )
         if sol.status == -1:
             raise StepSizeUnderflow(sol.message)
@@ -311,17 +343,11 @@ def flow_to_section_traj(
         segments.append(sol)
 
         hit: Optional[EventHit] = None
-        for te, pe, sec, rate in _scan_crossings(sol, rhs, forward,
-                                                 [section] + record_sections):
-            if not sec.admits(pe):
-                continue
-            d = _hit_direction(rate, forward)
-            if sec.direction is not None and d != sec.direction:
-                continue
+        for sec, ev in _admitted_hits(sol, rhs, forward, [section] + record_sections):
             if sec is section:
-                hit = EventHit(te, pe, section.ident, d)
+                hit = ev
                 break
-            recorded.append(EventHit(te, pe, sec.ident, d))
+            recorded.append(ev)
 
         # A root landing exactly on the segment endpoint (the stopper stops
         # *at* the section) leaves no sign change for the scan to bracket.
@@ -329,36 +355,18 @@ def flow_to_section_traj(
             te = float(sol.t_events[0][0])
             pe = np.array(sol.y_events[0][0])
             if abs(section.residual(pe)) <= config.event_tol and section.admits(pe):
-                rate = section.residual_rate(rhs(te, pe))
-                d = _hit_direction(rate, forward)
-                if section.direction is None or d == section.direction:
-                    hit = EventHit(te, pe, section.ident, d)
+                hit = _classify(section, te, pe,
+                                section.residual_rate(rhs(te, pe)), forward)
 
         if hit is not None:
             traj = _assemble(t_all, p_all, recorded, segments, forward, hit)
             return hit, traj
 
-        if len(sol.t_events[-1]):
+        if len(sol.t_events[1]):
             raise DomainExit(
                 f"trajectory norm exceeded {config.norm_guard:g} before reaching "
                 f"section {section.ident}"
             )
-
-        # Graze probe fired: rate of the residual vanished near the section.
-        if graze_probe and len(sol.t_events[1]):
-            for te, pe in zip(sol.t_events[1], sol.y_events[1]):
-                if abs(section.residual(pe)) < math.sqrt(config.event_tol):
-                    raise TangentialGraze(
-                        f"residual of {section.ident} touched zero without "
-                        f"crossing at t={te:g}",
-                        t=float(te), point=np.array(pe),
-                    )
-            # harmless turning point far from the section: continue past it
-            te = float(sol.t_events[1][-1])
-            pe = np.array(sol.y_events[1][-1])
-            dt = 1e-9 if forward else -1e-9
-            t_cur, p_cur = te + dt, pe + dt * rhs(te, pe)
-            continue
 
         # Stopper fired on a crossing the filters rejected: step past it.
         if len(sol.t_events[0]):
@@ -369,6 +377,13 @@ def flow_to_section_traj(
 
         break  # ran to max_time without terminal events
 
+    graze = _find_graze(segments, rhs, section, config)
+    if graze is not None:
+        tg, pg = graze
+        raise TangentialGraze(
+            f"residual of {section.ident} touched zero without crossing at t={tg:g}",
+            t=tg, point=pg,
+        )
     raise NoCrossing(
         f"no admissible crossing of {section.ident} within max_time={config.max_time:g}"
     )
@@ -380,9 +395,8 @@ def flow_to_section(
     section: SectionSpec,
     config: Optional[IntegratorConfig] = None,
     t_direction: str = "forward",
-    **kwargs,
 ) -> EventHit:
-    hit, _ = flow_to_section_traj(field, p0, section, config, t_direction, **kwargs)
+    hit, _ = flow_to_section_traj(field, p0, section, config, t_direction)
     return hit
 
 

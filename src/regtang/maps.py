@@ -124,8 +124,12 @@ class TransitionResult:
 # departure abscissa and tangency curve
 # --------------------------------------------------------------------------
 
-def _band_max_time(eps: float, span: float) -> float:
-    return 40.0 * (span + 1.0) / eps + 1000.0
+def _band_integ(config: TransitionConfig, eps: float, span: float) -> IntegratorConfig:
+    """Integrator settings of a layer leg: a fast-time budget that grows like
+    span/eps, and no step cap (a cap set for the outer legs would only slow
+    the long layer legs down and move their crossings)."""
+    return replace(config.integ, max_step=math.inf,
+                   max_time=40.0 * (span + 1.0) / eps + 1000.0)
 
 
 def find_x_epsilon(
@@ -145,16 +149,10 @@ def find_x_epsilon(
     manifold = SlowManifold(system, config.tf)
     y0 = manifold.m0(-L)
     band = BandField(system, config.tf, eps)
-    integ = IntegratorConfig(
-        rtol=config.integ.rtol, atol=config.integ.atol,
-        event_tol=config.integ.event_tol,
-        max_time=_band_max_time(eps, L + config.theta),
-        norm_guard=config.integ.norm_guard,
-    )
+    integ = _band_integ(config, eps, L + config.theta)
     sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
     try:
-        hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ,
-                                         graze_probe=False)
+        hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ)
     except (NoCrossing, DomainExit) as exc:
         raise NoExit(f"slow-set orbit never left the layer: {exc}") from exc
     x_eps = float(hit.point[0])
@@ -194,7 +192,7 @@ def grazing_orbit_height(system: FilippovSystem, config: TransitionConfig,
     direction = "forward" if x_target > 0 else "backward"
     sec = SectionSpec("vertical", x_target)
     hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec, config.integ,
-                                  t_direction=direction, graze_probe=False)
+                                  t_direction=direction)
     return float(hit.point[1])
 
 
@@ -205,7 +203,7 @@ def predicted_upper_boundary(system: FilippovSystem, config: TransitionConfig,
     x0 = -(eps ** config.lam)
     sec = SectionSpec("vertical", -config.rho)
     hit, _ = flow_to_section_traj(system.x_plus, (x0, eps), sec, config.integ,
-                                  t_direction="backward", graze_probe=False)
+                                  t_direction="backward")
     return float(hit.point[1])
 
 
@@ -241,31 +239,51 @@ def predicted_targets(system: FilippovSystem, config: TransitionConfig,
 # transition maps
 # --------------------------------------------------------------------------
 
-def _band_leg(system, config, eps, x_in, yhat_in, record_09=False,
-              keep_trajectory=False):
+def _layer_legs(system, config, eps, x_entry, yhat0, result: TransitionResult,
+                keep_trajectories: bool, record_09: bool = False) -> TransitionResult:
+    """Legs 2 and 3 of both transition maps: the layer flow in fast variables
+    from (x_entry, yhat0) to the departure through yhat = 1, then the upper
+    field on to the outflow section x = theta.  Fills in ``result``."""
+    if x_entry < -config.L:
+        raise LeftWindow(f"layer entry at x={x_entry:g} left of -L={-config.L:g}")
+    result.band_entry = (x_entry, yhat0)
+
+    # Leg 2: cross the layer in fast variables.
     band = BandField(system, config.tf, eps)
-    integ = IntegratorConfig(
-        rtol=config.integ.rtol, atol=config.integ.atol,
-        event_tol=config.integ.event_tol,
-        max_time=_band_max_time(eps, abs(x_in) + config.theta + config.L),
-        norm_guard=config.integ.norm_guard,
-    )
+    integ = _band_integ(config, eps, abs(x_entry) + config.theta + config.L)
     sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
     rec = []
     if record_09:
         rec.append(SectionSpec("horizontal", 0.9, direction="up", ident="yhat:0.9"))
     try:
-        hit, traj = flow_to_section_traj(band, (x_in, yhat_in), sec, integ,
-                                         record_sections=rec, graze_probe=False)
+        hit, traj = flow_to_section_traj(band, (x_entry, yhat0), sec, integ,
+                                         record_sections=rec)
     except (NoCrossing, DomainExit) as exc:
         raise SlidingCapture(
-            f"layer orbit from (x={x_in:g}, yhat={yhat_in:g}) never departed: {exc}"
+            f"layer orbit from (x={x_entry:g}, yhat={yhat0:g}) never departed: {exc}"
         ) from exc
-    if hit.point[0] < -config.L:
+    x_dep = float(hit.point[0])
+    if x_dep < -config.L:
         raise LeftWindow(
-            f"layer orbit departed at x={hit.point[0]:g}, left of -L={-config.L:g}"
+            f"layer orbit departed at x={x_dep:g}, left of -L={-config.L:g}"
         )
-    return hit, traj
+    result.departure = (x_dep, 1.0)
+    result.tau_band = float(hit.t)
+    result.events.extend(traj.events)
+    if keep_trajectories:
+        result.trajectories.append(traj)
+    if x_dep > config.theta:
+        raise ConditionViolated(
+            f"departure abscissa {x_dep:g} exceeds theta={config.theta:g}"
+        )
+
+    # Leg 3: climb to the outflow section x = theta.
+    sec = SectionSpec("vertical", config.theta, ident="outflow")
+    hit, traj = flow_to_section_traj(system.x_plus, (x_dep, eps), sec, config.integ)
+    if keep_trajectories:
+        result.trajectories.append(traj)
+    result.y_out = float(hit.point[1])
+    return result
 
 
 def upper_transition_map(
@@ -289,11 +307,12 @@ def upper_transition_map(
     result = TransitionResult(y_out=math.nan)
 
     # Leg 1: descend to the layer roof y = eps.
+    x_entry = -config.rho
     if y_in > eps:
         sec = SectionSpec("horizontal", eps, direction="down", ident="roof")
         try:
             hit, traj = flow_to_section_traj(system.x_plus, (-config.rho, y_in),
-                                             sec, config.integ, graze_probe=False)
+                                             sec, config.integ)
         except (NoCrossing, DomainExit) as exc:
             raise NoCrossing(
                 f"inflow orbit from y_in={y_in:g} never met the layer roof"
@@ -301,35 +320,7 @@ def upper_transition_map(
         x_entry = float(hit.point[0])
         if keep_trajectories:
             result.trajectories.append(traj)
-    else:
-        x_entry = -config.rho
-
-    if x_entry < -config.L:
-        raise LeftWindow(f"layer entry at x={x_entry:g} left of -L={-config.L:g}")
-    result.band_entry = (x_entry, 1.0)
-
-    # Leg 2: cross the layer in fast variables.
-    hit, traj = _band_leg(system, config, eps, x_entry, 1.0,
-                          keep_trajectory=keep_trajectories)
-    result.departure = (float(hit.point[0]), 1.0)
-    result.tau_band = float(hit.t)
-    result.events.extend(traj.events)
-    if keep_trajectories:
-        result.trajectories.append(traj)
-    x_dep = float(hit.point[0])
-    if x_dep > config.theta:
-        raise ConditionViolated(
-            f"departure abscissa {x_dep:g} exceeds theta={config.theta:g}"
-        )
-
-    # Leg 3: climb to the outflow section x = theta.
-    sec = SectionSpec("vertical", config.theta, ident="outflow")
-    hit, traj = flow_to_section_traj(system.x_plus, (x_dep, eps), sec,
-                                     config.integ, graze_probe=False)
-    if keep_trajectories:
-        result.trajectories.append(traj)
-    result.y_out = float(hit.point[1])
-    return result
+    return _layer_legs(system, config, eps, x_entry, 1.0, result, keep_trajectories)
 
 
 def lower_transition_map(
@@ -353,11 +344,12 @@ def lower_transition_map(
     result = TransitionResult(y_out=math.nan)
 
     x_entry = -config.rho
+    yhat0 = y_in / eps
     if y_in < -eps:
         sec = SectionSpec("horizontal", -eps, direction="up", ident="floor")
         try:
             hit, traj = flow_to_section_traj(system.x_minus, (-config.rho, y_in),
-                                             sec, config.integ, graze_probe=False)
+                                             sec, config.integ)
         except (NoCrossing, DomainExit) as exc:
             raise NoCrossing(
                 f"lower-field orbit from y_in={y_in:g} never met the layer floor"
@@ -366,33 +358,8 @@ def lower_transition_map(
         yhat0 = -1.0
         if keep_trajectories:
             result.trajectories.append(traj)
-    else:
-        yhat0 = y_in / eps
-
-    if x_entry < -config.L:
-        raise LeftWindow(f"layer entry at x={x_entry:g} left of -L={-config.L:g}")
-    result.band_entry = (x_entry, yhat0)
-
-    hit, traj = _band_leg(system, config, eps, x_entry, yhat0, record_09=True,
-                          keep_trajectory=keep_trajectories)
-    result.departure = (float(hit.point[0]), 1.0)
-    result.tau_band = float(hit.t)
-    result.events.extend(traj.events)
-    if keep_trajectories:
-        result.trajectories.append(traj)
-    x_dep = float(hit.point[0])
-    if x_dep > config.theta:
-        raise ConditionViolated(
-            f"departure abscissa {x_dep:g} exceeds theta={config.theta:g}"
-        )
-
-    sec = SectionSpec("vertical", config.theta, ident="outflow")
-    hit, traj = flow_to_section_traj(system.x_plus, (x_dep, eps), sec,
-                                     config.integ, graze_probe=False)
-    if keep_trajectories:
-        result.trajectories.append(traj)
-    result.y_out = float(hit.point[1])
-    return result
+    return _layer_legs(system, config, eps, x_entry, yhat0, result,
+                       keep_trajectories, record_09=True)
 
 
 # --------------------------------------------------------------------------
@@ -419,6 +386,17 @@ class ScalingFit:
         }
 
 
+def fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares line y = slope*x + intercept; returns (slope, intercept, r^2)."""
+    A = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    fitted = A @ coef
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r2
+
+
 def fit_scaling(eps_values: Sequence[float], values: Sequence[float],
                 predicted_slope: Optional[float] = None) -> ScalingFit:
     """Least-squares power-law fit log(value) = slope*log(eps) + intercept.
@@ -436,30 +414,12 @@ def fit_scaling(eps_values: Sequence[float], values: Sequence[float],
         raise NonPositiveQuantity("scaling fit requires positive eps and values")
     if math.log10(e.max() / e.min()) < 2.0 - 1e-9:
         raise ConditionViolated("eps samples must span at least two decades")
-    le, lv = np.log(e), np.log(v)
-    A = np.column_stack([le, np.ones_like(le)])
-    coef, *_ = np.linalg.lstsq(A, lv, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((lv - fitted) ** 2))
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    fit = ScalingFit(slope=float(coef[0]), intercept=float(coef[1]), r2=r2,
-                     n_points=len(e))
+    slope, intercept, r2 = fit_line(np.log(e), np.log(v))
+    fit = ScalingFit(slope=slope, intercept=intercept, r2=r2, n_points=len(e))
     if predicted_slope is not None:
         fit.predicted = predicted_slope
         fit.rel_dev = abs(fit.slope - predicted_slope) / abs(predicted_slope)
     return fit
-
-
-def departure_scaling_study(system: FilippovSystem, config: TransitionConfig,
-                            eps_values: Sequence[float]) -> List[dict]:
-    """Rows (eps, x_eps, psi_eps) for the departure/tangency comparison."""
-    rows = []
-    for eps in sorted(eps_values, reverse=True):
-        x_eps = find_x_epsilon(system, config, eps)
-        psi = tangency_curve_psi(system, config, eps)
-        rows.append({"eps": float(eps), "x_eps": x_eps, "psi_eps": psi})
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -487,8 +447,7 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
     integ = replace(config.integ,
                     max_step=min(config.integ.max_step, 0.25 * (psi - x_in)))
     try:
-        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec,
-                                      integ, graze_probe=False)
+        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ)
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(
             f"orbit from (x={x_in:g}, eps) never re-crossed y = eps"

@@ -302,8 +302,7 @@ def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,
     y0 = sm.m0(-L) + eps * sm.m1(-L)
     integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", x_end, ident="grid-end")
-    hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ,
-                                     graze_probe=False)
+    hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ)
     dense = sample_dense(traj, 20001)
     xs, ys = dense[:, 0], dense[:, 1]
     order = np.argsort(xs)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from pytest import approx
 
 from regtang.cli import main
@@ -180,3 +181,21 @@ def test_stdout_mode_prints_summary(capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert '"coefficients"' in text
+
+
+@pytest.mark.parametrize("command", ["simulate", "chart"])
+def test_unknown_scenario_exits_2_with_json(command, capsys):
+    code = main([command, "--scenario", "nope"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert "nope" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("span", ["1e-3", "-3:-2:1", "a:b"])
+def test_malformed_eps_decades_exits_2_with_json(span, capsys):
+    code = main(["scaling", f"--eps-decades={span}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert span in err["error"]["message"]

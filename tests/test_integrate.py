@@ -1,7 +1,7 @@
 """Section-crossing detection on top of the adaptive integrator."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import (
@@ -146,3 +146,88 @@ def test_section_residual_sign_conventions():
     assert up.residual((0.0, 0.0)) == approx(-0.25)
     vert = SectionSpec("vertical", -1.0)
     assert vert.residual((0.0, 0.0)) == approx(1.0)
+
+
+def test_rejected_crossing_restarts_once():
+    # the upward crossing of y = 0.5 at t = pi/6 stops the solver and is
+    # rejected; one restart past it reaches the admitted one at t = 5 pi/6
+    sec = SectionSpec("horizontal", 0.5, direction="down")
+    hit, traj = flow_to_section_traj(rotation, (1.0, 0.0), sec, IntegratorConfig())
+    assert hit.t == approx(5 * np.pi / 6, abs=1e-9)
+    assert len(traj.segments) == 2
+
+
+def test_near_touch_then_crossing_returns_the_crossing():
+    # y = (x - 1)^2 (x - 3): rises to a double root at x = 1, which stays
+    # 1e-9 below the section, then crosses it upward near x = 3
+    field = fld(lambda x, y: (1.0, (x - 1.0) * (3.0 * x - 7.0)))
+    sec = SectionSpec("horizontal", 1e-9, direction="up")
+    hit = flow_to_section(field, (0.0, -3.0), sec, IntegratorConfig(max_time=50.0))
+    assert hit.point[0] == approx(3.0, abs=1e-8)
+    assert hit.direction == "up"
+
+
+def test_graze_is_a_no_crossing():
+    eps = 1e-3
+    d = 0.05
+    sec = SectionSpec("horizontal", eps - d * d / 2 - 1e-8, direction="down")
+    with raises(NoCrossing) as info:
+        flow_to_section(fld(lambda x, y: (1.0, x)), (-d, eps), sec,
+                        IntegratorConfig(max_time=50.0))
+    assert isinstance(info.value, TangentialGraze)
+    # the turning point of y = eps + x^2/2 - d^2/2 sits at x = 0, t = d
+    assert info.value.t == approx(d, abs=1e-9)
+    assert info.value.point[0] == approx(0.0, abs=1e-9)
+
+
+def test_far_turning_point_is_not_a_graze():
+    # y = sin t turns at +-1, far from y = 2: a plain NoCrossing
+    with raises(NoCrossing) as info:
+        flow_to_section(rotation, (1.0, 0.0), SectionSpec("horizontal", 2.0),
+                        IntegratorConfig(max_time=20.0))
+    assert type(info.value) is NoCrossing
+
+
+def _sine_crossings(c, t_end, interval, direction):
+    """Analytic crossings of y = c by (cos t, sin t) on (0, t_end]."""
+    out = []
+    base = np.arcsin(c)
+    for k in range(int(t_end / (2 * np.pi)) + 2):
+        for t, d in ((base + 2 * np.pi * k, "up"),
+                     (np.pi - base + 2 * np.pi * k, "down")):
+            if 0.0 < t <= t_end and interval[0] <= np.cos(t) <= interval[1] \
+                    and direction in (None, d):
+                out.append(t)
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    c=st.floats(min_value=-0.9, max_value=0.9),
+    max_step=st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=5.0)),
+    t_end=st.floats(min_value=1.0, max_value=20.0),
+    bounds=st.tuples(st.floats(min_value=-1.5, max_value=1.5),
+                     st.floats(min_value=-1.5, max_value=1.5)),
+    direction=st.sampled_from([None, "up", "down"]),
+)
+def test_section_scan_matches_analytic_crossings(c, max_step, t_end, bounds,
+                                                 direction):
+    lo, hi = min(bounds), max(bounds)
+    xc = np.sqrt(1.0 - c * c)
+    # keep every decision away from a boundary the tolerances cannot resolve
+    assume(abs(c) > 1e-3 and hi - lo > 1e-3)
+    assume(all(abs(b - s) > 1e-6 for b in (lo, hi) for s in (xc, -xc)))
+    ts = np.concatenate([np.arcsin(c) + 2 * np.pi * np.arange(5),
+                         np.pi - np.arcsin(c) + 2 * np.pi * np.arange(5)])
+    assume(np.all(np.abs(ts - t_end) > 1e-6))
+
+    sec = SectionSpec("horizontal", c, interval=(lo, hi), direction=direction)
+    traj = flow(rotation, (1.0, 0.0), (0.0, t_end),
+                IntegratorConfig(max_step=max_step), sections=[sec])
+    expected = _sine_crossings(c, t_end, (lo, hi), direction)
+    got = [ev.t for ev in traj.events]
+    assert len(got) == len(expected)
+    assert got == approx(expected, abs=1e-8)
+    for ev in traj.events:
+        assert ev.point[1] == approx(c, abs=1e-9)
+        assert direction in (None, ev.direction)
