@@ -77,31 +77,58 @@ _TYPES = {
 }
 
 
-def _load_config(path: str, command: str) -> Dict[str, str]:
+# The keys each subcommand reads.  Any other flag, or key in the command's
+# own config-file section, is an error; keys in [global] are shared by all
+# commands and stay tolerated.  --out, --workers and --config go everywhere.
+_SYSTEM_KEYS = {"scenario", "k", "alpha"}                      # _system
+_TCFG_KEYS = {"k", "n", "phi_m", "lam", "rho", "theta", "L"}   # _tcfg
+_GRID_KEYS = {"eps", "eps_decades", "points"}                  # _eps_grid
+_READS = {
+    "phi": {"m", "phi_m"},
+    "chart": {"k", "n", "alpha", "sigma"},
+    "scaling": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
+    "upper-map": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
+    "lower-map": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
+    "slow-manifold": _SYSTEM_KEYS | _TCFG_KEYS | {"eps", "points", "sandwich_K"},
+    "simulate": _SYSTEM_KEYS | {"eps", "n", "phi_m", "x0", "y0", "tmax"},
+    "cycle": _GRID_KEYS | {"scenario", "k", "n", "phi_m", "rho"},
+}
+_EVERYWHERE = {"out", "workers"}
+
+
+def _load_config(path: str, command: str) -> List[Dict[str, str]]:
+    """The [global] and the [command] sections of a config file."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_string(fh.read())
-    merged: Dict[str, str] = {}
-    for section in ("global", command):
-        if cp.has_section(section):
-            merged.update({k.replace("-", "_"): v for k, v in cp.items(section)})
-    return merged
+    return [{k.replace("-", "_"): v for k, v in cp.items(section)}
+            if cp.has_section(section) else {}
+            for section in ("global", command)]
+
+
+def _ignored(command: str, what: str, val) -> RegtangError:
+    return RegtangError(f"{command} does not use {what} (got {val!r})")
 
 
 def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
     """Merge defaults, config file, and flags (flags win)."""
+    reads = _READS[command] | _EVERYWHERE
     cfg: Dict[str, object] = {}
     if getattr(args, "config", None):
-        raw = _load_config(args.config, command)
-        for key, sval in raw.items():
+        shared, own = _load_config(args.config, command)
+        for key, sval in {**shared, **own}.items():
             if key not in _TYPES:
                 raise RegtangError(f"unknown config key {key!r}")
+            if key in own and key not in reads:
+                raise _ignored(command, f"config key {key!r}", sval)
             cfg[key] = _TYPES[key](sval)
     for key, val in vars(args).items():
-        if key in ("command", "config"):
+        if key in ("command", "config") or val is None:
             continue
-        if val is not None:
-            cfg[key] = val
+        if key not in reads:
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            raise _ignored(command, flag, val)
+        cfg[key] = val
     if "scenario" in cfg and cfg["scenario"] not in SCENARIOS:
         raise RegtangError(
             f"unknown scenario {cfg['scenario']!r}; available: {sorted(SCENARIOS)}"

@@ -135,8 +135,9 @@ def multiplier_fd(return_fn: Callable[[float], float], y_star: float,
 def _augmented_rhs(eval2: Callable[[float, float], np.ndarray],
                    div2: Callable[[float, float], float]):
     def rhs(t, p):
-        v = eval2(p[0], p[1])
-        return np.array([v[0], v[1], div2(p[0], p[1])])
+        x, y, _ = p.tolist()
+        v = eval2(x, y)
+        return np.array([v[0], v[1], div2(x, y)])
     return rhs
 
 

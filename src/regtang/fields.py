@@ -13,7 +13,7 @@ from .errors import (
     PrecisionWarning,
     UnresolvedContact,
 )
-from .polys import Poly2, polys_from_text, polys_to_text
+from .polys import Poly2, compile_kernel, polys_from_text, polys_to_text, power_lines
 
 Point = Tuple[float, float]
 
@@ -30,8 +30,12 @@ class PlanarField:
         if self.eval is None:
             if self.poly_form is None:
                 raise ValueError("PlanarField needs eval or poly_form")
-            p1, p2 = self.poly_form[0].compiled(), self.poly_form[1].compiled()
-            self.eval = lambda x, y: np.array([p1(x, y), p2(x, y)])
+            p1, p2 = self.poly_form
+            self.eval = compile_kernel(
+                "x, y",
+                power_lines(self.poly_form) + p1.float_lines("u") + p2.float_lines("v")
+                + ["return array([u, v])"],
+                {"array": np.array})
 
     def __call__(self, x: float, y: float) -> np.ndarray:
         return self.eval(x, y)

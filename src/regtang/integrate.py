@@ -114,7 +114,8 @@ def _as_rhs(field) -> RHS:
     ev = field.eval
 
     def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        return ev(p[0], p[1])
+        x, y = p.tolist()  # float math on Python floats, not np.float64
+        return ev(x, y)
 
     return rhs
 
@@ -414,17 +415,14 @@ def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
     """Evaluate the dense output on n time points spanning the trajectory."""
     ts = np.linspace(traj.t[0], traj.t[-1], n)
     out = np.empty((n, traj.points.shape[1]))
-    segs = traj.segments
-    for i, ti in enumerate(ts):
-        placed = False
-        for sol in segs:
-            lo, hi = sorted((sol.sol.t_min, sol.sol.t_max))
-            if lo - 1e-12 <= ti <= hi + 1e-12:
-                out[i] = sol.sol(ti)
-                placed = True
-                break
-        if not placed:
-            # fall back to nearest sample
-            j = int(np.argmin(np.abs(traj.t - ti)))
-            out[i] = traj.points[j]
+    todo = np.ones(n, dtype=bool)
+    for sol in traj.segments:
+        lo, hi = sorted((sol.sol.t_min, sol.sol.t_max))
+        mask = todo & (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+        if mask.any():
+            out[mask] = sol.sol(ts[mask]).T
+            todo &= ~mask
+    for i in np.flatnonzero(todo):
+        # fall back to nearest sample
+        out[i] = traj.points[int(np.argmin(np.abs(traj.t - ts[i])))]
     return out

@@ -6,17 +6,17 @@ Two tiny immutable polynomial types built on ``fractions.Fraction``:
 * ``Poly2`` — bivariate, sparse map ``(i, j) -> coeff`` for ``x**i * y**j``.
 
 Only the operations the rest of the package needs are implemented (ring
-arithmetic, differentiation, evaluation, composition with shifts).  float
-evaluation goes through a compiled closure so that integrator right-hand
-sides stay cheap.
+arithmetic, differentiation, evaluation, composition with shifts).  Float
+evaluation of a ``Poly2`` runs straight-line code generated once from its
+exact coefficients (``compile_kernel``), so that integrator right-hand sides
+stay cheap; the same statements are inlined into the fused kernels of
+``regtang.regularize``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 
@@ -38,13 +38,14 @@ def _q(v) -> Fraction:
 class Poly1:
     """Univariate polynomial with exact rational coefficients (ascending)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Sequence = ()):  # trailing zeros trimmed
         cs = [_q(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        self._floats: Optional[Tuple[float, ...]] = None  # descending, lazy
 
     # -- basic ring ops ----------------------------------------------------
     def __add__(self, other: "Poly1") -> "Poly1":
@@ -93,10 +94,25 @@ class Poly1:
         return acc
 
     def __call__(self, x: float) -> float:
+        fc = self._floats
+        if fc is None:
+            fc = self._floats = tuple(float(c) for c in reversed(self.coeffs))
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in fc:
+            acc = acc * x + c
         return acc
+
+    def horner_lines(self, var: str, target: str) -> List[str]:
+        """Statements assigning this polynomial at ``var`` to ``target``, in
+        the Horner order of ``__call__``.  Zero coefficients are skipped,
+        which can only change the sign of a zero result."""
+        cs = [float(c) for c in reversed(self.coeffs)]
+        if not cs:
+            return [f"{target} = 0.0"]
+        lines = [f"{target} = {cs[0]!r}"]
+        for c in cs[1:]:
+            lines.append(f"{target} = {target}*{var}" + (f" + {c!r}" if c else ""))
+        return lines
 
     def shift(self, a) -> "Poly1":
         """Return p(x + a) as a polynomial in x (exact)."""
@@ -231,21 +247,38 @@ class Poly2:
             acc += c * x**i * y**j
         return acc
 
-    def compiled(self) -> Callable[[float, float], float]:
-        """Return (and cache) a fast float evaluator."""
-        if self._fast is None:
-            if not self.terms:
-                self._fast = lambda x, y: 0.0
+    def float_lines(self, target: str) -> List[str]:
+        """Statements assigning this polynomial's float value to ``target``.
+
+        They read ``x``, ``y`` and the powers ``power_lines`` defines; the
+        terms are summed left to right in sorted order, each as
+        ``c*(x**i*y**j)`` with the coefficient converted here, once.
+        """
+        terms = []
+        for (i, j), c in sorted(self.terms.items()):
+            mono = "*".join(_power(v, e) for v, e in (("x", i), ("y", j)) if e)
+            cf = float(c)
+            if not mono:
+                terms.append(repr(cf))
+            elif cf in (1.0, -1.0):
+                terms.append(("" if cf > 0 else "-") + mono)
             else:
-                keys = sorted(self.terms)
-                ii = np.array([k[0] for k in keys], dtype=np.int64)
-                jj = np.array([k[1] for k in keys], dtype=np.int64)
-                cc = np.array([float(self.terms[k]) for k in keys])
+                terms.append(f"({cf!r})*" + (f"({mono})" if "*" in mono else mono))
+        if not terms:
+            return [f"{target} = 0.0"]
+        # Sum in chunks: one expression of thousands of terms overflows the
+        # compiler's recursion limit.
+        lines = []
+        for k in range(0, len(terms), _CHUNK):
+            head = [target] if k else []
+            lines.append(f"{target} = " + " + ".join(head + terms[k:k + _CHUNK]))
+        return lines
 
-                def _eval(x: float, y: float, ii=ii, jj=jj, cc=cc) -> float:
-                    return float(np.dot(cc, (x ** ii) * (y ** jj)))
-
-                self._fast = _eval
+    def compiled(self) -> Callable[[float, float], float]:
+        """Return (and cache) the generated float evaluator ``f(x, y)``."""
+        if self._fast is None:
+            self._fast = compile_kernel(
+                "x, y", power_lines([self]) + self.float_lines("v") + ["return v"])
         return self._fast
 
     def __call__(self, x: float, y: float) -> float:
@@ -279,6 +312,34 @@ class Poly2:
             f"({c})x^{i}y^{j}" for (i, j), c in sorted(self.terms.items())
         )
         return f"Poly2[{body or '0'}]"
+
+
+# ---------------------------------------------------------------------------
+# straight-line float kernels
+# ---------------------------------------------------------------------------
+
+_CHUNK = 64  # terms per summation statement
+
+
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}{e}"
+
+
+def power_lines(polys: Iterable[Poly2]) -> List[str]:
+    """Statements ``x3 = x**3`` for every power of degree >= 2 the polynomials use."""
+    need = sorted({(v, e) for p in polys for (i, j) in p.terms
+                   for v, e in (("x", i), ("y", j)) if e >= 2})
+    return [f"{_power(v, e)} = {v}**{e}" for v, e in need]
+
+
+def compile_kernel(args: str, body: Sequence[str],
+                   namespace: Optional[Dict[str, object]] = None) -> Callable:
+    """Compile ``def _kernel(args): body`` and return the function; the
+    names ``body`` uses beyond its arguments and locals come from ``namespace``."""
+    src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
+    ns = dict(namespace or {})
+    exec(compile(src, "<regtang kernel>", "exec"), ns)
+    return ns["_kernel"]
 
 
 # ---------------------------------------------------------------------------

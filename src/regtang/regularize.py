@@ -22,6 +22,58 @@ from .errors import ConditionViolated, DomainError, TransientNotDecayed
 from .fields import FilippovSystem, PlanarField
 from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj, sample_dense
 from .phi import TransitionFunction, phi_inverse
+from .polys import Poly2, compile_kernel, power_lines
+
+
+# --------------------------------------------------------------------------
+# fused right-hand-side kernel
+# --------------------------------------------------------------------------
+
+def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
+                band: bool) -> Callable[[float, float], np.ndarray]:
+    """Straight-line float kernel of the convex combination
+
+        c = (1 + Phi(s))/2,   Z = c*X_plus + (1 - c)*X_minus,
+
+    generated from the exact coefficients of Phi and of polynomial zone
+    fields.  With ``band`` it takes (x, s = yhat), sets y = eps*s and scales
+    the first component by eps (``BandField``); otherwise it takes (x, y)
+    with s = h(x, y)/eps (``RegularizedField``).  A zone field without a
+    polynomial form, and a switching function other than h = y, are called
+    through their own callables.  The kernel runs the operations of
+    ``c*X_plus.eval + (1 - c)*X_minus.eval`` in their order, on the
+    statements ``PlanarField`` compiles, so it returns the same numbers.
+    """
+    e = repr(float(eps))
+    ns: dict = {"array": np.array}
+    if band:
+        args, body = "x, s", [f"y = {e}*s"]
+    elif system.h.poly == Poly2.y():
+        args, body = "x, y", [f"s = y/{e}"]
+    else:
+        ns["h"] = system.h.h
+        args, body = "x, y", [f"s = h(x, y)/{e}"]
+    body += ["if s >= 1.0:", "    c = 1.0", "elif s <= -1.0:", "    c = 0.0", "else:"]
+    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
+    body += ["    c = 0.5*(1.0 + P)", "d = 1.0 - c"]
+    polys, lines, comps = [], [], []
+    for tag, f in (("p", system.x_plus), ("m", system.x_minus)):
+        if f.poly_form is None:
+            ns["ev" + tag] = f.eval
+            lines.append(f"v{tag} = ev{tag}(x, y)")
+            comps.append((f"v{tag}[0]", f"v{tag}[1]"))
+        else:
+            polys += f.poly_form
+            for i, p in enumerate(f.poly_form):
+                lines += p.float_lines(f"{tag}{i + 1}")
+            comps.append((f"{tag}1", f"{tag}2"))
+    (a1, a2), (b1, b2) = comps
+    first = f"c*{a1} + d*{b1}"
+    if band:
+        first = f"{e}*({first})"
+    body += power_lines(polys) + lines
+    body.append(f"return array([{first}, c*{a2} + d*{b2}])")
+    return compile_kernel(args, body, ns)
 
 
 # --------------------------------------------------------------------------
@@ -30,7 +82,12 @@ from .phi import TransitionFunction, phi_inverse
 
 @dataclass
 class RegularizedField:
-    """Smooth field agreeing with X_plus above the band and X_minus below."""
+    """Smooth field agreeing with X_plus above the band and X_minus below.
+
+    ``eval`` runs one kernel generated from system, tf and eps at
+    construction.  It stays a method of the class, so that wrapping
+    ``RegularizedField.eval`` on the class sees every evaluation.
+    """
 
     system: FilippovSystem
     tf: TransitionFunction
@@ -39,11 +96,10 @@ class RegularizedField:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=False)
 
     def eval(self, x: float, y: float) -> np.ndarray:
-        s = self.system.h.h(x, y) / self.eps
-        c = 0.5 * (1.0 + self.tf.Phi(s))
-        return c * self.system.x_plus.eval(x, y) + (1.0 - c) * self.system.x_minus.eval(x, y)
+        return self._rhs(x, y)
 
     def __call__(self, x: float, y: float) -> np.ndarray:
         return self.eval(x, y)
@@ -74,7 +130,6 @@ class RegularizedField:
 def _require_vertical(system: FilippovSystem):
     h = system.h
     if h.poly is not None:
-        from .polys import Poly2
         if h.poly == Poly2.y():
             return
     elif all(abs(h.h(x, y) - y) < 1e-14
@@ -94,6 +149,8 @@ class BandField:
 
     where c+- = (1 +- Phi(yhat))/2.  With the saturation of Phi the same
     equations remain valid outside |yhat| <= 1 and match the slow flow there.
+    As in ``RegularizedField``, ``eval`` is a method of the class that calls
+    one kernel generated at construction.
     """
 
     system: FilippovSystem
@@ -104,16 +161,10 @@ class BandField:
         _require_vertical(self.system)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
 
     def eval(self, x: float, yhat: float) -> np.ndarray:
-        eps = self.eps
-        c = 0.5 * (1.0 + self.tf.Phi(yhat))
-        vp = self.system.x_plus.eval(x, eps * yhat)
-        vm = self.system.x_minus.eval(x, eps * yhat)
-        return np.array([
-            eps * (c * vp[0] + (1.0 - c) * vm[0]),
-            c * vp[1] + (1.0 - c) * vm[1],
-        ])
+        return self._rhs(x, yhat)
 
     def __call__(self, x: float, yhat: float) -> np.ndarray:
         return self.eval(x, yhat)

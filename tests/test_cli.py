@@ -199,3 +199,53 @@ def test_malformed_eps_decades_exits_2_with_json(span, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"]["type"] == "RegtangError"
     assert span in err["error"]["message"]
+
+
+IGNORED_FLAGS = [
+    ("chart", "--scenario", "canonical"),
+    ("chart", "--phi-m", "2"),
+    ("chart", "--eps", "0.001"),
+    ("chart", "--eps-decades", "-3:-2"),
+    ("chart", "--points", "5"),
+    ("chart", "--rho", "0.3"),
+    ("chart", "--theta", "0.3"),
+    ("chart", "--lambda", "0.3"),
+    ("chart", "--L", "0.3"),
+    ("slow-manifold", "--eps-decades", "-3:-2"),
+    ("simulate", "--eps-decades", "-3:-2"),
+    ("simulate", "--points", "5"),
+    ("simulate", "--rho", "0.3"),
+    ("simulate", "--theta", "0.3"),
+    ("simulate", "--lambda", "0.3"),
+    ("simulate", "--L", "0.3"),
+    ("cycle", "--alpha", "2.0"),
+    ("cycle", "--theta", "0.3"),
+    ("cycle", "--lambda", "0.3"),
+    ("cycle", "--L", "0.3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+def test_flag_the_command_ignores_exits_2_with_json(command, flag, value, capsys):
+    code = main([command, f"{flag}={value}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert flag in err["error"]["message"]
+    assert value in err["error"]["message"]
+
+
+def test_ignored_key_in_the_command_section_is_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[global]\neps = 1e-3\n\n[chart]\nscenario = canonical\n")
+    code = main(["chart", "--config", str(cfgfile)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "scenario" in err["error"]["message"]
+
+
+def test_workers_is_accepted_where_it_is_not_read(tmp_path):
+    code, out, summary = run(tmp_path, "simulate", "--scenario", "canonical",
+                             "--eps", "1e-2", "--tmax", "0.5", "--workers", "1")
+    assert code == 0
+    assert summary["config"]["workers"] == 1

@@ -130,6 +130,32 @@ def test_sample_dense_resolution_and_monotonicity():
     assert np.max(np.abs(dense[:, 1] - np.sin(x))) < 1e-8
 
 
+def _sample_dense_pointwise(traj, n):
+    """Reference: one dense-output call per time point, first covering segment."""
+    ts = np.linspace(traj.t[0], traj.t[-1], n)
+    out = np.empty((n, traj.points.shape[1]))
+    for i, ti in enumerate(ts):
+        for sol in traj.segments:
+            lo, hi = sorted((sol.sol.t_min, sol.sol.t_max))
+            if lo - 1e-12 <= ti <= hi + 1e-12:
+                out[i] = sol.sol(ti)
+                break
+        else:
+            out[i] = traj.points[int(np.argmin(np.abs(traj.t - ti)))]
+    return out
+
+
+def test_sample_dense_equals_pointwise_evaluation():
+    down = SectionSpec("horizontal", 0.5, direction="down")
+    _, fwd = flow_to_section_traj(rotation, (1.0, 0.0), down, IntegratorConfig())
+    _, bwd = flow_to_section_traj(rotation, (1.0, 0.0), down, IntegratorConfig(),
+                                  t_direction="backward")
+    # a trajectory whose segments miss its first part: nearest-sample fallback
+    gap = Trajectory(t=fwd.t, points=fwd.points, segments=fwd.segments[1:])
+    for traj in (fwd, bwd, gap):
+        assert np.array_equal(sample_dense(traj, 777), _sample_dense_pointwise(traj, 777))
+
+
 def test_trajectory_csv_header_and_events():
     cfg = IntegratorConfig()
     sec = SectionSpec("vertical", 1.0, ident="stop")

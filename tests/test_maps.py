@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import (
+    BandField,
     ConditionViolated,
     DomainError,
     IntegratorConfig,
@@ -167,3 +168,20 @@ def test_scaling_fit_serializes():
     d = fit.as_dict()
     assert set(d) >= {"slope", "intercept", "r2", "n_points"}
     assert d["n_points"] == 7
+
+
+def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
+    # A benchmark tracer counts band work by wrapping BandField.eval on the
+    # class; a kernel bound on the instance would slip past it.
+    calls = [0]
+    inner = BandField.eval
+
+    def counting(self, x, yhat):
+        calls[0] += 1
+        return inner(self, x, yhat)
+
+    monkeypatch.setattr(BandField, "eval", counting)
+    _, traj = find_x_epsilon(canonical_system(1), TransitionConfig(1, 2), 1e-3,
+                             keep_trajectory=True)
+    # the solver's evaluations, plus one per located crossing (its direction)
+    assert calls[0] == sum(sol.nfev for sol in traj.segments) + len(traj.events)

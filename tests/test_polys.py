@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic in one and two variables."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import Poly1, Poly2
+from regtang.polys import compile_kernel
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
 
@@ -100,3 +102,67 @@ def test_compiled_matches_exact_on_grid():
     xs = np.linspace(-2, 2, 9)
     for x in xs:
         assert fn(x, 0.3) == approx(float(q.eval_exact(Fraction(x).limit_denominator(10**12), Fraction(3, 10))), rel=1e-12)
+
+
+# -- generated float kernels ----------------------------------------------------
+
+def _old_horner(p, x):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+sparse_poly2 = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)), rationals, max_size=10)
+coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_poly2, coords, coords)
+@example({}, 0.7, -1.3)
+@example({(0, 0): Fraction(-7, 3)}, 1.5, 0.25)
+@example({(1, 2): Fraction(13)}, 2.225073858507203e-309, 0.5)  # subnormal x
+def test_compiled_matches_eval_exact_within_ulps(terms, x, y):
+    q = Poly2(terms)
+    X, Y = Fraction(x), Fraction(y)
+    exact = q.eval_exact(X, Y)
+    magnitude = sum(abs(c * X**i * Y**j) for (i, j), c in q.terms.items())
+    # a value that underflows rounds to the subnormal spacing instead, and
+    # the factors multiplied in after it scale that error
+    tiny = 2.0**-1074 * sum(max(1, abs(c)) * max(1, abs(X))**i * max(1, abs(Y))**j
+                            for (i, j), c in q.terms.items())
+    got = q.compiled()(x, y)
+    assert isinstance(got, float)
+    # float(c), each power, each product and each partial sum round once
+    ulps = 4 + 2 * len(q.terms)
+    assert abs(Fraction(got) - exact) <= ulps * (2.0**-52 * magnitude + tiny)
+
+
+def test_compiled_sums_many_terms_in_chunks():
+    q = (Poly2.x() + Poly2.y() + Poly2.const(Fraction(1, 3))).pow(14)  # 120 terms
+    assert len(q.terms) > 64
+    exact = float(q.eval_exact(Fraction(1, 4), Fraction(-1, 8)))
+    assert q.compiled()(0.25, -0.125) == approx(exact, rel=1e-13)
+    wide = Poly2({(i, j): 1 for i in range(100) for j in range(50)})
+    assert wide.compiled()(1.0, 1.0) == 5000.0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(rationals, max_size=14),
+       st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+def test_poly1_call_is_bit_identical_to_per_term_float_horner(coeffs, x):
+    p = Poly1(coeffs)
+    want = struct.pack("<d", _old_horner(p, x))
+    assert struct.pack("<d", p(x)) == want
+    assert struct.pack("<d", p(x)) == want  # cached coefficients
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(rationals, max_size=14),
+       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+def test_poly1_horner_lines_match_call(coeffs, x):
+    p = Poly1(coeffs)
+    fn = compile_kernel("s", p.horner_lines("s", "P") + ["return P"])
+    assert fn(x) == p(x)  # equal up to the sign of a zero

@@ -1,5 +1,7 @@
 """Smoothed fields, the layer system, and the slow manifold."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
@@ -18,7 +20,7 @@ from regtang import (
     sandwich_exponent,
     slow_manifold_sandwich_check,
 )
-from regtang.scenarios import canonical_system
+from regtang.scenarios import boundary_cycle_system, canonical_system
 
 TF1 = phi_family(1)
 
@@ -181,3 +183,85 @@ def test_manifold_table_header():
     text = manifold_table_csv(rep)
     assert text.splitlines()[0] == "x,m0,m1,m_proxy,lower_bound"
     assert len(text.strip().splitlines()) == 11
+
+
+# -- the fused right-hand-side kernels -------------------------------------------
+
+def _composed(system, tf, x, y, s):
+    """c*X+ + (1-c)*X- from the parts, and the sum of the two terms' sizes."""
+    c = 0.5 * (1.0 + tf.Phi(s))
+    vp = np.asarray(system.x_plus.eval(x, y), dtype=float)
+    vm = np.asarray(system.x_minus.eval(x, y), dtype=float)
+    return c * vp + (1.0 - c) * vm, np.abs(c * vp) + np.abs((1.0 - c) * vm)
+
+
+def _check_kernels(system, tf, eps, x, s):
+    band = BandField(system, tf, eps)
+    reg = RegularizedField(system, tf, eps)
+    scale = np.array([eps, 1.0])
+    y = eps * s
+    got = np.asarray(band.eval(x, s))
+    want, size = _composed(system, tf, x, y, s)
+    assert np.all(np.abs(got - scale * want) <= 1e-14 * scale * size)
+    if abs(s) >= 1.0:
+        side = system.x_plus if s > 0 else system.x_minus
+        assert np.array_equal(got, scale * np.asarray(side.eval(x, y)))
+    s_reg = y / eps
+    got = np.asarray(reg.eval(x, y))
+    want, size = _composed(system, tf, x, y, s_reg)
+    assert np.all(np.abs(got - want) <= 1e-14 * size)
+    if abs(s_reg) >= 1.0:
+        side = system.x_plus if s_reg > 0 else system.x_minus
+        assert np.array_equal(got, np.asarray(side.eval(x, y)))
+
+
+KERNEL_CASES = [(canonical_system(k=1), TF1, 1e-3),
+                (boundary_cycle_system(k=2), phi_family(5), 1e-2)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(KERNEL_CASES),
+       st.floats(min_value=-1.2, max_value=1.2),
+       st.floats(min_value=-3.0, max_value=3.0))
+def test_fused_kernels_equal_the_composition(case, x, s):
+    _check_kernels(*case, x, s)
+
+
+def test_fused_kernels_call_eval_only_fields():
+    from regtang import FilippovSystem, PlanarField, SwitchingFunction
+    from regtang.scenarios import time_reversed
+
+    sys = canonical_system(k=1)
+    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
+    reversed_sys = time_reversed(FilippovSystem(
+        plus, sys.x_minus, SwitchingFunction.vertical_coordinate()))
+    assert reversed_sys.x_plus.poly_form is None
+    for x in (-0.7, 0.0, 0.4):
+        for s in (-2.0, -1.0, -0.3, 0.0, 0.6, 1.0, 1.7):
+            _check_kernels(reversed_sys, TF1, 1e-3, x, s)
+    assert np.array_equal(BandField(reversed_sys, TF1, 1e-3).eval(0.4, 2.0),
+                          [-1e-3 * 1.002, -(0.4 - 0.001)])
+
+
+def test_regularized_kernel_with_tilted_switching_function():
+    from regtang import FilippovSystem, Poly2, SwitchingFunction
+
+    sys = boundary_cycle_system(k=2)
+    tf = phi_family(5)
+    tilted = SwitchingFunction(
+        h=lambda x, y: y - 0.5 * x,
+        grad_h=lambda x, y: np.array([-0.5, 1.0]),
+        poly=Poly2.y() - Poly2.x().scale(Fraction(1, 2)),
+    )
+    tilted_sys = FilippovSystem(sys.x_plus, sys.x_minus, tilted)
+    eps = 1e-2
+    reg = RegularizedField(tilted_sys, tf, eps)
+    for x in (-0.3, 0.0, 0.2):
+        for y in (-0.2, 0.5 * x - 0.004, 0.5 * x, 0.5 * x + 0.007, 0.3):
+            s = tilted.h(x, y) / eps
+            got = np.asarray(reg.eval(x, y))
+            want, size = _composed(tilted_sys, tf, x, y, s)
+            assert np.all(np.abs(got - want) <= 1e-14 * size)
+            if abs(s) >= 1.0:
+                side = sys.x_plus if s > 0 else sys.x_minus
+                assert np.array_equal(got, side.eval(x, y))
