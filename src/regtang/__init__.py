@@ -104,7 +104,6 @@ from .cycles import (
     multiplier_fd,
     return_map,
     cycle_multiplier,
-    cycle_arc_multiplier,
     cycle_analysis,
     exterior_map,
     loop_period,

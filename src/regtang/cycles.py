@@ -249,21 +249,9 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
                      y_star: float, rho: float = 0.3,
                      integ: Optional[IntegratorConfig] = None,
                      max_time: float = 200.0) -> dict:
-    """Floquet multiplier of the closed orbit through (-rho, y_star):
-    exp of the loop integral of the smoothed field's divergence.
-    """
-    info = return_map(system, tf, eps, y_star, rho=rho, integ=integ,
-                      with_divergence=True, max_time=max_time)
-    mult = math.exp(info.s_integral)
-    return {"multiplier": mult, "log_multiplier": info.s_integral,
-            "period": info.t_return, "closure_gap": abs(info.y_out - y_star)}
-
-
-def cycle_arc_multiplier(system: FilippovSystem, tf: TransitionFunction,
-                         eps: float, y_star: float, rho: float = 0.3,
-                         integ: Optional[IntegratorConfig] = None,
-                         max_time: float = 200.0) -> dict:
-    """Derivative (magnitude) of the outer-arc map along the closed orbit.
+    """Floquet multiplier of the closed orbit through (-rho, y_star), exp of
+    the loop integral of the smoothed field's divergence, and the derivative
+    (magnitude) of the outer-arc map along it, both from one revolution.
 
     The arc runs on {y = eps} from the departure crossing (upward) to the
     re-entry crossing (downward); outside the layer the smoothed field equals
@@ -293,6 +281,10 @@ def cycle_arc_multiplier(system: FilippovSystem, tf: TransitionFunction,
     b = float(ev(dn.point[0], dn.point[1])[1])
     value = abs(a / b) * math.exp(s_arc)
     return {
+        "multiplier": math.exp(info.s_integral),
+        "log_multiplier": info.s_integral,
+        "period": info.t_return,
+        "closure_gap": abs(info.y_out - y_star),
         "multiplier_arc": value,
         "log_multiplier_arc": math.log(value),
         "s_arc": s_arc,
@@ -402,8 +394,8 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
     mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho, integ=integ,
                             max_time=max_time)
     fd = multiplier_fd(ret, res.y_star)
-    arc = cycle_arc_multiplier(system, tf, eps, res.y_star, rho=rho,
-                               integ=integ, max_time=max_time)
+    arc = {k: mult[k] for k in ("multiplier_arc", "log_multiplier_arc", "s_arc",
+                                "t_arc", "x_departure", "x_reentry")}
     info = CycleInfo(
         eps=eps, fixed_point=res.y_star, period=mult["period"],
         multiplier=mult["multiplier"], log_multiplier=mult["log_multiplier"],

@@ -1,21 +1,28 @@
 """Adaptive integration with dense output and refined section events.
 
 Everything rides on DOP853 (8th-order embedded pair with a matching-order
-interpolant).  Section crossings are located on the dense output and verified
-against ``event_tol``.  A leg that ends without an admissible crossing is
-checked for a tangential touch of its target section: a turning point of the
-residual within ``sqrt(event_tol)`` of zero is surfaced as ``TangentialGraze``
-(a ``NoCrossing``) instead of a plain ``NoCrossing``.
+interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5), stepped
+directly: one driver takes scipy's steps and dense outputs, and checks the
+stopping section and the norm guard after each step exactly as ``solve_ivp``
+checks terminal events, so the step sequence is ``solve_ivp``'s.  Section
+crossings are located on the dense output, evaluated on a sub-step grid in
+one batched pass, and verified against ``event_tol``.  A leg that ends
+without an admissible crossing is checked for a tangential touch of its
+target section: a turning point of the residual within ``sqrt(event_tol)`` of
+zero is surfaced as ``TangentialGraze`` (a ``NoCrossing``) instead of a plain
+``NoCrossing``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import solve_ivp  # noqa: F401  not called; perfbench/tracing.py wraps it by name
 from scipy.optimize import brentq
 
 from .errors import DomainExit, NoCrossing, StepSizeUnderflow, TangentialGraze
@@ -78,11 +85,61 @@ class SectionSpec:
 
 
 @dataclass
+class Segment:
+    """One solver run: the step ends ``t``, the states ``y`` (shape
+    (n, len(t))), the dense output ``sol`` and the solver's work counts.
+
+    The last step of a run stopped by an event keeps its full-step
+    interpolant; ``t[-1]`` is the event time.
+    """
+    t: np.ndarray
+    y: np.ndarray
+    sol: OdeSolution
+    nfev: int
+    njev: int
+    nlu: int
+
+    @cached_property
+    def _coefficients(self):
+        steps = self.sol.interpolants
+        return (np.array([s.t_old for s in steps]), np.array([s.h for s in steps]),
+                np.array([s.F for s in steps]), np.array([s.y_old for s in steps]))
+
+    def dense(self, ts: np.ndarray) -> np.ndarray:
+        """``self.sol(ts)`` for a 1-D array of times, bit for bit, in one numpy
+        pass over the stacked DOP853 interpolants.
+
+        Each time takes the interpolant ``OdeSolution`` would pick (on a step
+        boundary, the earlier step's, at x = 1), and x is computed from the
+        time as ``(t - t_old) / h``, so every operation is the interpolant's.
+        """
+        sol = self.sol
+        if not hasattr(sol.interpolants[0], "F"):  # zero-length span: constant
+            return sol(ts)
+        t_old, h, F, y_old = self._coefficients
+        last = sol.n_segments - 1
+        seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
+        np.clip(seg, 0, last, out=seg)
+        if not sol.ascending:
+            seg = last - seg
+        x = ((ts - t_old[seg]) / h[seg])[:, None]
+        one_minus_x = 1 - x
+        y = np.zeros((len(ts), F.shape[2]))
+        # one coefficient row at a time, as the interpolant's Horner loop
+        # does; gathering F[seg] whole costs len(ts) x 7 x n floats at once
+        for i, row in enumerate(range(F.shape[1] - 1, -1, -1)):
+            y += F[seg, row]
+            y *= x if i % 2 == 0 else one_minus_x
+        y += y_old[seg]
+        return y.T
+
+
+@dataclass
 class Trajectory:
     t: np.ndarray
     points: np.ndarray                     # shape (n, 2)
     events: List[EventHit] = dc_field(default_factory=list)
-    segments: list = dc_field(default_factory=list, repr=False)  # dense solutions
+    segments: List[Segment] = dc_field(default_factory=list, repr=False)
 
     @property
     def end(self) -> np.ndarray:
@@ -149,59 +206,57 @@ SCAN_SUBDIV = 8
 MAX_SEGMENTS = 200
 
 
-def _scan_grid(sol) -> np.ndarray:
-    ts = np.asarray(sol.t, dtype=float)
-    if len(ts) < 2:
-        return ts
+def _scan_grid(seg: Segment) -> np.ndarray:
+    ts = seg.t
     frac = np.arange(SCAN_SUBDIV) / SCAN_SUBDIV
     grid = ts[:-1, None] + np.diff(ts)[:, None] * frac[None, :]
     return np.append(grid.ravel(), ts[-1])
 
 
-def _scan_crossings(sol, rhs: RHS, forward: bool, sections: Sequence[SectionSpec]):
-    """Locate every section crossing on a solution's dense output.
+def _scan_crossings(seg: Segment, rhs: RHS, forward: bool,
+                    sections: Sequence[SectionSpec]):
+    """Locate every section crossing on a segment's dense output.
 
     Sign changes of each residual are bracketed on the sub-step grid and
     polished with brentq on the interpolant.  Returns (t, point, section,
     rate) tuples ordered along the orbit.
     """
-    if not sections or sol.sol is None or len(sol.t) == 0:
+    if not sections:
         return []
-    ts = _scan_grid(sol)
-    pts = sol.sol(ts)
+    ts = _scan_grid(seg)
+    pts = seg.dense(ts)
     found = []
     for sec in sections:
         vals = (pts[0] if sec.kind == "vertical" else pts[1]) - sec.c
         sgn = np.sign(vals)
-        for i in range(len(ts)):
-            te = None
+        flips = np.append(sgn[:-1] * sgn[1:] < 0, False)
+        for i in np.flatnonzero((sgn == 0.0) | flips):
             if sgn[i] == 0.0:
                 te = float(ts[i])
-            elif i + 1 < len(ts) and sgn[i] * sgn[i + 1] < 0:
+            else:
                 lo, hi = sorted((float(ts[i]), float(ts[i + 1])))
-                te = brentq(lambda s: sec.residual(sol.sol(s)), lo, hi,
+                te = brentq(lambda s: sec.residual(seg.sol(s)), lo, hi,
                             xtol=1e-15, rtol=8.9e-16)
-            if te is None:
-                continue
             if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
                 continue
-            pe = np.array(sol.sol(te))
+            pe = np.array(seg.sol(te))
             rate = sec.residual_rate(rhs(te, pe))
             found.append((float(te), pe, sec, float(rate)))
     found.sort(key=lambda item: item[0], reverse=not forward)
     return found
 
 
-def _admitted_hits(sol, rhs: RHS, forward: bool, sections: Sequence[SectionSpec]):
+def _admitted_hits(seg: Segment, rhs: RHS, forward: bool,
+                   sections: Sequence[SectionSpec]):
     """Yield (section, hit) for each scanned crossing that its section admits,
     in orbit order."""
-    for te, pe, sec, rate in _scan_crossings(sol, rhs, forward, sections):
+    for te, pe, sec, rate in _scan_crossings(seg, rhs, forward, sections):
         hit = _classify(sec, te, pe, rate, forward)
         if hit is not None:
             yield sec, hit
 
 
-def _find_graze(segments, rhs: RHS, section: SectionSpec,
+def _find_graze(segments: Sequence[Segment], rhs: RHS, section: SectionSpec,
                 config: IntegratorConfig) -> Optional[Tuple[float, np.ndarray]]:
     """First turning point of the section residual within sqrt(event_tol) of
     zero, as (t, point); None if the orbit never comes that close.
@@ -210,20 +265,83 @@ def _find_graze(segments, rhs: RHS, section: SectionSpec,
     only those are polished, with brentq on the residual's rate.
     """
     band = math.sqrt(config.event_tol)
-    for sol in segments:
+    for seg in segments:
         def rate(s):
-            return section.residual_rate(rhs(s, sol.sol(s)))
-        ts = _scan_grid(sol)
-        d = np.diff(section.residual(sol.sol(ts)))
+            return section.residual_rate(rhs(s, seg.sol(s)))
+        ts = _scan_grid(seg)
+        d = np.diff(section.residual(seg.dense(ts)))
         for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
             lo, hi = sorted((float(ts[i - 1]), float(ts[i + 1])))
             tg = float(ts[i])
             if rate(lo) * rate(hi) < 0:
                 tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            pg = np.array(sol.sol(tg))
+            pg = np.array(seg.sol(tg))
             if abs(section.residual(pg)) < band:
                 return tg, pg
     return None
+
+
+# solve_ivp's tolerance for the root of a terminal event on a step's interpolant
+EVENT_ROOT_TOL = 4 * np.finfo(float).eps
+
+
+def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
+            config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]]
+            ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
+    """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
+    at the first zero of one of ``stops`` (functions of the state).
+
+    This is ``solve_ivp(method="DOP853", dense_output=True)`` with the stops
+    as terminal events, step for step: a stop is active on a step when its
+    value changes sign or touches zero between the step's ends (checked also
+    on the step that finishes the span), its root is found by brentq on the
+    step's interpolant, the root earliest along the orbit wins (the lower
+    index on a tie), and the run ends at that root.  Returns the segment and
+    ``(stop index, t, state)`` of the stop that ended it, or None.
+    """
+    t0, tf = map(float, t_span)
+    solver = DOP853(rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
+                    max_step=config.max_step)
+    ts, ys, steps = [t0], [y0], []
+    g = [stop(y0) for stop in stops]
+    hit = None
+    while hit is None and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepSizeUnderflow(message)
+        t_old, t, y = solver.t_old, solver.t, solver.y
+        sol = solver.dense_output()
+        steps.append(sol)
+        g_new = [stop(y) for stop in stops]
+        active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                  if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
+        if active:
+            roots = [brentq(lambda s, stop=stops[i]: stop(sol(s)), t_old, t,
+                            xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
+                     for i in active]
+            sense = 1.0 if t > t_old else -1.0
+            k = min(range(len(active)), key=lambda j: (sense * roots[j], j))
+            t = roots[k]
+            y = sol(t)
+            hit = (active[k], t, y)
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            steps.pop()  # an event at the previous step's end: nothing new
+        else:
+            ts.append(t)
+            ys.append(y)
+    t_arr = np.array(ts)
+    seg = Segment(t=t_arr, y=np.vstack(ys).T, sol=OdeSolution(t_arr, steps),
+                  nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu)
+    return seg, hit
+
+
+def _norm_guard(config: IntegratorConfig) -> Callable[[np.ndarray], float]:
+    bound = config.norm_guard
+
+    def guard(p: np.ndarray) -> float:
+        return max(map(abs, p.tolist())) - bound
+    return guard
 
 
 def flow(
@@ -239,24 +357,14 @@ def flow(
     sections = list(sections)
     forward = t_span[1] >= t_span[0]
 
-    def guard(t, p):
-        return float(np.max(np.abs(p))) - config.norm_guard
-    guard.terminal = True
-
-    sol = solve_ivp(
-        rhs, t_span, np.asarray(p0, dtype=float),
-        method="DOP853", rtol=config.rtol, atol=config.atol,
-        max_step=config.max_step, dense_output=True, events=[guard],
-    )
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-
-    hits = [hit for _, hit in _admitted_hits(sol, rhs, forward, sections)]
-    if len(sol.t_events[0]):
+    seg, stop = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config,
+                        [_norm_guard(config)])
+    hits = [hit for _, hit in _admitted_hits(seg, rhs, forward, sections)]
+    if stop is not None:
         raise DomainExit(
-            f"trajectory norm exceeded {config.norm_guard:g} at t={sol.t_events[0][0]:g}"
+            f"trajectory norm exceeded {config.norm_guard:g} at t={stop[1]:g}"
         )
-    return Trajectory(t=sol.t, points=sol.y.T.copy(), events=hits, segments=[sol])
+    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=hits, segments=[seg])
 
 
 def _nudge_off_section(rhs: RHS, t0: float, p0: np.ndarray, sec: SectionSpec,
@@ -307,24 +415,17 @@ def flow_to_section_traj(
     t_all: List[np.ndarray] = []
     p_all: List[np.ndarray] = []
     recorded: List[EventHit] = []
-    segments = []
+    segments: List[Segment] = []
 
     # Starting on the target section: the degenerate t=0 "crossing" is not the
-    # one asked for; step off the section before arming the terminal event.
+    # one asked for; step off the section before arming the stopper.
     if abs(section.residual(p_cur)) <= 10 * config.event_tol:
         t_cur, p_cur = _nudge_off_section(rhs, t_cur, p_cur, section, config, forward)
 
-    # The stopper only bounds the work per segment; crossings themselves are
-    # located by the dense-output scan, which also sees pairs of crossings
-    # that cancel across one step.
-    def stopper(t, p):
-        return section.residual(p)
-    stopper.terminal = True
-    stopper.direction = 0.0
-
-    def guard(t, p):
-        return float(np.max(np.abs(p))) - config.norm_guard
-    guard.terminal = True
+    # The stopper (stop 0) only bounds the work per segment; crossings
+    # themselves are located by the dense-output scan, which also sees pairs
+    # of crossings that cancel across one step.  Stop 1 is the norm guard.
+    stops = [section.residual, _norm_guard(config)]
 
     for _ in range(MAX_SEGMENTS):
         remaining = config.max_time - abs(t_cur)
@@ -332,19 +433,13 @@ def flow_to_section_traj(
             break
         t_end = t_cur + (remaining if forward else -remaining)
 
-        sol = solve_ivp(
-            rhs, (t_cur, t_end), p_cur,
-            method="DOP853", rtol=config.rtol, atol=config.atol,
-            max_step=config.max_step, dense_output=True, events=[stopper, guard],
-        )
-        if sol.status == -1:
-            raise StepSizeUnderflow(sol.message)
-        t_all.append(sol.t)
-        p_all.append(sol.y.T)
-        segments.append(sol)
+        seg, stop = _dop853(rhs, (t_cur, t_end), p_cur, config, stops)
+        t_all.append(seg.t)
+        p_all.append(seg.y.T)
+        segments.append(seg)
 
         hit: Optional[EventHit] = None
-        for sec, ev in _admitted_hits(sol, rhs, forward, [section] + record_sections):
+        for sec, ev in _admitted_hits(seg, rhs, forward, [section] + record_sections):
             if sec is section:
                 hit = ev
                 break
@@ -352,9 +447,8 @@ def flow_to_section_traj(
 
         # A root landing exactly on the segment endpoint (the stopper stops
         # *at* the section) leaves no sign change for the scan to bracket.
-        if hit is None and len(sol.t_events[0]):
-            te = float(sol.t_events[0][0])
-            pe = np.array(sol.y_events[0][0])
+        if hit is None and stop is not None and stop[0] == 0:
+            _, te, pe = stop
             if abs(section.residual(pe)) <= config.event_tol and section.admits(pe):
                 hit = _classify(section, te, pe,
                                 section.residual_rate(rhs(te, pe)), forward)
@@ -363,20 +457,16 @@ def flow_to_section_traj(
             traj = _assemble(t_all, p_all, recorded, segments, forward, hit)
             return hit, traj
 
-        if len(sol.t_events[1]):
+        if stop is None:
+            break  # ran to max_time
+        if stop[0] == 1:
             raise DomainExit(
                 f"trajectory norm exceeded {config.norm_guard:g} before reaching "
                 f"section {section.ident}"
             )
-
         # Stopper fired on a crossing the filters rejected: step past it.
-        if len(sol.t_events[0]):
-            te = float(sol.t_events[0][-1])
-            pe = np.array(sol.y_events[0][-1])
-            t_cur, p_cur = _nudge_off_section(rhs, te, pe, section, config, forward)
-            continue
-
-        break  # ran to max_time without terminal events
+        _, te, pe = stop
+        t_cur, p_cur = _nudge_off_section(rhs, te, pe, section, config, forward)
 
     graze = _find_graze(segments, rhs, section, config)
     if graze is not None:
@@ -416,11 +506,11 @@ def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
     ts = np.linspace(traj.t[0], traj.t[-1], n)
     out = np.empty((n, traj.points.shape[1]))
     todo = np.ones(n, dtype=bool)
-    for sol in traj.segments:
-        lo, hi = sorted((sol.sol.t_min, sol.sol.t_max))
+    for seg in traj.segments:
+        lo, hi = sorted((seg.sol.t_min, seg.sol.t_max))
         mask = todo & (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
         if mask.any():
-            out[mask] = sol.sol(ts[mask]).T
+            out[mask] = seg.dense(ts[mask]).T
             todo &= ~mask
     for i in np.flatnonzero(todo):
         # fall back to nearest sample

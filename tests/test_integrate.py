@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from pytest import approx, raises
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from regtang import (
     DomainExit,
@@ -17,6 +19,7 @@ from regtang import (
     sample_dense,
     trajectory_to_csv,
 )
+from regtang.integrate import Segment, _as_rhs, _dop853, _norm_guard, _scan_grid
 
 
 class fld:
@@ -257,3 +260,198 @@ def test_section_scan_matches_analytic_crossings(c, max_step, t_end, bounds,
     for ev in traj.events:
         assert ev.point[1] == approx(c, abs=1e-9)
         assert direction in (None, ev.direction)
+
+
+# --------------------------------------------------------------------------
+# the DOP853 driver against solve_ivp with terminal events
+# --------------------------------------------------------------------------
+
+def _terminal(stop):
+    def event(t, p):
+        return stop(p)
+    event.terminal = True
+    return event
+
+
+def _assert_matches_solve_ivp(field, t_span, y0, cfg, stops):
+    """Run the driver and solve_ivp on the same inputs; every number must be
+    bitwise equal.  Returns the driver's segment and stop."""
+    rhs = _as_rhs(field)
+    y0 = np.asarray(y0, dtype=float)
+    seg, stop = _dop853(rhs, t_span, y0, cfg, stops)
+    ref = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cfg.rtol,
+                    atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
+                    events=[_terminal(s) for s in stops])
+    assert np.array_equal(seg.t, ref.t)
+    assert np.array_equal(seg.y, ref.y)
+    assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
+    fired = [i for i, te in enumerate(ref.t_events) if len(te)]
+    if stop is None:
+        assert fired == []
+    else:
+        i, te, pe = stop
+        assert fired == [i]
+        assert ref.t_events[i][0] == te
+        assert np.array_equal(ref.y_events[i][0], pe)
+    grid = _scan_grid(seg)
+    assert np.array_equal(seg.dense(grid), ref.sol(grid))
+    return seg, stop
+
+
+def _residual_of(kind, c):
+    return SectionSpec(kind, c).residual
+
+
+def test_driver_matches_solve_ivp_forward_stop_mid_step():
+    cfg = IntegratorConfig()
+    seg, stop = _assert_matches_solve_ivp(
+        rotation, (0.0, 1e6), (1.0, 0.0), cfg,
+        [_residual_of("vertical", 0.0), _norm_guard(cfg)])
+    assert stop[0] == 0 and stop[1] == approx(np.pi / 2, abs=1e-9)
+    # the stop is inside the last step, whose interpolant keeps its full step
+    last = seg.sol.interpolants[-1]
+    assert last.t_old < stop[1] < last.t
+
+
+def test_driver_matches_solve_ivp_backward():
+    cfg = IntegratorConfig(max_step=0.3)
+    # backward from (1, 0), y = sin t first reaches 0.5 at t = -(pi + pi/6)
+    _, stop = _assert_matches_solve_ivp(
+        rotation, (0.0, -10.0), (1.0, 0.0), cfg, [_residual_of("horizontal", 0.5)])
+    assert stop[1] == approx(-7 * np.pi / 6, abs=1e-9)
+
+
+def test_driver_matches_solve_ivp_when_the_guard_fires():
+    cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
+    _, stop = _assert_matches_solve_ivp(
+        fld(lambda x, y: (x, y)), (0.0, 100.0), (1.0, 1.0), cfg,
+        [_residual_of("vertical", -5.0), _norm_guard(cfg)])
+    assert stop[0] == 1 and stop[1] == approx(np.log(10.0), abs=1e-9)
+
+
+def test_driver_matches_solve_ivp_running_to_the_end():
+    cfg = IntegratorConfig(max_time=1.0, norm_guard=1e9)
+    seg, stop = _assert_matches_solve_ivp(
+        fld(lambda x, y: (1.0, np.cos(x))), (0.0, 1.0), (0.0, 0.0), cfg,
+        [_residual_of("vertical", 5.0), _norm_guard(cfg)])
+    assert stop is None and seg.t[-1] == 1.0
+
+
+def test_driver_earliest_root_wins_and_ties_go_to_the_lower_index():
+    # x' = 1 is integrated exactly and the steps grow fast: the step from
+    # |t| ~ 5.9 to ~ 30 covers both roots
+    cfg = IntegratorConfig()
+    line = fld(lambda x, y: (1.0, 0.0))
+    for span, levels, first in (((0.0, 100.0), (20.0, 10.0), 1),
+                                ((0.0, -100.0), (-20.0, -10.0), 1),
+                                ((0.0, 100.0), (10.0, 20.0), 0)):
+        seg, stop = _assert_matches_solve_ivp(
+            line, span, (0.0, 0.0), cfg,
+            [_residual_of("vertical", c) for c in levels])
+        last = seg.sol.interpolants[-1]
+        assert all(last.t_min < abs(c) * np.sign(span[1]) < last.t_max for c in levels)
+        assert stop[0] == first
+    same = _residual_of("vertical", 15.0)
+    _, stop = _assert_matches_solve_ivp(line, (0.0, 100.0), (0.0, 0.0), cfg,
+                                        [same, same])
+    assert stop[0] == 0
+
+
+def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
+    # a section one ulp past a step's end is met on the next step, but its
+    # root rounds back to that step's start: the run ends on the earlier
+    # step end, which is not repeated
+    cfg = IntegratorConfig()
+    free, _ = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg, [])
+    k = 3
+    level = np.nextafter(free.y[1, k], np.inf)  # y = sin t is rising here
+    seg, stop = _assert_matches_solve_ivp(
+        rotation, (0.0, 6.0), (1.0, 0.0), cfg, [_residual_of("horizontal", level)])
+    assert stop[1] == free.t[k]
+    assert np.array_equal(seg.t, free.t[:k + 1])
+
+
+def test_driver_matches_solve_ivp_on_every_leg_of_a_restart():
+    cfg = IntegratorConfig()
+    sec = SectionSpec("horizontal", 0.5, direction="down")
+    stops = [sec.residual, _norm_guard(cfg)]
+    _, traj = flow_to_section_traj(rotation, (1.0, 0.0), sec, cfg)
+    assert len(traj.segments) == 2
+    for seg in traj.segments:
+        t0 = float(seg.t[0])
+        _, stop = _assert_matches_solve_ivp(
+            rotation, (t0, t0 + cfg.max_time - abs(t0)), seg.y[:, 0], cfg, stops)
+        assert stop[0] == 0
+
+
+def test_driver_matches_solve_ivp_on_a_zero_length_span():
+    cfg = IntegratorConfig()
+    seg, stop = _assert_matches_solve_ivp(
+        rotation, (0.0, 0.0), (1.0, 0.0), cfg, [_norm_guard(cfg)])
+    assert stop is None and seg.nfev == 1
+    traj = flow(rotation, (1.0, 0.0), (0.0, 0.0), cfg,
+                sections=[SectionSpec("horizontal", 0.0)])
+    assert len(traj) == 2
+    assert [(ev.t, ev.direction) for ev in traj.events] == [(0.0, "up")]
+    assert traj.segments[0].nfev == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    forward=st.booleans(),
+    max_step=st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=2.0)),
+    level=st.one_of(st.none(), st.floats(min_value=-0.9, max_value=0.9)),
+)
+def test_batched_dense_equals_ode_solution(data, forward, max_step, level):
+    """``Segment.dense`` is ``OdeSolution.__call__`` bit for bit, at step
+    breakpoints too, on the event-truncated last step and on descending
+    legs."""
+    cfg = IntegratorConfig(max_step=max_step)
+    span = (0.0, 8.0) if forward else (0.0, -8.0)
+    stops = [] if level is None else [_residual_of("horizontal", level)]
+    field = fld(lambda x, y: (-y + 0.1 * x * y, x))
+    seg, _ = _dop853(_as_rhs(field), span, np.array([1.0, 0.0]), cfg, stops)
+    lo, hi = seg.sol.t_min, seg.sol.t_max
+    inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
+    ts = np.array(data.draw(st.lists(
+        st.one_of(inside, st.sampled_from(seg.t.tolist())), min_size=1, max_size=40)))
+    got = seg.dense(ts)
+    assert np.array_equal(got, seg.sol(ts))
+    for j, t in enumerate(ts):
+        assert np.array_equal(got[:, j], seg.sol(t))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    steps=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=1, max_size=12),
+    descending=st.booleans(),
+    cut=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, cut):
+    """On interpolants that do not join up at the step boundaries (random
+    coefficients), ``Segment.dense`` still matches ``OdeSolution`` bit for
+    bit: a boundary time takes the earlier step's interpolant, and the last
+    step keeps its full-step coefficients although the run ends inside it."""
+    sign = -1.0 if descending else 1.0
+    ends = np.concatenate([[0.0], sign * np.cumsum(steps)])
+    coef = st.floats(min_value=-10.0, max_value=10.0)
+    interps = [Dop853DenseOutput(ends[k], ends[k + 1],
+                                 np.array(data.draw(st.lists(coef, min_size=2, max_size=2))),
+                                 np.array(data.draw(st.lists(
+                                     st.lists(coef, min_size=2, max_size=2),
+                                     min_size=7, max_size=7))))
+               for k in range(len(steps))]
+    ts = ends.copy()
+    ts[-1] = ends[-2] + cut * (ends[-1] - ends[-2])  # a run stopped by an event
+    seg = Segment(t=ts, y=np.zeros((2, len(ts))), sol=OdeSolution(ts, interps),
+                  nfev=0, njev=0, nlu=0)
+    lo, hi = seg.sol.t_min, seg.sol.t_max
+    inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
+    extra = np.array(data.draw(st.lists(inside, max_size=20)))
+    grid = np.concatenate([ts, extra, [lo - 1e-13, hi + 1e-13]])
+    got = seg.dense(grid)
+    assert np.array_equal(got, seg.sol(grid))
+    for j, t in enumerate(grid):
+        assert np.array_equal(got[:, j], seg.sol(t))
