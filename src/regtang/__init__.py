@@ -41,8 +41,6 @@ from .fields import (
     SwitchingFunction,
     FilippovSystem,
     field_from_polys,
-    field_from_text,
-    field_to_text,
     lie_derivative,
     contact_classification,
     classify_sigma_point,

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConditionViolated, NoExit
+from .integrate import IntegratorConfig, _dop853
 from .phi import TransitionFunction, phi_bracket_constant, phi_family, upsilon_poly
 from .polys import Poly1, Poly2
 
@@ -32,6 +32,12 @@ def _check_orders(k: int, n: int):
         raise ConditionViolated(
             f"order n={n} must be at least max(2, 2k-1)={max(2, 2 * k - 1)}"
         )
+
+
+# Both chart integrations run far tighter than the maps' default: u* and eta
+# are model constants, not by-products of a leg.
+CHART_INTEG = IntegratorConfig(rtol=1e-12, atol=1e-14)
+FD_STEP = 1e-6  # central-difference step of the equatorial chart's Jacobian
 
 
 # --------------------------------------------------------------------------
@@ -91,8 +97,7 @@ class PlanarCrossing:
 
 
 def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
-                          u0: float = -10.0, u_max: float = 20.0,
-                          rtol: float = 1e-12, atol: float = 1e-14) -> PlanarCrossing:
+                          u0: float = -10.0, u_max: float = 20.0) -> PlanarCrossing:
     """First crossing of v = 0 by the attracting solution of
     u' = 1, v' = -u**(2k-1) - v**n + sigma, launched on the slow nullcline.
 
@@ -108,17 +113,13 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
         u = u0 + t
         return [-(u ** (2 * k - 1)) - v[0] ** n + sigma]
 
-    def crossing(t, v):
-        return v[0]
-    crossing.terminal = True
-    crossing.direction = -1.0
-
-    sol = solve_ivp(rhs, (0.0, u_max - u0), [v0], method="DOP853",
-                    rtol=rtol, atol=atol, events=[crossing], dense_output=True)
-    if not len(sol.t_events[0]):
+    # v starts above zero, so the first zero the stop meets is a downward one
+    seg, hit = _dop853(rhs, (0.0, u_max - u0), np.array([v0]), CHART_INTEG,
+                       [lambda v: v[0]])
+    if hit is None:
         raise NoExit(f"no crossing of v = 0 up to u = {u_max:g}")
-    u_star = u0 + float(sol.t_events[0][0])
-    v_max = float(np.max(sol.y[0]))
+    u_star = u0 + float(hit[1])
+    v_max = float(np.max(seg.y[0]))
     return PlanarCrossing(u_star=u_star, v0=v0, u0=u0, v_max=v_max, sigma=sigma)
 
 
@@ -209,25 +210,27 @@ class EquatorialChart:
     def equilibrium_residual(self) -> float:
         return float(np.max(np.abs(self.rhs(0.0, (self.x1_star, 0.0, 0.0)))))
 
-    def jacobian_fd(self, p=None, h: float = 1e-6) -> np.ndarray:
-        p = np.array([self.x1_star, 0.0, 0.0]) if p is None else np.asarray(p, float)
+    def jacobian_fd(self) -> np.ndarray:
+        """Central-difference Jacobian of the flow at the equilibrium."""
+        p = np.array([self.x1_star, 0.0, 0.0])
         J = np.empty((3, 3))
         for j in range(3):
             dp = np.zeros(3)
-            dp[j] = h
-            J[:, j] = (self.rhs(0.0, p + dp) - self.rhs(0.0, p - dp)) / (2 * h)
+            dp[j] = FD_STEP
+            J[:, j] = (self.rhs(0.0, p + dp) - self.rhs(0.0, p - dp)) / (2 * FD_STEP)
         return J
 
-    def eigenvalues(self, h: float = 1e-6) -> np.ndarray:
-        ev = np.linalg.eigvals(self.jacobian_fd(h=h))
+    def eigenvalues(self) -> np.ndarray:
+        ev = np.linalg.eigvals(self.jacobian_fd())
         return np.sort_complex(ev)
 
-    def invariant_drift(self, start, t_span: Tuple[float, float],
-                        rtol: float = 1e-12, atol: float = 1e-14) -> float:
-        """Max drift of e1 * r1**(1+2k(n-1)) along a trajectory (exact invariant)."""
+    def invariant_drift(self, start, t_span: Tuple[float, float]) -> float:
+        """Max drift of e1 * r1**(1+2k(n-1)) along a trajectory (exact invariant).
+
+        Raises StepSizeUnderflow if the solver cannot cover ``t_span``.
+        """
         p = 1 + 2 * self.k * (self.n - 1)
         c0 = start[2] * start[1] ** p
-        sol = solve_ivp(self.rhs, t_span, np.asarray(start, float),
-                        method="DOP853", rtol=rtol, atol=atol, dense_output=False)
-        vals = sol.y[2] * sol.y[1] ** p
+        seg, _ = _dop853(self.rhs, t_span, np.asarray(start, float), CHART_INTEG, [])
+        vals = seg.y[2] * seg.y[1] ** p
         return float(np.max(np.abs(vals - c0)))

@@ -43,6 +43,13 @@ from .phi import TransitionFunction
 from .regularize import RegularizedField
 
 
+MAX_SECANT_ITER = 100     # find_cycle's iterations before NotConverged
+FD_REL_STEP = 1e-6        # multiplier_fd's half-step, relative to the fixed point
+RETURN_MAX_TIME = 200.0   # time budget of one return-map revolution
+MAX_REVOLUTIONS = 4       # revolutions (two crossings each) before MaxRevolutions
+POLYLINE_SPACING = 1e-3   # arc length between cycle-polyline and Hausdorff samples
+
+
 # --------------------------------------------------------------------------
 # root finding on section maps
 # --------------------------------------------------------------------------
@@ -57,12 +64,11 @@ class CycleResult:
 
 def find_cycle(return_fn: Callable[[float], float],
                bracket: Tuple[float, float],
-               max_iter: int = 100,
                xtol: float = 1e-13) -> CycleResult:
     """Fixed point of y -> return_fn(y) by a bracketed secant (Illinois) method.
 
     Raises NoBracket when the displacement does not change sign over the
-    bracket, NotConverged after max_iter iterations.
+    bracket, NotConverged after MAX_SECANT_ITER iterations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa = return_fn(a) - a
@@ -79,7 +85,7 @@ def find_cycle(return_fn: Callable[[float], float],
     lo, hi, flo, fhi = a, b, fa, fb
     side = 0
     x = lo
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SECANT_ITER + 1):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         # guard against stagnation at an endpoint
         if not (min(lo, hi) < x < max(lo, hi)):
@@ -98,13 +104,12 @@ def find_cycle(return_fn: Callable[[float], float],
         if abs(fx) < 1e-300:
             return CycleResult(x, it, fx, (a, b))
     raise NotConverged(
-        f"no fixed point to xtol={xtol:g} within {max_iter} iterations "
+        f"no fixed point to xtol={xtol:g} within {MAX_SECANT_ITER} iterations "
         f"(last y={x:g})"
     )
 
 
-def multiplier_fd(return_fn: Callable[[float], float], y_star: float,
-                  rel_step: float = 1e-6) -> dict:
+def multiplier_fd(return_fn: Callable[[float], float], y_star: float) -> dict:
     """Centered-difference slope of the return map at its fixed point.
 
     When the map is contracting below what the step can resolve, the honest
@@ -112,7 +117,7 @@ def multiplier_fd(return_fn: Callable[[float], float], y_star: float,
     ``value`` then reports the resolution itself.
     """
     scale = max(abs(y_star), 1e-12)
-    h = rel_step * scale
+    h = FD_REL_STEP * scale
     hi = return_fn(y_star + h)
     lo = return_fn(y_star - h)
     diff = hi - lo
@@ -154,8 +159,7 @@ def section_map_derivative_factor(field_eval, p0, p1, s_integral: float,
 # --------------------------------------------------------------------------
 
 def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float,
-                 integ: Optional[IntegratorConfig] = None,
-                 y_window: Tuple[float, float] = (0.0, 1.0)) -> dict:
+                 integ: Optional[IntegratorConfig] = None) -> dict:
     """Follow the upper field from (theta, y_in) around the outer loop to the
     inflow section {x = -rho}, reporting the arrival height and the map's
     derivative K (variational; K > 0 and exponentially small for strongly
@@ -165,7 +169,7 @@ def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float,
     ev = system.x_plus.eval
     div = system.x_plus.divergence()
     rhs = _augmented_rhs(ev, div)
-    sec = SectionSpec("vertical", -rho, interval=y_window, direction="up",
+    sec = SectionSpec("vertical", -rho, interval=(0.0, 1.0), direction="up",
                       ident="inflow")
     try:
         hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec, integ)
@@ -207,16 +211,13 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
                integ: Optional[IntegratorConfig] = None,
                with_divergence: bool = False,
                keep_trajectory: bool = False,
-               max_revolutions: int = 4,
-               max_time: float = 200.0,
-               y_window: Tuple[float, float] = (0.0, math.inf),
                extra_records: Sequence[SectionSpec] = ()) -> ReturnInfo:
     """One revolution of the smoothed flow, section {x = -rho, y > 0} to itself,
     crossings counted only with x increasing.
     """
     reg = RegularizedField(system, tf, eps)
-    integ = replace(integ or IntegratorConfig(), max_time=max_time)
-    sec = SectionSpec("vertical", -rho, interval=y_window, direction="up",
+    integ = replace(integ or IntegratorConfig(), max_time=RETURN_MAX_TIME)
+    sec = SectionSpec("vertical", -rho, interval=(0.0, math.inf), direction="up",
                       ident="return")
     counter = SectionSpec("vertical", -rho, ident="anycross")
     if with_divergence:
@@ -233,7 +234,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
             f"orbit from (x=-{rho:g}, y={y_in:g}) did not come back: {exc}"
         ) from exc
     crossings = sum(1 for e in traj.events if e.section_id == "anycross")
-    if crossings > 2 * max_revolutions:
+    if crossings > 2 * MAX_REVOLUTIONS:
         raise MaxRevolutions(
             f"{crossings} section crossings before an admissible return"
         )
@@ -247,8 +248,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
 
 def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
                      y_star: float, rho: float = 0.3,
-                     integ: Optional[IntegratorConfig] = None,
-                     max_time: float = 200.0) -> dict:
+                     integ: Optional[IntegratorConfig] = None) -> dict:
     """Floquet multiplier of the closed orbit through (-rho, y_star), exp of
     the loop integral of the smoothed field's divergence, and the derivative
     (magnitude) of the outer-arc map along it, both from one revolution.
@@ -264,7 +264,7 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
     roof = SectionSpec("horizontal", eps, ident="roof")
     info = return_map(system, tf, eps, y_star, rho=rho, integ=integ,
                       with_divergence=True, keep_trajectory=True,
-                      max_time=max_time, extra_records=[roof])
+                      extra_records=[roof])
     ups = [e for e in info.trajectory.events
            if e.section_id == "roof" and e.direction == "up"]
     if not ups:
@@ -375,24 +375,16 @@ def default_bracket(system: FilippovSystem, eps: float, rho: float,
 
 def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
                    rho: float = 0.3,
-                   bracket: Optional[Tuple[float, float]] = None,
                    integ: Optional[IntegratorConfig] = None,
-                   reference: Optional[np.ndarray] = None,
-                   delta_sample: float = 1e-3,
-                   max_time: float = 200.0) -> CycleInfo:
-    """Locate the attracting cycle of the smoothed system on {x = -rho, y > 0},
-    compute its period and multiplier, and (optionally) its Hausdorff distance
-    to a reference polyline."""
-    if bracket is None:
-        bracket = default_bracket(system, eps, rho, integ)
-
+                   reference: Optional[np.ndarray] = None) -> CycleInfo:
+    """Locate the attracting cycle of the smoothed system on {x = -rho, y > 0}
+    inside ``default_bracket``, compute its period and multiplier, and
+    (optionally) its Hausdorff distance to a reference polyline."""
     def ret(y: float) -> float:
-        return return_map(system, tf, eps, y, rho=rho, integ=integ,
-                          max_time=max_time).y_out
+        return return_map(system, tf, eps, y, rho=rho, integ=integ).y_out
 
-    res = find_cycle(ret, bracket)
-    mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho, integ=integ,
-                            max_time=max_time)
+    res = find_cycle(ret, default_bracket(system, eps, rho, integ))
+    mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho, integ=integ)
     fd = multiplier_fd(ret, res.y_star)
     arc = {k: mult[k] for k in ("multiplier_arc", "log_multiplier_arc", "s_arc",
                                 "t_arc", "x_departure", "x_reentry")}
@@ -403,11 +395,11 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
     )
     if reference is not None:
         full = return_map(system, tf, eps, res.y_star, rho=rho, integ=integ,
-                          keep_trajectory=True, max_time=max_time)
-        n = max(2000, int(12.0 / delta_sample))
+                          keep_trajectory=True)
+        n = max(2000, int(12.0 / POLYLINE_SPACING))
         pts = sample_dense(full.trajectory, n)[:, :2]
         info.polyline = pts
-        info.hausdorff = hausdorff_distance(pts, reference, delta_sample)
+        info.hausdorff = hausdorff_distance(pts, reference, POLYLINE_SPACING)
         info.hausdorff_over_eps = info.hausdorff / eps
     return info
 

@@ -13,7 +13,7 @@ from .errors import (
     PrecisionWarning,
     UnresolvedContact,
 )
-from .polys import Poly2, compile_kernel, polys_from_text, polys_to_text, power_lines
+from .polys import Poly2, compile_kernel, power_lines
 
 Point = Tuple[float, float]
 
@@ -56,19 +56,6 @@ class PlanarField:
 
 def field_from_polys(p1: Poly2, p2: Poly2, **params) -> PlanarField:
     return PlanarField(poly_form=(p1, p2), params=params)
-
-
-def field_to_text(f: PlanarField) -> str:
-    if f.poly_form is None:
-        raise ValueError("only polynomial fields are serializable")
-    return polys_to_text(list(f.poly_form))
-
-
-def field_from_text(text: str, **params) -> PlanarField:
-    comps = polys_from_text(text)
-    if len(comps) != 2:
-        raise ValueError(f"expected 2 components, found {len(comps)}")
-    return field_from_polys(comps[0], comps[1], **params)
 
 
 @dataclass

@@ -1,16 +1,16 @@
 """Adaptive integration with dense output and refined section events.
 
-Everything rides on DOP853 (8th-order embedded pair with a matching-order
-interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5), stepped
-directly: one driver takes scipy's steps and dense outputs, and checks the
-stopping section and the norm guard after each step exactly as ``solve_ivp``
-checks terminal events, so the step sequence is ``solve_ivp``'s.  Section
-crossings are located on the dense output, evaluated on a sub-step grid in
-one batched pass, and verified against ``event_tol``.  A leg that ends
-without an admissible crossing is checked for a tangential touch of its
-target section: a turning point of the residual within ``sqrt(event_tol)`` of
-zero is surfaced as ``TangentialGraze`` (a ``NoCrossing``) instead of a plain
-``NoCrossing``.
+Every ODE solve of the package rides on DOP853 (8th-order embedded pair with
+a matching-order interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5), stepped directly: one driver, ``_dop853`` (also behind the blow-up
+charts), takes scipy's steps and dense outputs, and checks its stops after
+each step exactly as ``solve_ivp`` checks terminal events, so the step
+sequence is ``solve_ivp``'s.  Section crossings are located on the dense
+output, evaluated on a sub-step grid in one batched pass, and verified against
+``event_tol``.  A leg that ends without an admissible crossing is checked for
+a tangential touch of its target section: a turning point of the residual
+within ``sqrt(event_tol)`` of zero is surfaced as ``TangentialGraze`` (a
+``NoCrossing``) instead of a plain ``NoCrossing``.
 """
 
 from __future__ import annotations
@@ -412,8 +412,6 @@ def flow_to_section_traj(
 
     t_cur = 0.0
     p_cur = np.asarray(p0, dtype=float)
-    t_all: List[np.ndarray] = []
-    p_all: List[np.ndarray] = []
     recorded: List[EventHit] = []
     segments: List[Segment] = []
 
@@ -434,8 +432,6 @@ def flow_to_section_traj(
         t_end = t_cur + (remaining if forward else -remaining)
 
         seg, stop = _dop853(rhs, (t_cur, t_end), p_cur, config, stops)
-        t_all.append(seg.t)
-        p_all.append(seg.y.T)
         segments.append(seg)
 
         hit: Optional[EventHit] = None
@@ -454,8 +450,7 @@ def flow_to_section_traj(
                                 section.residual_rate(rhs(te, pe)), forward)
 
         if hit is not None:
-            traj = _assemble(t_all, p_all, recorded, segments, forward, hit)
-            return hit, traj
+            return hit, _assemble(segments, recorded, forward, hit)
 
         if stop is None:
             break  # ran to max_time
@@ -491,9 +486,9 @@ def flow_to_section(
     return hit
 
 
-def _assemble(t_all, p_all, recorded, segments, forward, hit: EventHit) -> Trajectory:
-    t = np.concatenate(t_all) if t_all else np.array([0.0])
-    p = np.vstack(p_all) if p_all else np.zeros((1, 2))
+def _assemble(segments, recorded, forward, hit: EventHit) -> Trajectory:
+    t = np.concatenate([seg.t for seg in segments])
+    p = np.vstack([seg.y.T for seg in segments])
     keep = (t <= hit.t) if forward else (t >= hit.t)
     t = np.append(t[keep], hit.t)
     p = np.vstack([p[keep], hit.point])

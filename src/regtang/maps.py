@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,13 +32,7 @@ from .errors import (
     SlidingCapture,
 )
 from .fields import FilippovSystem
-from .integrate import (
-    EventHit,
-    IntegratorConfig,
-    SectionSpec,
-    Trajectory,
-    flow_to_section_traj,
-)
+from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj
 from .phi import TransitionFunction, phi_family
 from .regularize import BandField, SlowManifold
 
@@ -113,11 +107,7 @@ class TransitionConfig:
 @dataclass
 class TransitionResult:
     y_out: float
-    band_entry: Optional[Tuple[float, float]] = None   # (x, yhat) entering the layer
-    departure: Optional[Tuple[float, float]] = None    # (x, yhat) leaving through yhat = 1
-    tau_band: float = 0.0
-    events: List[EventHit] = dc_field(default_factory=list)
-    trajectories: List[Trajectory] = dc_field(default_factory=list)
+    departure: Tuple[float, float]     # (x, yhat) leaving through yhat = 1
 
 
 # --------------------------------------------------------------------------
@@ -239,25 +229,19 @@ def predicted_targets(system: FilippovSystem, config: TransitionConfig,
 # transition maps
 # --------------------------------------------------------------------------
 
-def _layer_legs(system, config, eps, x_entry, yhat0, result: TransitionResult,
-                keep_trajectories: bool, record_09: bool = False) -> TransitionResult:
+def _layer_legs(system, config, eps, x_entry, yhat0) -> TransitionResult:
     """Legs 2 and 3 of both transition maps: the layer flow in fast variables
     from (x_entry, yhat0) to the departure through yhat = 1, then the upper
-    field on to the outflow section x = theta.  Fills in ``result``."""
+    field on to the outflow section x = theta."""
     if x_entry < -config.L:
         raise LeftWindow(f"layer entry at x={x_entry:g} left of -L={-config.L:g}")
-    result.band_entry = (x_entry, yhat0)
 
     # Leg 2: cross the layer in fast variables.
     band = BandField(system, config.tf, eps)
     integ = _band_integ(config, eps, abs(x_entry) + config.theta + config.L)
     sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
-    rec = []
-    if record_09:
-        rec.append(SectionSpec("horizontal", 0.9, direction="up", ident="yhat:0.9"))
     try:
-        hit, traj = flow_to_section_traj(band, (x_entry, yhat0), sec, integ,
-                                         record_sections=rec)
+        hit, _ = flow_to_section_traj(band, (x_entry, yhat0), sec, integ)
     except (NoCrossing, DomainExit) as exc:
         raise SlidingCapture(
             f"layer orbit from (x={x_entry:g}, yhat={yhat0:g}) never departed: {exc}"
@@ -267,11 +251,6 @@ def _layer_legs(system, config, eps, x_entry, yhat0, result: TransitionResult,
         raise LeftWindow(
             f"layer orbit departed at x={x_dep:g}, left of -L={-config.L:g}"
         )
-    result.departure = (x_dep, 1.0)
-    result.tau_band = float(hit.t)
-    result.events.extend(traj.events)
-    if keep_trajectories:
-        result.trajectories.append(traj)
     if x_dep > config.theta:
         raise ConditionViolated(
             f"departure abscissa {x_dep:g} exceeds theta={config.theta:g}"
@@ -279,11 +258,8 @@ def _layer_legs(system, config, eps, x_entry, yhat0, result: TransitionResult,
 
     # Leg 3: climb to the outflow section x = theta.
     sec = SectionSpec("vertical", config.theta, ident="outflow")
-    hit, traj = flow_to_section_traj(system.x_plus, (x_dep, eps), sec, config.integ)
-    if keep_trajectories:
-        result.trajectories.append(traj)
-    result.y_out = float(hit.point[1])
-    return result
+    hit, _ = flow_to_section_traj(system.x_plus, (x_dep, eps), sec, config.integ)
+    return TransitionResult(y_out=float(hit.point[1]), departure=(x_dep, 1.0))
 
 
 def upper_transition_map(
@@ -291,7 +267,6 @@ def upper_transition_map(
     config: TransitionConfig,
     eps: float,
     y_in: float,
-    keep_trajectories: bool = False,
 ) -> TransitionResult:
     """Map {x = -rho, y = y_in >= eps} to {x = theta} across the layer.
 
@@ -304,23 +279,20 @@ def upper_transition_map(
         raise DomainError(
             f"upper map needs y_in >= eps (got y_in={y_in:g}, eps={eps:g})"
         )
-    result = TransitionResult(y_out=math.nan)
 
     # Leg 1: descend to the layer roof y = eps.
     x_entry = -config.rho
     if y_in > eps:
         sec = SectionSpec("horizontal", eps, direction="down", ident="roof")
         try:
-            hit, traj = flow_to_section_traj(system.x_plus, (-config.rho, y_in),
-                                             sec, config.integ)
+            hit, _ = flow_to_section_traj(system.x_plus, (-config.rho, y_in),
+                                          sec, config.integ)
         except (NoCrossing, DomainExit) as exc:
             raise NoCrossing(
                 f"inflow orbit from y_in={y_in:g} never met the layer roof"
             ) from exc
         x_entry = float(hit.point[0])
-        if keep_trajectories:
-            result.trajectories.append(traj)
-    return _layer_legs(system, config, eps, x_entry, 1.0, result, keep_trajectories)
+    return _layer_legs(system, config, eps, x_entry, 1.0)
 
 
 def lower_transition_map(
@@ -328,38 +300,31 @@ def lower_transition_map(
     config: TransitionConfig,
     eps: float,
     y_in: float,
-    keep_trajectories: bool = False,
 ) -> TransitionResult:
     """Map {x = -rho, y = y_in < eps} to {x = theta} through the layer.
 
     Orbits starting below the layer ride the lower field up to the floor
-    y = -eps first.  The crossing of yhat = 0.9 inside the layer is recorded:
-    it marks the start of the departure climb.
+    y = -eps first.
     """
     config.check_eps(eps)
     if y_in >= eps:
         raise DomainError(
             f"lower map needs y_in < eps (got y_in={y_in:g}, eps={eps:g})"
         )
-    result = TransitionResult(y_out=math.nan)
-
     x_entry = -config.rho
     yhat0 = y_in / eps
     if y_in < -eps:
         sec = SectionSpec("horizontal", -eps, direction="up", ident="floor")
         try:
-            hit, traj = flow_to_section_traj(system.x_minus, (-config.rho, y_in),
-                                             sec, config.integ)
+            hit, _ = flow_to_section_traj(system.x_minus, (-config.rho, y_in),
+                                          sec, config.integ)
         except (NoCrossing, DomainExit) as exc:
             raise NoCrossing(
                 f"lower-field orbit from y_in={y_in:g} never met the layer floor"
             ) from exc
         x_entry = float(hit.point[0])
         yhat0 = -1.0
-        if keep_trajectories:
-            result.trajectories.append(traj)
-    return _layer_legs(system, config, eps, x_entry, yhat0, result,
-                       keep_trajectories, record_09=True)
+    return _layer_legs(system, config, eps, x_entry, yhat0)
 
 
 # --------------------------------------------------------------------------
@@ -472,12 +437,16 @@ def mirror_fixed_point(system: FilippovSystem, config: TransitionConfig,
             "midpoints": [float(m) for m in mids], "deltas": [float(d) for d in ds]}
 
 
+# Where, left of the fold, and with which half-step mirror_derivative differences.
+MIRROR_OFFSET = 1e-3
+MIRROR_STEP = 2.5e-4
+
+
 def mirror_derivative(system: FilippovSystem, config: TransitionConfig,
-                      eps: float, offset: float = 1e-3,
-                      step: float = 2.5e-4) -> float:
-    """Centered-difference slope of the mirror map at x = psi - offset."""
+                      eps: float) -> float:
+    """Centered-difference slope of the mirror map at x = psi - MIRROR_OFFSET."""
     psi = tangency_curve_psi(system, config, eps)
-    x0 = psi - offset
-    hi = mirror_map(system, config, eps, x0 + step, psi=psi)
-    lo = mirror_map(system, config, eps, x0 - step, psi=psi)
-    return (hi - lo) / (2.0 * step)
+    x0 = psi - MIRROR_OFFSET
+    hi = mirror_map(system, config, eps, x0 + MIRROR_STEP, psi=psi)
+    lo = mirror_map(system, config, eps, x0 - MIRROR_STEP, psi=psi)
+    return (hi - lo) / (2.0 * MIRROR_STEP)

@@ -340,45 +340,3 @@ def compile_kernel(args: str, body: Sequence[str],
     ns = dict(namespace or {})
     exec(compile(src, "<regtang kernel>", "exec"), ns)
     return ns["_kernel"]
-
-
-# ---------------------------------------------------------------------------
-# structured-text monomial serialization
-# ---------------------------------------------------------------------------
-# A component is a block of rows "x_exp y_exp numerator denominator"; blocks
-# are separated by a line holding just "--".  Blank lines and '#' comments are
-# ignored.
-
-def poly2_to_rows(p: Poly2) -> List[Tuple[int, int, int, int]]:
-    return [
-        (i, j, c.numerator, c.denominator) for (i, j), c in sorted(p.terms.items())
-    ]
-
-
-def poly2_from_rows(rows: Iterable[Tuple[int, int, int, int]]) -> Poly2:
-    terms: Dict[Tuple[int, int], Fraction] = {}
-    for i, j, num, den in rows:
-        terms[(int(i), int(j))] = terms.get((int(i), int(j)), Q(0)) + Q(num, den)
-    return Poly2(terms)
-
-
-def polys_to_text(components: Sequence[Poly2]) -> str:
-    blocks = []
-    for p in components:
-        lines = [f"{i} {j} {num} {den}" for i, j, num, den in poly2_to_rows(p)]
-        blocks.append("\n".join(lines) if lines else "0 0 0 1")
-    return "\n--\n".join(blocks) + "\n"
-
-
-def polys_from_text(text: str) -> List[Poly2]:
-    blocks: List[List[Tuple[int, int, int, int]]] = [[]]
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "--":
-            blocks.append([])
-            continue
-        i, j, num, den = line.split()
-        blocks[-1].append((int(i), int(j), int(num), int(den)))
-    return [poly2_from_rows(rows) for rows in blocks]

@@ -169,28 +169,13 @@ class BandField:
     def __call__(self, x: float, yhat: float) -> np.ndarray:
         return self.eval(x, yhat)
 
-    def divergence(self) -> Callable[[float, float], float]:
-        """d/dx and d/dyhat trace of the fast field (for variational factors)."""
-        div_p = self.system.x_plus.divergence()
-        div_m = self.system.x_minus.divergence()
-        tf, eps, sys_ = self.tf, self.eps, self.system
-
-        def div(x: float, yhat: float) -> float:
-            y = eps * yhat
-            c = 0.5 * (1.0 + tf.Phi(yhat))
-            base = eps * (c * div_p(x, y) + (1.0 - c) * div_m(x, y))
-            dphi = tf.Phi_prime(yhat)
-            if dphi != 0.0:
-                diff = sys_.x_plus.eval(x, y)[1] - sys_.x_minus.eval(x, y)[1]
-                base += 0.5 * dphi * diff
-            return base
-
-        return div
-
 
 # --------------------------------------------------------------------------
 # slow (critical) manifold of the layer problem
 # --------------------------------------------------------------------------
+
+SLOW_FD_STEP = 1e-6  # central-difference step when X+ has no polynomial form
+
 
 @dataclass
 class SlowManifold:
@@ -205,7 +190,6 @@ class SlowManifold:
 
     system: FilippovSystem
     tf: TransitionFunction
-    _fd_step: float = 1e-6
 
     def __post_init__(self):
         _require_vertical(self.system)
@@ -222,7 +206,7 @@ class SlowManifold:
             self._x10 = x1_poly.__call__
         else:
             ev = xp.eval
-            hh = self._fd_step
+            hh = SLOW_FD_STEP
             self._f = lambda x: float(ev(x, 0.0)[1])
             self._fx = lambda x: (float(ev(x + hh, 0.0)[1]) - float(ev(x - hh, 0.0)[1])) / (2 * hh)
             self._theta0 = lambda x: (float(ev(x, hh)[1]) - float(ev(x, -hh)[1])) / (2 * hh)

@@ -92,3 +92,41 @@ def test_crossing_rejects_bad_inputs():
 
     with raises(ConditionViolated):
         planar_model_crossing(0, 2)
+
+
+def test_invariant_drift_raises_when_the_solver_fails():
+    # (2, 3) from this start blows up near t = 1.15 (e1 ~ 7e12); the drift of
+    # the part before the failure says nothing about the whole span
+    from regtang import StepSizeUnderflow
+
+    ch = EquatorialChart(2, 3, 1.0)
+    with raises(StepSizeUnderflow):
+        ch.invariant_drift((-0.5, 0.8, 0.3), (0.0, 2.0))
+
+
+def _crossing_reference(k, n, sigma, u0=-10.0, u_max=20.0):
+    """The planar model's crossing from solve_ivp's own terminal-event path."""
+    from scipy.integrate import solve_ivp
+
+    v0 = (sigma - u0 ** (2 * k - 1)) ** (1.0 / n)
+
+    def rhs(t, v):
+        return [-((u0 + t) ** (2 * k - 1)) - v[0] ** n + sigma]
+
+    def crossing(t, v):
+        return v[0]
+    crossing.terminal = True
+    crossing.direction = -1.0
+
+    sol = solve_ivp(rhs, (0.0, u_max - u0), [v0], method="DOP853", rtol=1e-12,
+                    atol=1e-14, events=[crossing], dense_output=True)
+    return u0 + float(sol.t_events[0][0]), float(np.max(sol.y[0]))
+
+
+def test_crossing_equals_the_solve_ivp_reference_bit_for_bit():
+    cases = [(1, 2, 0.0), (2, 3, sigma_shift(2, 3, theta00=0.5)), (2, 6, 0.0)]
+    assert cases[1][2] != 0.0
+    for k, n, sigma in cases:
+        out = planar_model_crossing(k, n, sigma=sigma)
+        u_star, v_max = _crossing_reference(k, n, sigma)
+        assert (out.u_star, out.v_max) == (u_star, v_max), (k, n)

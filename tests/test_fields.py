@@ -1,7 +1,5 @@
 """Planar fields, switching-line bookkeeping, and contact classification."""
 
-from fractions import Fraction
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
@@ -13,8 +11,6 @@ from regtang import (
     classify_sigma_point,
     contact_classification,
     field_from_polys,
-    field_from_text,
-    field_to_text,
     lie_derivative,
     sliding_field,
 )
@@ -28,13 +24,6 @@ def test_planar_field_eval_and_divergence():
     assert f(2.0, 1.0) == approx((1.0, 3.0))
     div = f.divergence()
     assert div(0.3, -0.7) == approx(-1.0)
-
-
-def test_field_text_roundtrip():
-    f = field_from_polys(Poly2.const(1), Poly2.x().pow(3) + Poly2.y() * Poly2.const(Fraction(-1, 2)))
-    g = field_from_text(field_to_text(f))
-    for x, y in [(0.0, 0.0), (1.5, -2.0), (-0.3, 0.8)]:
-        assert np.allclose(f.eval(x, y), g.eval(x, y))
 
 
 def test_lie_derivative_on_vertical_h_counts_orders():

@@ -455,3 +455,26 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
     assert np.array_equal(got, seg.sol(grid))
     for j, t in enumerate(grid):
         assert np.array_equal(got[:, j], seg.sol(t))
+
+
+def test_only_the_integrate_module_imports_scipy_integrate():
+    # every ODE solve goes through integrate._dop853: no other module of the
+    # package may reach for scipy's integrators
+    import ast
+    from pathlib import Path
+
+    import regtang
+
+    importers = []
+    for path in sorted(Path(regtang.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+                   for name in names):
+                importers.append(path.name)
+    assert set(importers) == {"integrate.py"}

@@ -265,3 +265,19 @@ def test_regularized_kernel_with_tilted_switching_function():
             if abs(s) >= 1.0:
                 side = sys.x_plus if s > 0 else sys.x_minus
                 assert np.array_equal(got, side.eval(x, y))
+
+
+def test_slow_manifold_finite_difference_fallback_matches_polynomial_form():
+    # an eval-only X+ takes the central-difference branch for f_x and the
+    # y-derivative; g and theta make both differences inexact
+    from regtang import FilippovSystem, Poly1, Poly2, PlanarField
+
+    theta = Poly2.const(Fraction(1, 2)) + Poly2.x() + Poly2.y().pow(2)
+    for g, th in ((None, None), (Poly1.monomial(3, 1), theta)):
+        sys = canonical_system(k=1, g=g, theta=th)
+        fd_sys = FilippovSystem(PlanarField(eval=sys.x_plus.eval), sys.x_minus,
+                                sys.h, dict(sys.params))
+        exact, fd = SlowManifold(sys, TF1), SlowManifold(fd_sys, TF1)
+        for x in (-0.3, -0.2, -0.1, -0.05):
+            assert fd.m0(x) == approx(exact.m0(x), abs=1e-6)
+            assert fd.m1(x) == approx(exact.m1(x), abs=1e-6)
