@@ -113,9 +113,12 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
         u = u0 + t
         return [-(u ** (2 * k - 1)) - v[0] ** n + sigma]
 
-    # v starts above zero, so the first zero the stop meets is a downward one
-    seg, hit = _dop853(rhs, (0.0, u_max - u0), np.array([v0]), CHART_INTEG,
-                       [lambda v: v[0]])
+    # v starts above zero, so the first zero the stop meets is a downward one.
+    # A rejected trial step can take v**n past the float range; the step
+    # control discards it, so the overflow is no news to the caller.
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg, hit = _dop853(rhs, (0.0, u_max - u0), np.array([v0]), CHART_INTEG,
+                           [lambda v: v[0]])
     if hit is None:
         raise NoExit(f"no crossing of v = 0 up to u = {u_max:g}")
     u_star = u0 + float(hit[1])

@@ -461,16 +461,26 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--out", help="output directory (CSVs + summary.json)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``RegtangError``s, so that they take
+    the JSON error path with exit code 2 like every other bad input."""
+
+    def error(self, message):
+        raise RegtangError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="regtang",
         description="Transition maps and cycles of smoothed two-zone planar flows",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("simulate", "scaling", "upper-map", "lower-map",
-                 "slow-manifold", "chart", "cycle"):
+                 "slow-manifold", "chart", "cycle", "phi"):
         sp = sub.add_parser(name)
         _add_common(sp)
+        if name == "phi":
+            sp.add_argument("--m", type=int, dest="m")
         if name == "simulate":
             sp.add_argument("--x0", type=float)
             sp.add_argument("--y0", type=float)
@@ -481,19 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "slow-manifold":
             sp.add_argument("--sandwich-K", type=float, dest="sandwich_K",
                             help="constant for the lower-envelope check")
-    sp = sub.add_parser("phi")
-    sp.add_argument("--m", type=int, dest="m")
-    sp.add_argument("--phi-m", type=int, dest="phi_m")
-    sp.add_argument("--config")
-    sp.add_argument("--out", help="output directory (summary.json)")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    command = args.command
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         cfg = _resolve(args, command)
         if command == "phi":
             return _cmd_phi(cfg)

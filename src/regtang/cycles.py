@@ -10,13 +10,16 @@ Derivatives of section maps come from the variational formula
     P'(y0) = [F_x(p0) / F_x(p1)] * exp( integral of div F along the orbit ),
 
 which is immune to the catastrophic cancellation a finite difference hits
-when the contraction is below floating-point resolution.
+when the contraction is below the map's resolution.  Every return-map leg
+runs at ``RETURN_INTEG``, so the map resolves its value to that rtol,
+relative: the cycle search stops there, and the finite-difference multiplier
+is reported as a bound at that level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +52,9 @@ RETURN_MAX_TIME = 200.0   # time budget of one return-map revolution
 MAX_REVOLUTIONS = 4       # revolutions (two crossings each) before MaxRevolutions
 POLYLINE_SPACING = 1e-3   # arc length between cycle-polyline and Hausdorff samples
 
+# every return-map leg; its rtol is the map's relative resolution
+RETURN_INTEG = IntegratorConfig(max_time=RETURN_MAX_TIME)
+
 
 # --------------------------------------------------------------------------
 # root finding on section maps
@@ -63,13 +69,15 @@ class CycleResult:
 
 
 def find_cycle(return_fn: Callable[[float], float],
-               bracket: Tuple[float, float],
-               xtol: float = 1e-13) -> CycleResult:
-    """Fixed point of y -> return_fn(y) by a bracketed secant (Illinois) method.
+               bracket: Tuple[float, float]) -> CycleResult:
+    """Fixed point of y -> return_fn(y) by a bracketed secant (Illinois) method,
+    stopped at the return map's resolution: |P(y) - y| <= rtol |y| with the
+    return legs' rtol.
 
     Raises NoBracket when the displacement does not change sign over the
     bracket, NotConverged after MAX_SECANT_ITER iterations.
     """
+    rtol = RETURN_INTEG.rtol
     a, b = float(bracket[0]), float(bracket[1])
     fa = return_fn(a) - a
     fb = return_fn(b) - b
@@ -91,7 +99,7 @@ def find_cycle(return_fn: Callable[[float], float],
         if not (min(lo, hi) < x < max(lo, hi)):
             x = 0.5 * (lo + hi)
         fx = return_fn(x) - x
-        if fx == 0.0 or abs(hi - lo) <= xtol * max(1.0, abs(x)):
+        if abs(fx) <= rtol * abs(x):
             return CycleResult(x, it, fx, (a, b))
         if fx * fhi < 0:
             lo, flo = hi, fhi
@@ -101,29 +109,29 @@ def find_cycle(return_fn: Callable[[float], float],
                 flo *= 0.5   # Illinois weighting keeps the bracket moving
             side = 1
         hi, fhi = x, fx
-        if abs(fx) < 1e-300:
-            return CycleResult(x, it, fx, (a, b))
     raise NotConverged(
-        f"no fixed point to xtol={xtol:g} within {MAX_SECANT_ITER} iterations "
-        f"(last y={x:g})"
+        f"no fixed point to |P(y) - y| <= {rtol:g}|y| within {MAX_SECANT_ITER} "
+        f"iterations (last y={x:g})"
     )
 
 
 def multiplier_fd(return_fn: Callable[[float], float], y_star: float) -> dict:
     """Centered-difference slope of the return map at its fixed point.
 
-    When the map is contracting below what the step can resolve, the honest
-    answer is an upper bound; ``resolution_limited`` flags that case and
-    ``value`` then reports the resolution itself.
+    The map resolves its value to the return legs' rtol, relative.  When the
+    map is contracting below what the step can resolve, the honest answer is
+    an upper bound; ``resolution_limited`` flags that case and ``value`` then
+    reports the resolution itself.
     """
+    rtol = RETURN_INTEG.rtol
     scale = max(abs(y_star), 1e-12)
     h = FD_REL_STEP * scale
     hi = return_fn(y_star + h)
     lo = return_fn(y_star - h)
     diff = hi - lo
-    resolution = np.finfo(float).eps * max(abs(hi), abs(lo), 1e-300) / (2 * h)
+    resolution = rtol * max(abs(hi), abs(lo), 1e-300) / (2 * h)
     value = diff / (2 * h)
-    limited = abs(diff) <= 8 * np.finfo(float).eps * max(abs(hi), abs(lo))
+    limited = abs(diff) <= 8 * rtol * max(abs(hi), abs(lo))
     return {
         "value": abs(value) if not limited else resolution,
         "signed_value": value,
@@ -158,21 +166,19 @@ def section_map_derivative_factor(field_eval, p0, p1, s_integral: float,
 # outer excursion (upper field only)
 # --------------------------------------------------------------------------
 
-def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float,
-                 integ: Optional[IntegratorConfig] = None) -> dict:
+def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float) -> dict:
     """Follow the upper field from (theta, y_in) around the outer loop to the
     inflow section {x = -rho}, reporting the arrival height and the map's
     derivative K (variational; K > 0 and exponentially small for strongly
     dissipative loops).
     """
-    integ = integ or IntegratorConfig()
     ev = system.x_plus.eval
     div = system.x_plus.divergence()
     rhs = _augmented_rhs(ev, div)
     sec = SectionSpec("vertical", -rho, interval=(0.0, 1.0), direction="up",
                       ident="inflow")
     try:
-        hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec, integ)
+        hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec)
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(f"outer excursion from (theta, {y_in:g}) lost: {exc}") from exc
     y_out = float(hit.point[1])
@@ -182,15 +188,13 @@ def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float,
             "s_integral": s_int, "trajectory": traj}
 
 
-def loop_period(system: FilippovSystem, start: Tuple[float, float] = (0.0, 2.0),
-                integ: Optional[IntegratorConfig] = None) -> float:
+def loop_period(system: FilippovSystem, start: Tuple[float, float] = (0.0, 2.0)) -> float:
     """Period of the upper-field loop through ``start``: time of first return
     to the section {x = start_x} with y > 1, crossing in the same sense.
     """
-    integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", start[0], interval=(1.0, math.inf),
                       direction="down", ident="top")
-    hit, _ = flow_to_section_traj(system.x_plus, start, sec, integ)
+    hit, _ = flow_to_section_traj(system.x_plus, start, sec)
     return float(hit.t)
 
 
@@ -202,21 +206,18 @@ def loop_period(system: FilippovSystem, start: Tuple[float, float] = (0.0, 2.0),
 class ReturnInfo:
     y_out: float
     t_return: float
+    trajectory: Trajectory
     s_integral: Optional[float] = None
-    trajectory: Optional[Trajectory] = None
 
 
 def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
                y_in: float, rho: float = 0.3,
-               integ: Optional[IntegratorConfig] = None,
                with_divergence: bool = False,
-               keep_trajectory: bool = False,
                extra_records: Sequence[SectionSpec] = ()) -> ReturnInfo:
     """One revolution of the smoothed flow, section {x = -rho, y > 0} to itself,
-    crossings counted only with x increasing.
+    crossings counted only with x increasing, integrated at ``RETURN_INTEG``.
     """
     reg = RegularizedField(system, tf, eps)
-    integ = replace(integ or IntegratorConfig(), max_time=RETURN_MAX_TIME)
     sec = SectionSpec("vertical", -rho, interval=(0.0, math.inf), direction="up",
                       ident="return")
     counter = SectionSpec("vertical", -rho, ident="anycross")
@@ -227,7 +228,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
         rhs = reg
         p0 = (-rho, y_in)
     try:
-        hit, traj = flow_to_section_traj(rhs, p0, sec, integ,
+        hit, traj = flow_to_section_traj(rhs, p0, sec, RETURN_INTEG,
                                          record_sections=[counter, *extra_records])
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(
@@ -241,14 +242,13 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
     return ReturnInfo(
         y_out=float(hit.point[1]),
         t_return=float(hit.t),
+        trajectory=traj,
         s_integral=float(hit.point[2]) if with_divergence else None,
-        trajectory=traj if keep_trajectory else None,
     )
 
 
 def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
-                     y_star: float, rho: float = 0.3,
-                     integ: Optional[IntegratorConfig] = None) -> dict:
+                     y_star: float, rho: float = 0.3) -> dict:
     """Floquet multiplier of the closed orbit through (-rho, y_star), exp of
     the loop integral of the smoothed field's divergence, and the derivative
     (magnitude) of the outer-arc map along it, both from one revolution.
@@ -259,11 +259,11 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
     contraction.  The layer portion of the cycle shrinks with eps, hence this
     factor tends to the upper-field loop rate exp(integral of div over one
     loop) while the full Floquet multiplier keeps the layer's extra
-    squeezing on top of it.
+    squeezing on top of it.  ``trajectory`` is that revolution, with the
+    divergence integral as its third state.
     """
     roof = SectionSpec("horizontal", eps, ident="roof")
-    info = return_map(system, tf, eps, y_star, rho=rho, integ=integ,
-                      with_divergence=True, keep_trajectory=True,
+    info = return_map(system, tf, eps, y_star, rho=rho, with_divergence=True,
                       extra_records=[roof])
     ups = [e for e in info.trajectory.events
            if e.section_id == "roof" and e.direction == "up"]
@@ -291,6 +291,7 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
         "t_arc": float(dn.t - up.t),
         "x_departure": float(up.point[0]),
         "x_reentry": float(dn.point[0]),
+        "trajectory": info.trajectory,
     }
 
 
@@ -360,14 +361,12 @@ class CycleInfo:
         return out
 
 
-def default_bracket(system: FilippovSystem, eps: float, rho: float,
-                    integ: Optional[IntegratorConfig] = None) -> Tuple[float, float]:
+def default_bracket(system: FilippovSystem, eps: float, rho: float) -> Tuple[float, float]:
     """Bracket on the inflow section containing the attracting fixed point in
     both regimes: return crossing inside the layer (y ~ eps * m0(-rho)) or
     above it (y ~ height of the grazing orbit + O(eps))."""
-    integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", -rho)
-    hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec, integ,
+    hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec,
                                   t_direction="backward")
     y_bar = float(hit.point[1])
     return (0.25 * eps, y_bar + 4.0 * eps)
@@ -375,16 +374,16 @@ def default_bracket(system: FilippovSystem, eps: float, rho: float,
 
 def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
                    rho: float = 0.3,
-                   integ: Optional[IntegratorConfig] = None,
                    reference: Optional[np.ndarray] = None) -> CycleInfo:
     """Locate the attracting cycle of the smoothed system on {x = -rho, y > 0}
     inside ``default_bracket``, compute its period and multiplier, and
-    (optionally) its Hausdorff distance to a reference polyline."""
+    (optionally) its Hausdorff distance to a reference polyline, all on the
+    one revolution ``cycle_multiplier`` integrates."""
     def ret(y: float) -> float:
-        return return_map(system, tf, eps, y, rho=rho, integ=integ).y_out
+        return return_map(system, tf, eps, y, rho=rho).y_out
 
-    res = find_cycle(ret, default_bracket(system, eps, rho, integ))
-    mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho, integ=integ)
+    res = find_cycle(ret, default_bracket(system, eps, rho))
+    mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho)
     fd = multiplier_fd(ret, res.y_star)
     arc = {k: mult[k] for k in ("multiplier_arc", "log_multiplier_arc", "s_arc",
                                 "t_arc", "x_departure", "x_reentry")}
@@ -394,10 +393,8 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
         multiplier_fd=fd, iterations=res.iterations, arc=arc,
     )
     if reference is not None:
-        full = return_map(system, tf, eps, res.y_star, rho=rho, integ=integ,
-                          keep_trajectory=True)
         n = max(2000, int(12.0 / POLYLINE_SPACING))
-        pts = sample_dense(full.trajectory, n)[:, :2]
+        pts = sample_dense(mult["trajectory"], n)[:, :2]
         info.polyline = pts
         info.hausdorff = hausdorff_distance(pts, reference, POLYLINE_SPACING)
         info.hausdorff_over_eps = info.hausdorff / eps
@@ -405,8 +402,7 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
 
 
 def unique_root_scan(return_fn: Callable[[float], float],
-                     bracket: Tuple[float, float], pieces: int = 8,
-                     xtol: float = 1e-13) -> List[float]:
+                     bracket: Tuple[float, float], pieces: int = 8) -> List[float]:
     """Split the bracket, find a fixed point in every sign-changing piece, and
     return the list of roots found (callers assert uniqueness/consistency)."""
     a, b = bracket
@@ -418,7 +414,7 @@ def unique_root_scan(return_fn: Callable[[float], float],
         if fa == 0.0:
             roots.append(float(ys[i]))
         elif fa * fb < 0:
-            res = find_cycle(return_fn, (float(ys[i]), float(ys[i + 1])), xtol=xtol)
+            res = find_cycle(return_fn, (float(ys[i]), float(ys[i + 1])))
             roots.append(res.y_star)
     if vals[-1] == 0.0:
         roots.append(float(ys[-1]))
@@ -437,8 +433,7 @@ def polyline_to_csv(points: np.ndarray) -> str:
 # --------------------------------------------------------------------------
 
 def grazing_half_map(system: FilippovSystem, eps: float, x_in: float,
-                     psi: float, side: str, theta: float, rho: float,
-                     integ: Optional[IntegratorConfig] = None) -> float:
+                     psi: float, side: str, theta: float, rho: float) -> float:
     """Upper-field half map on {y = eps} near the fold at x = psi.
 
     side='unstable': forward to the outflow section {x = theta};
@@ -446,13 +441,12 @@ def grazing_half_map(system: FilippovSystem, eps: float, x_in: float,
     Both are pure upper-field constructions; the backward branch dips below
     the roof on its way (by design: the fold sits on y = eps).
     """
-    integ = integ or IntegratorConfig()
     if side == "unstable":
         sec = SectionSpec("vertical", theta, ident="outflow")
-        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ)
+        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec)
     elif side == "stable":
         sec = SectionSpec("vertical", -rho, ident="inflow")
-        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ,
+        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec,
                                       t_direction="backward")
     else:
         raise ValueError("side must be 'unstable' or 'stable'")
@@ -461,17 +455,16 @@ def grazing_half_map(system: FilippovSystem, eps: float, x_in: float,
 
 def grazing_exponent_fit(system: FilippovSystem, eps: float, psi: float,
                          side: str, theta: float, rho: float,
-                         offsets: Sequence[float],
-                         integ: Optional[IntegratorConfig] = None) -> dict:
+                         offsets: Sequence[float]) -> dict:
     """Fit |out(psi + d) - out(psi)| = |kappa| d^p over the given offsets d > 0.
 
     Returns the exponent p (expected 2k), the signed prefactor kappa, and the
     fit's r^2.  Offsets are measured from the fold on the grazing side
     (forward map: d > 0; backward map: d > 0 as well, both orbits graze)."""
-    base = grazing_half_map(system, eps, psi, psi, side, theta, rho, integ)
+    base = grazing_half_map(system, eps, psi, psi, side, theta, rho)
     ds, gaps, signs = [], [], []
     for d in offsets:
-        out = grazing_half_map(system, eps, psi + d, psi, side, theta, rho, integ)
+        out = grazing_half_map(system, eps, psi + d, psi, side, theta, rho)
         gap = out - base
         if gap == 0.0:
             continue

@@ -5,12 +5,14 @@ a matching-order interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.5), stepped directly: one driver, ``_dop853`` (also behind the blow-up
 charts), takes scipy's steps and dense outputs, and checks its stops after
 each step exactly as ``solve_ivp`` checks terminal events, so the step
-sequence is ``solve_ivp``'s.  Section crossings are located on the dense
-output, evaluated on a sub-step grid in one batched pass, and verified against
-``event_tol``.  A leg that ends without an admissible crossing is checked for
-a tangential touch of its target section: a turning point of the residual
-within ``sqrt(event_tol)`` of zero is surfaced as ``TangentialGraze`` (a
-``NoCrossing``) instead of a plain ``NoCrossing``.
+sequence is ``solve_ivp``'s.  A leg to a section is one run: a stop may turn
+a root down (a crossing outside the section's interval or against its
+direction), and the same solver then steps on.  Section crossings are located
+on the dense output, evaluated on a sub-step grid in one batched pass, and
+verified against ``event_tol``.  A leg that ends without an admissible
+crossing is checked for a tangential touch of its target section: a turning
+point of the residual within ``sqrt(event_tol)`` of zero is surfaced as
+``TangentialGraze`` (a ``NoCrossing``) instead of a plain ``NoCrossing``.
 """
 
 from __future__ import annotations
@@ -202,9 +204,6 @@ def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
 # test.
 SCAN_SUBDIV = 8
 
-# Upper bound on solver restarts (one per rejected crossing) in one leg.
-MAX_SEGMENTS = 200
-
 
 def _scan_grid(seg: Segment) -> np.ndarray:
     ts = seg.t
@@ -256,28 +255,28 @@ def _admitted_hits(seg: Segment, rhs: RHS, forward: bool,
             yield sec, hit
 
 
-def _find_graze(segments: Sequence[Segment], rhs: RHS, section: SectionSpec,
+def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
                 config: IntegratorConfig) -> Optional[Tuple[float, np.ndarray]]:
     """First turning point of the section residual within sqrt(event_tol) of
     zero, as (t, point); None if the orbit never comes that close.
 
-    Candidates are the extrema of the residual on each segment's scan grid;
+    Candidates are the extrema of the residual on the segment's scan grid;
     only those are polished, with brentq on the residual's rate.
     """
     band = math.sqrt(config.event_tol)
-    for seg in segments:
-        def rate(s):
-            return section.residual_rate(rhs(s, seg.sol(s)))
-        ts = _scan_grid(seg)
-        d = np.diff(section.residual(seg.dense(ts)))
-        for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
-            lo, hi = sorted((float(ts[i - 1]), float(ts[i + 1])))
-            tg = float(ts[i])
-            if rate(lo) * rate(hi) < 0:
-                tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            pg = np.array(seg.sol(tg))
-            if abs(section.residual(pg)) < band:
-                return tg, pg
+
+    def rate(s):
+        return section.residual_rate(rhs(s, seg.sol(s)))
+    ts = _scan_grid(seg)
+    d = np.diff(section.residual(seg.dense(ts)))
+    for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
+        lo, hi = sorted((float(ts[i - 1]), float(ts[i + 1])))
+        tg = float(ts[i])
+        if rate(lo) * rate(hi) < 0:
+            tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        pg = np.array(seg.sol(tg))
+        if abs(section.residual(pg)) < band:
+            return tg, pg
     return None
 
 
@@ -286,7 +285,8 @@ EVENT_ROOT_TOL = 4 * np.finfo(float).eps
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-            config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]]
+            config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]],
+            admit: Optional[Callable[[int, float, float, np.ndarray], bool]] = None
             ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
     """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
     at the first zero of one of ``stops`` (functions of the state).
@@ -296,8 +296,10 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     value changes sign or touches zero between the step's ends (checked also
     on the step that finishes the span), its root is found by brentq on the
     step's interpolant, the root earliest along the orbit wins (the lower
-    index on a tie), and the run ends at that root.  Returns the segment and
-    ``(stop index, t, state)`` of the stop that ended it, or None.
+    index on a tie), and the run ends at that root.  ``admit(i, g, g_new, y)``
+    may turn down the root ``y`` of stop ``i``, whose value went from ``g`` to
+    ``g_new`` over the step; the same solver then steps on.  Returns the
+    segment and ``(stop index, t, state)`` of the stop that ended it, or None.
     """
     t0, tf = map(float, t_span)
     solver = DOP853(rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
@@ -313,17 +315,18 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
         sol = solver.dense_output()
         steps.append(sol)
         g_new = [stop(y) for stop in stops]
-        active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                  if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
-        if active:
-            roots = [brentq(lambda s, stop=stops[i]: stop(sol(s)), t_old, t,
+        roots = []
+        for i, (a, b) in enumerate(zip(g, g_new)):
+            if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
+                te = brentq(lambda s, stop=stops[i]: stop(sol(s)), t_old, t,
                             xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
-                     for i in active]
+                ye = sol(te)
+                if admit is None or admit(i, a, b, ye):
+                    roots.append((te, i, ye))
+        if roots:
             sense = 1.0 if t > t_old else -1.0
-            k = min(range(len(active)), key=lambda j: (sense * roots[j], j))
-            t = roots[k]
-            y = sol(t)
-            hit = (active[k], t, y)
+            t, i, y = min(roots, key=lambda r: (sense * r[0], r[1]))
+            hit = (i, t, y)
         g = g_new
         if len(ts) > 1 and ts[-1] == t:
             steps.pop()  # an event at the previous step's end: nothing new
@@ -369,7 +372,7 @@ def flow(
 
 def _nudge_off_section(rhs: RHS, t0: float, p0: np.ndarray, sec: SectionSpec,
                        config: IntegratorConfig, forward: bool) -> Tuple[float, np.ndarray]:
-    """One small RK4 step so the residual clears the event band before restarting."""
+    """Small RK4 steps until the residual clears the event band."""
     sgn = 1.0 if forward else -1.0
     rate = abs(sec.residual_rate(rhs(t0, p0)))
     dt = 50.0 * config.event_tol / max(rate, 1e-9)
@@ -387,6 +390,22 @@ def _nudge_off_section(rhs: RHS, t0: float, p0: np.ndarray, sec: SectionSpec,
     return t0, p0
 
 
+def _section_admit(section: SectionSpec):
+    """Admission rule of the stopper (stop 0) of a leg to ``section``: a root
+    outside the section's interval, or on a step whose residual change runs
+    against the section's direction (``solve_ivp``'s ``direction`` rule), is
+    turned down; the norm guard (stop 1) always stops."""
+    def admit(i: int, g: float, g_new: float, p: np.ndarray) -> bool:
+        if i != 0:
+            return True
+        if section.direction == "up" and not (g <= 0 and g_new >= 0):
+            return False
+        if section.direction == "down" and not (g >= 0 and g_new <= 0):
+            return False
+        return section.admits(p)
+    return admit
+
+
 def flow_to_section_traj(
     field,
     p0: Sequence[float],
@@ -397,73 +416,60 @@ def flow_to_section_traj(
 ) -> Tuple[EventHit, Trajectory]:
     """Integrate until the section is crossed in the admitted sense.
 
-    The crossing is located on the dense output and verified to ``event_tol``.
-    Crossings outside the section's interval or against its direction are
-    skipped: the solver restarts just past them, at most ``MAX_SEGMENTS``
-    times.  Crossings of ``record_sections`` met on the way are recorded.
-    If no admissible crossing comes within ``max_time``, the residual is
-    checked for a turning point within ``sqrt(event_tol)`` of zero: such a
-    touch raises ``TangentialGraze``, anything else ``NoCrossing``.
+    One DOP853 run per leg.  The crossing is located on the dense output and
+    verified to ``event_tol``.  Crossings outside the section's interval or
+    against its direction are skipped: the stopper turns them down and the
+    same solver steps on.  Crossings of ``record_sections`` met on the way
+    are recorded.  If no admissible crossing comes within ``max_time``, the
+    residual is checked for a turning point within ``sqrt(event_tol)`` of
+    zero: such a touch raises ``TangentialGraze``, anything else
+    ``NoCrossing``.
     """
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     forward = t_direction == "forward"
     record_sections = list(record_sections)
 
-    t_cur = 0.0
-    p_cur = np.asarray(p0, dtype=float)
-    recorded: List[EventHit] = []
-    segments: List[Segment] = []
-
+    t0 = 0.0
+    p = np.asarray(p0, dtype=float)
     # Starting on the target section: the degenerate t=0 "crossing" is not the
     # one asked for; step off the section before arming the stopper.
-    if abs(section.residual(p_cur)) <= 10 * config.event_tol:
-        t_cur, p_cur = _nudge_off_section(rhs, t_cur, p_cur, section, config, forward)
+    if abs(section.residual(p)) <= 10 * config.event_tol:
+        t0, p = _nudge_off_section(rhs, t0, p, section, config, forward)
+    remaining = max(config.max_time - abs(t0), 0.0)
+    t_end = t0 + (remaining if forward else -remaining)
 
-    # The stopper (stop 0) only bounds the work per segment; crossings
+    # The stopper (stop 0) only bounds the work of the run; crossings
     # themselves are located by the dense-output scan, which also sees pairs
     # of crossings that cancel across one step.  Stop 1 is the norm guard.
-    stops = [section.residual, _norm_guard(config)]
+    seg, stop = _dop853(rhs, (t0, t_end), p, config,
+                        [section.residual, _norm_guard(config)],
+                        _section_admit(section))
 
-    for _ in range(MAX_SEGMENTS):
-        remaining = config.max_time - abs(t_cur)
-        if remaining <= 0:
+    hit: Optional[EventHit] = None
+    recorded: List[EventHit] = []
+    for sec, ev in _admitted_hits(seg, rhs, forward, [section] + record_sections):
+        if sec is section:
+            hit = ev
             break
-        t_end = t_cur + (remaining if forward else -remaining)
+        recorded.append(ev)
 
-        seg, stop = _dop853(rhs, (t_cur, t_end), p_cur, config, stops)
-        segments.append(seg)
-
-        hit: Optional[EventHit] = None
-        for sec, ev in _admitted_hits(seg, rhs, forward, [section] + record_sections):
-            if sec is section:
-                hit = ev
-                break
-            recorded.append(ev)
-
-        # A root landing exactly on the segment endpoint (the stopper stops
-        # *at* the section) leaves no sign change for the scan to bracket.
-        if hit is None and stop is not None and stop[0] == 0:
-            _, te, pe = stop
-            if abs(section.residual(pe)) <= config.event_tol and section.admits(pe):
-                hit = _classify(section, te, pe,
-                                section.residual_rate(rhs(te, pe)), forward)
-
-        if hit is not None:
-            return hit, _assemble(segments, recorded, forward, hit)
-
-        if stop is None:
-            break  # ran to max_time
-        if stop[0] == 1:
-            raise DomainExit(
-                f"trajectory norm exceeded {config.norm_guard:g} before reaching "
-                f"section {section.ident}"
-            )
-        # Stopper fired on a crossing the filters rejected: step past it.
+    # A root landing exactly on the run's end (the stopper stops *at* the
+    # section) may leave no sign change for the scan to bracket.
+    if hit is None and stop is not None and stop[0] == 0:
         _, te, pe = stop
-        t_cur, p_cur = _nudge_off_section(rhs, te, pe, section, config, forward)
+        rate = section.residual_rate(rhs(te, pe))
+        hit = EventHit(te, pe, section.ident,
+                       section.direction or _hit_direction(rate, forward))
 
-    graze = _find_graze(segments, rhs, section, config)
+    if hit is not None:
+        return hit, _assemble(seg, recorded, forward, hit)
+    if stop is not None:
+        raise DomainExit(
+            f"trajectory norm exceeded {config.norm_guard:g} before reaching "
+            f"section {section.ident}"
+        )
+    graze = _find_graze(seg, rhs, section, config)
     if graze is not None:
         tg, pg = graze
         raise TangentialGraze(
@@ -486,28 +492,15 @@ def flow_to_section(
     return hit
 
 
-def _assemble(segments, recorded, forward, hit: EventHit) -> Trajectory:
-    t = np.concatenate([seg.t for seg in segments])
-    p = np.vstack([seg.y.T for seg in segments])
-    keep = (t <= hit.t) if forward else (t >= hit.t)
-    t = np.append(t[keep], hit.t)
-    p = np.vstack([p[keep], hit.point])
+def _assemble(seg: Segment, recorded, forward, hit: EventHit) -> Trajectory:
+    keep = (seg.t <= hit.t) if forward else (seg.t >= hit.t)
+    t = np.append(seg.t[keep], hit.t)
+    p = np.vstack([seg.y.T[keep], hit.point])
     events = sorted(recorded + [hit], key=lambda h: h.t, reverse=not forward)
-    return Trajectory(t=t, points=p, events=events, segments=segments)
+    return Trajectory(t=t, points=p, events=events, segments=[seg])
 
 
 def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
     """Evaluate the dense output on n time points spanning the trajectory."""
-    ts = np.linspace(traj.t[0], traj.t[-1], n)
-    out = np.empty((n, traj.points.shape[1]))
-    todo = np.ones(n, dtype=bool)
-    for seg in traj.segments:
-        lo, hi = sorted((seg.sol.t_min, seg.sol.t_max))
-        mask = todo & (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
-        if mask.any():
-            out[mask] = seg.dense(ts[mask]).T
-            todo &= ~mask
-    for i in np.flatnonzero(todo):
-        # fall back to nearest sample
-        out[i] = traj.points[int(np.argmin(np.abs(traj.t - ts[i])))]
-    return out
+    (seg,) = traj.segments
+    return seg.dense(np.linspace(traj.t[0], traj.t[-1], n)).T

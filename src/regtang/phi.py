@@ -110,18 +110,13 @@ def phi_inverse(tf: TransitionFunction, v: float) -> float:
 
 
 def phi_bracket_constant(tf: TransitionFunction, theorem_n: int) -> float:
-    """The positive constant (-1)^{n+1} phi^{(n)}(1) / n! of the class-n profile."""
-    val = tf.deriv_exact(theorem_n, 1)
-    if val == 0:
-        raise ClassMismatch(
-            f"phi^{{({theorem_n})}}(1) = 0: profile is flatter than class n={theorem_n}"
-        )
-    exact = Q((-1) ** (theorem_n + 1)) * val / math.factorial(theorem_n)
-    return float(exact)
+    """Float value of :func:`phi_bracket_exact`."""
+    return float(phi_bracket_exact(tf, theorem_n))
 
 
 def phi_bracket_exact(tf: TransitionFunction, theorem_n: int) -> Fraction:
-    """Exact-rational version of :func:`phi_bracket_constant`."""
+    """The positive constant (-1)^{n+1} phi^{(n)}(1) / n! of the class-n profile,
+    as an exact rational."""
     val = tf.deriv_exact(theorem_n, 1)
     if val == 0:
         raise ClassMismatch(

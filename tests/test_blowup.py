@@ -1,5 +1,7 @@
 """Rescaling charts: the planar crossing model and the equatorial equilibrium."""
 
+import warnings
+
 import numpy as np
 from pytest import approx, raises
 
@@ -130,3 +132,14 @@ def test_crossing_equals_the_solve_ivp_reference_bit_for_bit():
         out = planar_model_crossing(k, n, sigma=sigma)
         u_star, v_max = _crossing_reference(k, n, sigma)
         assert (out.u_star, out.v_max) == (u_star, v_max), (k, n)
+
+
+def test_crossing_leaks_no_overflow_warning():
+    # (3, 5) from u0 = -8: rejected trial steps take v**5 past the float
+    # range; the caller sees no warning and the solve_ivp reference's numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = planar_model_crossing(3, 5, u0=-8.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _crossing_reference(3, 5, 0.0, u0=-8.0)
+    assert (out.u_star, out.v_max) == ref

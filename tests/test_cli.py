@@ -222,6 +222,8 @@ IGNORED_FLAGS = [
     ("cycle", "--theta", "0.3"),
     ("cycle", "--lambda", "0.3"),
     ("cycle", "--L", "0.3"),
+    ("phi", "--k", "1"),
+    ("phi", "--eps", "0.001"),
 ]
 
 
@@ -249,3 +251,25 @@ def test_workers_is_accepted_where_it_is_not_read(tmp_path):
                              "--eps", "1e-2", "--tmax", "0.5", "--workers", "1")
     assert code == 0
     assert summary["config"]["workers"] == 1
+
+
+def test_workers_is_accepted_by_phi(tmp_path):
+    code, out, summary = run(tmp_path, "phi", "--m", "3", "--workers", "1")
+    assert code == 0
+    assert summary["config"] == {"m": 3, "workers": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chart", "--k", "1", "--n", "2", "--bogus", "1"],
+    ["phi", "--m", "three"],
+    ["cycle", "--eps"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_exit_2_with_json(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    out = capsys.readouterr()
+    err = json.loads(out.out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert out.err == ""

@@ -24,6 +24,7 @@ from regtang import (
     unique_root_scan,
     upper_transition_map,
 )
+from regtang.cycles import RETURN_INTEG
 from regtang.errors import (
     DomainExit,
     MaxRevolutions,
@@ -96,6 +97,26 @@ def test_fixed_point_is_unique_across_the_bracket():
     roots = unique_root_scan(ret, bracket, pieces=8)
     assert len(roots) == 1
     assert roots[0] == approx(0.004858417375071363, rel=1e-7)
+
+
+def test_find_cycle_stops_at_the_return_maps_resolution():
+    # the cycle contracts by ~exp(-48) per turn, so the secant lands on the
+    # fixed point, up to the map's rtol-level noise, at once
+    sys = boundary_cycle_system(k=2)
+    eps = 0.01
+    ret = lambda y: return_map(sys, TF5, eps, y).y_out
+    res = find_cycle(ret, default_bracket(sys, eps, 0.3))
+    assert res.iterations <= 2
+    assert abs(res.residual) <= RETURN_INTEG.rtol * res.y_star
+    assert res.y_star == approx(0.004858417375071363, rel=1e-8)
+
+
+def test_return_map_is_one_solver_run():
+    sys = boundary_cycle_system(k=2)
+    info = return_map(sys, TF5, 0.01, 0.005)
+    (seg,) = info.trajectory.segments
+    assert seg.t[0] == info.trajectory.t[0]
+    assert seg.t[-1] == approx(info.t_return, abs=1e-12)
 
 
 def test_time_reversed_system_has_no_attracting_cycle():

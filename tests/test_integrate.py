@@ -12,14 +12,20 @@ from regtang import (
     NoCrossing,
     SectionSpec,
     TangentialGraze,
-    Trajectory,
     flow,
     flow_to_section,
     flow_to_section_traj,
     sample_dense,
     trajectory_to_csv,
 )
-from regtang.integrate import Segment, _as_rhs, _dop853, _norm_guard, _scan_grid
+from regtang.integrate import (
+    Segment,
+    _as_rhs,
+    _dop853,
+    _norm_guard,
+    _scan_grid,
+    _section_admit,
+)
 
 
 class fld:
@@ -153,9 +159,7 @@ def test_sample_dense_equals_pointwise_evaluation():
     _, fwd = flow_to_section_traj(rotation, (1.0, 0.0), down, IntegratorConfig())
     _, bwd = flow_to_section_traj(rotation, (1.0, 0.0), down, IntegratorConfig(),
                                   t_direction="backward")
-    # a trajectory whose segments miss its first part: nearest-sample fallback
-    gap = Trajectory(t=fwd.t, points=fwd.points, segments=fwd.segments[1:])
-    for traj in (fwd, bwd, gap):
+    for traj in (fwd, bwd):
         assert np.array_equal(sample_dense(traj, 777), _sample_dense_pointwise(traj, 777))
 
 
@@ -177,13 +181,14 @@ def test_section_residual_sign_conventions():
     assert vert.residual((0.0, 0.0)) == approx(1.0)
 
 
-def test_rejected_crossing_restarts_once():
-    # the upward crossing of y = 0.5 at t = pi/6 stops the solver and is
-    # rejected; one restart past it reaches the admitted one at t = 5 pi/6
+def test_rejected_crossing_does_not_restart_the_solver():
+    # the stopper turns down the upward crossing of y = 0.5 at t = pi/6, and
+    # the same run steps on to the admitted one at t = 5 pi/6
     sec = SectionSpec("horizontal", 0.5, direction="down")
     hit, traj = flow_to_section_traj(rotation, (1.0, 0.0), sec, IntegratorConfig())
     assert hit.t == approx(5 * np.pi / 6, abs=1e-9)
-    assert len(traj.segments) == 2
+    assert len(traj.segments) == 1
+    assert traj.segments[0].t[0] == 0.0
 
 
 def test_near_touch_then_crossing_returns_the_crossing():
@@ -371,17 +376,36 @@ def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
     assert np.array_equal(seg.t, free.t[:k + 1])
 
 
-def test_driver_matches_solve_ivp_on_every_leg_of_a_restart():
+def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
+    # a leg to a 'down' section turns down the upward roots of its stopper:
+    # that is solve_ivp with the stop as a terminal event of direction -1,
+    # and the leg's one segment is that run, bit for bit
     cfg = IntegratorConfig()
+    rhs = _as_rhs(rotation)
+    y0 = np.array([1.0, 0.0])
     sec = SectionSpec("horizontal", 0.5, direction="down")
     stops = [sec.residual, _norm_guard(cfg)]
-    _, traj = flow_to_section_traj(rotation, (1.0, 0.0), sec, cfg)
-    assert len(traj.segments) == 2
-    for seg in traj.segments:
-        t0 = float(seg.t[0])
-        _, stop = _assert_matches_solve_ivp(
-            rotation, (t0, t0 + cfg.max_time - abs(t0)), seg.y[:, 0], cfg, stops)
-        assert stop[0] == 0
+    directed = _terminal(sec.residual)
+    directed.direction = -1
+    # y = sin t meets 0.5 upward first (t = pi/6, or -7 pi/6 backward)
+    for sense, t_down in (("forward", 5 * np.pi / 6), ("backward", -11 * np.pi / 6)):
+        span = (0.0, cfg.max_time if sense == "forward" else -cfg.max_time)
+        seg, stop = _dop853(rhs, span, y0, cfg, stops, _section_admit(sec))
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol,
+                        atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
+                        events=[directed, _terminal(stops[1])])
+        assert np.array_equal(seg.t, ref.t)
+        assert np.array_equal(seg.y, ref.y)
+        assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
+        assert stop[0] == 0 and len(ref.t_events[1]) == 0
+        assert stop[1] == ref.t_events[0][0] == approx(t_down, abs=1e-9)
+        assert np.array_equal(stop[2], ref.y_events[0][0])
+        grid = _scan_grid(seg)
+        assert np.array_equal(seg.dense(grid), ref.sol(grid))
+        hit, traj = flow_to_section_traj(rotation, y0, sec, cfg, t_direction=sense)
+        assert hit.t == approx(stop[1], abs=1e-12)
+        (leg,) = traj.segments
+        assert np.array_equal(leg.t, ref.t) and leg.nfev == ref.nfev
 
 
 def test_driver_matches_solve_ivp_on_a_zero_length_span():
