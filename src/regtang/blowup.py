@@ -111,7 +111,8 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
 
     def rhs(t, v):
         u = u0 + t
-        return [-(u ** (2 * k - 1)) - v[0] ** n + sigma]
+        # np.float64: past the float range v**n is inf, not an OverflowError
+        return [-(u ** (2 * k - 1)) - np.float64(v[0]) ** n + sigma]
 
     # v starts above zero, so the first zero the stop meets is a downward one.
     # A rejected trial step can take v**n past the float range; the step

@@ -408,7 +408,7 @@ def _cycle_row(packed) -> dict:
     info = cycle_analysis(system, tf, float(eps), rho=rho, reference=reference)
     row = info.as_dict()
     if cfg.get("out") and info.polyline is not None:
-        row["polyline"] = [[float(x), float(y)] for x, y in info.polyline]
+        row["polyline"] = info.polyline
     return row
 
 
@@ -427,9 +427,8 @@ def _cmd_cycle(cfg: Dict[str, object]) -> int:
     for j, r in enumerate(rows):
         poly = r.pop("polyline", None)
         if poly is not None:
-            pts = np.asarray(poly, dtype=float)
             csvs[f"cycle-polyline-{j}.csv"] = (
-                _header("cycle", cfg) + polyline_to_csv(pts))
+                _header("cycle", cfg) + polyline_to_csv(poly))
     summary: Dict[str, object] = {"rows": rows}
     ratios = [r["hausdorff_over_eps"] for r in rows
               if r.get("hausdorff_over_eps") is not None]

@@ -148,7 +148,7 @@ def multiplier_fd(return_fn: Callable[[float], float], y_star: float) -> dict:
 def _augmented_rhs(eval2: Callable[[float, float], np.ndarray],
                    div2: Callable[[float, float], float]):
     def rhs(t, p):
-        x, y, _ = p.tolist()
+        x, y, _ = p
         v = eval2(x, y)
         return np.array([v[0], v[1], div2(x, y)])
     return rhs
@@ -423,7 +423,7 @@ def unique_root_scan(return_fn: Callable[[float], float],
 
 def polyline_to_csv(points: np.ndarray) -> str:
     lines = ["x,y"]
-    for x, y in np.asarray(points, dtype=float):
+    for x, y in np.asarray(points, dtype=float).tolist():
         lines.append(f"{x:.17g},{y:.17g}")
     return "\n".join(lines) + "\n"
 

@@ -2,17 +2,20 @@
 
 Every ODE solve of the package rides on DOP853 (8th-order embedded pair with
 a matching-order interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.5), stepped directly: one driver, ``_dop853`` (also behind the blow-up
-charts), takes scipy's steps and dense outputs, and checks its stops after
-each step exactly as ``solve_ivp`` checks terminal events, so the step
-sequence is ``solve_ivp``'s.  A leg to a section is one run: a stop may turn
-a root down (a crossing outside the section's interval or against its
-direction), and the same solver then steps on.  Section crossings are located
-on the dense output, evaluated on a sub-step grid in one batched pass, and
-verified against ``event_tol``.  A leg that ends without an admissible
-crossing is checked for a tangential touch of its target section: a turning
-point of the residual within ``sqrt(event_tol)`` of zero is surfaced as
-``TangentialGraze`` (a ``NoCrossing``) instead of a plain ``NoCrossing``.
+II.5 and II.6) in one driver, ``_dop853`` (also behind the blow-up charts).
+It runs scipy's method with scipy's coefficients and step control in its own
+step loop: the products with the tableau are the numpy (BLAS) calls scipy
+makes, the elementwise arithmetic runs on Python floats, and the stops are
+checked after each step exactly as ``solve_ivp`` checks terminal events, so
+every step, state and dense output is ``solve_ivp``'s, bit for bit.  A leg
+to a section is one run: a stop may turn a root down (a crossing outside the
+section's interval or against its direction), and the same solver then steps
+on.  Section crossings are located on the dense output, evaluated on a
+sub-step grid in one batched pass, and verified against ``event_tol``.  A leg
+that ends without an admissible crossing is checked for a tangential touch of
+its target section: a turning point of the residual within
+``sqrt(event_tol)`` of zero is surfaced as ``TangentialGraze`` (a
+``NoCrossing``) instead of a plain ``NoCrossing``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.integrate import solve_ivp  # noqa: F401  not called; perfbench/tracing.py wraps it by name
 from scipy.optimize import brentq
 
 from .errors import DomainExit, NoCrossing, StepSizeUnderflow, TangentialGraze
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+RHS = Callable[[float, List[float]], np.ndarray]
 
 
 @dataclass
@@ -172,8 +177,8 @@ def _as_rhs(field) -> RHS:
         return field
     ev = field.eval
 
-    def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        x, y = p.tolist()  # float math on Python floats, not np.float64
+    def rhs(t: float, p: List[float]) -> np.ndarray:
+        x, y = p  # Python floats: the kernels' math stays off np.float64
         return ev(x, y)
 
     return rhs
@@ -239,7 +244,7 @@ def _scan_crossings(seg: Segment, rhs: RHS, forward: bool,
             if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
                 continue
             pe = np.array(seg.sol(te))
-            rate = sec.residual_rate(rhs(te, pe))
+            rate = sec.residual_rate(rhs(te, pe.tolist()))
             found.append((float(te), pe, sec, float(rate)))
     found.sort(key=lambda item: item[0], reverse=not forward)
     return found
@@ -266,7 +271,7 @@ def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
     band = math.sqrt(config.event_tol)
 
     def rate(s):
-        return section.residual_rate(rhs(s, seg.sol(s)))
+        return section.residual_rate(rhs(s, seg.sol(s).tolist()))
     ts = _scan_grid(seg)
     d = np.diff(section.residual(seg.dense(ts)))
     for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
@@ -282,6 +287,56 @@ def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
 
 # solve_ivp's tolerance for the root of a terminal event on a step's interpolant
 EVENT_ROOT_TOL = 4 * np.finfo(float).eps
+
+# scipy's DOP853 tableau as (s, row s of A, c_s): the stages of a step, and
+# the three extra stages of the dense output
+_N = DOP853.n_stages
+_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, _N)]
+_EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
+          enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_N + 1)]
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+
+def _fill_stages(rhs: RHS, KT: List[np.ndarray], rows: List[np.ndarray], t: float,
+                 y: List[float], h: float, stages) -> None:
+    """``K[s] = rhs(t + c*h, y + K[:s].T.dot(a)*h)`` for the stages (s, a, c):
+    the stage loop of scipy's ``rk_step``.  ``KT[s]`` is the view
+    ``K[:s].T`` and ``rows[s]`` the view ``K[s]``."""
+    idx = range(len(y))
+    for s, a, c in stages:
+        dy = KT[s].dot(a).tolist()
+        rows[s][...] = rhs(t + c * h, [y[i] + dy[i] * h for i in idx])
+
+
+def _error_norm(KT: np.ndarray, h: float, y: List[float], y_new: List[float],
+                rtol: float, atol: float) -> float:
+    """scipy's ``DOP853._estimate_error_norm``; ``KT`` is the view ``K[:13].T``
+    of the 13 stages of the step."""
+    # np.maximum's rule: NaN if either is NaN
+    scale = np.array([atol + (b if a < b or b != b else a) * rtol
+                      for a, b in zip(map(abs, y), map(abs, y_new))])
+    e5 = KT.dot(DOP853.E5) / scale
+    e3 = KT.dot(DOP853.E3) / scale
+    # squared np.linalg.norm, as scipy computes it
+    e5, e3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    denom = math.sqrt((e5 + 0.01 * e3) * len(y))
+    # denom is 0 only when e5 is 0 and 0.01 * e3 underflows: numpy's 0/0
+    return abs(h) * e5 / denom if denom else math.nan
+
+
+def _interpolant(K: np.ndarray, h: float, y: List[float], y_new: List[float],
+                 f: List[float], f_new: List[float]) -> np.ndarray:
+    """The coefficients ``F`` of scipy's ``_dense_output_impl``, once the extra
+    stages are in ``K``."""
+    delta = [b - a for a, b in zip(y, y_new)]
+    F = np.empty((len(DOP853.D) + 3, len(y)))
+    F[0] = delta
+    F[1] = [h * fo - d for fo, d in zip(f, delta)]
+    F[2] = [2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f_new, f)]
+    F[3:] = h * DOP853.D.dot(K)
+    return F
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
@@ -300,21 +355,78 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     may turn down the root ``y`` of stop ``i``, whose value went from ``g`` to
     ``g_new`` over the step; the same solver then steps on.  Returns the
     segment and ``(stop index, t, state)`` of the stop that ended it, or None.
+
+    The steps are scipy's method with scipy's coefficients and step control
+    (its ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl``),
+    taken here: every product with the tableau is the numpy call scipy makes,
+    on the same stage array, and every elementwise operation runs on Python
+    floats, one IEEE operation each, so every number is scipy's, bit for bit.
+    ``rhs`` receives the state as a list of Python floats.  A ``DOP853``
+    object is built only to validate the inputs and choose the first step.
     """
-    t0, tf = map(float, t_span)
-    solver = DOP853(rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
-                    max_step=config.max_step)
-    ts, ys, steps = [t0], [y0], []
-    g = [stop(y0) for stop in stops]
+    t, t_bound = map(float, t_span)
+    init = DOP853(lambda s, p: rhs(s, p.tolist()), t, y0, t_bound, rtol=config.rtol,
+                  atol=config.atol, max_step=config.max_step)
+    rtol, atol, max_step = float(init.rtol), float(init.atol), init.max_step
+    direction, h_abs, nfev = float(init.direction), float(init.h_abs), init.nfev
+    K = init.K_extended  # one row per stage, the dense output's three last
+    KT = [K[:s].T for s in range(len(K))]
+    rows = list(K)
+    K[0] = init.f
+    f, y_arr = init.f.tolist(), init.y
+    y = y_arr.tolist()
+    idx = range(len(y))
+    ts, ys, steps = [t], [y_arr], []
+    g = [stop(y_arr) for stop in stops]
     hit = None
-    while hit is None and solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(message)
-        t_old, t, y = solver.t_old, solver.t, solver.y
-        sol = solver.dense_output()
+    running = True
+    while hit is None and running:
+        t_old, y_old = t, y_arr
+        if t == t_bound:  # zero-length span: no step
+            sol = ConstantDenseOutput(t, t, y_arr)
+            running = False
+        else:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StepSizeUnderflow(DOP853.TOO_SMALL_STEP)
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                _fill_stages(rhs, KT, rows, t, y, h, _STAGES)
+                dy = KT[_N].dot(DOP853.B).tolist()
+                y_new = [y[i] + h * dy[i] for i in idx]
+                rows[_N][...] = rhs(t + h, y_new)
+                nfev += _N
+                error_norm = _error_norm(KT[_N + 1], h, y, y_new, rtol, atol)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
+            _fill_stages(rhs, KT, rows, t, y, h, _EXTRA)
+            nfev += len(_EXTRA)
+            f_new = K[_N].tolist()
+            F = _interpolant(K, h, y, y_new, f, f_new)
+            t, y, f, y_arr = t_new, y_new, f_new, np.array(y_new)
+            rows[0][...] = rows[_N]
+            sol = Dop853DenseOutput(t_old, t, y_old, F)
+            running = direction * (t - t_bound) < 0
         steps.append(sol)
-        g_new = [stop(y) for stop in stops]
+        g_new = [stop(y_arr) for stop in stops]
         roots = []
         for i, (a, b) in enumerate(zip(g, g_new)):
             if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
@@ -325,17 +437,17 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
                     roots.append((te, i, ye))
         if roots:
             sense = 1.0 if t > t_old else -1.0
-            t, i, y = min(roots, key=lambda r: (sense * r[0], r[1]))
-            hit = (i, t, y)
+            t, i, y_arr = min(roots, key=lambda r: (sense * r[0], r[1]))
+            hit = (i, t, y_arr)
         g = g_new
         if len(ts) > 1 and ts[-1] == t:
             steps.pop()  # an event at the previous step's end: nothing new
         else:
             ts.append(t)
-            ys.append(y)
+            ys.append(y_arr)
     t_arr = np.array(ts)
     seg = Segment(t=t_arr, y=np.vstack(ys).T, sol=OdeSolution(t_arr, steps),
-                  nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu)
+                  nfev=nfev, njev=0, nlu=0)
     return seg, hit
 
 
@@ -374,14 +486,14 @@ def _nudge_off_section(rhs: RHS, t0: float, p0: np.ndarray, sec: SectionSpec,
                        config: IntegratorConfig, forward: bool) -> Tuple[float, np.ndarray]:
     """Small RK4 steps until the residual clears the event band."""
     sgn = 1.0 if forward else -1.0
-    rate = abs(sec.residual_rate(rhs(t0, p0)))
+    rate = abs(sec.residual_rate(rhs(t0, p0.tolist())))
     dt = 50.0 * config.event_tol / max(rate, 1e-9)
     dt = sgn * min(max(dt, 1e-13), 1e-3)
     for _ in range(60):
-        k1 = rhs(t0, p0)
-        k2 = rhs(t0 + dt / 2, p0 + dt / 2 * k1)
-        k3 = rhs(t0 + dt / 2, p0 + dt / 2 * k2)
-        k4 = rhs(t0 + dt, p0 + dt * k3)
+        k1 = rhs(t0, p0.tolist())
+        k2 = rhs(t0 + dt / 2, (p0 + dt / 2 * k1).tolist())
+        k3 = rhs(t0 + dt / 2, (p0 + dt / 2 * k2).tolist())
+        k4 = rhs(t0 + dt, (p0 + dt * k3).tolist())
         p1 = p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t1 = t0 + dt
         if abs(sec.residual(p1)) > 10 * config.event_tol:
@@ -458,7 +570,7 @@ def flow_to_section_traj(
     # section) may leave no sign change for the scan to bracket.
     if hit is None and stop is not None and stop[0] == 0:
         _, te, pe = stop
-        rate = section.residual_rate(rhs(te, pe))
+        rate = section.residual_rate(rhs(te, pe.tolist()))
         hit = EventHit(te, pe, section.ident,
                        section.direction or _hit_direction(rate, forward))
 

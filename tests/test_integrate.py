@@ -481,6 +481,62 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
         assert np.array_equal(got[:, j], seg.sol(t))
 
 
+def _assert_linear_system_matches_solve_ivp(M, b, y0, span, cfg, level):
+    """The driver against solve_ivp on y' = M y + t b, with an optional stop
+    at y[0] = level; also checks that nfev counts every call of the RHS."""
+    calls = [0]
+
+    def rhs(t, p):
+        calls[0] += 1
+        return M.dot(p) + t * b
+    stops = [] if level is None else [lambda p: p[0] - level]
+    seg, _ = _assert_matches_solve_ivp(rhs, span, y0, cfg, stops)
+    # the driver's calls and then solve_ivp's, whose nfev equals the driver's
+    assert calls[0] == 2 * seg.nfev
+    return seg
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    dim=st.sampled_from([1, 2, 3]),
+    rtol=st.floats(min_value=1e-12, max_value=1e-6),
+    max_step=st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=2.0)),
+    forward=st.booleans(),
+    level=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=2.0)),
+)
+def test_driver_matches_solve_ivp_in_every_dimension(data, dim, rtol, max_step,
+                                                     forward, level):
+    # the blow-up charts run 1-D and 3-D states, the cycle multiplier 3-D.
+    # Entries stay clear of the subnormal range, where scipy's error norm
+    # can be numpy's 0/0, which warns.
+    entry = st.floats(min_value=-2.0, max_value=2.0).filter(
+        lambda v: v == 0.0 or abs(v) >= 1e-6)
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    M = np.array(data.draw(st.lists(vector, min_size=dim, max_size=dim)))
+    b = np.array(data.draw(vector))
+    y0 = np.array(data.draw(vector))
+    span = (0.0, 3.0) if forward else (0.0, -3.0)
+    _assert_linear_system_matches_solve_ivp(
+        M, b, y0, span, IntegratorConfig(rtol=rtol, max_step=max_step), level)
+
+
+def test_driver_matches_solve_ivp_through_rejected_steps():
+    # a fast decaying mode: steps grow to the explicit method's stability
+    # limit and are rejected there
+    for M, rtol in ((np.array([[-600.0]]), 1e-6),
+                    (np.array([[-300.0, 1.0], [0.0, -1.0]]), 1e-6),
+                    (np.array([[-200.0, 1.0, 0.0], [0.0, -1.0, 2.0],
+                               [0.0, -2.0, -1.0]]), 1e-8)):
+        seg = _assert_linear_system_matches_solve_ivp(
+            M, np.zeros(len(M)), np.ones(len(M)), (0.0, 8.0),
+            IntegratorConfig(rtol=rtol), None)
+        # 2 calls to start, 12 per attempted step, 3 per dense output
+        accepted = len(seg.t) - 1
+        rejected, rest = divmod(seg.nfev - 2 - 15 * accepted, 12)
+        assert rest == 0 and rejected > 0
+
+
 def test_only_the_integrate_module_imports_scipy_integrate():
     # every ODE solve goes through integrate._dop853: no other module of the
     # package may reach for scipy's integrators
