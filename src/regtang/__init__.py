@@ -99,7 +99,6 @@ from .cycles import (
     CycleInfo,
     ReturnInfo,
     find_cycle,
-    multiplier_fd,
     return_map,
     cycle_multiplier,
     cycle_analysis,

@@ -37,6 +37,7 @@ def _check_orders(k: int, n: int):
 # Both chart integrations run far tighter than the maps' default: u* and eta
 # are model constants, not by-products of a leg.
 CHART_INTEG = IntegratorConfig(rtol=1e-12, atol=1e-14)
+CHART_U_MAX = 20.0  # planar_model_crossing gives up at u = CHART_U_MAX
 FD_STEP = 1e-6  # central-difference step of the equatorial chart's Jacobian
 
 
@@ -97,11 +98,11 @@ class PlanarCrossing:
 
 
 def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
-                          u0: float = -10.0, u_max: float = 20.0) -> PlanarCrossing:
+                          u0: float = -10.0) -> PlanarCrossing:
     """First crossing of v = 0 by the attracting solution of
     u' = 1, v' = -u**(2k-1) - v**n + sigma, launched on the slow nullcline.
 
-    Raises NoExit if no crossing occurs by u = u_max.
+    Raises NoExit if no crossing occurs by u = CHART_U_MAX.
     """
     _check_orders(k, n)
     base = sigma - u0 ** (2 * k - 1)
@@ -118,10 +119,10 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
     # A rejected trial step can take v**n past the float range; the step
     # control discards it, so the overflow is no news to the caller.
     with np.errstate(over="ignore", invalid="ignore"):
-        seg, hit = _dop853(rhs, (0.0, u_max - u0), np.array([v0]), CHART_INTEG,
+        seg, hit = _dop853(rhs, (0.0, CHART_U_MAX - u0), np.array([v0]), CHART_INTEG,
                            [lambda v: v[0]])
     if hit is None:
-        raise NoExit(f"no crossing of v = 0 up to u = {u_max:g}")
+        raise NoExit(f"no crossing of v = 0 up to u = {CHART_U_MAX:g}")
     u_star = u0 + float(hit[1])
     v_max = float(np.max(seg.y[0]))
     return PlanarCrossing(u_star=u_star, v0=v0, u0=u0, v_max=v_max, sigma=sigma)
@@ -129,12 +130,11 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
 
 def departure_prefactor(k: int, n: int, alpha: float = 1.0,
                         theta00: float = 0.0,
-                        tf: Optional[TransitionFunction] = None,
-                        u0: float = -10.0, u_max: float = 20.0) -> dict:
+                        tf: Optional[TransitionFunction] = None) -> dict:
     """eta such that the departure abscissa scales as eta * eps**lambda_star."""
     consts = scaling_constants(k, n, alpha, tf)
     s = sigma_shift(k, n, alpha, theta00, tf)
-    crossing = planar_model_crossing(k, n, sigma=s, u0=u0, u_max=u_max)
+    crossing = planar_model_crossing(k, n, sigma=s)
     eta = consts["c_x"] * crossing.u_star
     return {
         "k": k, "n": n, "sigma": s,

@@ -133,6 +133,8 @@ def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
         raise RegtangError(
             f"unknown scenario {cfg['scenario']!r}; available: {sorted(SCENARIOS)}"
         )
+    if "points" in cfg and cfg["points"] < 1:
+        raise RegtangError(f"points must be at least 1 (got {cfg['points']})")
     return cfg
 
 

@@ -12,8 +12,7 @@ Derivatives of section maps come from the variational formula
 which is immune to the catastrophic cancellation a finite difference hits
 when the contraction is below the map's resolution.  Every return-map leg
 runs at ``RETURN_INTEG``, so the map resolves its value to that rtol,
-relative: the cycle search stops there, and the finite-difference multiplier
-is reported as a bound at that level.
+relative, and the cycle search stops there.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .regularize import RegularizedField
 
 
 MAX_SECANT_ITER = 100     # find_cycle's iterations before NotConverged
-FD_REL_STEP = 1e-6        # multiplier_fd's half-step, relative to the fixed point
 RETURN_MAX_TIME = 200.0   # time budget of one return-map revolution
 MAX_REVOLUTIONS = 4       # revolutions (two crossings each) before MaxRevolutions
 POLYLINE_SPACING = 1e-3   # arc length between cycle-polyline and Hausdorff samples
@@ -115,32 +113,6 @@ def find_cycle(return_fn: Callable[[float], float],
     )
 
 
-def multiplier_fd(return_fn: Callable[[float], float], y_star: float) -> dict:
-    """Centered-difference slope of the return map at its fixed point.
-
-    The map resolves its value to the return legs' rtol, relative.  When the
-    map is contracting below what the step can resolve, the honest answer is
-    an upper bound; ``resolution_limited`` flags that case and ``value`` then
-    reports the resolution itself.
-    """
-    rtol = RETURN_INTEG.rtol
-    scale = max(abs(y_star), 1e-12)
-    h = FD_REL_STEP * scale
-    hi = return_fn(y_star + h)
-    lo = return_fn(y_star - h)
-    diff = hi - lo
-    resolution = rtol * max(abs(hi), abs(lo), 1e-300) / (2 * h)
-    value = diff / (2 * h)
-    limited = abs(diff) <= 8 * rtol * max(abs(hi), abs(lo))
-    return {
-        "value": abs(value) if not limited else resolution,
-        "signed_value": value,
-        "step": h,
-        "resolution": resolution,
-        "resolution_limited": bool(limited),
-    }
-
-
 # --------------------------------------------------------------------------
 # variational derivative of a planar section-to-section map
 # --------------------------------------------------------------------------
@@ -154,11 +126,10 @@ def _augmented_rhs(eval2: Callable[[float, float], np.ndarray],
     return rhs
 
 
-def section_map_derivative_factor(field_eval, p0, p1, s_integral: float,
-                                  component: int = 0) -> float:
-    """P'(y0) for a map between two sections transverse to the given component."""
-    a = field_eval(p0[0], p0[1])[component]
-    b = field_eval(p1[0], p1[1])[component]
+def section_map_derivative_factor(field_eval, p0, p1, s_integral: float) -> float:
+    """P'(y0) for a map between two vertical sections."""
+    a = field_eval(p0[0], p0[1])[0]
+    b = field_eval(p1[0], p1[1])[0]
     return a / b * math.exp(s_integral)
 
 
@@ -188,13 +159,13 @@ def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float) 
             "s_integral": s_int, "trajectory": traj}
 
 
-def loop_period(system: FilippovSystem, start: Tuple[float, float] = (0.0, 2.0)) -> float:
-    """Period of the upper-field loop through ``start``: time of first return
-    to the section {x = start_x} with y > 1, crossing in the same sense.
+def loop_period(system: FilippovSystem) -> float:
+    """Period of the upper-field loop through (0, 2): time of first return
+    to the section {x = 0} with y > 1, crossing in the same sense.
     """
-    sec = SectionSpec("vertical", start[0], interval=(1.0, math.inf),
+    sec = SectionSpec("vertical", 0.0, interval=(1.0, math.inf),
                       direction="down", ident="top")
-    hit, _ = flow_to_section_traj(system.x_plus, start, sec)
+    hit, _ = flow_to_section_traj(system.x_plus, (0.0, 2.0), sec)
     return float(hit.t)
 
 
@@ -337,28 +308,24 @@ class CycleInfo:
     period: float
     multiplier: float
     log_multiplier: float
-    multiplier_fd: dict
     iterations: int
-    arc: Optional[dict] = None
+    arc: dict
     hausdorff: Optional[float] = None
     hausdorff_over_eps: Optional[float] = None
     polyline: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "eps": self.eps,
             "fixed_point": self.fixed_point,
             "period": self.period,
             "multiplier": self.multiplier,
             "log_multiplier": self.log_multiplier,
-            "multiplier_fd": {k: v for k, v in self.multiplier_fd.items()},
             "iterations": self.iterations,
             "hausdorff": self.hausdorff,
             "hausdorff_over_eps": self.hausdorff_over_eps,
+            **self.arc,
         }
-        if self.arc is not None:
-            out.update(self.arc)
-        return out
 
 
 def default_bracket(system: FilippovSystem, eps: float, rho: float) -> Tuple[float, float]:
@@ -384,13 +351,12 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
 
     res = find_cycle(ret, default_bracket(system, eps, rho))
     mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho)
-    fd = multiplier_fd(ret, res.y_star)
     arc = {k: mult[k] for k in ("multiplier_arc", "log_multiplier_arc", "s_arc",
                                 "t_arc", "x_departure", "x_reentry")}
     info = CycleInfo(
         eps=eps, fixed_point=res.y_star, period=mult["period"],
         multiplier=mult["multiplier"], log_multiplier=mult["log_multiplier"],
-        multiplier_fd=fd, iterations=res.iterations, arc=arc,
+        iterations=res.iterations, arc=arc,
     )
     if reference is not None:
         n = max(2000, int(12.0 / POLYLINE_SPACING))

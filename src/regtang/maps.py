@@ -126,16 +126,15 @@ def find_x_epsilon(
     system: FilippovSystem,
     config: TransitionConfig,
     eps: float,
-    L: Optional[float] = None,
     keep_trajectory: bool = False,
 ):
-    """Departure abscissa: ride the layer's slow set from x = -L and record
+    """Departure abscissa: ride the layer's slow set from x = -config.L and record
     where the orbit leaves through yhat = 1.
 
     Raises NoExit if the orbit never reaches yhat = 1.
     """
     config.check_eps(eps)
-    L = config.L if L is None else L
+    L = config.L
     manifold = SlowManifold(system, config.tf)
     y0 = manifold.m0(-L)
     band = BandField(system, config.tf, eps)

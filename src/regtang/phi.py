@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import ClassMismatch, OutOfRange
+from .errors import ClassMismatch, ConditionViolated, OutOfRange
 from .polys import Poly1, Q
 
 
@@ -70,7 +70,7 @@ class TransitionFunction:
 def phi_family(m: int) -> TransitionFunction:
     """The degree-(2m+1) odd polynomial profile of smoothness class m."""
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise ConditionViolated(f"m must be a positive integer (got {m})")
     # (s^2 - 1)^m expanded, then integrated term by term from 0.
     core = Poly1([Q(0)])
     for j in range(m + 1):

@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConditionViolated, DomainError, TransientNotDecayed
+from .errors import (
+    ConditionViolated,
+    DomainError,
+    NonPositiveQuantity,
+    TransientNotDecayed,
+)
 from .fields import FilippovSystem, PlanarField
-from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj, sample_dense
+from .integrate import SectionSpec, flow_to_section_traj, sample_dense
 from .phi import TransitionFunction, phi_inverse
 from .polys import Poly2, compile_kernel, power_lines
 
@@ -95,7 +100,7 @@ class RegularizedField:
 
     def __post_init__(self):
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise NonPositiveQuantity("eps must be positive")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=False)
 
     def eval(self, x: float, y: float) -> np.ndarray:
@@ -160,7 +165,7 @@ class BandField:
     def __post_init__(self):
         _require_vertical(self.system)
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise NonPositiveQuantity("eps must be positive")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
 
     def eval(self, x: float, yhat: float) -> np.ndarray:
@@ -211,9 +216,6 @@ class SlowManifold:
             self._fx = lambda x: (float(ev(x + hh, 0.0)[1]) - float(ev(x - hh, 0.0)[1])) / (2 * hh)
             self._theta0 = lambda x: (float(ev(x, hh)[1]) - float(ev(x, -hh)[1])) / (2 * hh)
             self._x10 = lambda x: float(ev(x, 0.0)[0])
-
-    def f0(self, x: float) -> float:
-        return self._f(x)
 
     def m0(self, x: float) -> float:
         f = self._f(x)
@@ -312,8 +314,8 @@ def manifold_table_csv(report: SandwichReport) -> str:
 
 
 def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,
-                                 lam: float, K: float, grid_points: int = 50,
-                                 integ: Optional[IntegratorConfig] = None) -> SandwichReport:
+                                 lam: float, K: float,
+                                 grid_points: int = 50) -> SandwichReport:
     """Check the slow-manifold enclosure on a grid over [-L, -eps**lam].
 
     The proxy for the true slow solution is a fast-time trajectory launched at
@@ -335,9 +337,8 @@ def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,
         )
     sm = SlowManifold(band.system, band.tf)
     y0 = sm.m0(-L) + eps * sm.m1(-L)
-    integ = integ or IntegratorConfig()
     sec = SectionSpec("vertical", x_end, ident="grid-end")
-    hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ)
+    hit, traj = flow_to_section_traj(band, (-L, y0), sec)
     dense = sample_dense(traj, 20001)
     xs, ys = dense[:, 0], dense[:, 1]
     order = np.argsort(xs)

@@ -5,6 +5,7 @@ import json
 import pytest
 from pytest import approx
 
+from regtang import errors
 from regtang.cli import main
 
 
@@ -130,6 +131,18 @@ def test_cycle_run_reports_frozen_values(tmp_path):
     assert data[0] == ("eps,fixed_point,period,multiplier,log_multiplier,"
                        "multiplier_arc,hausdorff,hausdorff_over_eps")
     assert (out / "cycle-polyline-0.csv").exists()
+
+
+def test_cycle_row_keys(tmp_path):
+    code, _, summary = run(tmp_path, "cycle", "--scenario", "boundary-cycle",
+                           "--k", "2", "--phi-m", "5", "--eps", "0.02")
+    assert code == 0
+    assert set(summary["rows"][0]) == {
+        "eps", "fixed_point", "period", "multiplier", "log_multiplier",
+        "iterations", "hausdorff", "hausdorff_over_eps",
+        "multiplier_arc", "log_multiplier_arc", "s_arc", "t_arc",
+        "x_departure", "x_reentry",
+    }
 
 
 def test_simulate_records_band_crossings(tmp_path):
@@ -272,4 +285,24 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     out = capsys.readouterr()
     err = json.loads(out.out.strip().splitlines()[-1])
     assert err["error"]["type"] == "RegtangError"
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--eps", "0"],
+    ["simulate", "--eps", "0"],
+    ["simulate", "--eps", "-0.01"],
+    ["slow-manifold", "--eps", "0"],
+    ["phi", "--m", "0"],
+    ["simulate", "--phi-m", "0"],
+    ["scaling", "--points", "-1"],
+    ["slow-manifold", "--points", "0"],
+    ["cycle", "--points", "0", "--eps-decades=-2:-1.7"],
+])
+def test_bad_numeric_inputs_exit_2_with_json(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    out = capsys.readouterr()
+    err = json.loads(out.out.strip().splitlines()[-1])
+    assert issubclass(getattr(errors, err["error"]["type"]), errors.RegtangError)
     assert out.err == ""

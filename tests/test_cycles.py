@@ -16,7 +16,6 @@ from regtang import (
     grazing_half_map,
     hausdorff_distance,
     loop_period,
-    multiplier_fd,
     phi_family,
     resample_arclength,
     return_map,
@@ -24,6 +23,7 @@ from regtang import (
     unique_root_scan,
     upper_transition_map,
 )
+from regtang import cycles
 from regtang.cycles import RETURN_INTEG
 from regtang.errors import (
     DomainExit,
@@ -119,6 +119,21 @@ def test_return_map_is_one_solver_run():
     assert seg.t[-1] == approx(info.t_return, abs=1e-12)
 
 
+def test_cycle_analysis_runs_only_the_search_and_one_revolution(monkeypatch):
+    # two bracket ends, one leg per secant iterate, and the augmented
+    # revolution every reported number comes from
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("with_divergence", False))
+        return return_map(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "return_map", counting)
+    info = cycle_analysis(boundary_cycle_system(k=2), TF5, 0.01)
+    assert len(calls) == info.iterations + 3
+    assert calls.count(True) == 1
+
+
 def test_time_reversed_system_has_no_attracting_cycle():
     sys = time_reversed(boundary_cycle_system(k=2))
     eps = 0.01
@@ -131,24 +146,6 @@ def test_time_reversed_system_has_no_attracting_cycle():
             MaxRevolutions, NotConverged):
         found = False
     assert not found
-
-
-def test_multiplier_fd_is_an_upper_bound_only():
-    sys = boundary_cycle_system(k=2)
-    eps = 0.01
-    ret = lambda y: return_map(sys, TF5, eps, y).y_out
-    out = multiplier_fd(ret, 0.004858417375071363)
-    # the true multiplier ~ exp(-48) sits far below integration noise; the
-    # difference quotient can only certify "very contracting", never the value
-    assert out["value"] < 1e-4
-    assert out["value"] > np.exp(-48.01317578388858)
-
-
-def test_multiplier_fd_flags_exact_resolution_limit():
-    ret = lambda y: 0.005 + 1e-30 * (y - 0.005)
-    out = multiplier_fd(ret, 0.005)
-    assert out["resolution_limited"]
-    assert out["value"] == approx(out["resolution"])
 
 
 def test_composed_transition_matches_direct_return():
