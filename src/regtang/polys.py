@@ -15,6 +15,7 @@ stay cheap; the same statements are inlined into the fused kernels of
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -332,11 +333,28 @@ def power_lines(polys: Iterable[Poly2]) -> List[str]:
     return [f"{_power(v, e)} = {v}**{e}" for v, e in need]
 
 
+KERNEL_CACHE_SIZE = 512  # compiled kernels kept per process, least recently used out
+_KERNELS: "OrderedDict[tuple, Callable]" = OrderedDict()
+
+
 def compile_kernel(args: str, body: Sequence[str],
                    namespace: Optional[Dict[str, object]] = None) -> Callable:
     """Compile ``def _kernel(args): body`` and return the function; the
-    names ``body`` uses beyond its arguments and locals come from ``namespace``."""
-    src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
+    names ``body`` uses beyond its arguments and locals come from ``namespace``.
+
+    Kernels are memoized on the source and the identities of the namespace's
+    objects: a cached kernel holds those objects in its globals, so an
+    identity in a live key cannot be reused by another object.
+    """
     ns = dict(namespace or {})
+    key = (args, tuple(body), tuple(sorted((k, id(v)) for k, v in ns.items())))
+    fn = _KERNELS.get(key)
+    if fn is not None:
+        _KERNELS.move_to_end(key)
+        return fn
+    src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(src, "<regtang kernel>", "exec"), ns)
-    return ns["_kernel"]
+    fn = _KERNELS[key] = ns["_kernel"]
+    if len(_KERNELS) > KERNEL_CACHE_SIZE:
+        _KERNELS.popitem(last=False)
+    return fn

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,6 +79,41 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
     body += power_lines(polys) + lines
     body.append(f"return array([{first}, c*{a2} + d*{b2}])")
     return compile_kernel(args, body, ns)
+
+
+def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
+                          eps: float) -> Optional[Callable]:
+    """Straight-line float kernel of the exact Jacobian of the band field,
+    ``(x, s) -> ((dF1/dx, dF1/ds), (dF2/dx, dF2/ds))`` with y = eps*s:
+
+        dF1/dx = eps*(c X1+_x + d X1-_x),
+        dF1/ds = eps*(c' (X1+ - X1-) + eps*(c X1+_y + d X1-_y)),
+        dF2/dx = c X2+_x + d X2-_x,
+        dF2/ds = c' (X2+ - X2-) + eps*(c X2+_y + d X2-_y),
+
+    where c = (1 + Phi(s))/2, d = 1 - c and c' = Phi'(s)/2, which is 0
+    outside |s| < 1.  Generated from the zone fields' polynomial forms and
+    ``tf.derivs[1]``; None when a zone field has no polynomial form.
+    """
+    if system.x_plus.poly_form is None or system.x_minus.poly_form is None:
+        return None
+    e = repr(float(eps))
+    body = [f"y = {e}*s", "if s >= 1.0:", "    c = 1.0", "    dc = 0.0",
+            "elif s <= -1.0:", "    c = 0.0", "    dc = 0.0", "else:"]
+    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
+    body += ["    " + line for line in tf.derivs[1].horner_lines("s", "D")]
+    body += ["    c = 0.5*(1.0 + P)", "    dc = 0.5*D", "d = 1.0 - c"]
+    polys, lines = [], []
+    for tag, f in (("p", system.x_plus), ("m", system.x_minus)):
+        for i, p in enumerate(f.poly_form):
+            for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y())):
+                polys.append(q)
+                lines += q.float_lines(f"{tag}{i + 1}{suffix}")
+    body += power_lines(polys) + lines
+    body.append(f"return (({e}*(c*p1x + d*m1x), "
+                f"{e}*(dc*(p1 - m1) + {e}*(c*p1y + d*m1y))), "
+                f"(c*p2x + d*m2x, dc*(p2 - m2) + {e}*(c*p2y + d*m2y)))")
+    return compile_kernel("x, s", body)
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +190,10 @@ class BandField:
     where c+- = (1 +- Phi(yhat))/2.  With the saturation of Phi the same
     equations remain valid outside |yhat| <= 1 and match the slow flow there.
     As in ``RegularizedField``, ``eval`` is a method of the class that calls
-    one kernel generated at construction.
+    one kernel generated at construction.  ``jacobian(x, yhat)`` is the
+    exact Jacobian ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``, a
+    second generated kernel that calls no ``eval``; it is None when a zone
+    field has no polynomial form.
     """
 
     system: FilippovSystem
@@ -167,6 +205,7 @@ class BandField:
         if self.eps <= 0:
             raise NonPositiveQuantity("eps must be positive")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
+        self.jacobian = _band_jacobian_kernel(self.system, self.tf, self.eps)
 
     def eval(self, x: float, yhat: float) -> np.ndarray:
         return self._rhs(x, yhat)

@@ -116,11 +116,33 @@ def test_criterion_01_departure_scaling_exponent(scaling_fits):
         fit = scaling_fits[(k, n)]["fit"]
         secs = scaling_fits[(k, n)]["seconds"]
         dev = abs(fit.slope - lam_star) / lam_star
-        good = dev <= 0.05 and fit.r2 >= 0.999 and secs <= 120.0
+        good = dev <= 0.05 and fit.r2 >= 0.999 and secs <= 30.0
         ok = ok and good
         details.append(f"({k},{n}) slope={fit.slope:.4f} dev={100 * dev:.2f}% "
                        f"r2={fit.r2:.7f} {secs:.0f}s")
     report(1, ok, "x_eps ~ eps^(n/(1+2k(n-1))): " + "; ".join(details))
+    assert ok
+
+
+def test_departure_law_ratio_tends_to_one_from_above():
+    # the paper's leading-order law x_eps ~ eta * eps^lambda*, checked
+    # directly against the blow-up constant eta: the ratio r must fall
+    # strictly toward 1 as eps -> 0 and stay within 1e-3 of it
+    k, n = 1, 2
+    lam_star = PAIRS[(k, n)]
+    eta = departure_prefactor(k, n)["eta"]
+    sys = canonical_system(k=k)
+    cfg = TransitionConfig(k=k, n=n, lam=0.999 * lam_star)
+    eps_values = [1e-7, 1e-8, 1e-9, 1e-10]
+    ratios = [find_x_epsilon(sys, cfg, e) / (eta * e ** lam_star) for e in eps_values]
+    # the excess over 1 roughly halves per decade; its exponent is reported,
+    # not gated: the paper states no next-order term
+    slope = np.polyfit(np.log(eps_values), np.log(np.array(ratios) - 1.0), 1)[0]
+    ok = all(1.0 < r < 1.001 for r in ratios) and \
+        all(b < a for a, b in zip(ratios, ratios[1:]))
+    print(f"[{'PASS' if ok else 'FAIL'}] departure law (1,2): x_eps/(eta eps^lambda*) = "
+          + ", ".join(f"{r:.6f}" for r in ratios)
+          + f" at eps = 1e-7..1e-10; r - 1 ~ eps^{slope:.3f}")
     assert ok
 
 

@@ -19,10 +19,12 @@ from regtang import (
     trajectory_to_csv,
 )
 from regtang.integrate import (
+    RadauStep,
     Segment,
     _as_rhs,
     _dop853,
     _norm_guard,
+    _radau,
     _scan_grid,
     _section_admit,
 )
@@ -558,3 +560,117 @@ def test_only_the_integrate_module_imports_scipy_integrate():
                    for name in names):
                 importers.append(path.name)
     assert set(importers) == {"integrate.py"}
+
+
+# --------------------------------------------------------------------------
+# the Radau IIA stepper
+# --------------------------------------------------------------------------
+
+LAMBDA = -1e4
+
+
+def _stiff_linear(t, p):
+    # x' = 1 carries the time, y' = lambda (y - cos x) - sin x: y = cos t
+    # plus a transient that decays at rate |lambda|
+    x, y = p
+    return np.array([1.0, LAMBDA * (y - np.cos(x)) - np.sin(x)])
+
+
+def _stiff_linear_jac(t, p):
+    x, _ = p
+    return ((0.0, 0.0), (LAMBDA * np.sin(x) - np.cos(x), LAMBDA))
+
+
+def _rotation_jac(t, p):
+    return ((0.0, -1.0), (1.0, 0.0))
+
+
+def test_radau_solves_a_stiff_linear_problem_to_its_tolerance():
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
+    y0 = 1.5  # transient 0.5 exp(lambda t) on top of cos t
+    seg, stop = _radau(_stiff_linear, (0.0, 10.0), np.array([0.0, y0]), cfg, [],
+                       jac=_stiff_linear_jac)
+    assert stop is None and seg.t[-1] == 10.0
+    exact = np.cos(seg.y[0]) + (y0 - 1.0) * np.exp(LAMBDA * seg.t)
+    scale = cfg.atol + cfg.rtol * np.abs(exact)
+    assert np.max(np.abs(seg.y[1] - exact) / scale) < 10.0
+    assert np.allclose(seg.y[0], seg.t, rtol=1e-14, atol=0.0)
+    # an explicit method is held to steps of O(1/|lambda|) over the span
+    assert len(seg.t) - 1 < 1000
+    assert seg.njev >= 1 and seg.nlu >= 2
+    ts = np.linspace(0.0, 10.0, 2001)[1:]
+    dense = seg.dense(ts)
+    err = np.abs(dense[1] - np.cos(ts) - (y0 - 1.0) * np.exp(LAMBDA * ts))
+    # between step ends the cubic interpolant is third order: 1.8e-6 here
+    assert np.max(err) < 1e-5
+
+
+@settings(deadline=None, max_examples=30)
+@given(forward=st.booleans(),
+       level=st.one_of(st.none(), st.floats(min_value=-0.9, max_value=0.9)))
+def test_radau_batched_dense_equals_the_scalar_interpolant(forward, level):
+    cfg = IntegratorConfig(rtol=1e-8)
+    span = (0.0, 8.0) if forward else (0.0, -8.0)
+    stops = [] if level is None else [_residual_of("horizontal", level)]
+    seg, _ = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, stops,
+                    jac=_rotation_jac)
+    assert isinstance(seg.sol.interpolants[0], RadauStep)
+    grid = _scan_grid(seg)
+    got = seg.dense(grid)
+    assert np.array_equal(got, seg.sol(grid))
+    for j, t in enumerate(grid):
+        assert np.array_equal(got[:, j], seg.sol(t))
+    # the collocation polynomial ends on the step's end state up to rounding
+    for k, step in enumerate(seg.sol.interpolants[:len(seg.t) - 2]):
+        y_end = seg.y[:, k + 1]
+        jump = np.max(np.abs(step(step.t) - y_end))
+        assert jump <= 4 * np.spacing(np.max(np.abs(y_end)))
+    assert np.max(np.abs(got - np.array([np.cos(grid), np.sin(grid)]))) < 1e-6
+
+
+def test_radau_stops_as_dop853_does():
+    cfg = IntegratorConfig()
+    line = fld(lambda x, y: (1.0, 0.0))
+    zero = lambda t, p: ((0.0, 0.0), (0.0, 0.0))
+    # earliest root wins, ties go to the lower index; x' = 1 is integrated
+    # to rounding and the steps grow tenfold, the last from |t| ~ 11 to 100
+    for span, levels, first in (((0.0, 100.0), (50.0, 30.0), 1),
+                                ((0.0, -100.0), (-50.0, -30.0), 1),
+                                ((0.0, 100.0), (30.0, 50.0), 0)):
+        seg, stop = _radau(_as_rhs(line), span, np.zeros(2), cfg,
+                           [_residual_of("vertical", c) for c in levels], jac=zero)
+        last = seg.sol.interpolants[-1]
+        assert all(last.t_min < abs(c) * np.sign(span[1]) < last.t_max for c in levels)
+        assert stop[0] == first
+        assert stop[1] == approx(levels[first], abs=1e-12)
+        assert seg.t[-1] == stop[1]
+    same = _residual_of("vertical", 40.0)
+    _, stop = _radau(_as_rhs(line), (0.0, 100.0), np.zeros(2), cfg, [same, same], jac=zero)
+    assert stop[0] == 0
+    # an upward root of a 'down' section is turned down and the run goes on
+    sec = SectionSpec("horizontal", 0.5, direction="down")
+    for span, t_down in (((0.0, 1e6), 5 * np.pi / 6), ((0.0, -1e6), -11 * np.pi / 6)):
+        seg, stop = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
+                           [sec.residual, _norm_guard(cfg)], _section_admit(sec),
+                           jac=_rotation_jac)
+        ref, ref_stop = _dop853(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
+                                [sec.residual, _norm_guard(cfg)], _section_admit(sec))
+        assert stop[0] == ref_stop[0] == 0
+        assert stop[1] == approx(t_down, abs=1e-8) and ref_stop[1] == approx(t_down, abs=1e-9)
+    # the guard fires
+    guard_cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
+    seg, stop = _radau(_as_rhs(fld(lambda x, y: (x, y))), (0.0, 100.0), np.ones(2),
+                       guard_cfg, [_residual_of("vertical", -5.0), _norm_guard(guard_cfg)],
+                       jac=lambda t, p: ((1.0, 0.0), (0.0, 1.0)))
+    assert stop[0] == 1 and stop[1] == approx(np.log(10.0), abs=1e-8)
+
+
+def test_radau_counts_every_rhs_call():
+    calls = [0]
+
+    def rhs(t, p):
+        calls[0] += 1
+        return _stiff_linear(t, p)
+    seg, _ = _radau(rhs, (0.0, 3.0), np.array([0.0, 2.0]), IntegratorConfig(), [],
+                    jac=_stiff_linear_jac)
+    assert calls[0] == seg.nfev

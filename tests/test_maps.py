@@ -199,3 +199,67 @@ def test_band_kernel_receives_python_floats(monkeypatch):
     monkeypatch.setattr(BandField, "eval", recording)
     find_x_epsilon(canonical_system(1), TransitionConfig(1, 2), 1e-3)
     assert seen == {(float, float)}
+
+
+def test_every_band_rhs_call_is_counted_on_a_radau_leg(monkeypatch):
+    # the same routing guard on a stiff leg: the Jacobian kernel calls no
+    # eval, so eval calls are still nfev plus one per located crossing
+    calls = [0]
+    inner = BandField.eval
+
+    def counting(self, x, yhat):
+        calls[0] += 1
+        return inner(self, x, yhat)
+
+    monkeypatch.setattr(BandField, "eval", counting)
+    cfg = TransitionConfig(1, 2, lam=0.999 * lambda_star(1, 2))
+    _, traj = find_x_epsilon(canonical_system(1), cfg, 1e-5, keep_trajectory=True)
+    (seg,) = traj.segments
+    assert seg.njev > 0 and seg.nlu > 0
+    assert calls[0] == seg.nfev + len(traj.events)
+
+
+def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):
+    from regtang import FilippovSystem, PlanarField, SwitchingFunction, maps
+    from regtang.integrate import STIFF_RATIO, _dop853, _stepper
+    from regtang.scenarios import time_reversed
+
+    legs = []
+    inner = maps.flow_to_section_traj
+
+    def recording(field, *args, **kwargs):
+        hit, traj = inner(field, *args, **kwargs)
+        if isinstance(field, BandField):
+            legs.append((field.eps, traj.segments[0]))
+        return hit, traj
+
+    monkeypatch.setattr(maps, "flow_to_section_traj", recording)
+    sys = canonical_system(1)
+    tight = TransitionConfig(1, 2, integ=IntegratorConfig(rtol=1e-12, atol=1e-14))
+    for eps in (1e-2, 1e-3):
+        upper_transition_map(sys, tight, eps, 2.0 * eps)
+        lower_transition_map(sys, tight, eps, -0.5 * eps)
+        find_x_epsilon(sys, TransitionConfig(1, 2), eps)
+    assert len(legs) == 6 and all(seg.njev == seg.nlu == 0 for _, seg in legs)
+    legs.clear()
+    find_x_epsilon(sys, TransitionConfig(1, 2, lam=0.999 * lambda_star(1, 2)), 1e-5)
+    assert legs[0][1].njev > 0
+
+    # a field without polynomial forms has no exact Jacobian: DOP853 however
+    # stiff its layer is
+    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
+    eval_only = time_reversed(FilippovSystem(plus, sys.x_minus,
+                                             SwitchingFunction.vertical_coordinate()))
+    tf = TransitionConfig(1, 2).tf
+    start = np.array([-0.3, 0.5])
+    stiff = BandField(eval_only, tf, 1e-8)
+    assert stiff.jacobian is None and _stepper(stiff, start) is _dop853
+    # the reversed layer repels: the orbit leaves it upward, on DOP853
+    from regtang import SectionSpec, flow_to_section_traj
+    _, traj = flow_to_section_traj(stiff, start, SectionSpec("horizontal", 2.0),
+                                   IntegratorConfig(max_time=100.0))
+    assert traj.segments[0].njev == 0
+    poly = BandField(sys, tf, 1e-8)
+    assert abs(poly.jacobian(*start)[1][1]) > STIFF_RATIO * poly.eps
+    assert _stepper(poly, start) is not _dop853
+    assert _stepper(BandField(sys, tf, 1e-2), start) is _dop853

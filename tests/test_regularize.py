@@ -281,3 +281,56 @@ def test_slow_manifold_finite_difference_fallback_matches_polynomial_form():
         for x in (-0.3, -0.2, -0.1, -0.05):
             assert fd.m0(x) == approx(exact.m0(x), abs=1e-6)
             assert fd.m1(x) == approx(exact.m1(x), abs=1e-6)
+
+
+# --------------------------------------------------------------------------
+# the exact band Jacobian and the kernel cache
+# --------------------------------------------------------------------------
+
+def _central_jacobian(band, x, s, h=1e-6):
+    dx = (band.eval(x + h, s) - band.eval(x - h, s)) / (2 * h)
+    ds = (band.eval(x, s + h) - band.eval(x, s - h)) / (2 * h)
+    return np.column_stack([dx, ds])
+
+
+def test_band_jacobian_matches_central_differences():
+    # inside |yhat| < 1 every entry moves; outside, Phi' = 0 and only the
+    # zone fields' own derivatives are left (central differences straddle
+    # the kink at +-1, so those points are avoided)
+    for k, m in ((1, 1), (2, 5)):
+        for eps in (1e-2, 1e-3):
+            band = BandField(canonical_system(k=k), phi_family(m), eps)
+            for x in (-0.3, -0.05, 0.0, 0.2):
+                for s in (-2.5, -1.2, -0.7, 0.0, 0.4, 0.95, 1.3, 3.0):
+                    got = np.array(band.jacobian(x, s))
+                    want = _central_jacobian(band, x, s)
+                    assert got.shape == (2, 2)
+                    assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+
+
+def test_band_jacobian_is_exact_off_the_band_and_absent_without_polynomials():
+    from regtang import FilippovSystem, PlanarField, SwitchingFunction
+
+    sys = canonical_system(k=1)
+    eps = 1e-3
+    band = BandField(sys, TF1, eps)
+    # above the band only X+ acts: d/dx of eps*X1+ and X2+, d/dyhat = eps*d/dy
+    (p1, p2) = sys.x_plus.poly_form
+    x, s = 0.2, 1.5
+    y = eps * s
+    want = [[eps * p1.diff_x()(x, y), eps * eps * p1.diff_y()(x, y)],
+            [p2.diff_x()(x, y), eps * p2.diff_y()(x, y)]]
+    assert np.allclose(band.jacobian(x, s), want, rtol=1e-15, atol=0.0)
+    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
+    eval_only = FilippovSystem(plus, sys.x_minus, SwitchingFunction.vertical_coordinate())
+    assert BandField(eval_only, TF1, eps).jacobian is None
+
+
+def test_equal_fields_share_their_compiled_kernels():
+    a = BandField(canonical_system(1), phi_family(1), 1e-3)
+    b = BandField(canonical_system(1), phi_family(1), 1e-3)
+    assert a._rhs is b._rhs
+    assert a.jacobian is b.jacobian
+    assert BandField(canonical_system(1), phi_family(1), 2e-3)._rhs is not a._rhs
+    r = RegularizedField(canonical_system(1), phi_family(1), 1e-3)
+    assert RegularizedField(canonical_system(1), phi_family(1), 1e-3)._rhs is r._rhs
