@@ -49,7 +49,7 @@ def scaling_constants(k: int, n: int, alpha: float = 1.0,
                       tf: Optional[TransitionFunction] = None) -> dict:
     """c_x, c_y of the polar-chart rescaling and the departure exponent."""
     _check_orders(k, n)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConditionViolated("alpha must be positive")
     tf = tf or phi_family(n - 1)
     br = phi_bracket_constant(tf, n)
@@ -165,7 +165,7 @@ class EquatorialChart:
 
     def __post_init__(self):
         _check_orders(self.k, self.n)
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConditionViolated("alpha must be positive")
         if self.tf is None:
             self.tf = phi_family(self.n - 1)

@@ -11,8 +11,13 @@ chart         rescaled-model constants and equilibrium data
 cycle         periodic-orbit location and diagnostics over an eps sweep
 phi           polynomial transition-profile table and invariant report
 
-Every invocation resolves its configuration (defaults < config file < flags),
-echoes it in a header block on each CSV, and produces one ``summary.json``.
+``_COMMANDS`` is the one statement of the surface: each subcommand's parser
+takes exactly the flags (``_FLAGS``) of the keys it reads, plus ``--out``,
+``--workers`` and ``--config``.  Every invocation merges its configuration
+(config file < flags), rejects non-finite numbers, echoes the given values in
+a header block on each CSV, and produces one ``summary.json``; a value not
+given keeps its default, which is stated once, in the library where the
+library has one.  Every bad input exits 2 with a JSON error object.
 With ``--out DIR`` the CSVs and the summary are written into DIR (created if
 missing) and the summary is also printed; without it the CSVs go to stdout
 ahead of the summary.  All floating output uses 17 significant digits and rows
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import json
 import math
 import os
@@ -47,7 +53,7 @@ from .maps import (
     predicted_upper_boundary,
     upper_transition_map,
 )
-from .phi import phi_bracket_exact, phi_family
+from .phi import TransitionFunction, phi_bracket_exact, phi_family
 from .regularize import (
     BandField,
     RegularizedField,
@@ -68,67 +74,68 @@ def _f(v: float) -> str:
 # configuration resolution
 # --------------------------------------------------------------------------
 
-_TYPES = {
-    "k": int, "n": int, "alpha": float, "phi_m": int, "m": int,
-    "eps": float, "eps_decades": str, "points": int, "rho": float,
-    "theta": float, "lam": float, "scenario": str, "out": str,
-    "x0": float, "y0": float, "tmax": float, "L": float, "workers": int,
-    "sigma": float, "sandwich_K": float,
+# key: (flag, type, help).  A config file names a value by its key.
+_FLAGS = {
+    "scenario": ("--scenario", str, f"system, one of {sorted(SCENARIOS)}"),
+    "k": ("--k", int, "contact order: X+ meets y = 0 with multiplicity 2k"),
+    "alpha": ("--alpha", float, "leading coefficient of the canonical form"),
+    "n": ("--n", int, "smoothness order of the transition function"),
+    "phi_m": ("--phi-m", int, "use phi_m (default phi_{n-1})"),
+    "m": ("--m", int, "index of phi_m"),
+    "lam": ("--lambda", float, "inflow exponent, 0 < lambda < lambda*"),
+    "rho": ("--rho", float, "inflow section x = -rho"),
+    "theta": ("--theta", float, "outflow section x = theta"),
+    "L": ("--L", float, "slow-manifold window [-L, 0)"),
+    "eps": ("--eps", float, "smoothing width"),
+    "eps_decades": ("--eps-decades", str, "log10 bounds lo:hi (or raw eps bounds)"),
+    "points": ("--points", int, "grid points"),
+    "x0": ("--x0", float, "initial x"),
+    "y0": ("--y0", float, "initial y"),
+    "tmax": ("--tmax", float, "final time"),
+    "sigma": ("--sigma", float, "theta(0,0) of the upper field"),
+    "sandwich_K": ("--sandwich-K", float, "constant for the lower-envelope check"),
+    "workers": ("--workers", int, "worker processes for a sweep"),
+    "out": ("--out", str, "output directory (CSVs + summary.json)"),
 }
-
-
-# The keys each subcommand reads.  Any other flag, or key in the command's
-# own config-file section, is an error; keys in [global] are shared by all
-# commands and stay tolerated.  --out, --workers and --config go everywhere.
-_SYSTEM_KEYS = {"scenario", "k", "alpha"}                      # _system
-_TCFG_KEYS = {"k", "n", "phi_m", "lam", "rho", "theta", "L"}   # _tcfg
-_GRID_KEYS = {"eps", "eps_decades", "points"}                  # _eps_grid
-_READS = {
-    "phi": {"m", "phi_m"},
-    "chart": {"k", "n", "alpha", "sigma"},
-    "scaling": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
-    "upper-map": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
-    "lower-map": _SYSTEM_KEYS | _TCFG_KEYS | _GRID_KEYS,
-    "slow-manifold": _SYSTEM_KEYS | _TCFG_KEYS | {"eps", "points", "sandwich_K"},
-    "simulate": _SYSTEM_KEYS | {"eps", "n", "phi_m", "x0", "y0", "tmax"},
-    "cycle": _GRID_KEYS | {"scenario", "k", "n", "phi_m", "rho"},
-}
-_EVERYWHERE = {"out", "workers"}
+_EVERYWHERE = {"out", "workers"}   # --config too; see build_parser
 
 
 def _load_config(path: str, command: str) -> List[Dict[str, str]]:
     """The [global] and the [command] sections of a config file."""
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_string(fh.read())
+    try:
+        with open(path) as fh:
+            cp.read_string(fh.read())
+    except (OSError, configparser.Error) as exc:
+        raise RegtangError(f"config file {path!r}: {exc}") from None
     return [{k.replace("-", "_"): v for k, v in cp.items(section)}
             if cp.has_section(section) else {}
             for section in ("global", command)]
 
 
-def _ignored(command: str, what: str, val) -> RegtangError:
-    return RegtangError(f"{command} does not use {what} (got {val!r})")
-
-
-def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
-    """Merge defaults, config file, and flags (flags win)."""
-    reads = _READS[command] | _EVERYWHERE
+def _resolve(args: argparse.Namespace) -> Dict[str, object]:
+    """Merge the config file and the flags (flags win) and check the values.
+    Keys in [global] are shared by all commands and tolerated where unread."""
+    command = args.command
     cfg: Dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         shared, own = _load_config(args.config, command)
         for key, sval in {**shared, **own}.items():
-            if key not in _TYPES:
+            if key not in _FLAGS:
                 raise RegtangError(f"unknown config key {key!r}")
-            if key in own and key not in reads:
-                raise _ignored(command, f"config key {key!r}", sval)
-            cfg[key] = _TYPES[key](sval)
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        if key not in reads:
-            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-            raise _ignored(command, flag, val)
-        cfg[key] = val
+            if key in own and key not in _COMMANDS[command][1] | _EVERYWHERE:
+                raise RegtangError(
+                    f"{command} does not take config key {key!r} (got {sval!r})")
+            try:
+                cfg[key] = _FLAGS[key][1](sval)
+            except ValueError:
+                raise RegtangError(f"config key {key!r} is not "
+                                   f"{_FLAGS[key][1].__name__} (got {sval!r})") from None
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key not in ("command", "config") and val is not None)
+    for key, val in cfg.items():
+        if _FLAGS[key][1] is float and not math.isfinite(val):
+            raise RegtangError(f"{_FLAGS[key][0]} must be finite (got {val!r})")
     if "scenario" in cfg and cfg["scenario"] not in SCENARIOS:
         raise RegtangError(
             f"unknown scenario {cfg['scenario']!r}; available: {sorted(SCENARIOS)}"
@@ -173,14 +180,17 @@ def _finish(command: str, cfg: Dict[str, object],
     return 0
 
 
-def _eps_grid(cfg: Dict[str, object], default: Optional[str] = "-6:-2") -> List[float]:
-    """eps values: the single --eps if given, else the --eps-decades grid."""
-    if "eps" in cfg and "eps_decades" not in cfg:
-        return [float(cfg["eps"])]
-    span = str(cfg.get("eps_decades", default))
+def _eps_grid(cfg: Dict[str, object], eps: Optional[float] = None) -> List[float]:
+    """The --eps-decades grid if given, else the single --eps (default
+    ``eps``); with neither and no default, the decades -6:-2."""
+    if "eps_decades" not in cfg and ("eps" in cfg or eps is not None):
+        return [float(cfg.get("eps", eps))]
+    span = str(cfg.get("eps_decades", "-6:-2"))
     try:
         lo_s, hi_s = span.split(":")
         lo, hi = float(lo_s), float(hi_s)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
         raise RegtangError(
             f"--eps-decades must be lo:hi, got {span!r}"
@@ -191,33 +201,40 @@ def _eps_grid(cfg: Dict[str, object], default: Optional[str] = "-6:-2") -> List[
     return [float(e) for e in np.logspace(lo, hi, pts)]
 
 
+def _given(cfg: Dict[str, object], *keys: str) -> Dict[str, object]:
+    """The values of ``keys`` that were set: the rest keep the library's defaults."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def _tcfg(cfg: Dict[str, object]) -> TransitionConfig:
-    return TransitionConfig(
-        k=int(cfg.get("k", 1)),
-        n=int(cfg.get("n", 2)),
-        tf=phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None,
-        lam=cfg.get("lam"),
-        rho=float(cfg.get("rho", 0.3)),
-        theta=float(cfg.get("theta", 0.3)),
-        L=float(cfg.get("L", 0.3)),
-    )
+    tf = phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None
+    return TransitionConfig(tf=tf, **_given(cfg, "k", "n", "lam", "rho", "theta", "L"))
 
 
-def _system(cfg: Dict[str, object]) -> FilippovSystem:
-    name = str(cfg.get("scenario", "canonical"))
-    return build_scenario(name, k=cfg.get("k", 1 if name == "canonical" else 2),
-                          alpha=cfg.get("alpha", 1.0))
+def _system(cfg: Dict[str, object], scenario: str = "canonical",
+            keys: Sequence[str] = ("k", "alpha")) -> FilippovSystem:
+    return build_scenario(str(cfg.get("scenario", scenario)), **_given(cfg, *keys))
 
 
-def _workers(cfg: Dict[str, object], njobs: int) -> int:
-    return int(cfg.get("workers", min(njobs, os.cpu_count() or 1)))
+def _profile(cfg: Dict[str, object], system: FilippovSystem) -> TransitionFunction:
+    """phi_m if given, else phi_{n-1}; n defaults to 2k, the contact order, on
+    the grazing oval (k as the system was built) and to 2 elsewhere."""
+    k = system.params["k"]
+    n = cfg.get("n", 2 * k if system.params["kind"] == "boundary-cycle" else 2)
+    return phi_family(int(cfg.get("phi_m", n - 1)))
 
 
-def _fanout(worker, jobs, workers: int) -> list:
+def _sweep(worker, cfg: Dict[str, object], eps_values: List[float], *args) -> list:
+    """The rows ``worker((cfg, *args, eps))`` sorted by eps, computed on
+    --workers processes (default one per eps, up to the CPU count)."""
+    jobs = [(cfg, *args, eps) for eps in eps_values]
+    workers = int(cfg.get("workers", min(len(jobs), os.cpu_count() or 1)))
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(j) for j in jobs]
+            rows = list(pool.map(worker, jobs))
+    else:
+        rows = [worker(j) for j in jobs]
+    return sorted(rows, key=lambda r: r["eps"])
 
 
 # --------------------------------------------------------------------------
@@ -254,10 +271,9 @@ def _cmd_phi(cfg: Dict[str, object]) -> int:
 def _cmd_chart(cfg: Dict[str, object]) -> int:
     k = int(cfg.get("k", 1))
     n = int(cfg.get("n", 2))
-    alpha = float(cfg.get("alpha", 1.0))
-    pre = departure_prefactor(k, n, alpha=alpha,
-                              theta00=float(cfg.get("sigma", 0.0)))
-    chart = EquatorialChart(k=k, n=n, alpha=alpha)
+    alpha = _given(cfg, "alpha")
+    pre = departure_prefactor(k, n, theta00=float(cfg.get("sigma", 0.0)), **alpha)
+    chart = EquatorialChart(k=k, n=n, **alpha)
     return _finish("chart", cfg, {}, {
         "k": k, "n": n,
         "sigma": pre["sigma"],
@@ -283,10 +299,7 @@ def _scaling_row(packed) -> dict:
 
 
 def _cmd_scaling(cfg: Dict[str, object]) -> int:
-    eps_values = _eps_grid(cfg)
-    rows = _fanout(_scaling_row, [(cfg, e) for e in eps_values],
-                   _workers(cfg, len(eps_values)))
-    rows.sort(key=lambda r: r["eps"])
+    rows = _sweep(_scaling_row, cfg, _eps_grid(cfg))
     tcfg = _tcfg(cfg)
     fit = fit_scaling([r["eps"] for r in rows], [r["x_eps"] for r in rows],
                       predicted_slope=tcfg.lambda_star)
@@ -323,11 +336,7 @@ def _map_sweep_row(packed) -> dict:
 
 
 def _cmd_map(cfg: Dict[str, object], side: str) -> int:
-    eps_values = _eps_grid(cfg, default=None) if "eps_decades" in cfg \
-        else [float(cfg.get("eps", 1e-3))]
-    rows = _fanout(_map_sweep_row, [(cfg, side, e) for e in eps_values],
-                   _workers(cfg, len(eps_values)))
-    rows.sort(key=lambda r: r["eps"])
+    rows = _sweep(_map_sweep_row, cfg, _eps_grid(cfg, 1e-3), side)
     body = _header(f"{side}-map", cfg) + "eps,y_in,y_out\n"
     for r in rows:
         for y_in, y_out in r["pairs"]:
@@ -353,20 +362,18 @@ def _cmd_slow_manifold(cfg: Dict[str, object]) -> int:
     tcfg = _tcfg(cfg)
     manifold = SlowManifold(system, tcfg.tf)
     pts = int(cfg.get("points", 50))
-    L = float(cfg.get("L", 0.3))
+    L = cfg.get("L", tcfg.L)   # as given: TransitionConfig raises L to rho for the maps
     xs = np.linspace(-L, -L / pts, pts)
     body = _header("slow-manifold", cfg) + "x,m0,m1\n"
     for x in xs:
         body += f"{_f(x)},{_f(manifold.m0(float(x)))},{_f(manifold.m1(float(x)))}\n"
     csvs = {"slow-manifold.csv": body}
-    summary: Dict[str, object] = {}
-    eps = float(cfg.get("eps", 1e-4))
-    band = BandField(system, tcfg.tf, eps)
+    band = BandField(system, tcfg.tf, float(cfg.get("eps", 1e-4)))
     report = slow_manifold_sandwich_check(
-        band, tcfg.k, tcfg.n, L, float(cfg.get("lam", tcfg.lam)),
+        band, tcfg.k, tcfg.n, L, tcfg.lam,
         float(cfg.get("sandwich_K", 0.0)), grid_points=pts)
     csvs["sandwich.csv"] = _header("slow-manifold", cfg) + manifold_table_csv(report)
-    summary["sandwich"] = {
+    return _finish("slow-manifold", cfg, csvs, {"sandwich": {
         "eps": report.eps,
         "lam": report.lam,
         "exponent": report.exponent,
@@ -374,17 +381,13 @@ def _cmd_slow_manifold(cfg: Dict[str, object]) -> int:
         "K_min": report.K_min,
         "holds_with_K": report.all_hold,
         "upper_bound_holds": report.upper_all_hold,
-    }
-    return _finish("slow-manifold", cfg, csvs, summary)
+    }})
 
 
 def _cmd_simulate(cfg: Dict[str, object]) -> int:
     system = _system(cfg)
     eps = float(cfg.get("eps", 1e-2))
-    n = int(cfg.get("n", 2 * int(cfg.get("k", 1)) if cfg.get("scenario") ==
-            "boundary-cycle" else 2))
-    tf = phi_family(int(cfg.get("phi_m", n - 1)))
-    reg = RegularizedField(system, tf, eps)
+    reg = RegularizedField(system, _profile(cfg, system), eps)
     p0 = (float(cfg.get("x0", 0.0)), float(cfg.get("y0", 2.0)))
     tmax = float(cfg.get("tmax", 10.0))
     sections = [SectionSpec("horizontal", eps, ident="band-roof"),
@@ -400,14 +403,11 @@ def _cmd_simulate(cfg: Dict[str, object]) -> int:
 
 def _cycle_row(packed) -> dict:
     cfg, eps = packed
-    scenario = str(cfg.get("scenario", "boundary-cycle"))
-    k = int(cfg.get("k", 2))
-    system = build_scenario(scenario, k=k)
-    n = int(cfg.get("n", 2 * k))
-    tf = phi_family(int(cfg.get("phi_m", n - 1)))
-    rho = float(cfg.get("rho", 0.3))
-    reference = oval_polyline(k) if scenario == "boundary-cycle" else None
-    info = cycle_analysis(system, tf, float(eps), rho=rho, reference=reference)
+    system = _system(cfg, "boundary-cycle", ("k",))
+    reference = oval_polyline(system.params["k"]) \
+        if system.params["kind"] == "boundary-cycle" else None
+    info = cycle_analysis(system, _profile(cfg, system), float(eps),
+                          reference=reference, **_given(cfg, "rho"))
     row = info.as_dict()
     if cfg.get("out") and info.polyline is not None:
         row["polyline"] = info.polyline
@@ -415,11 +415,7 @@ def _cycle_row(packed) -> dict:
 
 
 def _cmd_cycle(cfg: Dict[str, object]) -> int:
-    eps_values = _eps_grid(cfg, default=None) if "eps_decades" in cfg \
-        else [float(cfg.get("eps", 1e-2))]
-    rows = _fanout(_cycle_row, [(cfg, e) for e in eps_values],
-                   _workers(cfg, len(eps_values)))
-    rows.sort(key=lambda r: r["eps"])
+    rows = _sweep(_cycle_row, cfg, _eps_grid(cfg, 1e-2))
     cols = ("eps", "fixed_point", "period", "multiplier", "log_multiplier",
             "multiplier_arc", "hausdorff", "hausdorff_over_eps")
     body = _header("cycle", cfg) + ",".join(cols) + "\n"
@@ -440,26 +436,25 @@ def _cmd_cycle(cfg: Dict[str, object]) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# the command table and argument parsing
 # --------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--config", help="key=value config file with [sections]")
-    sp.add_argument("--k", type=int, dest="k")
-    sp.add_argument("--n", type=int, dest="n")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--phi-m", type=int, dest="phi_m")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--eps-decades", dest="eps_decades",
-                    help="log10 bounds lo:hi (or raw eps bounds)")
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--lambda", type=float, dest="lam")
-    sp.add_argument("--L", type=float, dest="L")
-    sp.add_argument("--scenario")
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out", help="output directory (CSVs + summary.json)")
+_SYSTEM = {"scenario", "k", "alpha"}                      # _system
+_TCFG = {"k", "n", "phi_m", "lam", "rho", "theta", "L"}   # _tcfg
+_GRID = {"eps", "eps_decades", "points"}                  # _eps_grid
+# subcommand: (handler, the keys it reads).  Its parser takes exactly these
+# flags plus --out, --workers and --config.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, _SYSTEM | {"eps", "n", "phi_m", "x0", "y0", "tmax"}),
+    "scaling": (_cmd_scaling, _SYSTEM | _TCFG | _GRID),
+    "upper-map": (functools.partial(_cmd_map, side="upper"), _SYSTEM | _TCFG | _GRID),
+    "lower-map": (functools.partial(_cmd_map, side="lower"), _SYSTEM | _TCFG | _GRID),
+    "slow-manifold": (_cmd_slow_manifold,
+                      _SYSTEM | _TCFG | {"eps", "points", "sandwich_K"}),
+    "chart": (_cmd_chart, {"k", "n", "alpha", "sigma"}),
+    "cycle": (_cmd_cycle, _GRID | {"scenario", "k", "n", "phi_m", "rho"}),
+    "phi": (_cmd_phi, {"m", "phi_m"}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -476,47 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transition maps and cycles of smoothed two-zone planar flows",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "scaling", "upper-map", "lower-map",
-                 "slow-manifold", "chart", "cycle", "phi"):
+    for name, (_, reads) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
-        if name == "phi":
-            sp.add_argument("--m", type=int, dest="m")
-        if name == "simulate":
-            sp.add_argument("--x0", type=float)
-            sp.add_argument("--y0", type=float)
-            sp.add_argument("--tmax", type=float)
-        if name == "chart":
-            sp.add_argument("--sigma", type=float,
-                            help="theta(0,0) of the upper field")
-        if name == "slow-manifold":
-            sp.add_argument("--sandwich-K", type=float, dest="sandwich_K",
-                            help="constant for the lower-envelope check")
+        sp.add_argument("--config", help="config file with [global] and [command] sections")
+        for key, (flag, typ, text) in _FLAGS.items():
+            if key in reads | _EVERYWHERE:
+                sp.add_argument(flag, type=typ, dest=key, help=text)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        command = args.command
-        cfg = _resolve(args, command)
-        if command == "phi":
-            return _cmd_phi(cfg)
-        if command == "chart":
-            return _cmd_chart(cfg)
-        if command == "scaling":
-            return _cmd_scaling(cfg)
-        if command == "upper-map":
-            return _cmd_map(cfg, "upper")
-        if command == "lower-map":
-            return _cmd_map(cfg, "lower")
-        if command == "slow-manifold":
-            return _cmd_slow_manifold(cfg)
-        if command == "simulate":
-            return _cmd_simulate(cfg)
-        if command == "cycle":
-            return _cmd_cycle(cfg)
-        raise RegtangError(f"unknown command {command!r}")
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise RegtangError(f"{args.command} does not take {' '.join(extra)}")
+        return _COMMANDS[args.command][0](_resolve(args))
     except RegtangError as exc:
         print(json.dumps({
             "error": {"type": type(exc).__name__, "message": str(exc)},

@@ -45,7 +45,8 @@ from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseO
 from scipy.integrate import solve_ivp  # noqa: F401  not called; perfbench/tracing.py wraps it by name
 from scipy.optimize import brentq
 
-from .errors import DomainExit, NoCrossing, StepSizeUnderflow, TangentialGraze
+from .errors import (ConditionViolated, DomainExit, NoCrossing, StepSizeUnderflow,
+                     TangentialGraze)
 
 RHS = Callable[[float, List[float]], np.ndarray]
 
@@ -773,6 +774,8 @@ def flow(
     sections: Iterable[SectionSpec] = (),
 ) -> Trajectory:
     """Integrate over a fixed time span, recording (non-terminal) section hits."""
+    if not (math.isfinite(t_span[0]) and math.isfinite(t_span[1])):
+        raise ConditionViolated(f"t_span must be finite (got {tuple(t_span)!r})")
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     sections = list(sections)

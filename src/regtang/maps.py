@@ -96,7 +96,7 @@ class TransitionConfig:
         return lambda_star(self.k, self.n)
 
     def check_eps(self, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise NonPositiveQuantity("eps must be positive")
         if eps ** self.lam >= self.rho:
             raise ConditionViolated(
@@ -152,7 +152,7 @@ def find_x_epsilon(
 
 def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: float) -> float:
     """Root of X2+(x, eps) = 0: where the upper field is tangent to y = eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise NonPositiveQuantity("eps must be positive")
     f = lambda x: float(system.x_plus.eval(x, eps)[1])
     b = (10.0 * eps) ** (1.0 / (2 * config.k - 1))
@@ -397,7 +397,7 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
 
     Near the fold the map is a reflection: mirror(x) = -x + 2*psi(eps) + h.o.t.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise NonPositiveQuantity("eps must be positive")
     if psi is None:
         psi = tangency_curve_psi(system, config, eps)

@@ -134,8 +134,8 @@ class RegularizedField:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise NonPositiveQuantity("eps must be positive")
+        if not 0.0 < self.eps < math.inf:   # the kernel source holds repr(eps)
+            raise NonPositiveQuantity("eps must be positive and finite")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=False)
 
     def eval(self, x: float, y: float) -> np.ndarray:
@@ -202,8 +202,8 @@ class BandField:
 
     def __post_init__(self):
         _require_vertical(self.system)
-        if self.eps <= 0:
-            raise NonPositiveQuantity("eps must be positive")
+        if not 0.0 < self.eps < math.inf:   # the kernel source holds repr(eps)
+            raise NonPositiveQuantity("eps must be positive and finite")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
         self.jacobian = _band_jacobian_kernel(self.system, self.tf, self.eps)
 

@@ -4,8 +4,9 @@ contact, and a global example whose sliding cycle grazes the switching line.
 
 from __future__ import annotations
 
+import inspect
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .fields import (
 from .polys import Poly1, Poly2
 
 
-def canonical_system(k: int, alpha: float = 1.0,
+def canonical_system(k: int = 1, alpha: float = 1.0,
                      g: Optional[Poly1] = None,
                      theta: Optional[Poly2] = None) -> FilippovSystem:
     """Local normal form: X+ = (1, f), X- = (0, 1), h = y, with
@@ -31,7 +32,7 @@ def canonical_system(k: int, alpha: float = 1.0,
     """
     if k < 1:
         raise ConditionViolated("k must be a positive integer")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConditionViolated("alpha must be positive")
     if g is not None and not g.is_zero() and g.valuation() < 2 * k:
         raise BadValuation(
@@ -136,22 +137,25 @@ def single_contact_in_window(system: FilippovSystem, lo: float, hi: float,
     return changes == 1 and zeros <= 1
 
 
-SCENARIOS: dict = {}
-
-
-def _register(name: str, builder: Callable[..., FilippovSystem]):
-    SCENARIOS[name] = builder
-
-
-_register("canonical", lambda k=1, alpha=1.0, **kw: canonical_system(int(k), float(alpha)))
-_register("boundary-cycle", lambda k=2, **kw: boundary_cycle_system(int(k)))
-_register("boundary-cycle-reversed",
-          lambda k=2, **kw: time_reversed(boundary_cycle_system(int(k))))
+SCENARIOS: dict = {
+    "canonical": canonical_system,
+    "boundary-cycle": boundary_cycle_system,
+    "boundary-cycle-reversed": lambda k=2: time_reversed(boundary_cycle_system(k)),
+}
 
 
 def build_scenario(name: str, **kwargs) -> FilippovSystem:
+    """The named system, built with ``kwargs``; a key its builder does not
+    take is an error, not silently dropped."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
+        )
+    takes = inspect.signature(SCENARIOS[name]).parameters
+    unknown = [key for key in kwargs if key not in takes]
+    if unknown:
+        raise ConditionViolated(
+            f"scenario {name!r} does not take {', '.join(unknown)} "
+            f"(it takes {', '.join(takes)})"
         )
     return SCENARIOS[name](**kwargs)

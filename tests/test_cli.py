@@ -1,12 +1,13 @@
 """Command-line interface: outputs, determinism, and error handling."""
 
+import argparse
 import json
 
 import pytest
 from pytest import approx
 
 from regtang import errors
-from regtang.cli import main
+from regtang.cli import build_parser, main
 
 
 def run(tmp_path, *args):
@@ -156,6 +157,22 @@ def test_simulate_records_band_crossings(tmp_path):
     assert "band-roof" in names
 
 
+def test_simulate_default_n_follows_the_k_the_system_was_built_with(tmp_path):
+    argv = ["simulate", "--scenario", "boundary-cycle", "--eps", "0.01", "--tmax", "10"]
+    _, out, summary = run(tmp_path / "default", *argv)
+    _, out_k2, summary_k2 = run(tmp_path / "k2", *argv, "--k", "2")
+    assert rows_of(out / "simulate.csv") == rows_of(out_k2 / "simulate.csv")
+    assert summary["steps"] == summary_k2["steps"]
+
+
+def test_scenario_key_the_system_does_not_take_exits_2_with_json(capsys):
+    code = main(["simulate", "--scenario", "boundary-cycle", "--alpha", "3"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert issubclass(getattr(errors, err["error"]["type"]), errors.RegtangError)
+    assert "alpha" in err["error"]["message"]
+
+
 def test_errors_exit_2_with_json(capsys):
     code = main(["chart", "--k", "0", "--n", "2"])
     assert code == 2
@@ -214,30 +231,39 @@ def test_malformed_eps_decades_exits_2_with_json(span, capsys):
     assert span in err["error"]["message"]
 
 
-IGNORED_FLAGS = [
-    ("chart", "--scenario", "canonical"),
-    ("chart", "--phi-m", "2"),
-    ("chart", "--eps", "0.001"),
-    ("chart", "--eps-decades", "-3:-2"),
-    ("chart", "--points", "5"),
-    ("chart", "--rho", "0.3"),
-    ("chart", "--theta", "0.3"),
-    ("chart", "--lambda", "0.3"),
-    ("chart", "--L", "0.3"),
-    ("slow-manifold", "--eps-decades", "-3:-2"),
-    ("simulate", "--eps-decades", "-3:-2"),
-    ("simulate", "--points", "5"),
-    ("simulate", "--rho", "0.3"),
-    ("simulate", "--theta", "0.3"),
-    ("simulate", "--lambda", "0.3"),
-    ("simulate", "--L", "0.3"),
-    ("cycle", "--alpha", "2.0"),
-    ("cycle", "--theta", "0.3"),
-    ("cycle", "--lambda", "0.3"),
-    ("cycle", "--L", "0.3"),
-    ("phi", "--k", "1"),
-    ("phi", "--eps", "0.001"),
-]
+# The flags each subcommand takes besides --out, --workers and --config (the
+# README's table), and a sample value for each flag.
+SAMPLE = {
+    "--scenario": "canonical", "--k": "1", "--alpha": "2.0", "--n": "2",
+    "--phi-m": "2", "--m": "2", "--lambda": "0.3", "--rho": "0.3",
+    "--theta": "0.3", "--L": "0.3", "--eps": "0.001", "--eps-decades": "-3:-2",
+    "--points": "5", "--x0": "0.1", "--y0": "1.5", "--tmax": "2.0",
+    "--sigma": "0.1", "--sandwich-K": "0.5",
+}
+SYSTEM = {"--scenario", "--k", "--alpha"}
+TCFG = {"--k", "--n", "--phi-m", "--lambda", "--rho", "--theta", "--L"}
+GRID = {"--eps", "--eps-decades", "--points"}
+TAKES = {
+    "simulate": SYSTEM | {"--eps", "--n", "--phi-m", "--x0", "--y0", "--tmax"},
+    "scaling": SYSTEM | TCFG | GRID,
+    "upper-map": SYSTEM | TCFG | GRID,
+    "lower-map": SYSTEM | TCFG | GRID,
+    "slow-manifold": SYSTEM | TCFG | {"--eps", "--points", "--sandwich-K"},
+    "chart": {"--k", "--n", "--alpha", "--sigma"},
+    "cycle": GRID | {"--scenario", "--k", "--n", "--phi-m", "--rho"},
+    "phi": {"--m", "--phi-m"},
+}
+IGNORED_FLAGS = [(command, flag, value) for command in TAKES
+                 for flag, value in SAMPLE.items() if flag not in TAKES[command]]
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(TAKES)
+    for command, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == TAKES[command] | {"-h", "--help", "--out", "--workers", "--config"}
 
 
 @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
@@ -257,6 +283,36 @@ def test_ignored_key_in_the_command_section_is_rejected(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "scenario" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "rho"), ("scaling", "sigma"), ("upper-map", "x0"),
+    ("lower-map", "tmax"), ("slow-manifold", "eps_decades"), ("chart", "lam"),
+    ("cycle", "alpha"), ("phi", "k"),
+])
+def test_config_key_the_command_ignores_exits_2_with_json(command, key, tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[{command}]\n{key} = 1\n")
+    code = main([command, "--config", str(cfgfile)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert repr(key) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("text", [
+    "[phi]\nm = three\n", "[global]\neps = nan\n", "m = 3\n", None,
+], ids=["not-an-int", "nan", "no-section", "missing"])
+def test_bad_config_file_exits_2_with_json(text, tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    if text is not None:
+        cfgfile.write_text(text)
+    code = main(["phi", "--config", str(cfgfile)])
+    assert code == 2
+    out = capsys.readouterr()
+    err = json.loads(out.out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "RegtangError"
+    assert out.err == ""
 
 
 def test_workers_is_accepted_where_it_is_not_read(tmp_path):
@@ -298,6 +354,11 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     ["scaling", "--points", "-1"],
     ["slow-manifold", "--points", "0"],
     ["cycle", "--points", "0", "--eps-decades=-2:-1.7"],
+    ["simulate", "--eps", "nan"],
+    ["upper-map", "--eps", "nan"],
+    ["chart", "--alpha", "nan"],
+    ["simulate", "--tmax", "nan"],
+    ["scaling", "--eps-decades=nan:-2"],
 ])
 def test_bad_numeric_inputs_exit_2_with_json(argv, capsys):
     code = main(argv)

@@ -10,6 +10,7 @@ from regtang import (
     BandField,
     ConditionViolated,
     IntegratorConfig,
+    NonPositiveQuantity,
     RegularizedField,
     SlowManifold,
     TransientNotDecayed,
@@ -23,6 +24,12 @@ from regtang import (
 from regtang.scenarios import boundary_cycle_system, canonical_system
 
 TF1 = phi_family(1)
+
+
+def test_band_field_rejects_a_non_finite_eps():
+    for eps in (float("nan"), float("inf")):
+        with raises(NonPositiveQuantity):
+            BandField(canonical_system(k=1), TF1, eps)
 
 
 def test_smoothed_field_matches_pieces_outside_band():

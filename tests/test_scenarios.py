@@ -105,3 +105,8 @@ def test_build_scenario_dispatch():
     with raises(KeyError):
         build_scenario("no-such-example")
     assert "canonical" in SCENARIOS and "boundary-cycle" in SCENARIOS
+
+
+def test_build_scenario_rejects_a_key_the_builder_does_not_take():
+    with raises(RegtangError, match="alpha"):
+        build_scenario("boundary-cycle", alpha=2.0)
