@@ -206,22 +206,28 @@ def _given(cfg: Dict[str, object], *keys: str) -> Dict[str, object]:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _tcfg(cfg: Dict[str, object]) -> TransitionConfig:
-    tf = phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None
-    return TransitionConfig(tf=tf, **_given(cfg, "k", "n", "lam", "rho", "theta", "L"))
-
-
 def _system(cfg: Dict[str, object], scenario: str = "canonical",
             keys: Sequence[str] = ("k", "alpha")) -> FilippovSystem:
     return build_scenario(str(cfg.get("scenario", scenario)), **_given(cfg, *keys))
 
 
-def _profile(cfg: Dict[str, object], system: FilippovSystem) -> TransitionFunction:
-    """phi_m if given, else phi_{n-1}; n defaults to 2k, the contact order, on
-    the grazing oval (k as the system was built) and to 2 elsewhere."""
+def _order(cfg: Dict[str, object], system: FilippovSystem) -> int:
+    """--n if given, else 2k, the contact order, on the grazing oval (k as the
+    system was built) and 2 elsewhere."""
     k = system.params["k"]
-    n = cfg.get("n", 2 * k if system.params["kind"] == "boundary-cycle" else 2)
-    return phi_family(int(cfg.get("phi_m", n - 1)))
+    return int(cfg.get("n", 2 * k if system.params["kind"] == "boundary-cycle" else 2))
+
+
+def _tcfg(cfg: Dict[str, object], system: FilippovSystem) -> TransitionConfig:
+    """The transition config of ``system``: its k, and n from ``_order``."""
+    tf = phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None
+    return TransitionConfig(k=system.params["k"], n=_order(cfg, system), tf=tf,
+                            **_given(cfg, "lam", "rho", "theta", "L"))
+
+
+def _profile(cfg: Dict[str, object], system: FilippovSystem) -> TransitionFunction:
+    """phi_m if given, else phi_{n-1} with n from ``_order``."""
+    return phi_family(int(cfg.get("phi_m", _order(cfg, system) - 1)))
 
 
 def _sweep(worker, cfg: Dict[str, object], eps_values: List[float], *args) -> list:
@@ -289,7 +295,7 @@ def _cmd_chart(cfg: Dict[str, object]) -> int:
 def _scaling_row(packed) -> dict:
     cfg, eps = packed
     system = _system(cfg)
-    tcfg = _tcfg(cfg)
+    tcfg = _tcfg(cfg, system)
     from .maps import find_x_epsilon, tangency_curve_psi
     return {
         "eps": eps,
@@ -300,7 +306,7 @@ def _scaling_row(packed) -> dict:
 
 def _cmd_scaling(cfg: Dict[str, object]) -> int:
     rows = _sweep(_scaling_row, cfg, _eps_grid(cfg))
-    tcfg = _tcfg(cfg)
+    tcfg = _tcfg(cfg, _system(cfg))
     fit = fit_scaling([r["eps"] for r in rows], [r["x_eps"] for r in rows],
                       predicted_slope=tcfg.lambda_star)
     body = _header("scaling", cfg) + "eps,x_eps,psi_eps\n"
@@ -313,7 +319,7 @@ def _cmd_scaling(cfg: Dict[str, object]) -> int:
 def _map_sweep_row(packed) -> dict:
     cfg, side, eps = packed
     system = _system(cfg)
-    tcfg = _tcfg(cfg)
+    tcfg = _tcfg(cfg, system)
     pts = int(cfg.get("points", 9))
     if side == "upper":
         y_hi = predicted_upper_boundary(system, tcfg, eps)
@@ -346,7 +352,7 @@ def _cmd_map(cfg: Dict[str, object], side: str) -> int:
     summary: Dict[str, object] = {"contraction": contraction}
     if len(rows) >= 3:
         # image diameter ~ exp(-c / eps^q): log-diameter affine in eps^{-q}
-        tcfg = _tcfg(cfg)
+        tcfg = _tcfg(cfg, _system(cfg))
         q = 1.0 - tcfg.lam / tcfg.lambda_star
         slope, intercept, r2 = fit_line(
             np.array([r["eps"] ** (-q) for r in rows]),
@@ -359,7 +365,7 @@ def _cmd_map(cfg: Dict[str, object], side: str) -> int:
 
 def _cmd_slow_manifold(cfg: Dict[str, object]) -> int:
     system = _system(cfg)
-    tcfg = _tcfg(cfg)
+    tcfg = _tcfg(cfg, system)
     manifold = SlowManifold(system, tcfg.tf)
     pts = int(cfg.get("points", 50))
     L = cfg.get("L", tcfg.L)   # as given: TransitionConfig raises L to rho for the maps

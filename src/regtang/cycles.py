@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DomainExit,
@@ -290,6 +289,10 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray,
                        delta_sample: float = 1e-3) -> float:
     """Symmetric Hausdorff distance between two polylines, after arc-length
     resampling at spacing delta_sample."""
+    # imported here, where only the cycle study needs it: scipy.spatial takes
+    # about 0.4 s to import, and a numpy all-pairs search of 1e4-point
+    # polylines costs far more than the tree
+    from scipy.spatial import cKDTree
     A = resample_arclength(np.asarray(a, dtype=float), delta_sample)
     B = resample_arclength(np.asarray(b, dtype=float), delta_sample)
     d_ab = cKDTree(B).query(A)[0].max()

@@ -19,6 +19,12 @@ with an exact ``jacobian`` (a ``BandField`` with polynomial zone fields)
 whose time-scale ratio |d yhat'/d yhat| / eps at the start point exceeds
 ``STIFF_RATIO`` runs ``_radau``; every other leg runs ``_dop853``.
 
+The module runs on numpy alone.  What it carries of scipy is ported, and
+checked against scipy bit for bit by the tests: the coefficient tables
+(``regtang._tableaux``), the input checks and first-step choice of a run
+(``_start``), the step interpolants (``Dop853Step``, ``RadauStep``,
+``ConstantStep`` in a ``PiecewiseSolution``) and the root finder ``brentq``.
+
 Stops are checked after each step exactly as ``solve_ivp`` checks terminal
 events.  A leg to a section is one run: a stop may turn a root down (a
 crossing outside the section's interval or against its direction), and the
@@ -33,22 +39,22 @@ residual within ``sqrt(event_tol)`` of zero is surfaced as
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from itertools import groupby
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, Radau
-from scipy.integrate._ivp import radau as _radau_ivp
-from scipy.integrate._ivp.base import ConstantDenseOutput, DenseOutput
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
-from scipy.integrate import solve_ivp  # noqa: F401  not called; perfbench/tracing.py wraps it by name
-from scipy.optimize import brentq
 
+from . import _tableaux as tab
 from .errors import (ConditionViolated, DomainExit, NoCrossing, StepSizeUnderflow,
                      TangentialGraze)
 
 RHS = Callable[[float, List[float]], np.ndarray]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -105,6 +111,71 @@ class SectionSpec:
         return dp[0] if self.kind == "vertical" else dp[1]
 
 
+# --------------------------------------------------------------------------
+# dense output: one interpolant per step (scipy's DenseOutput protocol)
+# --------------------------------------------------------------------------
+
+class Step:
+    """The interpolant of one step from ``t_old`` to ``t``: called with a
+    time it gives the state (shape (n,)), with a 1-D array of times the
+    states (shape (n, len)).  Subclasses define ``_call_impl``."""
+
+    def __init__(self, t_old: float, t: float):
+        self.t_old = t_old
+        self.t = t
+        self.t_min = min(t, t_old)
+        self.t_max = max(t, t_old)
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
+        return self._call_impl(t)
+
+
+class ConstantStep(Step):
+    """The constant state of a zero-length span."""
+
+    def __init__(self, t_old: float, t: float, value: np.ndarray):
+        super().__init__(t_old, t)
+        self.value = value
+
+    def _call_impl(self, t):
+        if t.ndim == 0:
+            return self.value
+        ret = np.empty((self.value.shape[0], t.shape[0]))
+        ret[:] = self.value[:, None]
+        return ret
+
+
+class Dop853Step(Step):
+    """Dense output of one DOP853 step: scipy's ``Dop853DenseOutput``, the
+    polynomial with coefficient rows ``F`` (shape (7, n)) in
+    x = (t - t_old)/h, evaluated by its alternating Horner loop."""
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
+        super().__init__(t_old, t)
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
 def _cubic(q2, q1, q0, x):
     """((q2 x + q1) x + q0) x, one elementwise numpy operation at a time."""
     y = q2 * x
@@ -115,7 +186,7 @@ def _cubic(q2, q1, q0, x):
     return y
 
 
-class RadauStep(DenseOutput):
+class RadauStep(Step):
     """Dense output of one Radau IIA(5) step: the cubic collocation
     polynomial ``y_old + Q[:, 0] x + Q[:, 1] x**2 + Q[:, 2] x**3`` with
     x = (t - t_old)/h, evaluated by Horner's rule (``_cubic``), elementwise,
@@ -135,19 +206,60 @@ class RadauStep(DenseOutput):
         return _cubic(Q[:, 2], Q[:, 1], Q[:, 0], x) + y_old
 
 
+class PiecewiseSolution:
+    """The interpolants of a run's steps, ``interpolants[i]`` between
+    ``ts[i]`` and ``ts[i + 1]`` (strictly monotone): scipy's ``OdeSolution``.
+    A time on a step boundary takes the earlier step's interpolant, a time
+    outside the run the nearest end step's."""
+
+    def __init__(self, ts: np.ndarray, interpolants: List[Step]):
+        self.ts = ts
+        self.interpolants = interpolants
+        self.n_segments = len(interpolants)
+        self.ascending = bool(ts[-1] >= ts[0])
+        if self.ascending:
+            self.t_min, self.t_max = ts[0], ts[-1]
+            self.side, self.ts_sorted = "left", ts
+        else:
+            self.t_min, self.t_max = ts[-1], ts[0]
+            self.side, self.ts_sorted = "right", ts[::-1]
+
+    def _index(self, seg):
+        return seg if self.ascending else self.n_segments - 1 - seg
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
+            seg = min(max(ind - 1, 0), self.n_segments - 1)
+            return self.interpolants[self._index(seg)](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segs = np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1
+        np.clip(segs, 0, self.n_segments - 1, out=segs)
+        ys, start = [], 0
+        for seg, group in groupby(self._index(segs)):
+            end = start + len(list(group))
+            ys.append(self.interpolants[seg](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
 @dataclass
 class Segment:
     """One solver run: the step ends ``t``, the states ``y`` (shape
     (n, len(t))), the dense output ``sol`` and the solver's work counts.
 
-    ``sol`` holds one interpolant per step, all of one kind: scipy's
-    ``Dop853DenseOutput`` or a ``RadauStep`` (a ``ConstantDenseOutput`` for
-    a zero-length span).  The last step of a run stopped by an event keeps
-    its full-step interpolant; ``t[-1]`` is the event time.
+    ``sol`` holds one interpolant per step, all of one kind: a
+    ``Dop853Step`` or a ``RadauStep`` (a ``ConstantStep`` for a zero-length
+    span).  The last step of a run stopped by an event keeps its full-step
+    interpolant; ``t[-1]`` is the event time.
     """
     t: np.ndarray
     y: np.ndarray
-    sol: OdeSolution
+    sol: PiecewiseSolution
     nfev: int
     njev: int
     nlu: int
@@ -156,6 +268,8 @@ class Segment:
     def _coefficients(self):
         steps = self.sol.interpolants
         coef = "Q" if isinstance(steps[0], RadauStep) else "F"
+        if not hasattr(steps[0], coef):
+            return None  # zero-length span: constant
         return (np.array([s.t_old for s in steps]), np.array([s.h for s in steps]),
                 np.array([getattr(s, coef) for s in steps]),
                 np.array([s.y_old for s in steps]))
@@ -170,9 +284,8 @@ class Segment:
         elementwise.
         """
         sol = self.sol
-        first = sol.interpolants[0]
-        if not isinstance(first, (Dop853DenseOutput, RadauStep)):
-            return sol(ts)  # zero-length span: constant
+        if self._coefficients is None:
+            return sol(ts)
         t_old, h, coef, y_old = self._coefficients
         last = sol.n_segments - 1
         seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
@@ -180,7 +293,7 @@ class Segment:
         if not sol.ascending:
             seg = last - seg
         x = ((ts - t_old[seg]) / h[seg])[:, None]
-        if isinstance(first, RadauStep):
+        if isinstance(sol.interpolants[0], RadauStep):
             Q = coef[seg]
             y = _cubic(Q[:, :, 2], Q[:, :, 1], Q[:, :, 0], x)
         else:
@@ -254,6 +367,78 @@ def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
     if sec.direction is not None and d != sec.direction:
         return None
     return EventHit(t, p, sec.ident, d)
+
+
+# scipy.optimize.brentq's least (and default) rtol
+BRENTQ_RTOL = 4 * _EPS
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           rtol: float = BRENTQ_RTOL, maxiter: int = 100) -> float:
+    """A root of ``f`` in [a, b], where ``f(a)`` and ``f(b)`` differ in sign,
+    by Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).
+
+    This is ``scipy.optimize.brentq``: its C loop on Python floats, which
+    calls ``f`` at the same abscissae and returns the same root, bit for bit,
+    and its wrapper's checks.  ``ValueError`` for xtol <= 0, rtol below
+    ``BRENTQ_RTOL``, maxiter < 0, a NaN value of ``f`` or no sign change;
+    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    """
+    xtol, rtol, maxiter = float(xtol), float(rtol), operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENTQ_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    sign = partial(math.copysign, 1.0)  # C's signbit, on nonzero values
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if sign(fpre) == sign(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and sign(fpre) != sign(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN, and then bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # On smooth polynomial fields DOP853's error estimate can vanish and the step
@@ -345,15 +530,91 @@ def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
 
 
 # solve_ivp's tolerance for the root of a terminal event on a step's interpolant
-EVENT_ROOT_TOL = 4 * np.finfo(float).eps
+EVENT_ROOT_TOL = 4 * _EPS
 
-# scipy's DOP853 tableau as (s, row s of A, c_s): the stages of a step, and
-# the three extra stages of the dense output
-_N = DOP853.n_stages
-_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, _N)]
+
+def _rms_norm(x: np.ndarray) -> float:
+    """scipy's RMS ``norm``."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
+                  y0: np.ndarray, t_bound: float, max_step: float, f0: np.ndarray,
+                  direction: float, order: int, rtol: float, atol: float) -> float:
+    """scipy's ``select_initial_step`` (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, II.4): the first step size of a method whose error estimate is
+    of ``order``, from one call of ``fun`` (none for a zero-length span).
+    """
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms_norm(y0 / scale)
+    d1 = _rms_norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms_norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _start(rhs: RHS, t: float, t_bound: float, y0: np.ndarray,
+           config: IntegratorConfig, order: int):
+    """What scipy's solver constructors do before the first step.
+
+    The inputs are checked as ``check_arguments``, ``validate_max_step`` and
+    ``validate_tol`` check them, with the same errors (``ValueError``) and the
+    same warning and clamp for an rtol below 100 eps; ``rhs`` is called at the
+    start, and the first step is chosen (``_initial_step``).  Returns
+    ``(y, f, rtol, atol, direction, h_abs, nfev)``: the start state and its
+    RHS value as arrays, the rest as Python floats and the count of RHS calls.
+    """
+    y = np.asarray(y0)
+    if np.issubdtype(y.dtype, np.complexfloating):
+        raise ValueError("`y0` is complex, but the chosen solver does not support "
+                         "integration in a complex domain.")
+    y = y.astype(float, copy=False)
+    if y.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if config.max_step <= 0:
+        raise ValueError("`max_step` must be positive.")
+    rtol, atol = config.rtol, config.atol
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=3)
+        rtol = max(rtol, 100 * _EPS)
+    if atol < 0:
+        raise ValueError("`atol` must be positive.")
+    direction = float(np.sign(t_bound - t)) if t_bound != t else 1.0
+    nfev = 0
+
+    def fun(s: float, p: np.ndarray) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(s, p.tolist()), dtype=float)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, config.max_step, f, direction, order,
+                          rtol, atol)
+    return y, f, float(rtol), float(atol), direction, float(h_abs), nfev
+
+
+# the DOP853 tableau as (s, row s of A, c_s): the stages of a step, and the
+# three extra stages of the dense output
+_N = tab.N_STAGES
+_STAGES = [(s, tab.A[s, :s], float(tab.C[s])) for s in range(1, _N)]
 _EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
-          enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_N + 1)]
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+          enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=_N + 1)]
+_ERROR_EXPONENT = -1 / (tab.ERROR_ESTIMATOR_ORDER + 1)
 
 
 def _fill_stages(rhs: RHS, KT: List[np.ndarray], rows: List[np.ndarray], t: float,
@@ -374,8 +635,8 @@ def _error_norm(KT: np.ndarray, h: float, y: List[float], y_new: List[float],
     # np.maximum's rule: NaN if either is NaN
     scale = np.array([atol + (b if a < b or b != b else a) * rtol
                       for a, b in zip(map(abs, y), map(abs, y_new))])
-    e5 = KT.dot(DOP853.E5) / scale
-    e3 = KT.dot(DOP853.E3) / scale
+    e5 = KT.dot(tab.E5) / scale
+    e3 = KT.dot(tab.E3) / scale
     # squared np.linalg.norm, as scipy computes it
     e5, e3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
     if e5 == 0 and e3 == 0:
@@ -390,11 +651,11 @@ def _interpolant(K: np.ndarray, h: float, y: List[float], y_new: List[float],
     """The coefficients ``F`` of scipy's ``_dense_output_impl``, once the extra
     stages are in ``K``."""
     delta = [b - a for a, b in zip(y, y_new)]
-    F = np.empty((len(DOP853.D) + 3, len(y)))
+    F = np.empty((tab.INTERPOLATOR_POWER, len(y)))
     F[0] = delta
     F[1] = [h * fo - d for fo, d in zip(f, delta)]
     F[2] = [2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f_new, f)]
-    F[3:] = h * DOP853.D.dot(K)
+    F[3:] = h * tab.D.dot(K)
     return F
 
 
@@ -447,7 +708,7 @@ class _Run:
 
     def segment(self, nfev: int, njev: int, nlu: int) -> Segment:
         t = np.array(self.ts)
-        return Segment(t=t, y=np.vstack(self.ys).T, sol=OdeSolution(t, self.steps),
+        return Segment(t=t, y=np.vstack(self.ys).T, sol=PiecewiseSolution(t, self.steps),
                        nfev=nfev, njev=njev, nlu=nlu)
 
 
@@ -469,19 +730,19 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     taken here: every product with the tableau is the numpy call scipy makes,
     on the same stage array, and every elementwise operation runs on Python
     floats, one IEEE operation each, so every number is scipy's, bit for bit.
-    ``rhs`` receives the state as a list of Python floats.  A ``DOP853``
-    object is built only to validate the inputs and choose the first step.
+    ``rhs`` receives the state as a list of Python floats.  The inputs are
+    checked and the first step chosen as scipy does (``_start``).
     """
     t, t_bound = map(float, t_span)
-    init = DOP853(lambda s, p: rhs(s, p.tolist()), t, y0, t_bound, rtol=config.rtol,
-                  atol=config.atol, max_step=config.max_step)
-    rtol, atol, max_step = float(init.rtol), float(init.atol), init.max_step
-    direction, h_abs, nfev = float(init.direction), float(init.h_abs), init.nfev
-    K = init.K_extended  # one row per stage, the dense output's three last
+    max_step = config.max_step
+    y_arr, f_arr, rtol, atol, direction, h_abs, nfev = _start(
+        rhs, t, t_bound, y0, config, tab.ERROR_ESTIMATOR_ORDER)
+    # one row per stage, the dense output's three last
+    K = np.empty((tab.N_STAGES_EXTENDED, len(y_arr)))
     KT = [K[:s].T for s in range(len(K))]
     rows = list(K)
-    K[0] = init.f
-    f, y_arr = init.f.tolist(), init.y
+    K[0] = f_arr
+    f = f_arr.tolist()
     y = y_arr.tolist()
     idx = range(len(y))
     run = _Run(t, y_arr, stops, admit)
@@ -490,7 +751,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     while hit is None and running:
         t_old, y_old = t, y_arr
         if t == t_bound:  # zero-length span: no step
-            sol = ConstantDenseOutput(t, t, y_arr)
+            sol = ConstantStep(t, t, y_arr)
             running = False
         else:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -501,28 +762,28 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             rejected = False
             while True:
                 if h_abs < min_step:
-                    raise StepSizeUnderflow(DOP853.TOO_SMALL_STEP)
+                    raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
                 t_new = t + h_abs * direction
                 if direction * (t_new - t_bound) > 0:
                     t_new = t_bound
                 h = t_new - t
                 h_abs = abs(h)
                 _fill_stages(rhs, KT, rows, t, y, h, _STAGES)
-                dy = KT[_N].dot(DOP853.B).tolist()
+                dy = KT[_N].dot(tab.B).tolist()
                 y_new = [y[i] + h * dy[i] for i in idx]
                 rows[_N][...] = rhs(t + h, y_new)
                 nfev += _N
                 error_norm = _error_norm(KT[_N + 1], h, y, y_new, rtol, atol)
                 if error_norm < 1:
                     if error_norm == 0:
-                        factor = MAX_FACTOR
+                        factor = tab.MAX_FACTOR
                     else:
-                        factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                        factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
                     if rejected:
                         factor = min(1, factor)
                     h_abs *= factor
                     break
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
             _fill_stages(rhs, KT, rows, t, y, h, _EXTRA)
             nfev += len(_EXTRA)
@@ -530,27 +791,19 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             F = _interpolant(K, h, y, y_new, f, f_new)
             t, y, f, y_arr = t_new, y_new, f_new, np.array(y_new)
             rows[0][...] = rows[_N]
-            sol = Dop853DenseOutput(t_old, t, y_old, F)
+            sol = Dop853Step(t_old, t, y_old, F)
             running = direction * (t - t_bound) < 0
         hit = run.record(sol, t_old, t, y_arr)
     return run.segment(nfev, 0, 0), hit
 
 
-# scipy's Radau IIA(5) constants (scipy/integrate/_ivp/radau.py) as Python
-# floats: nodes C, error weights E, the transformation T / TI that splits the
-# collocation system into one real and one complex linear solve, and the
-# dense-output matrix P
-_RC = _radau_ivp.C.tolist()
-_RE = _radau_ivp.E.tolist()
-_RT = _radau_ivp.T.tolist()
-_RTI = _radau_ivp.TI.tolist()
-_RTI_COMPLEX = _radau_ivp.TI_COMPLEX.tolist()
-_RP = _radau_ivp.P.tolist()
-_MU_REAL = float(_radau_ivp.MU_REAL)
-_MU_COMPLEX = complex(_radau_ivp.MU_COMPLEX)
-_NEWTON_MAXITER = _radau_ivp.NEWTON_MAXITER
-_RADAU_MIN_FACTOR = _radau_ivp.MIN_FACTOR
-_RADAU_MAX_FACTOR = _radau_ivp.MAX_FACTOR
+# the Radau IIA(5) constants: nodes C, error weights E, the transformation
+# T / TI that splits the collocation system into one real and one complex
+# linear solve, and the dense-output matrix P
+_RC, _RE, _RT, _RTI = tab.RADAU_C, tab.RADAU_E, tab.RADAU_T, tab.RADAU_TI
+_RTI_COMPLEX, _RP = tab.RADAU_TI_COMPLEX, tab.RADAU_P
+_MU_REAL, _MU_COMPLEX = tab.MU_REAL, tab.MU_COMPLEX
+_NEWTON_MAXITER = tab.NEWTON_MAXITER
 
 
 def _inverse2(m, J):
@@ -636,20 +889,20 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     per factorization in ``nlu``) and every operation runs on Python floats.
     Bit-identity with scipy's ``Radau`` is not sought.  Each step keeps its
     collocation polynomial as dense output (``RadauStep``), which also
-    predicts the next step's stages.  A ``Radau`` object is built only to
-    validate the inputs, evaluate the first Jacobian and choose the first
-    step.
+    predicts the next step's stages.  The inputs are checked and the first
+    step chosen as scipy does (``_start``, with the error estimate's order 3).
     """
     t, t_bound = map(float, t_span)
-    init = Radau(lambda s, p: rhs(s, p.tolist()), t, y0, t_bound, rtol=config.rtol,
-                 atol=config.atol, max_step=config.max_step,
-                 jac=lambda s, p: jac(s, p.tolist()))
-    rtol, atol, max_step = float(init.rtol), float(init.atol), init.max_step
-    direction, h_abs = float(init.direction), float(init.h_abs)
-    nfev, njev, nlu = init.nfev, init.njev, 0
-    newton_tol = float(init.newton_tol)
-    J = init.J.tolist()
-    f, y_arr = init.f.tolist(), init.y
+    max_step = config.max_step
+    y_arr, f_arr, rtol, atol, direction, h_abs, nfev = _start(rhs, t, t_bound, y0,
+                                                               config, 3)
+    newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
+    J = np.asarray(jac(t, y_arr.tolist()), dtype=float)
+    if J.shape != (2, 2):
+        raise ValueError(f"`jac` is expected to have shape (2, 2), but actually has {J.shape}.")
+    J = J.tolist()
+    njev, nlu = 1, 0
+    f = f_arr.tolist()
     y = y_arr.tolist()
     run = _Run(t, y_arr, stops, admit)
     h_abs_old = error_norm_old = None
@@ -661,7 +914,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     while hit is None and running:
         t_old, y_old = t, y_arr
         if t == t_bound:  # zero-length span: no step
-            sol = ConstantDenseOutput(t, t, y_arr)
+            sol = ConstantStep(t, t, y_arr)
             running = False
         else:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -673,7 +926,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             rejected = False
             while True:
                 if step_abs < min_step:
-                    raise StepSizeUnderflow(Radau.TOO_SMALL_STEP)
+                    raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
                 t_new = t + step_abs * direction
                 if direction * (t_new - t_bound) > 0:
                     t_new = t_bound
@@ -726,14 +979,14 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
                     error_norm = _rms(error, scale)
                 if error_norm > 1:
                     factor = _predict_factor(step_abs, h_last, error_norm, err_last)
-                    step_abs *= max(_RADAU_MIN_FACTOR, safety * factor)
+                    step_abs *= max(tab.RADAU_MIN_FACTOR, safety * factor)
                     inv_real = inv_complex = None
                     rejected = True
                 else:
                     break
             recompute_jac = n_iter > 2 and rate > 1e-3
             factor = _predict_factor(step_abs, h_last, error_norm, err_last)
-            factor = min(_RADAU_MAX_FACTOR, safety * factor)
+            factor = min(tab.RADAU_MAX_FACTOR, safety * factor)
             if not recompute_jac and factor < 1.2:
                 factor = 1.0
             else:
@@ -943,3 +1196,13 @@ def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
     """Evaluate the dense output on n time points spanning the trajectory."""
     (seg,) = traj.segments
     return seg.dense(np.linspace(traj.t[0], traj.t[-1], n)).T
+
+
+def __getattr__(name: str):
+    # ``solve_ivp`` is not called here, and is resolved only on request:
+    # perfbench/tracing.py wraps ``integrate.solve_ivp`` by name until it reads
+    # the per-leg records (ROADMAP, open item 4)
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

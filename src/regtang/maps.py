@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConditionViolated,
@@ -32,7 +31,7 @@ from .errors import (
     SlidingCapture,
 )
 from .fields import FilippovSystem
-from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj
+from .integrate import IntegratorConfig, SectionSpec, brentq, flow_to_section_traj
 from .phi import TransitionFunction, phi_family
 from .regularize import BandField, SlowManifold
 

@@ -165,6 +165,27 @@ def test_simulate_default_n_follows_the_k_the_system_was_built_with(tmp_path):
     assert summary["steps"] == summary_k2["steps"]
 
 
+@pytest.mark.parametrize("eps, exit_code", [("1e-3", 2), ("1e-4", 0)])
+def test_maps_on_the_grazing_oval_default_to_the_k_the_system_was_built_with(
+        tmp_path, capsys, eps, exit_code):
+    # without --k and --n the transition config takes the system's k = 2 and
+    # n = 2k, as --k 2 --n 4 sets them (at eps = 1e-3, eps**lam is above rho)
+    argv = ["upper-map", "--scenario", "boundary-cycle", "--eps", eps, "--points", "2"]
+    runs = []
+    for name, extra in (("default", []), ("k2n4", ["--k", "2", "--n", "4"])):
+        out = tmp_path / name
+        code = main([*argv, *extra, "--out", str(out)])
+        printed = capsys.readouterr().out
+        csvs = {p.name: rows_of(p) for p in sorted(out.glob("*.csv"))}
+        summary = None
+        if (out / "summary.json").exists():
+            summary = json.loads((out / "summary.json").read_text())
+            summary.pop("config")
+        runs.append((code, printed if code else None, csvs, summary))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == exit_code
+
+
 def test_scenario_key_the_system_does_not_take_exits_2_with_json(capsys):
     code = main(["simulate", "--scenario", "boundary-cycle", "--alpha", "3"])
     assert code == 2

@@ -219,3 +219,14 @@ def test_find_cycle_on_a_synthetic_contraction():
     assert res.y_star == approx(0.1, rel=1e-10)
     with raises(NoBracket):
         find_cycle(ret, (0.5, 1.0))
+
+
+def test_hausdorff_distance_on_the_oval_polylines():
+    # scipy.spatial is imported on the first call; the distances are the ones
+    # the module-level import gave
+    from regtang.scenarios import oval_polyline
+
+    oval2, circle = oval_polyline(2), oval_polyline(1)
+    assert hausdorff_distance(oval2, circle) == 0.18920736833206514
+    assert hausdorff_distance(circle, oval2, 5e-3) == 0.18921809234845455
+    assert hausdorff_distance(oval2, 1.01 * oval2) == 0.02058023059563088

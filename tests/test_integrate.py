@@ -1,5 +1,7 @@
 """Section-crossing detection on top of the adaptive integrator."""
 
+from functools import partial
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from pytest import approx, raises
@@ -674,3 +676,250 @@ def test_radau_counts_every_rhs_call():
     seg, _ = _radau(rhs, (0.0, 3.0), np.array([0.0, 2.0]), IntegratorConfig(), [],
                     jac=_stiff_linear_jac)
     assert calls[0] == seg.nfev
+
+
+# --------------------------------------------------------------------------
+# section crossings on a Radau leg
+# --------------------------------------------------------------------------
+
+class _StiffCosine:
+    """x' = 1, y' = lambda (y - cos x) - sin x with its exact Jacobian: the
+    orbit from (0, y0) is x = t, y = cos t + (y0 - 1) exp(lambda t), and
+    ``flow_to_section_traj`` runs it on Radau (|lambda| > STIFF_RATIO eps)."""
+    eps = 1e-3
+
+    def eval(self, x, y):
+        return _stiff_linear(0.0, (x, y))
+
+    def jacobian(self, x, y):
+        return _stiff_linear_jac(0.0, (x, y))
+
+
+def _cosine_crossings(c, t_end, interval, direction):
+    """Analytic crossings of y = c by y = cos t on (0, t_end), with t (= x)
+    in the interval."""
+    base = np.arccos(c)
+    out = []
+    for k in range(int(t_end / (2 * np.pi)) + 2):
+        for t, d in ((base + 2 * np.pi * k, "down"),
+                     (2 * np.pi - base + 2 * np.pi * k, "up")):
+            if 0.0 < t < t_end and interval[0] <= t <= interval[1] and direction in (None, d):
+                out.append(t)
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    c=st.floats(min_value=-0.9, max_value=0.9),
+    t_end=st.floats(min_value=1.0, max_value=14.0),
+    bounds=st.tuples(st.floats(min_value=0.0, max_value=14.0),
+                     st.floats(min_value=0.0, max_value=14.0)),
+    direction=st.sampled_from([None, "up", "down"]),
+)
+def test_section_scan_on_a_radau_leg_matches_analytic_crossings(c, t_end, bounds,
+                                                                 direction):
+    # the scan brackets the crossings on the RadauStep interpolants and
+    # brentq polishes them there
+    lo, hi = min(bounds), max(bounds)
+    ts = np.concatenate([np.arccos(c) + 2 * np.pi * np.arange(3),
+                         2 * np.pi - np.arccos(c) + 2 * np.pi * np.arange(3)])
+    assume(hi - lo > 1e-3)
+    assume(np.all(np.abs(ts - t_end) > 1e-5) and np.all(np.abs(ts - lo) > 1e-5)
+           and np.all(np.abs(ts - hi) > 1e-5))
+    field = _StiffCosine()
+    rec = SectionSpec("horizontal", c, interval=(lo, hi), direction=direction)
+    target = SectionSpec("vertical", t_end, direction="up")
+    hit, traj = flow_to_section_traj(field, (0.0, 1.5), target, IntegratorConfig(),
+                                     record_sections=[rec])
+    (seg,) = traj.segments
+    assert isinstance(seg.sol.interpolants[0], RadauStep) and seg.njev > 0
+    assert hit.t == approx(t_end, abs=1e-9) and hit.point[0] == approx(t_end, abs=1e-9)
+    assert hit.point[1] == approx(np.cos(t_end), abs=1e-7)
+    recorded = [ev for ev in traj.events if ev.section_id == rec.ident]
+    expected = _cosine_crossings(c, t_end, (lo, hi), direction)
+    assert [ev.t for ev in recorded] == approx(expected, abs=1e-7)
+    for ev in recorded:
+        assert ev.point[1] == approx(c, abs=1e-12)
+        assert direction in (None, ev.direction)
+
+
+# --------------------------------------------------------------------------
+# what the driver carries of scipy: constants, start-up, brentq
+# --------------------------------------------------------------------------
+
+def test_every_copied_constant_is_scipys():
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp import radau, rk
+
+    from regtang import _tableaux as tab
+
+    n = tab.N_STAGES
+    for mine, theirs in ((tab.A[:n, :n], DOP853.A), (tab.B, DOP853.B),
+                         (tab.C[:n], DOP853.C), (tab.E3, DOP853.E3), (tab.E5, DOP853.E5),
+                         (tab.D, DOP853.D), (tab.A_EXTRA, DOP853.A_EXTRA),
+                         (tab.C_EXTRA, DOP853.C_EXTRA),
+                         (tab.RADAU_C, radau.C), (tab.RADAU_E, radau.E),
+                         (tab.RADAU_T, radau.T), (tab.RADAU_TI, radau.TI),
+                         (tab.RADAU_TI_COMPLEX, radau.TI_COMPLEX), (tab.RADAU_P, radau.P)):
+        assert np.array_equal(np.array(mine), theirs)
+    assert tab.ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+    assert (tab.MU_REAL, tab.MU_COMPLEX) == (radau.MU_REAL, radau.MU_COMPLEX)
+    assert tab.NEWTON_MAXITER == radau.NEWTON_MAXITER
+    assert (tab.SAFETY, tab.MIN_FACTOR, tab.MAX_FACTOR) == (rk.SAFETY, rk.MIN_FACTOR,
+                                                            rk.MAX_FACTOR)
+    assert (tab.RADAU_MIN_FACTOR, tab.RADAU_MAX_FACTOR) == (radau.MIN_FACTOR,
+                                                            radau.MAX_FACTOR)
+    assert tab.TOO_SMALL_STEP == DOP853.TOO_SMALL_STEP
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    data=st.data(),
+    dim=st.sampled_from([1, 2, 3]),
+    forward=st.booleans(),
+    span=st.floats(min_value=0.0, max_value=10.0),
+    max_step=st.one_of(st.just(np.inf), st.floats(min_value=1e-4, max_value=2.0)),
+    order=st.sampled_from([3, 7]),
+    rtol=st.floats(min_value=1e-13, max_value=1e-3),
+    atol=st.floats(min_value=1e-15, max_value=1e-6),
+)
+def test_initial_step_is_scipys(data, dim, forward, span, max_step, order, rtol, atol):
+    from scipy.integrate._ivp.common import select_initial_step
+
+    from regtang.integrate import _initial_step
+
+    entry = st.floats(min_value=-5.0, max_value=5.0)
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    M = np.array(data.draw(st.lists(vector, min_size=dim, max_size=dim)))
+    y0 = np.array(data.draw(vector))
+    calls = []
+
+    def fun(t, y):
+        calls.append((t, y.tolist()))
+        return M.dot(y)
+    direction = 1.0 if forward else -1.0
+    args = (0.0, y0, direction * span, max_step, fun(0.0, y0), direction, order, rtol, atol)
+    calls.clear()
+    theirs = select_initial_step(fun, *args)
+    their_calls = calls[:]
+    calls.clear()
+    assert _initial_step(fun, *args) == theirs
+    assert calls == their_calls
+
+
+def test_start_checks_the_inputs_as_scipy_does():
+    import warnings
+
+    from scipy.integrate import DOP853, Radau
+
+    rhs = _as_rhs(rotation)
+    zero = lambda t, p: ((0.0, 0.0), (0.0, 0.0))
+    for y0, cfg in (((1.0, np.inf), IntegratorConfig()),
+                    (((1.0, 0.0),), IntegratorConfig()),
+                    ((1j, 0.0), IntegratorConfig()),
+                    ((1.0, 0.0), IntegratorConfig(max_step=0.0)),
+                    ((1.0, 0.0), IntegratorConfig(max_step=-1.0))):
+        with raises(ValueError) as theirs:
+            Radau(lambda t, p: rhs(t, p.tolist()), 0.0, np.array(y0), 1.0, rtol=cfg.rtol,
+                  atol=cfg.atol, max_step=cfg.max_step)
+        for run in (partial(_dop853, rhs, (0.0, 1.0), np.array(y0), cfg, []),
+                    partial(_radau, rhs, (0.0, 1.0), np.array(y0), cfg, [], jac=zero)):
+            with raises(ValueError) as mine:
+                run()
+            assert str(mine.value) == str(theirs.value)
+    # an rtol below 100 eps warns, is raised to 100 eps, and the run is scipy's
+    cfg = IntegratorConfig(rtol=1e-15, event_tol=1e-16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        DOP853(lambda t, p: rhs(t, p.tolist()), 0.0, np.array([1.0, 0.0]), 1.0,
+               rtol=cfg.rtol, atol=cfg.atol)
+        _dop853(rhs, (0.0, 1.0), np.array([1.0, 0.0]), cfg, [])
+    (theirs, mine) = caught
+    assert (mine.category, str(mine.message)) == (theirs.category, str(theirs.message))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _assert_matches_solve_ivp(rotation, (0.0, 3.0), (1.0, 0.0), cfg, [])
+
+
+def _brentq_outcome(brentq, f, a, b, **kw):
+    """(root or exception type and message, abscissae f was called at)."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    try:
+        out = brentq(g, a, b, **kw)
+        assert type(out) is float
+    except (ValueError, RuntimeError) as exc:
+        out = (type(exc), str(exc))
+    return out, calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    coef=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    a=st.floats(min_value=-3.0, max_value=3.0),
+    b=st.floats(min_value=-3.0, max_value=3.0),
+    xtol=st.sampled_from([2e-12, 1e-15, 1e-6, 0.0, -1.0]),
+    rtol=st.sampled_from([4 * np.finfo(float).eps, 8.9e-16, 1e-10, 1e-16]),
+    maxiter=st.sampled_from([100, 0, 1, 3, 8]),
+    nan_at=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_brentq_is_scipys(coef, scale, a, b, xtol, rtol, maxiter, nan_at):
+    from scipy.optimize import brentq as scipy_brentq
+
+    from regtang.integrate import brentq
+
+    def f():
+        """The polynomial, NaN from call ``nan_at`` on (counted per root search)."""
+        calls = []
+
+        def poly(x):
+            calls.append(x)
+            if nan_at is not None and len(calls) > nan_at:
+                return np.nan
+            v = 0.0
+            for q in coef:
+                v = v * x + q
+            return scale * v
+        return poly
+    kw = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert _brentq_outcome(brentq, f(), a, b, **kw) == \
+        _brentq_outcome(scipy_brentq, f(), a, b, **kw)
+
+
+def test_brentq_errors_are_scipys():
+    from scipy.optimize import brentq as scipy_brentq
+
+    from regtang.integrate import brentq
+
+    for f, kw in ((lambda x: x * x + 1.0, {}),                 # no sign change
+                  (lambda x: 1e-200, {}),                      # signs of tiny values
+                  (lambda x: np.nan, {}),
+                  (lambda x: x ** 3 - 0.3, dict(maxiter=2)),   # no convergence
+                  (lambda x: x - 0.3, dict(xtol=0.0)),
+                  (lambda x: x - 0.3, dict(rtol=1e-16)),
+                  (lambda x: x - 0.3, dict(maxiter=-1))):
+        theirs = _brentq_outcome(scipy_brentq, f, 0.0, 1.0, **kw)
+        assert isinstance(theirs[0], tuple)
+        assert _brentq_outcome(brentq, f, 0.0, 1.0, **kw) == theirs
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import regtang
+
+    src = str(Path(regtang.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, regtang, regtang.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
