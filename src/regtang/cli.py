@@ -212,10 +212,11 @@ def _system(cfg: Dict[str, object], scenario: str = "canonical",
 
 
 def _order(cfg: Dict[str, object], system: FilippovSystem) -> int:
-    """--n if given, else 2k, the contact order, on the grazing oval (k as the
-    system was built) and 2 elsewhere."""
+    """--n if given, else 2k, the contact order, on a system built from the
+    grazing oval, time-reversed or not (k as the system was built), and 2
+    elsewhere."""
     k = system.params["k"]
-    return int(cfg.get("n", 2 * k if system.params["kind"] == "boundary-cycle" else 2))
+    return int(cfg.get("n", 2 * k if "oval" in system.params else 2))
 
 
 def _tcfg(cfg: Dict[str, object], system: FilippovSystem) -> TransitionConfig:
@@ -408,10 +409,8 @@ def _cmd_simulate(cfg: Dict[str, object]) -> int:
 
 
 def _cycle_row(packed) -> dict:
-    cfg, eps = packed
+    cfg, reference, eps = packed
     system = _system(cfg, "boundary-cycle", ("k",))
-    reference = oval_polyline(system.params["k"]) \
-        if system.params["kind"] == "boundary-cycle" else None
     info = cycle_analysis(system, _profile(cfg, system), float(eps),
                           reference=reference, **_given(cfg, "rho"))
     row = info.as_dict()
@@ -421,7 +420,11 @@ def _cycle_row(packed) -> dict:
 
 
 def _cmd_cycle(cfg: Dict[str, object]) -> int:
-    rows = _sweep(_cycle_row, cfg, _eps_grid(cfg, 1e-2))
+    system = _system(cfg, "boundary-cycle", ("k",))
+    # the oval as reference polyline, built once and sent to every row
+    reference = oval_polyline(system.params["k"]) \
+        if system.params["kind"] == "boundary-cycle" else None
+    rows = _sweep(_cycle_row, cfg, _eps_grid(cfg, 1e-2), reference)
     cols = ("eps", "fixed_point", "period", "multiplier", "log_multiplier",
             "multiplier_arc", "hausdorff", "hausdorff_over_eps")
     body = _header("cycle", cfg) + ",".join(cols) + "\n"

@@ -48,6 +48,8 @@ MAX_SECANT_ITER = 100     # find_cycle's iterations before NotConverged
 RETURN_MAX_TIME = 200.0   # time budget of one return-map revolution
 MAX_REVOLUTIONS = 4       # revolutions (two crossings each) before MaxRevolutions
 POLYLINE_SPACING = 1e-3   # arc length between cycle-polyline and Hausdorff samples
+_EPS = float(np.finfo(float).eps)
+_PAIRS = 1 << 18          # candidate pairs per batch of the Hausdorff search
 
 # every return-map leg; its rtol is the map's relative resolution
 RETURN_INTEG = IntegratorConfig(max_time=RETURN_MAX_TIME)
@@ -285,19 +287,75 @@ def resample_arclength(points: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
+def _farthest_sq(P: np.ndarray, Q: np.ndarray, h: float, origin: np.ndarray,
+                 span: float, worst: float) -> float:
+    """max(worst, max over P of the squared distance to the nearest point of Q).
+
+    Exact nearest-point search on a square grid of side h, doubled each
+    round: every point of P still open is filed under its own cell and that
+    cell's eight neighbours, one sort and one ``searchsorted`` of Q's cells
+    then give every candidate pair (p, q with q in p's 3x3 block), and
+    ``np.minimum.at`` takes each p's least ``dx*dx + dy*dy``.  Outside its
+    3x3 block every point of Q lies farther from p than h, less the rounding
+    of the cell indices (``reach``), so a p whose best candidate is within
+    ``reach`` is settled; so is every p once the grid has at most two cells
+    a side.  The others go round again, except those with a candidate within
+    ``worst``, which cannot raise the max.
+    """
+    qx, qy = Q[:, 0], Q[:, 1]
+    while len(P):
+        cq = np.floor((Q - origin) / h).astype(np.int64) + 1
+        cp = np.floor((P - origin) / h).astype(np.int64) + 1
+        width = int(max(cq[:, 1].max(), cp[:, 1].max())) + 2
+        whole = bool(cq.max() <= 2 and cp.max() <= 2)
+        # (cell key, index in P) packed in one int64, so a plain sort files them
+        bits = len(P).bit_length()
+        block = np.array([i * width + j for i in (-1, 0, 1) for j in (-1, 0, 1)])
+        kp = cp[:, 0] * width + cp[:, 1]
+        filed = np.sort(((kp[:, None] + block) << bits
+                         | np.arange(len(P))[:, None]).ravel())
+        kq = (cq[:, 0] * width + cq[:, 1]) << bits
+        lo = np.searchsorted(filed, kq)
+        cnt = np.searchsorted(filed, kq + (1 << bits)) - lo
+        best = np.full(len(P), np.inf)
+        # pairs in batches of about _PAIRS, so that memory stays bounded where
+        # every q is a candidate of every p (polylines far apart)
+        ends = np.cumsum(cnt)
+        cuts = [0, *np.searchsorted(ends, np.arange(_PAIRS, ends[-1], _PAIRS)), len(Q)]
+        for i, j in zip(cuts, cuts[1:]):
+            c = cnt[i:j]
+            pid = filed[np.arange(c.sum()) + np.repeat(lo[i:j] - (np.cumsum(c) - c), c)] \
+                & ((1 << bits) - 1)
+            dx = P[pid, 0] - np.repeat(qx[i:j], c)
+            dy = P[pid, 1] - np.repeat(qy[i:j], c)
+            np.minimum.at(best, pid, dx * dx + dy * dy)
+        reach = h - 8.0 * _EPS * (span + h)
+        settled = (best <= reach * reach) | whole
+        if settled.any():
+            worst = max(worst, float(best[settled].max()))
+        P = P[~settled & (best > worst)]
+        h *= 2.0
+    return worst
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray,
                        delta_sample: float = 1e-3) -> float:
     """Symmetric Hausdorff distance between two polylines, after arc-length
-    resampling at spacing delta_sample."""
-    # imported here, where only the cycle study needs it: scipy.spatial takes
-    # about 0.4 s to import, and a numpy all-pairs search of 1e4-point
-    # polylines costs far more than the tree
-    from scipy.spatial import cKDTree
+    resampling at spacing delta_sample.
+
+    The nearest-point search (``_farthest_sq``) is exact: the result is the
+    float a k-d tree query gives, bit for bit.  Its first cell is
+    2 delta_sample, or larger where the grid would have more cells a side
+    than the packed int64 keys hold.
+    """
     A = resample_arclength(np.asarray(a, dtype=float), delta_sample)
     B = resample_arclength(np.asarray(b, dtype=float), delta_sample)
-    d_ab = cKDTree(B).query(A)[0].max()
-    d_ba = cKDTree(A).query(B)[0].max()
-    return float(max(d_ab, d_ba))
+    origin = np.minimum(A.min(axis=0), B.min(axis=0))
+    span = float((np.maximum(A.max(axis=0), B.max(axis=0)) - origin).max())
+    side = 2.0 ** ((60 - max(len(A), len(B)).bit_length()) // 2)
+    h = max(2.0 * delta_sample, span / side)
+    worst = _farthest_sq(A, B, h, origin, span, 0.0)
+    return math.sqrt(_farthest_sq(B, A, h, origin, span, worst))
 
 
 # --------------------------------------------------------------------------
@@ -391,10 +449,8 @@ def unique_root_scan(return_fn: Callable[[float], float],
 
 
 def polyline_to_csv(points: np.ndarray) -> str:
-    lines = ["x,y"]
-    for x, y in np.asarray(points, dtype=float).tolist():
-        lines.append(f"{x:.17g},{y:.17g}")
-    return "\n".join(lines) + "\n"
+    return "x,y\n" + "".join(["%.17g,%.17g\n" % (x, y)
+                              for x, y in np.asarray(points, dtype=float).tolist()])
 
 
 # --------------------------------------------------------------------------

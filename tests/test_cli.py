@@ -131,7 +131,12 @@ def test_cycle_run_reports_frozen_values(tmp_path):
     data = rows_of(out / "cycle.csv")
     assert data[0] == ("eps,fixed_point,period,multiplier,log_multiplier,"
                        "multiplier_arc,hausdorff,hausdorff_over_eps")
-    assert (out / "cycle-polyline-0.csv").exists()
+    # the polyline file is the line-by-line f-string writer's text, byte for byte
+    text = (out / "cycle-polyline-0.csv").read_text()
+    body = text[text.index("x,y\n"):]
+    points = [tuple(map(float, ln.split(","))) for ln in body.splitlines()[1:]]
+    assert len(points) == 12000
+    assert body == "\n".join(["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in points]) + "\n"
 
 
 def test_cycle_row_keys(tmp_path):
@@ -184,6 +189,23 @@ def test_maps_on_the_grazing_oval_default_to_the_k_the_system_was_built_with(
         runs.append((code, printed if code else None, csvs, summary))
     assert runs[0] == runs[1]
     assert runs[0][0] == exit_code
+
+
+def test_the_reversed_oval_defaults_to_n_2k_as_the_oval_does(tmp_path, capsys):
+    # time reversal keeps the oval, so n = 2k = 4 and the profile phi_3; the
+    # run then stops on the reversed system's own fault, its repelling slow set
+    from regtang.cli import _profile
+    from regtang.scenarios import build_scenario
+
+    assert _profile({}, build_scenario("boundary-cycle-reversed")).n_class == 3
+    argv = ["slow-manifold", "--scenario", "boundary-cycle-reversed", "--eps", "1e-3"]
+    printed = []
+    for extra in ([], ["--n", "4"]):
+        assert main([*argv, *extra, "--out", str(tmp_path)]) == 2
+        printed.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
+    assert printed[0] == printed[1]
+    assert printed[0]["error"]["type"] == "DomainError"
+    assert "slow set undefined" in printed[0]["error"]["message"]
 
 
 def test_scenario_key_the_system_does_not_take_exits_2_with_json(capsys):

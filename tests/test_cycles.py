@@ -1,6 +1,7 @@
 """Return maps and the attracting cycle of the grazing-oval example."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
 
@@ -222,11 +223,52 @@ def test_find_cycle_on_a_synthetic_contraction():
 
 
 def test_hausdorff_distance_on_the_oval_polylines():
-    # scipy.spatial is imported on the first call; the distances are the ones
-    # the module-level import gave
+    # the distances scipy's cKDTree gave, which the grid search keeps bit for bit
     from regtang.scenarios import oval_polyline
 
     oval2, circle = oval_polyline(2), oval_polyline(1)
     assert hausdorff_distance(oval2, circle) == 0.18920736833206514
     assert hausdorff_distance(circle, oval2, 5e-3) == 0.18921809234845455
     assert hausdorff_distance(oval2, 1.01 * oval2) == 0.02058023059563088
+
+
+def _kdtree_hausdorff(a, b, delta):
+    """The reference: scipy's k-d tree on the same resampled polylines."""
+    from scipy.spatial import cKDTree
+
+    A = resample_arclength(np.asarray(a, dtype=float), delta)
+    B = resample_arclength(np.asarray(b, dtype=float), delta)
+    return float(max(cKDTree(B).query(A)[0].max(), cKDTree(A).query(B)[0].max()))
+
+
+def _lattice_walk(rng, steps):
+    """An axis-parallel walk on the integers, then back along itself."""
+    moves = np.zeros((steps, 2))
+    moves[np.arange(steps), rng.integers(0, 2, steps)] = rng.integers(-3, 4, steps)
+    walk = np.cumsum(moves, axis=0)
+    return np.vstack([walk, walk[::-1]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hausdorff_distance_is_the_kdtree_float(seed):
+    rng = np.random.default_rng(seed)
+    cloud = rng.random((int(rng.integers(2, 30)), 2))
+    other = rng.random((int(rng.integers(2, 30)), 2)) * rng.choice([0.1, 1.0, 3.0])
+    # thousands of cells apart or more: the grid widens a dozen times, and
+    # every pair of the last round is a candidate (in most seeds more than
+    # one batch of them)
+    far = other + rng.choice([1e2, 1e4]) * rng.standard_normal(2)
+    # resampled at a dyadic spacing, most points of the walk coincide
+    walk = _lattice_walk(rng, 25)
+    dots = resample_arclength(walk, 0.125)
+    assert len(np.unique(dots, axis=0)) < len(dots) / 2
+    # a zero-length line resamples to one point
+    point = np.repeat(rng.random((1, 2)), 3, axis=0)
+    assert len(resample_arclength(point, 0.01)) == 1
+    cases = [(cloud, other, 0.01), (cloud, far, 0.01), (walk, 5.0 * cloud, 0.125),
+             (walk, walk + 0.5, 0.125), (point, other, 0.01), (point, point + 1.0, 0.01),
+             (other, other + 1e9, 0.01)]   # 5e10 cells of 2 delta a side: a larger first cell
+    for a, b, delta in cases:
+        expected = _kdtree_hausdorff(a, b, delta)
+        assert hausdorff_distance(a, b, delta) == expected
+        assert hausdorff_distance(b, a, delta) == expected

@@ -907,7 +907,7 @@ def test_brentq_errors_are_scipys():
         assert _brentq_outcome(brentq, f, 0.0, 1.0, **kw) == theirs
 
 
-def test_importing_the_package_and_its_cli_loads_no_scipy():
+def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
     import os
     import subprocess
     import sys
@@ -918,8 +918,12 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
     src = str(Path(regtang.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, regtang, regtang.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    # the imports alone, then a cycle run with its Hausdorff distance
+    cycle = ["cycle", "--eps", "0.02", "--workers", "1", "--out", str(tmp_path)]
+    for run in ("", f"assert regtang.cli.main({cycle!r}) == 0; "):
+        code = ("import sys, regtang, regtang.cli; " + run +
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "cycle-polyline-0.csv").exists()
