@@ -237,17 +237,26 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
     roof = SectionSpec("horizontal", eps, ident="roof")
     info = return_map(system, tf, eps, y_star, rho=rho, with_divergence=True,
                       extra_records=[roof])
-    ups = [e for e in info.trajectory.events
-           if e.section_id == "roof" and e.direction == "up"]
+    roofs = [e for e in info.trajectory.events if e.section_id == "roof"]
+    ups = [e for e in roofs if e.direction == "up"]
     if not ups:
         raise NoReturn("closed orbit never left the layer through its roof")
     up = ups[0]
-    downs = [e for e in info.trajectory.events
-             if e.section_id == "roof" and e.direction == "down" and e.t > up.t]
+    downs = [e for e in roofs if e.direction == "down"]
     if not downs:
         raise NoReturn("closed orbit never re-entered the layer after departing")
-    dn = downs[0]
-    s_arc = float(dn.point[2] - up.point[2])
+    later = [e for e in downs if e.t > up.t]
+    if later:
+        dn = later[0]
+        s_arc = float(dn.point[2] - up.point[2])
+        t_arc = float(dn.t - up.t)
+    else:
+        # the revolution starts above the roof (y_star > eps) and re-enters
+        # the layer before it departs: the re-entry after the departure is
+        # that first one, one period later
+        dn = downs[0]
+        s_arc = info.s_integral - float(up.point[2] - dn.point[2])
+        t_arc = info.t_return - float(up.t - dn.t)
     ev = system.x_plus.eval
     a = float(ev(up.point[0], up.point[1])[1])
     b = float(ev(dn.point[0], dn.point[1])[1])
@@ -260,7 +269,7 @@ def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
         "multiplier_arc": value,
         "log_multiplier_arc": math.log(value),
         "s_arc": s_arc,
-        "t_arc": float(dn.t - up.t),
+        "t_arc": t_arc,
         "x_departure": float(up.point[0]),
         "x_reentry": float(dn.point[0]),
         "trajectory": info.trajectory,

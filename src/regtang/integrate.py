@@ -1,14 +1,17 @@
 """Adaptive integration with dense output and refined section events.
 
 Every ODE solve of the package runs in one of two lean steppers with one
-contract, ``(rhs, t_span, y0, config, stops, admit) -> (Segment, stop)``:
+contract, ``(rhs, t_span, y0, config, stops, admit) -> (Segment, stop)``,
+and one step loop (``_Run``: scipy's step-size clamping, clipping to the
+span's end and terminal-event rules), each stepper giving only its step
+attempt and step-size rule:
 
 * ``_dop853``, the default (8th-order embedded pair with a matching-order
   interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6).
-  It runs scipy's method with scipy's coefficients and step control in its
-  own step loop: the products with the tableau are the numpy (BLAS) calls
-  scipy makes, the elementwise arithmetic runs on Python floats, so every
-  step, state and dense output is ``solve_ivp``'s, bit for bit.
+  It runs scipy's method with scipy's coefficients and step control: the
+  products with the tableau are the numpy (BLAS) calls scipy makes, the
+  elementwise arithmetic runs on Python floats, so every step, state and
+  dense output is ``solve_ivp``'s, bit for bit.
 * ``_radau``, Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*,
   IV.8) for stiff 2-D legs, with scipy's constants, Newton iteration and
   step control, its linear algebra done in closed form on Python floats and
@@ -19,11 +22,16 @@ with an exact ``jacobian`` (a ``BandField`` with polynomial zone fields)
 whose time-scale ratio |d yhat'/d yhat| / eps at the start point exceeds
 ``STIFF_RATIO`` runs ``_radau``; every other leg runs ``_dop853``.
 
+A run's dense output is one stacked form in its ``Segment``: per step the
+start, the full length and the polynomial's coefficient rows, evaluated by
+the method's Horner routine (``_dop853_horner``, ``_radau_horner``) at one
+time (``Segment.__call__``) or at an array of times (``Segment.dense``).
+
 The module runs on numpy alone.  What it carries of scipy is ported, and
 checked against scipy bit for bit by the tests: the coefficient tables
 (``regtang._tableaux``), the input checks and first-step choice of a run
-(``_start``), the step interpolants (``Dop853Step``, ``RadauStep``,
-``ConstantStep`` in a ``PiecewiseSolution``) and the root finder ``brentq``.
+(``_start``), the DOP853 dense output and its choice of step at a time
+(scipy's ``OdeSolution``), and the root finder ``brentq``.
 
 Stops are checked after each step exactly as ``solve_ivp`` checks terminal
 events.  A leg to a section is one run: a stop may turn a root down (a
@@ -42,8 +50,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
-from itertools import groupby
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,201 +119,99 @@ class SectionSpec:
 
 
 # --------------------------------------------------------------------------
-# dense output: one interpolant per step (scipy's DenseOutput protocol)
+# dense output: one polynomial per step, stacked per run
 # --------------------------------------------------------------------------
 
-class Step:
-    """The interpolant of one step from ``t_old`` to ``t``: called with a
-    time it gives the state (shape (n,)), with a 1-D array of times the
-    states (shape (n, len)).  Subclasses define ``_call_impl``."""
-
-    def __init__(self, t_old: float, t: float):
-        self.t_old = t_old
-        self.t = t
-        self.t_min = min(t, t_old)
-        self.t_max = max(t, t_old)
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim > 1:
-            raise ValueError("`t` must be a float or a 1-D array.")
-        return self._call_impl(t)
-
-
-class ConstantStep(Step):
-    """The constant state of a zero-length span."""
-
-    def __init__(self, t_old: float, t: float, value: np.ndarray):
-        super().__init__(t_old, t)
-        self.value = value
-
-    def _call_impl(self, t):
-        if t.ndim == 0:
-            return self.value
-        ret = np.empty((self.value.shape[0], t.shape[0]))
-        ret[:] = self.value[:, None]
-        return ret
-
-
-class Dop853Step(Step):
-    """Dense output of one DOP853 step: scipy's ``Dop853DenseOutput``, the
-    polynomial with coefficient rows ``F`` (shape (7, n)) in
-    x = (t - t_old)/h, evaluated by its alternating Horner loop."""
-
-    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
-        super().__init__(t_old, t)
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
-def _cubic(q2, q1, q0, x):
-    """((q2 x + q1) x + q0) x, one elementwise numpy operation at a time."""
-    y = q2 * x
-    y += q1
+def _dop853_horner(rows, x, y_old):
+    """scipy's ``Dop853DenseOutput``: ``y_old`` plus the polynomial with
+    coefficient rows ``F`` in x = (t - t_old)/h, by its alternating Horner
+    loop.  ``rows`` yields the rows highest first, each of shape (n,) for one
+    time or (m, n) for m times (``x`` then of shape (m, 1))."""
+    one_minus_x = 1 - x
+    rows = iter(rows)
+    y = 0.0 + next(rows)  # scipy's loop starts from zeros
     y *= x
-    y += q0
-    y *= x
+    for i, f in enumerate(rows, start=1):
+        y += f
+        y *= one_minus_x if i % 2 else x
+    y += y_old
     return y
 
 
-class RadauStep(Step):
-    """Dense output of one Radau IIA(5) step: the cubic collocation
-    polynomial ``y_old + Q[:, 0] x + Q[:, 1] x**2 + Q[:, 2] x**3`` with
-    x = (t - t_old)/h, evaluated by Horner's rule (``_cubic``), elementwise,
-    so that a batched evaluation (``Segment.dense``) gives the same bits."""
-
-    def __init__(self, t_old: float, t: float, y_old: np.ndarray, Q: np.ndarray):
-        super().__init__(t_old, t)
-        self.h = t - t_old
-        self.Q = Q  # shape (n, 3)
-        self.y_old = y_old
-
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        Q, y_old = self.Q, self.y_old
-        if x.ndim:
-            Q, y_old = Q[:, :, None], y_old[:, None]
-        return _cubic(Q[:, 2], Q[:, 1], Q[:, 0], x) + y_old
+def _radau_horner(rows, x, y_old):
+    """The Radau IIA(5) collocation polynomial ``y_old + Q0 x + Q1 x**2 +
+    Q2 x**3`` in x = (t - t_old)/h, by Horner's rule, elementwise; ``rows``
+    yields Q2, Q1, Q0, shaped as in ``_dop853_horner``."""
+    rows = iter(rows)
+    y = next(rows) * x
+    for q in rows:
+        y += q
+        y *= x
+    y += y_old
+    return y
 
 
-class PiecewiseSolution:
-    """The interpolants of a run's steps, ``interpolants[i]`` between
-    ``ts[i]`` and ``ts[i + 1]`` (strictly monotone): scipy's ``OdeSolution``.
-    A time on a step boundary takes the earlier step's interpolant, a time
-    outside the run the nearest end step's."""
-
-    def __init__(self, ts: np.ndarray, interpolants: List[Step]):
-        self.ts = ts
-        self.interpolants = interpolants
-        self.n_segments = len(interpolants)
-        self.ascending = bool(ts[-1] >= ts[0])
-        if self.ascending:
-            self.t_min, self.t_max = ts[0], ts[-1]
-            self.side, self.ts_sorted = "left", ts
-        else:
-            self.t_min, self.t_max = ts[-1], ts[0]
-            self.side, self.ts_sorted = "right", ts[::-1]
-
-    def _index(self, seg):
-        return seg if self.ascending else self.n_segments - 1 - seg
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-            seg = min(max(ind - 1, 0), self.n_segments - 1)
-            return self.interpolants[self._index(seg)](t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segs = np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1
-        np.clip(segs, 0, self.n_segments - 1, out=segs)
-        ys, start = [], 0
-        for seg, group in groupby(self._index(segs)):
-            end = start + len(list(group))
-            ys.append(self.interpolants[seg](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+def _step_state(horner, coef: Optional[np.ndarray], t_old: float, h: float,
+                y_old: np.ndarray, t: float) -> np.ndarray:
+    """The state at time ``t`` on the dense output of one step from
+    ``(t_old, y_old)`` of full length ``h`` with coefficient rows ``coef``
+    (None: the constant state of a zero-length span)."""
+    if coef is None:
+        return y_old
+    return horner(reversed(coef), (t - t_old) / h, y_old)
 
 
 @dataclass
 class Segment:
     """One solver run: the step ends ``t``, the states ``y`` (shape
-    (n, len(t))), the dense output ``sol`` and the solver's work counts.
+    (n, len(t))), the run's dense output and the solver's work counts.
 
-    ``sol`` holds one interpolant per step, all of one kind: a
-    ``Dop853Step`` or a ``RadauStep`` (a ``ConstantStep`` for a zero-length
-    span).  The last step of a run stopped by an event keeps its full-step
-    interpolant; ``t[-1]`` is the event time.
+    The dense output is stacked, one entry per step: step i starts at
+    ``(t[i], y[:, i])`` and has the full length ``h[i]``, and ``coef[i]``
+    holds its polynomial's coefficient rows, lowest power first, which
+    ``horner`` evaluates (``_dop853_horner`` on DOP853's 7 rows ``F``,
+    ``_radau_horner`` on Radau's 3 rows ``Q``; ``coef`` has shape
+    (len(h), rows, n)).  The last step of a run stopped by an event keeps its
+    full step; ``t[-1]`` is the event time.  A zero-length span has one step
+    of length 0 and no ``coef``: its state is constant.
+
+    A time takes the step scipy's ``OdeSolution`` picks: on a step boundary
+    the earlier step, outside the run the nearest end step.
     """
     t: np.ndarray
     y: np.ndarray
-    sol: PiecewiseSolution
+    h: np.ndarray
+    coef: Optional[np.ndarray]
+    horner: Callable
     nfev: int
     njev: int
     nlu: int
 
-    @cached_property
-    def _coefficients(self):
-        steps = self.sol.interpolants
-        coef = "Q" if isinstance(steps[0], RadauStep) else "F"
-        if not hasattr(steps[0], coef):
-            return None  # zero-length span: constant
-        return (np.array([s.t_old for s in steps]), np.array([s.h for s in steps]),
-                np.array([getattr(s, coef) for s in steps]),
-                np.array([s.y_old for s in steps]))
+    def _steps(self, ts):
+        """The step index of each time in ``ts`` (a float or an array),
+        searched among the inner step ends, which clips it to the run."""
+        t = self.t
+        if t[-1] >= t[0]:
+            return np.searchsorted(t[1:-1], ts, side="left")
+        return len(self.h) - 1 - np.searchsorted(t[-2:0:-1], ts, side="right")
+
+    def __call__(self, t: float) -> np.ndarray:
+        """The state (shape (n,)) at time ``t``, from its step's block."""
+        i = self._steps(t)
+        return _step_state(self.horner, None if self.coef is None else self.coef[i],
+                           self.t[i], self.h[i], self.y[:, i], t)
 
     def dense(self, ts: np.ndarray) -> np.ndarray:
-        """``self.sol(ts)`` for a 1-D array of times, bit for bit, in one numpy
-        pass over the stacked per-step interpolants.
-
-        Each time takes the interpolant ``OdeSolution`` would pick (on a step
-        boundary, the earlier step's, at x = 1), x is computed from the time
-        as ``(t - t_old) / h``, and every operation is the interpolant's own,
-        elementwise.
-        """
-        sol = self.sol
-        if self._coefficients is None:
-            return sol(ts)
-        t_old, h, coef, y_old = self._coefficients
-        last = sol.n_segments - 1
-        seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
-        np.clip(seg, 0, last, out=seg)
-        if not sol.ascending:
-            seg = last - seg
-        x = ((ts - t_old[seg]) / h[seg])[:, None]
-        if isinstance(sol.interpolants[0], RadauStep):
-            Q = coef[seg]
-            y = _cubic(Q[:, :, 2], Q[:, :, 1], Q[:, :, 0], x)
-        else:
-            one_minus_x = 1 - x
-            y = np.zeros((len(ts), coef.shape[2]))
-            # one coefficient row at a time, as the DOP853 interpolant's
-            # Horner loop does; gathering F[seg] whole costs len(ts) x 7 x n
-            # floats at once
-            for i, row in enumerate(range(coef.shape[1] - 1, -1, -1)):
-                y += coef[seg, row]
-                y *= x if i % 2 == 0 else one_minus_x
-        y += y_old[seg]
-        return y.T
+        """The states (shape (n, len(ts))) at a 1-D array of times, in one
+        numpy pass over the stacked steps, each bit for bit ``self(t)``."""
+        if self.coef is None:
+            return np.repeat(self.y[:, :1], len(ts), axis=1)
+        seg = self._steps(ts)
+        x = ((ts - self.t[seg]) / self.h[seg])[:, None]
+        # one coefficient row at a time: gathering coef[seg] whole costs
+        # len(ts) x rows x n floats at once
+        rows = (self.coef[seg, r] for r in reversed(range(self.coef.shape[1])))
+        return self.horner(rows, x, self.y.T[seg]).T
 
 
 @dataclass
@@ -462,10 +367,10 @@ def _scan_crossings(seg: Segment, rhs: RHS, forward: bool,
     """Locate every section crossing on a segment's dense output.
 
     Sign changes of each residual are bracketed on the sub-step grid and
-    polished with brentq on the same per-step interpolants: ``seg.sol(s)``
-    picks and evaluates, at every time, the interpolant whose batched values
-    ``seg.dense`` gave the scan, bit for bit, so a bracket holds its sign
-    change also where the interpolants of two steps do not join exactly.
+    polished with brentq on the same dense output: ``seg(s)`` evaluates, at
+    every time, the step polynomial whose batched values ``seg.dense`` gave
+    the scan, bit for bit, so a bracket holds its sign change also where the
+    polynomials of two steps do not join exactly.
     Returns (t, point, section, rate) tuples ordered along the orbit.
     """
     if not sections:
@@ -482,11 +387,11 @@ def _scan_crossings(seg: Segment, rhs: RHS, forward: bool,
                 te = float(ts[i])
             else:
                 lo, hi = sorted((float(ts[i]), float(ts[i + 1])))
-                te = brentq(lambda s: sec.residual(seg.sol(s)), lo, hi,
+                te = brentq(lambda s: sec.residual(seg(s)), lo, hi,
                             xtol=1e-15, rtol=8.9e-16)
             if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
                 continue
-            pe = np.array(seg.sol(te))
+            pe = np.array(seg(te))
             rate = sec.residual_rate(rhs(te, pe.tolist()))
             found.append((float(te), pe, sec, float(rate)))
     found.sort(key=lambda item: item[0], reverse=not forward)
@@ -510,12 +415,12 @@ def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
 
     Candidates are the extrema of the residual on the segment's scan grid;
     only those are polished, with brentq on the residual's rate along the
-    same per-step interpolants (see ``_scan_crossings``).
+    same dense output (see ``_scan_crossings``).
     """
     band = math.sqrt(config.event_tol)
 
     def rate(s):
-        return section.residual_rate(rhs(s, seg.sol(s).tolist()))
+        return section.residual_rate(rhs(s, seg(s).tolist()))
     ts = _scan_grid(seg)
     d = np.diff(section.residual(seg.dense(ts)))
     for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
@@ -523,7 +428,7 @@ def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
         tg = float(ts[i])
         if rate(lo) * rate(hi) < 0:
             tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        pg = np.array(seg.sol(tg))
+        pg = np.array(seg(tg))
         if abs(section.residual(pg)) < band:
             return tg, pg
     return None
@@ -591,7 +496,7 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: np.ndarray,
     rtol, atol = config.rtol, config.atol
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=3)
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=4)
         rtol = max(rtol, 100 * _EPS)
     if atol < 0:
         raise ValueError("`atol` must be positive.")
@@ -660,37 +565,94 @@ def _interpolant(K: np.ndarray, h: float, y: List[float], y_new: List[float],
 
 
 class _Run:
-    """The steps of one solver run and its stops, shared by both steppers.
+    """One solver run: the step loop both steppers share, and the stops.
 
-    ``record`` keeps a step's interpolant and then checks the stops as
+    ``run(attempt)`` is the loop of scipy's ``OdeSolver.step``: a zero-length
+    span takes no step; otherwise the proposed size ``h_abs`` is clamped to
+    [min_step, max_step], each try is clipped to ``t_bound``, a size below
+    min_step raises ``StepSizeUnderflow``, and each accepted step is
+    ``record``ed.  ``attempt(t, t_new, h, rejected, clamped)`` is the
+    stepper's step attempt and step-size rule: it tries the step ``h`` from
+    ``t`` to ``t_new`` (``rejected``: an earlier try of this step was;
+    ``clamped``: the step's first size was) and returns ``(size, rejected,
+    None)`` to retry with that size, or, once it accepts, the next step's
+    proposed size and ``(state, coefficient rows)``.  The start state is
+    kept as lists of Python floats, ``y`` and ``f``.
+
+    ``record`` keeps a step's dense output and then checks the stops as
     ``solve_ivp`` checks terminal events: a stop is active on a step when its
     value changes sign or touches zero between the step's ends, its root is
-    found by brentq on the step's interpolant, the root earliest along the
+    found by brentq on the step's dense output, the root earliest along the
     orbit wins (the lower index on a tie), and the run ends at that root.
     ``admit(i, g, g_new, y)`` may turn down the root ``y`` of stop ``i``,
     whose value went from ``g`` to ``g_new`` over the step.
     """
 
-    def __init__(self, t: float, y: np.ndarray,
-                 stops: Sequence[Callable[[np.ndarray], float]],
-                 admit: Optional[Callable[[int, float, float, np.ndarray], bool]]):
-        self.ts, self.ys, self.steps = [t], [y], []
+    def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
+                 config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]],
+                 admit: Optional[Callable[[int, float, float, np.ndarray], bool]],
+                 order: int, horner: Callable):
+        self.t, self.t_bound = map(float, t_span)
+        y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
+            rhs, self.t, self.t_bound, y0, config, order)
+        self.y, self.f = y.tolist(), f.tolist()
+        self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
+        self.ts, self.ys, self.steps = [self.t], [y], []
         self.stops, self.admit = stops, admit
         self.g = [stop(y) for stop in stops]
 
-    def record(self, sol, t_old: float, t: float, y: np.ndarray
-               ) -> Optional[Tuple[int, float, np.ndarray]]:
-        """Keep the step ``sol`` from ``t_old`` to ``(t, y)``; return
-        ``(stop index, t, state)`` of the stop that ends the run on it, or
-        None."""
-        self.steps.append(sol)
+    def run(self, attempt) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
+        """Step to ``t_bound`` or to the first stop: the segment and
+        ``(stop index, t, state)`` of the stop that ended it, or None."""
+        t, t_bound, direction, max_step = self.t, self.t_bound, self.direction, self.max_step
+        hit, running = None, True
+        while hit is None and running:
+            if t == t_bound:  # zero-length span: no step
+                t_new, h, step = t, 0.0, (self.ys[-1], None)
+                running = False
+            else:
+                min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+                clamped = True
+                if self.h_abs > max_step:
+                    step_abs = max_step
+                elif self.h_abs < min_step:
+                    step_abs = min_step
+                else:
+                    step_abs, clamped = self.h_abs, False
+                rejected, step = False, None
+                while step is None:
+                    if step_abs < min_step:
+                        raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
+                    t_new = t + step_abs * direction
+                    if direction * (t_new - t_bound) > 0:
+                        t_new = t_bound
+                    h = t_new - t
+                    step_abs, rejected, step = attempt(t, t_new, h, rejected, clamped)
+                self.h_abs = step_abs
+                running = direction * (t_new - t_bound) < 0
+            hit = self.record(t, t_new, h, *step)
+            t = t_new
+        hs, coefs = zip(*self.steps)
+        return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
+                       coef=None if coefs[0] is None else np.array(coefs),
+                       horner=self.horner, nfev=self.nfev, njev=self.njev,
+                       nlu=self.nlu), hit
+
+    def record(self, t_old: float, t: float, h: float, y: np.ndarray,
+               coef: Optional[np.ndarray]) -> Optional[Tuple[int, float, np.ndarray]]:
+        """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
+        with its coefficient rows ``coef``; return ``(stop index, t, state)``
+        of the stop that ends the run on it, or None."""
+        y_old = self.ys[-1]
+        self.steps.append((h, coef))
         g_new = [stop(y) for stop in self.stops]
         roots = []
         for i, (a, b) in enumerate(zip(self.g, g_new)):
             if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
-                te = brentq(lambda s, stop=self.stops[i]: stop(sol(s)), t_old, t,
+                state = partial(_step_state, self.horner, coef, t_old, h, y_old)
+                te = brentq(lambda s, stop=self.stops[i]: stop(state(s)), t_old, t,
                             xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
-                ye = sol(te)
+                ye = state(te)
                 if self.admit is None or self.admit(i, a, b, ye):
                     roots.append((te, i, ye))
         self.g = g_new
@@ -705,11 +667,6 @@ class _Run:
             self.ts.append(t)
             self.ys.append(y)
         return hit
-
-    def segment(self, nfev: int, njev: int, nlu: int) -> Segment:
-        t = np.array(self.ts)
-        return Segment(t=t, y=np.vstack(self.ys).T, sol=PiecewiseSolution(t, self.steps),
-                       nfev=nfev, njev=njev, nlu=nlu)
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
@@ -733,68 +690,40 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     ``rhs`` receives the state as a list of Python floats.  The inputs are
     checked and the first step chosen as scipy does (``_start``).
     """
-    t, t_bound = map(float, t_span)
-    max_step = config.max_step
-    y_arr, f_arr, rtol, atol, direction, h_abs, nfev = _start(
-        rhs, t, t_bound, y0, config, tab.ERROR_ESTIMATOR_ORDER)
+    run = _Run(rhs, t_span, y0, config, stops, admit, tab.ERROR_ESTIMATOR_ORDER,
+               _dop853_horner)
+    y, f = run.y, run.f
     # one row per stage, the dense output's three last
-    K = np.empty((tab.N_STAGES_EXTENDED, len(y_arr)))
+    K = np.empty((tab.N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(len(K))]
     rows = list(K)
-    K[0] = f_arr
-    f = f_arr.tolist()
-    y = y_arr.tolist()
-    idx = range(len(y))
-    run = _Run(t, y_arr, stops, admit)
-    hit = None
-    running = True
-    while hit is None and running:
-        t_old, y_old = t, y_arr
-        if t == t_bound:  # zero-length span: no step
-            sol = ConstantStep(t, t, y_arr)
-            running = False
+    K[0] = f
+
+    def attempt(t, t_new, h, rejected, clamped):
+        nonlocal y, f
+        _fill_stages(rhs, KT, rows, t, y, h, _STAGES)
+        dy = KT[_N].dot(tab.B).tolist()
+        y_new = [yi + h * di for yi, di in zip(y, dy)]
+        rows[_N][...] = rhs(t + h, y_new)
+        run.nfev += _N
+        error_norm = _error_norm(KT[_N + 1], h, y, y_new, run.rtol, run.atol)
+        if not error_norm < 1:
+            factor = max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
+            return abs(h) * factor, True, None
+        if error_norm == 0:
+            factor = tab.MAX_FACTOR
         else:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
-                t_new = t + h_abs * direction
-                if direction * (t_new - t_bound) > 0:
-                    t_new = t_bound
-                h = t_new - t
-                h_abs = abs(h)
-                _fill_stages(rhs, KT, rows, t, y, h, _STAGES)
-                dy = KT[_N].dot(tab.B).tolist()
-                y_new = [y[i] + h * dy[i] for i in idx]
-                rows[_N][...] = rhs(t + h, y_new)
-                nfev += _N
-                error_norm = _error_norm(KT[_N + 1], h, y, y_new, rtol, atol)
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = tab.MAX_FACTOR
-                    else:
-                        factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
-                    if rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
-                rejected = True
-            _fill_stages(rhs, KT, rows, t, y, h, _EXTRA)
-            nfev += len(_EXTRA)
-            f_new = K[_N].tolist()
-            F = _interpolant(K, h, y, y_new, f, f_new)
-            t, y, f, y_arr = t_new, y_new, f_new, np.array(y_new)
-            rows[0][...] = rows[_N]
-            sol = Dop853Step(t_old, t, y_old, F)
-            running = direction * (t - t_bound) < 0
-        hit = run.record(sol, t_old, t, y_arr)
-    return run.segment(nfev, 0, 0), hit
+            factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        _fill_stages(rhs, KT, rows, t, y, h, _EXTRA)
+        run.nfev += len(_EXTRA)
+        f_new = K[_N].tolist()
+        F = _interpolant(K, h, y, y_new, f, f_new)
+        y, f = y_new, f_new
+        rows[0][...] = rows[_N]
+        return abs(h) * factor, rejected, (np.array(y_new), F)
+    return run.run(attempt)
 
 
 # the Radau IIA(5) constants: nodes C, error weights E, the transformation
@@ -888,127 +817,90 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     inverse of the real and the complex 2x2 matrix (``_inverse2``, two "LU"
     per factorization in ``nlu``) and every operation runs on Python floats.
     Bit-identity with scipy's ``Radau`` is not sought.  Each step keeps its
-    collocation polynomial as dense output (``RadauStep``), which also
-    predicts the next step's stages.  The inputs are checked and the first
-    step chosen as scipy does (``_start``, with the error estimate's order 3).
+    collocation polynomial as dense output, which also predicts the next
+    step's stages.  The inputs are checked and the first step chosen as
+    scipy does (``_start``, with the error estimate's order 3).
     """
-    t, t_bound = map(float, t_span)
-    max_step = config.max_step
-    y_arr, f_arr, rtol, atol, direction, h_abs, nfev = _start(rhs, t, t_bound, y0,
-                                                               config, 3)
+    run = _Run(rhs, t_span, y0, config, stops, admit, 3, _radau_horner)
+    y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
-    J = np.asarray(jac(t, y_arr.tolist()), dtype=float)
+    J = np.asarray(jac(run.t, y), dtype=float)
     if J.shape != (2, 2):
         raise ValueError(f"`jac` is expected to have shape (2, 2), but actually has {J.shape}.")
-    J = J.tolist()
-    njev, nlu = 1, 0
-    f = f_arr.tolist()
-    y = y_arr.tolist()
-    run = _Run(t, y_arr, stops, admit)
+    J, run.njev, current_jac = J.tolist(), 1, True
+    inv = None  # the inverses of the real and the complex Newton matrix
     h_abs_old = error_norm_old = None
-    inv_real = inv_complex = None
-    current_jac = True
-    prev = None  # (t_old, h, y_old, Q) of the last step, as floats
-    hit = None
-    running = True
-    while hit is None and running:
-        t_old, y_old = t, y_arr
-        if t == t_bound:  # zero-length span: no step
-            sol = ConstantStep(t, t, y_arr)
-            running = False
-        else:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            step_abs, h_last, err_last = h_abs, h_abs_old, error_norm_old
-            if h_abs > max_step:
-                step_abs, h_last, err_last = max_step, None, None
-            elif h_abs < min_step:
-                step_abs, h_last, err_last = min_step, None, None
-            rejected = False
-            while True:
-                if step_abs < min_step:
-                    raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
-                t_new = t + step_abs * direction
-                if direction * (t_new - t_bound) > 0:
-                    t_new = t_bound
-                h = t_new - t
-                step_abs = abs(h)
-                if prev is None:
-                    Z0 = [[0.0, 0.0] for _ in _RC]
-                else:  # the last step's polynomial, extrapolated
-                    pt, ph, py, pQ = prev
-                    Z0 = []
-                    for cn in _RC:
-                        x = (t + h * cn - pt) / ph
-                        Z0.append([((q[2] * x + q[1]) * x + q[0]) * x + yo - yi
-                                   for q, yo, yi in zip(pQ, py, y)])
-                scale = [atol + abs(v) * rtol for v in y]
-                converged = False
-                while not converged:
-                    if inv_real is None or inv_complex is None:
-                        inv_real = _inverse2(_MU_REAL / h, J)
-                        inv_complex = _inverse2(_MU_COMPLEX / h, J)
-                        nlu += 2
-                    converged, n_iter, Z, rate = _collocation(
-                        rhs, t, y, h, Z0, scale, newton_tol, inv_real, inv_complex)
-                    nfev += 3 * n_iter
-                    if not converged:
-                        if current_jac:
-                            break
-                        J = jac(t, y)
-                        njev += 1
-                        current_jac = True
-                        inv_real = inv_complex = None
-                if not converged:
-                    step_abs *= 0.5
-                    inv_real = inv_complex = None
-                    continue
-                y_new = [y[j] + Z[2][j] for j in (0, 1)]
-                ZE = [(Z[0][j] * _RE[0] + Z[1][j] * _RE[1] + Z[2][j] * _RE[2]) / h
-                      for j in (0, 1)]
-                a, b, c, d = inv_real
-                e0, e1 = f[0] + ZE[0], f[1] + ZE[1]
-                error = [a * e0 + b * e1, c * e0 + d * e1]
-                scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
-                error_norm = _rms(error, scale)
-                safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-                if rejected and error_norm > 1:
-                    fe = rhs(t, [y[j] + error[j] for j in (0, 1)]).tolist()
-                    nfev += 1
-                    e0, e1 = fe[0] + ZE[0], fe[1] + ZE[1]
-                    error = [a * e0 + b * e1, c * e0 + d * e1]
-                    error_norm = _rms(error, scale)
-                if error_norm > 1:
-                    factor = _predict_factor(step_abs, h_last, error_norm, err_last)
-                    step_abs *= max(tab.RADAU_MIN_FACTOR, safety * factor)
-                    inv_real = inv_complex = None
-                    rejected = True
-                else:
+    prev = None  # (t_old, h, y_old, Q) of the last step
+
+    def attempt(t, t_new, h, rejected, clamped):
+        nonlocal y, f, J, current_jac, inv, h_abs_old, error_norm_old, prev
+        # a clamped step size starts the step-size predictor afresh
+        h_last, err_last = (None, None) if clamped else (h_abs_old, error_norm_old)
+        if prev is None:
+            Z0 = [[0.0, 0.0] for _ in _RC]
+        else:  # the last step's polynomial, extrapolated
+            pt, ph, py, pQ = prev
+            Z0 = []
+            for cn in _RC:
+                x = (t + h * cn - pt) / ph
+                Z0.append([((q[2] * x + q[1]) * x + q[0]) * x + yo - yi
+                           for q, yo, yi in zip(pQ, py, y)])
+        scale = [atol + abs(v) * rtol for v in y]
+        converged = False
+        while not converged:
+            if inv is None:
+                inv = _inverse2(_MU_REAL / h, J), _inverse2(_MU_COMPLEX / h, J)
+                run.nlu += 2
+            converged, n_iter, Z, rate = _collocation(rhs, t, y, h, Z0, scale, newton_tol,
+                                                      *inv)
+            run.nfev += 3 * n_iter
+            if not converged:
+                if current_jac:
                     break
-            recompute_jac = n_iter > 2 and rate > 1e-3
-            factor = _predict_factor(step_abs, h_last, error_norm, err_last)
-            factor = min(tab.RADAU_MAX_FACTOR, safety * factor)
-            if not recompute_jac and factor < 1.2:
-                factor = 1.0
-            else:
-                inv_real = inv_complex = None
-            f_new = rhs(t_new, y_new).tolist()
-            nfev += 1
-            if recompute_jac:
-                J = jac(t_new, y_new)
-                njev += 1
-                current_jac = True
-            else:
-                current_jac = False
-            h_abs_old, error_norm_old = h_abs, error_norm
-            h_abs = step_abs * factor
-            Q = [[Z[0][j] * p0 + Z[1][j] * p1 + Z[2][j] * p2
-                  for p0, p1, p2 in zip(*_RP)] for j in (0, 1)]
-            prev = (t, h, y, Q)
-            t, y, f, y_arr = t_new, y_new, f_new, np.array(y_new)
-            sol = RadauStep(t_old, t, y_old, np.array(Q))
-            running = direction * (t - t_bound) < 0
-        hit = run.record(sol, t_old, t, y_arr)
-    return run.segment(nfev, njev, nlu), hit
+                J = jac(t, y)
+                run.njev += 1
+                current_jac, inv = True, None
+        if not converged:
+            inv = None
+            return abs(h) * 0.5, rejected, None
+        y_new = [y[j] + Z[2][j] for j in (0, 1)]
+        ZE = [(Z[0][j] * _RE[0] + Z[1][j] * _RE[1] + Z[2][j] * _RE[2]) / h for j in (0, 1)]
+        a, b, c, d = inv[0]
+        e0, e1 = f[0] + ZE[0], f[1] + ZE[1]
+        error = [a * e0 + b * e1, c * e0 + d * e1]
+        scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
+        error_norm = _rms(error, scale)
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        if rejected and error_norm > 1:
+            fe = rhs(t, [y[j] + error[j] for j in (0, 1)]).tolist()
+            run.nfev += 1
+            e0, e1 = fe[0] + ZE[0], fe[1] + ZE[1]
+            error = [a * e0 + b * e1, c * e0 + d * e1]
+            error_norm = _rms(error, scale)
+        factor = _predict_factor(abs(h), h_last, error_norm, err_last)
+        if error_norm > 1:
+            inv = None
+            return abs(h) * max(tab.RADAU_MIN_FACTOR, safety * factor), True, None
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = min(tab.RADAU_MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        else:
+            inv = None
+        f_new = rhs(t_new, y_new).tolist()
+        run.nfev += 1
+        if recompute_jac:
+            J = jac(t_new, y_new)
+            run.njev += 1
+        current_jac = recompute_jac
+        h_abs_old, error_norm_old = run.h_abs, error_norm
+        # the collocation polynomial's coefficients, one row per component
+        Q = [[Z[0][j] * p0 + Z[1][j] * p1 + Z[2][j] * p2 for p0, p1, p2 in zip(*_RP)]
+             for j in (0, 1)]
+        prev = (t, h, y, Q)
+        y, f = y_new, f_new
+        return abs(h) * factor, rejected, (np.array(y_new), np.array(Q).T)
+    return run.run(attempt)
 
 
 def _norm_guard(config: IntegratorConfig) -> Callable[[np.ndarray], float]:

@@ -87,8 +87,7 @@ class TransitionConfig:
             raise ConditionViolated(f"rho must lie in (0, {RHO_MAX}]")
         if not 0.0 < self.theta <= THETA_MAX:
             raise ConditionViolated(f"theta must lie in (0, {THETA_MAX}]")
-        if self.L < self.rho:
-            self.L = max(self.L, self.rho)
+        self.L = max(self.L, self.rho)
 
     @property
     def lambda_star(self) -> float:

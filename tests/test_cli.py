@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import pytest
 from pytest import approx
@@ -137,6 +138,19 @@ def test_cycle_run_reports_frozen_values(tmp_path):
     points = [tuple(map(float, ln.split(","))) for ln in body.splitlines()[1:]]
     assert len(points) == 12000
     assert body == "\n".join(["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in points]) + "\n"
+
+
+@pytest.mark.parametrize("eps", ["0.002", "0.001"])
+def test_cycle_arc_below_the_grazing_height(tmp_path, eps):
+    # here the fixed point lies above the roof y = eps, so the revolution
+    # re-enters the layer before it departs: the arc closes one period later
+    code, _, summary = run(tmp_path, "cycle", "--scenario", "boundary-cycle",
+                           "--k", "2", "--phi-m", "5", "--eps", eps)
+    assert code == 0
+    for row in summary["rows"]:
+        assert row["fixed_point"] > row["eps"]
+        assert math.isfinite(row["multiplier_arc"]) and row["multiplier_arc"] > 0
+        assert 0 < row["t_arc"] < row["period"]
 
 
 def test_cycle_row_keys(tmp_path):

@@ -21,12 +21,13 @@ from regtang import (
     trajectory_to_csv,
 )
 from regtang.integrate import (
-    RadauStep,
     Segment,
     _as_rhs,
     _dop853,
+    _dop853_horner,
     _norm_guard,
     _radau,
+    _radau_horner,
     _scan_grid,
     _section_admit,
 )
@@ -148,10 +149,10 @@ def _sample_dense_pointwise(traj, n):
     ts = np.linspace(traj.t[0], traj.t[-1], n)
     out = np.empty((n, traj.points.shape[1]))
     for i, ti in enumerate(ts):
-        for sol in traj.segments:
-            lo, hi = sorted((sol.sol.t_min, sol.sol.t_max))
+        for seg in traj.segments:
+            lo, hi = min(seg.t), max(seg.t)
             if lo - 1e-12 <= ti <= hi + 1e-12:
-                out[i] = sol.sol(ti)
+                out[i] = seg(ti)
                 break
         else:
             out[i] = traj.points[int(np.argmin(np.abs(traj.t - ti)))]
@@ -311,6 +312,11 @@ def _residual_of(kind, c):
     return SectionSpec(kind, c).residual
 
 
+def _last_step(seg):
+    """The ends of the last step's full length, in ascending order."""
+    return sorted((seg.t[-2], seg.t[-2] + seg.h[-1]))
+
+
 def test_driver_matches_solve_ivp_forward_stop_mid_step():
     cfg = IntegratorConfig()
     seg, stop = _assert_matches_solve_ivp(
@@ -318,8 +324,7 @@ def test_driver_matches_solve_ivp_forward_stop_mid_step():
         [_residual_of("vertical", 0.0), _norm_guard(cfg)])
     assert stop[0] == 0 and stop[1] == approx(np.pi / 2, abs=1e-9)
     # the stop is inside the last step, whose interpolant keeps its full step
-    last = seg.sol.interpolants[-1]
-    assert last.t_old < stop[1] < last.t
+    assert seg.t[-2] < stop[1] < seg.t[-2] + seg.h[-1]
 
 
 def test_driver_matches_solve_ivp_backward():
@@ -357,8 +362,8 @@ def test_driver_earliest_root_wins_and_ties_go_to_the_lower_index():
         seg, stop = _assert_matches_solve_ivp(
             line, span, (0.0, 0.0), cfg,
             [_residual_of("vertical", c) for c in levels])
-        last = seg.sol.interpolants[-1]
-        assert all(last.t_min < abs(c) * np.sign(span[1]) < last.t_max for c in levels)
+        lo, hi = _last_step(seg)
+        assert all(lo < abs(c) * np.sign(span[1]) < hi for c in levels)
         assert stop[0] == first
     same = _residual_of("vertical", 15.0)
     _, stop = _assert_matches_solve_ivp(line, (0.0, 100.0), (0.0, 0.0), cfg,
@@ -432,22 +437,28 @@ def test_driver_matches_solve_ivp_on_a_zero_length_span():
     level=st.one_of(st.none(), st.floats(min_value=-0.9, max_value=0.9)),
 )
 def test_batched_dense_equals_ode_solution(data, forward, max_step, level):
-    """``Segment.dense`` is ``OdeSolution.__call__`` bit for bit, at step
-    breakpoints too, on the event-truncated last step and on descending
-    legs."""
+    """``Segment.dense`` and ``Segment.__call__`` are solve_ivp's
+    ``OdeSolution.__call__`` bit for bit, at step breakpoints too, on the
+    event-truncated last step and on descending legs."""
     cfg = IntegratorConfig(max_step=max_step)
     span = (0.0, 8.0) if forward else (0.0, -8.0)
     stops = [] if level is None else [_residual_of("horizontal", level)]
-    field = fld(lambda x, y: (-y + 0.1 * x * y, x))
-    seg, _ = _dop853(_as_rhs(field), span, np.array([1.0, 0.0]), cfg, stops)
-    lo, hi = seg.sol.t_min, seg.sol.t_max
+    rhs = _as_rhs(fld(lambda x, y: (-y + 0.1 * x * y, x)))
+    y0 = np.array([1.0, 0.0])
+    seg, _ = _dop853(rhs, span, y0, cfg, stops)
+    ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
+                    max_step=cfg.max_step, dense_output=True,
+                    events=[_terminal(s) for s in stops])
+    assert np.array_equal(seg.t, ref.t)
+    lo, hi = min(seg.t), max(seg.t)
     inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
     ts = np.array(data.draw(st.lists(
         st.one_of(inside, st.sampled_from(seg.t.tolist())), min_size=1, max_size=40)))
     got = seg.dense(ts)
-    assert np.array_equal(got, seg.sol(ts))
+    assert np.array_equal(got, ref.sol(ts))
     for j, t in enumerate(ts):
-        assert np.array_equal(got[:, j], seg.sol(t))
+        assert np.array_equal(got[:, j], seg(t))
+        assert np.array_equal(got[:, j], ref.sol(t))
 
 
 @settings(deadline=None, max_examples=60)
@@ -465,24 +476,26 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
     sign = -1.0 if descending else 1.0
     ends = np.concatenate([[0.0], sign * np.cumsum(steps)])
     coef = st.floats(min_value=-10.0, max_value=10.0)
-    interps = [Dop853DenseOutput(ends[k], ends[k + 1],
-                                 np.array(data.draw(st.lists(coef, min_size=2, max_size=2))),
-                                 np.array(data.draw(st.lists(
-                                     st.lists(coef, min_size=2, max_size=2),
-                                     min_size=7, max_size=7))))
-               for k in range(len(steps))]
+    y_old = np.array(data.draw(st.lists(st.lists(coef, min_size=2, max_size=2),
+                                        min_size=len(steps), max_size=len(steps))))
+    F = np.array(data.draw(st.lists(st.lists(st.lists(coef, min_size=2, max_size=2),
+                                             min_size=7, max_size=7),
+                                    min_size=len(steps), max_size=len(steps))))
     ts = ends.copy()
     ts[-1] = ends[-2] + cut * (ends[-1] - ends[-2])  # a run stopped by an event
-    seg = Segment(t=ts, y=np.zeros((2, len(ts))), sol=OdeSolution(ts, interps),
-                  nfev=0, njev=0, nlu=0)
-    lo, hi = seg.sol.t_min, seg.sol.t_max
+    ref = OdeSolution(ts, [Dop853DenseOutput(ends[k], ends[k + 1], y_old[k], F[k])
+                           for k in range(len(steps))])
+    seg = Segment(t=ts, y=np.vstack([y_old, np.zeros(2)]).T, h=np.diff(ends), coef=F,
+                  horner=_dop853_horner, nfev=0, njev=0, nlu=0)
+    lo, hi = ref.t_min, ref.t_max
     inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
     extra = np.array(data.draw(st.lists(inside, max_size=20)))
     grid = np.concatenate([ts, extra, [lo - 1e-13, hi + 1e-13]])
     got = seg.dense(grid)
-    assert np.array_equal(got, seg.sol(grid))
+    assert np.array_equal(got, ref(grid))
     for j, t in enumerate(grid):
-        assert np.array_equal(got[:, j], seg.sol(t))
+        assert np.array_equal(got[:, j], seg(t))
+        assert np.array_equal(got[:, j], ref(t))
 
 
 def _assert_linear_system_matches_solve_ivp(M, b, y0, span, cfg, level):
@@ -616,16 +629,16 @@ def test_radau_batched_dense_equals_the_scalar_interpolant(forward, level):
     stops = [] if level is None else [_residual_of("horizontal", level)]
     seg, _ = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, stops,
                     jac=_rotation_jac)
-    assert isinstance(seg.sol.interpolants[0], RadauStep)
+    assert seg.horner is _radau_horner
     grid = _scan_grid(seg)
     got = seg.dense(grid)
-    assert np.array_equal(got, seg.sol(grid))
     for j, t in enumerate(grid):
-        assert np.array_equal(got[:, j], seg.sol(t))
+        assert np.array_equal(got[:, j], seg(t))
     # the collocation polynomial ends on the step's end state up to rounding
-    for k, step in enumerate(seg.sol.interpolants[:len(seg.t) - 2]):
+    # (a step's end time takes that step's polynomial)
+    for k in range(len(seg.t) - 2):
         y_end = seg.y[:, k + 1]
-        jump = np.max(np.abs(step(step.t) - y_end))
+        jump = np.max(np.abs(seg(seg.t[k + 1]) - y_end))
         assert jump <= 4 * np.spacing(np.max(np.abs(y_end)))
     assert np.max(np.abs(got - np.array([np.cos(grid), np.sin(grid)]))) < 1e-6
 
@@ -641,8 +654,8 @@ def test_radau_stops_as_dop853_does():
                                 ((0.0, 100.0), (30.0, 50.0), 0)):
         seg, stop = _radau(_as_rhs(line), span, np.zeros(2), cfg,
                            [_residual_of("vertical", c) for c in levels], jac=zero)
-        last = seg.sol.interpolants[-1]
-        assert all(last.t_min < abs(c) * np.sign(span[1]) < last.t_max for c in levels)
+        lo, hi = _last_step(seg)
+        assert all(lo < abs(c) * np.sign(span[1]) < hi for c in levels)
         assert stop[0] == first
         assert stop[1] == approx(levels[first], abs=1e-12)
         assert seg.t[-1] == stop[1]
@@ -718,7 +731,7 @@ def _cosine_crossings(c, t_end, interval, direction):
 )
 def test_section_scan_on_a_radau_leg_matches_analytic_crossings(c, t_end, bounds,
                                                                  direction):
-    # the scan brackets the crossings on the RadauStep interpolants and
+    # the scan brackets the crossings on the Radau steps' polynomials and
     # brentq polishes them there
     lo, hi = min(bounds), max(bounds)
     ts = np.concatenate([np.arccos(c) + 2 * np.pi * np.arange(3),
@@ -732,7 +745,7 @@ def test_section_scan_on_a_radau_leg_matches_analytic_crossings(c, t_end, bounds
     hit, traj = flow_to_section_traj(field, (0.0, 1.5), target, IntegratorConfig(),
                                      record_sections=[rec])
     (seg,) = traj.segments
-    assert isinstance(seg.sol.interpolants[0], RadauStep) and seg.njev > 0
+    assert seg.horner is _radau_horner and seg.njev > 0
     assert hit.t == approx(t_end, abs=1e-9) and hit.point[0] == approx(t_end, abs=1e-9)
     assert hit.point[1] == approx(np.cos(t_end), abs=1e-7)
     recorded = [ev for ev in traj.events if ev.section_id == rec.ident]
