@@ -10,7 +10,6 @@ from .errors import (
     OutOfRange,
     ClassMismatch,
     BadValuation,
-    PrecisionWarning,
     StepSizeUnderflow,
     DomainExit,
     NoCrossing,
@@ -38,7 +37,6 @@ from .phi import (
 )
 from .fields import (
     PlanarField,
-    SwitchingFunction,
     FilippovSystem,
     field_from_polys,
     lie_derivative,

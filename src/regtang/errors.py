@@ -36,10 +36,6 @@ class BadValuation(RegtangError):
     """A polynomial does not vanish to the required order at the origin."""
 
 
-class PrecisionWarning(UserWarning):
-    """Finite differences used where they lose significant accuracy."""
-
-
 # --- integration errors -----------------------------------------------------
 
 class StepSizeUnderflow(RegtangError):
@@ -67,7 +63,11 @@ class TangentialGraze(NoCrossing):
 # --- regularization / slow-manifold errors ----------------------------------
 
 class ConditionViolated(RegtangError):
-    """f(x, 0) >= 0 somewhere on [-L, 0): the critical manifold is not defined."""
+    """An input breaks a precondition of the analysis: a parameter out of
+    its range (k < 1, n below max(2, 2k - 1), lambda outside (0, lambda*),
+    rho or theta too large, ...), a switching function other than h = y where
+    band coordinates need it, an empty grid or too few samples for a fit, or
+    a non-finite time span."""
 
 
 class TransientNotDecayed(RegtangError):
@@ -89,7 +89,8 @@ class LeftWindow(RegtangError):
 
 
 class SlidingCapture(RegtangError):
-    """A band trajectory exited through the bottom edge (integration fault)."""
+    """A layer orbit never departed through yhat = 1: the band leg found no
+    upward crossing of the layer's top edge."""
 
 
 class NoReturn(RegtangError):
@@ -97,7 +98,8 @@ class NoReturn(RegtangError):
 
 
 class NonPositiveQuantity(RegtangError):
-    """Log-log regression received a non-positive sample."""
+    """A quantity that must be positive is not: eps <= 0, or a non-positive
+    sample given to a log-log regression."""
 
 
 # --- cycle errors -------------------------------------------------------------

@@ -18,9 +18,9 @@ attempt and step-size rule:
   an exact Jacobian from the field.
 
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
-with an exact ``jacobian`` (a ``BandField`` with polynomial zone fields)
-whose time-scale ratio |d yhat'/d yhat| / eps at the start point exceeds
-``STIFF_RATIO`` runs ``_radau``; every other leg runs ``_dop853``.
+with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
+|d yhat'/d yhat| / eps at the start point exceeds ``STIFF_RATIO`` runs
+``_radau``; every other leg runs ``_dop853``.
 
 A run's dense output is one stacked form in its ``Segment``: per step the
 start, the full length and the polynomial's coefficient rows, evaluated by
@@ -1093,7 +1093,7 @@ def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
 def __getattr__(name: str):
     # ``solve_ivp`` is not called here, and is resolved only on request:
     # perfbench/tracing.py wraps ``integrate.solve_ivp`` by name until it reads
-    # the per-leg records (ROADMAP, open item 4)
+    # the per-leg records (ROADMAP, open item 5)
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +31,45 @@ from .polys import Poly2, compile_kernel, power_lines
 
 
 # --------------------------------------------------------------------------
-# fused right-hand-side kernel
+# fused kernels: right-hand sides, band Jacobian, divergence
 # --------------------------------------------------------------------------
+
+def _kernel_body(system: FilippovSystem, tf: TransitionFunction, eps: float,
+                 band: bool, named: list, slope: bool = False) -> list:
+    """Statements shared by the fused kernels, up to their return.
+
+    With ``band`` they take (x, s = yhat) and set y = eps*s; otherwise they
+    take (x, y) and set s = h(x, y)/eps.  Then c = (1 + Phi(s))/2 and
+    d = 1 - c, with ``slope`` also D = Phi'(s), which is 0 outside |s| < 1;
+    last, each ``(name, poly)`` of ``named`` is assigned to its name.  All of
+    it is generated from the exact coefficients of Phi, the polynomials and h.
+    """
+    e = repr(float(eps))
+    polys = [p for _, p in named]
+    if band:
+        body = [f"y = {e}*s"] + power_lines(polys)
+    else:
+        body = power_lines(polys + [system.h]) + system.h.float_lines("hv")
+        body.append(f"s = hv/{e}")
+    zero = ["    D = 0.0"] if slope else []
+    body += ["if s >= 1.0:", "    c = 1.0", *zero,
+             "elif s <= -1.0:", "    c = 0.0", *zero, "else:"]
+    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
+    if slope:
+        body += ["    " + line for line in tf.derivs[1].horner_lines("s", "D")]
+    body += ["    c = 0.5*(1.0 + P)", "d = 1.0 - c"]
+    for name, p in named:
+        body += p.float_lines(name)
+    return body
+
+
+def _zone_polys(system: FilippovSystem, index=(1, 2)) -> list:
+    """``("p1", X1+), ("p2", X2+), ("m1", X1-), ("m2", X2-)``, for the
+    components in ``index``."""
+    return [(f"{tag}{i}", f.poly_form[i - 1])
+            for tag, f in (("p", system.x_plus), ("m", system.x_minus))
+            for i in index]
+
 
 def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
                 band: bool) -> Callable[[float, float], np.ndarray]:
@@ -40,49 +77,20 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
 
         c = (1 + Phi(s))/2,   Z = c*X_plus + (1 - c)*X_minus,
 
-    generated from the exact coefficients of Phi and of polynomial zone
-    fields.  With ``band`` it takes (x, s = yhat), sets y = eps*s and scales
-    the first component by eps (``BandField``); otherwise it takes (x, y)
-    with s = h(x, y)/eps (``RegularizedField``).  A zone field without a
-    polynomial form, and a switching function other than h = y, are called
-    through their own callables.  The kernel runs the operations of
-    ``c*X_plus.eval + (1 - c)*X_minus.eval`` in their order, on the
-    statements ``PlanarField`` compiles, so it returns the same numbers.
+    in the variables of ``_kernel_body``; with ``band`` the first component
+    is scaled by eps (``BandField``), otherwise it is ``RegularizedField``.
+    The kernel runs the operations of ``c*X_plus.eval + (1 - c)*X_minus.eval``
+    in their order, on the statements ``PlanarField`` compiles, so it returns
+    the same numbers.
     """
-    e = repr(float(eps))
-    ns: dict = {"array": np.array}
-    if band:
-        args, body = "x, s", [f"y = {e}*s"]
-    elif system.h.poly == Poly2.y():
-        args, body = "x, y", [f"s = y/{e}"]
-    else:
-        ns["h"] = system.h.h
-        args, body = "x, y", [f"s = h(x, y)/{e}"]
-    body += ["if s >= 1.0:", "    c = 1.0", "elif s <= -1.0:", "    c = 0.0", "else:"]
-    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
-    body += ["    c = 0.5*(1.0 + P)", "d = 1.0 - c"]
-    polys, lines, comps = [], [], []
-    for tag, f in (("p", system.x_plus), ("m", system.x_minus)):
-        if f.poly_form is None:
-            ns["ev" + tag] = f.eval
-            lines.append(f"v{tag} = ev{tag}(x, y)")
-            comps.append((f"v{tag}[0]", f"v{tag}[1]"))
-        else:
-            polys += f.poly_form
-            for i, p in enumerate(f.poly_form):
-                lines += p.float_lines(f"{tag}{i + 1}")
-            comps.append((f"{tag}1", f"{tag}2"))
-    (a1, a2), (b1, b2) = comps
-    first = f"c*{a1} + d*{b1}"
-    if band:
-        first = f"{e}*({first})"
-    body += power_lines(polys) + lines
-    body.append(f"return array([{first}, c*{a2} + d*{b2}])")
-    return compile_kernel(args, body, ns)
+    body = _kernel_body(system, tf, eps, band, _zone_polys(system))
+    first = f"{float(eps)!r}*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
+    body.append(f"return array([{first}, c*p2 + d*m2])")
+    return compile_kernel("x, s" if band else "x, y", body, {"array": np.array})
 
 
 def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
-                          eps: float) -> Optional[Callable]:
+                          eps: float) -> Callable:
     """Straight-line float kernel of the exact Jacobian of the band field,
     ``(x, s) -> ((dF1/dx, dF1/ds), (dF2/dx, dF2/ds))`` with y = eps*s:
 
@@ -93,27 +101,50 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
 
     where c = (1 + Phi(s))/2, d = 1 - c and c' = Phi'(s)/2, which is 0
     outside |s| < 1.  Generated from the zone fields' polynomial forms and
-    ``tf.derivs[1]``; None when a zone field has no polynomial form.
+    ``tf.derivs[1]``.
     """
-    if system.x_plus.poly_form is None or system.x_minus.poly_form is None:
-        return None
     e = repr(float(eps))
-    body = [f"y = {e}*s", "if s >= 1.0:", "    c = 1.0", "    dc = 0.0",
-            "elif s <= -1.0:", "    c = 0.0", "    dc = 0.0", "else:"]
-    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
-    body += ["    " + line for line in tf.derivs[1].horner_lines("s", "D")]
-    body += ["    c = 0.5*(1.0 + P)", "    dc = 0.5*D", "d = 1.0 - c"]
-    polys, lines = [], []
-    for tag, f in (("p", system.x_plus), ("m", system.x_minus)):
-        for i, p in enumerate(f.poly_form):
-            for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y())):
-                polys.append(q)
-                lines += q.float_lines(f"{tag}{i + 1}{suffix}")
-    body += power_lines(polys) + lines
-    body.append(f"return (({e}*(c*p1x + d*m1x), "
-                f"{e}*(dc*(p1 - m1) + {e}*(c*p1y + d*m1y))), "
-                f"(c*p2x + d*m2x, dc*(p2 - m2) + {e}*(c*p2y + d*m2y)))")
+    named = [(name + suffix, q) for name, p in _zone_polys(system)
+             for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
+    body = _kernel_body(system, tf, eps, True, named, slope=True)
+    body += ["dc = 0.5*D",
+             f"return (({e}*(c*p1x + d*m1x), "
+             f"{e}*(dc*(p1 - m1) + {e}*(c*p1y + d*m1y))), "
+             f"(c*p2x + d*m2x, dc*(p2 - m2) + {e}*(c*p2y + d*m2y)))"]
     return compile_kernel("x, s", body)
+
+
+def _divergence_kernel(system: FilippovSystem, tf: TransitionFunction,
+                       eps: float) -> Callable[[float, float], float]:
+    """Straight-line float kernel of the divergence of the regularized field,
+
+        c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
+
+    with s = h/eps; the last term is added only where Phi'(s) != 0.  A
+    gradient component of h that is 0 drops its term, and one that is 1
+    multiplies nothing, so for h = y the term is Phi'(s)/(2 eps) (X2+ - X2-).
+    """
+    named = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
+             for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
+    jump, terms = [], []
+    for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1):
+        if not g.terms:
+            continue
+        jump += _zone_polys(system, (i,))
+        if g == Poly2.const(1):
+            terms.append(f"(p{i} - m{i})")
+        else:
+            jump.append((f"h{i}", g))
+            terms.append(f"h{i}*(p{i} - m{i})")
+    body = _kernel_body(system, tf, eps, False, named, slope=True)
+    # the jump's own statements run only where it is added
+    inner = [line for line in power_lines(p for _, p in jump) if line not in body]
+    for name, p in jump:
+        inner += p.float_lines(name)
+    body += ["v = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
+             f"    v += D/(2.0*{float(eps)!r})*({' + '.join(terms) or '0.0'})",
+             "return v"]
+    return compile_kernel("x, y", body)
 
 
 # --------------------------------------------------------------------------
@@ -125,8 +156,8 @@ class RegularizedField:
     """Smooth field agreeing with X_plus above the band and X_minus below.
 
     ``eval`` runs one kernel generated from system, tf and eps at
-    construction.  It stays a method of the class, so that wrapping
-    ``RegularizedField.eval`` on the class sees every evaluation.
+    construction, and ``divergence()`` returns another.  Both stay methods
+    of the class, so that wrapping them on the class sees every use.
     """
 
     system: FilippovSystem
@@ -145,22 +176,7 @@ class RegularizedField:
         return self.eval(x, y)
 
     def divergence(self) -> Callable[[float, float], float]:
-        div_p = self.system.x_plus.divergence()
-        div_m = self.system.x_minus.divergence()
-        grad_h = self.system.h.grad_h
-        tf, eps, sys_ = self.tf, self.eps, self.system
-
-        def div(x: float, y: float) -> float:
-            s = sys_.h.h(x, y) / eps
-            c = 0.5 * (1.0 + tf.Phi(s))
-            base = c * div_p(x, y) + (1.0 - c) * div_m(x, y)
-            dphi = tf.Phi_prime(s)
-            if dphi != 0.0:
-                diff = sys_.x_plus.eval(x, y) - sys_.x_minus.eval(x, y)
-                base += dphi / (2.0 * eps) * float(np.dot(grad_h(x, y), diff))
-            return base
-
-        return div
+        return _divergence_kernel(self.system, self.tf, self.eps)
 
 
 # --------------------------------------------------------------------------
@@ -168,16 +184,10 @@ class RegularizedField:
 # --------------------------------------------------------------------------
 
 def _require_vertical(system: FilippovSystem):
-    h = system.h
-    if h.poly is not None:
-        if h.poly == Poly2.y():
-            return
-    elif all(abs(h.h(x, y) - y) < 1e-14
-             for x, y in ((0.3, 0.7), (-1.2, 0.1), (2.0, -0.5))):
-        return
-    raise ConditionViolated(
-        "band coordinates require the switching function h(x, y) = y"
-    )
+    if system.h != Poly2.y():
+        raise ConditionViolated(
+            "band coordinates require the switching function h(x, y) = y"
+        )
 
 
 @dataclass
@@ -192,8 +202,7 @@ class BandField:
     As in ``RegularizedField``, ``eval`` is a method of the class that calls
     one kernel generated at construction.  ``jacobian(x, yhat)`` is the
     exact Jacobian ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``, a
-    second generated kernel that calls no ``eval``; it is None when a zone
-    field has no polynomial form.
+    second generated kernel that calls no ``eval``.
     """
 
     system: FilippovSystem
@@ -218,9 +227,6 @@ class BandField:
 # slow (critical) manifold of the layer problem
 # --------------------------------------------------------------------------
 
-SLOW_FD_STEP = 1e-6  # central-difference step when X+ has no polynomial form
-
-
 @dataclass
 class SlowManifold:
     """First-order expansion yhat = m0(x) + eps*m1(x) of the layer's slow set.
@@ -237,24 +243,12 @@ class SlowManifold:
 
     def __post_init__(self):
         _require_vertical(self.system)
-        xp = self.system.x_plus
-        if xp.poly_form is not None:
-            p1, p2 = xp.poly_form
-            f_poly = p2.at_y0()
-            fx_poly = f_poly.diff()
-            theta_poly = p2.diff_y().at_y0()
-            x1_poly = p1.at_y0()
-            self._f = f_poly.__call__
-            self._fx = fx_poly.__call__
-            self._theta0 = theta_poly.__call__
-            self._x10 = x1_poly.__call__
-        else:
-            ev = xp.eval
-            hh = SLOW_FD_STEP
-            self._f = lambda x: float(ev(x, 0.0)[1])
-            self._fx = lambda x: (float(ev(x + hh, 0.0)[1]) - float(ev(x - hh, 0.0)[1])) / (2 * hh)
-            self._theta0 = lambda x: (float(ev(x, hh)[1]) - float(ev(x, -hh)[1])) / (2 * hh)
-            self._x10 = lambda x: float(ev(x, 0.0)[0])
+        p1, p2 = self.system.x_plus.poly_form
+        f_poly = p2.at_y0()
+        self._f = f_poly.__call__
+        self._fx = f_poly.diff().__call__
+        self._theta0 = p2.diff_y().at_y0().__call__
+        self._x10 = p1.at_y0().__call__
 
     def m0(self, x: float) -> float:
         f = self._f(x)
@@ -265,14 +259,8 @@ class SlowManifold:
         return phi_inverse(self.tf, (1.0 + f) / (1.0 - f))
 
     def m0_prime(self, x: float) -> float:
-        f = self._f(x)
-        if f >= 0:
-            raise DomainError(
-                f"slow set undefined at x={x:g}: X2+(x,0)={f:g} is not negative"
-            )
-        m0 = phi_inverse(self.tf, (1.0 + f) / (1.0 - f))
-        dphi = self.tf.deriv(1, m0)
-        return 2.0 * self._fx(x) / (dphi * (1.0 - f) ** 2)
+        dphi = self.tf.deriv(1, self.m0(x))
+        return 2.0 * self._fx(x) / (dphi * (1.0 - self._f(x)) ** 2)
 
     def m1(self, x: float) -> float:
         fx = self._fx(x)

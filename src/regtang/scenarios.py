@@ -11,12 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadValuation, ConditionViolated
-from .fields import (
-    FilippovSystem,
-    PlanarField,
-    SwitchingFunction,
-    field_from_polys,
-)
+from .fields import FilippovSystem, PlanarField, field_from_polys
 from .polys import Poly1, Poly2
 
 
@@ -43,11 +38,11 @@ def canonical_system(k: int = 1, alpha: float = 1.0,
         f = f + Poly2.from_poly1_in_x(g)
     if theta is not None:
         f = f + Poly2.y() * theta
-    x_plus = field_from_polys(Poly2.const(1), f, k=k, alpha=alpha)
+    x_plus = field_from_polys(Poly2.const(1), f)
     x_minus = field_from_polys(Poly2.const(0), Poly2.const(1))
     return FilippovSystem(
         x_plus=x_plus, x_minus=x_minus,
-        h=SwitchingFunction.vertical_coordinate(),
+        h=Poly2.y(),
         params={"kind": "canonical", "k": k, "alpha": alpha,
                 "g": g, "theta": theta},
     )
@@ -86,11 +81,11 @@ def boundary_cycle_system(k: int = 2) -> FilippovSystem:
     x1p = (x * (one - x2k)) + (ym1 ** (2 * k - 1)) * (x - x * y - one)
     x2p = Poly2.from_poly1_in_x(Poly1.monomial(2 * k - 1)) \
         - (x2k + ym1 ** (2 * k) - one) * ym1
-    x_plus = field_from_polys(x1p, x2p, k=k)
+    x_plus = field_from_polys(x1p, x2p)
     x_minus = field_from_polys(Poly2.const(0), Poly2.const(1))
     return FilippovSystem(
         x_plus=x_plus, x_minus=x_minus,
-        h=SwitchingFunction.vertical_coordinate(),
+        h=Poly2.y(),
         params={"kind": "boundary-cycle", "k": k, "oval": _oval_poly(k),
                 "alpha": 1.0},
     )
@@ -113,11 +108,8 @@ def oval_polyline(k: int, n_points: int = 4000) -> np.ndarray:
 def time_reversed(system: FilippovSystem) -> FilippovSystem:
     """Both zone fields negated; zones keep their labels."""
     def neg(f: PlanarField) -> PlanarField:
-        if f.poly_form is not None:
-            p1, p2 = f.poly_form
-            return field_from_polys(-p1, -p2, params=dict(f.params))
-        ev = f.eval
-        return PlanarField(eval=lambda x, y: -ev(x, y), params=dict(f.params))
+        p1, p2 = f.poly_form
+        return field_from_polys(-p1, -p2)
 
     return FilippovSystem(
         x_plus=neg(system.x_plus), x_minus=neg(system.x_minus), h=system.h,

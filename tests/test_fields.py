@@ -89,7 +89,8 @@ def test_sliding_field_is_convex_combination(x):
 
 
 def test_switching_function_vertical_helper():
+    # h is the exact polynomial y, with gradient (0, 1)
     sys = canonical_system(k=1)
-    assert sys.h.h(0.7, 0.3) == approx(0.3)
-    assert np.allclose(sys.h.grad_h(0.7, 0.3), [0.0, 1.0])
-    assert sys.h.poly is not None
+    assert sys.h == Poly2.y()
+    assert sys.h(0.7, 0.3) == 0.3
+    assert not sys.h.diff_x().terms and sys.h.diff_y() == Poly2.const(1)

@@ -220,9 +220,8 @@ def test_every_band_rhs_call_is_counted_on_a_radau_leg(monkeypatch):
 
 
 def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):
-    from regtang import FilippovSystem, PlanarField, SwitchingFunction, maps
+    from regtang import maps
     from regtang.integrate import STIFF_RATIO, _dop853, _stepper
-    from regtang.scenarios import time_reversed
 
     legs = []
     inner = maps.flow_to_section_traj
@@ -245,20 +244,8 @@ def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):
     find_x_epsilon(sys, TransitionConfig(1, 2, lam=0.999 * lambda_star(1, 2)), 1e-5)
     assert legs[0][1].njev > 0
 
-    # a field without polynomial forms has no exact Jacobian: DOP853 however
-    # stiff its layer is
-    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
-    eval_only = time_reversed(FilippovSystem(plus, sys.x_minus,
-                                             SwitchingFunction.vertical_coordinate()))
     tf = TransitionConfig(1, 2).tf
     start = np.array([-0.3, 0.5])
-    stiff = BandField(eval_only, tf, 1e-8)
-    assert stiff.jacobian is None and _stepper(stiff, start) is _dop853
-    # the reversed layer repels: the orbit leaves it upward, on DOP853
-    from regtang import SectionSpec, flow_to_section_traj
-    _, traj = flow_to_section_traj(stiff, start, SectionSpec("horizontal", 2.0),
-                                   IntegratorConfig(max_time=100.0))
-    assert traj.segments[0].njev == 0
     poly = BandField(sys, tf, 1e-8)
     assert abs(poly.jacobian(*start)[1][1]) > STIFF_RATIO * poly.eps
     assert _stepper(poly, start) is not _dop853

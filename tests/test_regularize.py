@@ -1,5 +1,6 @@
 """Smoothed fields, the layer system, and the slow manifold."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -94,14 +95,10 @@ def test_band_field_consistency_with_slow_time(x, yhat):
 
 def test_non_vertical_switching_is_rejected():
     sys = canonical_system(k=1)
-    from regtang import FilippovSystem, Poly2, SwitchingFunction
+    from regtang import FilippovSystem, Poly2
 
-    tilted = SwitchingFunction(
-        h=lambda x, y: y - x,
-        grad_h=lambda x, y: np.array([-1.0, 1.0]),
-        poly=Poly2.y() - Poly2.x(),
-    )
-    bad = FilippovSystem(sys.x_plus, sys.x_minus, tilted, dict(sys.params))
+    bad = FilippovSystem(sys.x_plus, sys.x_minus, Poly2.y() - Poly2.x(),
+                         dict(sys.params))
     with raises(ConditionViolated):
         BandField(bad, TF1, 1e-3)
 
@@ -234,15 +231,15 @@ def test_fused_kernels_equal_the_composition(case, x, s):
     _check_kernels(*case, x, s)
 
 
-def test_fused_kernels_call_eval_only_fields():
-    from regtang import FilippovSystem, PlanarField, SwitchingFunction
+def test_fused_kernels_on_a_time_reversed_system():
+    from regtang import FilippovSystem, Poly2, field_from_polys
     from regtang.scenarios import time_reversed
 
     sys = canonical_system(k=1)
-    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
-    reversed_sys = time_reversed(FilippovSystem(
-        plus, sys.x_minus, SwitchingFunction.vertical_coordinate()))
-    assert reversed_sys.x_plus.poly_form is None
+    plus = field_from_polys(Poly2.const(1) + Poly2.y(),
+                            Poly2.x() - Poly2.y().scale(Fraction(1, 2)))
+    reversed_sys = time_reversed(FilippovSystem(plus, sys.x_minus, Poly2.y()))
+    assert reversed_sys.x_plus.poly_form == (-plus.poly_form[0], -plus.poly_form[1])
     for x in (-0.7, 0.0, 0.4):
         for s in (-2.0, -1.0, -0.3, 0.0, 0.6, 1.0, 1.7):
             _check_kernels(reversed_sys, TF1, 1e-3, x, s)
@@ -251,21 +248,17 @@ def test_fused_kernels_call_eval_only_fields():
 
 
 def test_regularized_kernel_with_tilted_switching_function():
-    from regtang import FilippovSystem, Poly2, SwitchingFunction
+    from regtang import FilippovSystem, Poly2
 
     sys = boundary_cycle_system(k=2)
     tf = phi_family(5)
-    tilted = SwitchingFunction(
-        h=lambda x, y: y - 0.5 * x,
-        grad_h=lambda x, y: np.array([-0.5, 1.0]),
-        poly=Poly2.y() - Poly2.x().scale(Fraction(1, 2)),
-    )
+    tilted = Poly2.y() - Poly2.x().scale(Fraction(1, 2))
     tilted_sys = FilippovSystem(sys.x_plus, sys.x_minus, tilted)
     eps = 1e-2
     reg = RegularizedField(tilted_sys, tf, eps)
     for x in (-0.3, 0.0, 0.2):
         for y in (-0.2, 0.5 * x - 0.004, 0.5 * x, 0.5 * x + 0.007, 0.3):
-            s = tilted.h(x, y) / eps
+            s = tilted(x, y) / eps
             got = np.asarray(reg.eval(x, y))
             want, size = _composed(tilted_sys, tf, x, y, s)
             assert np.all(np.abs(got - want) <= 1e-14 * size)
@@ -274,20 +267,48 @@ def test_regularized_kernel_with_tilted_switching_function():
                 assert np.array_equal(got, side.eval(x, y))
 
 
-def test_slow_manifold_finite_difference_fallback_matches_polynomial_form():
-    # an eval-only X+ takes the central-difference branch for f_x and the
-    # y-derivative; g and theta make both differences inexact
-    from regtang import FilippovSystem, Poly1, Poly2, PlanarField
+def _composed_divergence(system, tf, eps, jump, x, y):
+    """div Z_eps from its parts, in the order the kernel runs them:
+    c div X+ + (1 - c) div X- + Phi'(s)/(2 eps) * jump(X+, X-), s = h/eps."""
+    s = system.h(x, y) / eps
+    c = 0.5 * (1.0 + tf.Phi(s))
+    (p1, p2), (m1, m2) = system.x_plus.poly_form, system.x_minus.poly_form
+    div_p = (p1.diff_x() + p2.diff_y())(x, y)
+    div_m = (m1.diff_x() + m2.diff_y())(x, y)
+    base = c * div_p + (1.0 - c) * div_m
+    dphi = tf.Phi_prime(s)
+    if dphi != 0.0:
+        vp, vm = system.x_plus.eval(x, y), system.x_minus.eval(x, y)
+        base += dphi / (2.0 * eps) * jump(float(vp[0]) - float(vm[0]),
+                                          float(vp[1]) - float(vm[1]))
+    return base
 
-    theta = Poly2.const(Fraction(1, 2)) + Poly2.x() + Poly2.y().pow(2)
-    for g, th in ((None, None), (Poly1.monomial(3, 1), theta)):
-        sys = canonical_system(k=1, g=g, theta=th)
-        fd_sys = FilippovSystem(PlanarField(eval=sys.x_plus.eval), sys.x_minus,
-                                sys.h, dict(sys.params))
-        exact, fd = SlowManifold(sys, TF1), SlowManifold(fd_sys, TF1)
-        for x in (-0.3, -0.2, -0.1, -0.05):
-            assert fd.m0(x) == approx(exact.m0(x), abs=1e-6)
-            assert fd.m1(x) == approx(exact.m1(x), abs=1e-6)
+
+def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
+    # h = y: the jump term is h_y (X2+ - X2-) = X2+ - X2-; the tilted
+    # h = y - x/2 adds h_x (X1+ - X1-) = -(X1+ - X1-)/2
+    from regtang import FilippovSystem, Poly2
+
+    tilted = Poly2.y() - Poly2.x().scale(Fraction(1, 2))
+    cases = []
+    for sys, tf, eps in ((boundary_cycle_system(k=2), phi_family(5), 1e-2),
+                         (canonical_system(k=1), TF1, 1e-3)):
+        cases.append((sys, tf, eps, lambda d1, d2: d2, 0.0))
+        cases.append((FilippovSystem(sys.x_plus, sys.x_minus, tilted), tf, eps,
+                      lambda d1, d2: -0.5 * d1 + d2, 0.5))
+    for sys, tf, eps, jump, slope in cases:
+        div = RegularizedField(sys, tf, eps).divergence()
+        inside = 0
+        for x in (-0.7, -0.3, 0.0, 0.2, 0.55):
+            # outside the band, on its edges s = +-1, and inside it
+            for s in (-3.0, -1.0, -0.999, -0.4, 0.0, 0.3, 0.95, 1.0, 1.5):
+                y = slope * x + eps * s
+                got = div(x, y)
+                want = _composed_divergence(sys, tf, eps, jump, x, y)
+                assert type(got) is float
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+                inside += abs(sys.h(x, y) / eps) < 1.0
+        assert inside >= 20
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +336,7 @@ def test_band_jacobian_matches_central_differences():
                     assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
 
 
-def test_band_jacobian_is_exact_off_the_band_and_absent_without_polynomials():
-    from regtang import FilippovSystem, PlanarField, SwitchingFunction
-
+def test_band_jacobian_is_exact_off_the_band():
     sys = canonical_system(k=1)
     eps = 1e-3
     band = BandField(sys, TF1, eps)
@@ -328,9 +347,6 @@ def test_band_jacobian_is_exact_off_the_band_and_absent_without_polynomials():
     want = [[eps * p1.diff_x()(x, y), eps * eps * p1.diff_y()(x, y)],
             [p2.diff_x()(x, y), eps * p2.diff_y()(x, y)]]
     assert np.allclose(band.jacobian(x, s), want, rtol=1e-15, atol=0.0)
-    plus = PlanarField(eval=lambda x, y: np.array([1.0 + y, x - 0.5 * y]))
-    eval_only = FilippovSystem(plus, sys.x_minus, SwitchingFunction.vertical_coordinate())
-    assert BandField(eval_only, TF1, eps).jacobian is None
 
 
 def test_equal_fields_share_their_compiled_kernels():

@@ -90,6 +90,29 @@ def test_time_reversed_flips_both_fields():
     assert rev.params["kind"].endswith("-reversed")
 
 
+def test_time_reversed_twice_gives_back_the_system():
+    from regtang import RegularizedField, phi_family
+
+    tf = phi_family(2)
+    theta = Poly2.const(1) + Poly2.x() * Poly2.y()
+    for sys in (canonical_system(k=2, g=Poly1.monomial(5, 3), theta=theta),
+                boundary_cycle_system(k=2)):
+        back = time_reversed(time_reversed(sys))
+        assert back.x_plus.poly_form == sys.x_plus.poly_form
+        assert back.x_minus.poly_form == sys.x_minus.poly_form
+        assert back.h == sys.h
+        pairs = [(back.x_plus.eval, sys.x_plus.eval),
+                 (back.x_minus.eval, sys.x_minus.eval),
+                 (back.x_plus.divergence(), sys.x_plus.divergence()),
+                 (RegularizedField(back, tf, 1e-2).eval,
+                  RegularizedField(sys, tf, 1e-2).eval),
+                 (RegularizedField(back, tf, 1e-2).divergence(),
+                  RegularizedField(sys, tf, 1e-2).divergence())]
+        for x, y in [(0.3, 0.2), (-0.1, -0.004), (0.7, 0.006), (-0.45, 1.3)]:
+            for got, want in pairs:
+                assert np.array_equal(got(x, y), want(x, y))
+
+
 def test_single_contact_in_window():
     sys = canonical_system(k=1)
     assert single_contact_in_window(sys, -0.5, 0.5)
