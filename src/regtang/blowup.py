@@ -191,15 +191,11 @@ class EquatorialChart:
         yo = -(r1 ** (2 * k * (n - 1))) * (-r1 + r1 ** (2 * k)) * e1
         return pref * e1 * self._th(xo, yo)
 
-    def rhs(self, t: float, p) -> np.ndarray:
+    def rhs(self, t: float, p) -> Tuple[float, float, float]:
         x1, r1, e1 = p
         k, n = self.k, self.n
         hj = (self.H(x1, r1) - self.J(x1, r1, e1)) / (2 * k - 1)
-        return np.array([
-            e1 + n * x1 * hj,
-            -r1 * hj,
-            (1 + 2 * k * (n - 1)) * e1 * hj,
-        ])
+        return (e1 + n * x1 * hj, -r1 * hj, (1 + 2 * k * (n - 1)) * e1 * hj)
 
     # -- equilibrium data ----------------------------------------------------
 
@@ -221,7 +217,8 @@ class EquatorialChart:
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = FD_STEP
-            J[:, j] = (self.rhs(0.0, p + dp) - self.rhs(0.0, p - dp)) / (2 * FD_STEP)
+            J[:, j] = (np.array(self.rhs(0.0, p + dp))
+                       - np.array(self.rhs(0.0, p - dp))) / (2 * FD_STEP)
         return J
 
     def eigenvalues(self) -> np.ndarray:

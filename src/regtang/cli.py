@@ -140,8 +140,9 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
         raise RegtangError(
             f"unknown scenario {cfg['scenario']!r}; available: {sorted(SCENARIOS)}"
         )
-    if "points" in cfg and cfg["points"] < 1:
-        raise RegtangError(f"points must be at least 1 (got {cfg['points']})")
+    for key in ("points", "workers"):
+        if key in cfg and cfg[key] < 1:
+            raise RegtangError(f"{key} must be at least 1 (got {cfg[key]})")
     return cfg
 
 

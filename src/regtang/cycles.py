@@ -118,12 +118,12 @@ def find_cycle(return_fn: Callable[[float], float],
 # variational derivative of a planar section-to-section map
 # --------------------------------------------------------------------------
 
-def _augmented_rhs(eval2: Callable[[float, float], np.ndarray],
+def _augmented_rhs(eval2: Callable[[float, float], Tuple[float, float]],
                    div2: Callable[[float, float], float]):
     def rhs(t, p):
         x, y, _ = p
-        v = eval2(x, y)
-        return np.array([v[0], v[1], div2(x, y)])
+        u, v = eval2(x, y)
+        return (u, v, div2(x, y))
     return rhs
 
 

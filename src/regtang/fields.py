@@ -22,7 +22,8 @@ Point = Tuple[float, float]
 class PlanarField:
     """A smooth planar field given by its exact polynomial components.
 
-    ``eval(x, y)`` is the kernel generated from them at construction.
+    ``eval(x, y)`` is the kernel generated from them at construction; it
+    returns the tuple ``(u, v)`` of Python floats.
     """
 
     poly_form: Tuple[Poly2, Poly2]
@@ -32,11 +33,7 @@ class PlanarField:
         self.eval = compile_kernel(
             "x, y",
             power_lines(self.poly_form) + p1.float_lines("u") + p2.float_lines("v")
-            + ["return array([u, v])"],
-            {"array": np.array})
-
-    def __call__(self, x: float, y: float) -> np.ndarray:
-        return self.eval(x, y)
+            + ["return (u, v)"])
 
     def divergence(self) -> Callable[[float, float], float]:
         """The exact divergence as a float kernel."""
@@ -125,8 +122,8 @@ def sliding_field(Z: FilippovSystem, p: Point) -> np.ndarray:
     a = lie_derivative(Z.x_plus, Z.h, 1, p)
     b = lie_derivative(Z.x_minus, Z.h, 1, p)
     den = b - a
-    xp = Z.x_plus.eval(p[0], p[1])
-    xm = Z.x_minus.eval(p[0], p[1])
+    xp = np.array(Z.x_plus.eval(p[0], p[1]))
+    xm = np.array(Z.x_minus.eval(p[0], p[1]))
     scale = max(1.0, float(np.hypot(*xp)), float(np.hypot(*xm)))
     if abs(den) < 1e-12 * scale:
         raise DegenerateDenominator(f"|X^-h - X^+h| = {abs(den):g} at {p}")

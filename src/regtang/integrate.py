@@ -17,6 +17,10 @@ attempt and step-size rule:
   step control, its linear algebra done in closed form on Python floats and
   an exact Jacobian from the field.
 
+Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
+floats, and returns a sequence of floats that the steppers use as it is; the
+fields' generated kernels return a tuple.
+
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
 with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
 |d yhat'/d yhat| / eps at the start point exceeds ``STIFF_RATIO`` runs
@@ -59,7 +63,7 @@ from . import _tableaux as tab
 from .errors import (ConditionViolated, DomainExit, NoCrossing, StepSizeUnderflow,
                      TangentialGraze)
 
-RHS = Callable[[float, List[float]], np.ndarray]
+RHS = Callable[[float, List[float]], Sequence[float]]  # see the module docstring
 
 _EPS = float(np.finfo(float).eps)
 
@@ -99,6 +103,8 @@ class SectionSpec:
     def __post_init__(self):
         if self.kind not in ("vertical", "horizontal"):
             raise ValueError(f"unknown section kind {self.kind!r}")
+        if self.direction not in (None, "up", "down"):
+            raise ValueError(f"unknown section direction {self.direction!r}")
         if not self.interval[0] < self.interval[1]:
             raise ValueError("section interval is degenerate")
         if self.ident is None:
@@ -217,7 +223,7 @@ class Segment:
 @dataclass
 class Trajectory:
     t: np.ndarray
-    points: np.ndarray                     # shape (n, 2)
+    points: np.ndarray  # one state per row, (len(t), d): d = 2, or 3 with a divergence integral
     events: List[EventHit] = dc_field(default_factory=list)
     segments: List[Segment] = dc_field(default_factory=list, repr=False)
 
@@ -246,11 +252,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def _as_rhs(field) -> RHS:
-    if callable(field) and not hasattr(field, "eval"):
+    if not hasattr(field, "eval"):  # already a right-hand side
         return field
     ev = field.eval
 
-    def rhs(t: float, p: List[float]) -> np.ndarray:
+    def rhs(t: float, p: List[float]) -> Sequence[float]:
         x, y = p  # Python floats: the kernels' math stays off np.float64
         return ev(x, y)
 
@@ -576,8 +582,9 @@ class _Run:
     ``t`` to ``t_new`` (``rejected``: an earlier try of this step was;
     ``clamped``: the step's first size was) and returns ``(size, rejected,
     None)`` to retry with that size, or, once it accepts, the next step's
-    proposed size and ``(state, coefficient rows)``.  The start state is
-    kept as lists of Python floats, ``y`` and ``f``.
+    proposed size and ``(state, coefficient rows)``, the state as the list
+    the stepper computed.  The start state is kept as lists of Python floats,
+    ``y`` and ``f``; ``run`` stacks the states once, into its ``Segment``.
 
     ``record`` keeps a step's dense output and then checks the stops as
     ``solve_ivp`` checks terminal events: a stop is active on a step when its
@@ -589,7 +596,7 @@ class _Run:
     """
 
     def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-                 config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]],
+                 config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
                  admit: Optional[Callable[[int, float, float, np.ndarray], bool]],
                  order: int, horner: Callable):
         self.t, self.t_bound = map(float, t_span)
@@ -638,7 +645,7 @@ class _Run:
                        horner=self.horner, nfev=self.nfev, njev=self.njev,
                        nlu=self.nlu), hit
 
-    def record(self, t_old: float, t: float, h: float, y: np.ndarray,
+    def record(self, t_old: float, t: float, h: float, y: Sequence[float],
                coef: Optional[np.ndarray]) -> Optional[Tuple[int, float, np.ndarray]]:
         """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
         with its coefficient rows ``coef``; return ``(stop index, t, state)``
@@ -670,7 +677,7 @@ class _Run:
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-            config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]],
+            config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
             admit: Optional[Callable[[int, float, float, np.ndarray], bool]] = None
             ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
     """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
@@ -722,7 +729,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
         F = _interpolant(K, h, y, y_new, f, f_new)
         y, f = y_new, f_new
         rows[0][...] = rows[_N]
-        return abs(h) * factor, rejected, (np.array(y_new), F)
+        return abs(h) * factor, rejected, (y_new, F)
     return run.run(attempt)
 
 
@@ -773,7 +780,7 @@ def _collocation(rhs: RHS, t: float, y: List[float], h: float, Z0: List[List[flo
     dW_norm_old = rate = None
     for k in range(_NEWTON_MAXITER):
         (f00, f01), (f10, f11), (f20, f21) = [
-            rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]).tolist() for i in range(3)]
+            rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]) for i in range(3)]
         if not all(map(math.isfinite, (f00, f01, f10, f11, f20, f21))):
             break
         fr0 = f00 * r0 + f10 * r1 + f20 * r2 - m_real * W[0][0]
@@ -804,7 +811,7 @@ def _rms(v: Sequence[float], scale: Sequence[float]) -> float:
 
 
 def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-           config: IntegratorConfig, stops: Sequence[Callable[[np.ndarray], float]],
+           config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
            admit: Optional[Callable[[int, float, float, np.ndarray], bool]] = None, *,
            jac: Callable[[float, List[float]], Sequence[Sequence[float]]]
            ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
@@ -872,7 +879,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
         error_norm = _rms(error, scale)
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
         if rejected and error_norm > 1:
-            fe = rhs(t, [y[j] + error[j] for j in (0, 1)]).tolist()
+            fe = rhs(t, [y[j] + error[j] for j in (0, 1)])
             run.nfev += 1
             e0, e1 = fe[0] + ZE[0], fe[1] + ZE[1]
             error = [a * e0 + b * e1, c * e0 + d * e1]
@@ -887,7 +894,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             factor = 1.0
         else:
             inv = None
-        f_new = rhs(t_new, y_new).tolist()
+        f_new = rhs(t_new, y_new)
         run.nfev += 1
         if recompute_jac:
             J = jac(t_new, y_new)
@@ -899,15 +906,15 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
              for j in (0, 1)]
         prev = (t, h, y, Q)
         y, f = y_new, f_new
-        return abs(h) * factor, rejected, (np.array(y_new), np.array(Q).T)
+        return abs(h) * factor, rejected, (y_new, np.array(Q).T)
     return run.run(attempt)
 
 
-def _norm_guard(config: IntegratorConfig) -> Callable[[np.ndarray], float]:
+def _norm_guard(config: IntegratorConfig) -> Callable[[Sequence[float]], float]:
     bound = config.norm_guard
 
-    def guard(p: np.ndarray) -> float:
-        return max(map(abs, p.tolist())) - bound
+    def guard(p: Sequence[float]) -> float:
+        return max(map(abs, p)) - bound
     return guard
 
 
@@ -936,19 +943,21 @@ def flow(
     return Trajectory(t=seg.t, points=seg.y.T.copy(), events=hits, segments=[seg])
 
 
-def _nudge_off_section(rhs: RHS, t0: float, p0: np.ndarray, sec: SectionSpec,
-                       config: IntegratorConfig, forward: bool) -> Tuple[float, np.ndarray]:
-    """Small RK4 steps until the residual clears the event band."""
+def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
+                       config: IntegratorConfig, forward: bool) -> Tuple[float, List[float]]:
+    """Small RK4 steps until the residual clears the event band; the state is
+    a list of Python floats, each operation elementwise."""
     sgn = 1.0 if forward else -1.0
-    rate = abs(sec.residual_rate(rhs(t0, p0.tolist())))
+    rate = abs(sec.residual_rate(rhs(t0, p0)))
     dt = 50.0 * config.event_tol / max(rate, 1e-9)
     dt = sgn * min(max(dt, 1e-13), 1e-3)
     for _ in range(60):
-        k1 = rhs(t0, p0.tolist())
-        k2 = rhs(t0 + dt / 2, (p0 + dt / 2 * k1).tolist())
-        k3 = rhs(t0 + dt / 2, (p0 + dt / 2 * k2).tolist())
-        k4 = rhs(t0 + dt, (p0 + dt * k3).tolist())
-        p1 = p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(t0, p0)
+        k2 = rhs(t0 + dt / 2, [p + dt / 2 * k for p, k in zip(p0, k1)])
+        k3 = rhs(t0 + dt / 2, [p + dt / 2 * k for p, k in zip(p0, k2)])
+        k4 = rhs(t0 + dt, [p + dt * k for p, k in zip(p0, k3)])
+        p1 = [p + dt / 6 * (a + 2 * b + 2 * c + d)
+              for p, a, b, c, d in zip(p0, k1, k2, k3, k4)]
         t1 = t0 + dt
         if abs(sec.residual(p1)) > 10 * config.event_tol:
             return t1, p1
@@ -978,11 +987,11 @@ def _section_admit(section: SectionSpec):
 STIFF_RATIO = 1e4
 
 
-def _stepper(field, p: np.ndarray):
+def _stepper(field, p: List[float]):
     """The stepper of a leg of ``field`` from ``p``: ``_radau`` for a stiff
     leg of a field with an exact Jacobian, ``_dop853`` for every other."""
     jac = getattr(field, "jacobian", None)
-    if jac is None or not abs(jac(*p.tolist())[1][1]) > STIFF_RATIO * field.eps:
+    if jac is None or not abs(jac(*p)[1][1]) > STIFF_RATIO * field.eps:
         return _dop853
     return partial(_radau, jac=lambda t, q: jac(q[0], q[1]))
 
@@ -1015,7 +1024,7 @@ def flow_to_section_traj(
     record_sections = list(record_sections)
 
     t0 = 0.0
-    p = np.asarray(p0, dtype=float)
+    p = np.asarray(p0, dtype=float).tolist()
     # Starting on the target section: the degenerate t=0 "crossing" is not the
     # one asked for; step off the section before arming the stopper.
     if abs(section.residual(p)) <= 10 * config.event_tol:

@@ -337,22 +337,19 @@ KERNEL_CACHE_SIZE = 512  # compiled kernels kept per process, least recently use
 _KERNELS: "OrderedDict[tuple, Callable]" = OrderedDict()
 
 
-def compile_kernel(args: str, body: Sequence[str],
-                   namespace: Optional[Dict[str, object]] = None) -> Callable:
-    """Compile ``def _kernel(args): body`` and return the function; the
-    names ``body`` uses beyond its arguments and locals come from ``namespace``.
+def compile_kernel(args: str, body: Sequence[str]) -> Callable:
+    """Compile ``def _kernel(args): body`` and return the function.
 
-    Kernels are memoized on the source and the identities of the namespace's
-    objects: a cached kernel holds those objects in its globals, so an
-    identity in a live key cannot be reused by another object.
+    ``body`` reads only its arguments and its own locals, so a kernel is
+    memoized on its source alone.
     """
-    ns = dict(namespace or {})
-    key = (args, tuple(body), tuple(sorted((k, id(v)) for k, v in ns.items())))
+    key = (args, tuple(body))
     fn = _KERNELS.get(key)
     if fn is not None:
         _KERNELS.move_to_end(key)
         return fn
     src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
+    ns: dict = {}
     exec(compile(src, "<regtang kernel>", "exec"), ns)
     fn = _KERNELS[key] = ns["_kernel"]
     if len(_KERNELS) > KERNEL_CACHE_SIZE:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def _zone_polys(system: FilippovSystem, index=(1, 2)) -> list:
 
 
 def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
-                band: bool) -> Callable[[float, float], np.ndarray]:
+                band: bool) -> Callable[[float, float], Tuple[float, float]]:
     """Straight-line float kernel of the convex combination
 
         c = (1 + Phi(s))/2,   Z = c*X_plus + (1 - c)*X_minus,
@@ -81,12 +81,12 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
     is scaled by eps (``BandField``), otherwise it is ``RegularizedField``.
     The kernel runs the operations of ``c*X_plus.eval + (1 - c)*X_minus.eval``
     in their order, on the statements ``PlanarField`` compiles, so it returns
-    the same numbers.
+    the same numbers, as a tuple of two Python floats.
     """
     body = _kernel_body(system, tf, eps, band, _zone_polys(system))
     first = f"{float(eps)!r}*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
-    body.append(f"return array([{first}, c*p2 + d*m2])")
-    return compile_kernel("x, s" if band else "x, y", body, {"array": np.array})
+    body.append(f"return ({first}, c*p2 + d*m2)")
+    return compile_kernel("x, s" if band else "x, y", body)
 
 
 def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
@@ -169,11 +169,8 @@ class RegularizedField:
             raise NonPositiveQuantity("eps must be positive and finite")
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=False)
 
-    def eval(self, x: float, y: float) -> np.ndarray:
+    def eval(self, x: float, y: float) -> Tuple[float, float]:
         return self._rhs(x, y)
-
-    def __call__(self, x: float, y: float) -> np.ndarray:
-        return self.eval(x, y)
 
     def divergence(self) -> Callable[[float, float], float]:
         return _divergence_kernel(self.system, self.tf, self.eps)
@@ -216,11 +213,8 @@ class BandField:
         self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
         self.jacobian = _band_jacobian_kernel(self.system, self.tf, self.eps)
 
-    def eval(self, x: float, yhat: float) -> np.ndarray:
+    def eval(self, x: float, yhat: float) -> Tuple[float, float]:
         return self._rhs(x, yhat)
-
-    def __call__(self, x: float, yhat: float) -> np.ndarray:
-        return self.eval(x, yhat)
 
 
 # --------------------------------------------------------------------------

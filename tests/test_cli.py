@@ -416,6 +416,8 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     ["chart", "--alpha", "nan"],
     ["simulate", "--tmax", "nan"],
     ["scaling", "--eps-decades=nan:-2"],
+    ["scaling", "--workers", "0"],
+    ["scaling", "--workers", "-3"],
 ])
 def test_bad_numeric_inputs_exit_2_with_json(argv, capsys):
     code = main(argv)

@@ -26,6 +26,7 @@ from regtang.integrate import (
     _dop853,
     _dop853_horner,
     _norm_guard,
+    _nudge_off_section,
     _radau,
     _radau_horner,
     _scan_grid,
@@ -78,6 +79,17 @@ def test_direction_filter_skips_wrong_way_crossings():
     sec = SectionSpec("horizontal", 0.5, direction="down")
     hit = flow_to_section(rotation, (1.0, 0.0), sec, cfg)
     assert hit.t == approx(5 * np.pi / 6, abs=1e-9)
+
+
+def test_section_direction_must_be_up_down_or_none():
+    with raises(ValueError, match="direction"):
+        flow(rotation, (1.0, 0.0), (0.0, 7.0),
+             sections=[SectionSpec("horizontal", 0.5, direction="Up")])
+    with raises(ValueError, match="direction"):
+        flow_to_section_traj(rotation, (1.0, 0.0),
+                             SectionSpec("horizontal", 0.5, direction="Up"))
+    up = SectionSpec("horizontal", 0.5, direction="up")
+    assert len(flow(rotation, (1.0, 0.0), (0.0, 7.0), sections=[up]).events) == 2
 
 
 def test_interval_filter_rejects_hits_outside_window():
@@ -940,3 +952,44 @@ def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
                              text=True, check=True).stdout
         assert out.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "cycle-polyline-0.csv").exists()
+
+
+def _numpy_nudge(rhs, t0, p0, sec, config, forward):
+    """The RK4 nudge off a section, on numpy arrays."""
+    sgn = 1.0 if forward else -1.0
+    rate = abs(sec.residual_rate(rhs(t0, p0.tolist())))
+    dt = 50.0 * config.event_tol / max(rate, 1e-9)
+    dt = sgn * min(max(dt, 1e-13), 1e-3)
+    for _ in range(60):
+        k1 = np.array(rhs(t0, p0.tolist()))
+        k2 = np.array(rhs(t0 + dt / 2, (p0 + dt / 2 * k1).tolist()))
+        k3 = np.array(rhs(t0 + dt / 2, (p0 + dt / 2 * k2).tolist()))
+        k4 = np.array(rhs(t0 + dt, (p0 + dt * k3).tolist()))
+        p1 = p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t1 = t0 + dt
+        if abs(sec.residual(p1)) > 10 * config.event_tol:
+            return t1, p1
+        t0, p0 = t1, p1
+    return t0, p0
+
+
+def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
+    from regtang import BandField, RegularizedField, phi_family
+    from regtang.cycles import _augmented_rhs
+    from regtang.scenarios import boundary_cycle_system, canonical_system
+
+    cfg = IntegratorConfig()
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    band = BandField(canonical_system(k=1), phi_family(1), 1e-3)
+    cases = [  # the return-map leg of the cycle study, 3-D; a band leg, 2-D
+        (_augmented_rhs(reg.eval, reg.divergence()), (-0.3, 0.02, 0.0),
+         SectionSpec("vertical", -0.3, direction="up")),
+        (_as_rhs(band), (-0.2, 1.0), SectionSpec("horizontal", 1.0, direction="up")),
+    ]
+    for rhs, p0, sec in cases:
+        for forward in (True, False):
+            t, p = _nudge_off_section(rhs, 0.0, list(p0), sec, cfg, forward)
+            t_ref, p_ref = _numpy_nudge(rhs, 0.0, np.array(p0), sec, cfg, forward)
+            assert t == t_ref and t != 0.0
+            assert p == p_ref.tolist()
+            assert all(type(c) is float for c in p)

@@ -247,6 +247,24 @@ def test_fused_kernels_on_a_time_reversed_system():
                           [-1e-3 * 1.002, -(0.4 - 0.001)])
 
 
+def test_every_eval_returns_a_tuple_of_python_floats():
+    # the right-hand-side contract: zone, regularized and band fields hand the
+    # steppers a tuple of floats, inside the band, outside it and on its edges
+    from regtang.scenarios import time_reversed
+
+    eps = 1e-2
+    for sys in (canonical_system(k=1), boundary_cycle_system(k=2),
+                time_reversed(canonical_system(k=2))):
+        reg, band = RegularizedField(sys, TF1, eps), BandField(sys, TF1, eps)
+        for x in (-0.4, 0.0, 0.3):
+            for s in (-2.0, -1.0, -0.5, 0.0, 0.7, 1.0, 3.0):
+                y = eps * s
+                for v in (sys.x_plus.eval(x, y), sys.x_minus.eval(x, y),
+                          reg.eval(x, y), band.eval(x, s)):
+                    assert type(v) is tuple and len(v) == 2
+                    assert all(type(c) is float for c in v)
+
+
 def test_regularized_kernel_with_tilted_switching_function():
     from regtang import FilippovSystem, Poly2
 
@@ -316,8 +334,8 @@ def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
 # --------------------------------------------------------------------------
 
 def _central_jacobian(band, x, s, h=1e-6):
-    dx = (band.eval(x + h, s) - band.eval(x - h, s)) / (2 * h)
-    ds = (band.eval(x, s + h) - band.eval(x, s - h)) / (2 * h)
+    dx = (np.array(band.eval(x + h, s)) - np.array(band.eval(x - h, s))) / (2 * h)
+    ds = (np.array(band.eval(x, s + h)) - np.array(band.eval(x, s - h))) / (2 * h)
     return np.column_stack([dx, ds])
 
 

@@ -20,6 +20,8 @@ from regtang import cli
 
 CASES = {
     "scaling": ["scaling", "--eps-decades=-4:-2", "--points", "6"],
+    # its smaller-eps band legs are stiff and run Radau IIA; no other case runs it
+    "scaling-radau": ["scaling", "--eps-decades=-6:-4", "--points", "6"],
     "upper-map": ["upper-map", "--eps-decades=-3:-2", "--points", "3"],
     "lower-map": ["lower-map", "--eps-decades=-3:-2", "--points", "3"],
     "slow-manifold": ["slow-manifold", "--eps", "1e-3"],
