@@ -236,8 +236,8 @@ def _sweep(worker, cfg: Dict[str, object], eps_values: List[float], *args) -> li
     """The rows ``worker((cfg, *args, eps))`` sorted by eps, computed on
     --workers processes (default one per eps, up to the CPU count)."""
     jobs = [(cfg, *args, eps) for eps in eps_values]
-    workers = int(cfg.get("workers", min(len(jobs), os.cpu_count() or 1)))
-    if workers > 1 and len(jobs) > 1:
+    workers = min(int(cfg.get("workers", os.cpu_count() or 1)), len(jobs))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(worker, jobs))
     else:

@@ -40,12 +40,12 @@ checked against scipy bit for bit by the tests: the coefficient tables
 Stops are checked after each step exactly as ``solve_ivp`` checks terminal
 events.  A leg to a section is one run: a stop may turn a root down (a
 crossing outside the section's interval or against its direction), and the
-same solver then steps on.  Section crossings are located on the dense
-output, evaluated on a sub-step grid in one batched pass, and verified
-against ``event_tol``.  A leg that ends without an admissible crossing is
-checked for a tangential touch of its target section: a turning point of the
-residual within ``sqrt(event_tol)`` of zero is surfaced as
-``TangentialGraze`` (a ``NoCrossing``) instead of a plain ``NoCrossing``.
+same solver then steps on.  One scan of the run's dense output on a
+sub-step grid (``_scan``) finds every crossing of a section, the two of a dip
+between grid points among them, and every touch: a turning point of the
+residual within ``sqrt(event_tol)`` of zero.  A leg without an admissible
+crossing raises ``TangentialGraze`` (a ``NoCrossing``) at its target's first
+touch, and a plain ``NoCrossing`` if there is none.
 """
 
 from __future__ import annotations
@@ -78,10 +78,17 @@ class IntegratorConfig:
     norm_guard: float = 1e6  # trajectory norm bound; beyond it -> DomainExit
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        # NaN fails each test; max_step <= 0 is left to ``_start`` (scipy's error)
+        if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("tolerances must be positive")
-        if self.event_tol > self.rtol:
-            raise ValueError("event_tol must not exceed rtol")
+        if not 0 < self.event_tol <= self.rtol:
+            raise ValueError("event_tol must be positive and must not exceed rtol")
+        if not 0 < self.max_time < math.inf:
+            raise ValueError("max_time must be finite and positive")
+        if not self.norm_guard > 0:
+            raise ValueError("norm_guard must be positive")
+        if math.isnan(self.max_step):
+            raise ValueError("max_step must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -352,12 +359,11 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-# On smooth polynomial fields DOP853's error estimate can vanish and the step
-# size explodes; scipy then only reports an event when the residual's sign
-# differs at the step endpoints, so a dip across a section and back inside a
-# single step is silently lost.  Crossings are therefore located by scanning
-# the dense interpolant on a sub-step grid instead of trusting the endpoint
-# test.
+# Every crossing of a section, and every touch, is found by one scan of the
+# run's dense output on a sub-step grid, never by the test at the step ends
+# alone: on smooth polynomial fields DOP853's error estimate can vanish and
+# the step size explodes, so a dip across a section and back may fit inside
+# one step, and may fit between two grid points too.
 SCAN_SUBDIV = 8
 
 
@@ -368,76 +374,66 @@ def _scan_grid(seg: Segment) -> np.ndarray:
     return np.append(grid.ravel(), ts[-1])
 
 
-def _scan_crossings(seg: Segment, rhs: RHS, forward: bool,
-                    sections: Sequence[SectionSpec]):
-    """Locate every section crossing on a segment's dense output.
+def _scan(seg: Segment, rhs: RHS, forward: bool, sections: Sequence[SectionSpec],
+          band: float):
+    """Every crossing and every touch of the sections on a segment's dense
+    output, in one pass over each residual on the sub-step grid.
 
-    Sign changes of each residual are bracketed on the sub-step grid and
-    polished with brentq on the same dense output: ``seg(s)`` evaluates, at
-    every time, the step polynomial whose batched values ``seg.dense`` gave
-    the scan, bit for bit, so a bracket holds its sign change also where the
-    polynomials of two steps do not join exactly.
-    Returns (t, point, section, rate) tuples ordered along the orbit.
+    A sign change between two grid points is bracketed and polished with
+    brentq.  A grid extremum that turns toward zero (a minimum of a positive
+    residual, a maximum of a negative one) is polished to its turning point
+    by brentq on the residual's rate: a turning point across zero brackets two
+    crossings, and one within ``band`` of zero is a touch.  A dip with two
+    turning points between grid points is missed.  brentq runs on the same
+    dense output: ``seg(s)`` evaluates, at every time, the step polynomial
+    whose batched values ``seg.dense`` gave the scan, bit for bit, so a
+    bracket holds its sign change also where two steps do not join exactly.
+
+    Returns ``(hits, touches)`` ordered along the orbit: (section, hit) for
+    each crossing its section admits, and (t, point, section) per touch.
     """
     if not sections:
-        return []
+        return [], []
     ts = _scan_grid(seg)
     pts = seg.dense(ts)
-    found = []
+    found, touches = [], []
     for sec in sections:
+        def residual(s, sec=sec):
+            return sec.residual(seg(s))
+
+        def rate(s, sec=sec):
+            return sec.residual_rate(rhs(s, seg(s).tolist()))
+
+        def root(a, b, f=residual):
+            return brentq(f, *sorted((a, b)), xtol=1e-15, rtol=8.9e-16)
         vals = (pts[0] if sec.kind == "vertical" else pts[1]) - sec.c
-        sgn = np.sign(vals)
+        sgn, d = np.sign(vals), np.diff(vals)
         flips = np.append(sgn[:-1] * sgn[1:] < 0, False)
-        for i in np.flatnonzero((sgn == 0.0) | flips):
+        turns = np.zeros_like(flips)
+        turns[1:-1] = (d[:-1] * d[1:] < 0) & (sgn[1:-1] * d[1:] > 0)
+        for i in np.flatnonzero((sgn == 0.0) | flips | turns):
             if sgn[i] == 0.0:
-                te = float(ts[i])
+                roots = [float(ts[i])]
+            elif flips[i]:
+                roots = [root(float(ts[i]), float(ts[i + 1]))]
             else:
-                lo, hi = sorted((float(ts[i]), float(ts[i + 1])))
-                te = brentq(lambda s: sec.residual(seg(s)), lo, hi,
-                            xtol=1e-15, rtol=8.9e-16)
-            if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
-                continue
-            pe = np.array(seg(te))
-            rate = sec.residual_rate(rhs(te, pe.tolist()))
-            found.append((float(te), pe, sec, float(rate)))
-    found.sort(key=lambda item: item[0], reverse=not forward)
-    return found
-
-
-def _admitted_hits(seg: Segment, rhs: RHS, forward: bool,
-                   sections: Sequence[SectionSpec]):
-    """Yield (section, hit) for each scanned crossing that its section admits,
-    in orbit order."""
-    for te, pe, sec, rate in _scan_crossings(seg, rhs, forward, sections):
-        hit = _classify(sec, te, pe, rate, forward)
-        if hit is not None:
-            yield sec, hit
-
-
-def _find_graze(seg: Segment, rhs: RHS, section: SectionSpec,
-                config: IntegratorConfig) -> Optional[Tuple[float, np.ndarray]]:
-    """First turning point of the section residual within sqrt(event_tol) of
-    zero, as (t, point); None if the orbit never comes that close.
-
-    Candidates are the extrema of the residual on the segment's scan grid;
-    only those are polished, with brentq on the residual's rate along the
-    same dense output (see ``_scan_crossings``).
-    """
-    band = math.sqrt(config.event_tol)
-
-    def rate(s):
-        return section.residual_rate(rhs(s, seg(s).tolist()))
-    ts = _scan_grid(seg)
-    d = np.diff(section.residual(seg.dense(ts)))
-    for i in np.flatnonzero(d[:-1] * d[1:] < 0) + 1:
-        lo, hi = sorted((float(ts[i - 1]), float(ts[i + 1])))
-        tg = float(ts[i])
-        if rate(lo) * rate(hi) < 0:
-            tg = brentq(rate, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        pg = np.array(seg(tg))
-        if abs(section.residual(pg)) < band:
-            return tg, pg
-    return None
+                before, tg, after = float(ts[i - 1]), float(ts[i]), float(ts[i + 1])
+                if rate(before) * rate(after) < 0:
+                    tg = root(before, after, rate)
+                pg = seg(tg)
+                rg = sec.residual(pg)
+                if abs(rg) < band:
+                    touches.append((tg, np.array(pg), sec))
+                roots = [root(before, tg), root(tg, after)] if rg * sgn[i] < 0 else []
+            for te in roots:
+                if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
+                    continue
+                pe = np.array(seg(te))
+                found.append((te, pe, sec, float(sec.residual_rate(rhs(te, pe.tolist())))))
+    for items in (found, touches):
+        items.sort(key=lambda item: item[0], reverse=not forward)
+    hits = [(sec, _classify(sec, te, pe, rate, forward)) for te, pe, sec, rate in found]
+    return [(sec, hit) for sec, hit in hits if hit is not None], touches
 
 
 # solve_ivp's tolerance for the root of a terminal event on a step's interpolant
@@ -935,12 +931,13 @@ def flow(
 
     seg, stop = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config,
                         [_norm_guard(config)])
-    hits = [hit for _, hit in _admitted_hits(seg, rhs, forward, sections)]
+    hits, _ = _scan(seg, rhs, forward, sections, math.sqrt(config.event_tol))
     if stop is not None:
         raise DomainExit(
             f"trajectory norm exceeded {config.norm_guard:g} at t={stop[1]:g}"
         )
-    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=hits, segments=[seg])
+    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=[hit for _, hit in hits],
+                      segments=[seg])
 
 
 def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
@@ -1009,14 +1006,18 @@ def flow_to_section_traj(
     One solver run per leg, chosen by ``_stepper`` at the leg's start point:
     Radau IIA when the field has an exact ``jacobian`` and its time-scale
     ratio there exceeds ``STIFF_RATIO`` (the stiff layer legs of a
-    ``BandField`` at small eps), DOP853 otherwise.  The crossing is located on the dense output and
-    verified to ``event_tol``.  Crossings outside the section's interval or
-    against its direction are skipped: the stopper turns them down and the
-    same solver steps on.  Crossings of ``record_sections`` met on the way
-    are recorded.  If no admissible crossing comes within ``max_time``, the
-    residual is checked for a turning point within ``sqrt(event_tol)`` of
-    zero: such a touch raises ``TangentialGraze``, anything else
-    ``NoCrossing``.
+    ``BandField`` at small eps), DOP853 otherwise.  The crossings come from
+    the one scan of the run's dense output (``_scan``), verified to
+    ``event_tol``.  Crossings outside the section's interval or against its
+    direction are skipped: the stopper turns them down and the same solver
+    steps on.  Crossings of ``record_sections`` met on the way are recorded.
+    If no admissible crossing comes within ``max_time``, the section's first
+    touch raises ``TangentialGraze``, and no touch ``NoCrossing``.
+
+    Known limit: the stopper sees sign changes at step ends only, so the run
+    steps past a dip inside one step until the stopper's next sign change,
+    the norm guard or ``max_time``, and the scan finds the dip afterwards; a
+    dip with two turning points between grid points is missed.
     """
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
@@ -1032,16 +1033,19 @@ def flow_to_section_traj(
     remaining = max(config.max_time - abs(t0), 0.0)
     t_end = t0 + (remaining if forward else -remaining)
 
-    # The stopper (stop 0) only bounds the work of the run; crossings
-    # themselves are located by the dense-output scan, which also sees pairs
-    # of crossings that cancel across one step.  Stop 1 is the norm guard.
+    # The stopper (stop 0) ends the run at the first admitted sign change of
+    # the residual between step ends, and so bounds its work; the crossings
+    # themselves, a dip inside one step among them, are located by the scan.
+    # Stop 1 is the norm guard.
     seg, stop = _stepper(field, p)(rhs, (t0, t_end), p, config,
                                    [section.residual, _norm_guard(config)],
                                    _section_admit(section))
 
     hit: Optional[EventHit] = None
     recorded: List[EventHit] = []
-    for sec, ev in _admitted_hits(seg, rhs, forward, [section] + record_sections):
+    hits, touches = _scan(seg, rhs, forward, [section] + record_sections,
+                          math.sqrt(config.event_tol))
+    for sec, ev in hits:
         if sec is section:
             hit = ev
             break
@@ -1062,13 +1066,12 @@ def flow_to_section_traj(
             f"trajectory norm exceeded {config.norm_guard:g} before reaching "
             f"section {section.ident}"
         )
-    graze = _find_graze(seg, rhs, section, config)
-    if graze is not None:
-        tg, pg = graze
-        raise TangentialGraze(
-            f"residual of {section.ident} touched zero without crossing at t={tg:g}",
-            t=tg, point=pg,
-        )
+    for tg, pg, sec in touches:
+        if sec is section:
+            raise TangentialGraze(
+                f"residual of {section.ident} touched zero without crossing at t={tg:g}",
+                t=tg, point=pg,
+            )
     raise NoCrossing(
         f"no admissible crossing of {section.ident} within max_time={config.max_time:g}"
     )

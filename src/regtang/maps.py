@@ -114,10 +114,8 @@ class TransitionResult:
 
 def _band_integ(config: TransitionConfig, eps: float, span: float) -> IntegratorConfig:
     """Integrator settings of a layer leg: a fast-time budget that grows like
-    span/eps, and no step cap (a cap set for the outer legs would only slow
-    the long layer legs down and move their crossings)."""
-    return replace(config.integ, max_step=math.inf,
-                   max_time=40.0 * (span + 1.0) / eps + 1000.0)
+    span/eps."""
+    return replace(config.integ, max_time=40.0 * (span + 1.0) / eps + 1000.0)
 
 
 def find_x_epsilon(
@@ -404,12 +402,8 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
             f"mirror map expects x_in left of the fold at psi={psi:g}"
         )
     sec = SectionSpec("horizontal", eps, direction="up", ident="roof")
-    # The dip below the roof lasts only ~2*(psi - x_in) in time; cap the step
-    # so the crossing scan cannot jump over the whole excursion.
-    integ = replace(config.integ,
-                    max_step=min(config.integ.max_step, 0.25 * (psi - x_in)))
     try:
-        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, integ)
+        hit, _ = flow_to_section_traj(system.x_plus, (x_in, eps), sec, config.integ)
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(
             f"orbit from (x={x_in:g}, eps) never re-crossed y = eps"

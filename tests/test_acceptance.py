@@ -229,10 +229,7 @@ def test_criterion_05_exact_case_oracles():
     details = []
     for k, n in [(1, 2), (2, 3)]:
         sys = canonical_system(k=k)  # g = theta = 0
-        # near the top of the inflow window the orbit dips only ~eps^(2k lam)
-        # below the roof, so cap the step to keep the crossing scan fine enough
-        cfg = TransitionConfig(k=k, n=n, lam=0.999 * lambda_star(k, n),
-                               integ=IntegratorConfig(max_step=0.01))
+        cfg = TransitionConfig(k=k, n=n, lam=0.999 * lambda_star(k, n))
         eps = 1e-3
         theta = cfg.theta
         # grazing-orbit height at the outflow section

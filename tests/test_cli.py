@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, and error handling."""
 
 import argparse
+import concurrent.futures
 import json
 import math
 
@@ -377,6 +378,31 @@ def test_workers_is_accepted_where_it_is_not_read(tmp_path):
                              "--eps", "1e-2", "--tmax", "0.5", "--workers", "1")
     assert code == 0
     assert summary["config"]["workers"] == 1
+
+
+def test_a_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, _, summary = run(tmp_path, "upper-map", "--eps-decades=-3:-2", "--points", "3",
+                           "--workers", "64")
+    assert code == 0 and len(summary["contraction"]) == 3
+    assert started == [3]
 
 
 def test_workers_is_accepted_by_phi(tmp_path):

@@ -1,8 +1,10 @@
 """Section-crossing detection on top of the adaptive integrator."""
 
+import math
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from pytest import approx, raises
 from scipy.integrate import OdeSolution, solve_ivp
@@ -109,6 +111,30 @@ def test_short_dip_is_not_skipped():
     sec = SectionSpec("horizontal", eps, direction="up")
     hit = flow_to_section(fld(lambda x, y: (1.0, x)), (-d, eps), sec, cfg)
     assert hit.point[0] == approx(d, abs=1e-8)
+
+
+# X = (1, x) from (-0.3, Y0) dips below y = 1e-5 for 0.043 in time: inside one
+# DOP853 step (the steps grow tenfold on this polynomial field) and between two
+# points of the scan grid
+DIP_Y0 = 0.04477792055831936
+DIP_X = math.sqrt(0.09 - 2 * (DIP_Y0 - 1e-5))  # |x| where y = 1e-5
+
+
+def test_a_dip_between_grid_points_gives_both_crossings():
+    traj = flow(fld(lambda x, y: (1.0, x)), (-0.3, DIP_Y0), (0.0, 1.0),
+                IntegratorConfig(), sections=[SectionSpec("horizontal", 1e-5)])
+    assert [ev.direction for ev in traj.events] == ["down", "up"]
+    assert [ev.t for ev in traj.events] == approx([0.3 - DIP_X, 0.3 + DIP_X], abs=1e-12)
+    for ev in traj.events:
+        assert ev.point[1] == approx(1e-5, abs=1e-15)
+
+
+def test_a_dip_between_grid_points_is_a_leg_s_hit():
+    sec = SectionSpec("horizontal", 1e-5, direction="down")
+    hit, traj = flow_to_section_traj(fld(lambda x, y: (1.0, x)), (-0.3, DIP_Y0), sec)
+    assert hit.direction == "down"
+    assert hit.point[0] == approx(-DIP_X, abs=1e-12)
+    assert traj.end[0] == hit.point[0] and traj.t_end == hit.t
 
 
 def test_tangential_graze_is_flagged():
@@ -864,6 +890,23 @@ def test_start_checks_the_inputs_as_scipy_does():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _assert_matches_solve_ivp(rotation, (0.0, 3.0), (1.0, 0.0), cfg, [])
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rtol=math.nan), dict(atol=math.nan), dict(rtol=0.0), dict(atol=-1e-12),
+    dict(event_tol=math.nan), dict(event_tol=0.0), dict(event_tol=1e-9),
+    dict(max_time=math.nan), dict(max_time=math.inf), dict(max_time=0.0),
+    dict(norm_guard=math.nan), dict(norm_guard=0.0), dict(max_step=math.nan),
+])
+def test_integrator_config_rejects_nan_and_out_of_range_values(bad):
+    with raises(ValueError):
+        IntegratorConfig(**bad)
+
+
+def test_integrator_config_keeps_the_values_the_solver_takes():
+    IntegratorConfig(rtol=1e-6, atol=1e-300, event_tol=1e-6, max_time=1e-3,
+                     norm_guard=math.inf, max_step=math.inf)
+    IntegratorConfig(max_step=0.0)  # left to the run's start, as scipy does
 
 
 def _brentq_outcome(brentq, f, a, b, **kw):

@@ -82,6 +82,17 @@ def test_exact_case_upper_map_value():
     assert res.departure[1] == approx(1.0)
 
 
+def test_upper_map_at_small_eps_finds_the_dip_below_the_roof():
+    # at eps = 1e-5 the inflow orbit from the window's top dips below the roof
+    # for ~2*eps^lam in time, inside one step and between two scan grid points
+    sys = canonical_system(k=1)
+    cfg = TransitionConfig(k=1, n=2)
+    eps = 1e-5
+    res = upper_transition_map(sys, cfg, eps, predicted_upper_boundary(sys, cfg, eps))
+    x_dep = res.departure[0]
+    assert res.y_out == approx(0.3**2 / 2 - x_dep**2 / 2 + eps, abs=1e-8)
+
+
 def test_upper_and_lower_maps_land_in_the_same_funnel():
     sys = canonical_system(k=1)
     cfg = TransitionConfig(k=1, n=2)

@@ -23,6 +23,9 @@ CASES = {
     # its smaller-eps band legs are stiff and run Radau IIA; no other case runs it
     "scaling-radau": ["scaling", "--eps-decades=-6:-4", "--points", "6"],
     "upper-map": ["upper-map", "--eps-decades=-3:-2", "--points", "3"],
+    # its inflow orbits dip below the roof within one step and between two
+    # grid points of the crossing scan; no other case has such a dip
+    "upper-map-small-eps": ["upper-map", "--eps-decades=-5:-4", "--points", "3"],
     "lower-map": ["lower-map", "--eps-decades=-3:-2", "--points", "3"],
     "slow-manifold": ["slow-manifold", "--eps", "1e-3"],
     "chart": ["chart", "--k", "2", "--n", "3"],
