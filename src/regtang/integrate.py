@@ -8,10 +8,9 @@ attempt and step-size rule:
 
 * ``_dop853``, the default (8th-order embedded pair with a matching-order
   interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6).
-  It runs scipy's method with scipy's coefficients and step control: the
-  products with the tableau are the numpy (BLAS) calls scipy makes, the
-  elementwise arithmetic runs on Python floats, so every step, state and
-  dense output is ``solve_ivp``'s, bit for bit.
+  It runs scipy's method with scipy's coefficients and step control, its
+  step generated per state dimension as straight-line float code
+  (``_dop853_step``), so no number depends on the BLAS kernel numpy runs.
 * ``_radau``, Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*,
   IV.8) for stiff 2-D legs, with scipy's constants, Newton iteration and
   step control, its linear algebra done in closed form on Python floats and
@@ -31,21 +30,23 @@ start, the full length and the polynomial's coefficient rows, evaluated by
 the method's Horner routine (``_dop853_horner``, ``_radau_horner``) at one
 time (``Segment.__call__``) or at an array of times (``Segment.dense``).
 
-The module runs on numpy alone.  What it carries of scipy is ported, and
-checked against scipy bit for bit by the tests: the coefficient tables
-(``regtang._tableaux``), the input checks and first-step choice of a run
-(``_start``), the DOP853 dense output and its choice of step at a time
-(scipy's ``OdeSolution``), and the root finder ``brentq``.
+The module runs on numpy alone, with no BLAS call.  What it carries of scipy
+is ported and checked against scipy by the tests: the coefficient tables
+(``regtang._tableaux``), the input checks of a run (``_start``), the choice of
+step at a time (scipy's ``OdeSolution``) and ``brentq`` bit for bit; the
+DOP853 steps and the first-step choice to rounding.
 
 Stops are checked after each step exactly as ``solve_ivp`` checks terminal
 events.  A leg to a section is one run: a stop may turn a root down (a
 crossing outside the section's interval or against its direction), and the
-same solver then steps on.  One scan of the run's dense output on a
-sub-step grid (``_scan``) finds every crossing of a section, the two of a dip
-between grid points among them, and every touch: a turning point of the
-residual within ``sqrt(event_tol)`` of zero.  A leg without an admissible
-crossing raises ``TangentialGraze`` (a ``NoCrossing``) at its target's first
-touch, and a plain ``NoCrossing`` if there is none.
+same solver then steps on; a leg stopped on one of its field's ``kinks``
+takes the crossing step again, to end just past the section (``_land``).
+One scan of the run's dense output on a sub-step grid (``_scan``) finds
+every crossing of a section, the two of a dip between grid points among
+them, and every touch: a turning point of the residual within
+``sqrt(event_tol)`` of zero.  A leg without an admissible crossing raises
+``TangentialGraze`` (a ``NoCrossing``) at its target's first touch, and a
+plain ``NoCrossing`` if there is none.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +63,7 @@ import numpy as np
 from . import _tableaux as tab
 from .errors import (ConditionViolated, DomainExit, NoCrossing, StepSizeUnderflow,
                      TangentialGraze)
+from .polys import compile_kernel
 
 RHS = Callable[[float, List[float]], Sequence[float]]  # see the module docstring
 
@@ -441,8 +443,8 @@ EVENT_ROOT_TOL = 4 * _EPS
 
 
 def _rms_norm(x: np.ndarray) -> float:
-    """scipy's RMS ``norm``."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """scipy's RMS ``norm``, summed left to right on Python floats."""
+    return math.sqrt(sum(v * v for v in x.tolist())) / x.size ** 0.5
 
 
 def _initial_step(fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
@@ -515,55 +517,60 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: np.ndarray,
     return y, f, float(rtol), float(atol), direction, float(h_abs), nfev
 
 
-# the DOP853 tableau as (s, row s of A, c_s): the stages of a step, and the
-# three extra stages of the dense output
 _N = tab.N_STAGES
-_STAGES = [(s, tab.A[s, :s], float(tab.C[s])) for s in range(1, _N)]
-_EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
-          enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=_N + 1)]
 _ERROR_EXPONENT = -1 / (tab.ERROR_ESTIMATOR_ORDER + 1)
 
 
-def _fill_stages(rhs: RHS, KT: List[np.ndarray], rows: List[np.ndarray], t: float,
-                 y: List[float], h: float, stages) -> None:
-    """``K[s] = rhs(t + c*h, y + K[:s].T.dot(a)*h)`` for the stages (s, a, c):
-    the stage loop of scipy's ``rk_step``.  ``KT[s]`` is the view
-    ``K[:s].T`` and ``rows[s]`` the view ``K[s]``."""
-    idx = range(len(y))
-    for s, a, c in stages:
-        dy = KT[s].dot(a).tolist()
-        rows[s][...] = rhs(t + c * h, [y[i] + dy[i] * h for i in idx])
+def _dot(coefs, names: Sequence[str]) -> str:
+    """The source of ``c0*v0 + c1*v1 + ...`` over the nonzero coefficients."""
+    return " + ".join(f"({float(c)!r})*{v}" for c, v in zip(coefs, names) if c)
 
 
-def _error_norm(KT: np.ndarray, h: float, y: List[float], y_new: List[float],
-                rtol: float, atol: float) -> float:
-    """scipy's ``DOP853._estimate_error_norm``; ``KT`` is the view ``K[:13].T``
-    of the 13 stages of the step."""
-    # np.maximum's rule: NaN if either is NaN
-    scale = np.array([atol + (b if a < b or b != b else a) * rtol
-                      for a, b in zip(map(abs, y), map(abs, y_new))])
-    e5 = KT.dot(tab.E5) / scale
-    e3 = KT.dot(tab.E3) / scale
-    # squared np.linalg.norm, as scipy computes it
-    e5, e3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
-    if e5 == 0 and e3 == 0:
-        return 0.0
-    denom = math.sqrt((e5 + 0.01 * e3) * len(y))
-    # denom is 0 only when e5 is 0 and 0.01 * e3 underflows: numpy's 0/0
-    return abs(h) * e5 / denom if denom else math.nan
+@cache
+def _dop853_step(n: int) -> Callable:
+    """The DOP853 step attempt for an ``n``-dimensional state as straight-line
+    float code: each tableau constant a ``repr`` literal, zero entries
+    skipped, each sum left to right.  ``step(rhs, t, h, y, f, rtol, atol,
+    sqrt)`` takes the state and its RHS value (lists), computes the 12 stages
+    and scipy's E5/E3 error norm with its NaN rules, and returns
+    ``(error_norm, None)`` unless the norm is below 1, else ``(error_norm,
+    (y_new, f_new, rows))`` with the 3 extra stages taken and the dense
+    output's 7 rows ``F``, lowest power first, as one flat tuple."""
+    K = [f"k{j}_{{i}}" for j in range(tab.N_STAGES_EXTENDED)]  # stage j, component i
 
+    def vec(fmt):
+        return ", ".join(fmt.format(i=i) for i in range(n))
 
-def _interpolant(K: np.ndarray, h: float, y: List[float], y_new: List[float],
-                 f: List[float], f_new: List[float]) -> np.ndarray:
-    """The coefficients ``F`` of scipy's ``_dense_output_impl``, once the extra
-    stages are in ``K``."""
-    delta = [b - a for a, b in zip(y, y_new)]
-    F = np.empty((tab.INTERPOLATOR_POWER, len(y)))
-    F[0] = delta
-    F[1] = [h * fo - d for fo, d in zip(f, delta)]
-    F[2] = [2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f_new, f)]
-    F[3:] = h * tab.D.dot(K)
-    return F
+    def per(*lines):  # each line once per component
+        return [line.format(i=i) for i in range(n) for line in lines]
+
+    def stage(s, a, c):
+        return (f"{vec(K[s])}, = rhs(t + {float(c)!r} * h, "
+                f"[{vec(f'y{{i}} + ({_dot(a, K)}) * h')}])")
+
+    rows = ", ".join(vec(f"r{r}_{{i}}") for r in range(tab.INTERPOLATOR_POWER))
+    body = [
+        f"{vec('y{i}')}, = y", f"{vec(K[0])}, = f",
+        *(stage(s, tab.A[s, :s], tab.C[s]) for s in range(1, _N)),
+        *per(f"n{{i}} = y{{i}} + h * ({_dot(tab.B, K)})"),
+        f"{vec(K[_N])}, = rhs(t + h, [{vec('n{i}')}])",
+        *per("a{i} = abs(y{i})", "b{i} = abs(n{i})",
+             "s{i} = atol + (b{i} if a{i} < b{i} or b{i} != b{i} else a{i}) * rtol",
+             f"e5_{{i}} = ({_dot(tab.E5, K)}) / s{{i}}",
+             f"e3_{{i}} = ({_dot(tab.E3, K)}) / s{{i}}"),
+        f"e5 = {' + '.join(f'e5_{i} * e5_{i}' for i in range(n))}",
+        f"e3 = {' + '.join(f'e3_{i} * e3_{i}' for i in range(n))}",
+        f"d = sqrt((e5 + 0.01 * e3) * {n})",
+        "err = 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / d if d else float('nan')",
+        "if not err < 1:",
+        "    return err, None",
+        *(stage(s, a[:s], c)
+          for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=_N + 1)),
+        *per("r0_{i} = n{i} - y{i}", "r1_{i} = h * k0_{i} - r0_{i}",
+             f"r2_{{i}} = 2 * r0_{{i}} - h * (k{_N}_{{i}} + k0_{{i}})",
+             *(f"r{r}_{{i}} = h * ({_dot(row, K)})" for r, row in enumerate(tab.D, start=3))),
+        f"return err, ([{vec('n{i}')}], [{vec(K[_N])}], ({rows},))"]
+    return compile_kernel("rhs, t, h, y, f, rtol, atol, sqrt", body)
 
 
 class _Run:
@@ -578,9 +585,9 @@ class _Run:
     ``t`` to ``t_new`` (``rejected``: an earlier try of this step was;
     ``clamped``: the step's first size was) and returns ``(size, rejected,
     None)`` to retry with that size, or, once it accepts, the next step's
-    proposed size and ``(state, coefficient rows)``, the state as the list
-    the stepper computed.  The start state is kept as lists of Python floats,
-    ``y`` and ``f``; ``run`` stacks the states once, into its ``Segment``.
+    proposed size and ``(state, coefficient rows)`` as the stepper computed
+    them.  The start state is kept as lists of Python floats, ``y`` and
+    ``f``; ``run`` stacks the states and rows once, into its ``Segment``.
 
     ``record`` keeps a step's dense output and then checks the stops as
     ``solve_ivp`` checks terminal events: a stop is active on a step when its
@@ -637,12 +644,13 @@ class _Run:
             t = t_new
         hs, coefs = zip(*self.steps)
         return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
-                       coef=None if coefs[0] is None else np.array(coefs),
+                       coef=None if coefs[0] is None else
+                       np.array(coefs).reshape(len(coefs), -1, len(self.y)),
                        horner=self.horner, nfev=self.nfev, njev=self.njev,
                        nlu=self.nlu), hit
 
     def record(self, t_old: float, t: float, h: float, y: Sequence[float],
-               coef: Optional[np.ndarray]) -> Optional[Tuple[int, float, np.ndarray]]:
+               coef) -> Optional[Tuple[int, float, np.ndarray]]:
         """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
         with its coefficient rows ``coef``; return ``(stop index, t, state)``
         of the stop that ends the run on it, or None."""
@@ -652,7 +660,8 @@ class _Run:
         roots = []
         for i, (a, b) in enumerate(zip(self.g, g_new)):
             if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
-                state = partial(_step_state, self.horner, coef, t_old, h, y_old)
+                rows = np.reshape(coef, (-1, len(y)))  # only where a stop changes sign
+                state = partial(_step_state, self.horner, rows, t_old, h, y_old)
                 te = brentq(lambda s, stop=self.stops[i]: stop(state(s)), t_old, t,
                             xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
                 ye = state(te)
@@ -679,53 +688,42 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
     at the first zero of one of ``stops`` (functions of the state).
 
-    This is ``solve_ivp(method="DOP853", dense_output=True)`` with the stops
-    as terminal events, step for step (``_Run``; checked also on the step
-    that finishes the span).  ``admit`` may turn a root down, and the same
+    This is the method of ``solve_ivp(method="DOP853", dense_output=True)``
+    with the stops as terminal events, by its step-size and event rules
+    (``_Run``; checked also on the step that finishes the span).  It agrees
+    with solve_ivp to a fraction of the tolerance, not step for step: its
+    own summation order moves the step sizes at rounding level, and with
+    them, rarely, the step count.  ``admit`` may turn a root down, and the same
     solver then steps on.  Returns the segment and ``(stop index, t, state)``
     of the stop that ended it, or None.
 
-    The steps are scipy's method with scipy's coefficients and step control
-    (its ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl``),
-    taken here: every product with the tableau is the numpy call scipy makes,
-    on the same stage array, and every elementwise operation runs on Python
-    floats, one IEEE operation each, so every number is scipy's, bit for bit.
-    ``rhs`` receives the state as a list of Python floats.  The inputs are
-    checked and the first step chosen as scipy does (``_start``).
+    The step is ``_dop853_step`` for the state's dimension: scipy's
+    ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in one
+    summation order on every machine, with ``solve_ivp`` as its accuracy
+    oracle.  ``rhs`` receives the state as a list of Python floats.  The
+    inputs are checked and the first step chosen as scipy does (``_start``).
     """
     run = _Run(rhs, t_span, y0, config, stops, admit, tab.ERROR_ESTIMATOR_ORDER,
                _dop853_horner)
     y, f = run.y, run.f
-    # one row per stage, the dense output's three last
-    K = np.empty((tab.N_STAGES_EXTENDED, len(y)))
-    KT = [K[:s].T for s in range(len(K))]
-    rows = list(K)
-    K[0] = f
+    step = _dop853_step(len(y))
 
     def attempt(t, t_new, h, rejected, clamped):
         nonlocal y, f
-        _fill_stages(rhs, KT, rows, t, y, h, _STAGES)
-        dy = KT[_N].dot(tab.B).tolist()
-        y_new = [yi + h * di for yi, di in zip(y, dy)]
-        rows[_N][...] = rhs(t + h, y_new)
+        error_norm, out = step(rhs, t, h, y, f, run.rtol, run.atol, math.sqrt)
         run.nfev += _N
-        error_norm = _error_norm(KT[_N + 1], h, y, y_new, run.rtol, run.atol)
-        if not error_norm < 1:
+        if out is None:
             factor = max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
             return abs(h) * factor, True, None
+        run.nfev += len(tab.A_EXTRA)
         if error_norm == 0:
             factor = tab.MAX_FACTOR
         else:
             factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
         if rejected:
             factor = min(1, factor)
-        _fill_stages(rhs, KT, rows, t, y, h, _EXTRA)
-        run.nfev += len(_EXTRA)
-        f_new = K[_N].tolist()
-        F = _interpolant(K, h, y, y_new, f, f_new)
-        y, f = y_new, f_new
-        rows[0][...] = rows[_N]
-        return abs(h) * factor, rejected, (y_new, F)
+        y, f, rows = out
+        return abs(h) * factor, rejected, (y, rows)
     return run.run(attempt)
 
 
@@ -993,6 +991,27 @@ def _stepper(field, p: List[float]):
     return partial(_radau, jac=lambda t, q: jac(q[0], q[1]))
 
 
+LANDING_REACH = 1.001  # the end of a landing run, in units of the way to its root
+
+
+def _land(run, seg: Segment, stop):
+    """Land a leg stopped on a level where its field is only C^n (``kinks``:
+    Phi saturates at yhat = +-1 of a ``BandField``).  No step's error estimate
+    sees the kink, so the step that crossed it may run far past it and put the
+    root far off (a lower-map image 7.7e-11 off at eps = 1e-3).  That step is
+    run again (``run(t_span, y0)``) to LANDING_REACH times the way to the root,
+    and its steps replace it in the segment; if they fall short of the
+    section, the first run stands."""
+    t_old, k = seg.t[-2], len(seg.h) - 1
+    last, landed = run((t_old, t_old + LANDING_REACH * (stop[1] - t_old)), seg.y[:, -2])
+    if landed is None or landed[0] != 0:
+        return seg, stop
+    return Segment(np.concatenate([seg.t[:k], last.t]), np.hstack([seg.y[:, :k], last.y]),
+                   np.concatenate([seg.h[:k], last.h]),
+                   np.concatenate([seg.coef[:k], last.coef]), seg.horner,
+                   seg.nfev + last.nfev, seg.njev + last.njev, seg.nlu + last.nlu), landed
+
+
 def flow_to_section_traj(
     field,
     p0: Sequence[float],
@@ -1010,7 +1029,8 @@ def flow_to_section_traj(
     the one scan of the run's dense output (``_scan``), verified to
     ``event_tol``.  Crossings outside the section's interval or against its
     direction are skipped: the stopper turns them down and the same solver
-    steps on.  Crossings of ``record_sections`` met on the way are recorded.
+    steps on.  A leg stopped on one of the field's ``kinks`` lands on it
+    (``_land``).  Crossings of ``record_sections`` met on the way are recorded.
     If no admissible crossing comes within ``max_time``, the section's first
     touch raises ``TangentialGraze``, and no touch ``NoCrossing``.
 
@@ -1037,9 +1057,13 @@ def flow_to_section_traj(
     # the residual between step ends, and so bounds its work; the crossings
     # themselves, a dip inside one step among them, are located by the scan.
     # Stop 1 is the norm guard.
-    seg, stop = _stepper(field, p)(rhs, (t0, t_end), p, config,
-                                   [section.residual, _norm_guard(config)],
-                                   _section_admit(section))
+    stepper = _stepper(field, p)
+    stops, admit = [section.residual, _norm_guard(config)], _section_admit(section)
+    seg, stop = stepper(rhs, (t0, t_end), p, config, stops, admit)
+    if (stop is not None and stop[0] == 0 and section.kind == "horizontal"
+            and section.c in getattr(field, "kinks", ())):
+        seg, stop = _land(partial(stepper, rhs, config=config, stops=stops, admit=admit),
+                          seg, stop)
 
     hit: Optional[EventHit] = None
     recorded: List[EventHit] = []

@@ -205,6 +205,9 @@ class BandField:
     system: FilippovSystem
     tf: TransitionFunction
     eps: float
+    # the levels yhat = +-1 where Phi saturates: the field is only C^n across
+    # them, and a leg that stops on one lands there (``integrate._land``)
+    kinks = (-1.0, 1.0)
 
     def __post_init__(self):
         _require_vertical(self.system)

@@ -125,13 +125,21 @@ def _crossing_reference(k, n, sigma, u0=-10.0, u_max=20.0):
     return u0 + float(sol.t_events[0][0]), float(np.max(sol.y[0]))
 
 
-def test_crossing_equals_the_solve_ivp_reference_bit_for_bit():
+# The chart leg's DOP853 step sums in its own order, not scipy's, so u* meets
+# the solve_ivp reference at rounding level: within 1.0e-14 relative on these
+# four cases (8.9e-15 at (2,3), 1.0e-14 at (3,5) from u0 = -8); v_max, the
+# start height on these legs, is the reference's to the bit.
+U_STAR_REL = 2e-14
+
+
+def test_crossing_agrees_with_the_solve_ivp_reference():
     cases = [(1, 2, 0.0), (2, 3, sigma_shift(2, 3, theta00=0.5)), (2, 6, 0.0)]
     assert cases[1][2] != 0.0
     for k, n, sigma in cases:
         out = planar_model_crossing(k, n, sigma=sigma)
         u_star, v_max = _crossing_reference(k, n, sigma)
-        assert (out.u_star, out.v_max) == (u_star, v_max), (k, n)
+        assert out.u_star == approx(u_star, rel=U_STAR_REL, abs=0.0), (k, n)
+        assert out.v_max == v_max, (k, n)
 
 
 def test_crossing_leaks_no_overflow_warning():
@@ -141,5 +149,6 @@ def test_crossing_leaks_no_overflow_warning():
         warnings.simplefilter("error", RuntimeWarning)
         out = planar_model_crossing(3, 5, u0=-8.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _crossing_reference(3, 5, 0.0, u0=-8.0)
-    assert (out.u_star, out.v_max) == ref
+        u_star, v_max = _crossing_reference(3, 5, 0.0, u0=-8.0)
+    assert out.u_star == approx(u_star, rel=U_STAR_REL, abs=0.0)
+    assert out.v_max == v_max

@@ -1,6 +1,7 @@
 """Section-crossing detection on top of the adaptive integrator."""
 
 import math
+import operator
 from functools import partial
 
 import numpy as np
@@ -314,6 +315,21 @@ def test_section_scan_matches_analytic_crossings(c, max_step, t_end, bounds,
 # the DOP853 driver against solve_ivp with terminal events
 # --------------------------------------------------------------------------
 
+# ``_dop853`` takes scipy's DOP853 step in its own summation order, so it meets
+# solve_ivp at rounding level, not bit for bit.  Rounding moves the step sizes
+# (the first steps' error estimates are rounding noise), and with them the
+# truncation error.  The bounds are in units of each component's tolerance
+# scale atol + rtol * |y_i| (``_tolerance_scale``).  END_TOL and DENSE_TOL were
+# sized on 400 random linear systems with no zero entry.  On every test here
+# but the dimension test's systems with a zero entry, the largest gaps are
+# 0.0017 (end states) and 0.011 (stop states and dense output) under the
+# SkylakeX, Haswell and Nehalem BLAS kernels, which move the rounding of
+# solve_ivp and of the tests' ``M.dot`` right-hand sides.  Systems with a zero
+# entry reach 0.010 and 0.23, and have bounds of their own at about twice that.
+END_TOL, DENSE_TOL = 0.0082, 0.11
+ZERO_END_TOL, ZERO_DENSE_TOL = 0.02, 0.5
+
+
 def _terminal(stop):
     def event(t, p):
         return stop(p)
@@ -321,28 +337,45 @@ def _terminal(stop):
     return event
 
 
+def _tolerance_scale(cfg, ref):
+    """atol + rtol * |y_i| for each component i, |y_i| the largest magnitude of
+    that component over solve_ivp's run (rtol clamped as scipy clamps it)."""
+    rtol = max(cfg.rtol, 100 * np.finfo(float).eps)
+    return cfg.atol + rtol * np.max(np.abs(ref.y), axis=1)
+
+
+def _assert_close(seg, stop, ref, cfg, end_tol=END_TOL, dense_tol=DENSE_TOL):
+    """A ``_dop853`` run against solve_ivp's on the same inputs: the same
+    steps, RHS calls and stop, each component of the end state within
+    ``end_tol`` and of the stop state and the dense output within
+    ``dense_tol`` of its tolerance scale."""
+    assert len(seg.t) == len(ref.t)
+    assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
+    scale = _tolerance_scale(cfg, ref)
+    assert seg.t[0] == ref.t[0]
+    fired = [i for i, te in enumerate(ref.t_events or []) if len(te)]
+    if stop is None:
+        assert fired == [] and seg.t[-1] == ref.t[-1]
+        assert np.all(np.abs(seg.y[:, -1] - ref.y[:, -1]) <= end_tol * scale)
+    else:
+        i, te, pe = stop
+        assert fired == [i]
+        assert te == seg.t[-1] and np.array_equal(pe, seg.y[:, -1])
+        assert np.all(np.abs(pe - ref.y_events[i][0]) <= dense_tol * scale)
+    grid = _scan_grid(seg)
+    assert np.all(np.abs(seg.dense(grid) - ref.sol(grid)) <= dense_tol * scale[:, None])
+
+
 def _assert_matches_solve_ivp(field, t_span, y0, cfg, stops):
-    """Run the driver and solve_ivp on the same inputs; every number must be
-    bitwise equal.  Returns the driver's segment and stop."""
+    """Run ``_dop853`` and solve_ivp on the same inputs and compare them
+    (``_assert_close``).  Returns the ``_dop853`` segment and stop."""
     rhs = _as_rhs(field)
     y0 = np.asarray(y0, dtype=float)
     seg, stop = _dop853(rhs, t_span, y0, cfg, stops)
     ref = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cfg.rtol,
                     atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
                     events=[_terminal(s) for s in stops])
-    assert np.array_equal(seg.t, ref.t)
-    assert np.array_equal(seg.y, ref.y)
-    assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
-    fired = [i for i, te in enumerate(ref.t_events) if len(te)]
-    if stop is None:
-        assert fired == []
-    else:
-        i, te, pe = stop
-        assert fired == [i]
-        assert ref.t_events[i][0] == te
-        assert np.array_equal(ref.y_events[i][0], pe)
-    grid = _scan_grid(seg)
-    assert np.array_equal(seg.dense(grid), ref.sol(grid))
+    _assert_close(seg, stop, ref, cfg)
     return seg, stop
 
 
@@ -412,21 +445,23 @@ def test_driver_earliest_root_wins_and_ties_go_to_the_lower_index():
 def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
     # a section one ulp past a step's end is met on the next step, but its
     # root rounds back to that step's start: the run ends on the earlier
-    # step end, which is not repeated
+    # step end, which is not repeated.  The level is the run's own state,
+    # so solve_ivp's run, which differs at rounding level, is no reference.
     cfg = IntegratorConfig()
     free, _ = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg, [])
     k = 3
     level = np.nextafter(free.y[1, k], np.inf)  # y = sin t is rising here
-    seg, stop = _assert_matches_solve_ivp(
-        rotation, (0.0, 6.0), (1.0, 0.0), cfg, [_residual_of("horizontal", level)])
-    assert stop[1] == free.t[k]
+    seg, stop = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg,
+                        [_residual_of("horizontal", level)])
+    assert stop[0] == 0 and stop[1] == free.t[k]
+    assert np.array_equal(stop[2], free.y[:, k])
     assert np.array_equal(seg.t, free.t[:k + 1])
 
 
 def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
     # a leg to a 'down' section turns down the upward roots of its stopper:
     # that is solve_ivp with the stop as a terminal event of direction -1,
-    # and the leg's one segment is that run, bit for bit
+    # and the leg's one segment is the ``_dop853`` run
     cfg = IntegratorConfig()
     rhs = _as_rhs(rotation)
     y0 = np.array([1.0, 0.0])
@@ -441,18 +476,14 @@ def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol,
                         atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
                         events=[directed, _terminal(stops[1])])
-        assert np.array_equal(seg.t, ref.t)
-        assert np.array_equal(seg.y, ref.y)
-        assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
-        assert stop[0] == 0 and len(ref.t_events[1]) == 0
-        assert stop[1] == ref.t_events[0][0] == approx(t_down, abs=1e-9)
-        assert np.array_equal(stop[2], ref.y_events[0][0])
-        grid = _scan_grid(seg)
-        assert np.array_equal(seg.dense(grid), ref.sol(grid))
+        _assert_close(seg, stop, ref, cfg)
+        assert stop[0] == 0
+        assert stop[1] == approx(t_down, abs=1e-9)
+        assert ref.t_events[0][0] == approx(t_down, abs=1e-9)
         hit, traj = flow_to_section_traj(rotation, y0, sec, cfg, t_direction=sense)
         assert hit.t == approx(stop[1], abs=1e-12)
         (leg,) = traj.segments
-        assert np.array_equal(leg.t, ref.t) and leg.nfev == ref.nfev
+        assert np.array_equal(leg.t, seg.t) and leg.nfev == seg.nfev
 
 
 def test_driver_matches_solve_ivp_on_a_zero_length_span():
@@ -474,29 +505,29 @@ def test_driver_matches_solve_ivp_on_a_zero_length_span():
     max_step=st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=2.0)),
     level=st.one_of(st.none(), st.floats(min_value=-0.9, max_value=0.9)),
 )
-def test_batched_dense_equals_ode_solution(data, forward, max_step, level):
-    """``Segment.dense`` and ``Segment.__call__`` are solve_ivp's
-    ``OdeSolution.__call__`` bit for bit, at step breakpoints too, on the
-    event-truncated last step and on descending legs."""
+def test_batched_dense_equals_pointwise_and_tracks_ode_solution(data, forward, max_step,
+                                                                level):
+    """``Segment.dense`` is ``Segment.__call__`` bit for bit, and both are
+    within DENSE_TOL of solve_ivp's ``OdeSolution.__call__``, at step
+    breakpoints too, on the event-truncated last step and on descending legs."""
     cfg = IntegratorConfig(max_step=max_step)
     span = (0.0, 8.0) if forward else (0.0, -8.0)
     stops = [] if level is None else [_residual_of("horizontal", level)]
     rhs = _as_rhs(fld(lambda x, y: (-y + 0.1 * x * y, x)))
     y0 = np.array([1.0, 0.0])
-    seg, _ = _dop853(rhs, span, y0, cfg, stops)
+    seg, stop = _dop853(rhs, span, y0, cfg, stops)
     ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
                     max_step=cfg.max_step, dense_output=True,
                     events=[_terminal(s) for s in stops])
-    assert np.array_equal(seg.t, ref.t)
+    _assert_close(seg, stop, ref, cfg)
     lo, hi = min(seg.t), max(seg.t)
     inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
     ts = np.array(data.draw(st.lists(
         st.one_of(inside, st.sampled_from(seg.t.tolist())), min_size=1, max_size=40)))
     got = seg.dense(ts)
-    assert np.array_equal(got, ref.sol(ts))
+    assert np.all(np.abs(got - ref.sol(ts)) <= DENSE_TOL * _tolerance_scale(cfg, ref)[:, None])
     for j, t in enumerate(ts):
         assert np.array_equal(got[:, j], seg(t))
-        assert np.array_equal(got[:, j], ref.sol(t))
 
 
 @settings(deadline=None, max_examples=60)
@@ -536,56 +567,68 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
         assert np.array_equal(got[:, j], ref(t))
 
 
-def _assert_linear_system_matches_solve_ivp(M, b, y0, span, cfg, level):
-    """The driver against solve_ivp on y' = M y + t b, with an optional stop
-    at y[0] = level; also checks that nfev counts every call of the RHS."""
+def _linear_system_runs(M, b, y0, span, cfg, level):
+    """``_dop853`` and solve_ivp on y' = M y + t b, with an optional stop at
+    y[0] = level; checks that nfev counts every call of the RHS."""
     calls = [0]
 
     def rhs(t, p):
         calls[0] += 1
         return M.dot(p) + t * b
     stops = [] if level is None else [lambda p: p[0] - level]
-    seg, _ = _assert_matches_solve_ivp(rhs, span, y0, cfg, stops)
-    # the driver's calls and then solve_ivp's, whose nfev equals the driver's
-    assert calls[0] == 2 * seg.nfev
-    return seg
+    seg, stop = _dop853(rhs, span, y0, cfg, stops)
+    assert calls[0] == seg.nfev
+    ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
+                    max_step=cfg.max_step, dense_output=True,
+                    events=[_terminal(s) for s in stops])
+    return seg, stop, ref
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    data=st.data(),
-    dim=st.sampled_from([1, 2, 3]),
-    rtol=st.floats(min_value=1e-12, max_value=1e-6),
-    max_step=st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=2.0)),
-    forward=st.booleans(),
-    level=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=2.0)),
-)
-def test_driver_matches_solve_ivp_in_every_dimension(data, dim, rtol, max_step,
-                                                     forward, level):
-    # the blow-up charts run 1-D and 3-D states, the cycle multiplier 3-D.
-    # Entries stay clear of the subnormal range, where scipy's error norm
-    # can be numpy's 0/0, which warns.
-    entry = st.floats(min_value=-2.0, max_value=2.0).filter(
-        lambda v: v == 0.0 or abs(v) >= 1e-6)
-    vector = st.lists(entry, min_size=dim, max_size=dim)
-    M = np.array(data.draw(st.lists(vector, min_size=dim, max_size=dim)))
-    b = np.array(data.draw(vector))
-    y0 = np.array(data.draw(vector))
-    span = (0.0, 3.0) if forward else (0.0, -3.0)
-    _assert_linear_system_matches_solve_ivp(
-        M, b, y0, span, IntegratorConfig(rtol=rtol, max_step=max_step), level)
+def _entries(rng, shape):
+    """Uniform entries in [-2, 2], one in seven of them zero."""
+    return np.where(rng.random(shape) < 1 / 7, 0.0, rng.uniform(-2.0, 2.0, shape))
+
+
+def test_driver_matches_solve_ivp_in_every_dimension():
+    # the blow-up charts run 1-D and 3-D states, the cycle multiplier 3-D:
+    # 400 random linear systems in dimensions 1-3 at rtol 1e-12 ... 1e-6, with
+    # and without a stop; 254 of them have a zero entry
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        dim = int(rng.integers(1, 4))
+        M, b, y0 = (_entries(rng, shape) for shape in ((dim, dim), dim, dim))
+        rtol = float(10 ** rng.uniform(-12.0, -6.0))
+        max_step = np.inf if rng.random() < 0.5 else float(rng.uniform(0.05, 2.0))
+        span = (0.0, 3.0) if rng.random() < 0.5 else (0.0, -3.0)
+        level = None if rng.random() < 0.4 else float(rng.uniform(-2.0, 2.0))
+        cfg = IntegratorConfig(rtol=rtol, max_step=max_step)
+        runs = _linear_system_runs(M, b, y0, span, cfg, level)
+        if (M == 0).any() or (b == 0).any() or (y0 == 0).any():
+            _assert_close(*runs, cfg, ZERO_END_TOL, ZERO_DENSE_TOL)
+        else:
+            _assert_close(*runs, cfg)
 
 
 def test_driver_matches_solve_ivp_through_rejected_steps():
     # a fast decaying mode: steps grow to the explicit method's stability
-    # limit and are rejected there
+    # limit and are rejected there.  At that limit rounding decides accepts
+    # and rejects, so the counts are compared within 5 %: in the 3-D case the
+    # BLAS kernel behind ``M.dot`` moves solve_ivp's steps from 263 to 272 and
+    # ``_dop853``'s from 263 to 267 (SkylakeX, Haswell, Nehalem, Sandybridge),
+    # 3.4 % apart at most.  It compares the end states alone: the
+    # interpolant is not accurate on the fast mode at these steps, so the two
+    # runs' dense outputs differ by its error
     for M, rtol in ((np.array([[-600.0]]), 1e-6),
                     (np.array([[-300.0, 1.0], [0.0, -1.0]]), 1e-6),
                     (np.array([[-200.0, 1.0, 0.0], [0.0, -1.0, 2.0],
                                [0.0, -2.0, -1.0]]), 1e-8)):
-        seg = _assert_linear_system_matches_solve_ivp(
-            M, np.zeros(len(M)), np.ones(len(M)), (0.0, 8.0),
-            IntegratorConfig(rtol=rtol), None)
+        cfg = IntegratorConfig(rtol=rtol)
+        seg, stop, ref = _linear_system_runs(M, np.zeros(len(M)), np.ones(len(M)),
+                                             (0.0, 8.0), cfg, None)
+        assert stop is None and seg.t[-1] == ref.t[-1]
+        assert np.all(np.abs(seg.y[:, -1] - ref.y[:, -1]) <= END_TOL * _tolerance_scale(cfg, ref))
+        assert len(seg.t) == approx(len(ref.t), rel=0.05)
+        assert seg.nfev == approx(ref.nfev, rel=0.05)
         # 2 calls to start, 12 per attempted step, 3 per dense output
         accepted = len(seg.t) - 1
         rejected, rest = divmod(seg.nfev - 2 - 15 * accepted, 12)
@@ -854,8 +897,87 @@ def test_initial_step_is_scipys(data, dim, forward, span, max_step, order, rtol,
     theirs = select_initial_step(fun, *args)
     their_calls = calls[:]
     calls.clear()
-    assert _initial_step(fun, *args) == theirs
-    assert calls == their_calls
+    # the RMS norms are sums on Python floats, not BLAS's: a last-bit change
+    # of the first trial step moves f1 - f0, which cancels, so the step can
+    # move further (at most 242 ulps on 20,000 random cases and 46 on 20,000
+    # draws of this strategy; the trial times at most 5 ulps, the trial
+    # states 1 ulp of their largest component)
+    assert abs(_initial_step(fun, *args) - theirs) <= 400 * np.spacing(theirs)
+    assert len(calls) == len(their_calls)
+    for (t, y), (their_t, their_y) in zip(calls, their_calls):
+        assert abs(t - their_t) <= 8 * np.spacing(abs(their_t))
+        assert np.all(np.abs(np.subtract(y, their_y)) <=
+                      4 * np.spacing(np.max(np.abs(their_y))))
+
+
+def _formula_step(M, b, t, h, y, num, mag=False):
+    """One DOP853 step on y' = M y + t b by the tableau's formulas, in the
+    number type ``num``: the new state, its RHS value and the 7 dense-output
+    rows.  With ``mag`` every input and constant is replaced by its magnitude
+    and every difference by a sum: the step's absolute terms."""
+    from regtang import _tableaux as tab
+
+    v = (lambda x: abs(num(x))) if mag else num
+    sub = operator.add if mag else operator.sub
+    n = len(y)
+    M = [[v(e) for e in row] for row in M]
+    b, y, t, h = [v(e) for e in b], [v(e) for e in y], v(t), v(h)
+
+    def f(s, p):
+        return [sum(M[i][j] * p[j] for j in range(n)) + s * b[i] for i in range(n)]
+
+    def combo(coefs, i):
+        return sum(v(c) * K[j][i] for j, c in enumerate(coefs[:len(K)]) if c)
+
+    def stage(a, c):
+        return f(t + v(c) * h, [y[i] + combo(a, i) * h for i in range(n)])
+    K = [f(t, y)]
+    for s in range(1, tab.N_STAGES):  # each stage reads the ones before it
+        K.append(stage(tab.A[s], tab.C[s]))
+    y_new = [y[i] + h * combo(tab.B, i) for i in range(n)]
+    K.append(f(t + h, y_new))
+    for a, c in zip(tab.A_EXTRA, tab.C_EXTRA):
+        K.append(stage(a, c))
+    d = [sub(y_new[i], y[i]) for i in range(n)]
+    rows = [d, [sub(h * K[0][i], d[i]) for i in range(n)],
+            [sub(2 * d[i], h * (K[-4][i] + K[0][i])) for i in range(n)]]
+    rows += [[h * combo(row, i) for i in range(n)] for row in tab.D]
+    return y_new, K[-4], rows
+
+
+def test_generated_step_matches_exact_arithmetic():
+    # the generated step for n = 1, 2, 3 against the same formulas in exact
+    # arithmetic, each gap over the step's absolute terms: at most 1.9e-16
+    # on 300 random steps
+    from fractions import Fraction
+
+    from regtang.integrate import _dop853_step
+
+    rng = np.random.default_rng(853)
+    for case in range(60):
+        n = case % 3 + 1
+        M, b, y = (rng.uniform(-2.0, 2.0, shape).tolist() for shape in ((n, n), n, n))
+        t = float(rng.uniform(-5.0, 5.0))
+        h = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 0.0))
+
+        def rhs(s, p):
+            return tuple(sum(M[i][j] * p[j] for j in range(n)) + s * b[i] for i in range(n))
+        err, out = _dop853_step(n)(rhs, t, h, y, list(rhs(t, y)), 1.0, 1.0, math.sqrt)
+        assert err < 1
+        exact = _formula_step(M, b, t, h, y, Fraction)
+        terms = _formula_step(M, b, t, h, y, float, mag=True)
+        y_new, f_new, flat = out
+        assert len(flat) == 7 * n
+        got = (y_new, f_new, *(flat[r * n:(r + 1) * n] for r in range(7)))
+        for g, e, a in zip(got, (exact[0], exact[1], *exact[2]),
+                           (terms[0], terms[1], *terms[2])):
+            assert len(g) == n and all(type(c) is float for c in g)
+            for gi, ei, ai in zip(g, e, a):
+                assert float(abs(Fraction(gi) - ei)) <= 1e-15 * ai
+    # a step far beyond the tolerance is turned down, with no rows
+    err, out = _dop853_step(1)(lambda s, p: (p[0],), 0.0, 5.0, [1.0], [1.0], 1e-12, 1e-12,
+                               math.sqrt)
+    assert err >= 1 and out is None
 
 
 def test_start_checks_the_inputs_as_scipy_does():
@@ -995,6 +1117,58 @@ def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
                              text=True, check=True).stdout
         assert out.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "cycle-polyline-0.csv").exists()
+
+
+# Legs whose bytes must not depend on the BLAS kernel numpy runs: DOP853 band
+# legs of the departure abscissa and of the lower map, and a Radau leg
+_KERNEL_FREE_LEGS = """
+from regtang import TransitionConfig, find_x_epsilon, lambda_star, lower_transition_map
+from regtang.scenarios import canonical_system
+
+one, two = canonical_system(1), canonical_system(2)
+legs = [find_x_epsilon(one, TransitionConfig(1, 2), eps) for eps in (1e-2, 1e-3, 1e-4)]
+legs += [lower_transition_map(one, TransitionConfig(1, 2), 1e-3, y_in).y_out
+         for y_in in (-2e-3, -5e-4, 5e-4)]
+legs.append(find_x_epsilon(two, TransitionConfig(2, 6, lam=0.999 * lambda_star(2, 6)), 1e-6))
+"""
+
+
+def _blas_kernel_is_selectable() -> bool:
+    """Whether ``OPENBLAS_CORETYPE`` picks numpy's BLAS kernels: an OpenBLAS
+    built with DYNAMIC_ARCH, on an x86-64 CPU (numpy 1.26 or later tells)."""
+    import platform
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+def test_legs_give_the_same_bytes_on_another_blas_kernel():
+    # the steppers make no BLAS call: Nehalem's kernels (they run on any
+    # x86-64 CPU) leave every digit of these legs as they are in process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import regtang
+
+    if not _blas_kernel_is_selectable():
+        pytest.skip("OPENBLAS_CORETYPE selects no kernel of this numpy on this CPU")
+    if os.environ.get("OPENBLAS_CORETYPE", "").lower() == "nehalem":
+        pytest.skip("this process runs Nehalem's kernels already")
+    scope: dict = {}
+    exec(_KERNEL_FREE_LEGS, scope)
+    src = str(Path(regtang.__file__).parent.parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _KERNEL_FREE_LEGS + "print(repr(legs))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == repr(scope["legs"])
 
 
 def _numpy_nudge(rhs, t0, p0, sec, config, forward):

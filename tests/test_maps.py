@@ -43,11 +43,32 @@ def test_transition_config_validation():
     assert cfg.lam == approx(lambda_star(1, 2) / 2)
 
 
+# x_eps(1e-4) of (1,2), converged: DOP853 at rtol 1e-10 ... 1e-13 and Radau at
+# 1e-12 and 1e-13 lie within 5.1e-12 of it, their band legs landing on
+# yhat = 1 (``integrate._land``).  The pin is checked at rtol 1e-12, where it
+# is 2.2e-12 off.
+X_EPS_CONVERGED = 0.0024271024584675573
+
+
 def test_departure_abscissa_regression():
     sys = canonical_system(k=1)
-    cfg = TransitionConfig(k=1, n=2)
+    cfg = TransitionConfig(k=1, n=2, integ=IntegratorConfig(rtol=1e-12, atol=1e-14))
     x_eps = find_x_epsilon(sys, cfg, 1e-4)
-    assert x_eps == approx(0.002427102441838491, rel=1e-9)
+    assert x_eps == approx(X_EPS_CONVERGED, rel=1e-9)
+
+
+def test_band_legs_land_on_the_kink_at_yhat_1():
+    # Phi saturates at yhat = 1, where the band field is only C^n and the
+    # step that crosses it is taken again to end there.  Stepping across the
+    # kink put x_eps(1e-4) 6.9e-9 off at the default tolerance, and this lower
+    # map image at eps = 1e-3 7.7e-11 off the others (rtol 1e-12)
+    x_eps = find_x_epsilon(canonical_system(k=1), TransitionConfig(k=1, n=2), 1e-4)
+    assert x_eps == approx(X_EPS_CONVERGED, rel=1e-11)
+    cfg = TransitionConfig(k=1, n=2, integ=IntegratorConfig(rtol=1e-12, atol=1e-14))
+    images = [lower_transition_map(canonical_system(k=1), cfg, 1e-3, y_in).y_out
+              for y_in in (-1.9838659591259506e-3, -5.169366926420615e-4,
+                           9.4999257384182744e-4)]
+    assert max(images) - min(images) < 1e-13
 
 
 def test_departure_beats_tangency_and_tangency_closed_form():

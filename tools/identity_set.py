@@ -6,8 +6,10 @@ Each case runs in this process with ``--workers 1`` and ``--out OUTDIR/<name>``;
 what it prints (the summary, or the JSON error of a bad run) goes to
 ``OUTDIR/<name>/stdout.txt``.  Run it on two checkouts and compare them with
 ``diff -r OUTDIR_A OUTDIR_B``: a change that keeps every float leaves no
-difference.  The bytes depend on the OpenBLAS kernel numpy picks for the CPU
-(every DOP853 stage product is a BLAS call), so compare runs from one machine.
+difference.  Only the fits of ``maps.fit_line`` (the ``fit`` and
+``contraction_fit`` fields) depend on the OpenBLAS kernel numpy picks for the
+CPU, through ``lstsq``; compare those from one machine.  Every other byte is
+the same under every kernel (``OPENBLAS_CORETYPE``).
 """
 
 from __future__ import annotations
