@@ -50,7 +50,6 @@ from .integrate import (
     EventHit,
     Trajectory,
     flow,
-    flow_to_section,
     flow_to_section_traj,
     sample_dense,
     trajectory_to_csv,

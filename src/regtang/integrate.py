@@ -1,7 +1,7 @@
 """Adaptive integration with dense output and refined section events.
 
 Every ODE solve of the package runs in one of two lean steppers with one
-contract, ``(rhs, t_span, y0, config, stops, admit) -> (Segment, stop)``,
+contract, ``(rhs, t_span, y0, config, stops, scan) -> (Segment, stop)``,
 and one step loop (``_Run``: scipy's step-size clamping, clipping to the
 span's end and terminal-event rules), each stepper giving only its step
 attempt and step-size rule:
@@ -36,17 +36,19 @@ is ported and checked against scipy by the tests: the coefficient tables
 step at a time (scipy's ``OdeSolution``) and ``brentq`` bit for bit; the
 DOP853 steps and the first-step choice to rounding.
 
-Stops are checked after each step exactly as ``solve_ivp`` checks terminal
-events.  A leg to a section is one run: a stop may turn a root down (a
-crossing outside the section's interval or against its direction), and the
-same solver then steps on; a leg stopped on one of its field's ``kinks``
+Stops (the norm guard, or a chart's level) are checked after each step
+exactly as ``solve_ivp`` checks terminal events.  Sections have one event
+path, dense-output event location (Hairer, Norsett & Wanner, *Solving ODEs
+I*, II.6): the run scans each accepted step on a sub-step grid as it goes
+(``_Scan``) and finds every crossing of a section, the two of a dip between
+grid points among them, and every touch, a turning point of the residual
+within ``sqrt(event_tol)`` of zero.  A leg to a section is one run, which
+ends at the first crossing the section admits; past a crossing outside the
+section's interval or against its direction the same solver steps on.  A leg that ends on one of its field's ``kinks``
 takes the crossing step again, to end just past the section (``_land``).
-One scan of the run's dense output on a sub-step grid (``_scan``) finds
-every crossing of a section, the two of a dip between grid points among
-them, and every touch: a turning point of the residual within
-``sqrt(event_tol)`` of zero.  A leg without an admissible crossing raises
-``TangentialGraze`` (a ``NoCrossing``) at its target's first touch, and a
-plain ``NoCrossing`` if there is none.
+A leg without an admissible crossing raises ``TangentialGraze`` (a
+``NoCrossing``) at its target's first touch, and a plain ``NoCrossing`` if
+there is none.
 """
 
 from __future__ import annotations
@@ -272,19 +274,12 @@ def _as_rhs(field) -> RHS:
     return rhs
 
 
-def _hit_direction(rate: float, forward: bool) -> str:
-    along_orbit = rate if forward else -rate
-    return "up" if along_orbit > 0 else "down"
-
-
 def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
               forward: bool) -> Optional[EventHit]:
     """The hit, if the crossing lies in the section's interval and runs in its
     admitted sense; None otherwise."""
-    if not sec.admits(p):
-        return None
-    d = _hit_direction(rate, forward)
-    if sec.direction is not None and d != sec.direction:
+    d = "up" if (rate if forward else -rate) > 0 else "down"
+    if not sec.admits(p) or sec.direction not in (None, d):
         return None
     return EventHit(t, p, sec.ident, d)
 
@@ -361,81 +356,135 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-# Every crossing of a section, and every touch, is found by one scan of the
-# run's dense output on a sub-step grid, never by the test at the step ends
-# alone: on smooth polynomial fields DOP853's error estimate can vanish and
-# the step size explodes, so a dip across a section and back may fit inside
-# one step, and may fit between two grid points too.
+# Every crossing of a section, and every touch, is found on a sub-step grid of
+# each step's dense output, never by the test at the step ends alone: on
+# smooth polynomial fields DOP853's error estimate can vanish and the step
+# size explodes, so a dip across a section and back may fit inside one step,
+# and may fit between two grid points too.
 SCAN_SUBDIV = 8
 
 
-def _scan_grid(seg: Segment) -> np.ndarray:
-    ts = seg.t
-    frac = np.arange(SCAN_SUBDIV) / SCAN_SUBDIV
-    grid = ts[:-1, None] + np.diff(ts)[:, None] * frac[None, :]
-    return np.append(grid.ravel(), ts[-1])
+def _screened(rows: Sequence[float], start: float, band: float) -> bool:
+    """Whether a step can hold no crossing and no touch of a section: its
+    residual starts at ``start``, and one component's coefficient rows
+    ``rows`` move it by at most the sum of their magnitudes, since every term
+    of either method's polynomial (DOP853's x^a (1-x)^b, Radau's x, x**2,
+    x**3) lies in [0, 1] on the step."""
+    return abs(start) > sum(map(abs, rows)) + 2 * band
 
 
-def _scan(seg: Segment, rhs: RHS, forward: bool, sections: Sequence[SectionSpec],
-          band: float):
-    """Every crossing and every touch of the sections on a segment's dense
-    output, in one pass over each residual on the sub-step grid.
+class _Scan:
+    """The crossings and touches of sections on each step of a run, found as
+    ``_Run.record`` keeps the step.
 
-    A sign change between two grid points is bracketed and polished with
-    brentq.  A grid extremum that turns toward zero (a minimum of a positive
-    residual, a maximum of a negative one) is polished to its turning point
-    by brentq on the residual's rate: a turning point across zero brackets two
-    crossings, and one within ``band`` of zero is a touch.  A dip with two
-    turning points between grid points is missed.  brentq runs on the same
-    dense output: ``seg(s)`` evaluates, at every time, the step polynomial
-    whose batched values ``seg.dense`` gave the scan, bit for bit, so a
-    bracket holds its sign change also where two steps do not join exactly.
-
-    Returns ``(hits, touches)`` ordered along the orbit: (section, hit) for
-    each crossing its section admits, and (t, point, section) per touch.
+    A step's dense output is evaluated on SCAN_SUBDIV sub-steps, one component
+    on Python floats as ``Segment`` evaluates it (a time on a step boundary on
+    the earlier step).  A sign change between two grid points is bracketed
+    and polished with brentq.  A grid extremum that turns toward zero (a
+    minimum of a positive residual, a maximum of a negative one) is polished
+    to its turning point by brentq on the residual's rate: a turning point
+    across zero brackets two crossings, and one within ``band`` of zero is a
+    touch.  A dip with two turning points between grid points is missed.  The
+    test at a step's first grid point looks one point back, so a root may lie
+    in the previous step.  A step ``_screened`` from a section, after one
+    that was too, is not evaluated for it.  Each crossing its section admits
+    (``_classify``) goes to ``events``, but the first of ``target`` is ``hit``
+    and ends the run; ``touches`` holds the target's, as ``(t, point)``.
     """
-    if not sections:
-        return [], []
-    ts = _scan_grid(seg)
-    pts = seg.dense(ts)
-    found, touches = [], []
-    for sec in sections:
-        def residual(s, sec=sec):
-            return sec.residual(seg(s))
 
-        def rate(s, sec=sec):
-            return sec.residual_rate(rhs(s, seg(s).tolist()))
+    def __init__(self, rhs: RHS, band: float, sections: Iterable[SectionSpec] = (),
+                 target: Optional[SectionSpec] = None):
+        self.rhs, self.band, self.target = rhs, band, target
+        self.sections = ([] if target is None else [target]) + list(sections)
+        self.hit: Optional[EventHit] = None
+        self.events: List[EventHit] = []
+        self.touches: List[Tuple[float, np.ndarray]] = []
+        self.last = [math.inf] * len(self.sections)  # each section's last root
+        self.near = [False] * len(self.sections)  # the previous step unscreened
+        self.prev = None  # the previous step
 
-        def root(a, b, f=residual):
-            return brentq(f, *sorted((a, b)), xtol=1e-15, rtol=8.9e-16)
-        vals = (pts[0] if sec.kind == "vertical" else pts[1]) - sec.c
-        sgn, d = np.sign(vals), np.diff(vals)
-        flips = np.append(sgn[:-1] * sgn[1:] < 0, False)
-        turns = np.zeros_like(flips)
-        turns[1:-1] = (d[:-1] * d[1:] < 0) & (sgn[1:-1] * d[1:] > 0)
-        for i in np.flatnonzero((sgn == 0.0) | flips | turns):
-            if sgn[i] == 0.0:
-                roots = [float(ts[i])]
-            elif flips[i]:
-                roots = [root(float(ts[i]), float(ts[i + 1]))]
-            else:
-                before, tg, after = float(ts[i - 1]), float(ts[i]), float(ts[i + 1])
-                if rate(before) * rate(after) < 0:
-                    tg = root(before, after, rate)
-                pg = seg(tg)
-                rg = sec.residual(pg)
-                if abs(rg) < band:
-                    touches.append((tg, np.array(pg), sec))
-                roots = [root(before, tg), root(tg, after)] if rg * sgn[i] < 0 else []
-            for te in roots:
-                if found and found[-1][2] is sec and abs(te - found[-1][0]) < 1e-12:
+    def step(self, horner: Callable, sense: float, cur, t_new: float,
+             until: Optional[float]) -> Optional[EventHit]:
+        """Scan the step ``cur`` = ``(t_old, h, y_old, coef)`` of a run in
+        the direction ``sense``, which ends at ``t_new``; a target crossing
+        past ``until`` (a stop's root) does not count.  Returns ``hit``."""
+        prev, self.prev = self.prev, cur
+        t_old, h, y_old, coef = cur
+        n, near = len(y_old), []
+        for j, sec in enumerate(self.sections):
+            c = 0 if sec.kind == "vertical" else 1
+            was, self.near[j] = self.near[j], not _screened(
+                () if coef is None else coef[c::n], y_old[c] - sec.c, self.band)
+            if was or self.near[j]:
+                near.append((j, sec, c))
+        if not near:
+            return self.hit
+
+        def on(s):  # the step that holds time s
+            return prev if prev is not None and sense * (s - t_old) <= 0 else cur
+
+        def value(s, c):
+            t0, h0, y0, rows = on(s)
+            return y0[c] if rows is None else horner(reversed(rows[c::n]), (s - t0) / h0, y0[c])
+
+        def point(s):
+            t0, h0, y0, rows = on(s)
+            return _step_state(horner, None if rows is None else np.reshape(rows, (-1, n)),
+                               t0, h0, y0, s)
+
+        grid = [t_old + h * (i / SCAN_SUBDIV) for i in range(SCAN_SUBDIV)] + [t_new]
+        if prev is not None:  # one grid point of look-behind
+            grid.insert(0, prev[0] + prev[1] * ((SCAN_SUBDIV - 1) / SCAN_SUBDIV))
+        found = []
+        for j, sec, c in near:
+            # past either end of the grid no test reaches (NaN fails each)
+            vals = [value(s, c) - sec.c for s in grid] + [math.nan]
+
+            def residual(s, c=c, sec=sec):
+                return value(s, c) - sec.c
+
+            def rate(s, sec=sec):
+                return sec.residual_rate(self.rhs(s, point(s).tolist()))
+
+            def root(a, b, f=residual):
+                return brentq(f, *sorted((a, b)), xtol=1e-15, rtol=8.9e-16)
+            # with a look-behind point, grid[1] (t_old) ended the previous
+            # step, which tested it for a zero
+            for i in range(len(grid) - SCAN_SUBDIV - 1, len(grid)):
+                v, w = vals[i], vals[i + 1]
+                if v == 0.0:
+                    roots = [] if i == 1 and prev is not None else [grid[i]]
+                elif v < 0 < w or w < 0 < v:
+                    roots = [root(grid[i], grid[i + 1])]
+                elif (v - vals[i - 1]) * (w - v) < 0 and (w - v > 0) == (v > 0):
+                    before, tg, after = grid[i - 1], grid[i], grid[i + 1]
+                    if rate(before) * rate(after) < 0:
+                        tg = root(before, after, rate)
+                    pg = np.array(point(tg))
+                    rg = sec.residual(pg)
+                    if abs(rg) < self.band and sec is self.target:
+                        self.touches.append((tg, pg))
+                    crossed = rg < 0 if v > 0 else rg > 0
+                    roots = [root(before, tg), root(tg, after)] if crossed else []
+                else:
                     continue
-                pe = np.array(seg(te))
-                found.append((te, pe, sec, float(sec.residual_rate(rhs(te, pe.tolist())))))
-    for items in (found, touches):
-        items.sort(key=lambda item: item[0], reverse=not forward)
-    hits = [(sec, _classify(sec, te, pe, rate, forward)) for te, pe, sec, rate in found]
-    return [(sec, hit) for sec, hit in hits if hit is not None], touches
+                for te in roots:
+                    if abs(te - self.last[j]) < 1e-12:
+                        continue
+                    self.last[j] = te
+                    found.append((te, np.array(point(te)), sec, float(rate(te))))
+        found.sort(key=lambda item: sense * item[0])
+        for te, pe, sec, dr in found:
+            ev = _classify(sec, te, pe, dr, sense > 0)
+            if ev is None:
+                continue
+            if sec is self.target:
+                if until is None or sense * (te - until) <= 0:
+                    self.hit = ev
+                    self.events = [e for e in self.events if sense * (e.t - te) < 0]
+                break
+            self.events.append(ev)
+        return self.hit
 
 
 # solve_ivp's tolerance for the root of a terminal event on a step's interpolant
@@ -589,34 +638,35 @@ class _Run:
     them.  The start state is kept as lists of Python floats, ``y`` and
     ``f``; ``run`` stacks the states and rows once, into its ``Segment``.
 
-    ``record`` keeps a step's dense output and then checks the stops as
+    ``record`` keeps a step's dense output and checks the stops as
     ``solve_ivp`` checks terminal events: a stop is active on a step when its
     value changes sign or touches zero between the step's ends, its root is
     found by brentq on the step's dense output, the root earliest along the
     orbit wins (the lower index on a tie), and the run ends at that root.
-    ``admit(i, g, g_new, y)`` may turn down the root ``y`` of stop ``i``,
-    whose value went from ``g`` to ``g_new`` over the step.
+    ``scan`` (a ``_Scan``, or None) then scans the step, and its target's
+    first admitted crossing up to that root ends the run instead; it may lie
+    in the previous step, and the run then ends inside that step.
     """
 
     def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
                  config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-                 admit: Optional[Callable[[int, float, float, np.ndarray], bool]],
-                 order: int, horner: Callable):
+                 scan: Optional[_Scan], order: int, horner: Callable):
         self.t, self.t_bound = map(float, t_span)
         y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
             rhs, self.t, self.t_bound, y0, config, order)
         self.y, self.f = y.tolist(), f.tolist()
         self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
         self.ts, self.ys, self.steps = [self.t], [y], []
-        self.stops, self.admit = stops, admit
+        self.stops, self.scan, self.stop = stops, scan, None
         self.g = [stop(y) for stop in stops]
 
     def run(self, attempt) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
-        """Step to ``t_bound`` or to the first stop: the segment and
-        ``(stop index, t, state)`` of the stop that ended it, or None."""
+        """Step to ``t_bound``, to the first stop or to the scan's hit: the
+        segment and ``(stop index, t, state)`` of the stop that ended it, or
+        None."""
         t, t_bound, direction, max_step = self.t, self.t_bound, self.direction, self.max_step
-        hit, running = None, True
-        while hit is None and running:
+        ended, running = False, True
+        while not ended and running:
             if t == t_bound:  # zero-length span: no step
                 t_new, h, step = t, 0.0, (self.ys[-1], None)
                 running = False
@@ -640,20 +690,19 @@ class _Run:
                     step_abs, rejected, step = attempt(t, t_new, h, rejected, clamped)
                 self.h_abs = step_abs
                 running = direction * (t_new - t_bound) < 0
-            hit = self.record(t, t_new, h, *step)
+            ended = self.record(t, t_new, h, *step)
             t = t_new
         hs, coefs = zip(*self.steps)
         return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
                        coef=None if coefs[0] is None else
                        np.array(coefs).reshape(len(coefs), -1, len(self.y)),
                        horner=self.horner, nfev=self.nfev, njev=self.njev,
-                       nlu=self.nlu), hit
+                       nlu=self.nlu), self.stop
 
-    def record(self, t_old: float, t: float, h: float, y: Sequence[float],
-               coef) -> Optional[Tuple[int, float, np.ndarray]]:
+    def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef) -> bool:
         """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
-        with its coefficient rows ``coef``; return ``(stop index, t, state)``
-        of the stop that ends the run on it, or None."""
+        with its coefficient rows ``coef`` (a flat sequence, row by row), and
+        return whether the run ends on it."""
         y_old = self.ys[-1]
         self.steps.append((h, coef))
         g_new = [stop(y) for stop in self.stops]
@@ -664,37 +713,43 @@ class _Run:
                 state = partial(_step_state, self.horner, rows, t_old, h, y_old)
                 te = brentq(lambda s, stop=self.stops[i]: stop(state(s)), t_old, t,
                             xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
-                ye = state(te)
-                if self.admit is None or self.admit(i, a, b, ye):
-                    roots.append((te, i, ye))
+                roots.append((te, i, state(te)))
         self.g = g_new
-        hit = None
+        end, until = (t, y), None
         if roots:
-            sense = 1.0 if t > t_old else -1.0
-            t, i, y = min(roots, key=lambda r: (sense * r[0], r[1]))
-            hit = (i, t, y)
+            te, i, ye = min(roots, key=lambda r: (self.direction * r[0], r[1]))
+            self.stop, end, until = (i, te, ye), (te, ye), te
+        hit = self.scan and self.scan.step(self.horner, self.direction, (t_old, h, y_old, coef),
+                                           t, until)
+        if hit:
+            self.stop, end = None, (hit.t, hit.point)
+            if len(self.steps) > 1 and self.direction * (hit.t - t_old) <= 0:
+                del self.steps[-1], self.ts[-1], self.ys[-1]  # it ends in the previous step
+        t, y = end
         if len(self.ts) > 1 and self.ts[-1] == t:
             self.steps.pop()  # a stop at the previous step's end: nothing new
         else:
             self.ts.append(t)
             self.ys.append(y)
-        return hit
+        return bool(roots or hit)
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-            admit: Optional[Callable[[int, float, float, np.ndarray], bool]] = None
+            scan: Optional[_Scan] = None
             ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
     """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
-    at the first zero of one of ``stops`` (functions of the state).
+    at the first zero of one of ``stops`` (functions of the state) or at the
+    first admitted crossing of ``scan``'s target.
 
     This is the method of ``solve_ivp(method="DOP853", dense_output=True)``
     with the stops as terminal events, by its step-size and event rules
     (``_Run``; checked also on the step that finishes the span).  It agrees
     with solve_ivp to a fraction of the tolerance, not step for step: its
     own summation order moves the step sizes at rounding level, and with
-    them, rarely, the step count.  ``admit`` may turn a root down, and the same
-    solver then steps on.  Returns the segment and ``(stop index, t, state)``
+    them, rarely, the step count.  ``scan`` finds the crossings on each step
+    as the run goes, and a crossing its target does not admit leaves the same
+    solver stepping on.  Returns the segment and ``(stop index, t, state)``
     of the stop that ended it, or None.
 
     The step is ``_dop853_step`` for the state's dimension: scipy's
@@ -703,7 +758,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     oracle.  ``rhs`` receives the state as a list of Python floats.  The
     inputs are checked and the first step chosen as scipy does (``_start``).
     """
-    run = _Run(rhs, t_span, y0, config, stops, admit, tab.ERROR_ESTIMATOR_ORDER,
+    run = _Run(rhs, t_span, y0, config, stops, scan, tab.ERROR_ESTIMATOR_ORDER,
                _dop853_horner)
     y, f = run.y, run.f
     step = _dop853_step(len(y))
@@ -806,11 +861,11 @@ def _rms(v: Sequence[float], scale: Sequence[float]) -> float:
 
 def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
            config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-           admit: Optional[Callable[[int, float, float, np.ndarray], bool]] = None, *,
+           scan: Optional[_Scan] = None, *,
            jac: Callable[[float, List[float]], Sequence[Sequence[float]]]
            ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
     """Step Radau IIA(5) over ``t_span`` for a 2-D state with the exact
-    Jacobian ``jac(t, y)``; stops, ``admit`` and the result as in ``_dop853``.
+    Jacobian ``jac(t, y)``; stops, ``scan`` and the result as in ``_dop853``.
 
     The method, step-size control (``predict_factor``), Newton iteration
     (``solve_collocation_system``), error estimate and Jacobian reuse are
@@ -822,7 +877,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     step's stages.  The inputs are checked and the first step chosen as
     scipy does (``_start``, with the error estimate's order 3).
     """
-    run = _Run(rhs, t_span, y0, config, stops, admit, 3, _radau_horner)
+    run = _Run(rhs, t_span, y0, config, stops, scan, 3, _radau_horner)
     y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
     J = np.asarray(jac(run.t, y), dtype=float)
@@ -900,7 +955,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
              for j in (0, 1)]
         prev = (t, h, y, Q)
         y, f = y_new, f_new
-        return abs(h) * factor, rejected, (y_new, np.array(Q).T)
+        return abs(h) * factor, rejected, (y_new, tuple(q for row in zip(*Q) for q in row))
     return run.run(attempt)
 
 
@@ -924,18 +979,15 @@ def flow(
         raise ConditionViolated(f"t_span must be finite (got {tuple(t_span)!r})")
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
-    sections = list(sections)
-    forward = t_span[1] >= t_span[0]
-
+    scan = _Scan(rhs, math.sqrt(config.event_tol), sections)
     seg, stop = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config,
-                        [_norm_guard(config)])
-    hits, _ = _scan(seg, rhs, forward, sections, math.sqrt(config.event_tol))
+                        [_norm_guard(config)], scan)
     if stop is not None:
         raise DomainExit(
             f"trajectory norm exceeded {config.norm_guard:g} at t={stop[1]:g}"
         )
-    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=[hit for _, hit in hits],
-                      segments=[seg])
+    events = sorted(scan.events, key=lambda ev: ev.t, reverse=t_span[1] < t_span[0])
+    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
 
 
 def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
@@ -960,22 +1012,6 @@ def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
     return t0, p0
 
 
-def _section_admit(section: SectionSpec):
-    """Admission rule of the stopper (stop 0) of a leg to ``section``: a root
-    outside the section's interval, or on a step whose residual change runs
-    against the section's direction (``solve_ivp``'s ``direction`` rule), is
-    turned down; the norm guard (stop 1) always stops."""
-    def admit(i: int, g: float, g_new: float, p: np.ndarray) -> bool:
-        if i != 0:
-            return True
-        if section.direction == "up" and not (g <= 0 and g_new >= 0):
-            return False
-        if section.direction == "down" and not (g >= 0 and g_new <= 0):
-            return False
-        return section.admits(p)
-    return admit
-
-
 # Stepper crossover: a leg whose field has an exact ``jacobian`` runs Radau
 # IIA when its time-scale ratio |d yhat'/d yhat| / eps at the start point is
 # above this (the per-leg table behind it is in CHANGES.md).
@@ -994,18 +1030,19 @@ def _stepper(field, p: List[float]):
 LANDING_REACH = 1.001  # the end of a landing run, in units of the way to its root
 
 
-def _land(run, seg: Segment, stop):
-    """Land a leg stopped on a level where its field is only C^n (``kinks``:
-    Phi saturates at yhat = +-1 of a ``BandField``).  No step's error estimate
-    sees the kink, so the step that crossed it may run far past it and put the
-    root far off (a lower-map image 7.7e-11 off at eps = 1e-3).  That step is
-    run again (``run(t_span, y0)``) to LANDING_REACH times the way to the root,
-    and its steps replace it in the segment; if they fall short of the
-    section, the first run stands."""
+def _land(leg, seg: Segment, scan: _Scan) -> Tuple[Segment, _Scan]:
+    """Land a leg that ended on a level where its field is only C^n
+    (``kinks``: Phi saturates at yhat = +-1 of a ``BandField``).  No step's
+    error estimate sees the kink, so the step that crossed it may run far past
+    it and put the crossing far off (a lower-map image 7.7e-11 off at
+    eps = 1e-3).  That step is run again (``leg(t_span, y0)``) to
+    LANDING_REACH times the way to the crossing, and its steps replace it in
+    the segment; if they fall short of the section, the first run stands."""
     t_old, k = seg.t[-2], len(seg.h) - 1
-    last, landed = run((t_old, t_old + LANDING_REACH * (stop[1] - t_old)), seg.y[:, -2])
-    if landed is None or landed[0] != 0:
-        return seg, stop
+    last, _, landed = leg((t_old, t_old + LANDING_REACH * (scan.hit.t - t_old)), seg.y[:, -2])
+    if landed.hit is None:
+        return seg, scan
+    landed.events[:0] = [ev for ev in scan.events if (ev.t - t_old) * (scan.hit.t - t_old) < 0]
     return Segment(np.concatenate([seg.t[:k], last.t]), np.hstack([seg.y[:, :k], last.y]),
                    np.concatenate([seg.h[:k], last.h]),
                    np.concatenate([seg.coef[:k], last.coef]), seg.horner,
@@ -1025,99 +1062,59 @@ def flow_to_section_traj(
     One solver run per leg, chosen by ``_stepper`` at the leg's start point:
     Radau IIA when the field has an exact ``jacobian`` and its time-scale
     ratio there exceeds ``STIFF_RATIO`` (the stiff layer legs of a
-    ``BandField`` at small eps), DOP853 otherwise.  The crossings come from
-    the one scan of the run's dense output (``_scan``), verified to
-    ``event_tol``.  Crossings outside the section's interval or against its
-    direction are skipped: the stopper turns them down and the same solver
-    steps on.  A leg stopped on one of the field's ``kinks`` lands on it
-    (``_land``).  Crossings of ``record_sections`` met on the way are recorded.
-    If no admissible crossing comes within ``max_time``, the section's first
-    touch raises ``TangentialGraze``, and no touch ``NoCrossing``.
+    ``BandField`` at small eps), DOP853 otherwise.  The run scans each step
+    as it goes (``_Scan``) and ends at the first crossing the section admits,
+    a dip inside one step among them; crossings outside the section's
+    interval or against its direction are skipped and the same solver steps
+    on.  A leg that ends on one of the field's ``kinks`` lands on it
+    (``_land``).  Crossings of ``record_sections`` met on the way are
+    recorded.  If no admissible crossing comes within ``max_time``, the
+    section's first touch raises ``TangentialGraze``, and no touch
+    ``NoCrossing``.
 
-    Known limit: the stopper sees sign changes at step ends only, so the run
-    steps past a dip inside one step until the stopper's next sign change,
-    the norm guard or ``max_time``, and the scan finds the dip afterwards; a
-    dip with two turning points between grid points is missed.
+    Known limit: a dip with two turning points between grid points is missed.
     """
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     forward = t_direction == "forward"
-    record_sections = list(record_sections)
+    band = math.sqrt(config.event_tol)
 
     t0 = 0.0
     p = np.asarray(p0, dtype=float).tolist()
     # Starting on the target section: the degenerate t=0 "crossing" is not the
-    # one asked for; step off the section before arming the stopper.
+    # one asked for; step off the section before the run starts.
     if abs(section.residual(p)) <= 10 * config.event_tol:
         t0, p = _nudge_off_section(rhs, t0, p, section, config, forward)
     remaining = max(config.max_time - abs(t0), 0.0)
     t_end = t0 + (remaining if forward else -remaining)
-
-    # The stopper (stop 0) ends the run at the first admitted sign change of
-    # the residual between step ends, and so bounds its work; the crossings
-    # themselves, a dip inside one step among them, are located by the scan.
-    # Stop 1 is the norm guard.
     stepper = _stepper(field, p)
-    stops, admit = [section.residual, _norm_guard(config)], _section_admit(section)
-    seg, stop = stepper(rhs, (t0, t_end), p, config, stops, admit)
-    if (stop is not None and stop[0] == 0 and section.kind == "horizontal"
+
+    def leg(t_span, y0):
+        scan = _Scan(rhs, band, record_sections, section)
+        return (*stepper(rhs, t_span, y0, config, [_norm_guard(config)], scan), scan)
+
+    seg, stop, scan = leg((t0, t_end), p)
+    if (scan.hit is not None and section.kind == "horizontal"
             and section.c in getattr(field, "kinks", ())):
-        seg, stop = _land(partial(stepper, rhs, config=config, stops=stops, admit=admit),
-                          seg, stop)
-
-    hit: Optional[EventHit] = None
-    recorded: List[EventHit] = []
-    hits, touches = _scan(seg, rhs, forward, [section] + record_sections,
-                          math.sqrt(config.event_tol))
-    for sec, ev in hits:
-        if sec is section:
-            hit = ev
-            break
-        recorded.append(ev)
-
-    # A root landing exactly on the run's end (the stopper stops *at* the
-    # section) may leave no sign change for the scan to bracket.
-    if hit is None and stop is not None and stop[0] == 0:
-        _, te, pe = stop
-        rate = section.residual_rate(rhs(te, pe.tolist()))
-        hit = EventHit(te, pe, section.ident,
-                       section.direction or _hit_direction(rate, forward))
-
+        seg, scan = _land(leg, seg, scan)
+    hit = scan.hit
     if hit is not None:
-        return hit, _assemble(seg, recorded, forward, hit)
+        events = sorted(scan.events + [hit], key=lambda ev: ev.t, reverse=not forward)
+        return hit, Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
     if stop is not None:
         raise DomainExit(
             f"trajectory norm exceeded {config.norm_guard:g} before reaching "
             f"section {section.ident}"
         )
-    for tg, pg, sec in touches:
-        if sec is section:
-            raise TangentialGraze(
-                f"residual of {section.ident} touched zero without crossing at t={tg:g}",
-                t=tg, point=pg,
-            )
+    if scan.touches:
+        tg, pg = min(scan.touches, key=lambda touch: touch[0] if forward else -touch[0])
+        raise TangentialGraze(
+            f"residual of {section.ident} touched zero without crossing at t={tg:g}",
+            t=tg, point=pg,
+        )
     raise NoCrossing(
         f"no admissible crossing of {section.ident} within max_time={config.max_time:g}"
     )
-
-
-def flow_to_section(
-    field,
-    p0: Sequence[float],
-    section: SectionSpec,
-    config: Optional[IntegratorConfig] = None,
-    t_direction: str = "forward",
-) -> EventHit:
-    hit, _ = flow_to_section_traj(field, p0, section, config, t_direction)
-    return hit
-
-
-def _assemble(seg: Segment, recorded, forward, hit: EventHit) -> Trajectory:
-    keep = (seg.t <= hit.t) if forward else (seg.t >= hit.t)
-    t = np.append(seg.t[keep], hit.t)
-    p = np.vstack([seg.y.T[keep], hit.point])
-    events = sorted(recorded + [hit], key=lambda h: h.t, reverse=not forward)
-    return Trajectory(t=t, points=p, events=events, segments=[seg])
 
 
 def sample_dense(traj: Trajectory, n: int) -> np.ndarray:

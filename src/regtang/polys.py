@@ -15,6 +15,7 @@ stay cheap; the same statements are inlined into the fused kernels of
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -341,7 +342,10 @@ def compile_kernel(args: str, body: Sequence[str]) -> Callable:
     """Compile ``def _kernel(args): body`` and return the function.
 
     ``body`` reads only its arguments and its own locals, so a kernel is
-    memoized on its source alone.
+    memoized on its source alone.  Its file name, ``<regtang kernel CRC>``,
+    carries the CRC-32 of the source, so that profilers, which key a
+    function by file, line and name, keep the kernels apart (hashlib would
+    load OpenSSL, about 3 MB of resident memory).
     """
     key = (args, tuple(body))
     fn = _KERNELS.get(key)
@@ -350,7 +354,7 @@ def compile_kernel(args: str, body: Sequence[str]) -> Callable:
         return fn
     src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
     ns: dict = {}
-    exec(compile(src, "<regtang kernel>", "exec"), ns)
+    exec(compile(src, f"<regtang kernel {zlib.crc32(src.encode()):08x}>", "exec"), ns)
     fn = _KERNELS[key] = ns["_kernel"]
     if len(_KERNELS) > KERNEL_CACHE_SIZE:
         _KERNELS.popitem(last=False)

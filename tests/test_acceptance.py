@@ -24,7 +24,7 @@ from regtang import (
     find_cycle,
     find_x_epsilon,
     fit_scaling,
-    flow_to_section,
+    flow_to_section_traj,
     grazing_exponent_fit,
     grazing_half_map,
     lambda_star,
@@ -233,15 +233,15 @@ def test_criterion_05_exact_case_oracles():
         eps = 1e-3
         theta = cfg.theta
         # grazing-orbit height at the outflow section
-        hit = flow_to_section(sys.x_plus, (0.0, 0.0),
-                              SectionSpec("vertical", theta), IntegratorConfig())
+        hit = flow_to_section_traj(sys.x_plus, (0.0, 0.0),
+                                   SectionSpec("vertical", theta), IntegratorConfig())[0]
         y_bar = float(hit.point[1])
         y_bar_exact = theta ** (2 * k) / (2 * k)
         e1 = abs(y_bar - y_bar_exact)
         # abscissa where the grazing orbit reaches the layer roof
-        hit2 = flow_to_section(sys.x_plus, (0.0, 0.0),
-                               SectionSpec("horizontal", eps, direction="up"),
-                               IntegratorConfig())
+        hit2 = flow_to_section_traj(sys.x_plus, (0.0, 0.0),
+                                    SectionSpec("horizontal", eps, direction="up"),
+                                    IntegratorConfig())[0]
         x_bar = float(hit2.point[0])
         x_bar_exact = (2 * k * eps) ** (1.0 / (2 * k))
         e2 = abs(x_bar - x_bar_exact)

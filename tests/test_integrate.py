@@ -18,12 +18,12 @@ from regtang import (
     SectionSpec,
     TangentialGraze,
     flow,
-    flow_to_section,
     flow_to_section_traj,
     sample_dense,
     trajectory_to_csv,
 )
 from regtang.integrate import (
+    SCAN_SUBDIV,
     Segment,
     _as_rhs,
     _dop853,
@@ -32,8 +32,10 @@ from regtang.integrate import (
     _nudge_off_section,
     _radau,
     _radau_horner,
-    _scan_grid,
-    _section_admit,
+    _Run,
+    _Scan,
+    _screened,
+    _step_state,
 )
 
 
@@ -48,6 +50,20 @@ class fld:
 
 
 rotation = fld(lambda x, y: (-y, x))
+
+
+def _scan_grid(seg):
+    """The section scan's grid on a segment: SCAN_SUBDIV points per step
+    between its ends, and the run's last time."""
+    frac = np.arange(SCAN_SUBDIV) / SCAN_SUBDIV
+    grid = seg.t[:-1, None] + np.diff(seg.t)[:, None] * frac[None, :]
+    return np.append(grid.ravel(), seg.t[-1])
+
+
+def _target_scan(sec, cfg):
+    """A scan of a run of ``rotation`` whose target is ``sec``, as a leg to
+    ``sec`` runs it."""
+    return _Scan(_as_rhs(rotation), math.sqrt(cfg.event_tol), target=sec)
 
 
 def test_linear_rotation_matches_closed_form():
@@ -80,7 +96,7 @@ def test_direction_filter_skips_wrong_way_crossings():
     # rotating from (1, 0): y = sin t crosses y = 0.5 upward at t = pi/6;
     # requiring "down" must wait until t = 5 pi/6.
     sec = SectionSpec("horizontal", 0.5, direction="down")
-    hit = flow_to_section(rotation, (1.0, 0.0), sec, cfg)
+    hit = flow_to_section_traj(rotation, (1.0, 0.0), sec, cfg)[0]
     assert hit.t == approx(5 * np.pi / 6, abs=1e-9)
 
 
@@ -99,7 +115,7 @@ def test_interval_filter_rejects_hits_outside_window():
     cfg = IntegratorConfig()
     # first pass through x = 0 happens at y = 1; demand y within (-2, -0.5)
     sec = SectionSpec("vertical", 0.0, interval=(-2.0, -0.5))
-    hit = flow_to_section(rotation, (1.0, 0.0), sec, cfg)
+    hit = flow_to_section_traj(rotation, (1.0, 0.0), sec, cfg)[0]
     assert hit.point[1] == approx(-1.0, abs=1e-9)
 
 
@@ -110,7 +126,7 @@ def test_short_dip_is_not_skipped():
     d = 0.05
     cfg = IntegratorConfig()
     sec = SectionSpec("horizontal", eps, direction="up")
-    hit = flow_to_section(fld(lambda x, y: (1.0, x)), (-d, eps), sec, cfg)
+    hit = flow_to_section_traj(fld(lambda x, y: (1.0, x)), (-d, eps), sec, cfg)[0]
     assert hit.point[0] == approx(d, abs=1e-8)
 
 
@@ -136,6 +152,35 @@ def test_a_dip_between_grid_points_is_a_leg_s_hit():
     assert hit.direction == "down"
     assert hit.point[0] == approx(-DIP_X, abs=1e-12)
     assert traj.end[0] == hit.point[0] and traj.t_end == hit.t
+    # the run ends at the dip: it does not step on to the norm guard
+    assert traj.segments[0].t[-1] == hit.t
+
+
+@settings(deadline=None, max_examples=300)
+@given(method=st.sampled_from([(_dop853_horner, 7), (_radau_horner, 3)]),
+       data=st.data(),
+       y_old=st.floats(min_value=-10.0, max_value=10.0),
+       side=st.sampled_from([-1.0, 1.0]),
+       reach=st.floats(min_value=0.0, max_value=1.5),
+       h=st.floats(min_value=1e-6, max_value=1e3))
+def test_a_screened_step_holds_no_crossing_and_no_touch(method, data, y_old, side,
+                                                        reach, h):
+    # the level lies on either side of the start state, up to 1.5 times the
+    # screen's bound away; wherever the screen skips the step, the residual
+    # must keep its start's sign and stay farther than the touch band from
+    # zero
+    horner, n_rows = method
+    # many zero rows: the bound is tight where one row dominates
+    rows = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)),
+                              min_size=n_rows, max_size=n_rows))
+    band = math.sqrt(IntegratorConfig().event_tol)
+    level = y_old - side * reach * (sum(map(abs, rows)) + 2 * band)
+    if not _screened(rows, y_old - level, band):
+        return
+    ts = np.linspace(0.0, h, 1000)[:, None]
+    coef = np.broadcast_to(np.array(rows)[:, None, None], (n_rows, len(ts), 1))
+    states = _step_state(horner, coef, 0.0, h, np.array([y_old]), ts)
+    assert np.all(np.sign(y_old - level) * (states[:, 0] - level) > band)
 
 
 def test_tangential_graze_is_flagged():
@@ -146,29 +191,29 @@ def test_tangential_graze_is_flagged():
     d = 0.05
     sec = SectionSpec("horizontal", eps - d * d / 2 - 1e-8, direction="down")
     with raises(TangentialGraze):
-        flow_to_section(fld(lambda x, y: (1.0, x)), (-d, eps), sec,
-                        IntegratorConfig(max_time=50.0))
+        flow_to_section_traj(fld(lambda x, y: (1.0, x)), (-d, eps), sec,
+                             IntegratorConfig(max_time=50.0))[0]
 
 
 def test_norm_guard_raises_domain_exit():
     cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
     with raises(DomainExit):
-        flow_to_section(fld(lambda x, y: (x, y)), (1.0, 1.0),
-                        SectionSpec("vertical", -5.0), cfg)
+        flow_to_section_traj(fld(lambda x, y: (x, y)), (1.0, 1.0),
+                             SectionSpec("vertical", -5.0), cfg)[0]
 
 
 def test_no_crossing_when_time_runs_out():
     cfg = IntegratorConfig(max_time=1.0, norm_guard=1e9)
     with raises(NoCrossing):
-        flow_to_section(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0),
-                        SectionSpec("vertical", 5.0), cfg)
+        flow_to_section_traj(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0),
+                             SectionSpec("vertical", 5.0), cfg)[0]
 
 
 def test_backward_time_sections():
     cfg = IntegratorConfig()
     sec = SectionSpec("vertical", -1.0)
-    hit = flow_to_section(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0), sec, cfg,
-                          t_direction="backward")
+    hit = flow_to_section_traj(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0), sec, cfg,
+                               t_direction="backward")[0]
     assert hit.t == approx(-1.0, abs=1e-10)
 
 
@@ -225,8 +270,54 @@ def test_section_residual_sign_conventions():
     assert vert.residual((0.0, 0.0)) == approx(1.0)
 
 
+def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
+    # the first step, [0, 1], is y = (t - 0.95)^2, which dips below 4e-4 on
+    # (0.93, 0.97), between its last two grid points; the second, [1, 2],
+    # rises by 1e-4 only, so the screen passes it over unless the step before
+    # it was not.  The grid's least value is at t = 1, so only the second
+    # step's test, which looks one grid point back, finds the dip.  The
+    # steps are exact polynomials, as Radau rows Q0, Q1, Q2 per component.
+    m, level, rise = 0.95, 4e-4, 1e-4
+
+    def attempt(t, t_new, h, rejected, clamped):
+        if t == 0.0:
+            return 1.0, rejected, ([t_new, (t_new - m) ** 2],
+                                   (h, 2 * (t - m) * h, 0.0, h * h, 0.0, 0.0))
+        return 1.0, rejected, ([t_new, (1 - m) ** 2 + rise], (h, rise, 0.0, 0.0, 0.0, 0.0))
+
+    assert _screened((rise, 0.0, 0.0), (1 - m) ** 2 - level, 1e-6)
+    rhs = lambda t, p: (1.0, 2 * (p[0] - m))
+    scan = _Scan(rhs, 1e-6, target=SectionSpec("horizontal", level))
+    run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), [], scan, 3,
+               _radau_horner)
+    run.h_abs = 1.0
+    seg, stop = run.run(attempt)
+    assert stop is None and scan.hit.direction == "down"
+    assert scan.hit.t == approx(m - math.sqrt(level), abs=1e-12)
+    # the second step is dropped, and the run ends inside the first
+    assert seg.t.tolist() == [0.0, scan.hit.t] and seg.h.tolist() == [1.0]
+    assert np.array_equal(seg.y[:, -1], scan.hit.point)
+
+
+def test_a_stop_before_the_target_s_crossing_on_one_step_ends_the_run():
+    # one step x = t on [0, 4]: the norm guard fires at t = 2, and the
+    # target x = 3 is crossed later on the same step
+    cfg = IntegratorConfig(norm_guard=2.0)
+
+    def attempt(t, t_new, h, rejected, clamped):
+        return 1.0, rejected, ([t_new, 0.0], (h, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    rhs = lambda t, p: (1.0, 0.0)
+    scan = _Scan(rhs, 1e-6, target=SectionSpec("vertical", 3.0))
+    run = _Run(rhs, (0.0, 4.0), np.zeros(2), cfg, [_norm_guard(cfg)], scan, 3, _radau_horner)
+    run.h_abs = 4.0
+    seg, stop = run.run(attempt)
+    assert scan.hit is None and stop[0] == 0 and stop[1] == approx(2.0, abs=1e-15)
+    assert seg.t[-1] == stop[1]
+
+
 def test_rejected_crossing_does_not_restart_the_solver():
-    # the stopper turns down the upward crossing of y = 0.5 at t = pi/6, and
+    # the scan passes over the upward crossing of y = 0.5 at t = pi/6, and
     # the same run steps on to the admitted one at t = 5 pi/6
     sec = SectionSpec("horizontal", 0.5, direction="down")
     hit, traj = flow_to_section_traj(rotation, (1.0, 0.0), sec, IntegratorConfig())
@@ -240,7 +331,7 @@ def test_near_touch_then_crossing_returns_the_crossing():
     # 1e-9 below the section, then crosses it upward near x = 3
     field = fld(lambda x, y: (1.0, (x - 1.0) * (3.0 * x - 7.0)))
     sec = SectionSpec("horizontal", 1e-9, direction="up")
-    hit = flow_to_section(field, (0.0, -3.0), sec, IntegratorConfig(max_time=50.0))
+    hit = flow_to_section_traj(field, (0.0, -3.0), sec, IntegratorConfig(max_time=50.0))[0]
     assert hit.point[0] == approx(3.0, abs=1e-8)
     assert hit.direction == "up"
 
@@ -250,8 +341,8 @@ def test_graze_is_a_no_crossing():
     d = 0.05
     sec = SectionSpec("horizontal", eps - d * d / 2 - 1e-8, direction="down")
     with raises(NoCrossing) as info:
-        flow_to_section(fld(lambda x, y: (1.0, x)), (-d, eps), sec,
-                        IntegratorConfig(max_time=50.0))
+        flow_to_section_traj(fld(lambda x, y: (1.0, x)), (-d, eps), sec,
+                             IntegratorConfig(max_time=50.0))[0]
     assert isinstance(info.value, TangentialGraze)
     # the turning point of y = eps + x^2/2 - d^2/2 sits at x = 0, t = d
     assert info.value.t == approx(d, abs=1e-9)
@@ -261,8 +352,8 @@ def test_graze_is_a_no_crossing():
 def test_far_turning_point_is_not_a_graze():
     # y = sin t turns at +-1, far from y = 2: a plain NoCrossing
     with raises(NoCrossing) as info:
-        flow_to_section(rotation, (1.0, 0.0), SectionSpec("horizontal", 2.0),
-                        IntegratorConfig(max_time=20.0))
+        flow_to_section_traj(rotation, (1.0, 0.0), SectionSpec("horizontal", 2.0),
+                             IntegratorConfig(max_time=20.0))[0]
     assert type(info.value) is NoCrossing
 
 
@@ -459,25 +550,28 @@ def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
 
 
 def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
-    # a leg to a 'down' section turns down the upward roots of its stopper:
-    # that is solve_ivp with the stop as a terminal event of direction -1,
-    # and the leg's one segment is the ``_dop853`` run
+    # a scan whose target is a 'down' section passes over the upward
+    # crossings: that is solve_ivp with the section as a terminal event of
+    # direction -1, and the leg's one segment is the ``_dop853`` run
     cfg = IntegratorConfig()
     rhs = _as_rhs(rotation)
     y0 = np.array([1.0, 0.0])
     sec = SectionSpec("horizontal", 0.5, direction="down")
-    stops = [sec.residual, _norm_guard(cfg)]
+    guard = _norm_guard(cfg)
     directed = _terminal(sec.residual)
     directed.direction = -1
     # y = sin t meets 0.5 upward first (t = pi/6, or -7 pi/6 backward)
     for sense, t_down in (("forward", 5 * np.pi / 6), ("backward", -11 * np.pi / 6)):
         span = (0.0, cfg.max_time if sense == "forward" else -cfg.max_time)
-        seg, stop = _dop853(rhs, span, y0, cfg, stops, _section_admit(sec))
+        scan = _target_scan(sec, cfg)
+        seg, guard_stop = _dop853(rhs, span, y0, cfg, [guard], scan)
+        assert guard_stop is None
+        # the scan's hit as the stop of solve_ivp's first event
+        stop = (0, scan.hit.t, scan.hit.point)
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol,
                         atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
-                        events=[directed, _terminal(stops[1])])
+                        events=[directed, _terminal(guard)])
         _assert_close(seg, stop, ref, cfg)
-        assert stop[0] == 0
         assert stop[1] == approx(t_down, abs=1e-9)
         assert ref.t_events[0][0] == approx(t_down, abs=1e-9)
         hit, traj = flow_to_section_traj(rotation, y0, sec, cfg, t_direction=sense)
@@ -743,16 +837,19 @@ def test_radau_stops_as_dop853_does():
     same = _residual_of("vertical", 40.0)
     _, stop = _radau(_as_rhs(line), (0.0, 100.0), np.zeros(2), cfg, [same, same], jac=zero)
     assert stop[0] == 0
-    # an upward root of a 'down' section is turned down and the run goes on
+    # the scan passes over an upward crossing of a 'down' section and the
+    # run goes on
     sec = SectionSpec("horizontal", 0.5, direction="down")
     for span, t_down in (((0.0, 1e6), 5 * np.pi / 6), ((0.0, -1e6), -11 * np.pi / 6)):
+        scan, ref_scan = _target_scan(sec, cfg), _target_scan(sec, cfg)
         seg, stop = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
-                           [sec.residual, _norm_guard(cfg)], _section_admit(sec),
-                           jac=_rotation_jac)
+                           [_norm_guard(cfg)], scan, jac=_rotation_jac)
         ref, ref_stop = _dop853(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
-                                [sec.residual, _norm_guard(cfg)], _section_admit(sec))
-        assert stop[0] == ref_stop[0] == 0
-        assert stop[1] == approx(t_down, abs=1e-8) and ref_stop[1] == approx(t_down, abs=1e-9)
+                                [_norm_guard(cfg)], ref_scan)
+        assert stop is ref_stop is None
+        assert seg.t[-1] == scan.hit.t and ref.t[-1] == ref_scan.hit.t
+        assert scan.hit.t == approx(t_down, abs=1e-8)
+        assert ref_scan.hit.t == approx(t_down, abs=1e-9)
     # the guard fires
     guard_cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
     seg, stop = _radau(_as_rhs(fld(lambda x, y: (x, y))), (0.0, 100.0), np.ones(2),

@@ -215,8 +215,10 @@ def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
     monkeypatch.setattr(BandField, "eval", counting)
     _, traj = find_x_epsilon(canonical_system(1), TransitionConfig(1, 2), 1e-3,
                              keep_trajectory=True)
-    # the solver's evaluations, plus one per located crossing (its direction)
-    assert calls[0] == sum(sol.nfev for sol in traj.segments) + len(traj.events)
+    # the solver's evaluations, plus one per located crossing (its direction);
+    # the leg lands on the kink at yhat = 1 (``integrate._land``), so the
+    # first run and the landing run each locate its one crossing
+    assert calls[0] == sum(sol.nfev for sol in traj.segments) + len(traj.events) + 1
 
 
 def test_band_kernel_receives_python_floats(monkeypatch):
@@ -235,7 +237,8 @@ def test_band_kernel_receives_python_floats(monkeypatch):
 
 def test_every_band_rhs_call_is_counted_on_a_radau_leg(monkeypatch):
     # the same routing guard on a stiff leg: the Jacobian kernel calls no
-    # eval, so eval calls are still nfev plus one per located crossing
+    # eval, so eval calls are still nfev plus one per located crossing, and
+    # one more for the landing run's
     calls = [0]
     inner = BandField.eval
 
@@ -248,7 +251,7 @@ def test_every_band_rhs_call_is_counted_on_a_radau_leg(monkeypatch):
     _, traj = find_x_epsilon(canonical_system(1), cfg, 1e-5, keep_trajectory=True)
     (seg,) = traj.segments
     assert seg.njev > 0 and seg.nlu > 0
-    assert calls[0] == seg.nfev + len(traj.events)
+    assert calls[0] == seg.nfev + len(traj.events) + 1
 
 
 def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):

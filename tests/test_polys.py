@@ -166,3 +166,19 @@ def test_poly1_horner_lines_match_call(coeffs, x):
     p = Poly1(coeffs)
     fn = compile_kernel("s", p.horner_lines("s", "P") + ["return P"])
     assert fn(x) == p(x)  # equal up to the sign of a zero
+
+
+def test_kernels_of_different_sources_are_profiled_apart():
+    import cProfile
+    import io
+    import pstats
+
+    double = compile_kernel("x", ["return 2.0 * x"])
+    square = compile_kernel("x", ["return x * x"])
+    files = {double.__code__.co_filename, square.__code__.co_filename}
+    assert len(files) == 2 and all(f.startswith("<regtang kernel ") for f in files)
+    profile = cProfile.Profile()
+    profile.runcall(lambda: (double(3.0), square(3.0)))
+    listed = {file for file, _, name in pstats.Stats(profile, stream=io.StringIO()).stats
+              if name == "_kernel"}
+    assert listed == files
