@@ -14,15 +14,14 @@ alpha**(n-1)))**(1/(1+2k(n-1))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConditionViolated, NoExit
-from .integrate import IntegratorConfig, _dop853
+from .errors import ConditionViolated, DomainExit, NoCrossing, NoExit
+from .integrate import IntegratorConfig, SectionSpec, flow, flow_to_section_traj
 from .phi import TransitionFunction, phi_bracket_constant, phi_family, upsilon_poly
-from .polys import Poly1, Poly2
 
 
 def _check_orders(k: int, n: int):
@@ -102,7 +101,9 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
     """First crossing of v = 0 by the attracting solution of
     u' = 1, v' = -u**(2k-1) - v**n + sigma, launched on the slow nullcline.
 
-    Raises NoExit if no crossing occurs by u = CHART_U_MAX.
+    The leg is ``flow_to_section_traj`` on the 1-D state v, with the time
+    t = u - u0.  Raises NoExit if no crossing occurs by u = CHART_U_MAX, or if
+    |v| exceeds the integrator's norm bound first (``DomainExit``).
     """
     _check_orders(k, n)
     base = sigma - u0 ** (2 * k - 1)
@@ -115,16 +116,18 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
         # np.float64: past the float range v**n is inf, not an OverflowError
         return [-(u ** (2 * k - 1)) - np.float64(v[0]) ** n + sigma]
 
-    # v starts above zero, so the first zero the stop meets is a downward one.
+    # v starts above zero, so its first crossing of v = 0 is a downward one.
     # A rejected trial step can take v**n past the float range; the step
     # control discards it, so the overflow is no news to the caller.
+    level = SectionSpec("vertical", 0.0, direction="down")
     with np.errstate(over="ignore", invalid="ignore"):
-        seg, hit = _dop853(rhs, (0.0, CHART_U_MAX - u0), np.array([v0]), CHART_INTEG,
-                           [lambda v: v[0]])
-    if hit is None:
-        raise NoExit(f"no crossing of v = 0 up to u = {CHART_U_MAX:g}")
-    u_star = u0 + float(hit[1])
-    v_max = float(np.max(seg.y[0]))
+        try:
+            hit, traj = flow_to_section_traj(rhs, (v0,), level,
+                                             replace(CHART_INTEG, max_time=CHART_U_MAX - u0))
+        except (NoCrossing, DomainExit) as exc:
+            raise NoExit(f"no crossing of v = 0 up to u = {CHART_U_MAX:g}: {exc}") from exc
+    u_star = u0 + hit.t
+    v_max = float(np.max(traj.points[:, 0]))
     return PlanarCrossing(u_star=u_star, v0=v0, u0=u0, v_max=v_max, sigma=sigma)
 
 
@@ -160,8 +163,6 @@ class EquatorialChart:
     n: int
     alpha: float = 1.0
     tf: Optional[TransitionFunction] = None
-    g_tilde: Optional[Poly1] = None     # g(x) = x**(2k-1) * g_tilde(x)
-    theta: Optional[Poly2] = None       # coefficient of y in the upper field
 
     def __post_init__(self):
         _check_orders(self.k, self.n)
@@ -171,30 +172,19 @@ class EquatorialChart:
             self.tf = phi_family(self.n - 1)
         self.bracket = phi_bracket_constant(self.tf, self.n)
         self.upsilon = upsilon_poly(self.tf, self.n)
-        self._gt = self.g_tilde.__call__ if self.g_tilde is not None else (lambda x: 0.0)
-        self._th = self.theta.__call__ if self.theta is not None else (lambda x, y: 0.0)
 
     # -- pieces ------------------------------------------------------------
 
     def H(self, x1: float, r1: float) -> float:
         k, n = self.k, self.n
         s = r1 ** (2 * k - 1)
-        return (x1 ** (2 * k - 1) * (self.alpha + self._gt(r1 ** n * x1))
+        return (x1 ** (2 * k - 1) * self.alpha
                 + 0.5 * self.bracket * (1.0 - s * self.upsilon(-s)))
-
-    def J(self, x1: float, r1: float, e1: float) -> float:
-        k, n = self.k, self.n
-        pref = r1 ** n - r1 ** (1 - 2 * k + n)
-        if pref == 0.0 and e1 == 0.0:
-            return 0.0
-        xo = r1 ** n * x1
-        yo = -(r1 ** (2 * k * (n - 1))) * (-r1 + r1 ** (2 * k)) * e1
-        return pref * e1 * self._th(xo, yo)
 
     def rhs(self, t: float, p) -> Tuple[float, float, float]:
         x1, r1, e1 = p
         k, n = self.k, self.n
-        hj = (self.H(x1, r1) - self.J(x1, r1, e1)) / (2 * k - 1)
+        hj = self.H(x1, r1) / (2 * k - 1)
         return (e1 + n * x1 * hj, -r1 * hj, (1 + 2 * k * (n - 1)) * e1 * hj)
 
     # -- equilibrium data ----------------------------------------------------
@@ -228,10 +218,11 @@ class EquatorialChart:
     def invariant_drift(self, start, t_span: Tuple[float, float]) -> float:
         """Max drift of e1 * r1**(1+2k(n-1)) along a trajectory (exact invariant).
 
-        Raises StepSizeUnderflow if the solver cannot cover ``t_span``.
+        Raises DomainExit if the orbit leaves the integrator's norm bound
+        within ``t_span``, and StepSizeUnderflow if the solver cannot cover it.
         """
         p = 1 + 2 * self.k * (self.n - 1)
         c0 = start[2] * start[1] ** p
-        seg, _ = _dop853(self.rhs, t_span, np.asarray(start, float), CHART_INTEG, [])
-        vals = seg.y[2] * seg.y[1] ** p
+        traj = flow(self.rhs, start, t_span, CHART_INTEG)
+        vals = traj.points[:, 2] * traj.points[:, 1] ** p
         return float(np.max(np.abs(vals - c0)))

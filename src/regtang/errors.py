@@ -43,7 +43,13 @@ class StepSizeUnderflow(RegtangError):
 
 
 class DomainExit(RegtangError):
-    """A trajectory left the admissible region (norm guard tripped)."""
+    """A trajectory left the admissible region: the state a run kept at time
+    ``t`` (``point``) lies beyond the integrator's max-norm bound."""
+
+    def __init__(self, message, t=None, point=None):
+        super().__init__(message)
+        self.t = t
+        self.point = point
 
 
 class NoCrossing(RegtangError):

@@ -1,10 +1,9 @@
 """Adaptive integration with dense output and refined section events.
 
 Every ODE solve of the package runs in one of two lean steppers with one
-contract, ``(rhs, t_span, y0, config, stops, scan) -> (Segment, stop)``,
-and one step loop (``_Run``: scipy's step-size clamping, clipping to the
-span's end and terminal-event rules), each stepper giving only its step
-attempt and step-size rule:
+contract, ``(rhs, t_span, y0, config, scan) -> Segment``, and one step loop
+(``_Run``: scipy's step-size clamping and clipping to the span's end), each
+stepper giving only its step attempt and step-size rule:
 
 * ``_dop853``, the default (8th-order embedded pair with a matching-order
   interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6).
@@ -36,19 +35,20 @@ is ported and checked against scipy by the tests: the coefficient tables
 step at a time (scipy's ``OdeSolution``) and ``brentq`` bit for bit; the
 DOP853 steps and the first-step choice to rounding.
 
-Stops (the norm guard, or a chart's level) are checked after each step
-exactly as ``solve_ivp`` checks terminal events.  Sections have one event
-path, dense-output event location (Hairer, Norsett & Wanner, *Solving ODEs
-I*, II.6): the run scans each accepted step on a sub-step grid as it goes
-(``_Scan``) and finds every crossing of a section, the two of a dip between
-grid points among them, and every touch, a turning point of the residual
-within ``sqrt(event_tol)`` of zero.  A leg to a section is one run, which
-ends at the first crossing the section admits; past a crossing outside the
-section's interval or against its direction the same solver steps on.  A leg that ends on one of its field's ``kinks``
-takes the crossing step again, to end just past the section (``_land``).
-A leg without an admissible crossing raises ``TangentialGraze`` (a
-``NoCrossing``) at its target's first touch, and a plain ``NoCrossing`` if
-there is none.
+A run ends in one of three ways: at its span's end; at the first crossing
+its scan's target admits; or by raising ``DomainExit``, when the state it
+keeps for a step (the hit, if the step has one, else the step's end) leaves
+the max-norm bound ``NORM_GUARD``.  Events have one path, dense-output event
+location (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the run scans
+each accepted step on a sub-step grid as it goes (``_Scan``) and finds every
+crossing of a section, the two of a dip between grid points among them, and
+every touch, a turning point of the residual within ``sqrt(event_tol)`` of
+zero.  Past a crossing outside the target's interval or against its
+direction the same solver steps on.  A leg that ends on one of its field's
+``kinks`` takes the crossing step again, to end just past the section
+(``_land``).  A leg without an admissible crossing raises
+``TangentialGraze`` (a ``NoCrossing``) at its target's first touch, and a
+plain ``NoCrossing`` if there is none.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ RHS = Callable[[float, List[float]], Sequence[float]]  # see the module docstrin
 
 _EPS = float(np.finfo(float).eps)
 
+NORM_GUARD = 1e6  # a run whose kept state's max norm exceeds it raises DomainExit
+
 
 @dataclass
 class IntegratorConfig:
@@ -79,7 +81,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     event_tol: float = 1e-12
     max_time: float = 1e6
-    norm_guard: float = 1e6  # trajectory norm bound; beyond it -> DomainExit
 
     def __post_init__(self):
         # NaN fails each test; max_step <= 0 is left to ``_start`` (scipy's error)
@@ -89,8 +90,6 @@ class IntegratorConfig:
             raise ValueError("event_tol must be positive and must not exceed rtol")
         if not 0 < self.max_time < math.inf:
             raise ValueError("max_time must be finite and positive")
-        if not self.norm_guard > 0:
-            raise ValueError("norm_guard must be positive")
         if math.isnan(self.max_step):
             raise ValueError("max_step must not be NaN")
 
@@ -128,8 +127,11 @@ class SectionSpec:
         return p[1] if self.kind == "vertical" else p[0]
 
     def admits(self, p: Sequence[float]) -> bool:
+        """Whether ``p`` lies in the interval; the unbounded default admits
+        every point without reading its other coordinate (a 1-D state has
+        none)."""
         lo, hi = self.interval
-        return lo <= self.other(p) <= hi
+        return lo == -math.inf and hi == math.inf or lo <= self.other(p) <= hi
 
     def residual_rate(self, dp: Sequence[float]) -> float:
         return dp[0] if self.kind == "vertical" else dp[1]
@@ -188,9 +190,9 @@ class Segment:
     holds its polynomial's coefficient rows, lowest power first, which
     ``horner`` evaluates (``_dop853_horner`` on DOP853's 7 rows ``F``,
     ``_radau_horner`` on Radau's 3 rows ``Q``; ``coef`` has shape
-    (len(h), rows, n)).  The last step of a run stopped by an event keeps its
-    full step; ``t[-1]`` is the event time.  A zero-length span has one step
-    of length 0 and no ``coef``: its state is constant.
+    (len(h), rows, n)).  The last step of a run that ends at its scan's hit
+    keeps its full step; ``t[-1]`` is the hit's time.  A zero-length span has
+    one step of length 0 and no ``coef``: its state is constant.
 
     A time takes the step scipy's ``OdeSolution`` picks: on a step boundary
     the earlier step, outside the run the nearest end step.
@@ -403,11 +405,9 @@ class _Scan:
         self.near = [False] * len(self.sections)  # the previous step unscreened
         self.prev = None  # the previous step
 
-    def step(self, horner: Callable, sense: float, cur, t_new: float,
-             until: Optional[float]) -> Optional[EventHit]:
+    def step(self, horner: Callable, sense: float, cur, t_new: float) -> Optional[EventHit]:
         """Scan the step ``cur`` = ``(t_old, h, y_old, coef)`` of a run in
-        the direction ``sense``, which ends at ``t_new``; a target crossing
-        past ``until`` (a stop's root) does not count.  Returns ``hit``."""
+        the direction ``sense``, which ends at ``t_new``.  Returns ``hit``."""
         prev, self.prev = self.prev, cur
         t_old, h, y_old, coef = cur
         n, near = len(y_old), []
@@ -479,16 +479,11 @@ class _Scan:
             if ev is None:
                 continue
             if sec is self.target:
-                if until is None or sense * (te - until) <= 0:
-                    self.hit = ev
-                    self.events = [e for e in self.events if sense * (e.t - te) < 0]
+                self.hit = ev
+                self.events = [e for e in self.events if sense * (e.t - te) < 0]
                 break
             self.events.append(ev)
         return self.hit
-
-
-# solve_ivp's tolerance for the root of a terminal event on a step's interpolant
-EVENT_ROOT_TOL = 4 * _EPS
 
 
 def _rms_norm(x: np.ndarray) -> float:
@@ -623,7 +618,7 @@ def _dop853_step(n: int) -> Callable:
 
 
 class _Run:
-    """One solver run: the step loop both steppers share, and the stops.
+    """One solver run: the step loop both steppers share, and where it ends.
 
     ``run(attempt)`` is the loop of scipy's ``OdeSolver.step``: a zero-length
     span takes no step; otherwise the proposed size ``h_abs`` is clamped to
@@ -638,32 +633,27 @@ class _Run:
     them.  The start state is kept as lists of Python floats, ``y`` and
     ``f``; ``run`` stacks the states and rows once, into its ``Segment``.
 
-    ``record`` keeps a step's dense output and checks the stops as
-    ``solve_ivp`` checks terminal events: a stop is active on a step when its
-    value changes sign or touches zero between the step's ends, its root is
-    found by brentq on the step's dense output, the root earliest along the
-    orbit wins (the lower index on a tie), and the run ends at that root.
-    ``scan`` (a ``_Scan``, or None) then scans the step, and its target's
-    first admitted crossing up to that root ends the run instead; it may lie
-    in the previous step, and the run then ends inside that step.
+    ``record`` keeps a step's dense output and decides whether the run ends
+    on it.  ``scan`` (a ``_Scan``, or None) scans the step, and its target's
+    first admitted crossing ends the run; it may lie in the previous step,
+    and the run then ends inside that step.  The state kept for the step, the
+    hit or else the step's end, raises ``DomainExit`` if its max norm exceeds
+    ``NORM_GUARD``.
     """
 
     def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-                 config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-                 scan: Optional[_Scan], order: int, horner: Callable):
+                 config: IntegratorConfig, scan: Optional[_Scan], order: int,
+                 horner: Callable):
         self.t, self.t_bound = map(float, t_span)
         y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
             rhs, self.t, self.t_bound, y0, config, order)
         self.y, self.f = y.tolist(), f.tolist()
         self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
         self.ts, self.ys, self.steps = [self.t], [y], []
-        self.stops, self.scan, self.stop = stops, scan, None
-        self.g = [stop(y) for stop in stops]
+        self.scan = scan
 
-    def run(self, attempt) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
-        """Step to ``t_bound``, to the first stop or to the scan's hit: the
-        segment and ``(stop index, t, state)`` of the stop that ended it, or
-        None."""
+    def run(self, attempt) -> Segment:
+        """Step to ``t_bound`` or to the scan's hit, and return the segment."""
         t, t_bound, direction, max_step = self.t, self.t_bound, self.direction, self.max_step
         ended, running = False, True
         while not ended and running:
@@ -696,8 +686,7 @@ class _Run:
         return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
                        coef=None if coefs[0] is None else
                        np.array(coefs).reshape(len(coefs), -1, len(self.y)),
-                       horner=self.horner, nfev=self.nfev, njev=self.njev,
-                       nlu=self.nlu), self.stop
+                       horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
 
     def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef) -> bool:
         """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
@@ -705,52 +694,33 @@ class _Run:
         return whether the run ends on it."""
         y_old = self.ys[-1]
         self.steps.append((h, coef))
-        g_new = [stop(y) for stop in self.stops]
-        roots = []
-        for i, (a, b) in enumerate(zip(self.g, g_new)):
-            if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
-                rows = np.reshape(coef, (-1, len(y)))  # only where a stop changes sign
-                state = partial(_step_state, self.horner, rows, t_old, h, y_old)
-                te = brentq(lambda s, stop=self.stops[i]: stop(state(s)), t_old, t,
-                            xtol=EVENT_ROOT_TOL, rtol=EVENT_ROOT_TOL)
-                roots.append((te, i, state(te)))
-        self.g = g_new
-        end, until = (t, y), None
-        if roots:
-            te, i, ye = min(roots, key=lambda r: (self.direction * r[0], r[1]))
-            self.stop, end, until = (i, te, ye), (te, ye), te
-        hit = self.scan and self.scan.step(self.horner, self.direction, (t_old, h, y_old, coef),
-                                           t, until)
+        hit = self.scan and self.scan.step(self.horner, self.direction,
+                                           (t_old, h, y_old, coef), t)
         if hit:
-            self.stop, end = None, (hit.t, hit.point)
-            if len(self.steps) > 1 and self.direction * (hit.t - t_old) <= 0:
+            t, y = hit.t, hit.point
+            if len(self.steps) > 1 and self.direction * (t - t_old) <= 0:
                 del self.steps[-1], self.ts[-1], self.ys[-1]  # it ends in the previous step
-        t, y = end
-        if len(self.ts) > 1 and self.ts[-1] == t:
-            self.steps.pop()  # a stop at the previous step's end: nothing new
-        else:
-            self.ts.append(t)
-            self.ys.append(y)
-        return bool(roots or hit)
+        if max(map(abs, y)) > NORM_GUARD:
+            raise DomainExit(f"trajectory norm exceeded {NORM_GUARD:g} at t={t:g}",
+                             t=t, point=np.array(y))
+        self.ts.append(t)
+        self.ys.append(y)
+        return bool(hit)
 
 
 def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-            config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-            scan: Optional[_Scan] = None
-            ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
-    """Step DOP853 over ``t_span`` keeping every step's dense output, and stop
-    at the first zero of one of ``stops`` (functions of the state) or at the
-    first admitted crossing of ``scan``'s target.
+            config: IntegratorConfig, scan: Optional[_Scan] = None) -> Segment:
+    """Step DOP853 over ``t_span`` keeping every step's dense output, and end
+    at the first admitted crossing of ``scan``'s target, if it has one.
 
     This is the method of ``solve_ivp(method="DOP853", dense_output=True)``
-    with the stops as terminal events, by its step-size and event rules
-    (``_Run``; checked also on the step that finishes the span).  It agrees
-    with solve_ivp to a fraction of the tolerance, not step for step: its
-    own summation order moves the step sizes at rounding level, and with
-    them, rarely, the step count.  ``scan`` finds the crossings on each step
-    as the run goes, and a crossing its target does not admit leaves the same
-    solver stepping on.  Returns the segment and ``(stop index, t, state)``
-    of the stop that ended it, or None.
+    by its step-size rules (``_Run``).  It agrees with solve_ivp to a
+    fraction of the tolerance, not step for step: its own summation order
+    moves the step sizes at rounding level, and with them, rarely, the step
+    count.  ``scan`` finds the crossings on each step as the run goes, also
+    on the step that finishes the span, and a crossing its target does not
+    admit leaves the same solver stepping on.  A kept state beyond
+    ``NORM_GUARD`` raises ``DomainExit``.  Returns the run's segment.
 
     The step is ``_dop853_step`` for the state's dimension: scipy's
     ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in one
@@ -758,8 +728,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     oracle.  ``rhs`` receives the state as a list of Python floats.  The
     inputs are checked and the first step chosen as scipy does (``_start``).
     """
-    run = _Run(rhs, t_span, y0, config, stops, scan, tab.ERROR_ESTIMATOR_ORDER,
-               _dop853_horner)
+    run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
     y, f = run.y, run.f
     step = _dop853_step(len(y))
 
@@ -860,12 +829,11 @@ def _rms(v: Sequence[float], scale: Sequence[float]) -> float:
 
 
 def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
-           config: IntegratorConfig, stops: Sequence[Callable[[Sequence[float]], float]],
-           scan: Optional[_Scan] = None, *,
-           jac: Callable[[float, List[float]], Sequence[Sequence[float]]]
-           ) -> Tuple[Segment, Optional[Tuple[int, float, np.ndarray]]]:
+           config: IntegratorConfig, scan: Optional[_Scan] = None, *,
+           jac: Callable[[float, List[float]], Sequence[Sequence[float]]]) -> Segment:
     """Step Radau IIA(5) over ``t_span`` for a 2-D state with the exact
-    Jacobian ``jac(t, y)``; stops, ``scan`` and the result as in ``_dop853``.
+    Jacobian ``jac(t, y)``; ``scan``, the norm bound and the result as in
+    ``_dop853``.
 
     The method, step-size control (``predict_factor``), Newton iteration
     (``solve_collocation_system``), error estimate and Jacobian reuse are
@@ -877,7 +845,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     step's stages.  The inputs are checked and the first step chosen as
     scipy does (``_start``, with the error estimate's order 3).
     """
-    run = _Run(rhs, t_span, y0, config, stops, scan, 3, _radau_horner)
+    run = _Run(rhs, t_span, y0, config, scan, 3, _radau_horner)
     y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
     J = np.asarray(jac(run.t, y), dtype=float)
@@ -959,14 +927,6 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     return run.run(attempt)
 
 
-def _norm_guard(config: IntegratorConfig) -> Callable[[Sequence[float]], float]:
-    bound = config.norm_guard
-
-    def guard(p: Sequence[float]) -> float:
-        return max(map(abs, p)) - bound
-    return guard
-
-
 def flow(
     field,
     p0: Sequence[float],
@@ -974,18 +934,14 @@ def flow(
     config: Optional[IntegratorConfig] = None,
     sections: Iterable[SectionSpec] = (),
 ) -> Trajectory:
-    """Integrate over a fixed time span, recording (non-terminal) section hits."""
+    """Integrate over a fixed time span, recording section hits; a state
+    beyond ``NORM_GUARD`` raises ``DomainExit``."""
     if not (math.isfinite(t_span[0]) and math.isfinite(t_span[1])):
         raise ConditionViolated(f"t_span must be finite (got {tuple(t_span)!r})")
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     scan = _Scan(rhs, math.sqrt(config.event_tol), sections)
-    seg, stop = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config,
-                        [_norm_guard(config)], scan)
-    if stop is not None:
-        raise DomainExit(
-            f"trajectory norm exceeded {config.norm_guard:g} at t={stop[1]:g}"
-        )
+    seg = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config, scan)
     events = sorted(scan.events, key=lambda ev: ev.t, reverse=t_span[1] < t_span[0])
     return Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
 
@@ -1039,7 +995,7 @@ def _land(leg, seg: Segment, scan: _Scan) -> Tuple[Segment, _Scan]:
     LANDING_REACH times the way to the crossing, and its steps replace it in
     the segment; if they fall short of the section, the first run stands."""
     t_old, k = seg.t[-2], len(seg.h) - 1
-    last, _, landed = leg((t_old, t_old + LANDING_REACH * (scan.hit.t - t_old)), seg.y[:, -2])
+    last, landed = leg((t_old, t_old + LANDING_REACH * (scan.hit.t - t_old)), seg.y[:, -2])
     if landed.hit is None:
         return seg, scan
     landed.events[:0] = [ev for ev in scan.events if (ev.t - t_old) * (scan.hit.t - t_old) < 0]
@@ -1068,9 +1024,9 @@ def flow_to_section_traj(
     interval or against its direction are skipped and the same solver steps
     on.  A leg that ends on one of the field's ``kinks`` lands on it
     (``_land``).  Crossings of ``record_sections`` met on the way are
-    recorded.  If no admissible crossing comes within ``max_time``, the
-    section's first touch raises ``TangentialGraze``, and no touch
-    ``NoCrossing``.
+    recorded.  A state beyond ``NORM_GUARD`` raises ``DomainExit``.  If no
+    admissible crossing comes within ``max_time``, the section's first touch
+    raises ``TangentialGraze``, and no touch ``NoCrossing``.
 
     Known limit: a dip with two turning points between grid points is missed.
     """
@@ -1091,9 +1047,9 @@ def flow_to_section_traj(
 
     def leg(t_span, y0):
         scan = _Scan(rhs, band, record_sections, section)
-        return (*stepper(rhs, t_span, y0, config, [_norm_guard(config)], scan), scan)
+        return stepper(rhs, t_span, y0, config, scan), scan
 
-    seg, stop, scan = leg((t0, t_end), p)
+    seg, scan = leg((t0, t_end), p)
     if (scan.hit is not None and section.kind == "horizontal"
             and section.c in getattr(field, "kinks", ())):
         seg, scan = _land(leg, seg, scan)
@@ -1101,11 +1057,6 @@ def flow_to_section_traj(
     if hit is not None:
         events = sorted(scan.events + [hit], key=lambda ev: ev.t, reverse=not forward)
         return hit, Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
-    if stop is not None:
-        raise DomainExit(
-            f"trajectory norm exceeded {config.norm_guard:g} before reaching "
-            f"section {section.ident}"
-        )
     if scan.touches:
         tg, pg = min(scan.touches, key=lambda touch: touch[0] if forward else -touch[0])
         raise TangentialGraze(

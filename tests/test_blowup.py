@@ -96,14 +96,25 @@ def test_crossing_rejects_bad_inputs():
         planar_model_crossing(0, 2)
 
 
+def test_crossing_raises_no_exit_without_a_crossing():
+    # sigma = 1000 keeps the nullcline v = sqrt(sigma - u) above zero up to
+    # u = 1000, far past CHART_U_MAX: the leg's NoCrossing is a NoExit
+    from regtang import NoExit
+
+    with raises(NoExit, match="no crossing of v = 0 up to u = 20"):
+        planar_model_crossing(1, 2, sigma=1000.0)
+
+
 def test_invariant_drift_raises_when_the_solver_fails():
     # (2, 3) from this start blows up near t = 1.15 (e1 ~ 7e12); the drift of
-    # the part before the failure says nothing about the whole span
-    from regtang import StepSizeUnderflow
+    # the part before the failure says nothing about the whole span.  The
+    # orbit leaves the integrator's norm bound before the step size underflows
+    from regtang import DomainExit
 
     ch = EquatorialChart(2, 3, 1.0)
-    with raises(StepSizeUnderflow):
+    with raises(DomainExit) as info:
         ch.invariant_drift((-0.5, 0.8, 0.3), (0.0, 2.0))
+    assert 1.1 < info.value.t < 1.2
 
 
 def _crossing_reference(k, n, sigma, u0=-10.0, u_max=20.0):

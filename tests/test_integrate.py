@@ -23,12 +23,12 @@ from regtang import (
     trajectory_to_csv,
 )
 from regtang.integrate import (
+    NORM_GUARD,
     SCAN_SUBDIV,
     Segment,
     _as_rhs,
     _dop853,
     _dop853_horner,
-    _norm_guard,
     _nudge_off_section,
     _radau,
     _radau_horner,
@@ -195,18 +195,32 @@ def test_tangential_graze_is_flagged():
                              IntegratorConfig(max_time=50.0))[0]
 
 
+# x' = x, y' = y from (1, 1) leaves the norm bound at t = ln NORM_GUARD (13.8)
+GROWTH = fld(lambda x, y: (x, y))
+T_GUARD = math.log(NORM_GUARD)
+
+
 def test_norm_guard_raises_domain_exit():
-    cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
-    with raises(DomainExit):
-        flow_to_section_traj(fld(lambda x, y: (x, y)), (1.0, 1.0),
-                             SectionSpec("vertical", -5.0), cfg)[0]
+    # the section x = -5 is never reached: the run raises at the end of the
+    # step that leaves the bound, and says where
+    with raises(DomainExit) as info:
+        flow_to_section_traj(GROWTH, (1.0, 1.0), SectionSpec("vertical", -5.0),
+                             IntegratorConfig(max_time=100.0))[0]
+    t, point = info.value.t, info.value.point
+    assert T_GUARD < t < T_GUARD + 1.0
+    assert max(abs(point)) >= NORM_GUARD
+    assert point == approx([math.exp(t)] * 2, rel=1e-8)
+    assert f"{NORM_GUARD:g}" in str(info.value) and f"t={t:g}" in str(info.value)
 
 
 def test_no_crossing_when_time_runs_out():
-    cfg = IntegratorConfig(max_time=1.0, norm_guard=1e9)
-    with raises(NoCrossing):
-        flow_to_section_traj(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0),
-                             SectionSpec("vertical", 5.0), cfg)[0]
+    # the same orbit, with the time running out before the bound is left
+    sec = SectionSpec("vertical", -5.0)
+    with raises(NoCrossing) as info:
+        flow_to_section_traj(GROWTH, (1.0, 1.0), sec, IntegratorConfig(max_time=13.0))[0]
+    assert type(info.value) is NoCrossing
+    with raises(DomainExit):
+        flow_to_section_traj(GROWTH, (1.0, 1.0), sec, IntegratorConfig(max_time=14.0))[0]
 
 
 def test_backward_time_sections():
@@ -288,11 +302,11 @@ def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
     assert _screened((rise, 0.0, 0.0), (1 - m) ** 2 - level, 1e-6)
     rhs = lambda t, p: (1.0, 2 * (p[0] - m))
     scan = _Scan(rhs, 1e-6, target=SectionSpec("horizontal", level))
-    run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), [], scan, 3,
+    run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), scan, 3,
                _radau_horner)
     run.h_abs = 1.0
-    seg, stop = run.run(attempt)
-    assert stop is None and scan.hit.direction == "down"
+    seg = run.run(attempt)
+    assert scan.hit.direction == "down"
     assert scan.hit.t == approx(m - math.sqrt(level), abs=1e-12)
     # the second step is dropped, and the run ends inside the first
     assert seg.t.tolist() == [0.0, scan.hit.t] and seg.h.tolist() == [1.0]
@@ -300,20 +314,21 @@ def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
 
 
 def test_a_stop_before_the_target_s_crossing_on_one_step_ends_the_run():
-    # one step x = t on [0, 4]: the norm guard fires at t = 2, and the
-    # target x = 3 is crossed later on the same step
-    cfg = IntegratorConfig(norm_guard=2.0)
-
+    # one step x = t on [0, 4e6]: it leaves the norm bound at t = 1e6, and
+    # crosses the target x = 3e6 later on the same step.  The state the run
+    # keeps, the hit, lies beyond the bound, so the run ends in DomainExit
     def attempt(t, t_new, h, rejected, clamped):
         return 1.0, rejected, ([t_new, 0.0], (h, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     rhs = lambda t, p: (1.0, 0.0)
-    scan = _Scan(rhs, 1e-6, target=SectionSpec("vertical", 3.0))
-    run = _Run(rhs, (0.0, 4.0), np.zeros(2), cfg, [_norm_guard(cfg)], scan, 3, _radau_horner)
-    run.h_abs = 4.0
-    seg, stop = run.run(attempt)
-    assert scan.hit is None and stop[0] == 0 and stop[1] == approx(2.0, abs=1e-15)
-    assert seg.t[-1] == stop[1]
+    scan = _Scan(rhs, 1e-6, target=SectionSpec("vertical", 3 * NORM_GUARD))
+    run = _Run(rhs, (0.0, 4 * NORM_GUARD), np.zeros(2), IntegratorConfig(), scan, 3,
+               _radau_horner)
+    run.h_abs = 4 * NORM_GUARD
+    with raises(DomainExit) as info:
+        run.run(attempt)
+    assert info.value.t == approx(3 * NORM_GUARD, rel=1e-15) == scan.hit.t
+    assert np.array_equal(info.value.point, scan.hit.point)
 
 
 def test_rejected_crossing_does_not_restart_the_solver():
@@ -403,7 +418,8 @@ def test_section_scan_matches_analytic_crossings(c, max_step, t_end, bounds,
 
 
 # --------------------------------------------------------------------------
-# the DOP853 driver against solve_ivp with terminal events
+# the DOP853 driver against solve_ivp, with its scan's target as a terminal
+# event
 # --------------------------------------------------------------------------
 
 # ``_dop853`` takes scipy's DOP853 step in its own summation order, so it meets
@@ -437,9 +453,10 @@ def _tolerance_scale(cfg, ref):
 
 def _assert_close(seg, stop, ref, cfg, end_tol=END_TOL, dense_tol=DENSE_TOL):
     """A ``_dop853`` run against solve_ivp's on the same inputs: the same
-    steps, RHS calls and stop, each component of the end state within
-    ``end_tol`` and of the stop state and the dense output within
-    ``dense_tol`` of its tolerance scale."""
+    steps, RHS calls and stop (``(event index, t, state)`` of the scan's
+    hit, or None), each component of the end state within ``end_tol`` and of
+    the stop state and the dense output within ``dense_tol`` of its
+    tolerance scale."""
     assert len(seg.t) == len(ref.t)
     assert (seg.nfev, seg.njev, seg.nlu) == (ref.nfev, ref.njev, ref.nlu)
     scale = _tolerance_scale(cfg, ref)
@@ -457,21 +474,32 @@ def _assert_close(seg, stop, ref, cfg, end_tol=END_TOL, dense_tol=DENSE_TOL):
     assert np.all(np.abs(seg.dense(grid) - ref.sol(grid)) <= dense_tol * scale[:, None])
 
 
-def _assert_matches_solve_ivp(field, t_span, y0, cfg, stops):
-    """Run ``_dop853`` and solve_ivp on the same inputs and compare them
+def _target_run(rhs, t_span, y0, cfg, target, scan_rhs=None):
+    """``_dop853`` with a scan whose target is ``target`` (None: no target),
+    the scan calling ``scan_rhs`` (default ``rhs``): the segment and the
+    stop as ``_assert_close`` takes it."""
+    scan = _Scan(scan_rhs or rhs, math.sqrt(cfg.event_tol), target=target)
+    seg = _dop853(rhs, t_span, y0, cfg, scan)
+    return seg, None if scan.hit is None else (0, scan.hit.t, scan.hit.point)
+
+
+def _events(target):
+    """solve_ivp's terminal events for a scan's target."""
+    return [] if target is None else [_terminal(target.residual)]
+
+
+def _assert_matches_solve_ivp(field, t_span, y0, cfg, target):
+    """Run ``_dop853`` to ``target`` (a section, or None) and solve_ivp with
+    it as a terminal event on the same inputs, and compare them
     (``_assert_close``).  Returns the ``_dop853`` segment and stop."""
     rhs = _as_rhs(field)
     y0 = np.asarray(y0, dtype=float)
-    seg, stop = _dop853(rhs, t_span, y0, cfg, stops)
+    seg, stop = _target_run(rhs, t_span, y0, cfg, target)
     ref = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cfg.rtol,
                     atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
-                    events=[_terminal(s) for s in stops])
+                    events=_events(target))
     _assert_close(seg, stop, ref, cfg)
     return seg, stop
-
-
-def _residual_of(kind, c):
-    return SectionSpec(kind, c).residual
 
 
 def _last_step(seg):
@@ -482,8 +510,7 @@ def _last_step(seg):
 def test_driver_matches_solve_ivp_forward_stop_mid_step():
     cfg = IntegratorConfig()
     seg, stop = _assert_matches_solve_ivp(
-        rotation, (0.0, 1e6), (1.0, 0.0), cfg,
-        [_residual_of("vertical", 0.0), _norm_guard(cfg)])
+        rotation, (0.0, 1e6), (1.0, 0.0), cfg, SectionSpec("vertical", 0.0))
     assert stop[0] == 0 and stop[1] == approx(np.pi / 2, abs=1e-9)
     # the stop is inside the last step, whose interpolant keeps its full step
     assert seg.t[-2] < stop[1] < seg.t[-2] + seg.h[-1]
@@ -493,44 +520,36 @@ def test_driver_matches_solve_ivp_backward():
     cfg = IntegratorConfig(max_step=0.3)
     # backward from (1, 0), y = sin t first reaches 0.5 at t = -(pi + pi/6)
     _, stop = _assert_matches_solve_ivp(
-        rotation, (0.0, -10.0), (1.0, 0.0), cfg, [_residual_of("horizontal", 0.5)])
+        rotation, (0.0, -10.0), (1.0, 0.0), cfg, SectionSpec("horizontal", 0.5))
     assert stop[1] == approx(-7 * np.pi / 6, abs=1e-9)
 
 
 def test_driver_matches_solve_ivp_when_the_guard_fires():
-    cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
-    _, stop = _assert_matches_solve_ivp(
-        fld(lambda x, y: (x, y)), (0.0, 100.0), (1.0, 1.0), cfg,
-        [_residual_of("vertical", -5.0), _norm_guard(cfg)])
-    assert stop[0] == 1 and stop[1] == approx(np.log(10.0), abs=1e-9)
+    # the run raises at the end of the step that leaves the norm bound: the
+    # full step of solve_ivp's that holds the bound's root, a guard event
+    cfg = IntegratorConfig(max_time=100.0)
+    rhs = _as_rhs(GROWTH)
+    with raises(DomainExit) as info:
+        _target_run(rhs, (0.0, 100.0), np.ones(2), cfg, SectionSpec("vertical", -5.0))
+    guard = _terminal(lambda p: max(abs(p)) - NORM_GUARD)
+    ref = solve_ivp(rhs, (0.0, 100.0), np.ones(2), method="DOP853", rtol=cfg.rtol,
+                    atol=cfg.atol, dense_output=True, events=[guard])
+    assert ref.t_events[0][0] == approx(T_GUARD, abs=1e-9)
+    last = ref.sol.interpolants[-1]
+    assert last.t_old < T_GUARD < last.t
+    # the step sizes move at rounding level (see above), and their sum by
+    # 3.7e-9 here
+    t, point = info.value.t, info.value.point
+    assert abs(t - last.t) <= 1e-6 * (last.t - last.t_old)
+    assert np.all(np.abs(point - last(t)) <= DENSE_TOL * _tolerance_scale(cfg, ref))
 
 
 def test_driver_matches_solve_ivp_running_to_the_end():
-    cfg = IntegratorConfig(max_time=1.0, norm_guard=1e9)
+    cfg = IntegratorConfig(max_time=1.0)
     seg, stop = _assert_matches_solve_ivp(
         fld(lambda x, y: (1.0, np.cos(x))), (0.0, 1.0), (0.0, 0.0), cfg,
-        [_residual_of("vertical", 5.0), _norm_guard(cfg)])
+        SectionSpec("vertical", 5.0))
     assert stop is None and seg.t[-1] == 1.0
-
-
-def test_driver_earliest_root_wins_and_ties_go_to_the_lower_index():
-    # x' = 1 is integrated exactly and the steps grow fast: the step from
-    # |t| ~ 5.9 to ~ 30 covers both roots
-    cfg = IntegratorConfig()
-    line = fld(lambda x, y: (1.0, 0.0))
-    for span, levels, first in (((0.0, 100.0), (20.0, 10.0), 1),
-                                ((0.0, -100.0), (-20.0, -10.0), 1),
-                                ((0.0, 100.0), (10.0, 20.0), 0)):
-        seg, stop = _assert_matches_solve_ivp(
-            line, span, (0.0, 0.0), cfg,
-            [_residual_of("vertical", c) for c in levels])
-        lo, hi = _last_step(seg)
-        assert all(lo < abs(c) * np.sign(span[1]) < hi for c in levels)
-        assert stop[0] == first
-    same = _residual_of("vertical", 15.0)
-    _, stop = _assert_matches_solve_ivp(line, (0.0, 100.0), (0.0, 0.0), cfg,
-                                        [same, same])
-    assert stop[0] == 0
 
 
 def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
@@ -539,11 +558,11 @@ def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
     # step end, which is not repeated.  The level is the run's own state,
     # so solve_ivp's run, which differs at rounding level, is no reference.
     cfg = IntegratorConfig()
-    free, _ = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg, [])
+    free = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg)
     k = 3
     level = np.nextafter(free.y[1, k], np.inf)  # y = sin t is rising here
-    seg, stop = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg,
-                        [_residual_of("horizontal", level)])
+    seg, stop = _target_run(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg,
+                            SectionSpec("horizontal", level))
     assert stop[0] == 0 and stop[1] == free.t[k]
     assert np.array_equal(stop[2], free.y[:, k])
     assert np.array_equal(seg.t, free.t[:k + 1])
@@ -557,20 +576,15 @@ def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
     rhs = _as_rhs(rotation)
     y0 = np.array([1.0, 0.0])
     sec = SectionSpec("horizontal", 0.5, direction="down")
-    guard = _norm_guard(cfg)
     directed = _terminal(sec.residual)
     directed.direction = -1
     # y = sin t meets 0.5 upward first (t = pi/6, or -7 pi/6 backward)
     for sense, t_down in (("forward", 5 * np.pi / 6), ("backward", -11 * np.pi / 6)):
         span = (0.0, cfg.max_time if sense == "forward" else -cfg.max_time)
-        scan = _target_scan(sec, cfg)
-        seg, guard_stop = _dop853(rhs, span, y0, cfg, [guard], scan)
-        assert guard_stop is None
-        # the scan's hit as the stop of solve_ivp's first event
-        stop = (0, scan.hit.t, scan.hit.point)
+        seg, stop = _target_run(rhs, span, y0, cfg, sec)
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol,
                         atol=cfg.atol, max_step=cfg.max_step, dense_output=True,
-                        events=[directed, _terminal(guard)])
+                        events=[directed])
         _assert_close(seg, stop, ref, cfg)
         assert stop[1] == approx(t_down, abs=1e-9)
         assert ref.t_events[0][0] == approx(t_down, abs=1e-9)
@@ -582,14 +596,23 @@ def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
 
 def test_driver_matches_solve_ivp_on_a_zero_length_span():
     cfg = IntegratorConfig()
-    seg, stop = _assert_matches_solve_ivp(
-        rotation, (0.0, 0.0), (1.0, 0.0), cfg, [_norm_guard(cfg)])
+    seg, stop = _assert_matches_solve_ivp(rotation, (0.0, 0.0), (1.0, 0.0), cfg, None)
     assert stop is None and seg.nfev == 1
     traj = flow(rotation, (1.0, 0.0), (0.0, 0.0), cfg,
                 sections=[SectionSpec("horizontal", 0.0)])
     assert len(traj) == 2
     assert [(ev.t, ev.direction) for ev in traj.events] == [(0.0, "up")]
     assert traj.segments[0].nfev == 1
+
+
+def test_a_zero_length_span_starting_on_its_target_ends_there():
+    # a 1-D state on the target at the start of a zero-length span: the
+    # scan's hit is at t = 0, found with no division by the step's length 0
+    scan = _Scan(lambda t, y: (1.0,), 1e-6, target=SectionSpec("vertical", 0.0))
+    seg = _dop853(lambda t, y: (1.0,), (0.0, 0.0), [0.0], IntegratorConfig(), scan)
+    assert (scan.hit.t, scan.hit.point.tolist(), scan.hit.direction) == (0.0, [0.0], "up")
+    assert seg.t.tolist() == [0.0, 0.0] and seg.y.tolist() == [[0.0, 0.0]]
+    assert seg.h.tolist() == [0.0] and seg.coef is None
 
 
 @settings(deadline=None, max_examples=60)
@@ -606,13 +629,12 @@ def test_batched_dense_equals_pointwise_and_tracks_ode_solution(data, forward, m
     breakpoints too, on the event-truncated last step and on descending legs."""
     cfg = IntegratorConfig(max_step=max_step)
     span = (0.0, 8.0) if forward else (0.0, -8.0)
-    stops = [] if level is None else [_residual_of("horizontal", level)]
+    target = None if level is None else SectionSpec("horizontal", level)
     rhs = _as_rhs(fld(lambda x, y: (-y + 0.1 * x * y, x)))
     y0 = np.array([1.0, 0.0])
-    seg, stop = _dop853(rhs, span, y0, cfg, stops)
+    seg, stop = _target_run(rhs, span, y0, cfg, target)
     ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step, dense_output=True,
-                    events=[_terminal(s) for s in stops])
+                    max_step=cfg.max_step, dense_output=True, events=_events(target))
     _assert_close(seg, stop, ref, cfg)
     lo, hi = min(seg.t), max(seg.t)
     inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
@@ -662,19 +684,22 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
 
 
 def _linear_system_runs(M, b, y0, span, cfg, level):
-    """``_dop853`` and solve_ivp on y' = M y + t b, with an optional stop at
-    y[0] = level; checks that nfev counts every call of the RHS."""
+    """``_dop853`` and solve_ivp on y' = M y + t b, with an optional target
+    y[0] = level; checks that nfev counts every call of the RHS (the scan's
+    calls, at the crossings it classifies, are its own)."""
     calls = [0]
+
+    def plain(t, p):
+        return M.dot(p) + t * b
 
     def rhs(t, p):
         calls[0] += 1
-        return M.dot(p) + t * b
-    stops = [] if level is None else [lambda p: p[0] - level]
-    seg, stop = _dop853(rhs, span, y0, cfg, stops)
+        return plain(t, p)
+    target = None if level is None else SectionSpec("vertical", level)
+    seg, stop = _target_run(rhs, span, y0, cfg, target, scan_rhs=plain)
     assert calls[0] == seg.nfev
     ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step, dense_output=True,
-                    events=[_terminal(s) for s in stops])
+                    max_step=cfg.max_step, dense_output=True, events=_events(target))
     return seg, stop, ref
 
 
@@ -730,18 +755,22 @@ def test_driver_matches_solve_ivp_through_rejected_steps():
 
 
 def test_only_the_integrate_module_imports_scipy_integrate():
-    # every ODE solve goes through integrate._dop853: no other module of the
-    # package may reach for scipy's integrators
+    # every ODE solve goes through integrate's public legs: no other module
+    # of the package may reach for scipy's integrators, nor for a private
+    # name of ``integrate`` (its steppers among them)
     import ast
     from pathlib import Path
 
     import regtang
 
-    importers = []
+    importers, private = [], []
     for path in sorted(Path(regtang.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
+                if node.level == 1 and node.module == "integrate":
+                    private += [(path.name, alias.name) for alias in node.names
+                                if alias.name.startswith("_")]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             else:
@@ -750,6 +779,7 @@ def test_only_the_integrate_module_imports_scipy_integrate():
                    for name in names):
                 importers.append(path.name)
     assert set(importers) == {"integrate.py"}
+    assert private == []
 
 
 # --------------------------------------------------------------------------
@@ -778,9 +808,8 @@ def _rotation_jac(t, p):
 def test_radau_solves_a_stiff_linear_problem_to_its_tolerance():
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
     y0 = 1.5  # transient 0.5 exp(lambda t) on top of cos t
-    seg, stop = _radau(_stiff_linear, (0.0, 10.0), np.array([0.0, y0]), cfg, [],
-                       jac=_stiff_linear_jac)
-    assert stop is None and seg.t[-1] == 10.0
+    seg = _radau(_stiff_linear, (0.0, 10.0), np.array([0.0, y0]), cfg, jac=_stiff_linear_jac)
+    assert seg.t[-1] == 10.0
     exact = np.cos(seg.y[0]) + (y0 - 1.0) * np.exp(LAMBDA * seg.t)
     scale = cfg.atol + cfg.rtol * np.abs(exact)
     assert np.max(np.abs(seg.y[1] - exact) / scale) < 10.0
@@ -801,9 +830,8 @@ def test_radau_solves_a_stiff_linear_problem_to_its_tolerance():
 def test_radau_batched_dense_equals_the_scalar_interpolant(forward, level):
     cfg = IntegratorConfig(rtol=1e-8)
     span = (0.0, 8.0) if forward else (0.0, -8.0)
-    stops = [] if level is None else [_residual_of("horizontal", level)]
-    seg, _ = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, stops,
-                    jac=_rotation_jac)
+    scan = None if level is None else _target_scan(SectionSpec("horizontal", level), cfg)
+    seg = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, scan, jac=_rotation_jac)
     assert seg.horner is _radau_horner
     grid = _scan_grid(seg)
     got = seg.dense(grid)
@@ -822,40 +850,35 @@ def test_radau_stops_as_dop853_does():
     cfg = IntegratorConfig()
     line = fld(lambda x, y: (1.0, 0.0))
     zero = lambda t, p: ((0.0, 0.0), (0.0, 0.0))
-    # earliest root wins, ties go to the lower index; x' = 1 is integrated
-    # to rounding and the steps grow tenfold, the last from |t| ~ 11 to 100
-    for span, levels, first in (((0.0, 100.0), (50.0, 30.0), 1),
-                                ((0.0, -100.0), (-50.0, -30.0), 1),
-                                ((0.0, 100.0), (30.0, 50.0), 0)):
-        seg, stop = _radau(_as_rhs(line), span, np.zeros(2), cfg,
-                           [_residual_of("vertical", c) for c in levels], jac=zero)
+    # the run ends inside its last step at the target's crossing; x' = 1 is
+    # integrated to rounding and the steps grow tenfold, the last from
+    # |t| ~ 11 to 100
+    for span, level in (((0.0, 100.0), 30.0), ((0.0, -100.0), -30.0)):
+        scan = _Scan(_as_rhs(line), math.sqrt(cfg.event_tol),
+                     target=SectionSpec("vertical", level))
+        seg = _radau(_as_rhs(line), span, np.zeros(2), cfg, scan, jac=zero)
         lo, hi = _last_step(seg)
-        assert all(lo < abs(c) * np.sign(span[1]) < hi for c in levels)
-        assert stop[0] == first
-        assert stop[1] == approx(levels[first], abs=1e-12)
-        assert seg.t[-1] == stop[1]
-    same = _residual_of("vertical", 40.0)
-    _, stop = _radau(_as_rhs(line), (0.0, 100.0), np.zeros(2), cfg, [same, same], jac=zero)
-    assert stop[0] == 0
+        assert lo < level < hi
+        assert scan.hit.t == approx(level, abs=1e-12)
+        assert seg.t[-1] == scan.hit.t
     # the scan passes over an upward crossing of a 'down' section and the
     # run goes on
     sec = SectionSpec("horizontal", 0.5, direction="down")
     for span, t_down in (((0.0, 1e6), 5 * np.pi / 6), ((0.0, -1e6), -11 * np.pi / 6)):
         scan, ref_scan = _target_scan(sec, cfg), _target_scan(sec, cfg)
-        seg, stop = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
-                           [_norm_guard(cfg)], scan, jac=_rotation_jac)
-        ref, ref_stop = _dop853(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg,
-                                [_norm_guard(cfg)], ref_scan)
-        assert stop is ref_stop is None
+        seg = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, scan,
+                     jac=_rotation_jac)
+        ref = _dop853(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, ref_scan)
         assert seg.t[-1] == scan.hit.t and ref.t[-1] == ref_scan.hit.t
         assert scan.hit.t == approx(t_down, abs=1e-8)
         assert ref_scan.hit.t == approx(t_down, abs=1e-9)
-    # the guard fires
-    guard_cfg = IntegratorConfig(norm_guard=10.0, max_time=100.0)
-    seg, stop = _radau(_as_rhs(fld(lambda x, y: (x, y))), (0.0, 100.0), np.ones(2),
-                       guard_cfg, [_residual_of("vertical", -5.0), _norm_guard(guard_cfg)],
-                       jac=lambda t, p: ((1.0, 0.0), (0.0, 1.0)))
-    assert stop[0] == 1 and stop[1] == approx(np.log(10.0), abs=1e-8)
+    # the norm bound is left
+    with raises(DomainExit) as info:
+        _radau(_as_rhs(GROWTH), (0.0, 100.0), np.ones(2), cfg,
+               _Scan(_as_rhs(GROWTH), 1e-6, target=SectionSpec("vertical", -5.0)),
+               jac=lambda t, p: ((1.0, 0.0), (0.0, 1.0)))
+    assert T_GUARD < info.value.t < T_GUARD + 1.0
+    assert info.value.point == approx([math.exp(info.value.t)] * 2, rel=1e-6)
 
 
 def test_radau_counts_every_rhs_call():
@@ -864,8 +887,8 @@ def test_radau_counts_every_rhs_call():
     def rhs(t, p):
         calls[0] += 1
         return _stiff_linear(t, p)
-    seg, _ = _radau(rhs, (0.0, 3.0), np.array([0.0, 2.0]), IntegratorConfig(), [],
-                    jac=_stiff_linear_jac)
+    seg = _radau(rhs, (0.0, 3.0), np.array([0.0, 2.0]), IntegratorConfig(),
+                 jac=_stiff_linear_jac)
     assert calls[0] == seg.nfev
 
 
@@ -1092,8 +1115,8 @@ def test_start_checks_the_inputs_as_scipy_does():
         with raises(ValueError) as theirs:
             Radau(lambda t, p: rhs(t, p.tolist()), 0.0, np.array(y0), 1.0, rtol=cfg.rtol,
                   atol=cfg.atol, max_step=cfg.max_step)
-        for run in (partial(_dop853, rhs, (0.0, 1.0), np.array(y0), cfg, []),
-                    partial(_radau, rhs, (0.0, 1.0), np.array(y0), cfg, [], jac=zero)):
+        for run in (partial(_dop853, rhs, (0.0, 1.0), np.array(y0), cfg),
+                    partial(_radau, rhs, (0.0, 1.0), np.array(y0), cfg, jac=zero)):
             with raises(ValueError) as mine:
                 run()
             assert str(mine.value) == str(theirs.value)
@@ -1103,19 +1126,19 @@ def test_start_checks_the_inputs_as_scipy_does():
         warnings.simplefilter("always")
         DOP853(lambda t, p: rhs(t, p.tolist()), 0.0, np.array([1.0, 0.0]), 1.0,
                rtol=cfg.rtol, atol=cfg.atol)
-        _dop853(rhs, (0.0, 1.0), np.array([1.0, 0.0]), cfg, [])
+        _dop853(rhs, (0.0, 1.0), np.array([1.0, 0.0]), cfg)
     (theirs, mine) = caught
     assert (mine.category, str(mine.message)) == (theirs.category, str(theirs.message))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        _assert_matches_solve_ivp(rotation, (0.0, 3.0), (1.0, 0.0), cfg, [])
+        _assert_matches_solve_ivp(rotation, (0.0, 3.0), (1.0, 0.0), cfg, None)
 
 
 @pytest.mark.parametrize("bad", [
     dict(rtol=math.nan), dict(atol=math.nan), dict(rtol=0.0), dict(atol=-1e-12),
     dict(event_tol=math.nan), dict(event_tol=0.0), dict(event_tol=1e-9),
     dict(max_time=math.nan), dict(max_time=math.inf), dict(max_time=0.0),
-    dict(norm_guard=math.nan), dict(norm_guard=0.0), dict(max_step=math.nan),
+    dict(max_step=math.nan),
 ])
 def test_integrator_config_rejects_nan_and_out_of_range_values(bad):
     with raises(ValueError):
@@ -1124,7 +1147,7 @@ def test_integrator_config_rejects_nan_and_out_of_range_values(bad):
 
 def test_integrator_config_keeps_the_values_the_solver_takes():
     IntegratorConfig(rtol=1e-6, atol=1e-300, event_tol=1e-6, max_time=1e-3,
-                     norm_guard=math.inf, max_step=math.inf)
+                     max_step=math.inf)
     IntegratorConfig(max_step=0.0)  # left to the run's start, as scipy does
 
 
