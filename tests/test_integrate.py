@@ -1138,7 +1138,7 @@ def test_start_checks_the_inputs_as_scipy_does():
     dict(rtol=math.nan), dict(atol=math.nan), dict(rtol=0.0), dict(atol=-1e-12),
     dict(event_tol=math.nan), dict(event_tol=0.0), dict(event_tol=1e-9),
     dict(max_time=math.nan), dict(max_time=math.inf), dict(max_time=0.0),
-    dict(max_step=math.nan),
+    dict(atol=0.0), dict(max_time=-1.0), dict(max_step=math.nan),
 ])
 def test_integrator_config_rejects_nan_and_out_of_range_values(bad):
     with raises(ValueError):
