@@ -23,7 +23,9 @@ class PlanarField:
     """A smooth planar field given by its exact polynomial components.
 
     ``eval(x, y)`` is the kernel generated from them at construction; it
-    returns the tuple ``(u, v)`` of Python floats.
+    returns the tuple ``(u, v)`` of Python floats.  ``kernel`` is
+    ``(eval, ())``, the kernel and the arguments it takes before the state,
+    which a DOP853 leg inlines into its step.
     """
 
     poly_form: Tuple[Poly2, Poly2]
@@ -34,6 +36,7 @@ class PlanarField:
             "x, y",
             power_lines(self.poly_form) + p1.float_lines("u") + p2.float_lines("v")
             + ["return (u, v)"])
+        self.kernel = (self.eval, ())
 
     def divergence(self) -> Callable[[float, float], float]:
         """The exact divergence as a float kernel."""

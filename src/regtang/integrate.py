@@ -17,7 +17,11 @@ stepper giving only its step attempt and step-size rule:
 
 Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
 floats, and returns a sequence of floats that the steppers use as it is; the
-fields' generated kernels return a tuple.
+fields' generated kernels return a tuple.  A field's RHS (``_as_rhs``) calls
+its ``eval`` and carries its generated ``kernel``, which ``_dop853`` inlines
+into each stage of its step: a wrap of ``eval`` on the field's class sees only
+the calls made outside those stages (the run's start, the scan's rates, Radau
+and the RK4 nudge), and ``Segment.nfev`` counts every evaluation.
 
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
 with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
@@ -57,7 +61,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +69,7 @@ import numpy as np
 from . import _tableaux as tab
 from .errors import (ConditionViolated, DomainExit, NoCrossing, StepSizeUnderflow,
                      TangentialGraze)
-from .polys import compile_kernel
+from .polys import cached_kernel
 
 RHS = Callable[[float, List[float]], Sequence[float]]  # see the module docstring
 
@@ -265,6 +269,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def _as_rhs(field) -> RHS:
+    """The right-hand side of ``field``: a plain callable as it is, else a
+    call of its ``eval``, which carries the field's generated ``kernel``
+    (``fn``, ``lead``), if it has one, for ``_dop853`` to inline."""
     if not hasattr(field, "eval"):  # already a right-hand side
         return field
     ev = field.eval
@@ -273,6 +280,7 @@ def _as_rhs(field) -> RHS:
         x, y = p  # Python floats: the kernels' math stays off np.float64
         return ev(x, y)
 
+    rhs.kernel = getattr(field, "kernel", None)
     return rhs
 
 
@@ -366,13 +374,14 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
 SCAN_SUBDIV = 8
 
 
-def _screened(rows: Sequence[float], start: float, band: float) -> bool:
+def _screened(bound: float, start: float, band: float) -> bool:
     """Whether a step can hold no crossing and no touch of a section: its
-    residual starts at ``start``, and one component's coefficient rows
-    ``rows`` move it by at most the sum of their magnitudes, since every term
-    of either method's polynomial (DOP853's x^a (1-x)^b, Radau's x, x**2,
-    x**3) lies in [0, 1] on the step."""
-    return abs(start) > sum(map(abs, rows)) + 2 * band
+    residual starts at ``start``, and one component's coefficient rows move
+    it by at most ``bound``, the sum of their magnitudes, since every term of
+    either method's polynomial (DOP853's x^a (1-x)^b, Radau's x, x**2, x**3)
+    lies in [0, 1] on the step.  The stepper sums the magnitudes left to
+    right as it builds the rows."""
+    return abs(start) > bound + 2 * band
 
 
 class _Scan:
@@ -405,16 +414,19 @@ class _Scan:
         self.near = [False] * len(self.sections)  # the previous step unscreened
         self.prev = None  # the previous step
 
-    def step(self, horner: Callable, sense: float, cur, t_new: float) -> Optional[EventHit]:
+    def step(self, horner: Callable, sense: float, cur, t_new: float,
+             bounds: Sequence[float]) -> Optional[EventHit]:
         """Scan the step ``cur`` = ``(t_old, h, y_old, coef)`` of a run in
-        the direction ``sense``, which ends at ``t_new``.  Returns ``hit``."""
+        the direction ``sense``, which ends at ``t_new``; ``bounds`` holds
+        each component's sum of row magnitudes (``_screened``).  Returns
+        ``hit``."""
         prev, self.prev = self.prev, cur
         t_old, h, y_old, coef = cur
         n, near = len(y_old), []
         for j, sec in enumerate(self.sections):
             c = 0 if sec.kind == "vertical" else 1
-            was, self.near[j] = self.near[j], not _screened(
-                () if coef is None else coef[c::n], y_old[c] - sec.c, self.band)
+            was, self.near[j] = self.near[j], not _screened(bounds[c], y_old[c] - sec.c,
+                                                             self.band)
             if was or self.near[j]:
                 near.append((j, sec, c))
         if not near:
@@ -570,17 +582,32 @@ def _dot(coefs, names: Sequence[str]) -> str:
     return " + ".join(f"({float(c)!r})*{v}" for c, v in zip(coefs, names) if c)
 
 
-@cache
-def _dop853_step(n: int) -> Callable:
+def _dop853_step(n: int, source: Optional[Tuple[str, Sequence[str]]] = None) -> Callable:
     """The DOP853 step attempt for an ``n``-dimensional state as straight-line
     float code: each tableau constant a ``repr`` literal, zero entries
-    skipped, each sum left to right.  ``step(rhs, t, h, y, f, rtol, atol,
+    skipped, each sum left to right.  ``step(*lead, t, h, y, f, rtol, atol,
     sqrt)`` takes the state and its RHS value (lists), computes the 12 stages
     and scipy's E5/E3 error norm with its NaN rules, and returns
     ``(error_norm, None)`` unless the norm is below 1, else ``(error_norm,
-    (y_new, f_new, rows))`` with the 3 extra stages taken and the dense
-    output's 7 rows ``F``, lowest power first, as one flat tuple."""
-    K = [f"k{j}_{{i}}" for j in range(tab.N_STAGES_EXTENDED)]  # stage j, component i
+    (y_new, f_new, rows, bounds))`` with the 3 extra stages taken, the dense
+    output's 7 rows ``F``, lowest power first, as one flat tuple, and each
+    component's sum of its rows' magnitudes, left to right (``_screened``).
+
+    Without ``source`` the one ``lead`` argument is the RHS, and each stage
+    calls it as ``rhs(t, [state])``.  ``source`` is the ``(args, body)`` of a
+    generated field kernel (``polys.cached_kernel``) whose last n arguments
+    are the state and whose body returns a tuple on its last line only; the
+    ``lead`` arguments are its first ones.  Each stage is then the kernel's
+    own statements: its arguments bound by assignment, its return tuple
+    assigned to the stage's values.  The step's own names start with ``_``,
+    which no kernel generator uses.  Memoized by ``polys.cached_kernel``.
+    """
+    return cached_kernel(("dop853", n, source), lambda: _dop853_source(n, source))
+
+
+def _dop853_source(n: int, source: Optional[Tuple[str, Sequence[str]]]):
+    """The ``(args, body)`` of ``_dop853_step(n, source)``."""
+    K = [f"_k{j}_{{i}}" for j in range(tab.N_STAGES_EXTENDED)]  # stage j, component i
 
     def vec(fmt):
         return ", ".join(fmt.format(i=i) for i in range(n))
@@ -588,33 +615,57 @@ def _dop853_step(n: int) -> Callable:
     def per(*lines):  # each line once per component
         return [line.format(i=i) for i in range(n) for line in lines]
 
-    def stage(s, a, c):
-        return (f"{vec(K[s])}, = rhs(t + {float(c)!r} * h, "
-                f"[{vec(f'y{{i}} + ({_dot(a, K)}) * h')}])")
+    def point(a):  # the state of a stage with coefficients ``a``
+        return f"_y{{i}} + ({_dot(a, K)}) * _h"
 
-    rows = ", ".join(vec(f"r{r}_{{i}}") for r in range(tab.INTERPOLATOR_POWER))
+    if source is None:
+        lead = ["_rhs"]
+
+        def stage(s, time, state):  # ``state`` per component, a format of i
+            return [f"{vec(K[s])}, = _rhs({time}, [{vec(state)}])"]
+    else:
+        args, body = source
+        names = args.split(", ")
+        params, state_names = names[:-n], names[-n:]
+        *inner, ret = body
+        if not ret.startswith("return ") or any(
+                line.lstrip().startswith("return") for line in inner):
+            raise ValueError("an inlined kernel returns on its last line only")
+        lead = [f"_p{j}" for j in range(len(params))]
+
+        def stage(s, time, state):  # an autonomous kernel reads no time
+            return [*(f"{p} = _p{j}" for j, p in enumerate(params)),
+                    *(f"{v} = {state.format(i=i)}" for i, v in enumerate(state_names)),
+                    *inner, f"{vec(K[s])}, = {ret[len('return '):]}"]
+
+    def stages(A, C, start):
+        return [line for s, (a, c) in enumerate(zip(A, C), start=start)
+                for line in stage(s, f"_t + {float(c)!r} * _h", point(a[:s]))]
+
+    rows = ", ".join(vec(f"_r{r}_{{i}}") for r in range(tab.INTERPOLATOR_POWER))
     body = [
-        f"{vec('y{i}')}, = y", f"{vec(K[0])}, = f",
-        *(stage(s, tab.A[s, :s], tab.C[s]) for s in range(1, _N)),
-        *per(f"n{{i}} = y{{i}} + h * ({_dot(tab.B, K)})"),
-        f"{vec(K[_N])}, = rhs(t + h, [{vec('n{i}')}])",
-        *per("a{i} = abs(y{i})", "b{i} = abs(n{i})",
-             "s{i} = atol + (b{i} if a{i} < b{i} or b{i} != b{i} else a{i}) * rtol",
-             f"e5_{{i}} = ({_dot(tab.E5, K)}) / s{{i}}",
-             f"e3_{{i}} = ({_dot(tab.E3, K)}) / s{{i}}"),
-        f"e5 = {' + '.join(f'e5_{i} * e5_{i}' for i in range(n))}",
-        f"e3 = {' + '.join(f'e3_{i} * e3_{i}' for i in range(n))}",
-        f"d = sqrt((e5 + 0.01 * e3) * {n})",
-        "err = 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / d if d else float('nan')",
-        "if not err < 1:",
-        "    return err, None",
-        *(stage(s, a[:s], c)
-          for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=_N + 1)),
-        *per("r0_{i} = n{i} - y{i}", "r1_{i} = h * k0_{i} - r0_{i}",
-             f"r2_{{i}} = 2 * r0_{{i}} - h * (k{_N}_{{i}} + k0_{{i}})",
-             *(f"r{r}_{{i}} = h * ({_dot(row, K)})" for r, row in enumerate(tab.D, start=3))),
-        f"return err, ([{vec('n{i}')}], [{vec(K[_N])}], ({rows},))"]
-    return compile_kernel("rhs, t, h, y, f, rtol, atol, sqrt", body)
+        f"{vec('_y{i}')}, = _y", f"{vec(K[0])}, = _f",
+        *stages(tab.A[1:_N], tab.C[1:_N], 1),
+        *per(f"_n{{i}} = _y{{i}} + _h * ({_dot(tab.B, K)})"),
+        *stage(_N, "_t + _h", "_n{i}"),
+        *per("_a{i} = abs(_y{i})", "_b{i} = abs(_n{i})",
+             "_s{i} = _atol + (_b{i} if _a{i} < _b{i} or _b{i} != _b{i} else _a{i}) * _rtol",
+             f"_e5_{{i}} = ({_dot(tab.E5, K)}) / _s{{i}}",
+             f"_e3_{{i}} = ({_dot(tab.E3, K)}) / _s{{i}}"),
+        f"_e5 = {' + '.join(f'_e5_{i} * _e5_{i}' for i in range(n))}",
+        f"_e3 = {' + '.join(f'_e3_{i} * _e3_{i}' for i in range(n))}",
+        f"_d = _sqrt((_e5 + 0.01 * _e3) * {n})",
+        "_err = 0.0 if _e5 == 0 and _e3 == 0 else abs(_h) * _e5 / _d if _d else float('nan')",
+        "if not _err < 1:",
+        "    return _err, None",
+        *stages(tab.A_EXTRA, tab.C_EXTRA, _N + 1),
+        *per("_r0_{i} = _n{i} - _y{i}", "_r1_{i} = _h * _k0_{i} - _r0_{i}",
+             f"_r2_{{i}} = 2 * _r0_{{i}} - _h * (_k{_N}_{{i}} + _k0_{{i}})",
+             *(f"_r{r}_{{i}} = _h * ({_dot(row, K)})" for r, row in enumerate(tab.D, start=3)),
+             "_m{i} = " + " + ".join(f"abs(_r{r}_{{i}})"
+                                     for r in range(tab.INTERPOLATOR_POWER))),
+        f"return _err, ([{vec('_n{i}')}], [{vec(K[_N])}], ({rows},), ({vec('_m{i}')},))"]
+    return ", ".join(lead + ["_t", "_h", "_y", "_f", "_rtol", "_atol", "_sqrt"]), body
 
 
 class _Run:
@@ -629,9 +680,10 @@ class _Run:
     ``t`` to ``t_new`` (``rejected``: an earlier try of this step was;
     ``clamped``: the step's first size was) and returns ``(size, rejected,
     None)`` to retry with that size, or, once it accepts, the next step's
-    proposed size and ``(state, coefficient rows)`` as the stepper computed
-    them.  The start state is kept as lists of Python floats, ``y`` and
-    ``f``; ``run`` stacks the states and rows once, into its ``Segment``.
+    proposed size and ``(state, coefficient rows, bounds)`` as the stepper
+    computed them, ``bounds`` each component's sum of row magnitudes.  The
+    start state is kept as lists of Python floats, ``y`` and ``f``; ``run``
+    stacks the states and rows once, into its ``Segment``.
 
     ``record`` keeps a step's dense output and decides whether the run ends
     on it.  ``scan`` (a ``_Scan``, or None) scans the step, and its target's
@@ -658,7 +710,7 @@ class _Run:
         ended, running = False, True
         while not ended and running:
             if t == t_bound:  # zero-length span: no step
-                t_new, h, step = t, 0.0, (self.ys[-1], None)
+                t_new, h, step = t, 0.0, (self.ys[-1], None, [0] * len(self.y))
                 running = False
             else:
                 min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -688,14 +740,16 @@ class _Run:
                        np.array(coefs).reshape(len(coefs), -1, len(self.y)),
                        horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
 
-    def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef) -> bool:
+    def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef,
+               bounds: Sequence[float]) -> bool:
         """Keep the step of full length ``h`` from ``t_old`` to ``(t, y)``
-        with its coefficient rows ``coef`` (a flat sequence, row by row), and
-        return whether the run ends on it."""
+        with its coefficient rows ``coef`` (a flat sequence, row by row) and
+        their magnitude sums ``bounds``, and return whether the run ends on
+        it."""
         y_old = self.ys[-1]
         self.steps.append((h, coef))
         hit = self.scan and self.scan.step(self.horner, self.direction,
-                                           (t_old, h, y_old, coef), t)
+                                           (t_old, h, y_old, coef), t, bounds)
         if hit:
             t, y = hit.t, hit.point
             if len(self.steps) > 1 and self.direction * (t - t_old) <= 0:
@@ -725,16 +779,24 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     The step is ``_dop853_step`` for the state's dimension: scipy's
     ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in one
     summation order on every machine, with ``solve_ivp`` as its accuracy
-    oracle.  ``rhs`` receives the state as a list of Python floats.  The
-    inputs are checked and the first step chosen as scipy does (``_start``).
+    oracle.  ``rhs`` receives the state as a list of Python floats.  An
+    ``rhs`` that carries its field's ``kernel`` (``_as_rhs``) is inlined in
+    each stage, which then makes no call; ``rhs`` itself serves the start
+    and the scan.  The inputs are checked and the first step chosen as scipy
+    does (``_start``).
     """
     run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
     y, f = run.y, run.f
-    step = _dop853_step(len(y))
+    kernel = getattr(rhs, "kernel", None)
+    if kernel is None:
+        step = partial(_dop853_step(len(y)), rhs)
+    else:
+        fn, lead = kernel
+        step = partial(_dop853_step(len(y), fn.source), *lead)
 
     def attempt(t, t_new, h, rejected, clamped):
         nonlocal y, f
-        error_norm, out = step(rhs, t, h, y, f, run.rtol, run.atol, math.sqrt)
+        error_norm, out = step(t, h, y, f, run.rtol, run.atol, math.sqrt)
         run.nfev += _N
         if out is None:
             factor = max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -746,8 +808,8 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
         if rejected:
             factor = min(1, factor)
-        y, f, rows = out
-        return abs(h) * factor, rejected, (y, rows)
+        y, f, rows, bounds = out
+        return abs(h) * factor, rejected, (y, rows, bounds)
     return run.run(attempt)
 
 
@@ -923,7 +985,8 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
              for j in (0, 1)]
         prev = (t, h, y, Q)
         y, f = y_new, f_new
-        return abs(h) * factor, rejected, (y_new, tuple(q for row in zip(*Q) for q in row))
+        return abs(h) * factor, rejected, (y_new, tuple(q for row in zip(*Q) for q in row),
+                                           [abs(q0) + abs(q1) + abs(q2) for q0, q1, q2 in Q])
     return run.run(attempt)
 
 

@@ -10,7 +10,8 @@ arithmetic, differentiation, evaluation, composition with shifts).  Float
 evaluation of a ``Poly2`` runs straight-line code generated once from its
 exact coefficients (``compile_kernel``), so that integrator right-hand sides
 stay cheap; the same statements are inlined into the fused kernels of
-``regtang.regularize``.
+``regtang.regularize``, and a field's kernel into the DOP853 step of
+``regtang.integrate``.
 """
 
 from __future__ import annotations
@@ -338,24 +339,36 @@ KERNEL_CACHE_SIZE = 512  # compiled kernels kept per process, least recently use
 _KERNELS: "OrderedDict[tuple, Callable]" = OrderedDict()
 
 
-def compile_kernel(args: str, body: Sequence[str]) -> Callable:
-    """Compile ``def _kernel(args): body`` and return the function.
+def cached_kernel(key: tuple, build: Callable[[], Tuple[str, Sequence[str]]]) -> Callable:
+    """The kernel memoized on ``key``; on a miss ``build()`` gives its
+    ``(args, body)``, compiled as ``def _kernel(args): body``.
 
-    ``body`` reads only its arguments and its own locals, so a kernel is
-    memoized on its source alone.  Its file name, ``<regtang kernel CRC>``,
-    carries the CRC-32 of the source, so that profilers, which key a
-    function by file, line and name, keep the kernels apart (hashlib would
-    load OpenSSL, about 3 MB of resident memory).
+    The function keeps its source as ``source = (args, body)``, so that a
+    caller can inline it (``integrate._dop853_step``).  Its file name,
+    ``<regtang kernel CRC>``, carries the CRC-32 of the source, so that
+    profilers, which key a function by file, line and name, keep the kernels
+    apart (hashlib would load OpenSSL, about 3 MB of resident memory).
     """
-    key = (args, tuple(body))
     fn = _KERNELS.get(key)
     if fn is not None:
         _KERNELS.move_to_end(key)
         return fn
+    args, body = build()
     src = f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
     ns: dict = {}
     exec(compile(src, f"<regtang kernel {zlib.crc32(src.encode()):08x}>", "exec"), ns)
     fn = _KERNELS[key] = ns["_kernel"]
+    fn.source = (args, tuple(body))
     if len(_KERNELS) > KERNEL_CACHE_SIZE:
         _KERNELS.popitem(last=False)
     return fn
+
+
+def compile_kernel(args: str, body: Sequence[str]) -> Callable:
+    """Compile ``def _kernel(args): body`` and return the function.
+
+    ``body`` reads only its arguments and its own locals, so a kernel is
+    memoized on its source alone (``cached_kernel``).
+    """
+    source = (args, tuple(body))
+    return cached_kernel(source, lambda: source)

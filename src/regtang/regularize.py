@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -34,23 +35,24 @@ from .polys import Poly2, compile_kernel, power_lines
 # fused kernels: right-hand sides, band Jacobian, divergence
 # --------------------------------------------------------------------------
 
-def _kernel_body(system: FilippovSystem, tf: TransitionFunction, eps: float,
-                 band: bool, named: list, slope: bool = False) -> list:
+def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
+                 named: list, slope: bool = False) -> list:
     """Statements shared by the fused kernels, up to their return.
 
-    With ``band`` they take (x, s = yhat) and set y = eps*s; otherwise they
-    take (x, y) and set s = h(x, y)/eps.  Then c = (1 + Phi(s))/2 and
-    d = 1 - c, with ``slope`` also D = Phi'(s), which is 0 outside |s| < 1;
-    last, each ``(name, poly)`` of ``named`` is assigned to its name.  All of
-    it is generated from the exact coefficients of Phi, the polynomials and h.
+    Every kernel takes eps first, a Python float, so that one kernel serves
+    a field at every eps.  With ``band`` they then take (x, s = yhat) and set
+    y = eps*s; otherwise they take (x, y) and set s = h(x, y)/eps.  Then
+    c = (1 + Phi(s))/2 and d = 1 - c, with ``slope`` also D = Phi'(s), which
+    is 0 outside |s| < 1; last, each ``(name, poly)`` of ``named`` is
+    assigned to its name.  All of it is generated from the exact
+    coefficients of Phi, the polynomials and h.
     """
-    e = repr(float(eps))
     polys = [p for _, p in named]
     if band:
-        body = [f"y = {e}*s"] + power_lines(polys)
+        body = ["y = eps*s"] + power_lines(polys)
     else:
         body = power_lines(polys + [system.h]) + system.h.float_lines("hv")
-        body.append(f"s = hv/{e}")
+        body.append("s = hv/eps")
     zero = ["    D = 0.0"] if slope else []
     body += ["if s >= 1.0:", "    c = 1.0", *zero,
              "elif s <= -1.0:", "    c = 0.0", *zero, "else:"]
@@ -71,8 +73,8 @@ def _zone_polys(system: FilippovSystem, index=(1, 2)) -> list:
             for i in index]
 
 
-def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
-                band: bool) -> Callable[[float, float], Tuple[float, float]]:
+def _mix_kernel(system: FilippovSystem, tf: TransitionFunction,
+                band: bool) -> Callable[[float, float, float], Tuple[float, float]]:
     """Straight-line float kernel of the convex combination
 
         c = (1 + Phi(s))/2,   Z = c*X_plus + (1 - c)*X_minus,
@@ -83,16 +85,15 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction, eps: float,
     in their order, on the statements ``PlanarField`` compiles, so it returns
     the same numbers, as a tuple of two Python floats.
     """
-    body = _kernel_body(system, tf, eps, band, _zone_polys(system))
-    first = f"{float(eps)!r}*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
+    body = _kernel_body(system, tf, band, _zone_polys(system))
+    first = "eps*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
     body.append(f"return ({first}, c*p2 + d*m2)")
-    return compile_kernel("x, s" if band else "x, y", body)
+    return compile_kernel("eps, x, s" if band else "eps, x, y", body)
 
 
-def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
-                          eps: float) -> Callable:
+def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
     """Straight-line float kernel of the exact Jacobian of the band field,
-    ``(x, s) -> ((dF1/dx, dF1/ds), (dF2/dx, dF2/ds))`` with y = eps*s:
+    ``(eps, x, s) -> ((dF1/dx, dF1/ds), (dF2/dx, dF2/ds))`` with y = eps*s:
 
         dF1/dx = eps*(c X1+_x + d X1-_x),
         dF1/ds = eps*(c' (X1+ - X1-) + eps*(c X1+_y + d X1-_y)),
@@ -103,19 +104,17 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction,
     outside |s| < 1.  Generated from the zone fields' polynomial forms and
     ``tf.derivs[1]``.
     """
-    e = repr(float(eps))
     named = [(name + suffix, q) for name, p in _zone_polys(system)
              for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
-    body = _kernel_body(system, tf, eps, True, named, slope=True)
+    body = _kernel_body(system, tf, True, named, slope=True)
     body += ["dc = 0.5*D",
-             f"return (({e}*(c*p1x + d*m1x), "
-             f"{e}*(dc*(p1 - m1) + {e}*(c*p1y + d*m1y))), "
-             f"(c*p2x + d*m2x, dc*(p2 - m2) + {e}*(c*p2y + d*m2y)))"]
-    return compile_kernel("x, s", body)
+             "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
+             "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]
+    return compile_kernel("eps, x, s", body)
 
 
-def _divergence_kernel(system: FilippovSystem, tf: TransitionFunction,
-                       eps: float) -> Callable[[float, float], float]:
+def _divergence_kernel(system: FilippovSystem,
+                       tf: TransitionFunction) -> Callable[[float, float, float], float]:
     """Straight-line float kernel of the divergence of the regularized field,
 
         c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
@@ -136,15 +135,15 @@ def _divergence_kernel(system: FilippovSystem, tf: TransitionFunction,
         else:
             jump.append((f"h{i}", g))
             terms.append(f"h{i}*(p{i} - m{i})")
-    body = _kernel_body(system, tf, eps, False, named, slope=True)
+    body = _kernel_body(system, tf, False, named, slope=True)
     # the jump's own statements run only where it is added
     inner = [line for line in power_lines(p for _, p in jump) if line not in body]
     for name, p in jump:
         inner += p.float_lines(name)
     body += ["v = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
-             f"    v += D/(2.0*{float(eps)!r})*({' + '.join(terms) or '0.0'})",
+             f"    v += D/(2.0*eps)*({' + '.join(terms) or '0.0'})",
              "return v"]
-    return compile_kernel("x, y", body)
+    return compile_kernel("eps, x, y", body)
 
 
 # --------------------------------------------------------------------------
@@ -155,9 +154,13 @@ def _divergence_kernel(system: FilippovSystem, tf: TransitionFunction,
 class RegularizedField:
     """Smooth field agreeing with X_plus above the band and X_minus below.
 
-    ``eval`` runs one kernel generated from system, tf and eps at
-    construction, and ``divergence()`` returns another.  Both stay methods
-    of the class, so that wrapping them on the class sees every use.
+    ``eval`` runs a kernel generated from system and tf, which takes eps as
+    its first argument, so the fields of one system and tf share it at every
+    eps; ``kernel`` is that kernel with its eps, ``(fn, (eps,))``.  A DOP853
+    leg inlines the kernel into its step (``integrate._dop853_step``), so a
+    wrap of ``eval`` on the class sees only the calls made outside the
+    step's stages, such as the run's start and the scan's rates.
+    ``divergence()`` returns a third kernel with eps bound.
     """
 
     system: FilippovSystem
@@ -165,15 +168,17 @@ class RegularizedField:
     eps: float
 
     def __post_init__(self):
-        if not 0.0 < self.eps < math.inf:   # the kernel source holds repr(eps)
+        if not 0.0 < self.eps < math.inf:
             raise NonPositiveQuantity("eps must be positive and finite")
-        self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=False)
+        self._eps = float(self.eps)  # the kernels' argument, a Python float
+        self._rhs = _mix_kernel(self.system, self.tf, band=False)
+        self.kernel = (self._rhs, (self._eps,))
 
     def eval(self, x: float, y: float) -> Tuple[float, float]:
-        return self._rhs(x, y)
+        return self._rhs(self._eps, x, y)
 
     def divergence(self) -> Callable[[float, float], float]:
-        return _divergence_kernel(self.system, self.tf, self.eps)
+        return partial(_divergence_kernel(self.system, self.tf), self._eps)
 
 
 # --------------------------------------------------------------------------
@@ -197,9 +202,11 @@ class BandField:
     where c+- = (1 +- Phi(yhat))/2.  With the saturation of Phi the same
     equations remain valid outside |yhat| <= 1 and match the slow flow there.
     As in ``RegularizedField``, ``eval`` is a method of the class that calls
-    one kernel generated at construction.  ``jacobian(x, yhat)`` is the
-    exact Jacobian ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``, a
-    second generated kernel that calls no ``eval``.
+    a kernel taking eps first, ``kernel`` is that kernel with its eps, and a
+    wrap of ``eval`` on the class sees only the calls made outside a DOP853
+    step's stages.  ``jacobian(x, yhat)`` is the exact Jacobian
+    ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``, a second generated
+    kernel that calls no ``eval``.
     """
 
     system: FilippovSystem
@@ -211,13 +218,18 @@ class BandField:
 
     def __post_init__(self):
         _require_vertical(self.system)
-        if not 0.0 < self.eps < math.inf:   # the kernel source holds repr(eps)
+        if not 0.0 < self.eps < math.inf:
             raise NonPositiveQuantity("eps must be positive and finite")
-        self._rhs = _mix_kernel(self.system, self.tf, self.eps, band=True)
-        self.jacobian = _band_jacobian_kernel(self.system, self.tf, self.eps)
+        self._eps = float(self.eps)  # the kernels' argument, a Python float
+        self._rhs = _mix_kernel(self.system, self.tf, band=True)
+        self._jac = _band_jacobian_kernel(self.system, self.tf)
+        self.kernel = (self._rhs, (self._eps,))
 
     def eval(self, x: float, yhat: float) -> Tuple[float, float]:
-        return self._rhs(x, yhat)
+        return self._rhs(self._eps, x, yhat)
+
+    def jacobian(self, x: float, yhat: float):
+        return self._jac(self._eps, x, yhat)
 
 
 # --------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_a_screened_step_holds_no_crossing_and_no_touch(method, data, y_old, sid
                               min_size=n_rows, max_size=n_rows))
     band = math.sqrt(IntegratorConfig().event_tol)
     level = y_old - side * reach * (sum(map(abs, rows)) + 2 * band)
-    if not _screened(rows, y_old - level, band):
+    if not _screened(sum(map(abs, rows)), y_old - level, band):
         return
     ts = np.linspace(0.0, h, 1000)[:, None]
     coef = np.broadcast_to(np.array(rows)[:, None, None], (n_rows, len(ts), 1))
@@ -295,11 +295,13 @@ def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
 
     def attempt(t, t_new, h, rejected, clamped):
         if t == 0.0:
-            return 1.0, rejected, ([t_new, (t_new - m) ** 2],
-                                   (h, 2 * (t - m) * h, 0.0, h * h, 0.0, 0.0))
-        return 1.0, rejected, ([t_new, (1 - m) ** 2 + rise], (h, rise, 0.0, 0.0, 0.0, 0.0))
+            rows = (h, 2 * (t - m) * h, 0.0, h * h, 0.0, 0.0)
+        else:
+            rows = (h, rise, 0.0, 0.0, 0.0, 0.0)
+        y = [t_new, (t_new - m) ** 2 if t == 0.0 else (1 - m) ** 2 + rise]
+        return 1.0, rejected, (y, rows, [sum(map(abs, rows[c::2])) for c in (0, 1)])
 
-    assert _screened((rise, 0.0, 0.0), (1 - m) ** 2 - level, 1e-6)
+    assert _screened(rise, (1 - m) ** 2 - level, 1e-6)
     rhs = lambda t, p: (1.0, 2 * (p[0] - m))
     scan = _Scan(rhs, 1e-6, target=SectionSpec("horizontal", level))
     run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), scan, 3,
@@ -318,7 +320,7 @@ def test_a_stop_before_the_target_s_crossing_on_one_step_ends_the_run():
     # crosses the target x = 3e6 later on the same step.  The state the run
     # keeps, the hit, lies beyond the bound, so the run ends in DomainExit
     def attempt(t, t_new, h, rejected, clamped):
-        return 1.0, rejected, ([t_new, 0.0], (h, 0.0, 0.0, 0.0, 0.0, 0.0))
+        return 1.0, rejected, ([t_new, 0.0], (h, 0.0, 0.0, 0.0, 0.0, 0.0), [abs(h), 0.0])
 
     rhs = lambda t, p: (1.0, 0.0)
     scan = _Scan(rhs, 1e-6, target=SectionSpec("vertical", 3 * NORM_GUARD))
@@ -1086,8 +1088,10 @@ def test_generated_step_matches_exact_arithmetic():
         assert err < 1
         exact = _formula_step(M, b, t, h, y, Fraction)
         terms = _formula_step(M, b, t, h, y, float, mag=True)
-        y_new, f_new, flat = out
+        y_new, f_new, flat, bounds = out
         assert len(flat) == 7 * n
+        # each component's rows summed in magnitude, left to right
+        assert list(bounds) == [sum(map(abs, flat[c::n])) for c in range(n)]
         got = (y_new, f_new, *(flat[r * n:(r + 1) * n] for r in range(7)))
         for g, e, a in zip(got, (exact[0], exact[1], *exact[2]),
                            (terms[0], terms[1], *terms[2])):
@@ -1330,3 +1334,65 @@ def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
             assert t == t_ref and t != 0.0
             assert p == p_ref.tolist()
             assert all(type(c) is float for c in p)
+
+
+class _PlainCallable:
+    """A field's ``eval`` as a plain right-hand side, which carries no
+    kernel, so each DOP853 stage calls it; the field's ``kinks`` go along."""
+
+    def __init__(self, field):
+        self.ev, self.kinks = field.eval, getattr(field, "kinks", ())
+
+    def __call__(self, t, p):
+        x, y = p
+        return self.ev(x, y)
+
+
+def test_an_inlined_kernel_steps_as_the_call_of_its_field_bit_for_bit(monkeypatch):
+    # a band leg that lands on yhat = 1 (its landing run included), a
+    # regularized leg once round the boundary cycle, and an outer leg: the
+    # fused step gives every number of the step that calls the field
+    from regtang import BandField, RegularizedField, integrate, phi_family
+    from regtang.cycles import RETURN_INTEG
+    from regtang.maps import TransitionConfig
+    from regtang.regularize import SlowManifold
+    from regtang.scenarios import boundary_cycle_system, canonical_system
+
+    landings = []
+    land = integrate._land
+
+    def counting(leg, seg, scan):
+        landings.append(seg.t[-1])
+        return land(leg, seg, scan)
+
+    monkeypatch.setattr(integrate, "_land", counting)
+    canonical = canonical_system(k=1)
+    tf = TransitionConfig(1, 2).tf
+    band = BandField(canonical, tf, 1e-3)
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    legs = [
+        (band, (-0.5, SlowManifold(canonical, tf).m0(-0.5)),
+         SectionSpec("horizontal", 1.0, direction="up"), IntegratorConfig(max_time=1e5), ()),
+        (reg, (-0.3, 0.02), SectionSpec("vertical", -0.3, (0.0, math.inf), "up"),
+         RETURN_INTEG, [SectionSpec("vertical", -0.3, ident="anycross")]),
+        (canonical.x_plus, (-0.01, 0.001), SectionSpec("vertical", 0.5), IntegratorConfig(), ()),
+    ]
+    for field, p0, sec, cfg, records in legs:
+        assert _as_rhs(field).kernel is not None
+        del landings[:]
+        (hit, traj), (ref_hit, ref) = [
+            flow_to_section_traj(f, p0, sec, cfg, record_sections=records)
+            for f in (field, _PlainCallable(field))]
+        # the band leg lands, both ways, and the others do not
+        assert len(landings) == (2 if field is band else 0)
+        (seg,), (ref_seg,) = traj.segments, ref.segments
+        for a, b in ((seg.t, ref_seg.t), (seg.y, ref_seg.y), (seg.h, ref_seg.h),
+                     (seg.coef, ref_seg.coef)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert seg.nfev == ref_seg.nfev
+        assert (hit.t, hit.point.tobytes(), hit.direction) == (
+            ref_hit.t, ref_hit.point.tobytes(), ref_hit.direction)
+        assert [(e.t, e.section_id) for e in traj.events] == [
+            (e.t, e.section_id) for e in ref.events]
+        if field is reg:  # once round, recording the section's line
+            assert any(e.section_id == "anycross" for e in traj.events)

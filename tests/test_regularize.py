@@ -368,10 +368,35 @@ def test_band_jacobian_is_exact_off_the_band():
 
 
 def test_equal_fields_share_their_compiled_kernels():
+    # eps is the kernels' first argument, so every eps shares them too
     a = BandField(canonical_system(1), phi_family(1), 1e-3)
     b = BandField(canonical_system(1), phi_family(1), 1e-3)
     assert a._rhs is b._rhs
-    assert a.jacobian is b.jacobian
-    assert BandField(canonical_system(1), phi_family(1), 2e-3)._rhs is not a._rhs
+    assert a._jac is b._jac
+    assert BandField(canonical_system(1), phi_family(1), 2e-3)._rhs is a._rhs
+    assert BandField(canonical_system(1), phi_family(2), 1e-3)._rhs is not a._rhs
     r = RegularizedField(canonical_system(1), phi_family(1), 1e-3)
     assert RegularizedField(canonical_system(1), phi_family(1), 1e-3)._rhs is r._rhs
+    assert RegularizedField(canonical_system(1), phi_family(1), 2e-3)._rhs is r._rhs
+
+
+def test_one_kernel_per_field_family_at_every_eps(monkeypatch):
+    # 12 eps of each field, each run once on DOP853 (which inlines its
+    # kernel) and its divergence taken: one mix kernel, one Jacobian, one
+    # divergence and one fused step per family, nothing per eps
+    from collections import OrderedDict
+
+    from regtang import polys
+    from regtang.integrate import flow
+
+    sys = canonical_system(1)
+    tf = phi_family(2)
+    monkeypatch.setattr(polys, "_KERNELS", OrderedDict())
+    for eps in np.geomspace(1e-4, 1e-1, 12):
+        band = BandField(sys, tf, eps)
+        flow(band, (-0.3, 0.5), (0.0, 0.1))
+        reg = RegularizedField(sys, tf, eps)
+        flow(reg, (-0.3, 0.5 * eps), (0.0, 0.1))
+        reg.divergence()(-0.3, 0.5 * eps)
+    assert sum(key[0] == "dop853" for key in polys._KERNELS) == 2
+    assert len(polys._KERNELS) == 6

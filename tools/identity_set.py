@@ -6,7 +6,8 @@ Each case runs in this process with ``--workers 1`` and ``--out OUTDIR/<name>``;
 what it prints (the summary, or the JSON error of a bad run) goes to
 ``OUTDIR/<name>/stdout.txt``.  Run it on two checkouts and compare them with
 ``diff -r OUTDIR_A OUTDIR_B``: a change that keeps every float leaves no
-difference.  Only the fits of ``maps.fit_line`` (the ``fit`` and
+difference.  Each case's wall seconds go to standard error, outside OUTDIR.
+Only the fits of ``maps.fit_line`` (the ``fit`` and
 ``contraction_fit`` fields) depend on the OpenBLAS kernel numpy picks for the
 CPU, through ``lstsq``; compare those from one machine.  Every other byte is
 the same under every kernel (``OPENBLAS_CORETYPE``).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+import time
 
 from regtang import cli
 
@@ -48,9 +50,11 @@ def main(argv=None) -> int:
     for name, case in CASES.items():
         out = os.path.join(args[0], name)
         os.makedirs(out, exist_ok=True)
+        start = time.perf_counter()
         with open(os.path.join(out, "stdout.txt"), "w") as fh, \
                 contextlib.redirect_stdout(fh):
             code = cli.main([*case, "--workers", "1", "--out", out])
+        print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
         print(f"{name}: exit {code}")
         if code:
             failed.append(name)
