@@ -118,12 +118,17 @@ def find_cycle(return_fn: Callable[[float], float],
 # variational derivative of a planar section-to-section map
 # --------------------------------------------------------------------------
 
-def _augmented_rhs(eval2: Callable[[float, float], Tuple[float, float]],
-                   div2: Callable[[float, float], float]):
+def _augmented_rhs(field):
+    """The right-hand side of the state (x, y, divergence integral) under
+    ``field`` (a ``PlanarField`` or ``RegularizedField``): a call of its
+    ``augmented``, which carries the field's ``augmented_kernel``, so that
+    a DOP853 leg inlines it into its step."""
+    ev = field.augmented
+
     def rhs(t, p):
-        x, y, _ = p
-        u, v = eval2(x, y)
-        return (u, v, div2(x, y))
+        x, y, w = p
+        return ev(x, y, w)
+    rhs.kernel = field.augmented_kernel
     return rhs
 
 
@@ -145,8 +150,7 @@ def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float) 
     dissipative loops).
     """
     ev = system.x_plus.eval
-    div = system.x_plus.divergence()
-    rhs = _augmented_rhs(ev, div)
+    rhs = _augmented_rhs(system.x_plus)
     sec = SectionSpec("vertical", -rho, interval=(0.0, 1.0), direction="up",
                       ident="inflow")
     try:
@@ -194,7 +198,7 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
                       ident="return")
     counter = SectionSpec("vertical", -rho, ident="anycross")
     if with_divergence:
-        rhs = _augmented_rhs(reg.eval, reg.divergence())
+        rhs = _augmented_rhs(reg)
         p0 = (-rho, y_in, 0.0)
     else:
         rhs = reg

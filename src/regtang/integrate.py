@@ -13,15 +13,18 @@ stepper giving only its step attempt and step-size rule:
 * ``_radau``, Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*,
   IV.8) for stiff 2-D legs, with scipy's constants, Newton iteration and
   step control, its linear algebra done in closed form on Python floats and
-  an exact Jacobian from the field.
+  an exact Jacobian from the field.  Its Newton iteration is generated as
+  straight-line float code (``_radau_newton``).
 
 Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
 floats, and returns a sequence of floats that the steppers use as it is; the
 fields' generated kernels return a tuple.  A field's RHS (``_as_rhs``) calls
-its ``eval`` and carries its generated ``kernel``, which ``_dop853`` inlines
-into each stage of its step: a wrap of ``eval`` on the field's class sees only
-the calls made outside those stages (the run's start, the scan's rates, Radau
-and the RK4 nudge), and ``Segment.nfev`` counts every evaluation.
+its ``eval`` and carries its generated ``kernel``, which both steppers inline
+(``_inliner``) into each stage of their generated code, the DOP853 step and
+the Radau Newton iteration: a wrap of ``eval`` on the field's class sees only
+the calls made outside those stages (the run's start, each accepted Radau
+step's end and a rejected one's error, the scan's rates and the RK4 nudge),
+and ``Segment.nfev`` counts every evaluation.
 
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
 with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
@@ -271,7 +274,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 def _as_rhs(field) -> RHS:
     """The right-hand side of ``field``: a plain callable as it is, else a
     call of its ``eval``, which carries the field's generated ``kernel``
-    (``fn``, ``lead``), if it has one, for ``_dop853`` to inline."""
+    (``fn``, ``lead``), if it has one, for ``_dop853`` and ``_radau`` to
+    inline (``_fused``)."""
     if not hasattr(field, "eval"):  # already a right-hand side
         return field
     ev = field.eval
@@ -582,7 +586,57 @@ def _dot(coefs, names: Sequence[str]) -> str:
     return " + ".join(f"({float(c)!r})*{v}" for c, v in zip(coefs, names) if c)
 
 
-def _dop853_step(n: int, source: Optional[Tuple[str, Sequence[str]]] = None) -> Callable:
+Source = Tuple[str, Sequence[str]]  # a generated kernel's (args, body)
+
+
+def _inliner(n: int, source: Optional[Source]):
+    """How a generated stepper evaluates the RHS of an ``n``-dimensional
+    state: ``(lead, stage)``, the names of the stepper's lead arguments and
+    ``stage(targets, time, state)``, the lines that assign the RHS at the
+    time ``time`` and the state ``state`` (source expressions, one per
+    component) to the names ``targets``.
+
+    Without ``source`` the one ``lead`` argument is the RHS, and a stage
+    calls it as ``rhs(time, [state])``.  ``source`` is the ``(args, body)``
+    of a generated field kernel (``polys.cached_kernel``) whose last n
+    arguments are the state and whose body returns a tuple on its last line
+    only; the ``lead`` arguments are its first ones.  A stage is then the
+    kernel's own statements: its arguments bound by assignment, its return
+    tuple assigned to the targets.  The steppers' own names start with
+    ``_``, which no kernel generator uses.
+    """
+    if source is None:
+        def call(targets, time, state):
+            return [f"{', '.join(targets)}, = _rhs({time}, [{', '.join(state)}])"]
+        return ["_rhs"], call
+    args, body = source
+    names = args.split(", ")
+    params, state_names = names[:-n], names[-n:]
+    *inner, ret = body
+    if not ret.startswith("return ") or any(
+            line.lstrip().startswith("return") for line in inner):
+        raise ValueError("an inlined kernel returns on its last line only")
+    lead = [f"_p{j}" for j in range(len(params))]
+
+    def inline(targets, time, state):  # an autonomous kernel reads no time
+        return [*(f"{p} = {q}" for p, q in zip(params, lead)),
+                *(f"{v} = {e}" for v, e in zip(state_names, state)),
+                *inner, f"{', '.join(targets)}, = {ret[len('return '):]}"]
+    return lead, inline
+
+
+def _fused(rhs: RHS, generate: Callable[[Optional[Source]], Callable]) -> Callable:
+    """The generated stepper function ``generate(source)`` with its lead
+    arguments bound: the kernel's own and its ``source`` when ``rhs``
+    carries its field's ``kernel`` (``_as_rhs``), else ``rhs`` itself."""
+    kernel = getattr(rhs, "kernel", None)
+    if kernel is None:
+        return partial(generate(None), rhs)
+    fn, lead = kernel
+    return partial(generate(fn.source), *lead)
+
+
+def _dop853_step(n: int, source: Optional[Source] = None) -> Callable:
     """The DOP853 step attempt for an ``n``-dimensional state as straight-line
     float code: each tableau constant a ``repr`` literal, zero entries
     skipped, each sum left to right.  ``step(*lead, t, h, y, f, rtol, atol,
@@ -593,19 +647,13 @@ def _dop853_step(n: int, source: Optional[Tuple[str, Sequence[str]]] = None) -> 
     output's 7 rows ``F``, lowest power first, as one flat tuple, and each
     component's sum of its rows' magnitudes, left to right (``_screened``).
 
-    Without ``source`` the one ``lead`` argument is the RHS, and each stage
-    calls it as ``rhs(t, [state])``.  ``source`` is the ``(args, body)`` of a
-    generated field kernel (``polys.cached_kernel``) whose last n arguments
-    are the state and whose body returns a tuple on its last line only; the
-    ``lead`` arguments are its first ones.  Each stage is then the kernel's
-    own statements: its arguments bound by assignment, its return tuple
-    assigned to the stage's values.  The step's own names start with ``_``,
-    which no kernel generator uses.  Memoized by ``polys.cached_kernel``.
+    Each stage calls the RHS, or, with ``source``, is the field kernel's
+    own statements (``_inliner``).  Memoized by ``polys.cached_kernel``.
     """
     return cached_kernel(("dop853", n, source), lambda: _dop853_source(n, source))
 
 
-def _dop853_source(n: int, source: Optional[Tuple[str, Sequence[str]]]):
+def _dop853_source(n: int, source: Optional[Source]):
     """The ``(args, body)`` of ``_dop853_step(n, source)``."""
     K = [f"_k{j}_{{i}}" for j in range(tab.N_STAGES_EXTENDED)]  # stage j, component i
 
@@ -618,25 +666,11 @@ def _dop853_source(n: int, source: Optional[Tuple[str, Sequence[str]]]):
     def point(a):  # the state of a stage with coefficients ``a``
         return f"_y{{i}} + ({_dot(a, K)}) * _h"
 
-    if source is None:
-        lead = ["_rhs"]
+    lead, evaluate = _inliner(n, source)
 
-        def stage(s, time, state):  # ``state`` per component, a format of i
-            return [f"{vec(K[s])}, = _rhs({time}, [{vec(state)}])"]
-    else:
-        args, body = source
-        names = args.split(", ")
-        params, state_names = names[:-n], names[-n:]
-        *inner, ret = body
-        if not ret.startswith("return ") or any(
-                line.lstrip().startswith("return") for line in inner):
-            raise ValueError("an inlined kernel returns on its last line only")
-        lead = [f"_p{j}" for j in range(len(params))]
-
-        def stage(s, time, state):  # an autonomous kernel reads no time
-            return [*(f"{p} = _p{j}" for j, p in enumerate(params)),
-                    *(f"{v} = {state.format(i=i)}" for i, v in enumerate(state_names)),
-                    *inner, f"{vec(K[s])}, = {ret[len('return '):]}"]
+    def stage(s, time, state):  # ``state`` per component, a format of i
+        return evaluate([K[s].format(i=i) for i in range(n)], time,
+                        [state.format(i=i) for i in range(n)])
 
     def stages(A, C, start):
         return [line for s, (a, c) in enumerate(zip(A, C), start=start)
@@ -787,12 +821,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     """
     run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
     y, f = run.y, run.f
-    kernel = getattr(rhs, "kernel", None)
-    if kernel is None:
-        step = partial(_dop853_step(len(y)), rhs)
-    else:
-        fn, lead = kernel
-        step = partial(_dop853_step(len(y), fn.source), *lead)
+    step = _fused(rhs, partial(_dop853_step, len(y)))
 
     def attempt(t, t_new, h, rejected, clamped):
         nonlocal y, f
@@ -843,47 +872,75 @@ def _predict_factor(h_abs: float, h_abs_old: Optional[float], error_norm: float,
     return min(1.0, multiplier) * error_norm ** -0.25
 
 
-def _collocation(rhs: RHS, t: float, y: List[float], h: float, Z0: List[List[float]],
-                 scale: List[float], tol: float, inv_real, inv_complex):
-    """scipy's ``radau.solve_collocation_system`` for a 2-D state on Python
-    floats: simplified Newton iterations on the transformed stages W = TI Z,
-    each one real and one complex 2x2 solve with the inverses ``inv_*``,
-    and three calls of ``rhs``.  Returns (converged, iterations, Z, rate)."""
-    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
-    (a, b, c, d), (ac, bc, cc, dc) = inv_real, inv_complex
-    (r0, r1, r2), (i0, i1, i2) = _RTI[0], _RTI_COMPLEX  # TI_REAL is TI[0]
-    W = [[row[0] * Z0[0][j] + row[1] * Z0[1][j] + row[2] * Z0[2][j] for j in (0, 1)]
-         for row in _RTI]
-    Z = Z0
-    ch = [h * cn for cn in _RC]
-    y0, y1 = y
-    dW_norm_old = rate = None
-    for k in range(_NEWTON_MAXITER):
-        (f00, f01), (f10, f11), (f20, f21) = [
-            rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]) for i in range(3)]
-        if not all(map(math.isfinite, (f00, f01, f10, f11, f20, f21))):
-            break
-        fr0 = f00 * r0 + f10 * r1 + f20 * r2 - m_real * W[0][0]
-        fr1 = f01 * r0 + f11 * r1 + f21 * r2 - m_real * W[0][1]
-        fc0 = f00 * i0 + f10 * i1 + f20 * i2 - m_complex * complex(W[1][0], W[2][0])
-        fc1 = f01 * i0 + f11 * i1 + f21 * i2 - m_complex * complex(W[1][1], W[2][1])
-        dc0, dc1 = ac * fc0 + bc * fc1, cc * fc0 + dc * fc1
-        dW = [[a * fr0 + b * fr1, c * fr0 + d * fr1],
-              [dc0.real, dc1.real], [dc0.imag, dc1.imag]]
-        s0, s1 = scale
-        dW_norm = math.sqrt(sum((u / s0) ** 2 + (v / s1) ** 2 for u, v in dW) / 6)
-        if dW_norm_old is not None:
-            rate = dW_norm / dW_norm_old
-        if rate is not None and (rate >= 1 or
-                                 rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol):
-            break
-        W = [[w + dw for w, dw in zip(wr, dwr)] for wr, dwr in zip(W, dW)]
-        Z = [[row[0] * W[0][j] + row[1] * W[1][j] + row[2] * W[2][j] for j in (0, 1)]
-             for row in _RT]
-        if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
-            return True, k + 1, Z, rate
-        dW_norm_old = dW_norm
-    return False, k + 1, Z, rate
+def _radau_newton(source: Optional[Source] = None) -> Callable:
+    """scipy's ``radau.solve_collocation_system`` for a 2-D state as one
+    generated function on Python floats: the simplified Newton iterations on
+    the transformed stages W = TI Z, each with three RHS evaluations, one
+    real and one complex 2x2 solve by the inverses' entries (``_inverse2``)
+    and scipy's rate and convergence tests.  The constants are ``repr``
+    literals, complex where scipy's are, every product kept (T has a zero
+    entry) and every sum left to right.
+
+    ``newton(*lead, t, h, y, Z0, scale, tol, inv_real, inv_complex, sqrt,
+    isfinite)`` returns ``(converged, iterations, Z, rate)``, Z as three
+    pairs.  Each stage evaluation calls the RHS, or, with ``source``, is the
+    field kernel's own statements (``_inliner``).  Memoized by
+    ``polys.cached_kernel``.
+    """
+    return cached_kernel(("radau", source), lambda: _radau_source(source))
+
+
+def _radau_source(source: Optional[Source]):
+    """The ``(args, body)`` of ``_radau_newton(source)``."""
+    lead, evaluate = _inliner(2, source)
+
+    def prod(M, out, v):  # out = M v, per row r and component j, every term kept
+        return [f"_{out}{r}{j} = " + " + ".join(f"({m!r}) * _{v}{s}{j}"
+                                                for s, m in enumerate(row))
+                for r, row in enumerate(M) for j in (0, 1)]
+
+    def residual(target, coefs, j, m, w):
+        return (f"{target} = " + " + ".join(f"_f{i}{j} * ({c!r})" for i, c in enumerate(coefs))
+                + f" - {m} * {w}")
+
+    Z = "((_z00, _z01), (_z10, _z11), (_z20, _z21))"
+    terms = [f"(_dw{r}0 / _s0) ** 2 + (_dw{r}1 / _s1) ** 2" for r in range(3)]
+    body = [
+        "_y0, _y1 = _y", f"{Z} = _Z0", "_s0, _s1 = _scale",
+        "(_a, _b, _c, _d), (_ac, _bc, _cc, _dc) = _inv_real, _inv_complex",
+        f"_mr = ({_MU_REAL!r}) / _h", f"_mc = ({_MU_COMPLEX!r}) / _h",
+        *prod(_RTI, "w", "z"),
+        "_old = _rate = None",
+        f"for _k in range({_NEWTON_MAXITER}):",
+        *("    " + line for i, c in enumerate(_RC)
+          for line in evaluate([f"_f{i}0", f"_f{i}1"], f"_t + _h * ({c!r})",
+                               [f"_y0 + _z{i}0", f"_y1 + _z{i}1"])),
+        "    if not (" + " and ".join(f"_isfinite(_f{i}{j})" for i in range(3)
+                                      for j in (0, 1)) + "):",
+        "        break",
+        "    " + residual("_fr0", _RTI[0], 0, "_mr", "_w00"),  # TI_REAL is TI[0]
+        "    " + residual("_fr1", _RTI[0], 1, "_mr", "_w01"),
+        "    " + residual("_fc0", _RTI_COMPLEX, 0, "_mc", "complex(_w10, _w20)"),
+        "    " + residual("_fc1", _RTI_COMPLEX, 1, "_mc", "complex(_w11, _w21)"),
+        "    _dc0 = _ac * _fc0 + _bc * _fc1", "    _dc1 = _cc * _fc0 + _dc * _fc1",
+        "    _dw00 = _a * _fr0 + _b * _fr1", "    _dw01 = _c * _fr0 + _d * _fr1",
+        "    _dw10 = _dc0.real", "    _dw11 = _dc1.real",
+        "    _dw20 = _dc0.imag", "    _dw21 = _dc1.imag",
+        # sum()'s start, 0, is left out: each term is +0.0 or above, or NaN
+        f"    _norm = _sqrt(({' + '.join(f'({t})' for t in terms)}) / 6)",
+        "    if _old is not None:",
+        "        _rate = _norm / _old",
+        "    if _rate is not None and (_rate >= 1 or "
+        f"_rate ** ({_NEWTON_MAXITER} - _k) / (1 - _rate) * _norm > _tol):",
+        "        break",
+        *(f"    _w{r}{j} = _w{r}{j} + _dw{r}{j}" for r in range(3) for j in (0, 1)),
+        *("    " + line for line in prod(_RT, "z", "w")),
+        "    if _norm == 0 or _rate is not None and _rate / (1 - _rate) * _norm < _tol:",
+        f"        return True, _k + 1, {Z}, _rate",
+        "    _old = _norm",
+        f"return False, _k + 1, {Z}, _rate"]
+    return ", ".join(lead + ["_t", "_h", "_y", "_Z0", "_scale", "_tol", "_inv_real",
+                             "_inv_complex", "_sqrt", "_isfinite"]), body
 
 
 def _rms(v: Sequence[float], scale: Sequence[float]) -> float:
@@ -902,10 +959,14 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     scipy's ``Radau._step_impl``; the linear algebra is the closed-form
     inverse of the real and the complex 2x2 matrix (``_inverse2``, two "LU"
     per factorization in ``nlu``) and every operation runs on Python floats.
-    Bit-identity with scipy's ``Radau`` is not sought.  Each step keeps its
-    collocation polynomial as dense output, which also predicts the next
-    step's stages.  The inputs are checked and the first step chosen as
-    scipy does (``_start``, with the error estimate's order 3).
+    Bit-identity with scipy's ``Radau`` is not sought.  The Newton iteration
+    is ``_radau_newton``: an ``rhs`` that carries its field's ``kernel``
+    (``_as_rhs``) is inlined in each of its stage evaluations, which then
+    make no call; ``rhs`` itself serves the start, each accepted step's end
+    and a rejected step's error estimate.  Each step keeps its collocation
+    polynomial as dense output, which also predicts the next step's stages.
+    The inputs are checked and the first step chosen as scipy does
+    (``_start``, with the error estimate's order 3).
     """
     run = _Run(rhs, t_span, y0, config, scan, 3, _radau_horner)
     y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
@@ -917,6 +978,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     inv = None  # the inverses of the real and the complex Newton matrix
     h_abs_old = error_norm_old = None
     prev = None  # (t_old, h, y_old, Q) of the last step
+    newton = _fused(rhs, _radau_newton)
 
     def attempt(t, t_new, h, rejected, clamped):
         nonlocal y, f, J, current_jac, inv, h_abs_old, error_norm_old, prev
@@ -937,8 +999,8 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
             if inv is None:
                 inv = _inverse2(_MU_REAL / h, J), _inverse2(_MU_COMPLEX / h, J)
                 run.nlu += 2
-            converged, n_iter, Z, rate = _collocation(rhs, t, y, h, Z0, scale, newton_tol,
-                                                      *inv)
+            converged, n_iter, Z, rate = newton(t, h, y, Z0, scale, newton_tol, *inv,
+                                                math.sqrt, math.isfinite)
             run.nfev += 3 * n_iter
             if not converged:
                 if current_jac:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -113,37 +113,53 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Cal
     return compile_kernel("eps, x, s", body)
 
 
-def _divergence_kernel(system: FilippovSystem,
-                       tf: TransitionFunction) -> Callable[[float, float, float], float]:
-    """Straight-line float kernel of the divergence of the regularized field,
+def _divergence_body(system: FilippovSystem, tf: TransitionFunction, named: list) -> list:
+    """Statements that assign the divergence of the regularized field,
 
         c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
 
-    with s = h/eps; the last term is added only where Phi'(s) != 0.  A
-    gradient component of h that is 0 drops its term, and one that is 1
-    multiplies nothing, so for h = y the term is Phi'(s)/(2 eps) (X2+ - X2-).
+    to ``div``, with s = h/eps, after ``_kernel_body``'s for ``named`` and
+    the divergences; the last term is added only where Phi'(s) != 0, from
+    the zone components ``named`` does not assign already.  A gradient
+    component of h that is 0 drops its term, and one that is 1 multiplies
+    nothing, so for h = y the term is Phi'(s)/(2 eps) (X2+ - X2-).
     """
-    named = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
-             for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
+    divs = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
+            for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
     jump, terms = [], []
     for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1):
         if not g.terms:
             continue
-        jump += _zone_polys(system, (i,))
+        jump += [part for part in _zone_polys(system, (i,)) if part not in named]
         if g == Poly2.const(1):
             terms.append(f"(p{i} - m{i})")
         else:
             jump.append((f"h{i}", g))
             terms.append(f"h{i}*(p{i} - m{i})")
-    body = _kernel_body(system, tf, False, named, slope=True)
+    body = _kernel_body(system, tf, False, named + divs, slope=True)
     # the jump's own statements run only where it is added
     inner = [line for line in power_lines(p for _, p in jump) if line not in body]
     for name, p in jump:
         inner += p.float_lines(name)
-    body += ["v = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
-             f"    v += D/(2.0*eps)*({' + '.join(terms) or '0.0'})",
-             "return v"]
-    return compile_kernel("eps, x, y", body)
+    return body + ["div = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
+                   f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})"]
+
+
+def _divergence_kernel(system: FilippovSystem,
+                       tf: TransitionFunction) -> Callable[[float, float, float], float]:
+    """Straight-line float kernel ``(eps, x, y) -> div`` of the divergence
+    of the regularized field (``_divergence_body``)."""
+    return compile_kernel("eps, x, y", _divergence_body(system, tf, []) + ["return div"])
+
+
+def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
+    """Straight-line float kernel ``(eps, x, y, w) -> (u, v, div)`` of the
+    regularized field and its divergence, for a state that carries the
+    divergence integral w, which it does not read.  It computes s, Phi(s),
+    c and d once and runs the statements of ``_mix_kernel`` and
+    ``_divergence_kernel`` on them, so it returns their numbers."""
+    body = _divergence_body(system, tf, _zone_polys(system))
+    return compile_kernel("eps, x, y, w", body + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"])
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +176,10 @@ class RegularizedField:
     leg inlines the kernel into its step (``integrate._dop853_step``), so a
     wrap of ``eval`` on the class sees only the calls made outside the
     step's stages, such as the run's start and the scan's rates.
-    ``divergence()`` returns a third kernel with eps bound.
+    ``divergence()`` returns a third kernel with eps bound.  A fourth, built
+    on first use, gives the field and its divergence in one:
+    ``augmented(x, y, w)`` runs it, and ``augmented_kernel`` is it with its
+    eps, for a DOP853 leg to inline.
     """
 
     system: FilippovSystem
@@ -179,6 +198,16 @@ class RegularizedField:
 
     def divergence(self) -> Callable[[float, float], float]:
         return partial(_divergence_kernel(self.system, self.tf), self._eps)
+
+    @cached_property
+    def augmented_kernel(self):
+        """The kernel of the field with its divergence, ``(fn, (eps,))``,
+        ``fn(eps, x, y, w) -> (u, v, div)`` (``_augmented_kernel``)."""
+        return _augmented_kernel(self.system, self.tf), (self._eps,)
+
+    def augmented(self, x: float, y: float, w: float) -> Tuple[float, float, float]:
+        fn, lead = self.augmented_kernel
+        return fn(*lead, x, y, w)
 
 
 # --------------------------------------------------------------------------

@@ -894,6 +894,91 @@ def test_radau_counts_every_rhs_call():
     assert calls[0] == seg.nfev
 
 
+def _collocation_loop(rhs, t, y, h, Z0, scale, tol, inv_real, inv_complex):
+    """scipy's ``radau.solve_collocation_system`` for a 2-D state as a loop
+    over lists on Python floats: the reference for ``_radau_newton``."""
+    from regtang import _tableaux as tab
+
+    maxiter = tab.NEWTON_MAXITER
+    m_real, m_complex = tab.MU_REAL / h, tab.MU_COMPLEX / h
+    (a, b, c, d), (ac, bc, cc, dc) = inv_real, inv_complex
+    (r0, r1, r2), (i0, i1, i2) = tab.RADAU_TI[0], tab.RADAU_TI_COMPLEX
+    W = [[row[0] * Z0[0][j] + row[1] * Z0[1][j] + row[2] * Z0[2][j] for j in (0, 1)]
+         for row in tab.RADAU_TI]
+    Z = Z0
+    ch = [h * cn for cn in tab.RADAU_C]
+    y0, y1 = y
+    dW_norm_old = rate = None
+    for k in range(maxiter):
+        (f00, f01), (f10, f11), (f20, f21) = [
+            rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]) for i in range(3)]
+        if not all(map(math.isfinite, (f00, f01, f10, f11, f20, f21))):
+            break
+        fr0 = f00 * r0 + f10 * r1 + f20 * r2 - m_real * W[0][0]
+        fr1 = f01 * r0 + f11 * r1 + f21 * r2 - m_real * W[0][1]
+        fc0 = f00 * i0 + f10 * i1 + f20 * i2 - m_complex * complex(W[1][0], W[2][0])
+        fc1 = f01 * i0 + f11 * i1 + f21 * i2 - m_complex * complex(W[1][1], W[2][1])
+        dc0, dc1 = ac * fc0 + bc * fc1, cc * fc0 + dc * fc1
+        dW = [[a * fr0 + b * fr1, c * fr0 + d * fr1],
+              [dc0.real, dc1.real], [dc0.imag, dc1.imag]]
+        s0, s1 = scale
+        dW_norm = math.sqrt(sum((u / s0) ** 2 + (v / s1) ** 2 for u, v in dW) / 6)
+        if dW_norm_old is not None:
+            rate = dW_norm / dW_norm_old
+        if rate is not None and (rate >= 1 or
+                                 rate ** (maxiter - k) / (1 - rate) * dW_norm > tol):
+            break
+        W = [[w + dw for w, dw in zip(wr, dwr)] for wr, dwr in zip(W, dW)]
+        Z = [[row[0] * W[0][j] + row[1] * W[1][j] + row[2] * W[2][j] for j in (0, 1)]
+             for row in tab.RADAU_T]
+        if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
+            return True, k + 1, Z, rate
+        dW_norm_old = dW_norm
+    return False, k + 1, Z, rate
+
+
+def _hexed(out):
+    """A Newton result with every float as its hex string."""
+    converged, iters, Z, rate = out
+    return (converged, iters, [[float.hex(z) for z in row] for row in Z],
+            None if rate is None else float.hex(rate))
+
+
+def test_the_generated_newton_iteration_is_the_loop_bit_for_bit():
+    # converging, diverging (rate >= 1) and non-finite solves of the stiff
+    # linear field, also with a wrong Jacobian, and of a band field near its
+    # fold, called and inlined
+    from regtang import BandField, _tableaux as tab
+    from regtang.integrate import _inverse2, _radau_newton
+    from regtang.maps import TransitionConfig
+    from regtang.scenarios import canonical_system
+
+    def blow_up(t, p):  # its stages overflow to inf
+        return p[0] * 1e308, p[1] * 1e308
+
+    band = BandField(canonical_system(2), TransitionConfig(2, 6).tf, 1e-6)
+    band_rhs, (fn, lead) = _as_rhs(band), band.kernel
+    called, near_fold, y_lin = _radau_newton(None), [-0.01, 0.97], [0.3, 2.0]
+    cases = [  # (rhs, its Newton iteration with the lead arguments bound, J, y)
+        (_stiff_linear, partial(called, _stiff_linear), _stiff_linear_jac(0.0, y_lin), y_lin),
+        (_stiff_linear, partial(called, _stiff_linear), ((0.0, 0.0), (0.0, 0.0)), y_lin),
+        (band_rhs, partial(called, band_rhs), band.jacobian(*near_fold), near_fold),
+        (band_rhs, partial(_radau_newton(fn.source), *lead), band.jacobian(*near_fold),
+         near_fold),
+        (blow_up, partial(called, blow_up), ((1e308, 0.0), (0.0, 1e308)), [2.0, 3.0])]
+    seen = set()
+    for rhs, newton, J, y in cases:
+        scale = [1e-12 + abs(v) * 1e-10 for v in y]
+        for h in (1e-9, 1e-6, 1e-3, 0.1, 2.0):
+            inv = _inverse2(tab.MU_REAL / h, J), _inverse2(tab.MU_COMPLEX / h, J)
+            for Z0 in ([[0.0, 0.0]] * 3, [[1e-7, -2e-7], [3e-7, 1e-8], [-4e-7, 5e-7]]):
+                want = _collocation_loop(rhs, 0.5, y, h, Z0, scale, 0.03, *inv)
+                got = newton(0.5, h, y, Z0, scale, 0.03, *inv, math.sqrt, math.isfinite)
+                assert _hexed(got) == _hexed(want)
+                seen.add((want[0], want[3] is not None and want[3] >= 1))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
 # --------------------------------------------------------------------------
 # section crossings on a Radau leg
 # --------------------------------------------------------------------------
@@ -1323,7 +1408,7 @@ def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
     reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
     band = BandField(canonical_system(k=1), phi_family(1), 1e-3)
     cases = [  # the return-map leg of the cycle study, 3-D; a band leg, 2-D
-        (_augmented_rhs(reg.eval, reg.divergence()), (-0.3, 0.02, 0.0),
+        (_augmented_rhs(reg), (-0.3, 0.02, 0.0),
          SectionSpec("vertical", -0.3, direction="up")),
         (_as_rhs(band), (-0.2, 1.0), SectionSpec("horizontal", 1.0, direction="up")),
     ]
@@ -1338,10 +1423,13 @@ def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
 
 class _PlainCallable:
     """A field's ``eval`` as a plain right-hand side, which carries no
-    kernel, so each DOP853 stage calls it; the field's ``kinks`` go along."""
+    kernel, so each stage of either stepper calls it; the field's ``kinks``,
+    and its ``jacobian`` and ``eps``, which pick the stepper, go along."""
 
     def __init__(self, field):
         self.ev, self.kinks = field.eval, getattr(field, "kinks", ())
+        if hasattr(field, "jacobian"):
+            self.jacobian, self.eps = field.jacobian, field.eps
 
     def __call__(self, t, p):
         x, y = p
@@ -1385,14 +1473,92 @@ def test_an_inlined_kernel_steps_as_the_call_of_its_field_bit_for_bit(monkeypatc
             for f in (field, _PlainCallable(field))]
         # the band leg lands, both ways, and the others do not
         assert len(landings) == (2 if field is band else 0)
-        (seg,), (ref_seg,) = traj.segments, ref.segments
-        for a, b in ((seg.t, ref_seg.t), (seg.y, ref_seg.y), (seg.h, ref_seg.h),
-                     (seg.coef, ref_seg.coef)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert seg.nfev == ref_seg.nfev
-        assert (hit.t, hit.point.tobytes(), hit.direction) == (
-            ref_hit.t, ref_hit.point.tobytes(), ref_hit.direction)
-        assert [(e.t, e.section_id) for e in traj.events] == [
-            (e.t, e.section_id) for e in ref.events]
+        _assert_same_leg((hit, traj), (ref_hit, ref))
         if field is reg:  # once round, recording the section's line
             assert any(e.section_id == "anycross" for e in traj.events)
+
+
+def _assert_same_leg(leg, ref_leg):
+    """The two ``(hit, trajectory)`` of one leg agree bit for bit: steps,
+    states, dense output, work counts, hit and events."""
+    (hit, traj), (ref_hit, ref) = leg, ref_leg
+    (seg,), (ref_seg,) = traj.segments, ref.segments
+    for a, b in ((seg.t, ref_seg.t), (seg.y, ref_seg.y), (seg.h, ref_seg.h),
+                 (seg.coef, ref_seg.coef)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (seg.nfev, seg.njev, seg.nlu) == (ref_seg.nfev, ref_seg.njev, ref_seg.nlu)
+    assert (hit.t, hit.point.tobytes(), hit.direction) == (
+        ref_hit.t, ref_hit.point.tobytes(), ref_hit.direction)
+    assert [(e.t, e.section_id) for e in traj.events] == [
+        (e.t, e.section_id) for e in ref.events]
+
+
+@pytest.mark.parametrize("k, n, eps", [(1, 2, 1e-5), (2, 6, 1e-6)])
+def test_an_inlined_kernel_solves_radau_newton_as_the_call_of_its_field(monkeypatch, k, n,
+                                                                      eps):
+    # the departure legs at the smallest eps of the benchmark, stiff, on
+    # Radau IIA: its Newton iteration with the band field's kernel inlined
+    # gives every number of the iteration that calls the field, the
+    # landing run on yhat = 1 included
+    from regtang import BandField, integrate, lambda_star, maps
+    from regtang.maps import TransitionConfig, find_x_epsilon
+    from regtang.scenarios import canonical_system
+
+    legs, landings = [], []
+    flow, land = maps.flow_to_section_traj, integrate._land
+
+    def both(field, *args, **kwargs):
+        assert isinstance(field, BandField) and _as_rhs(field).kernel is not None
+        legs.append([flow(f, *args, **kwargs) for f in (field, _PlainCallable(field))])
+        return legs[-1][0]
+
+    def counting(leg, seg, scan):
+        landings.append(seg.t[-1])
+        return land(leg, seg, scan)
+
+    monkeypatch.setattr(maps, "flow_to_section_traj", both)
+    monkeypatch.setattr(integrate, "_land", counting)
+    find_x_epsilon(canonical_system(k), TransitionConfig(k, n, lam=0.999 * lambda_star(k, n)),
+                   eps)
+    assert len(legs) == 1 and len(landings) == 2  # each way, the leg lands
+    (leg, ref_leg), = legs
+    assert leg[1].segments[0].njev > 0  # a Radau leg
+    _assert_same_leg(leg, ref_leg)
+
+
+def test_one_generated_newton_iteration_serves_a_field_family_at_every_eps(monkeypatch):
+    # the band kernel takes eps as an argument, so the Radau legs of one
+    # system and profile at every eps share one generated Newton iteration
+    from collections import OrderedDict
+
+    from regtang import BandField, lambda_star, polys
+    from regtang.integrate import _radau_newton
+    from regtang.maps import TransitionConfig, find_x_epsilon
+    from regtang.scenarios import canonical_system
+
+    monkeypatch.setattr(polys, "_KERNELS", OrderedDict())
+    system, cfg = canonical_system(2), TransitionConfig(2, 6, lam=0.999 * lambda_star(2, 6))
+    for eps in (1e-5, 1e-6):
+        find_x_epsilon(system, cfg, eps)
+    (key,) = [key for key in polys._KERNELS if key[0] == "radau"]
+    fn = polys._KERNELS[key]
+    for eps in (1e-5, 1e-6, 1e-7):
+        kernel, _ = BandField(system, cfg.tf, eps).kernel
+        assert key == ("radau", kernel.source) and _radau_newton(kernel.source) is fn
+
+
+def test_an_inlined_augmented_kernel_steps_as_the_call_of_its_field_bit_for_bit():
+    # the return-map leg with the divergence integral (3-D) inlines the
+    # field's augmented kernel and steps as the leg that calls it
+    from regtang import RegularizedField, phi_family
+    from regtang.cycles import RETURN_INTEG, _augmented_rhs
+    from regtang.scenarios import boundary_cycle_system
+
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    rhs = _augmented_rhs(reg)
+    assert rhs.kernel == reg.augmented_kernel
+    sec = SectionSpec("vertical", -0.3, (0.0, math.inf), "up")
+    records = [SectionSpec("vertical", -0.3, ident="anycross")]
+    _assert_same_leg(*[flow_to_section_traj(f, (-0.3, 0.02, 0.0), sec, RETURN_INTEG,
+                                            record_sections=records)
+                       for f in (rhs, lambda t, p: reg.augmented(*p))])

@@ -304,7 +304,8 @@ def _composed_divergence(system, tf, eps, jump, x, y):
 
 def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
     # h = y: the jump term is h_y (X2+ - X2-) = X2+ - X2-; the tilted
-    # h = y - x/2 adds h_x (X1+ - X1-) = -(X1+ - X1-)/2
+    # h = y - x/2 adds h_x (X1+ - X1-) = -(X1+ - X1-)/2.  The augmented
+    # kernel gives eval's and this kernel's numbers at once.
     from regtang import FilippovSystem, Poly2
 
     tilted = Poly2.y() - Poly2.x().scale(Fraction(1, 2))
@@ -315,7 +316,8 @@ def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
         cases.append((FilippovSystem(sys.x_plus, sys.x_minus, tilted), tf, eps,
                       lambda d1, d2: -0.5 * d1 + d2, 0.5))
     for sys, tf, eps, jump, slope in cases:
-        div = RegularizedField(sys, tf, eps).divergence()
+        reg = RegularizedField(sys, tf, eps)
+        div = reg.divergence()
         inside = 0
         for x in (-0.7, -0.3, 0.0, 0.2, 0.55):
             # outside the band, on its edges s = +-1, and inside it
@@ -325,6 +327,8 @@ def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
                 want = _composed_divergence(sys, tf, eps, jump, x, y)
                 assert type(got) is float
                 assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+                assert list(map(float.hex, reg.augmented(x, y, 0.0))) == list(
+                    map(float.hex, (*reg.eval(x, y), got)))
                 inside += abs(sys.h(x, y) / eps) < 1.0
         assert inside >= 20
 
