@@ -462,8 +462,8 @@ def unique_root_scan(return_fn: Callable[[float], float],
 
 
 def polyline_to_csv(points: np.ndarray) -> str:
-    return "x,y\n" + "".join(["%.17g,%.17g\n" % (x, y)
-                              for x, y in np.asarray(points, dtype=float).tolist()])
+    points = np.asarray(points, dtype=float)  # one row (x, y) per point
+    return "x,y\n" + "%.17g,%.17g\n" * len(points) % tuple(points.ravel().tolist())
 
 
 # --------------------------------------------------------------------------

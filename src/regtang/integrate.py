@@ -1,26 +1,29 @@
 """Adaptive integration with dense output and refined section events.
 
 Every ODE solve of the package runs in one of two lean steppers with one
-contract, ``(rhs, t_span, y0, config, scan) -> Segment``, and one step loop
-(``_Run``: scipy's step-size clamping and clipping to the span's end), each
-stepper giving only its step attempt and step-size rule:
+contract, ``(rhs, t_span, y0, config, scan) -> Segment``, each a generated
+run loop around one loop skeleton (``_loop_source``: scipy's step-size
+clamping and clipping to the span's end), the stepper giving its step
+attempt and step-size rule.  The loop returns to Python (``_Run.record``)
+only at a step its scan's screen lets through, past the norm bound, or at
+the span's end:
 
 * ``_dop853``, the default (8th-order embedded pair with a matching-order
   interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6).
   It runs scipy's method with scipy's coefficients and step control, its
-  step generated per state dimension as straight-line float code
-  (``_dop853_step``), so no number depends on the BLAS kernel numpy runs.
+  loop generated per state dimension as straight-line float code
+  (``_dop853_loop``), so no number depends on the BLAS kernel numpy runs.
 * ``_radau``, Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*,
   IV.8) for stiff 2-D legs, with scipy's constants, Newton iteration and
   step control, its linear algebra done in closed form on Python floats and
-  an exact Jacobian from the field.  Its Newton iteration is generated as
-  straight-line float code (``_radau_newton``).
+  an exact Jacobian from the field.  Its loop (``_radau_loop``) calls its
+  Newton iteration, generated as straight-line float code (``_radau_newton``).
 
 Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
 floats, and returns a sequence of floats that the steppers use as it is; the
 fields' generated kernels return a tuple.  A field's RHS (``_as_rhs``) calls
 its ``eval`` and carries its generated ``kernel``, which both steppers inline
-(``_inliner``) into each stage of their generated code, the DOP853 step and
+(``_inliner``) into each stage of their generated code, the DOP853 loop and
 the Radau Newton iteration: a wrap of ``eval`` on the field's class sees only
 the calls made outside those stages (the run's start, each accepted Radau
 step's end and a rejected one's error, the scan's rates and the RK4 nudge),
@@ -60,6 +63,7 @@ plain ``NoCrossing`` if there is none.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import warnings
@@ -384,13 +388,13 @@ def _screened(bound: float, start: float, band: float) -> bool:
     it by at most ``bound``, the sum of their magnitudes, since every term of
     either method's polynomial (DOP853's x^a (1-x)^b, Radau's x, x**2, x**3)
     lies in [0, 1] on the step.  The stepper sums the magnitudes left to
-    right as it builds the rows."""
+    right as it builds the rows, and its run loop applies the same test."""
     return abs(start) > bound + 2 * band
 
 
 class _Scan:
     """The crossings and touches of sections on each step of a run, found as
-    ``_Run.record`` keeps the step.
+    the run keeps the step (``_Run.record``).
 
     A step's dense output is evaluated on SCAN_SUBDIV sub-steps, one component
     on Python floats as ``Segment`` evaluates it (a time on a step boundary on
@@ -416,15 +420,13 @@ class _Scan:
         self.touches: List[Tuple[float, np.ndarray]] = []
         self.last = [math.inf] * len(self.sections)  # each section's last root
         self.near = [False] * len(self.sections)  # the previous step unscreened
-        self.prev = None  # the previous step
 
-    def step(self, horner: Callable, sense: float, cur, t_new: float,
+    def step(self, horner: Callable, sense: float, prev, cur, t_new: float,
              bounds: Sequence[float]) -> Optional[EventHit]:
         """Scan the step ``cur`` = ``(t_old, h, y_old, coef)`` of a run in
-        the direction ``sense``, which ends at ``t_new``; ``bounds`` holds
-        each component's sum of row magnitudes (``_screened``).  Returns
-        ``hit``."""
-        prev, self.prev = self.prev, cur
+        the direction ``sense``, which ends at ``t_new``, after the step
+        ``prev`` (None for the first); ``bounds`` holds each component's sum
+        of row magnitudes (``_screened``).  Returns ``hit``."""
         t_old, h, y_old, coef = cur
         n, near = len(y_old), []
         for j, sec in enumerate(self.sections):
@@ -601,9 +603,10 @@ def _inliner(n: int, source: Optional[Source]):
     of a generated field kernel (``polys.cached_kernel``) whose last n
     arguments are the state and whose body returns a tuple on its last line
     only; the ``lead`` arguments are its first ones.  A stage is then the
-    kernel's own statements: its arguments bound by assignment, its return
-    tuple assigned to the targets.  The steppers' own names start with
-    ``_``, which no kernel generator uses.
+    kernel's own statements: those of its arguments the body reads bound by
+    assignment (the divergence integral's state ``w`` of an augmented kernel
+    is not), its return tuple assigned to the targets.  The steppers' own
+    names start with ``_``, which no kernel generator uses.
     """
     if source is None:
         def call(targets, time, state):
@@ -617,10 +620,12 @@ def _inliner(n: int, source: Optional[Source]):
             line.lstrip().startswith("return") for line in inner):
         raise ValueError("an inlined kernel returns on its last line only")
     lead = [f"_p{j}" for j in range(len(params))]
+    read = {node.id for node in ast.walk(ast.parse("\n".join(body)))
+            if isinstance(node, ast.Name)}
 
     def inline(targets, time, state):  # an autonomous kernel reads no time
-        return [*(f"{p} = {q}" for p, q in zip(params, lead)),
-                *(f"{v} = {e}" for v, e in zip(state_names, state)),
+        return [*(f"{p} = {q}" for p, q in zip(params, lead) if p in read),
+                *(f"{v} = {e}" for v, e in zip(state_names, state) if v in read),
                 *inner, f"{', '.join(targets)}, = {ret[len('return '):]}"]
     return lead, inline
 
@@ -636,16 +641,72 @@ def _fused(rhs: RHS, generate: Callable[[Optional[Source]], Callable]) -> Callab
     return partial(generate(fn.source), *lead)
 
 
-def _dop853_step(n: int, source: Optional[Source] = None) -> Callable:
-    """The DOP853 step attempt for an ``n``-dimensional state as straight-line
-    float code: each tableau constant a ``repr`` literal, zero entries
-    skipped, each sum left to right.  ``step(*lead, t, h, y, f, rtol, atol,
-    sqrt)`` takes the state and its RHS value (lists), computes the 12 stages
-    and scipy's E5/E3 error norm with its NaN rules, and returns
-    ``(error_norm, None)`` unless the norm is below 1, else ``(error_norm,
-    (y_new, f_new, rows, bounds))`` with the 3 extra stages taken, the dense
-    output's 7 rows ``F``, lowest power first, as one flat tuple, and each
-    component's sum of its rows' magnitudes, left to right (``_screened``).
+def _loop_source(n: int, lead: Sequence[str], extra: Sequence[str], setup: Sequence[str],
+                 attempt: Sequence[str]) -> Source:
+    """The ``(args, body)`` of a run loop for an ``n``-dimensional state: a
+    generator running scipy's ``OdeSolver.step`` loop around a stepper's step
+    attempt, with the stepper's state in its locals.
+
+    ``loop(*lead, t, t_bound, direction, h_abs, max_step, y, rtol, atol,
+    nfev, njev, nlu, levels, band2, ts, ys, hs, cs, nextafter, underflow,
+    *extra)`` steps from ``(t, y)``: each step's proposed size is clamped to
+    [min_step, max_step], each try clipped to ``t_bound``, and a size below
+    min_step raises ``underflow``.  The ``attempt`` lines (after ``setup``)
+    try the step ``_h`` from ``_t`` to ``_tn`` (``_rejected``: an earlier try
+    was; ``_clamped``: the first size was) and ``continue`` with the next
+    try's size ``_sa``, or set the next step's size ``_sa``, the new state
+    ``_yn``, the flat coefficient rows ``_rows`` and their magnitude sums
+    ``_bnd``, and ``break``; they count their work in ``_nfev``, ``_njev``
+    and ``_nlu``.  A step the scan's screen passes over (``_screened`` at each
+    of ``levels``, the tuples of x and y levels; ``band2`` is twice the band)
+    with its state within ``NORM_GUARD`` is appended to ``ts``, ``ys``, ``hs``
+    and ``cs`` here.  Any other, and the span's last, is yielded as ``(t_old,
+    t, h, y, rows, bounds, nfev, njev, nlu)`` for ``_Run.record``, which sends
+    back whether a section is still near.
+    """
+    within = " and ".join(f"{-NORM_GUARD!r} <= _yn[{i}] <= {NORM_GUARD!r}" for i in range(n))
+    body = [
+        "_far = _dir * float('inf')", "_lv0, _lv1 = _lv",
+        "_yo, _near = _y, False",
+        *setup,
+        "while True:",
+        "    _min = 10 * abs(_nextafter(_t, _far) - _t)",
+        "    _sa = _max_step if _h_abs > _max_step else _min if _h_abs < _min else _h_abs",
+        "    _clamped, _rejected = _sa != _h_abs, False",
+        "    while True:",
+        "        if _sa < _min:",
+        f"            raise _underflow({tab.TOO_SMALL_STEP!r})",
+        "        _tn = _t + _sa * _dir",
+        "        if _dir * (_tn - _tb) > 0:",
+        "            _tn = _tb",
+        "        _h = _tn - _t",
+        *("        " + line for line in attempt),
+        "    _h_abs = _sa",
+        *(line for c in (0, 1) for line in (
+            f"    for _v in _lv{c}:",
+            f"        if not abs(_yo[{c}] - _v) > _bnd[{c}] + _band2:",
+            "            _near = True")),
+        f"    if _near or _tn == _tb or not ({within}):",
+        "        _near = yield _t, _tn, _h, _yn, _rows, _bnd, _nfev, _njev, _nlu",
+        "    else:",
+        "        _ts.append(_tn)", "        _ys.append(_yn)",
+        "        _hs.append(_h)", "        _cs.append(_rows)",
+        "    _t, _yo = _tn, _yn"]
+    args = ("_t, _tb, _dir, _h_abs, _max_step, _y, _rtol, _atol, _nfev, _njev, _nlu, _lv, "
+            "_band2, _ts, _ys, _hs, _cs, _nextafter, _underflow")
+    return ", ".join([*lead, args, *extra]), body
+
+
+def _dop853_loop(n: int, source: Optional[Source] = None) -> Callable:
+    """The DOP853 run loop for an ``n``-dimensional state (``_loop_source``),
+    its step attempt straight-line float code: each tableau constant a
+    ``repr`` literal, zero entries skipped, each sum left to right.  It takes
+    the start state's RHS value and ``sqrt`` as its ``extra`` arguments,
+    computes the 12 stages and scipy's E5/E3 error norm with its NaN rules,
+    and on an accepted step the 3 extra stages, the dense output's 7 rows
+    ``F``, lowest power first, and each component's sum of its rows'
+    magnitudes, left to right (``_screened``); the step size follows
+    scipy's ``RungeKutta._step_impl``.
 
     Each stage calls the RHS, or, with ``source``, is the field kernel's
     own statements (``_inliner``).  Memoized by ``polys.cached_kernel``.
@@ -653,8 +714,8 @@ def _dop853_step(n: int, source: Optional[Source] = None) -> Callable:
     return cached_kernel(("dop853", n, source), lambda: _dop853_source(n, source))
 
 
-def _dop853_source(n: int, source: Optional[Source]):
-    """The ``(args, body)`` of ``_dop853_step(n, source)``."""
+def _dop853_source(n: int, source: Optional[Source]) -> Source:
+    """The ``(args, body)`` of ``_dop853_loop(n, source)``."""
     K = [f"_k{j}_{{i}}" for j in range(tab.N_STAGES_EXTENDED)]  # stage j, component i
 
     def vec(fmt):
@@ -677,8 +738,8 @@ def _dop853_source(n: int, source: Optional[Source]):
                 for line in stage(s, f"_t + {float(c)!r} * _h", point(a[:s]))]
 
     rows = ", ".join(vec(f"_r{r}_{{i}}") for r in range(tab.INTERPOLATOR_POWER))
-    body = [
-        f"{vec('_y{i}')}, = _y", f"{vec(K[0])}, = _f",
+    factor = f"{tab.SAFETY!r} * _err ** ({_ERROR_EXPONENT!r})"
+    attempt = [
         *stages(tab.A[1:_N], tab.C[1:_N], 1),
         *per(f"_n{{i}} = _y{{i}} + _h * ({_dot(tab.B, K)})"),
         *stage(_N, "_t + _h", "_n{i}"),
@@ -690,41 +751,41 @@ def _dop853_source(n: int, source: Optional[Source]):
         f"_e3 = {' + '.join(f'_e3_{i} * _e3_{i}' for i in range(n))}",
         f"_d = _sqrt((_e5 + 0.01 * _e3) * {n})",
         "_err = 0.0 if _e5 == 0 and _e3 == 0 else abs(_h) * _e5 / _d if _d else float('nan')",
+        f"_nfev += {_N}",
         "if not _err < 1:",
-        "    return _err, None",
+        f"    _sa, _rejected = abs(_h) * max({tab.MIN_FACTOR!r}, {factor}), True",
+        "    continue",
         *stages(tab.A_EXTRA, tab.C_EXTRA, _N + 1),
         *per("_r0_{i} = _n{i} - _y{i}", "_r1_{i} = _h * _k0_{i} - _r0_{i}",
              f"_r2_{{i}} = 2 * _r0_{{i}} - _h * (_k{_N}_{{i}} + _k0_{{i}})",
              *(f"_r{r}_{{i}} = _h * ({_dot(row, K)})" for r, row in enumerate(tab.D, start=3)),
              "_m{i} = " + " + ".join(f"abs(_r{r}_{{i}})"
                                      for r in range(tab.INTERPOLATOR_POWER))),
-        f"return _err, ([{vec('_n{i}')}], [{vec(K[_N])}], ({rows},), ({vec('_m{i}')},))"]
-    return ", ".join(lead + ["_t", "_h", "_y", "_f", "_rtol", "_atol", "_sqrt"]), body
+        f"_nfev += {len(tab.A_EXTRA)}",
+        f"_fac = {tab.MAX_FACTOR!r} if _err == 0 else min({tab.MAX_FACTOR!r}, {factor})",
+        "if _rejected:",
+        "    _fac = min(1, _fac)",
+        "_sa = abs(_h) * _fac",
+        f"_yn, _rows, _bnd = [{vec('_n{i}')}], ({rows},), ({vec('_m{i}')},)",
+        f"{vec('_y{i}')}, {vec(K[0])} = {vec('_n{i}')}, {vec(K[_N])}",
+        "break"]
+    return _loop_source(n, lead, ["_f", "_sqrt"],
+                        [f"{vec('_y{i}')}, = _y", f"{vec(K[0])}, = _f"], attempt)
 
 
 class _Run:
-    """One solver run: the step loop both steppers share, and where it ends.
+    """One solver run: its start (the state as lists of Python floats, ``y``
+    and ``f``), the steps it keeps, and where it ends.
 
-    ``run(attempt)`` is the loop of scipy's ``OdeSolver.step``: a zero-length
-    span takes no step; otherwise the proposed size ``h_abs`` is clamped to
-    [min_step, max_step], each try is clipped to ``t_bound``, a size below
-    min_step raises ``StepSizeUnderflow``, and each accepted step is
-    ``record``ed.  ``attempt(t, t_new, h, rejected, clamped)`` is the
-    stepper's step attempt and step-size rule: it tries the step ``h`` from
-    ``t`` to ``t_new`` (``rejected``: an earlier try of this step was;
-    ``clamped``: the step's first size was) and returns ``(size, rejected,
-    None)`` to retry with that size, or, once it accepts, the next step's
-    proposed size and ``(state, coefficient rows, bounds)`` as the stepper
-    computed them, ``bounds`` each component's sum of row magnitudes.  The
-    start state is kept as lists of Python floats, ``y`` and ``f``; ``run``
-    stacks the states and rows once, into its ``Segment``.
-
-    ``record`` keeps a step's dense output and decides whether the run ends
-    on it.  ``scan`` (a ``_Scan``, or None) scans the step, and its target's
-    first admitted crossing ends the run; it may lie in the previous step,
-    and the run then ends inside that step.  The state kept for the step, the
-    hit or else the step's end, raises ``DomainExit`` if its max norm exceeds
-    ``NORM_GUARD``.
+    ``segment(loop, *extra)`` runs a stepper's generated run loop
+    (``_loop_source``) and stacks the kept steps, once, into the run's
+    ``Segment``; a zero-length span takes no step.  ``record`` keeps a step
+    the loop yields, and decides whether the run ends on it.  ``scan`` (a
+    ``_Scan``; without one, a scan of no section) scans the step, and its
+    target's first admitted crossing ends the run; it may lie in the
+    previous step, and the run then ends inside that step.  The state kept
+    for the step, the hit or else the step's end, raises ``DomainExit`` if
+    its max norm exceeds ``NORM_GUARD``.
     """
 
     def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
@@ -735,43 +796,32 @@ class _Run:
             rhs, self.t, self.t_bound, y0, config, order)
         self.y, self.f = y.tolist(), f.tolist()
         self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
-        self.ts, self.ys, self.steps = [self.t], [y], []
-        self.scan = scan
+        self.ts, self.ys, self.hs, self.cs = [self.t], [y], [], []
+        self.scan = _Scan(rhs, 0.0) if scan is None else scan
 
-    def run(self, attempt) -> Segment:
-        """Step to ``t_bound`` or to the scan's hit, and return the segment."""
-        t, t_bound, direction, max_step = self.t, self.t_bound, self.direction, self.max_step
-        ended, running = False, True
-        while not ended and running:
-            if t == t_bound:  # zero-length span: no step
-                t_new, h, step = t, 0.0, (self.ys[-1], None, [0] * len(self.y))
-                running = False
-            else:
-                min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-                clamped = True
-                if self.h_abs > max_step:
-                    step_abs = max_step
-                elif self.h_abs < min_step:
-                    step_abs = min_step
-                else:
-                    step_abs, clamped = self.h_abs, False
-                rejected, step = False, None
-                while step is None:
-                    if step_abs < min_step:
-                        raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
-                    t_new = t + step_abs * direction
-                    if direction * (t_new - t_bound) > 0:
-                        t_new = t_bound
-                    h = t_new - t
-                    step_abs, rejected, step = attempt(t, t_new, h, rejected, clamped)
-                self.h_abs = step_abs
-                running = direction * (t_new - t_bound) < 0
-            ended = self.record(t, t_new, h, *step)
-            t = t_new
-        hs, coefs = zip(*self.steps)
-        return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
-                       coef=None if coefs[0] is None else
-                       np.array(coefs).reshape(len(coefs), -1, len(self.y)),
+    def segment(self, loop: Callable, *extra) -> Segment:
+        """Run ``loop`` (with its lead arguments bound; ``extra``, its
+        stepper's own) to ``t_bound`` or to the scan's hit, and return the
+        segment."""
+        scan, n = self.scan, len(self.y)
+        if self.t == self.t_bound:  # zero-length span: one step of length 0
+            self.record(self.t, self.t, 0.0, self.ys[-1], None, [0] * n)
+        else:
+            levels = [tuple(sec.c for sec in scan.sections if sec.kind == kind)
+                      for kind in ("vertical", "horizontal")]
+            steps = loop(self.t, self.t_bound, self.direction, self.h_abs, self.max_step,
+                         self.y, self.rtol, self.atol, self.nfev, self.njev, self.nlu, levels,
+                         2 * scan.band, self.ts, self.ys, self.hs, self.cs, math.nextafter,
+                         StepSizeUnderflow, *extra)
+            near = None
+            while True:
+                t_old, t, h, y, coef, bounds, self.nfev, self.njev, self.nlu = steps.send(near)
+                if self.record(t_old, t, h, y, coef, bounds) or t == self.t_bound:
+                    break
+                near = any(scan.near)
+        cs = self.cs
+        return Segment(t=np.array(self.ts), y=np.array(self.ys).T, h=np.array(self.hs),
+                       coef=None if cs[0] is None else np.array(cs).reshape(len(cs), -1, n),
                        horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
 
     def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef,
@@ -780,19 +830,21 @@ class _Run:
         with its coefficient rows ``coef`` (a flat sequence, row by row) and
         their magnitude sums ``bounds``, and return whether the run ends on
         it."""
-        y_old = self.ys[-1]
-        self.steps.append((h, coef))
-        hit = self.scan and self.scan.step(self.horner, self.direction,
-                                           (t_old, h, y_old, coef), t, bounds)
+        ts, ys, hs, cs = self.ts, self.ys, self.hs, self.cs
+        hs.append(h)
+        cs.append(coef)
+        prev = (ts[-2], hs[-2], ys[-2], cs[-2]) if len(hs) > 1 else None
+        hit = self.scan.step(self.horner, self.direction, prev, (t_old, h, ys[-1], coef), t,
+                             bounds)
         if hit:
             t, y = hit.t, hit.point
-            if len(self.steps) > 1 and self.direction * (t - t_old) <= 0:
-                del self.steps[-1], self.ts[-1], self.ys[-1]  # it ends in the previous step
+            if prev and self.direction * (t - t_old) <= 0:
+                del hs[-1], cs[-1], ts[-1], ys[-1]  # it ends in the previous step
         if max(map(abs, y)) > NORM_GUARD:
             raise DomainExit(f"trajectory norm exceeded {NORM_GUARD:g} at t={t:g}",
                              t=t, point=np.array(y))
-        self.ts.append(t)
-        self.ys.append(y)
+        ts.append(t)
+        ys.append(y)
         return bool(hit)
 
 
@@ -802,44 +854,25 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     at the first admitted crossing of ``scan``'s target, if it has one.
 
     This is the method of ``solve_ivp(method="DOP853", dense_output=True)``
-    by its step-size rules (``_Run``).  It agrees with solve_ivp to a
-    fraction of the tolerance, not step for step: its own summation order
-    moves the step sizes at rounding level, and with them, rarely, the step
-    count.  ``scan`` finds the crossings on each step as the run goes, also
-    on the step that finishes the span, and a crossing its target does not
-    admit leaves the same solver stepping on.  A kept state beyond
-    ``NORM_GUARD`` raises ``DomainExit``.  Returns the run's segment.
+    by its step-size rules.  It agrees with solve_ivp to a fraction of the
+    tolerance, not step for step: its own summation order moves the step
+    sizes at rounding level, and with them, rarely, the step count.  ``scan``
+    finds the crossings on each step as the run goes, also on the step that
+    finishes the span, and a crossing its target does not admit leaves the
+    same solver stepping on.  A kept state beyond ``NORM_GUARD`` raises
+    ``DomainExit``.  Returns the run's segment.
 
-    The step is ``_dop853_step`` for the state's dimension: scipy's
-    ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in one
-    summation order on every machine, with ``solve_ivp`` as its accuracy
-    oracle.  ``rhs`` receives the state as a list of Python floats.  An
-    ``rhs`` that carries its field's ``kernel`` (``_as_rhs``) is inlined in
-    each stage, which then makes no call; ``rhs`` itself serves the start
-    and the scan.  The inputs are checked and the first step chosen as scipy
-    does (``_start``).
+    The run is ``_dop853_loop`` for the state's dimension: scipy's
+    ``rk_step``, ``_estimate_error_norm``, ``_dense_output_impl`` and step
+    control in one summation order on every machine, with ``solve_ivp`` as
+    its accuracy oracle.  ``rhs`` receives the state as a list of Python
+    floats.  An ``rhs`` that carries its field's ``kernel`` (``_as_rhs``) is
+    inlined in each stage, which then makes no call; ``rhs`` itself serves
+    the start and the scan.  The inputs are checked and the first step
+    chosen as scipy does (``_start``).
     """
     run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
-    y, f = run.y, run.f
-    step = _fused(rhs, partial(_dop853_step, len(y)))
-
-    def attempt(t, t_new, h, rejected, clamped):
-        nonlocal y, f
-        error_norm, out = step(t, h, y, f, run.rtol, run.atol, math.sqrt)
-        run.nfev += _N
-        if out is None:
-            factor = max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
-            return abs(h) * factor, True, None
-        run.nfev += len(tab.A_EXTRA)
-        if error_norm == 0:
-            factor = tab.MAX_FACTOR
-        else:
-            factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** _ERROR_EXPONENT)
-        if rejected:
-            factor = min(1, factor)
-        y, f, rows, bounds = out
-        return abs(h) * factor, rejected, (y, rows, bounds)
-    return run.run(attempt)
+    return run.segment(_fused(rhs, partial(_dop853_loop, len(run.y))), run.f, math.sqrt)
 
 
 # the Radau IIA(5) constants: nodes C, error weights E, the transformation
@@ -943,8 +976,97 @@ def _radau_source(source: Optional[Source]):
                              "_inv_complex", "_sqrt", "_isfinite"]), body
 
 
-def _rms(v: Sequence[float], scale: Sequence[float]) -> float:
-    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(v))
+def _radau_loop() -> Callable:
+    """The Radau IIA(5) run loop for a 2-D state (``_loop_source``), the step
+    attempt of scipy's ``Radau._step_impl`` on Python floats; its ``extra``
+    arguments are the start's RHS value and Jacobian, the Newton iteration
+    (``_radau_newton``, lead arguments bound) and its tolerance, ``jac``,
+    ``rhs``, ``_inverse2``, ``_predict_factor``, ``sqrt`` and ``isfinite``."""
+    return cached_kernel(("radau_loop", 2), _radau_loop_source)
+
+
+def _radau_loop_source() -> Source:
+    """The ``(args, body)`` of ``_radau_loop()``."""
+    def poly(j):  # the last step's polynomial in component j, at _x
+        return f"((_pq[{4 + j}] * _x + _pq[{2 + j}]) * _x + _pq[{j}]) * _x + _py[{j}] - _y[{j}]"
+
+    def error(f):  # the error estimate from the RHS value ``f``, and its RMS norm
+        return [f"_e0, _e1 = {f}[0] + _ze0, {f}[1] + _ze1",
+                "_er0, _er1 = _a * _e0 + _b * _e1, _c * _e0 + _d * _e1",
+                "_err = _sqrt(((_er0 / _s0) ** 2 + (_er1 / _s1) ** 2) / 2)"]
+
+    attempt = [
+        # a clamped step size starts the step-size predictor afresh
+        "_h_last, _err_last = (None, None) if _clamped else (_h_abs_old, _err_old)",
+        "if _prev is None:",
+        "    _Z0 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+        "else:",  # the last step's polynomial, extrapolated
+        "    _pt, _ph, _py, _pq = _prev",
+        "    _Z0 = []",
+        f"    for _cn in {tuple(_RC)!r}:",
+        "        _x = (_t + _h * _cn - _pt) / _ph",
+        f"        _Z0.append([{poly(0)}, {poly(1)}])",
+        "_scale = [_atol + abs(_y[0]) * _rtol, _atol + abs(_y[1]) * _rtol]",
+        "_converged = False",
+        "while not _converged:",
+        "    if _inv is None:",
+        f"        _inv = _inverse2({_MU_REAL!r} / _h, _J), _inverse2({_MU_COMPLEX!r} / _h, _J)",
+        "        _nlu += 2",
+        "    _converged, _n_iter, _Z, _rate = _newton(_t, _h, _y, _Z0, _scale, _newton_tol,"
+        " _inv[0], _inv[1], _sqrt, _isfinite)",
+        "    _nfev += 3 * _n_iter",
+        "    if not _converged:",
+        "        if _current_jac:",
+        "            break",
+        "        _J = _jac(_t, _y)",
+        "        _njev += 1",
+        "        _current_jac, _inv = True, None",
+        "if not _converged:",
+        "    _inv = None",
+        "    _sa = abs(_h) * 0.5",
+        "    continue",
+        "(_z00, _z01), (_z10, _z11), (_z20, _z21) = _Z",
+        "_yn = [_y[0] + _z20, _y[1] + _z21]",
+        *(f"_ze{j} = (_z0{j} * {_RE[0]!r} + _z1{j} * {_RE[1]!r} + _z2{j} * {_RE[2]!r}) / _h"
+          for j in (0, 1)),
+        "_a, _b, _c, _d = _inv[0]",
+        *(f"_s{j} = _atol + max(abs(_y[{j}]), abs(_yn[{j}])) * _rtol" for j in (0, 1)),
+        *error("_f"),
+        f"_safety = 0.9 * {2 * _NEWTON_MAXITER + 1} / ({2 * _NEWTON_MAXITER} + _n_iter)",
+        "if _rejected and _err > 1:",
+        "    _fe = _rhs(_t, [_y[0] + _er0, _y[1] + _er1])",
+        "    _nfev += 1",
+        *("    " + line for line in error("_fe")),
+        "_factor = _predict(abs(_h), _h_last, _err, _err_last)",
+        "if _err > 1:",
+        "    _inv = None",
+        f"    _sa, _rejected = abs(_h) * max({tab.RADAU_MIN_FACTOR!r}, _safety * _factor), True",
+        "    continue",
+        "_recompute = _n_iter > 2 and _rate > 1e-3",
+        f"_factor = min({tab.RADAU_MAX_FACTOR!r}, _safety * _factor)",
+        "if not _recompute and _factor < 1.2:",
+        "    _factor = 1.0",
+        "else:",
+        "    _inv = None",
+        "_fn = _rhs(_tn, _yn)",
+        "_nfev += 1",
+        "if _recompute:",
+        "    _J = _jac(_tn, _yn)",
+        "    _njev += 1",
+        "_current_jac = _recompute",
+        "_h_abs_old, _err_old = _h_abs, _err",
+        # the collocation polynomial's coefficients, power r of component j
+        *(f"_q{r}{j} = " + " + ".join(f"_z{k}{j} * {_RP[k][r]!r}" for k in range(3))
+          for r in range(3) for j in (0, 1)),
+        "_rows = (_q00, _q01, _q10, _q11, _q20, _q21)",
+        "_bnd = (abs(_q00) + abs(_q10) + abs(_q20), abs(_q01) + abs(_q11) + abs(_q21))",
+        "_prev = _t, _h, _y, _rows",
+        "_y, _f = _yn, _fn",
+        "_sa = abs(_h) * _factor",
+        "break"]
+    setup = ["_current_jac, _inv, _h_abs_old, _err_old, _prev = True, None, None, None, None"]
+    return _loop_source(2, [], ["_f", "_J", "_newton", "_newton_tol", "_jac", "_rhs",
+                                "_inverse2", "_predict", "_sqrt", "_isfinite"], setup, attempt)
 
 
 def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
@@ -956,100 +1078,27 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
 
     The method, step-size control (``predict_factor``), Newton iteration
     (``solve_collocation_system``), error estimate and Jacobian reuse are
-    scipy's ``Radau._step_impl``; the linear algebra is the closed-form
-    inverse of the real and the complex 2x2 matrix (``_inverse2``, two "LU"
-    per factorization in ``nlu``) and every operation runs on Python floats.
-    Bit-identity with scipy's ``Radau`` is not sought.  The Newton iteration
-    is ``_radau_newton``: an ``rhs`` that carries its field's ``kernel``
-    (``_as_rhs``) is inlined in each of its stage evaluations, which then
-    make no call; ``rhs`` itself serves the start, each accepted step's end
-    and a rejected step's error estimate.  Each step keeps its collocation
-    polynomial as dense output, which also predicts the next step's stages.
-    The inputs are checked and the first step chosen as scipy does
-    (``_start``, with the error estimate's order 3).
+    scipy's ``Radau._step_impl``, run by ``_radau_loop``; the linear algebra
+    is the closed-form inverse of the real and the complex 2x2 matrix
+    (``_inverse2``, two "LU" per factorization in ``nlu``) and every
+    operation runs on Python floats.  Bit-identity with scipy's ``Radau`` is
+    not sought.  The Newton iteration is ``_radau_newton``: an ``rhs`` that
+    carries its field's ``kernel`` (``_as_rhs``) is inlined in each of its
+    stage evaluations, which then make no call; ``rhs`` itself serves the
+    start, each accepted step's end and a rejected step's error estimate.
+    Each step keeps its collocation polynomial as dense output, which also
+    predicts the next step's stages.  The inputs are checked and the first
+    step chosen as scipy does (``_start``, with the error estimate's order
+    3).
     """
     run = _Run(rhs, t_span, y0, config, scan, 3, _radau_horner)
-    y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
-    J = np.asarray(jac(run.t, y), dtype=float)
+    J = np.asarray(jac(run.t, run.y), dtype=float)
     if J.shape != (2, 2):
         raise ValueError(f"`jac` is expected to have shape (2, 2), but actually has {J.shape}.")
-    J, run.njev, current_jac = J.tolist(), 1, True
-    inv = None  # the inverses of the real and the complex Newton matrix
-    h_abs_old = error_norm_old = None
-    prev = None  # (t_old, h, y_old, Q) of the last step
-    newton = _fused(rhs, _radau_newton)
-
-    def attempt(t, t_new, h, rejected, clamped):
-        nonlocal y, f, J, current_jac, inv, h_abs_old, error_norm_old, prev
-        # a clamped step size starts the step-size predictor afresh
-        h_last, err_last = (None, None) if clamped else (h_abs_old, error_norm_old)
-        if prev is None:
-            Z0 = [[0.0, 0.0] for _ in _RC]
-        else:  # the last step's polynomial, extrapolated
-            pt, ph, py, pQ = prev
-            Z0 = []
-            for cn in _RC:
-                x = (t + h * cn - pt) / ph
-                Z0.append([((q[2] * x + q[1]) * x + q[0]) * x + yo - yi
-                           for q, yo, yi in zip(pQ, py, y)])
-        scale = [atol + abs(v) * rtol for v in y]
-        converged = False
-        while not converged:
-            if inv is None:
-                inv = _inverse2(_MU_REAL / h, J), _inverse2(_MU_COMPLEX / h, J)
-                run.nlu += 2
-            converged, n_iter, Z, rate = newton(t, h, y, Z0, scale, newton_tol, *inv,
-                                                math.sqrt, math.isfinite)
-            run.nfev += 3 * n_iter
-            if not converged:
-                if current_jac:
-                    break
-                J = jac(t, y)
-                run.njev += 1
-                current_jac, inv = True, None
-        if not converged:
-            inv = None
-            return abs(h) * 0.5, rejected, None
-        y_new = [y[j] + Z[2][j] for j in (0, 1)]
-        ZE = [(Z[0][j] * _RE[0] + Z[1][j] * _RE[1] + Z[2][j] * _RE[2]) / h for j in (0, 1)]
-        a, b, c, d = inv[0]
-        e0, e1 = f[0] + ZE[0], f[1] + ZE[1]
-        error = [a * e0 + b * e1, c * e0 + d * e1]
-        scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
-        error_norm = _rms(error, scale)
-        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        if rejected and error_norm > 1:
-            fe = rhs(t, [y[j] + error[j] for j in (0, 1)])
-            run.nfev += 1
-            e0, e1 = fe[0] + ZE[0], fe[1] + ZE[1]
-            error = [a * e0 + b * e1, c * e0 + d * e1]
-            error_norm = _rms(error, scale)
-        factor = _predict_factor(abs(h), h_last, error_norm, err_last)
-        if error_norm > 1:
-            inv = None
-            return abs(h) * max(tab.RADAU_MIN_FACTOR, safety * factor), True, None
-        recompute_jac = n_iter > 2 and rate > 1e-3
-        factor = min(tab.RADAU_MAX_FACTOR, safety * factor)
-        if not recompute_jac and factor < 1.2:
-            factor = 1.0
-        else:
-            inv = None
-        f_new = rhs(t_new, y_new)
-        run.nfev += 1
-        if recompute_jac:
-            J = jac(t_new, y_new)
-            run.njev += 1
-        current_jac = recompute_jac
-        h_abs_old, error_norm_old = run.h_abs, error_norm
-        # the collocation polynomial's coefficients, one row per component
-        Q = [[Z[0][j] * p0 + Z[1][j] * p1 + Z[2][j] * p2 for p0, p1, p2 in zip(*_RP)]
-             for j in (0, 1)]
-        prev = (t, h, y, Q)
-        y, f = y_new, f_new
-        return abs(h) * factor, rejected, (y_new, tuple(q for row in zip(*Q) for q in row),
-                                           [abs(q0) + abs(q1) + abs(q2) for q0, q1, q2 in Q])
-    return run.run(attempt)
+    run.njev = 1
+    return run.segment(_radau_loop(), run.f, J.tolist(), _fused(rhs, _radau_newton), newton_tol,
+                       jac, rhs, _inverse2, _predict_factor, math.sqrt, math.isfinite)
 
 
 def flow(

@@ -344,7 +344,7 @@ def cached_kernel(key: tuple, build: Callable[[], Tuple[str, Sequence[str]]]) ->
     ``(args, body)``, compiled as ``def _kernel(args): body``.
 
     The function keeps its source as ``source = (args, body)``, so that a
-    caller can inline it (``integrate._dop853_step``).  Its file name,
+    caller can inline it (``integrate._inliner``).  Its file name,
     ``<regtang kernel CRC>``, carries the CRC-32 of the source, so that
     profilers, which key a function by file, line and name, keep the kernels
     apart (hashlib would load OpenSSL, about 3 MB of resident memory).

@@ -173,7 +173,7 @@ class RegularizedField:
     ``eval`` runs a kernel generated from system and tf, which takes eps as
     its first argument, so the fields of one system and tf share it at every
     eps; ``kernel`` is that kernel with its eps, ``(fn, (eps,))``.  A DOP853
-    leg inlines the kernel into its step (``integrate._dop853_step``), so a
+    leg inlines the kernel into its loop (``integrate._dop853_loop``), so a
     wrap of ``eval`` on the class sees only the calls made outside the
     step's stages, such as the run's start and the scan's rates.
     ``divergence()`` returns a third kernel with eps bound.  A fourth, built

@@ -16,6 +16,7 @@ from regtang import (
     IntegratorConfig,
     NoCrossing,
     SectionSpec,
+    StepSizeUnderflow,
     TangentialGraze,
     flow,
     flow_to_section_traj,
@@ -29,6 +30,7 @@ from regtang.integrate import (
     _as_rhs,
     _dop853,
     _dop853_horner,
+    _loop_source,
     _nudge_off_section,
     _radau,
     _radau_horner,
@@ -37,6 +39,7 @@ from regtang.integrate import (
     _screened,
     _step_state,
 )
+from regtang.polys import compile_kernel
 
 
 class fld:
@@ -284,6 +287,21 @@ def test_section_residual_sign_conventions():
     assert vert.residual((0.0, 0.0)) == approx(1.0)
 
 
+def _scripted_loop(n, attempt):
+    """A run loop (``_loop_source``) for an ``n``-dimensional state whose
+    step attempt is the Python callable ``attempt(t, t_new, h, rejected,
+    clamped)``: it returns ``(size, rejected, None)`` to try again with that
+    size, or the next step's proposed size and ``(state, coefficient rows,
+    bounds)``."""
+    loop = compile_kernel(*_loop_source(n, ["_attempt"], [], [], [
+        "_sa, _rejected, _out = _attempt(_t, _tn, _h, _rejected, _clamped)",
+        "if _out is None:",
+        "    continue",
+        "_yn, _rows, _bnd = _out",
+        "break"]))
+    return partial(loop, attempt)
+
+
 def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
     # the first step, [0, 1], is y = (t - 0.95)^2, which dips below 4e-4 on
     # (0.93, 0.97), between its last two grid points; the second, [1, 2],
@@ -307,7 +325,7 @@ def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
     run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), scan, 3,
                _radau_horner)
     run.h_abs = 1.0
-    seg = run.run(attempt)
+    seg = run.segment(_scripted_loop(2, attempt))
     assert scan.hit.direction == "down"
     assert scan.hit.t == approx(m - math.sqrt(level), abs=1e-12)
     # the second step is dropped, and the run ends inside the first
@@ -328,7 +346,7 @@ def test_a_stop_before_the_target_s_crossing_on_one_step_ends_the_run():
                _radau_horner)
     run.h_abs = 4 * NORM_GUARD
     with raises(DomainExit) as info:
-        run.run(attempt)
+        run.segment(_scripted_loop(2, attempt))
     assert info.value.t == approx(3 * NORM_GUARD, rel=1e-15) == scan.hit.t
     assert np.array_equal(info.value.point, scan.hit.point)
 
@@ -1153,12 +1171,23 @@ def _formula_step(M, b, t, h, y, num, mag=False):
 
 
 def test_generated_step_matches_exact_arithmetic():
-    # the generated step for n = 1, 2, 3 against the same formulas in exact
-    # arithmetic, each gap over the step's absolute terms: at most 1.9e-16
-    # on 300 random steps
+    # one step of the generated DOP853 loop for n = 1, 2, 3, run to the
+    # span's end, against the same formulas in exact arithmetic, each gap
+    # over the step's absolute terms: at most 1.9e-16 on 300 random steps
     from fractions import Fraction
 
-    from regtang.integrate import _dop853_step
+    from regtang import _tableaux as tab
+    from regtang.integrate import _dop853_loop
+
+    def one_step(rhs, t, h, y, rtol):
+        """The segment of a run over (t, t + h) whose first try is the whole
+        span, and the step the loop yields to ``record``."""
+        cfg = IntegratorConfig(rtol=rtol, atol=rtol, event_tol=1e-12)
+        run = _Run(rhs, (t, t + h), np.array(y), cfg, None, tab.ERROR_ESTIMATOR_ORDER,
+                   _dop853_horner)
+        run.h_abs, record, kept = abs(h), run.record, []
+        run.record = lambda *step: kept.append(step) or record(*step)
+        return run.segment(partial(_dop853_loop(len(y)), rhs), run.f, math.sqrt), kept
 
     rng = np.random.default_rng(853)
     for case in range(60):
@@ -1166,15 +1195,22 @@ def test_generated_step_matches_exact_arithmetic():
         M, b, y = (rng.uniform(-2.0, 2.0, shape).tolist() for shape in ((n, n), n, n))
         t = float(rng.uniform(-5.0, 5.0))
         h = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 0.0))
+        calls = []
 
         def rhs(s, p):
+            calls.append((s, list(p)))
             return tuple(sum(M[i][j] * p[j] for j in range(n)) + s * b[i] for i in range(n))
-        err, out = _dop853_step(n)(rhs, t, h, y, list(rhs(t, y)), 1.0, 1.0, math.sqrt)
-        assert err < 1
+        seg, kept = one_step(rhs, t, h, y, 1.0)
+        # accepted at once: 2 calls to start, 12 for the stages, 3 for the rows
+        assert seg.nfev == len(calls) == 17
+        (t_old, t_new, h_step, y_new, flat, bounds), = kept
+        assert (t_old, t_new) == (t, t + h) and seg.h.tolist() == [h_step]
+        h = h_step
+        assert calls[2 + tab.N_STAGES - 1] == (t_new, y_new)  # the RHS at the step's end
+        f_new = rhs(t_new, y_new)
         exact = _formula_step(M, b, t, h, y, Fraction)
         terms = _formula_step(M, b, t, h, y, float, mag=True)
-        y_new, f_new, flat, bounds = out
-        assert len(flat) == 7 * n
+        assert len(flat) == 7 * n and seg.coef.ravel().tolist() == list(flat)
         # each component's rows summed in magnitude, left to right
         assert list(bounds) == [sum(map(abs, flat[c::n])) for c in range(n)]
         got = (y_new, f_new, *(flat[r * n:(r + 1) * n] for r in range(7)))
@@ -1183,10 +1219,11 @@ def test_generated_step_matches_exact_arithmetic():
             assert len(g) == n and all(type(c) is float for c in g)
             for gi, ei, ai in zip(g, e, a):
                 assert float(abs(Fraction(gi) - ei)) <= 1e-15 * ai
-    # a step far beyond the tolerance is turned down, with no rows
-    err, out = _dop853_step(1)(lambda s, p: (p[0],), 0.0, 5.0, [1.0], [1.0], 1e-12, 1e-12,
-                               math.sqrt)
-    assert err >= 1 and out is None
+    # a step far beyond the tolerance is turned down
+    seg, kept = one_step(lambda s, p: (p[0],), 0.0, 5.0, [1.0], 1e-12)
+    assert seg.h[0] < 5.0
+    rejected, rest = divmod(seg.nfev - 2 - 15 * len(seg.h), 12)
+    assert rest == 0 and rejected > 0
 
 
 def test_start_checks_the_inputs_as_scipy_does():
@@ -1562,3 +1599,506 @@ def test_an_inlined_augmented_kernel_steps_as_the_call_of_its_field_bit_for_bit(
     _assert_same_leg(*[flow_to_section_traj(f, (-0.3, 0.02, 0.0), sec, RETURN_INTEG,
                                             record_sections=records)
                        for f in (rhs, lambda t, p: reg.augmented(*p))])
+
+
+# --------------------------------------------------------------------------
+# the generated run loops against the Python step loop they replaced
+# --------------------------------------------------------------------------
+
+class _RefRun:
+    """The Python step loop that the generated run loops replaced, kept as
+    their reference: ``run(attempt)`` is scipy's ``OdeSolver.step`` loop
+    around a stepper's step attempt, and ``record`` keeps each accepted step."""
+
+    def __init__(self, rhs, t_span, y0, config, scan, order, horner):
+        from regtang.integrate import _start
+
+        self.t, self.t_bound = map(float, t_span)
+        y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
+            rhs, self.t, self.t_bound, y0, config, order)
+        self.y, self.f = y.tolist(), f.tolist()
+        self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
+        self.ts, self.ys, self.steps = [self.t], [y], []
+        self.scan, self.prev = scan, None
+
+    def run(self, attempt):
+        from regtang import _tableaux as tab
+
+        t, t_bound, direction, max_step = self.t, self.t_bound, self.direction, self.max_step
+        ended, running = False, True
+        while not ended and running:
+            if t == t_bound:  # zero-length span: no step
+                t_new, h, step = t, 0.0, (self.ys[-1], None, [0] * len(self.y))
+                running = False
+            else:
+                min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+                clamped = True
+                if self.h_abs > max_step:
+                    step_abs = max_step
+                elif self.h_abs < min_step:
+                    step_abs = min_step
+                else:
+                    step_abs, clamped = self.h_abs, False
+                rejected, step = False, None
+                while step is None:
+                    if step_abs < min_step:
+                        raise StepSizeUnderflow(tab.TOO_SMALL_STEP)
+                    t_new = t + step_abs * direction
+                    if direction * (t_new - t_bound) > 0:
+                        t_new = t_bound
+                    h = t_new - t
+                    step_abs, rejected, step = attempt(t, t_new, h, rejected, clamped)
+                self.h_abs = step_abs
+                running = direction * (t_new - t_bound) < 0
+            ended = self.record(t, t_new, h, *step)
+            t = t_new
+        hs, coefs = zip(*self.steps)
+        return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
+                       coef=None if coefs[0] is None else
+                       np.array(coefs).reshape(len(coefs), -1, len(self.y)),
+                       horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
+
+    def record(self, t_old, t, h, y, coef, bounds):
+        y_old = self.ys[-1]
+        self.steps.append((h, coef))
+        cur = (t_old, h, y_old, coef)
+        prev, self.prev = self.prev, cur
+        hit = self.scan and self.scan.step(self.horner, self.direction, prev, cur, t, bounds)
+        if hit:
+            t, y = hit.t, hit.point
+            if len(self.steps) > 1 and self.direction * (t - t_old) <= 0:
+                del self.steps[-1], self.ts[-1], self.ys[-1]  # it ends in the previous step
+        if max(map(abs, y)) > NORM_GUARD:
+            raise DomainExit(f"trajectory norm exceeded {NORM_GUARD:g} at t={t:g}",
+                             t=t, point=np.array(y))
+        self.ts.append(t)
+        self.ys.append(y)
+        return bool(hit)
+
+
+def _ref_dop853_step(rhs, t, h, y, f, rtol, atol):
+    """One DOP853 step attempt in the generated step's order of operations,
+    as a loop: ``(error_norm, None)`` for a rejected step, else
+    ``(error_norm, (y_new, f_new, rows, bounds))``."""
+    from functools import reduce
+
+    from regtang import _tableaux as tab
+
+    n, K = len(y), [f]
+
+    def dot(coefs, i):  # the nonzero terms, left to right
+        return reduce(operator.add, [float(c) * k[i] for c, k in zip(coefs, K) if c])
+
+    def stage(a, c):
+        return rhs(t + float(c) * h, [y[i] + dot(a, i) * h for i in range(n)])
+    for s in range(1, tab.N_STAGES):
+        K.append(stage(tab.A[s], tab.C[s]))
+    y_new = [y[i] + h * dot(tab.B, i) for i in range(n)]
+    K.append(rhs(t + h, y_new))
+    scale = [atol + (b if a < b or b != b else a) * rtol
+             for a, b in zip(map(abs, y), map(abs, y_new))]
+    e5, e3 = ([dot(E, i) / scale[i] for i in range(n)] for E in (tab.E5, tab.E3))
+    s5, s3 = (reduce(operator.add, [e * e for e in E]) for E in (e5, e3))
+    d = math.sqrt((s5 + 0.01 * s3) * n)
+    err = 0.0 if s5 == 0 and s3 == 0 else abs(h) * s5 / d if d else math.nan
+    if not err < 1:
+        return err, None
+    for a, c in zip(tab.A_EXTRA, tab.C_EXTRA):
+        K.append(stage(a, c))
+    r0 = [y_new[i] - y[i] for i in range(n)]
+    rows = [r0, [h * K[0][i] - r0[i] for i in range(n)],
+            [2 * r0[i] - h * (K[tab.N_STAGES][i] + K[0][i]) for i in range(n)],
+            *([h * dot(row, i) for i in range(n)] for row in tab.D)]
+    bounds = [reduce(operator.add, [abs(row[i]) for row in rows]) for i in range(n)]
+    return err, (y_new, K[tab.N_STAGES], tuple(v for row in rows for v in row), bounds)
+
+
+def _ref_dop853(rhs, t_span, y0, config, scan=None):
+    """``_dop853`` on the reference loop: its step attempt as it was."""
+    from regtang import _tableaux as tab
+
+    exponent = -1 / (tab.ERROR_ESTIMATOR_ORDER + 1)
+    run = _RefRun(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
+    y, f = run.y, run.f
+
+    def attempt(t, t_new, h, rejected, clamped):
+        nonlocal y, f
+        error_norm, out = _ref_dop853_step(rhs, t, h, y, f, run.rtol, run.atol)
+        run.nfev += tab.N_STAGES
+        if out is None:
+            factor = max(tab.MIN_FACTOR, tab.SAFETY * error_norm ** exponent)
+            return abs(h) * factor, True, None
+        run.nfev += len(tab.A_EXTRA)
+        if error_norm == 0:
+            factor = tab.MAX_FACTOR
+        else:
+            factor = min(tab.MAX_FACTOR, tab.SAFETY * error_norm ** exponent)
+        if rejected:
+            factor = min(1, factor)
+        y, f, rows, bounds = out
+        return abs(h) * factor, rejected, (y, rows, bounds)
+    return run.run(attempt)
+
+
+def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac):
+    """``_radau`` on the reference loop: its step attempt as it was."""
+    from regtang import _tableaux as tab
+    from regtang.integrate import _EPS, _fused, _inverse2, _predict_factor, _radau_newton
+
+    def _rms(v, scale):
+        return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(v))
+
+    RC, RE, RP, maxiter = tab.RADAU_C, tab.RADAU_E, tab.RADAU_P, tab.NEWTON_MAXITER
+    run = _RefRun(rhs, t_span, y0, config, scan, 3, _radau_horner)
+    y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
+    newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
+    J = np.asarray(jac(run.t, y), dtype=float)
+    J, run.njev, current_jac = J.tolist(), 1, True
+    inv = None
+    h_abs_old = error_norm_old = None
+    prev = None
+    newton = _fused(rhs, _radau_newton)
+
+    def attempt(t, t_new, h, rejected, clamped):
+        nonlocal y, f, J, current_jac, inv, h_abs_old, error_norm_old, prev
+        h_last, err_last = (None, None) if clamped else (h_abs_old, error_norm_old)
+        if prev is None:
+            Z0 = [[0.0, 0.0] for _ in RC]
+        else:
+            pt, ph, py, pQ = prev
+            Z0 = []
+            for cn in RC:
+                x = (t + h * cn - pt) / ph
+                Z0.append([((q[2] * x + q[1]) * x + q[0]) * x + yo - yi
+                           for q, yo, yi in zip(pQ, py, y)])
+        scale = [atol + abs(v) * rtol for v in y]
+        converged = False
+        while not converged:
+            if inv is None:
+                inv = _inverse2(tab.MU_REAL / h, J), _inverse2(tab.MU_COMPLEX / h, J)
+                run.nlu += 2
+            converged, n_iter, Z, rate = newton(t, h, y, Z0, scale, newton_tol, *inv,
+                                                math.sqrt, math.isfinite)
+            run.nfev += 3 * n_iter
+            if not converged:
+                if current_jac:
+                    break
+                J = jac(t, y)
+                run.njev += 1
+                current_jac, inv = True, None
+        if not converged:
+            inv = None
+            return abs(h) * 0.5, rejected, None
+        y_new = [y[j] + Z[2][j] for j in (0, 1)]
+        ZE = [(Z[0][j] * RE[0] + Z[1][j] * RE[1] + Z[2][j] * RE[2]) / h for j in (0, 1)]
+        a, b, c, d = inv[0]
+        e0, e1 = f[0] + ZE[0], f[1] + ZE[1]
+        error = [a * e0 + b * e1, c * e0 + d * e1]
+        scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
+        error_norm = _rms(error, scale)
+        safety = 0.9 * (2 * maxiter + 1) / (2 * maxiter + n_iter)
+        if rejected and error_norm > 1:
+            fe = rhs(t, [y[j] + error[j] for j in (0, 1)])
+            run.nfev += 1
+            e0, e1 = fe[0] + ZE[0], fe[1] + ZE[1]
+            error = [a * e0 + b * e1, c * e0 + d * e1]
+            error_norm = _rms(error, scale)
+        factor = _predict_factor(abs(h), h_last, error_norm, err_last)
+        if error_norm > 1:
+            inv = None
+            return abs(h) * max(tab.RADAU_MIN_FACTOR, safety * factor), True, None
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = min(tab.RADAU_MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        else:
+            inv = None
+        f_new = rhs(t_new, y_new)
+        run.nfev += 1
+        if recompute_jac:
+            J = jac(t_new, y_new)
+            run.njev += 1
+        current_jac = recompute_jac
+        h_abs_old, error_norm_old = run.h_abs, error_norm
+        Q = [[Z[0][j] * p0 + Z[1][j] * p1 + Z[2][j] * p2 for p0, p1, p2 in zip(*RP)]
+             for j in (0, 1)]
+        prev = (t, h, y, Q)
+        y, f = y_new, f_new
+        return abs(h) * factor, rejected, (y_new, tuple(q for row in zip(*Q) for q in row),
+                                           [abs(q0) + abs(q1) + abs(q2) for q0, q1, q2 in Q])
+    return run.run(attempt)
+
+
+def _hex(v):
+    """A float's bits, NaN included, as comparable text."""
+    return float(v).hex()
+
+
+def _run_outcome(result, scan):
+    """Everything a run gives, every float as its bits: the segment's arrays
+    and work counts, or the error it raised with its time and state, and the
+    scan's hit, events and touches."""
+    if isinstance(result, Segment):
+        out = [(a.shape, a.tobytes()) for a in (result.t, result.y, result.h)]
+        out += [None if result.coef is None else (result.coef.shape, result.coef.tobytes()),
+                (result.nfev, result.njev, result.nlu)]
+    else:
+        out = [type(result), str(result)]
+        if isinstance(result, DomainExit):
+            out += [_hex(result.t), [_hex(v) for v in result.point]]
+    hits = [] if scan.hit is None else [scan.hit]
+    out += [[(_hex(e.t), [_hex(v) for v in e.point], e.section_id, e.direction)
+             for e in hits + scan.events],
+            [(_hex(t), [_hex(v) for v in p]) for t, p in scan.touches]]
+    return out
+
+
+def _growth(t, p):
+    return p[0], p[1]
+
+
+def _nan_past_one(t, p):  # no step that reaches past t = 1 is accepted
+    return 1.0, math.nan if t > 1.0 else -p[1]
+
+
+_LINEAR = np.array([[-300.0, 1.0], [0.0, -1.0]])
+
+
+def _fast_mode(t, p):  # its steps are rejected at the explicit stability limit
+    return tuple(_LINEAR.dot(p).tolist())
+
+
+def _free_rotation_level():
+    """A level one ulp above the state at the end of the 3rd step of a free
+    rotation run: the run to it ends on that step end, in the previous step
+    of the scan that finds it."""
+    free = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), IntegratorConfig())
+    return float(np.nextafter(free.y[1, 3], np.inf))
+
+
+def _van_der_pol(t, p):  # stiff and nonlinear: Radau refreshes its Jacobian
+    x, y = p
+    return y, 100.0 * (1 - x * x) * y - x
+
+
+def _van_der_pol_jac(t, p):
+    x, y = p
+    return (0.0, 1.0), (-200.0 * x * y - 1, 100.0 * (1 - x * x))
+
+
+_RECORD = SectionSpec("vertical", 0.0, ident="record")
+_LOOP_CASES = {
+    # name: (stepper, rhs, jac, t_span, y0, config, target)
+    "rejected steps": ("dop853", _fast_mode, None, (0.0, 8.0), (1.0, 1.0),
+                       IntegratorConfig(rtol=1e-6), SectionSpec("vertical", 5.0)),
+    "max_step clamp": ("dop853", _as_rhs(rotation), None, (0.0, 3.0), (1.0, 0.0),
+                       IntegratorConfig(max_step=0.05), SectionSpec("horizontal", 0.5,
+                                                                    direction="down")),
+    "backward time": ("dop853", _as_rhs(rotation), None, (0.0, -5.0), (1.0, 0.0),
+                      IntegratorConfig(), SectionSpec("horizontal", -0.5)),
+    "hit in the previous step": ("dop853", _as_rhs(rotation), None, (0.0, 6.0), (1.0, 0.0),
+                                 IntegratorConfig(), "previous"),
+    "underflow": ("dop853", _nan_past_one, None, (0.0, 2.0), (0.0, 1.0), IntegratorConfig(),
+                  None),
+    "domain exit": ("dop853", _growth, None, (0.0, 30.0), (1.0, 1.0), IntegratorConfig(),
+                    SectionSpec("vertical", 1e7)),
+    "zero-length span": ("dop853", _as_rhs(rotation), None, (1.0, 1.0), (1.0, 0.0),
+                         IntegratorConfig(), SectionSpec("horizontal", 0.0)),
+    "radau jacobian refresh": ("radau", _van_der_pol, _van_der_pol_jac, (0.0, 1.0),
+                               (2.0, 0.0), IntegratorConfig(), SectionSpec("vertical", 1.0)),
+    "radau backward, clamped": ("radau", _as_rhs(rotation), _rotation_jac, (0.0, -5.0),
+                                (1.0, 0.0), IntegratorConfig(max_step=0.005),
+                                SectionSpec("horizontal", 0.5, direction="up")),
+    "radau underflow": ("radau", _nan_past_one, lambda t, p: ((0.0, 0.0), (0.0, -1.0)),
+                        (0.0, 2.0), (0.0, 1.0), IntegratorConfig(), None),
+    "radau domain exit": ("radau", _growth, lambda t, p: ((1.0, 0.0), (0.0, 1.0)),
+                          (0.0, 30.0), (1.0, 1.0), IntegratorConfig(), None),
+    "radau zero-length span": ("radau", _as_rhs(rotation), _rotation_jac, (2.0, 2.0),
+                               (1.0, 0.0), IntegratorConfig(), SectionSpec("vertical", 0.5)),
+}
+
+
+def _rejections(seg):
+    """The rejected DOP853 step attempts of a run: 2 calls to start, 12 per
+    attempt, 3 more per accepted step."""
+    return (seg.nfev - 2 - 15 * len(seg.h)) / 12
+
+
+_TAKEN = {  # name: whether the generated loop's run took the path named
+    "rejected steps": lambda seg: _rejections(seg) > 0,
+    "max_step clamp": lambda seg: max(seg.h) == approx(0.05, rel=1e-14),
+    "backward time": lambda seg: np.all(np.diff(seg.t) < 0),
+    # the 4th step finds the hit, which lies on the end of the 3rd
+    "hit in the previous step": lambda seg: len(seg.h) == 3 and seg.nfev == 2 + 15 * 4,
+    "underflow": lambda err: isinstance(err, StepSizeUnderflow),
+    "domain exit": lambda err: isinstance(err, DomainExit),
+    "zero-length span": lambda seg: seg.h.tolist() == [0.0] and seg.coef is None,
+    "radau jacobian refresh": lambda seg: seg.njev > 1,
+    "radau backward, clamped": lambda seg: min(seg.h) == approx(-0.005, rel=1e-14),
+    "radau underflow": lambda err: isinstance(err, StepSizeUnderflow),
+    "radau domain exit": lambda err: isinstance(err, DomainExit),
+    "radau zero-length span": lambda seg: seg.h.tolist() == [0.0] and seg.coef is None,
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOP_CASES))
+def test_each_generated_run_loop_is_the_python_step_loop_bit_for_bit(name):
+    # the generated loop and the Python loop with its attempt closure give
+    # the same steps, states, dense output, work counts, hit, events and
+    # touches, or the same error, on legs that take each of its paths
+    stepper, rhs, jac, t_span, y0, cfg, target = _LOOP_CASES[name]
+    if target == "previous":
+        target = SectionSpec("horizontal", _free_rotation_level())
+    kw = {} if jac is None else {"jac": jac}
+    outcomes = []
+    for run in {"dop853": (_dop853, _ref_dop853), "radau": (_radau, _ref_radau)}[stepper]:
+        scan = _Scan(rhs, math.sqrt(cfg.event_tol), [_RECORD], target)
+        try:
+            result = run(rhs, t_span, np.array(y0), cfg, scan, **kw)
+        except (DomainExit, StepSizeUnderflow) as err:
+            result = err
+        outcomes.append(_run_outcome(result, scan))
+        if not outcomes[1:]:
+            assert _TAKEN[name](result)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_the_norm_bound_reads_the_state_as_max_does_on_both_loops():
+    # a scripted stepper whose steps end at (nan, 2e6), (nan, 2e6) and
+    # (2e6, nan): max(map(abs, y)) is NaN for the first two, which passes
+    # the bound, and 2e6 for the third, which does not.  Both loops keep the
+    # first two states and raise DomainExit at the third
+    def attempt(t, t_new, h, rejected, clamped):
+        y = [math.nan, 2e6] if t_new < 3.0 else [2e6, math.nan]
+        return 1.0, rejected, (y, (h, 0.0, 0.0, 0.0, 0.0, 0.0), [abs(h), 0.0])
+
+    rhs = lambda t, p: (1.0, 0.0)
+    runs = []
+    for make in (_Run, _RefRun):
+        run = make(rhs, (0.0, 5.0), np.zeros(2), IntegratorConfig(), None, 3, _radau_horner)
+        run.h_abs = 1.0
+        with raises(DomainExit) as info:
+            run.segment(_scripted_loop(2, attempt)) if make is _Run else run.run(attempt)
+        runs.append((_hex(info.value.t), [_hex(v) for v in info.value.point],
+                     [_hex(t) for t in run.ts], [[_hex(v) for v in y] for y in run.ys]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == _hex(3.0) and len(runs[0][2]) == 3
+
+
+def test_real_legs_run_on_the_generated_loops_as_on_the_python_loop():
+    # the departure legs at (2, 6), eps = 1e-6 (stiff, on Radau, each
+    # landing on yhat = 1) and at (1, 2), eps = 1e-3 (on DOP853), both with
+    # the band kernel inlined, and a return-map leg carrying the divergence
+    # integral: each leg, run by flow_to_section_traj on the generated loops
+    # and on the reference loop, gives the same numbers
+    from regtang import BandField, RegularizedField, integrate, lambda_star, maps, phi_family
+    from regtang.cycles import RETURN_INTEG, _augmented_rhs
+    from regtang.maps import TransitionConfig, find_x_epsilon
+    from regtang.scenarios import boundary_cycle_system, canonical_system
+
+    flow, legs = integrate.flow_to_section_traj, []
+    steppers = {"_dop853": _ref_dop853, "_radau": _ref_radau}
+
+    def both(field, *args, **kwargs):
+        runs = [flow(field, *args, **kwargs)]
+        saved = {name: getattr(integrate, name) for name in steppers}
+        try:
+            for name, ref in steppers.items():
+                setattr(integrate, name, ref)
+            runs.append(flow(field, *args, **kwargs))
+        finally:
+            for name, fn in saved.items():
+                setattr(integrate, name, fn)
+        legs.append((field, runs))
+        return runs[0]
+
+    for k, n, eps in ((2, 6, 1e-6), (1, 2, 1e-3)):
+        system, cfg = canonical_system(k), TransitionConfig(k, n, lam=0.999 * lambda_star(k, n))
+        saved, maps.flow_to_section_traj = maps.flow_to_section_traj, both
+        try:
+            find_x_epsilon(system, cfg, eps)
+        finally:
+            maps.flow_to_section_traj = saved
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    both(_augmented_rhs(reg), (-0.3, 0.02, 0.0), SectionSpec("vertical", -0.3, (0.0, math.inf),
+                                                             "up"), RETURN_INTEG,
+         record_sections=[SectionSpec("vertical", -0.3, ident="anycross")])
+    assert [type(field).__name__ for field, _ in legs] == ["BandField", "BandField",
+                                                          "function"]
+    # the stiff leg runs Radau, the other DOP853
+    assert legs[0][1][0][1].segments[0].njev > 0 == legs[1][1][0][1].segments[0].njev
+    assert len(legs[2][1][0][1].segments[0].y) == 3
+    for _, (leg, ref_leg) in legs:
+        _assert_same_leg(leg, ref_leg)
+
+
+def test_an_inlined_kernel_binds_only_the_arguments_its_body_reads():
+    # the augmented kernel's divergence integral w is state, but no stage
+    # reads it: the 3-D DOP853 loop binds x and y in each of its 15 stages,
+    # and never w.  The 2-D kernel of the same field binds x and y too
+    from regtang import RegularizedField, phi_family
+    from regtang.integrate import _dop853_loop
+    from regtang.scenarios import boundary_cycle_system
+
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    for (fn, _), n in ((reg.augmented_kernel, 3), (reg.kernel, 2)):
+        assert fn.source[0].split(", ")[-n:] == ["x", "y", "w"][:n]
+        _, body = _dop853_loop(n, fn.source).source
+        bound = [line.split(" = ")[0].strip() for line in body
+                 if line.strip().split(" = ")[0] in ("x", "y", "w")]
+        assert bound.count("x") == bound.count("y") == 15 and "w" not in bound
+
+
+def _dip_then_rise(m, rise):
+    """Scripted steps of length 1 (Radau rows Q0, Q1, Q2 per component):
+    the first y = (t - m)^2, every later one rising by ``rise``."""
+    def attempt(t, t_new, h, rejected, clamped):
+        rows = (h, 2 * (t - m) * h, 0.0, h * h, 0.0, 0.0) if t == 0.0 else (
+            h, rise, 0.0, 0.0, 0.0, 0.0)
+        y = [t_new, (t_new - m) ** 2 if t == 0.0 else (1 - m) ** 2 + rise * (t_new - 1)]
+        return 1.0, rejected, (y, rows, [sum(map(abs, rows[c::2])) for c in (0, 1)])
+    return attempt
+
+
+def _touch_then_flat(depth):
+    """Scripted steps of length 1: the first y = d - 4 a t + 4 a t^2, which
+    turns at t = 1/2, ``depth`` = a below its start, every later one flat."""
+    def attempt(t, t_new, h, rejected, clamped):
+        rows = (h, -4 * depth, 0.0, 4 * depth, 0.0, 0.0) if t == 0.0 else (
+            h, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return 1.0, rejected, ([t_new, 9 * depth], rows,
+                               [sum(map(abs, rows[c::2])) for c in (0, 1)])
+    return attempt
+
+
+_BAND = 1e-6
+_SCRIPTED = {
+    # name: (attempt, its residual's rate, start, span, level)
+    # the dip below 4e-4 lies between the first step's last two grid points,
+    # and the second step's screen passes it over: only the look-behind of
+    # the second step, which is not the span's last, finds it
+    "look-back dip": (_dip_then_rise(0.95, 1e-4), lambda t, p: (1.0, 2 * (p[0] - 0.95)),
+                      (0.0, 0.95 ** 2), (0.0, 3.0), 4e-4),
+    # the first step starts 0.9 band above the level and turns 0.8 band
+    # above it: past its rows' bound, within the screen's 2 band
+    "touch within the band": (_touch_then_flat(_BAND / 10),
+                              lambda t, p: (1.0, _BAND / 10 * (8 * p[0] - 4)),
+                              (0.0, 0.9 * _BAND), (0.0, 3.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCRIPTED))
+def test_scripted_steps_run_on_both_loops_alike(name):
+    # steps whose scan needs the screen's band and the near flag the run
+    # sends back to its loop: both loops keep the same steps and find the
+    # same hit or touch
+    attempt, rhs, y0, span, level = _SCRIPTED[name]
+    outcomes = []
+    for make in (_Run, _RefRun):
+        scan = _Scan(rhs, _BAND, target=SectionSpec("horizontal", level))
+        run = make(rhs, span, np.array(y0), IntegratorConfig(), scan, 3, _radau_horner)
+        run.h_abs = 1.0
+        seg = run.segment(_scripted_loop(2, attempt)) if make is _Run else run.run(attempt)
+        outcomes.append(_run_outcome(seg, scan))
+        assert (scan.hit, len(scan.touches)) != (None, 0)
+    assert outcomes[0] == outcomes[1]
