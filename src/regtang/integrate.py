@@ -35,9 +35,14 @@ with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
 ``_radau``; every other leg runs ``_dop853``.
 
 A run's dense output is one stacked form in its ``Segment``: per step the
-start, the full length and the polynomial's coefficient rows, evaluated by
-the method's Horner routine (``_dop853_horner``, ``_radau_horner``) at one
-time (``Segment.__call__``) or at an array of times (``Segment.dense``).
+start, the full length and the polynomial's coefficient rows.  One
+straight-line evaluator per method (``_dop853_eval``, ``_radau_eval``: the
+Horner steps of scipy's dense output, written out) evaluates it on floats,
+for the scan's one component, and on arrays, at one time
+(``Segment.__call__``) or at an array of times (``Segment.dense``).  A run
+starts on lists of Python floats (``_start``), and its rows stay the run's
+list of tuples until ``Segment.coef`` is first read, so a leg whose dense
+output no one evaluates never stacks them.
 
 The module runs on numpy alone, with no BLAS call.  What it carries of scipy
 is ported and checked against scipy by the tests: the coefficient tables
@@ -152,46 +157,24 @@ class SectionSpec:
 # dense output: one polynomial per step, stacked per run
 # --------------------------------------------------------------------------
 
-def _dop853_horner(rows, x, y_old):
-    """scipy's ``Dop853DenseOutput``: ``y_old`` plus the polynomial with
-    coefficient rows ``F`` in x = (t - t_old)/h, by its alternating Horner
-    loop.  ``rows`` yields the rows highest first, each of shape (n,) for one
-    time or (m, n) for m times (``x`` then of shape (m, 1))."""
-    one_minus_x = 1 - x
-    rows = iter(rows)
-    y = 0.0 + next(rows)  # scipy's loop starts from zeros
-    y *= x
-    for i, f in enumerate(rows, start=1):
-        y += f
-        y *= one_minus_x if i % 2 else x
-    y += y_old
-    return y
+def _dop853_eval(f0, f1, f2, f3, f4, f5, f6, x, y_old):
+    """scipy's ``Dop853DenseOutput`` at x = (t - t_old)/h: ``y_old`` plus the
+    polynomial with coefficient rows F0 ... F6 (lowest power first), by its
+    alternating Horner loop written out.  Each argument is a float, or an
+    array that broadcasts with the others; every operation runs in scipy's
+    order, elementwise."""
+    w = 1 - x
+    y = ((((0.0 + f6) * x + f5) * w + f4) * x + f3) * w  # scipy's loop starts from zeros
+    return (((y + f2) * x + f1) * w + f0) * x + y_old
 
 
-def _radau_horner(rows, x, y_old):
+def _radau_eval(q0, q1, q2, x, y_old):
     """The Radau IIA(5) collocation polynomial ``y_old + Q0 x + Q1 x**2 +
-    Q2 x**3`` in x = (t - t_old)/h, by Horner's rule, elementwise; ``rows``
-    yields Q2, Q1, Q0, shaped as in ``_dop853_horner``."""
-    rows = iter(rows)
-    y = next(rows) * x
-    for q in rows:
-        y += q
-        y *= x
-    y += y_old
-    return y
+    Q2 x**3`` at x = (t - t_old)/h, by Horner's rule; arguments as in
+    ``_dop853_eval``."""
+    return ((q2 * x + q1) * x + q0) * x + y_old
 
 
-def _step_state(horner, coef: Optional[np.ndarray], t_old: float, h: float,
-                y_old: np.ndarray, t: float) -> np.ndarray:
-    """The state at time ``t`` on the dense output of one step from
-    ``(t_old, y_old)`` of full length ``h`` with coefficient rows ``coef``
-    (None: the constant state of a zero-length span)."""
-    if coef is None:
-        return y_old
-    return horner(reversed(coef), (t - t_old) / h, y_old)
-
-
-@dataclass
 class Segment:
     """One solver run: the step ends ``t``, the states ``y`` (shape
     (n, len(t))), the run's dense output and the solver's work counts.
@@ -199,23 +182,30 @@ class Segment:
     The dense output is stacked, one entry per step: step i starts at
     ``(t[i], y[:, i])`` and has the full length ``h[i]``, and ``coef[i]``
     holds its polynomial's coefficient rows, lowest power first, which
-    ``horner`` evaluates (``_dop853_horner`` on DOP853's 7 rows ``F``,
-    ``_radau_horner`` on Radau's 3 rows ``Q``; ``coef`` has shape
-    (len(h), rows, n)).  The last step of a run that ends at its scan's hit
-    keeps its full step; ``t[-1]`` is the hit's time.  A zero-length span has
-    one step of length 0 and no ``coef``: its state is constant.
+    ``horner`` evaluates (``_dop853_eval`` on DOP853's 7 rows ``F``,
+    ``_radau_eval`` on Radau's 3 rows ``Q``; ``coef`` has shape
+    (len(h), rows, n)).  A run hands over its rows as a list of flat tuples,
+    one per step, and ``coef`` stacks them on first read, once.  The last
+    step of a run that ends at its scan's hit keeps its full step; ``t[-1]``
+    is the hit's time.  A zero-length span has one step of length 0 and no
+    ``coef``: its state is constant.
 
     A time takes the step scipy's ``OdeSolution`` picks: on a step boundary
     the earlier step, outside the run the nearest end step.
     """
-    t: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-    coef: Optional[np.ndarray]
-    horner: Callable
-    nfev: int
-    njev: int
-    nlu: int
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, h: np.ndarray, coef, horner: Callable,
+                 nfev: int, njev: int, nlu: int):
+        self.t, self.y, self.h, self.horner = t, y, h, horner
+        self.nfev, self.njev, self.nlu = nfev, njev, nlu
+        self._coef = coef  # an array, None, or the run's flat rows until read
+
+    @property
+    def coef(self) -> Optional[np.ndarray]:
+        coef = self._coef
+        if isinstance(coef, list):
+            coef = self._coef = np.array(coef).reshape(len(coef), -1, len(self.y))
+        return coef
 
     def _steps(self, ts):
         """The step index of each time in ``ts`` (a float or an array),
@@ -228,20 +218,23 @@ class Segment:
     def __call__(self, t: float) -> np.ndarray:
         """The state (shape (n,)) at time ``t``, from its step's block."""
         i = self._steps(t)
-        return _step_state(self.horner, None if self.coef is None else self.coef[i],
-                           self.t[i], self.h[i], self.y[:, i], t)
+        if self.coef is None:
+            return self.y[:, i]
+        return self.horner(*self.coef[i], (t - self.t[i]) / self.h[i], self.y[:, i])
 
     def dense(self, ts: np.ndarray) -> np.ndarray:
-        """The states (shape (n, len(ts))) at a 1-D array of times, in one
-        numpy pass over the stacked steps, each bit for bit ``self(t)``."""
+        """The states (shape (n, len(ts))) at a 1-D array of times, each bit
+        for bit ``self(t)``, in one numpy pass over the stacked steps."""
         if self.coef is None:
             return np.repeat(self.y[:, :1], len(ts), axis=1)
         seg = self._steps(ts)
         x = ((ts - self.t[seg]) / self.h[seg])[:, None]
-        # one coefficient row at a time: gathering coef[seg] whole costs
-        # len(ts) x rows x n floats at once
-        rows = (self.coef[seg, r] for r in reversed(range(self.coef.shape[1])))
-        return self.horner(rows, x, self.y.T[seg]).T
+        # each block of samples on one step reads the step's rows once
+        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        counts = np.diff(first, append=len(ts))
+        rows = np.repeat(self.coef[seg[first]].transpose(1, 0, 2), counts, axis=1)
+        y_old = np.repeat(self.y.T[seg[first]], counts, axis=0)
+        return self.horner(*rows, x, y_old).T
 
 
 @dataclass
@@ -421,12 +414,13 @@ class _Scan:
         self.last = [math.inf] * len(self.sections)  # each section's last root
         self.near = [False] * len(self.sections)  # the previous step unscreened
 
-    def step(self, horner: Callable, sense: float, prev, cur, t_new: float,
+    def step(self, ev: Callable, sense: float, prev, cur, t_new: float,
              bounds: Sequence[float]) -> Optional[EventHit]:
         """Scan the step ``cur`` = ``(t_old, h, y_old, coef)`` of a run in
         the direction ``sense``, which ends at ``t_new``, after the step
-        ``prev`` (None for the first); ``bounds`` holds each component's sum
-        of row magnitudes (``_screened``).  Returns ``hit``."""
+        ``prev`` (None for the first), their dense output evaluated by ``ev``
+        (``_dop853_eval``, ``_radau_eval``); ``bounds`` holds each
+        component's sum of row magnitudes (``_screened``).  Returns ``hit``."""
         t_old, h, y_old, coef = cur
         n, near = len(y_old), []
         for j, sec in enumerate(self.sections):
@@ -443,12 +437,14 @@ class _Scan:
 
         def value(s, c):
             t0, h0, y0, rows = on(s)
-            return y0[c] if rows is None else horner(reversed(rows[c::n]), (s - t0) / h0, y0[c])
+            return y0[c] if rows is None else ev(*rows[c::n], (s - t0) / h0, y0[c])
 
         def point(s):
             t0, h0, y0, rows = on(s)
-            return _step_state(horner, None if rows is None else np.reshape(rows, (-1, n)),
-                               t0, h0, y0, s)
+            if rows is None:
+                return y0
+            x = (s - t0) / h0
+            return [ev(*rows[c::n], x, y0[c]) for c in range(n)]
 
         grid = [t_old + h * (i / SCAN_SUBDIV) for i in range(SCAN_SUBDIV)] + [t_new]
         if prev is not None:  # one grid point of look-behind
@@ -462,7 +458,7 @@ class _Scan:
                 return value(s, c) - sec.c
 
             def rate(s, sec=sec):
-                return sec.residual_rate(self.rhs(s, point(s).tolist()))
+                return sec.residual_rate(self.rhs(s, point(s)))
 
             def root(a, b, f=residual):
                 return brentq(f, *sorted((a, b)), xtol=1e-15, rtol=8.9e-16)
@@ -504,32 +500,34 @@ class _Scan:
         return self.hit
 
 
-def _rms_norm(x: np.ndarray) -> float:
+def _rms_norm(x: List[float]) -> float:
     """scipy's RMS ``norm``, summed left to right on Python floats."""
-    return math.sqrt(sum(v * v for v in x.tolist())) / x.size ** 0.5
+    return math.sqrt(sum(v * v for v in x)) / len(x) ** 0.5
 
 
-def _initial_step(fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
-                  y0: np.ndarray, t_bound: float, max_step: float, f0: np.ndarray,
+def _initial_step(fun: Callable[[float, List[float]], List[float]], t0: float,
+                  y0: List[float], t_bound: float, max_step: float, f0: List[float],
                   direction: float, order: int, rtol: float, atol: float) -> float:
     """scipy's ``select_initial_step`` (Hairer, Norsett & Wanner, *Solving
     ODEs I*, II.4): the first step size of a method whose error estimate is
     of ``order``, from one call of ``fun`` (none for a zero-length span).
+    The states are lists of Python floats, and each of scipy's array
+    operations runs per component, as numpy runs it.
     """
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms_norm(y0 / scale)
-    d1 = _rms_norm(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms_norm([v / s for v, s in zip(y0, scale)])
+    d1 = _rms_norm([v / s for v, s in zip(f0, scale)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = _rms_norm((f1 - f0) / scale) / h0
+    step = h0 * direction
+    f1 = fun(t0 + step, [v + step * f for v, f in zip(y0, f0)])
+    d2 = _rms_norm([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -537,26 +535,38 @@ def _initial_step(fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _start(rhs: RHS, t: float, t_bound: float, y0: np.ndarray,
+_NOT_FINITE = "All components of the initial state `y0` must be finite."
+
+
+def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
            config: IntegratorConfig, order: int):
     """What scipy's solver constructors do before the first step.
 
     The inputs are checked as ``check_arguments``, ``validate_max_step`` and
     ``validate_tol`` check them, with the same errors (``ValueError``) and the
     same warning and clamp for an rtol below 100 eps; ``rhs`` is called at the
-    start, and the first step is chosen (``_initial_step``).  Returns
-    ``(y, f, rtol, atol, direction, h_abs, nfev)``: the start state and its
-    RHS value as arrays, the rest as Python floats and the count of RHS calls.
+    start, and the first step is chosen (``_initial_step``).  A ``y0`` that is
+    a list of Python floats, as every leg passes, is checked for finite
+    values alone; any other goes through numpy's checks.  Returns ``(y, f,
+    rtol, atol, direction, h_abs, nfev)``: the start state and its RHS value
+    as lists of Python floats, the rest as Python floats and the count of
+    RHS calls.
     """
-    y = np.asarray(y0)
-    if np.issubdtype(y.dtype, np.complexfloating):
-        raise ValueError("`y0` is complex, but the chosen solver does not support "
-                         "integration in a complex domain.")
-    y = y.astype(float, copy=False)
-    if y.ndim != 1:
-        raise ValueError("`y0` must be 1-dimensional.")
-    if not np.isfinite(y).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
+    if type(y0) is list and all(type(v) is float for v in y0):
+        if not all(map(math.isfinite, y0)):
+            raise ValueError(_NOT_FINITE)
+        y = y0[:]
+    else:
+        y = np.asarray(y0)
+        if np.issubdtype(y.dtype, np.complexfloating):
+            raise ValueError("`y0` is complex, but the chosen solver does not support "
+                             "integration in a complex domain.")
+        y = y.astype(float, copy=False)
+        if y.ndim != 1:
+            raise ValueError("`y0` must be 1-dimensional.")
+        if not np.isfinite(y).all():
+            raise ValueError(_NOT_FINITE)
+        y = y.tolist()
     if config.max_step <= 0:
         raise ValueError("`max_step` must be positive.")
     rtol, atol = config.rtol, config.atol
@@ -566,13 +576,14 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: np.ndarray,
         rtol = max(rtol, 100 * _EPS)
     if atol < 0:
         raise ValueError("`atol` must be positive.")
-    direction = float(np.sign(t_bound - t)) if t_bound != t else 1.0
+    # numpy's sign of the span: NaN for a NaN span
+    direction = 1.0 if t_bound >= t else -1.0 if t_bound < t else math.nan
     nfev = 0
 
-    def fun(s: float, p: np.ndarray) -> np.ndarray:
+    def fun(s: float, p: List[float]) -> List[float]:
         nonlocal nfev
         nfev += 1
-        return np.asarray(rhs(s, p.tolist()), dtype=float)
+        return list(map(float, rhs(s, p)))
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, config.max_step, f, direction, order,
                           rtol, atol)
@@ -739,10 +750,17 @@ def _dop853_source(n: int, source: Optional[Source]) -> Source:
 
     rows = ", ".join(vec(f"_r{r}_{{i}}") for r in range(tab.INTERPOLATOR_POWER))
     factor = f"{tab.SAFETY!r} * _err ** ({_ERROR_EXPONENT!r})"
+    trial = [*stages(tab.A[1:_N], tab.C[1:_N], 1),
+             *per(f"_n{{i}} = _y{{i}} + _h * ({_dot(tab.B, K)})"),
+             *stage(_N, "_t + _h", "_n{i}")]
     attempt = [
-        *stages(tab.A[1:_N], tab.C[1:_N], 1),
-        *per(f"_n{{i}} = _y{{i}} + _h * ({_dot(tab.B, K)})"),
-        *stage(_N, "_t + _h", "_n{i}"),
+        # a power past the float range raises where numpy gives inf, and
+        # scipy rejects a step with an inf stage at the least factor
+        "try:", *("    " + line for line in trial),
+        "except OverflowError:",
+        f"    _nfev += {_N}",
+        f"    _sa, _rejected = abs(_h) * {tab.MIN_FACTOR!r}, True",
+        "    continue",
         *per("_a{i} = abs(_y{i})", "_b{i} = abs(_n{i})",
              "_s{i} = _atol + (_b{i} if _a{i} < _b{i} or _b{i} != _b{i} else _a{i}) * _rtol",
              f"_e5_{{i}} = ({_dot(tab.E5, K)}) / _s{{i}}",
@@ -778,9 +796,10 @@ class _Run:
     and ``f``), the steps it keeps, and where it ends.
 
     ``segment(loop, *extra)`` runs a stepper's generated run loop
-    (``_loop_source``) and stacks the kept steps, once, into the run's
-    ``Segment``; a zero-length span takes no step.  ``record`` keeps a step
-    the loop yields, and decides whether the run ends on it.  ``scan`` (a
+    (``_loop_source``) and stacks the kept steps' times and states, once,
+    into the run's ``Segment``, which stacks their rows when they are read;
+    a zero-length span takes no step.  ``record`` keeps a step the loop
+    yields, and decides whether the run ends on it.  ``scan`` (a
     ``_Scan``; without one, a scan of no section) scans the step, and its
     target's first admitted crossing ends the run; it may lie in the
     previous step, and the run then ends inside that step.  The state kept
@@ -788,15 +807,14 @@ class _Run:
     its max norm exceeds ``NORM_GUARD``.
     """
 
-    def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
+    def __init__(self, rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
                  config: IntegratorConfig, scan: Optional[_Scan], order: int,
                  horner: Callable):
         self.t, self.t_bound = map(float, t_span)
-        y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
+        self.y, self.f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
             rhs, self.t, self.t_bound, y0, config, order)
-        self.y, self.f = y.tolist(), f.tolist()
         self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
-        self.ts, self.ys, self.hs, self.cs = [self.t], [y], [], []
+        self.ts, self.ys, self.hs, self.cs = [self.t], [self.y], [], []
         self.scan = _Scan(rhs, 0.0) if scan is None else scan
 
     def segment(self, loop: Callable, *extra) -> Segment:
@@ -819,10 +837,9 @@ class _Run:
                 if self.record(t_old, t, h, y, coef, bounds) or t == self.t_bound:
                     break
                 near = any(scan.near)
-        cs = self.cs
-        return Segment(t=np.array(self.ts), y=np.array(self.ys).T, h=np.array(self.hs),
-                       coef=None if cs[0] is None else np.array(cs).reshape(len(cs), -1, n),
-                       horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
+        return Segment(np.array(self.ts), np.array(self.ys).T, np.array(self.hs),
+                       None if self.cs[0] is None else self.cs, self.horner, self.nfev,
+                       self.njev, self.nlu)
 
     def record(self, t_old: float, t: float, h: float, y: Sequence[float], coef,
                bounds: Sequence[float]) -> bool:
@@ -848,7 +865,7 @@ class _Run:
         return bool(hit)
 
 
-def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
+def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
             config: IntegratorConfig, scan: Optional[_Scan] = None) -> Segment:
     """Step DOP853 over ``t_span`` keeping every step's dense output, and end
     at the first admitted crossing of ``scan``'s target, if it has one.
@@ -871,7 +888,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     the start and the scan.  The inputs are checked and the first step
     chosen as scipy does (``_start``).
     """
-    run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
+    run = _Run(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_eval)
     return run.segment(_fused(rhs, partial(_dop853_loop, len(run.y))), run.f, math.sqrt)
 
 
@@ -945,9 +962,12 @@ def _radau_source(source: Optional[Source]):
         *prod(_RTI, "w", "z"),
         "_old = _rate = None",
         f"for _k in range({_NEWTON_MAXITER}):",
-        *("    " + line for i, c in enumerate(_RC)
+        "    try:",
+        *("        " + line for i, c in enumerate(_RC)
           for line in evaluate([f"_f{i}0", f"_f{i}1"], f"_t + _h * ({c!r})",
                                [f"_y0 + _z{i}0", f"_y1 + _z{i}1"])),
+        "    except OverflowError:",  # a power past the float range: not finite
+        "        break",
         "    if not (" + " and ".join(f"_isfinite(_f{i}{j})" for i in range(3)
                                       for j in (0, 1)) + "):",
         "        break",
@@ -1069,7 +1089,7 @@ def _radau_loop_source() -> Source:
                                 "_inverse2", "_predict", "_sqrt", "_isfinite"], setup, attempt)
 
 
-def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
+def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
            config: IntegratorConfig, scan: Optional[_Scan] = None, *,
            jac: Callable[[float, List[float]], Sequence[Sequence[float]]]) -> Segment:
     """Step Radau IIA(5) over ``t_span`` for a 2-D state with the exact
@@ -1091,7 +1111,7 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: np.ndarray,
     step chosen as scipy does (``_start``, with the error estimate's order
     3).
     """
-    run = _Run(rhs, t_span, y0, config, scan, 3, _radau_horner)
+    run = _Run(rhs, t_span, y0, config, scan, 3, _radau_eval)
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
     J = np.asarray(jac(run.t, run.y), dtype=float)
     if J.shape != (2, 2):
@@ -1115,7 +1135,7 @@ def flow(
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     scan = _Scan(rhs, math.sqrt(config.event_tol), sections)
-    seg = _dop853(rhs, t_span, np.asarray(p0, dtype=float), config, scan)
+    seg = _dop853(rhs, t_span, np.asarray(p0, dtype=float).tolist(), config, scan)
     events = sorted(scan.events, key=lambda ev: ev.t, reverse=t_span[1] < t_span[0])
     return Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
 
@@ -1169,13 +1189,14 @@ def _land(leg, seg: Segment, scan: _Scan) -> Tuple[Segment, _Scan]:
     LANDING_REACH times the way to the crossing, and its steps replace it in
     the segment; if they fall short of the section, the first run stands."""
     t_old, k = seg.t[-2], len(seg.h) - 1
-    last, landed = leg((t_old, t_old + LANDING_REACH * (scan.hit.t - t_old)), seg.y[:, -2])
+    last, landed = leg((t_old, t_old + LANDING_REACH * (scan.hit.t - t_old)),
+                       seg.y[:, -2].tolist())
     if landed.hit is None:
         return seg, scan
     landed.events[:0] = [ev for ev in scan.events if (ev.t - t_old) * (scan.hit.t - t_old) < 0]
+    # both runs' rows are still their lists: joined, they stack once when read
     return Segment(np.concatenate([seg.t[:k], last.t]), np.hstack([seg.y[:, :k], last.y]),
-                   np.concatenate([seg.h[:k], last.h]),
-                   np.concatenate([seg.coef[:k], last.coef]), seg.horner,
+                   np.concatenate([seg.h[:k], last.h]), seg._coef[:k] + last._coef, seg.horner,
                    seg.nfev + last.nfev, seg.njev + last.njev, seg.nlu + last.nlu), landed
 
 

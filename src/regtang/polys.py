@@ -41,7 +41,7 @@ def _q(v) -> Fraction:
 class Poly1:
     """Univariate polynomial with exact rational coefficients (ascending)."""
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs", "_floats", "_hash")
 
     def __init__(self, coeffs: Sequence = ()):  # trailing zeros trimmed
         cs = [_q(c) for c in coeffs]
@@ -49,6 +49,7 @@ class Poly1:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
         self._floats: Optional[Tuple[float, ...]] = None  # descending, lazy
+        self._hash: Optional[int] = None  # lazy: a kernel's memo key hashes it
 
     # -- basic ring ops ----------------------------------------------------
     def __add__(self, other: "Poly1") -> "Poly1":
@@ -157,7 +158,9 @@ class Poly1:
         return isinstance(other, Poly1) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Poly1({[str(c) for c in self.coeffs]})"
@@ -170,7 +173,7 @@ class Poly1:
 class Poly2:
     """Sparse bivariate polynomial ``sum c_{ij} x^i y^j`` over the rationals."""
 
-    __slots__ = ("terms", "_fast")
+    __slots__ = ("terms", "_fast", "_hash")
 
     def __init__(self, terms: Dict[Tuple[int, int], object] | None = None):
         clean: Dict[Tuple[int, int], Fraction] = {}
@@ -180,6 +183,7 @@ class Poly2:
                 clean[(int(i), int(j))] = c
         self.terms = clean
         self._fast: Callable[[float, float], float] | None = None
+        self._hash: Optional[int] = None  # lazy: a kernel's memo key hashes it
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
@@ -308,7 +312,9 @@ class Poly2:
         return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         body = " + ".join(

@@ -28,7 +28,7 @@ from .errors import (
 from .fields import FilippovSystem, PlanarField
 from .integrate import SectionSpec, flow_to_section_traj, sample_dense
 from .phi import TransitionFunction, phi_inverse
-from .polys import Poly2, compile_kernel, power_lines
+from .polys import Poly2, cached_kernel, power_lines
 
 
 # --------------------------------------------------------------------------
@@ -65,6 +65,17 @@ def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
     return body
 
 
+def _memo(kind: str, system: FilippovSystem, tf: TransitionFunction, args: str,
+          body: Callable[[], list]) -> Callable:
+    """The kernel ``kind`` of ``system`` and ``tf``, ``def _kernel(args):
+    body()``, memoized on what it is generated from: both zone fields'
+    polynomials, h and phi with its derivative.  An equal field of another
+    instance, at any eps, builds no source."""
+    key = (kind, system.x_plus.poly_form, system.x_minus.poly_form, system.h,
+           tf.phi_poly, tf.derivs[1])
+    return cached_kernel(key, lambda: (args, body()))
+
+
 def _zone_polys(system: FilippovSystem, index=(1, 2)) -> list:
     """``("p1", X1+), ("p2", X2+), ("m1", X1-), ("m2", X2-)``, for the
     components in ``index``."""
@@ -85,10 +96,10 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction,
     in their order, on the statements ``PlanarField`` compiles, so it returns
     the same numbers, as a tuple of two Python floats.
     """
-    body = _kernel_body(system, tf, band, _zone_polys(system))
     first = "eps*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
-    body.append(f"return ({first}, c*p2 + d*m2)")
-    return compile_kernel("eps, x, s" if band else "eps, x, y", body)
+    return _memo("band" if band else "mix", system, tf, "eps, x, s" if band else "eps, x, y",
+                 lambda: _kernel_body(system, tf, band, _zone_polys(system))
+                 + [f"return ({first}, c*p2 + d*m2)"])
 
 
 def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
@@ -104,13 +115,14 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Cal
     outside |s| < 1.  Generated from the zone fields' polynomial forms and
     ``tf.derivs[1]``.
     """
-    named = [(name + suffix, q) for name, p in _zone_polys(system)
-             for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
-    body = _kernel_body(system, tf, True, named, slope=True)
-    body += ["dc = 0.5*D",
-             "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
-             "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]
-    return compile_kernel("eps, x, s", body)
+    def body():
+        named = [(name + suffix, q) for name, p in _zone_polys(system)
+                 for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
+        return _kernel_body(system, tf, True, named, slope=True) + [
+            "dc = 0.5*D",
+            "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
+            "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]
+    return _memo("band_jacobian", system, tf, "eps, x, s", body)
 
 
 def _divergence_body(system: FilippovSystem, tf: TransitionFunction, named: list) -> list:
@@ -149,7 +161,8 @@ def _divergence_kernel(system: FilippovSystem,
                        tf: TransitionFunction) -> Callable[[float, float, float], float]:
     """Straight-line float kernel ``(eps, x, y) -> div`` of the divergence
     of the regularized field (``_divergence_body``)."""
-    return compile_kernel("eps, x, y", _divergence_body(system, tf, []) + ["return div"])
+    return _memo("divergence", system, tf, "eps, x, y",
+                 lambda: _divergence_body(system, tf, []) + ["return div"])
 
 
 def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
@@ -158,8 +171,9 @@ def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callabl
     divergence integral w, which it does not read.  It computes s, Phi(s),
     c and d once and runs the statements of ``_mix_kernel`` and
     ``_divergence_kernel`` on them, so it returns their numbers."""
-    body = _divergence_body(system, tf, _zone_polys(system))
-    return compile_kernel("eps, x, y, w", body + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"])
+    return _memo("augmented", system, tf, "eps, x, y, w",
+                 lambda: _divergence_body(system, tf, _zone_polys(system))
+                 + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"])
 
 
 # --------------------------------------------------------------------------

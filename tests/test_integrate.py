@@ -29,15 +29,14 @@ from regtang.integrate import (
     Segment,
     _as_rhs,
     _dop853,
-    _dop853_horner,
+    _dop853_eval,
     _loop_source,
     _nudge_off_section,
     _radau,
-    _radau_horner,
+    _radau_eval,
     _Run,
     _Scan,
     _screened,
-    _step_state,
 )
 from regtang.polys import compile_kernel
 
@@ -67,6 +66,114 @@ def _target_scan(sec, cfg):
     """A scan of a run of ``rotation`` whose target is ``sec``, as a leg to
     ``sec`` runs it."""
     return _Scan(_as_rhs(rotation), math.sqrt(cfg.event_tol), target=sec)
+
+
+# --------------------------------------------------------------------------
+# deleted code, kept as the reference of the code that replaced it
+# --------------------------------------------------------------------------
+
+def _dop853_horner(rows, x, y_old):
+    """scipy's ``Dop853DenseOutput``: ``y_old`` plus the polynomial with
+    coefficient rows ``F`` in x = (t - t_old)/h, by its alternating Horner
+    loop.  ``rows`` yields the rows highest first, each of shape (n,) for one
+    time or (m, n) for m times (``x`` then of shape (m, 1))."""
+    one_minus_x = 1 - x
+    rows = iter(rows)
+    y = 0.0 + next(rows)  # scipy's loop starts from zeros
+    y *= x
+    for i, f in enumerate(rows, start=1):
+        y += f
+        y *= one_minus_x if i % 2 else x
+    y += y_old
+    return y
+
+
+def _radau_horner(rows, x, y_old):
+    """The Radau IIA(5) collocation polynomial ``y_old + Q0 x + Q1 x**2 +
+    Q2 x**3`` in x = (t - t_old)/h, by Horner's rule, elementwise; ``rows``
+    yields Q2, Q1, Q0, shaped as in ``_dop853_horner``."""
+    rows = iter(rows)
+    y = next(rows) * x
+    for q in rows:
+        y += q
+        y *= x
+    y += y_old
+    return y
+
+
+def _step_state(horner, coef, t_old, h, y_old, t):
+    """The state at time ``t`` on the dense output of one step from
+    ``(t_old, y_old)`` of full length ``h`` with coefficient rows ``coef``
+    (None: the constant state of a zero-length span)."""
+    if coef is None:
+        return y_old
+    return horner(reversed(coef), (t - t_old) / h, y_old)
+
+
+def _ref_rms_norm(x):
+    """scipy's RMS ``norm``, summed left to right on Python floats."""
+    return math.sqrt(sum(v * v for v in x.tolist())) / x.size ** 0.5
+
+
+def _ref_initial_step(fun, t0, y0, t_bound, max_step, f0, direction, order, rtol, atol):
+    """``_initial_step`` on numpy arrays."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _ref_rms_norm(y0 / scale)
+    d1 = _ref_rms_norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _ref_rms_norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _ref_start(rhs, t, t_bound, y0, config, order):
+    """``_start`` on numpy arrays: the state and its RHS value come back as
+    arrays."""
+    import warnings
+
+    from regtang.integrate import _EPS
+
+    y = np.asarray(y0)
+    if np.issubdtype(y.dtype, np.complexfloating):
+        raise ValueError("`y0` is complex, but the chosen solver does not support "
+                         "integration in a complex domain.")
+    y = y.astype(float, copy=False)
+    if y.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if config.max_step <= 0:
+        raise ValueError("`max_step` must be positive.")
+    rtol, atol = config.rtol, config.atol
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=4)
+        rtol = max(rtol, 100 * _EPS)
+    if atol < 0:
+        raise ValueError("`atol` must be positive.")
+    direction = float(np.sign(t_bound - t)) if t_bound != t else 1.0
+    nfev = 0
+
+    def fun(s, p):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(s, p.tolist()), dtype=float)
+    f = fun(t, y)
+    h_abs = _ref_initial_step(fun, t, y, t_bound, config.max_step, f, direction, order,
+                              rtol, atol)
+    return y, f, float(rtol), float(atol), direction, float(h_abs), nfev
 
 
 def test_linear_rotation_matches_closed_form():
@@ -323,7 +430,7 @@ def test_a_dip_found_by_looking_back_ends_the_run_in_the_previous_step():
     rhs = lambda t, p: (1.0, 2 * (p[0] - m))
     scan = _Scan(rhs, 1e-6, target=SectionSpec("horizontal", level))
     run = _Run(rhs, (0.0, 2.0), np.array([0.0, m * m]), IntegratorConfig(), scan, 3,
-               _radau_horner)
+               _radau_eval)
     run.h_abs = 1.0
     seg = run.segment(_scripted_loop(2, attempt))
     assert scan.hit.direction == "down"
@@ -343,7 +450,7 @@ def test_a_stop_before_the_target_s_crossing_on_one_step_ends_the_run():
     rhs = lambda t, p: (1.0, 0.0)
     scan = _Scan(rhs, 1e-6, target=SectionSpec("vertical", 3 * NORM_GUARD))
     run = _Run(rhs, (0.0, 4 * NORM_GUARD), np.zeros(2), IntegratorConfig(), scan, 3,
-               _radau_horner)
+               _radau_eval)
     run.h_abs = 4 * NORM_GUARD
     with raises(DomainExit) as info:
         run.segment(_scripted_loop(2, attempt))
@@ -691,7 +798,7 @@ def test_batched_dense_picks_ode_solutions_interpolant(data, steps, descending, 
     ref = OdeSolution(ts, [Dop853DenseOutput(ends[k], ends[k + 1], y_old[k], F[k])
                            for k in range(len(steps))])
     seg = Segment(t=ts, y=np.vstack([y_old, np.zeros(2)]).T, h=np.diff(ends), coef=F,
-                  horner=_dop853_horner, nfev=0, njev=0, nlu=0)
+                  horner=_dop853_eval, nfev=0, njev=0, nlu=0)
     lo, hi = ref.t_min, ref.t_max
     inside = st.floats(min_value=lo, max_value=hi, allow_nan=False)
     extra = np.array(data.draw(st.lists(inside, max_size=20)))
@@ -852,7 +959,7 @@ def test_radau_batched_dense_equals_the_scalar_interpolant(forward, level):
     span = (0.0, 8.0) if forward else (0.0, -8.0)
     scan = None if level is None else _target_scan(SectionSpec("horizontal", level), cfg)
     seg = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, scan, jac=_rotation_jac)
-    assert seg.horner is _radau_horner
+    assert seg.horner is _radau_eval
     grid = _scan_grid(seg)
     got = seg.dense(grid)
     for j, t in enumerate(grid):
@@ -1051,7 +1158,7 @@ def test_section_scan_on_a_radau_leg_matches_analytic_crossings(c, t_end, bounds
     hit, traj = flow_to_section_traj(field, (0.0, 1.5), target, IntegratorConfig(),
                                      record_sections=[rec])
     (seg,) = traj.segments
-    assert seg.horner is _radau_horner and seg.njev > 0
+    assert seg.horner is _radau_eval and seg.njev > 0
     assert hit.t == approx(t_end, abs=1e-9) and hit.point[0] == approx(t_end, abs=1e-9)
     assert hit.point[1] == approx(np.cos(t_end), abs=1e-7)
     recorded = [ev for ev in traj.events if ev.section_id == rec.ident]
@@ -1122,6 +1229,9 @@ def test_initial_step_is_scipys(data, dim, forward, span, max_step, order, rtol,
     theirs = select_initial_step(fun, *args)
     their_calls = calls[:]
     calls.clear()
+    # ``_initial_step`` runs on lists of Python floats
+    args = (0.0, y0.tolist(), *args[2:4], args[4].tolist(), *args[5:])
+    fun = lambda t, y, fun=fun: fun(t, np.array(y)).tolist()
     # the RMS norms are sums on Python floats, not BLAS's: a last-bit change
     # of the first trial step moves f1 - f0, which cancels, so the step can
     # move further (at most 242 ulps on 20,000 random cases and 46 on 20,000
@@ -1184,7 +1294,7 @@ def test_generated_step_matches_exact_arithmetic():
         span, and the step the loop yields to ``record``."""
         cfg = IntegratorConfig(rtol=rtol, atol=rtol, event_tol=1e-12)
         run = _Run(rhs, (t, t + h), np.array(y), cfg, None, tab.ERROR_ESTIMATOR_ORDER,
-                   _dop853_horner)
+                   _dop853_eval)
         run.h_abs, record, kept = abs(h), run.record, []
         run.record = lambda *step: kept.append(step) or record(*step)
         return run.segment(partial(_dop853_loop(len(y)), rhs), run.f, math.sqrt), kept
@@ -1611,10 +1721,8 @@ class _RefRun:
     around a stepper's step attempt, and ``record`` keeps each accepted step."""
 
     def __init__(self, rhs, t_span, y0, config, scan, order, horner):
-        from regtang.integrate import _start
-
         self.t, self.t_bound = map(float, t_span)
-        y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
+        y, f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _ref_start(
             rhs, self.t, self.t_bound, y0, config, order)
         self.y, self.f = y.tolist(), f.tolist()
         self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
@@ -1653,9 +1761,9 @@ class _RefRun:
             ended = self.record(t, t_new, h, *step)
             t = t_new
         hs, coefs = zip(*self.steps)
+        # a run hands over its rows as a list of flat tuples (``Segment.coef``)
         return Segment(t=np.array(self.ts), y=np.vstack(self.ys).T, h=np.array(hs),
-                       coef=None if coefs[0] is None else
-                       np.array(coefs).reshape(len(coefs), -1, len(self.y)),
+                       coef=None if coefs[0] is None else list(coefs),
                        horner=self.horner, nfev=self.nfev, njev=self.njev, nlu=self.nlu)
 
     def record(self, t_old, t, h, y, coef, bounds):
@@ -1718,7 +1826,7 @@ def _ref_dop853(rhs, t_span, y0, config, scan=None):
     from regtang import _tableaux as tab
 
     exponent = -1 / (tab.ERROR_ESTIMATOR_ORDER + 1)
-    run = _RefRun(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_horner)
+    run = _RefRun(rhs, t_span, y0, config, scan, tab.ERROR_ESTIMATOR_ORDER, _dop853_eval)
     y, f = run.y, run.f
 
     def attempt(t, t_new, h, rejected, clamped):
@@ -1749,7 +1857,7 @@ def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac):
         return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(v))
 
     RC, RE, RP, maxiter = tab.RADAU_C, tab.RADAU_E, tab.RADAU_P, tab.NEWTON_MAXITER
-    run = _RefRun(rhs, t_span, y0, config, scan, 3, _radau_horner)
+    run = _RefRun(rhs, t_span, y0, config, scan, 3, _radau_eval)
     y, f, rtol, atol = run.y, run.f, run.rtol, run.atol
     newton_tol = max(10 * _EPS / config.rtol, min(0.03, config.rtol ** 0.5))
     J = np.asarray(jac(run.t, y), dtype=float)
@@ -1975,7 +2083,7 @@ def test_the_norm_bound_reads_the_state_as_max_does_on_both_loops():
     rhs = lambda t, p: (1.0, 0.0)
     runs = []
     for make in (_Run, _RefRun):
-        run = make(rhs, (0.0, 5.0), np.zeros(2), IntegratorConfig(), None, 3, _radau_horner)
+        run = make(rhs, (0.0, 5.0), np.zeros(2), IntegratorConfig(), None, 3, _radau_eval)
         run.h_abs = 1.0
         with raises(DomainExit) as info:
             run.segment(_scripted_loop(2, attempt)) if make is _Run else run.run(attempt)
@@ -2096,9 +2204,217 @@ def test_scripted_steps_run_on_both_loops_alike(name):
     outcomes = []
     for make in (_Run, _RefRun):
         scan = _Scan(rhs, _BAND, target=SectionSpec("horizontal", level))
-        run = make(rhs, span, np.array(y0), IntegratorConfig(), scan, 3, _radau_horner)
+        run = make(rhs, span, np.array(y0), IntegratorConfig(), scan, 3, _radau_eval)
         run.h_abs = 1.0
         seg = run.segment(_scripted_loop(2, attempt)) if make is _Run else run.run(attempt)
         outcomes.append(_run_outcome(seg, scan))
         assert (scan.hit, len(scan.touches)) != (None, 0)
     assert outcomes[0] == outcomes[1]
+
+
+# --------------------------------------------------------------------------
+# the run's edges on Python floats: evaluators, start, rows, overflow
+# --------------------------------------------------------------------------
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(min_value=-1e3, max_value=1e3))
+_X = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+_METHODS = [(_dop853_eval, _dop853_horner, 7), (_radau_eval, _radau_horner, 3)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), method=st.sampled_from(_METHODS), x=_X, y_old=_SIGNED)
+def test_each_evaluator_is_its_horner_loop_bit_for_bit(data, method, x, y_old):
+    # on one component's floats, as the scan evaluates a step; on arrays of
+    # one time, as Segment.__call__ does; and on arrays of m times with each
+    # time's rows, as Segment.dense does: every bit, the signs of zeros too
+    ev, horner, k = method
+    rows = data.draw(st.lists(_SIGNED, min_size=k, max_size=k))
+    assert _hex(ev(*rows, x, y_old)) == _hex(horner(reversed(rows), x, y_old))
+    # all zeros negative: the sign of the result rests on each addition
+    assert _hex(ev(*[-0.0] * k, x, -0.0)) == _hex(horner([-0.0] * k, x, -0.0))
+    m, n = 3, 2
+
+    def array(*shape):
+        flat = data.draw(st.lists(_SIGNED, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat).reshape(shape)
+    R, y = array(k, n), array(n)
+    one = [ev(*R, np.float64(x), y), horner(reversed(R), np.float64(x), y)]
+    assert one[0].tobytes() == one[1].tobytes()
+    R, y = array(k, m, n), array(m, n)
+    X = np.array(data.draw(st.lists(_X, min_size=m, max_size=m)))[:, None]
+    many = [ev(*R, X, y), horner(reversed(R), X, y)]
+    assert many[0].shape == (m, n) and many[0].tobytes() == many[1].tobytes()
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    data=st.data(),
+    dim=st.sampled_from([1, 2, 3]),
+    forward=st.booleans(),
+    t0=st.floats(min_value=-5.0, max_value=5.0),
+    span=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
+    max_step=st.one_of(st.just(math.inf), st.floats(min_value=1e-4, max_value=2.0)),
+    order=st.sampled_from([3, 7]),
+    rtol=st.one_of(st.floats(min_value=1e-16, max_value=2e-14),  # below 100 eps
+                   st.floats(min_value=1e-13, max_value=1e-3)),
+    atol=st.floats(min_value=1e-15, max_value=1e-6),
+)
+def test_the_float_start_is_the_numpy_start_bit_for_bit(data, dim, forward, t0, span,
+                                                        max_step, order, rtol, atol):
+    # ``_start`` on a list of Python floats, as every leg passes, against the
+    # numpy start it replaced: the same state, RHS value, tolerances, sense,
+    # first step, RHS calls and warning, every float to its last bit
+    import warnings
+
+    from regtang.integrate import _rms_norm, _start
+
+    entry = st.floats(min_value=-5.0, max_value=5.0)
+    M = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                           min_size=dim, max_size=dim))
+    y0 = data.draw(st.lists(_SIGNED.filter(lambda v: abs(v) <= 5.0), min_size=dim,
+                            max_size=dim))
+    calls = []
+
+    def rhs(t, p):
+        calls.append((t, list(p)))
+        return tuple(sum(M[i][j] * p[j] for j in range(dim)) for i in range(dim))
+    cfg = IntegratorConfig(rtol=rtol, atol=atol, event_tol=rtol, max_step=max_step)
+    t_bound = t0 + (span if forward else -span)
+    outs = []
+    for start, y in ((_start, list(y0)), (_ref_start, np.array(y0))):
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            y, f, *floats, nfev = start(rhs, t0, t_bound, y, cfg, order)
+        outs.append(([_hex(v) for v in y], [_hex(v) for v in f], [_hex(v) for v in floats],
+                     nfev, [(_hex(t), [_hex(v) for v in p]) for t, p in calls],
+                     [str(w.message) for w in caught]))
+        if start is _start:
+            assert type(y) is list and type(f) is list
+            assert all(type(v) is float for v in y + f + floats)
+    assert outs[0] == outs[1]
+    # the RMS norm behind the first step sums in the same order
+    v = y0 + [float(c) for row in M for c in row]
+    assert _hex(_rms_norm(v)) == _hex(_ref_rms_norm(np.array(v)))
+    assert outs[0][3] == (1 if span == 0.0 else 2)
+    assert len(outs[0][5]) == (rtol < 100 * np.finfo(float).eps)
+
+
+def test_the_float_start_raises_the_numpy_start_s_errors():
+    from regtang.integrate import _start
+
+    rhs = lambda t, p: tuple(p)
+    for y0 in ([1.0, math.nan], [math.inf, 0.0], (1.0, -math.inf), np.array([1.0, math.nan]),
+               [1j, 0.0], np.array([1j, 0.0]), [[1.0, 0.0]], np.array([[1.0, 0.0]])):
+        messages = []
+        for start in (_start, _ref_start):
+            with raises(ValueError) as info:
+                start(rhs, 0.0, 1.0, y0, IntegratorConfig(), 7)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_an_upper_map_leg_stacks_no_rows(monkeypatch):
+    # no leg of a transition map reads its dense output: every leg's rows,
+    # the landed band leg's included, stay the run's list; read once, they
+    # are stacked, and the list is dropped
+    from regtang import maps
+    from regtang.maps import TransitionConfig, upper_transition_map
+    from regtang.scenarios import canonical_system
+
+    flow_leg, segments = maps.flow_to_section_traj, []
+
+    def keep(*args, **kwargs):
+        hit, traj = flow_leg(*args, **kwargs)
+        segments.extend(traj.segments)
+        return hit, traj
+    monkeypatch.setattr(maps, "flow_to_section_traj", keep)
+    upper_transition_map(canonical_system(k=1), TransitionConfig(k=1, n=2), 1e-3, 2e-3)
+    assert len(segments) == 3
+    assert all(type(seg._coef) is list and len(seg._coef) == len(seg.h) for seg in segments)
+    seg = segments[0]
+    coef = seg.coef
+    assert coef.shape == (len(seg.h), 7, 2) and seg._coef is coef and seg.coef is coef
+
+
+@pytest.mark.parametrize("k, n, eps", [(1, 2, 1e-3), (2, 6, 1e-6)])
+def test_a_landed_segment_joins_the_two_runs_as_concatenate_did(monkeypatch, k, n, eps):
+    # the departure leg lands on yhat = 1, on DOP853 at (1, 2) and on Radau
+    # at (2, 6): the joined list of rows stacks to the rows the old
+    # ``np.concatenate`` of the two stacked runs gave, bit for bit
+    from regtang import integrate, lambda_star
+    from regtang.maps import TransitionConfig, find_x_epsilon
+    from regtang.scenarios import canonical_system
+
+    land, joined = integrate._land, []
+
+    def checked(leg, seg, scan):
+        runs = []
+
+        def kept(t_span, y0):
+            runs.append(leg(t_span, y0))
+            return runs[-1]
+        out = land(kept, seg, scan)
+        (last, _), = runs
+        assert type(out[0]._coef) is list
+        joined.append((out[0].coef, np.concatenate([seg.coef[:len(seg.h) - 1], last.coef])))
+        return out
+    monkeypatch.setattr(integrate, "_land", checked)
+    find_x_epsilon(canonical_system(k), TransitionConfig(k, n, lam=0.999 * lambda_star(k, n)),
+                   eps)
+    assert len(joined) == 1
+    (got, want), = joined
+    assert got.shape == want.shape == (got.shape[0], 7 if k == 1 else 3, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def _power_field():
+    """x' = -x**31, y' = 0: past |x| ~ 1e10 the kernel's power overflows."""
+    from regtang.fields import PlanarField
+    from regtang.polys import Poly2
+
+    return PlanarField((Poly2({(31, 0): -1}), Poly2()))
+
+
+def _numpy_power(t, p):
+    """``_power_field`` on numpy floats: inf where the kernel's power raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(-np.float64(p[0]) ** 31), 0.0
+
+
+def test_a_stage_past_the_float_range_rejects_the_step_as_scipy_does():
+    # from x = 3, trial steps overshoot to states whose power overflows: the
+    # kernel raises OverflowError where numpy gives inf, and the step is
+    # rejected, its next size the least factor, as scipy rejects a step
+    # with an inf stage.  The run is the one on a right-hand side that gives
+    # inf, bit for bit, and ends where solve_ivp's DOP853 does
+    field = _power_field()
+    cfg = IntegratorConfig()
+    traj = flow(field, (3.0, 0.0), (0.0, 5.0), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(lambda t, y: [-y[0] ** 31, 0.0], (0.0, 5.0), [3.0, 0.0],
+                        method="DOP853", rtol=cfg.rtol, atol=cfg.atol)
+    assert ref.status == 0 and ref.y[0, -1] == approx(0.8462, abs=1e-4)
+    assert traj.end[0] == approx(ref.y[0, -1], rel=1e-9)
+    assert traj.end[0] == approx((3.0 ** -30 + 150.0) ** (-1 / 30), rel=1e-9)
+    (seg,) = traj.segments
+    assert _rejections(seg) > 0
+    scan = _Scan(_numpy_power, math.sqrt(cfg.event_tol))
+    inf_seg = _dop853(_numpy_power, (0.0, 5.0), [3.0, 0.0], cfg, scan)
+    assert _run_outcome(seg, scan) == _run_outcome(inf_seg, scan)
+
+
+def test_a_newton_stage_past_the_float_range_does_not_converge():
+    # a Newton iterate whose stage state overflows the kernel's power ends
+    # the iteration unconverged, as a stage value that is not finite does
+    from regtang import _tableaux as tab
+    from regtang.integrate import _fused, _inverse2, _radau_newton
+
+    h, J = 0.1, ((-31 * 3.0 ** 30, 0.0), (0.0, 0.0))
+    Z0 = [[1e10, 0.0], [1e10, 0.0], [1e10, 0.0]]
+    args = (0.0, h, [3.0, 0.0], Z0, [1e-12, 1e-12], 0.03, _inverse2(tab.MU_REAL / h, J),
+            _inverse2(tab.MU_COMPLEX / h, J), math.sqrt, math.isfinite)
+    inlined = _fused(_as_rhs(_power_field()), _radau_newton)
+    not_finite = _fused(_numpy_power, _radau_newton)
+    assert inlined(*args) == not_finite(*args) == (False, 1, ((1e10, 0.0),) * 3, None)

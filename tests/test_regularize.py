@@ -404,3 +404,43 @@ def test_one_kernel_per_field_family_at_every_eps(monkeypatch):
         reg.divergence()(-0.3, 0.5 * eps)
     assert sum(key[0] == "dop853" for key in polys._KERNELS) == 2
     assert len(polys._KERNELS) == 6
+
+
+def test_an_equal_field_looks_its_kernels_up_before_generating_them(monkeypatch):
+    # each kernel builder is memoized on what it is generated from: a second
+    # equal BandField, RegularizedField or augmented kernel, from new but
+    # equal polynomials and at another eps, generates no statement; a system
+    # that differs only in h, only in one zone field or only in phi gets
+    # kernels of its own
+    from collections import OrderedDict
+
+    from regtang import Poly2, polys, regularize
+    from regtang.fields import FilippovSystem, PlanarField
+
+    monkeypatch.setattr(polys, "_KERNELS", OrderedDict())
+    calls = []
+    body = regularize._kernel_body
+    monkeypatch.setattr(regularize, "_kernel_body",
+                        lambda *args, **kwargs: calls.append(args) or body(*args, **kwargs))
+
+    def fields(system, tf, eps):
+        band = BandField(system, tf, eps) if system.h == Poly2.y() else None
+        reg = RegularizedField(system, tf, eps)
+        kernels = [reg._rhs, reg.augmented_kernel[0], reg.divergence().func]
+        return kernels + ([] if band is None else [band._rhs, band._jac])
+
+    first = fields(canonical_system(1), TF1, 1e-3)
+    assert len(calls) == 5 == len(set(first))
+    del calls[:]
+    assert fields(canonical_system(1), phi_family(1), 2e-3) == first
+    assert calls == []
+    base = canonical_system(1)
+    p1, p2 = base.x_minus.poly_form
+    others = [
+        FilippovSystem(base.x_plus, base.x_minus, Poly2.y() - Poly2.x().scale(Fraction(1, 10))),
+        FilippovSystem(base.x_plus, PlanarField((p1 + Poly2.const(1), p2)), base.h),
+    ]
+    for system, tf in [(others[0], TF1), (others[1], TF1), (base, phi_family(2))]:
+        del calls[:]
+        own = fields(system, tf, 1e-3)
+        assert len(calls) == len(own) and not set(own) & set(first)
