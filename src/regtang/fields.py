@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateDenominator, UnresolvedContact
-from .polys import Poly2, compile_kernel, power_lines
+from .polys import Poly2, compile_kernel, float_parts, power_lines
 
 Point = Tuple[float, float]
 
@@ -33,11 +33,9 @@ class PlanarField:
     poly_form: Tuple[Poly2, Poly2]
 
     def __post_init__(self):
-        p1, p2 = self.poly_form
+        lines, form = float_parts(zip("uv", self.poly_form))
         self.eval = compile_kernel(
-            "x, y",
-            power_lines(self.poly_form) + p1.float_lines("u") + p2.float_lines("v")
-            + ["return (u, v)"])
+            "x, y", power_lines(self.poly_form) + lines + [f"return ({form['u']}, {form['v']})"])
         self.kernel = (self.eval, ())
 
     def divergence(self) -> Callable[[float, float], float]:
@@ -52,9 +50,10 @@ class PlanarField:
         ``eval`` and ``divergence()``, so it returns their numbers."""
         p1, p2 = self.poly_form
         div = p1.diff_x() + p2.diff_y()
+        lines, form = float_parts([("u", p1), ("v", p2), ("div", div)])
         return compile_kernel(
-            "x, y, w", power_lines([p1, p2, div]) + p1.float_lines("u") + p2.float_lines("v")
-            + div.float_lines("div") + ["return (u, v, div)"]), ()
+            "x, y, w", power_lines([p1, p2, div]) + lines
+            + [f"return ({form['u']}, {form['v']}, {form['div']})"]), ()
 
     def augmented(self, x: float, y: float, w: float) -> Tuple[float, float, float]:
         fn, _ = self.augmented_kernel

@@ -88,6 +88,10 @@ RHS = Callable[[float, List[float]], Sequence[float]]  # see the module docstrin
 _EPS = float(np.finfo(float).eps)
 
 NORM_GUARD = 1e6  # a run whose kept state's max norm exceeds it raises DomainExit
+# times ``Segment.dense`` evaluates in one numpy pass: blocks of 6144 or fewer
+# lower glibc's dynamic trim threshold so far that the cycle study's Hausdorff
+# arrays are handed back to the OS and faulted in again on every row
+DENSE_BLOCK = 8192
 
 
 @dataclass
@@ -224,17 +228,23 @@ class Segment:
 
     def dense(self, ts: np.ndarray) -> np.ndarray:
         """The states (shape (n, len(ts))) at a 1-D array of times, each bit
-        for bit ``self(t)``, in one numpy pass over the stacked steps."""
+        for bit ``self(t)``: one numpy pass over the stacked steps per block
+        of at most DENSE_BLOCK consecutive times, which bounds the arrays a
+        pass holds."""
         if self.coef is None:
             return np.repeat(self.y[:, :1], len(ts), axis=1)
         seg = self._steps(ts)
         x = ((ts - self.t[seg]) / self.h[seg])[:, None]
-        # each block of samples on one step reads the step's rows once
-        first = np.flatnonzero(np.diff(seg, prepend=-1))
-        counts = np.diff(first, append=len(ts))
-        rows = np.repeat(self.coef[seg[first]].transpose(1, 0, 2), counts, axis=1)
-        y_old = np.repeat(self.y.T[seg[first]], counts, axis=0)
-        return self.horner(*rows, x, y_old).T
+        out = np.empty((len(ts), len(self.y)))
+        for k in range(0, len(ts), DENSE_BLOCK):
+            part = seg[k:k + DENSE_BLOCK]
+            # each run of samples on one step reads the step's rows once
+            first = np.flatnonzero(np.diff(part, prepend=-1))
+            counts = np.diff(first, append=len(part))
+            rows = np.repeat(self.coef[part[first]].transpose(1, 0, 2), counts, axis=1)
+            y_old = np.repeat(self.y.T[part[first]], counts, axis=0)
+            out[k:k + DENSE_BLOCK] = self.horner(*rows, x[k:k + DENSE_BLOCK], y_old)
+        return out.T
 
 
 @dataclass
@@ -259,7 +269,7 @@ class Trajectory:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with one row per accepted step; event rows carry the section id."""
     lines = ["t,x,y,event"]
-    for ti, (xi, yi) in zip(traj.t, traj.points):
+    for ti, (xi, yi) in zip(traj.t.tolist(), traj.points.tolist()):
         lines.append(f"{ti:.17g},{xi:.17g},{yi:.17g},")
     for ev in traj.events:
         lines.append(
@@ -604,25 +614,28 @@ Source = Tuple[str, Sequence[str]]  # a generated kernel's (args, body)
 
 def _inliner(n: int, source: Optional[Source]):
     """How a generated stepper evaluates the RHS of an ``n``-dimensional
-    state: ``(lead, stage)``, the names of the stepper's lead arguments and
+    state: ``(lead, bind, stage)``, the names of the stepper's lead
+    arguments, the lines that bind them, once, on entry, and
     ``stage(targets, time, state)``, the lines that assign the RHS at the
     time ``time`` and the state ``state`` (source expressions, one per
     component) to the names ``targets``.
 
-    Without ``source`` the one ``lead`` argument is the RHS, and a stage
-    calls it as ``rhs(time, [state])``.  ``source`` is the ``(args, body)``
-    of a generated field kernel (``polys.cached_kernel``) whose last n
-    arguments are the state and whose body returns a tuple on its last line
-    only; the ``lead`` arguments are its first ones.  A stage is then the
-    kernel's own statements: those of its arguments the body reads bound by
-    assignment (the divergence integral's state ``w`` of an augmented kernel
-    is not), its return tuple assigned to the targets.  The steppers' own
-    names start with ``_``, which no kernel generator uses.
+    Without ``source`` the one ``lead`` argument is the RHS, bound as it is,
+    and a stage calls it as ``rhs(time, [state])``.  ``source`` is the
+    ``(args, body)`` of a generated field kernel (``polys.cached_kernel``)
+    whose last n arguments are the state and whose body returns a tuple on
+    its last line only and assigns none of its first arguments; the ``lead``
+    arguments are those first ones, and ``bind`` assigns each the body reads
+    to its name.  A stage is then the kernel's own statements: those of its
+    state arguments the body reads bound by assignment (the divergence
+    integral's state ``w`` of an augmented kernel is not), its return tuple
+    assigned to the targets.  The steppers' own names start with ``_``,
+    which no kernel generator uses.
     """
     if source is None:
         def call(targets, time, state):
             return [f"{', '.join(targets)}, = _rhs({time}, [{', '.join(state)}])"]
-        return ["_rhs"], call
+        return ["_rhs"], [], call
     args, body = source
     names = args.split(", ")
     params, state_names = names[:-n], names[-n:]
@@ -630,15 +643,16 @@ def _inliner(n: int, source: Optional[Source]):
     if not ret.startswith("return ") or any(
             line.lstrip().startswith("return") for line in inner):
         raise ValueError("an inlined kernel returns on its last line only")
+    nodes = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
+    if any(isinstance(node.ctx, ast.Store) and node.id in params for node in nodes):
+        raise ValueError("an inlined kernel may not assign its lead arguments")
+    read = {node.id for node in nodes}
     lead = [f"_p{j}" for j in range(len(params))]
-    read = {node.id for node in ast.walk(ast.parse("\n".join(body)))
-            if isinstance(node, ast.Name)}
 
     def inline(targets, time, state):  # an autonomous kernel reads no time
-        return [*(f"{p} = {q}" for p, q in zip(params, lead) if p in read),
-                *(f"{v} = {e}" for v, e in zip(state_names, state) if v in read),
+        return [*(f"{v} = {e}" for v, e in zip(state_names, state) if v in read),
                 *inner, f"{', '.join(targets)}, = {ret[len('return '):]}"]
-    return lead, inline
+    return lead, [f"{p} = {q}" for p, q in zip(params, lead) if p in read], inline
 
 
 def _fused(rhs: RHS, generate: Callable[[Optional[Source]], Callable]) -> Callable:
@@ -738,7 +752,7 @@ def _dop853_source(n: int, source: Optional[Source]) -> Source:
     def point(a):  # the state of a stage with coefficients ``a``
         return f"_y{{i}} + ({_dot(a, K)}) * _h"
 
-    lead, evaluate = _inliner(n, source)
+    lead, bind, evaluate = _inliner(n, source)
 
     def stage(s, time, state):  # ``state`` per component, a format of i
         return evaluate([K[s].format(i=i) for i in range(n)], time,
@@ -788,7 +802,7 @@ def _dop853_source(n: int, source: Optional[Source]) -> Source:
         f"{vec('_y{i}')}, {vec(K[0])} = {vec('_n{i}')}, {vec(K[_N])}",
         "break"]
     return _loop_source(n, lead, ["_f", "_sqrt"],
-                        [f"{vec('_y{i}')}, = _y", f"{vec(K[0])}, = _f"], attempt)
+                        [*bind, f"{vec('_y{i}')}, = _y", f"{vec(K[0])}, = _f"], attempt)
 
 
 class _Run:
@@ -942,7 +956,7 @@ def _radau_newton(source: Optional[Source] = None) -> Callable:
 
 def _radau_source(source: Optional[Source]):
     """The ``(args, body)`` of ``_radau_newton(source)``."""
-    lead, evaluate = _inliner(2, source)
+    lead, bind, evaluate = _inliner(2, source)
 
     def prod(M, out, v):  # out = M v, per row r and component j, every term kept
         return [f"_{out}{r}{j} = " + " + ".join(f"({m!r}) * _{v}{s}{j}"
@@ -956,7 +970,7 @@ def _radau_source(source: Optional[Source]):
     Z = "((_z00, _z01), (_z10, _z11), (_z20, _z21))"
     terms = [f"(_dw{r}0 / _s0) ** 2 + (_dw{r}1 / _s1) ** 2" for r in range(3)]
     body = [
-        "_y0, _y1 = _y", f"{Z} = _Z0", "_s0, _s1 = _scale",
+        *bind, "_y0, _y1 = _y", f"{Z} = _Z0", "_s0, _s1 = _scale",
         "(_a, _b, _c, _d), (_ac, _bc, _cc, _dc) = _inv_real, _inv_complex",
         f"_mr = ({_MU_REAL!r}) / _h", f"_mc = ({_MU_COMPLEX!r}) / _h",
         *prod(_RTI, "w", "z"),

@@ -9,8 +9,9 @@ Only the operations the rest of the package needs are implemented (ring
 arithmetic, differentiation, evaluation, composition with shifts).  Float
 evaluation of a ``Poly2`` runs straight-line code generated once from its
 exact coefficients (``compile_kernel``), so that integrator right-hand sides
-stay cheap; the same statements are inlined into the fused kernels of
-``regtang.regularize``, and a field's kernel into the DOP853 step of
+stay cheap; a polynomial that is one literal or name is written in place
+(``float_form``).  The same statements are inlined into the fused kernels of
+``regtang.regularize``, and a field's kernel into the steppers of
 ``regtang.integrate``.
 """
 
@@ -106,17 +107,18 @@ class Poly1:
             acc = acc * x + c
         return acc
 
-    def horner_lines(self, var: str, target: str) -> List[str]:
-        """Statements assigning this polynomial at ``var`` to ``target``, in
-        the Horner order of ``__call__``.  Zero coefficients are skipped,
-        which can only change the sign of a zero result."""
+    def horner(self, var: str) -> str:
+        """This polynomial at ``var`` as one expression, the operations of
+        ``__call__`` in its Horner order: ``((-0.5*s)*s + 1.5)*s``.  Zero
+        coefficients are skipped, which can only change the sign of a zero
+        result."""
         cs = [float(c) for c in reversed(self.coeffs)]
         if not cs:
-            return [f"{target} = 0.0"]
-        lines = [f"{target} = {cs[0]!r}"]
-        for c in cs[1:]:
-            lines.append(f"{target} = {target}*{var}" + (f" + {c!r}" if c else ""))
-        return lines
+            return "0.0"
+        expr = repr(cs[0])
+        for k, c in enumerate(cs[1:]):
+            expr = (f"({expr})" if k else expr) + f"*{var}" + (f" + {c!r}" if c else "")
+        return expr
 
     def shift(self, a) -> "Poly1":
         """Return p(x + a) as a polynomial in x (exact)."""
@@ -254,11 +256,14 @@ class Poly2:
             acc += c * x**i * y**j
         return acc
 
-    def float_lines(self, target: str) -> List[str]:
-        """Statements assigning this polynomial's float value to ``target``.
+    def float_form(self, target: str) -> Tuple[List[str], str]:
+        """This polynomial's float value as ``(lines, expr)``.  When it is
+        one literal or name (``0.0``, ``1.0``, ``x``, ``x3``), no statement
+        and that atom, which a kernel writes in place of a name; else the
+        statements that assign it to ``target``, and ``target``.
 
-        They read ``x``, ``y`` and the powers ``power_lines`` defines; the
-        terms are summed left to right in sorted order, each as
+        The statements read ``x``, ``y`` and the powers ``power_lines``
+        defines; the terms are summed left to right in sorted order, each as
         ``c*(x**i*y**j)`` with the coefficient converted here, once.
         """
         terms = []
@@ -272,20 +277,22 @@ class Poly2:
             else:
                 terms.append(f"({cf!r})*" + (f"({mono})" if "*" in mono else mono))
         if not terms:
-            return [f"{target} = 0.0"]
+            return [], "0.0"
+        if len(terms) == 1 and ((0, 0) in self.terms or terms[0].isidentifier()):
+            return [], terms[0]
         # Sum in chunks: one expression of thousands of terms overflows the
         # compiler's recursion limit.
         lines = []
         for k in range(0, len(terms), _CHUNK):
             head = [target] if k else []
             lines.append(f"{target} = " + " + ".join(head + terms[k:k + _CHUNK]))
-        return lines
+        return lines, target
 
     def compiled(self) -> Callable[[float, float], float]:
         """Return (and cache) the generated float evaluator ``f(x, y)``."""
         if self._fast is None:
-            self._fast = compile_kernel(
-                "x, y", power_lines([self]) + self.float_lines("v") + ["return v"])
+            lines, v = self.float_form("v")
+            self._fast = compile_kernel("x, y", power_lines([self]) + lines + [f"return {v}"])
         return self._fast
 
     def __call__(self, x: float, y: float) -> float:
@@ -339,6 +346,17 @@ def power_lines(polys: Iterable[Poly2]) -> List[str]:
     need = sorted({(v, e) for p in polys for (i, j) in p.terms
                    for v, e in (("x", i), ("y", j)) if e >= 2})
     return [f"{_power(v, e)} = {v}**{e}" for v, e in need]
+
+
+def float_parts(named: Iterable[Tuple[str, Poly2]]) -> Tuple[List[str], Dict[str, str]]:
+    """The statements that assign each ``(name, poly)`` of ``named`` its
+    float value, and each name's float form, its atom or the name
+    (``Poly2.float_form``)."""
+    lines, form = [], {}
+    for name, p in named:
+        own, form[name] = p.float_form(name)
+        lines += own
+    return lines, form
 
 
 KERNEL_CACHE_SIZE = 512  # compiled kernels kept per process, least recently used out

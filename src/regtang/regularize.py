@@ -28,7 +28,7 @@ from .errors import (
 from .fields import FilippovSystem, PlanarField
 from .integrate import SectionSpec, flow_to_section_traj, sample_dense
 from .phi import TransitionFunction, phi_inverse
-from .polys import Poly2, cached_kernel, power_lines
+from .polys import Poly2, cached_kernel, float_parts, power_lines
 
 
 # --------------------------------------------------------------------------
@@ -36,33 +36,47 @@ from .polys import Poly2, cached_kernel, power_lines
 # --------------------------------------------------------------------------
 
 def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
-                 named: list, slope: bool = False) -> list:
-    """Statements shared by the fused kernels, up to their return.
+                 named: list, slope: bool = False) -> Tuple[list, dict]:
+    """Statements shared by the fused kernels, up to their return, and the
+    float form of each name of ``named`` (``polys.float_parts``).
 
     Every kernel takes eps first, a Python float, so that one kernel serves
     a field at every eps.  With ``band`` they then take (x, s = yhat) and set
-    y = eps*s; otherwise they take (x, y) and set s = h(x, y)/eps.  Then
-    c = (1 + Phi(s))/2 and d = 1 - c, with ``slope`` also D = Phi'(s), which
-    is 0 outside |s| < 1; last, each ``(name, poly)`` of ``named`` is
-    assigned to its name.  All of it is generated from the exact
+    y = eps*s where a polynomial reads y; otherwise they take (x, y) and set
+    s = h(x, y)/eps.  Then c = (1 + Phi(s))/2 and d = 1 - c, with ``slope``
+    also D = Phi'(s), which is 0 outside |s| < 1, each one Horner expression;
+    last, each ``(name, poly)`` of ``named`` whose float form is not an atom
+    is assigned to its name.  All of it is generated from the exact
     coefficients of Phi, the polynomials and h.
     """
     polys = [p for _, p in named]
     if band:
-        body = ["y = eps*s"] + power_lines(polys)
+        reads_y = any(j for p in polys for _, j in p.terms)
+        body = (["y = eps*s"] if reads_y else []) + power_lines(polys)
     else:
-        body = power_lines(polys + [system.h]) + system.h.float_lines("hv")
-        body.append("s = hv/eps")
+        lines, hv = system.h.float_form("hv")
+        body = power_lines(polys + [system.h]) + lines + [f"s = {hv}/eps"]
     zero = ["    D = 0.0"] if slope else []
     body += ["if s >= 1.0:", "    c = 1.0", *zero,
-             "elif s <= -1.0:", "    c = 0.0", *zero, "else:"]
-    body += ["    " + line for line in tf.phi_poly.horner_lines("s", "P")]
+             "elif s <= -1.0:", "    c = 0.0", *zero, "else:",
+             f"    c = 0.5*(1.0 + {tf.phi_poly.horner('s')})"]
     if slope:
-        body += ["    " + line for line in tf.derivs[1].horner_lines("s", "D")]
-    body += ["    c = 0.5*(1.0 + P)", "d = 1.0 - c"]
-    for name, p in named:
-        body += p.float_lines(name)
-    return body
+        body.append(f"    D = {tf.derivs[1].horner('s')}")
+    lines, form = float_parts(named)
+    return body + ["d = 1.0 - c"] + lines, form
+
+
+def _times(a: str, b: str) -> str:
+    """The source of ``a*b``, or of the other factor where one is the literal
+    ``1.0``: multiplying by 1.0 returns every float as it is, the signs of
+    zeros, inf and NaN included.  A factor ``0.0`` stays: its product is
+    +0.0, -0.0 or NaN."""
+    return b if a == "1.0" else a if b == "1.0" else f"{a}*{b}"
+
+
+def _mix(form: dict, plus: str, minus: str) -> str:
+    """The source of ``c*plus + d*minus`` on the float forms of the names."""
+    return f"{_times('c', form[plus])} + {_times('d', form[minus])}"
 
 
 def _memo(kind: str, system: FilippovSystem, tf: TransitionFunction, args: str,
@@ -93,13 +107,16 @@ def _mix_kernel(system: FilippovSystem, tf: TransitionFunction,
     in the variables of ``_kernel_body``; with ``band`` the first component
     is scaled by eps (``BandField``), otherwise it is ``RegularizedField``.
     The kernel runs the operations of ``c*X_plus.eval + (1 - c)*X_minus.eval``
-    in their order, on the statements ``PlanarField`` compiles, so it returns
-    the same numbers, as a tuple of two Python floats.
+    in their order, on the statements ``PlanarField`` compiles, a component
+    that is an atom written in place and a factor 1.0 left out (``_times``),
+    so it returns the same numbers, as a tuple of two Python floats.
     """
-    first = "eps*(c*p1 + d*m1)" if band else "c*p1 + d*m1"
+    def body():
+        lines, form = _kernel_body(system, tf, band, _zone_polys(system))
+        first = f"eps*({_mix(form, 'p1', 'm1')})" if band else _mix(form, "p1", "m1")
+        return lines + [f"return ({first}, {_mix(form, 'p2', 'm2')})"]
     return _memo("band" if band else "mix", system, tf, "eps, x, s" if band else "eps, x, y",
-                 lambda: _kernel_body(system, tf, band, _zone_polys(system))
-                 + [f"return ({first}, c*p2 + d*m2)"])
+                 body)
 
 
 def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
@@ -118,43 +135,46 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Cal
     def body():
         named = [(name + suffix, q) for name, p in _zone_polys(system)
                  for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
-        return _kernel_body(system, tf, True, named, slope=True) + [
+        lines, form = _kernel_body(system, tf, True, named, slope=True)
+        dx, ds = [[_mix(form, f"p{i}{v}", f"m{i}{v}") for i in (1, 2)] for v in "xy"]
+        jump = [f"dc*({form[f'p{i}']} - {form[f'm{i}']})" for i in (1, 2)]
+        return lines + [
             "dc = 0.5*D",
-            "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
-            "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]
+            f"return ((eps*({dx[0]}), eps*({jump[0]} + eps*({ds[0]}))), "
+            f"({dx[1]}, {jump[1]} + eps*({ds[1]})))"]
     return _memo("band_jacobian", system, tf, "eps, x, s", body)
 
 
-def _divergence_body(system: FilippovSystem, tf: TransitionFunction, named: list) -> list:
+def _divergence_body(system: FilippovSystem, tf: TransitionFunction,
+                     named: list) -> Tuple[list, dict]:
     """Statements that assign the divergence of the regularized field,
 
         c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
 
     to ``div``, with s = h/eps, after ``_kernel_body``'s for ``named`` and
-    the divergences; the last term is added only where Phi'(s) != 0, from
-    the zone components ``named`` does not assign already.  A gradient
-    component of h that is 0 drops its term, and one that is 1 multiplies
-    nothing, so for h = y the term is Phi'(s)/(2 eps) (X2+ - X2-).
+    the divergences, and the float forms of ``named``; the last term is
+    added only where Phi'(s) != 0, from the zone components ``named`` does
+    not assign already.  A gradient component of h that is 0 drops its
+    term, and one that is 1 multiplies nothing, so for h = y the term is
+    Phi'(s)/(2 eps) (X2+ - X2-).
     """
     divs = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
             for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
-    jump, terms = [], []
+    jump, gradient = [], []
     for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1):
-        if not g.terms:
-            continue
-        jump += [part for part in _zone_polys(system, (i,)) if part not in named]
-        if g == Poly2.const(1):
-            terms.append(f"(p{i} - m{i})")
-        else:
+        if g.terms:
+            jump += [part for part in _zone_polys(system, (i,)) if part not in named]
             jump.append((f"h{i}", g))
-            terms.append(f"h{i}*(p{i} - m{i})")
-    body = _kernel_body(system, tf, False, named + divs, slope=True)
+            gradient.append(i)
+    body, form = _kernel_body(system, tf, False, named + divs, slope=True)
     # the jump's own statements run only where it is added
-    inner = [line for line in power_lines(p for _, p in jump) if line not in body]
-    for name, p in jump:
-        inner += p.float_lines(name)
-    return body + ["div = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
-                   f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})"]
+    lines, inner_form = float_parts(jump)
+    inner = [line for line in power_lines(p for _, p in jump) if line not in body] + lines
+    form.update(inner_form)
+    terms = [_times(form[f"h{i}"], f"({form[f'p{i}']} - {form[f'm{i}']})") for i in gradient]
+    return body + [f"div = {_mix(form, 'dp', 'dm')}", "if D != 0.0:",
+                   *("    " + line for line in inner),
+                   f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})"], form
 
 
 def _divergence_kernel(system: FilippovSystem,
@@ -162,7 +182,7 @@ def _divergence_kernel(system: FilippovSystem,
     """Straight-line float kernel ``(eps, x, y) -> div`` of the divergence
     of the regularized field (``_divergence_body``)."""
     return _memo("divergence", system, tf, "eps, x, y",
-                 lambda: _divergence_body(system, tf, []) + ["return div"])
+                 lambda: _divergence_body(system, tf, [])[0] + ["return div"])
 
 
 def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
@@ -171,9 +191,10 @@ def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callabl
     divergence integral w, which it does not read.  It computes s, Phi(s),
     c and d once and runs the statements of ``_mix_kernel`` and
     ``_divergence_kernel`` on them, so it returns their numbers."""
-    return _memo("augmented", system, tf, "eps, x, y, w",
-                 lambda: _divergence_body(system, tf, _zone_polys(system))
-                 + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"])
+    def body():
+        lines, form = _divergence_body(system, tf, _zone_polys(system))
+        return lines + [f"return ({_mix(form, 'p1', 'm1')}, {_mix(form, 'p2', 'm2')}, div)"]
+    return _memo("augmented", system, tf, "eps, x, y, w", body)
 
 
 # --------------------------------------------------------------------------

@@ -2157,6 +2157,36 @@ def test_an_inlined_kernel_binds_only_the_arguments_its_body_reads():
         assert bound.count("x") == bound.count("y") == 15 and "w" not in bound
 
 
+def test_a_generated_stepper_binds_each_lead_argument_once():
+    # eps, the kernels' lead argument, is bound once in the DOP853 loop's
+    # set-up and once on entry to the Newton iteration, in no stage
+    from regtang import BandField, RegularizedField, phi_family
+    from regtang.integrate import _dop853_loop, _radau_newton
+    from regtang.scenarios import boundary_cycle_system, canonical_system
+
+    band = BandField(canonical_system(k=2), phi_family(3), 1e-4)
+    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    for fn, n in ((band.kernel[0], 2), (reg.kernel[0], 2), (reg.augmented_kernel[0], 3)):
+        _, body = _dop853_loop(n, fn.source).source
+        assert [line for line in body if "eps =" in line] == ["eps = _p0"]
+        assert body.index("eps = _p0") < body.index("while True:")
+    _, body = _radau_newton(band.kernel[0].source).source
+    assert [line for line in body if "eps =" in line] == ["eps = _p0"] == list(body[:1])
+
+
+def test_a_kernel_that_assigns_a_lead_argument_is_not_inlined():
+    # a lead argument is bound once per run, so a stage may not rebind it
+    from regtang.integrate import _inliner
+
+    for line in ("eps = 2.0*eps", "eps += 1.0", "eps, t = x, y"):
+        with raises(ValueError, match="lead argument"):
+            _inliner(2, ("eps, x, y", (line, "return (eps*x, y)")))
+    lead, bind, stage = _inliner(2, ("eps, x, y", ("u = eps*x", "return (u, y)")))
+    assert (lead, bind) == (["_p0"], ["eps = _p0"])
+    assert stage(["_a", "_b"], "_t", ["_x", "_y"]) == [
+        "x = _x", "y = _y", "u = eps*x", "_a, _b, = (u, y)"]
+
+
 def _dip_then_rise(m, rise):
     """Scripted steps of length 1 (Radau rows Q0, Q1, Q2 per component):
     the first y = (t - m)^2, every later one rising by ``rise``."""

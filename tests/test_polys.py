@@ -159,13 +159,38 @@ def test_poly1_call_is_bit_identical_to_per_term_float_horner(coeffs, x):
     assert struct.pack("<d", p(x)) == want  # cached coefficients
 
 
+def _horner_lines(p, var, target):
+    """The statement form that ``Poly1.horner`` replaced, kept as its
+    reference: one statement per coefficient, zero coefficients skipped."""
+    cs = [float(c) for c in reversed(p.coeffs)]
+    if not cs:
+        return [f"{target} = 0.0"]
+    lines = [f"{target} = {cs[0]!r}"]
+    for c in cs[1:]:
+        lines.append(f"{target} = {target}*{var}" + (f" + {c!r}" if c else ""))
+    return lines
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(rationals, max_size=14),
        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-def test_poly1_horner_lines_match_call(coeffs, x):
+@example([], 0.5)
+@example([Fraction(3, 2)], -0.0)
+@example([0, Fraction(3, 2), 0, Fraction(-1, 2)], -0.0)
+def test_poly1_horner_matches_call(coeffs, x):
+    # one expression, the statement form's operations: its bits, the signs
+    # of zeros included, and __call__'s value up to the sign of a zero
     p = Poly1(coeffs)
-    fn = compile_kernel("s", p.horner_lines("s", "P") + ["return P"])
-    assert fn(x) == p(x)  # equal up to the sign of a zero
+    fn = compile_kernel("s", [f"return {p.horner('s')}"])
+    ref = compile_kernel("s", _horner_lines(p, "s", "P") + ["return P"])
+    assert struct.pack("<d", fn(x)) == struct.pack("<d", ref(x))
+    assert fn(x) == p(x)
+
+
+def test_poly1_horner_is_one_expression():
+    assert Poly1([0, Fraction(3, 2), 0, Fraction(-1, 2)]).horner("s") == "((-0.5*s)*s + 1.5)*s"
+    assert Poly1([2]).horner("s") == "2.0"
+    assert Poly1([]).horner("s") == "0.0"
 
 
 def test_kernels_of_different_sources_are_profiled_apart():

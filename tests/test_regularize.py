@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import (
@@ -444,3 +444,242 @@ def test_an_equal_field_looks_its_kernels_up_before_generating_them(monkeypatch)
         del calls[:]
         own = fields(system, tf, 1e-3)
         assert len(calls) == len(own) and not set(own) & set(first)
+
+
+# --------------------------------------------------------------------------
+# the statement-form kernel generator, kept as the reference of the lean one
+# --------------------------------------------------------------------------
+
+def _horner_lines(p, var, target):
+    """One statement per coefficient of ``p``, zero coefficients skipped."""
+    cs = [float(c) for c in reversed(p.coeffs)]
+    if not cs:
+        return [f"{target} = 0.0"]
+    lines = [f"{target} = {cs[0]!r}"]
+    for c in cs[1:]:
+        lines.append(f"{target} = {target}*{var}" + (f" + {c!r}" if c else ""))
+    return lines
+
+
+def _float_lines(p, target):
+    """Statements assigning the float value of the Poly2 ``p`` to ``target``,
+    one term ``c*(x**i*y**j)`` after another in sorted order, summed in
+    chunks of 64 terms."""
+    from regtang.polys import _power
+
+    terms = []
+    for (i, j), c in sorted(p.terms.items()):
+        mono = "*".join(_power(v, e) for v, e in (("x", i), ("y", j)) if e)
+        cf = float(c)
+        if not mono:
+            terms.append(repr(cf))
+        elif cf in (1.0, -1.0):
+            terms.append(("" if cf > 0 else "-") + mono)
+        else:
+            terms.append(f"({cf!r})*" + (f"({mono})" if "*" in mono else mono))
+    if not terms:
+        return [f"{target} = 0.0"]
+    return [f"{target} = " + " + ".join(([target] if k else []) + terms[k:k + 64])
+            for k in range(0, len(terms), 64)]
+
+
+def _ref_kernel_body(system, tf, band, named, slope=False):
+    from regtang.polys import power_lines
+
+    polys = [p for _, p in named]
+    if band:
+        body = ["y = eps*s"] + power_lines(polys)
+    else:
+        body = power_lines(polys + [system.h]) + _float_lines(system.h, "hv")
+        body.append("s = hv/eps")
+    zero = ["    D = 0.0"] if slope else []
+    body += ["if s >= 1.0:", "    c = 1.0", *zero,
+             "elif s <= -1.0:", "    c = 0.0", *zero, "else:"]
+    body += ["    " + line for line in _horner_lines(tf.phi_poly, "s", "P")]
+    if slope:
+        body += ["    " + line for line in _horner_lines(tf.derivs[1], "s", "D")]
+    body += ["    c = 0.5*(1.0 + P)", "d = 1.0 - c"]
+    for name, p in named:
+        body += _float_lines(p, name)
+    return body
+
+
+def _ref_zone_polys(system, index=(1, 2)):
+    return [(f"{tag}{i}", f.poly_form[i - 1])
+            for tag, f in (("p", system.x_plus), ("m", system.x_minus)) for i in index]
+
+
+def _ref_divergence_body(system, tf, named):
+    from regtang import Poly2
+    from regtang.polys import power_lines
+
+    divs = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
+            for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
+    jump, terms = [], []
+    for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1):
+        if not g.terms:
+            continue
+        jump += [part for part in _ref_zone_polys(system, (i,)) if part not in named]
+        if g == Poly2.const(1):
+            terms.append(f"(p{i} - m{i})")
+        else:
+            jump.append((f"h{i}", g))
+            terms.append(f"h{i}*(p{i} - m{i})")
+    body = _ref_kernel_body(system, tf, False, named + divs, slope=True)
+    inner = [line for line in power_lines(p for _, p in jump) if line not in body]
+    for name, p in jump:
+        inner += _float_lines(p, name)
+    return body + ["div = c*dp + d*dm", "if D != 0.0:", *("    " + line for line in inner),
+                   f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})"]
+
+
+def _ref_sources(system, tf):
+    """The ``(args, body)`` of each kernel of ``system`` and ``tf`` as the
+    statement-form generator wrote it."""
+    from regtang.polys import power_lines
+
+    jac = [(name + suffix, q) for name, p in _ref_zone_polys(system)
+           for suffix, q in (("", p), ("x", p.diff_x()), ("y", p.diff_y()))]
+    out = {
+        "band": ("eps, x, s", _ref_kernel_body(system, tf, True, _ref_zone_polys(system))
+                 + ["return (eps*(c*p1 + d*m1), c*p2 + d*m2)"]),
+        "mix": ("eps, x, y", _ref_kernel_body(system, tf, False, _ref_zone_polys(system))
+                + ["return (c*p1 + d*m1, c*p2 + d*m2)"]),
+        "band_jacobian": ("eps, x, s", _ref_kernel_body(system, tf, True, jac, slope=True) + [
+            "dc = 0.5*D",
+            "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
+            "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]),
+        "divergence": ("eps, x, y", _ref_divergence_body(system, tf, []) + ["return div"]),
+        "augmented": ("eps, x, y, w", _ref_divergence_body(system, tf, _ref_zone_polys(system))
+                      + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"]),
+    }
+    for tag, f in (("plus", system.x_plus), ("minus", system.x_minus)):
+        p1, p2 = f.poly_form
+        div = p1.diff_x() + p2.diff_y()
+        out[f"{tag}_eval"] = ("x, y", power_lines([p1, p2]) + _float_lines(p1, "u")
+                              + _float_lines(p2, "v") + ["return (u, v)"])
+        out[f"{tag}_augmented"] = ("x, y, w", power_lines([p1, p2, div]) + _float_lines(p1, "u")
+                                   + _float_lines(p2, "v") + _float_lines(div, "div")
+                                   + ["return (u, v, div)"])
+        out[f"{tag}_divergence"] = ("x, y", power_lines([div]) + _float_lines(div, "v")
+                                    + ["return v"])
+    return out
+
+
+def _lean_kernels(system, tf):
+    """The package's kernels of ``system`` and ``tf``, under the names of
+    ``_ref_sources``."""
+    from regtang import regularize
+
+    out = {"band": regularize._mix_kernel(system, tf, True),
+           "mix": regularize._mix_kernel(system, tf, False),
+           "band_jacobian": regularize._band_jacobian_kernel(system, tf),
+           "divergence": regularize._divergence_kernel(system, tf),
+           "augmented": regularize._augmented_kernel(system, tf)}
+    for tag, f in (("plus", system.x_plus), ("minus", system.x_minus)):
+        out[f"{tag}_eval"] = f.eval
+        out[f"{tag}_augmented"] = f.augmented_kernel[0]
+        out[f"{tag}_divergence"] = f.divergence()
+    return out
+
+
+def _compile(args, body):
+    ns = {}
+    exec(f"def _kernel({args}):\n" + "".join(f"    {line}\n" for line in body), ns)
+    return ns["_kernel"]
+
+
+def _kernel_systems():
+    from regtang.scenarios import time_reversed
+
+    cycles = [boundary_cycle_system(k=k) for k in (2, 3)]
+    return [canonical_system(k=k) for k in (1, 2, 3)] + cycles + [time_reversed(c)
+                                                                 for c in cycles]
+
+
+_KERNEL_SYSTEMS = _kernel_systems()
+_KERNEL_PAIRS = {}
+
+
+def _kernel_pair(i, m):
+    """The lean kernels of system ``i`` and phi_m, and their references."""
+    if (i, m) not in _KERNEL_PAIRS:
+        system, tf = _KERNEL_SYSTEMS[i], phi_family(m)
+        refs = {name: _compile(*src) for name, src in _ref_sources(system, tf).items()}
+        _KERNEL_PAIRS[i, m] = (_lean_kernels(system, tf), refs)
+    return _KERNEL_PAIRS[i, m]
+
+
+def _outcome(fn, *args):
+    """Every float ``fn(*args)`` returns, as its bits, or the exception's type.
+    A NaN is "nan" whatever its sign: CPython's specialized float operations
+    can give it another sign bit than the generic ones once a function has
+    warmed up, so that bit is not a property of the generated source."""
+    import struct
+
+    def flat(v):
+        return [b for item in v for b in flat(item)] if isinstance(v, tuple) else [
+            "nan" if v != v else struct.pack("<d", v)]
+    try:
+        return flat(fn(*args))
+    except OverflowError as exc:
+        return type(exc)
+
+
+_ULP = [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+_EDGE_S = [1.0, -1.0, *_ULP, *(-u for u in _ULP), 0.0, -0.0, math.nan]
+_EDGE_X = [0.0, -0.0, math.nan, 1e80, -1e80, math.inf]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    eps = draw(st.sampled_from([1e-2, 1e-3, 0.37, 1e-7]) | st.floats(1e-9, 1.0))
+    s = draw(st.sampled_from(_EDGE_S) | st.floats(-3.0, 3.0))
+    x = draw(st.sampled_from(_EDGE_X) | st.floats(-2.0, 2.0))
+    # y = eps*s, or +-eps (exactly s = +-1), or the edges as they are
+    y = draw(st.sampled_from([eps * s, eps, -eps, math.nextafter(eps, 0.0),
+                              math.nextafter(eps, 1.0), s]))
+    w = draw(st.sampled_from([0.0, -0.0, math.nan]) | st.floats(-5.0, 5.0))
+    return eps, x, s, y, w
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, len(_KERNEL_SYSTEMS) - 1), st.integers(1, 5), _kernel_inputs())
+@example(0, 1, (1e-3, -0.0, 1.0, 1e-3, -0.0))
+@example(3, 5, (1e-2, 1e80, -1.0, -1e-2, 0.0))
+@example(6, 2, (0.37, math.nan, _ULP[0], 0.37 * _ULP[0], math.nan))
+def test_each_lean_kernel_is_the_statement_form_bit_for_bit(i, m, inputs):
+    # canonical k = 1, 2, 3, the boundary cycle k = 2, 3 and both reversed,
+    # phi_1 ... phi_5: every kernel returns the reference's bits (the signs
+    # of zeros and an overflowing power's error included, a NaN as a NaN) on
+    # the band's edges s = +-1, one ulp inside and outside them, +-0 and NaN
+    eps, x, s, y, w = inputs
+    lean, refs = _kernel_pair(i, m)
+    args = {"band": (eps, x, s), "band_jacobian": (eps, x, s), "mix": (eps, x, y),
+            "divergence": (eps, x, y), "augmented": (eps, x, y, w)}
+    for name, ref in refs.items():
+        arg = args.get(name, (x, y, w) if name.endswith("augmented") else (x, y))
+        assert _outcome(lean[name], *arg) == _outcome(ref, *arg), name
+
+
+def test_lean_kernels_fold_atoms_and_drop_dead_stores():
+    # X+ = (1, x), X- = (0, 1): no component is assigned, a factor 1.0 is
+    # left out, d*0.0 stays; Phi is one Horner expression; y = eps*s only
+    # where a polynomial reads y
+    from regtang import Poly2, regularize
+
+    system, tf = canonical_system(k=1), phi_family(1)
+    _, band = regularize._mix_kernel(system, tf, True).source
+    assert band[-1] == "return (eps*(c + d*0.0), c*x + d)"
+    assert band == ("if s >= 1.0:", "    c = 1.0", "elif s <= -1.0:", "    c = 0.0", "else:",
+                    f"    c = 0.5*(1.0 + {tf.phi_poly.horner('s')})", "d = 1.0 - c",
+                    band[-1])
+    _, jac = regularize._band_jacobian_kernel(system, tf).source
+    assert "y = eps*s" not in jac and not any(line.startswith(("p", "m")) for line in jac)
+    tilted = canonical_system(k=1, theta=Poly2.y())
+    for kernel in (regularize._mix_kernel(tilted, tf, True),
+                   regularize._band_jacobian_kernel(tilted, tf)):
+        assert kernel.source[1][0] == "y = eps*s"
+    _, mix = regularize._mix_kernel(system, tf, False).source
+    assert mix[0] == "s = y/eps"
+    assert system.x_plus.eval.source == ("x, y", ("return (1.0, x)",))
