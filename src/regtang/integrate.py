@@ -1,12 +1,12 @@
 """Adaptive integration with dense output and refined section events.
 
 Every ODE solve of the package runs in one of two lean steppers with one
-contract, ``(rhs, t_span, y0, config, scan) -> Segment``, each a generated
-run loop around one loop skeleton (``_loop_source``: scipy's step-size
-clamping and clipping to the span's end), the stepper giving its step
-attempt and step-size rule.  The loop returns to Python (``_Run.record``)
-only at a step its scan's screen lets through, past the norm bound, or at
-the span's end:
+contract, ``(rhs, t_span, y0, config, scan) -> Segment``, each one generated
+run loop per field kernel around one loop skeleton (``_loop_source``:
+scipy's step-size clamping and clipping to the span's end), the stepper
+giving its step attempt and step-size rule.  The loop returns to Python
+(``_Run.record``) only at a step its scan's screen lets through, past the
+norm bound, or at the span's end:
 
 * ``_dop853``, the default (8th-order embedded pair with a matching-order
   interpolant; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6).
@@ -16,18 +16,19 @@ the span's end:
 * ``_radau``, Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*,
   IV.8) for stiff 2-D legs, with scipy's constants, Newton iteration and
   step control, its linear algebra done in closed form on Python floats and
-  an exact Jacobian from the field.  Its loop (``_radau_loop``) calls its
-  Newton iteration, generated as straight-line float code (``_radau_newton``).
+  an exact Jacobian from the field.  Its loop (``_radau_loop``) has the
+  Newton iteration written into its step attempt as straight-line float
+  code.
 
 Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
 floats, and returns a sequence of floats that the steppers use as it is; the
 fields' generated kernels return a tuple.  A field's RHS (``_as_rhs``) calls
 its ``eval`` and carries its generated ``kernel``, which both steppers inline
-(``_inliner``) into each stage of their generated code, the DOP853 loop and
-the Radau Newton iteration: a wrap of ``eval`` on the field's class sees only
-the calls made outside those stages (the run's start, each accepted Radau
-step's end and a rejected one's error, the scan's rates and the RK4 nudge),
-and ``Segment.nfev`` counts every evaluation.
+(``_inliner``) into each stage of their generated loops: a wrap of ``eval``
+on the field's class sees only the calls made outside those stages (the
+run's start, each accepted Radau step's end and a rejected one's error, the
+scan's rates and the RK4 nudge), and ``Segment.nfev`` counts every
+evaluation.
 
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
 with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
@@ -537,15 +538,14 @@ def _initial_step(fun: Callable[[float, List[float]], List[float]], t0: float,
     h0 = min(h0, interval_length)
     step = h0 * direction
     f1 = fun(t0 + step, [v + step * f for v, f in zip(y0, f0)])
-    d2 = _rms_norm([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    d2 = _rms_norm([(b - a) / s for a, b, s in zip(f0, f1, scale)])
+    # h0 is 0.0 when d1 overflows to inf; numpy then divides to inf or NaN
+    d2 = d2 / h0 if h0 else math.inf if d2 > 0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, interval_length, max_step)
-
-
-_NOT_FINITE = "All components of the initial state `y0` must be finite."
 
 
 def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
@@ -555,28 +555,21 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
     The inputs are checked as ``check_arguments``, ``validate_max_step`` and
     ``validate_tol`` check them, with the same errors (``ValueError``) and the
     same warning and clamp for an rtol below 100 eps; ``rhs`` is called at the
-    start, and the first step is chosen (``_initial_step``).  A ``y0`` that is
-    a list of Python floats, as every leg passes, is checked for finite
-    values alone; any other goes through numpy's checks.  Returns ``(y, f,
+    start, and the first step is chosen (``_initial_step``).  Returns ``(y, f,
     rtol, atol, direction, h_abs, nfev)``: the start state and its RHS value
     as lists of Python floats, the rest as Python floats and the count of
     RHS calls.
     """
-    if type(y0) is list and all(type(v) is float for v in y0):
-        if not all(map(math.isfinite, y0)):
-            raise ValueError(_NOT_FINITE)
-        y = y0[:]
-    else:
-        y = np.asarray(y0)
-        if np.issubdtype(y.dtype, np.complexfloating):
-            raise ValueError("`y0` is complex, but the chosen solver does not support "
-                             "integration in a complex domain.")
-        y = y.astype(float, copy=False)
-        if y.ndim != 1:
-            raise ValueError("`y0` must be 1-dimensional.")
-        if not np.isfinite(y).all():
-            raise ValueError(_NOT_FINITE)
-        y = y.tolist()
+    y = np.asarray(y0)
+    if np.issubdtype(y.dtype, np.complexfloating):
+        raise ValueError("`y0` is complex, but the chosen solver does not support "
+                         "integration in a complex domain.")
+    y = y.astype(float, copy=False)
+    if y.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    y = y.tolist()
     if config.max_step <= 0:
         raise ValueError("`max_step` must be positive.")
     rtol, atol = config.rtol, config.atol
@@ -936,27 +929,33 @@ def _predict_factor(h_abs: float, h_abs_old: Optional[float], error_norm: float,
     return min(1.0, multiplier) * error_norm ** -0.25
 
 
-def _radau_newton(source: Optional[Source] = None) -> Callable:
-    """scipy's ``radau.solve_collocation_system`` for a 2-D state as one
-    generated function on Python floats: the simplified Newton iterations on
-    the transformed stages W = TI Z, each with three RHS evaluations, one
-    real and one complex 2x2 solve by the inverses' entries (``_inverse2``)
-    and scipy's rate and convergence tests.  The constants are ``repr``
-    literals, complex where scipy's are, every product kept (T has a zero
-    entry) and every sum left to right.
+def _radau_loop(source: Optional[Source] = None) -> Callable:
+    """The Radau IIA(5) run loop for a 2-D state (``_loop_source``), the step
+    attempt of scipy's ``Radau._step_impl`` on Python floats.  Its ``extra``
+    arguments are the start's RHS value and Jacobian, the Newton tolerance,
+    ``jac``, the RHS, ``_inverse2``, ``_predict_factor``, ``sqrt`` and
+    ``isfinite``.
 
-    ``newton(*lead, t, h, y, Z0, scale, tol, inv_real, inv_complex, sqrt,
-    isfinite)`` returns ``(converged, iterations, Z, rate)``, Z as three
-    pairs.  Each stage evaluation calls the RHS, or, with ``source``, is the
-    field kernel's own statements (``_inliner``).  Memoized by
+    The Newton iteration (scipy's ``solve_collocation_system``) is written
+    into the attempt: the simplified Newton iterations on the transformed
+    stages W = TI Z, each with three RHS evaluations, one real and one
+    complex 2x2 solve by the inverses' entries (``_inverse2``) and scipy's
+    rate and convergence tests, restarted from the same predicted stages
+    after a Jacobian refresh.  The constants are ``repr`` literals, complex
+    where scipy's are, every product kept (T has a zero entry) and every sum
+    left to right.  Each stage evaluation calls the RHS, or, with ``source``,
+    is the field kernel's own statements (``_inliner``).  Memoized by
     ``polys.cached_kernel``.
     """
     return cached_kernel(("radau", source), lambda: _radau_source(source))
 
 
-def _radau_source(source: Optional[Source]):
-    """The ``(args, body)`` of ``_radau_newton(source)``."""
+def _radau_source(source: Optional[Source]) -> Source:
+    """The ``(args, body)`` of ``_radau_loop(source)``."""
     lead, bind, evaluate = _inliner(2, source)
+
+    def poly(j):  # the last step's polynomial in component j, at _x
+        return f"((_pq[{4 + j}] * _x + _pq[{2 + j}]) * _x + _pq[{j}]) * _x + _py[{j}] - _y[{j}]"
 
     def prod(M, out, v):  # out = M v, per row r and component j, every term kept
         return [f"_{out}{r}{j} = " + " + ".join(f"({m!r}) * _{v}{s}{j}"
@@ -967,68 +966,43 @@ def _radau_source(source: Optional[Source]):
         return (f"{target} = " + " + ".join(f"_f{i}{j} * ({c!r})" for i, c in enumerate(coefs))
                 + f" - {m} * {w}")
 
-    Z = "((_z00, _z01), (_z10, _z11), (_z20, _z21))"
-    terms = [f"(_dw{r}0 / _s0) ** 2 + (_dw{r}1 / _s1) ** 2" for r in range(3)]
-    body = [
-        *bind, "_y0, _y1 = _y", f"{Z} = _Z0", "_s0, _s1 = _scale",
-        "(_a, _b, _c, _d), (_ac, _bc, _cc, _dc) = _inv_real, _inv_complex",
-        f"_mr = ({_MU_REAL!r}) / _h", f"_mc = ({_MU_COMPLEX!r}) / _h",
-        *prod(_RTI, "w", "z"),
-        "_old = _rate = None",
-        f"for _k in range({_NEWTON_MAXITER}):",
-        "    try:",
-        *("        " + line for i, c in enumerate(_RC)
-          for line in evaluate([f"_f{i}0", f"_f{i}1"], f"_t + _h * ({c!r})",
-                               [f"_y0 + _z{i}0", f"_y1 + _z{i}1"])),
-        "    except OverflowError:",  # a power past the float range: not finite
-        "        break",
-        "    if not (" + " and ".join(f"_isfinite(_f{i}{j})" for i in range(3)
-                                      for j in (0, 1)) + "):",
-        "        break",
-        "    " + residual("_fr0", _RTI[0], 0, "_mr", "_w00"),  # TI_REAL is TI[0]
-        "    " + residual("_fr1", _RTI[0], 1, "_mr", "_w01"),
-        "    " + residual("_fc0", _RTI_COMPLEX, 0, "_mc", "complex(_w10, _w20)"),
-        "    " + residual("_fc1", _RTI_COMPLEX, 1, "_mc", "complex(_w11, _w21)"),
-        "    _dc0 = _ac * _fc0 + _bc * _fc1", "    _dc1 = _cc * _fc0 + _dc * _fc1",
-        "    _dw00 = _a * _fr0 + _b * _fr1", "    _dw01 = _c * _fr0 + _d * _fr1",
-        "    _dw10 = _dc0.real", "    _dw11 = _dc1.real",
-        "    _dw20 = _dc0.imag", "    _dw21 = _dc1.imag",
-        # sum()'s start, 0, is left out: each term is +0.0 or above, or NaN
-        f"    _norm = _sqrt(({' + '.join(f'({t})' for t in terms)}) / 6)",
-        "    if _old is not None:",
-        "        _rate = _norm / _old",
-        "    if _rate is not None and (_rate >= 1 or "
-        f"_rate ** ({_NEWTON_MAXITER} - _k) / (1 - _rate) * _norm > _tol):",
-        "        break",
-        *(f"    _w{r}{j} = _w{r}{j} + _dw{r}{j}" for r in range(3) for j in (0, 1)),
-        *("    " + line for line in prod(_RT, "z", "w")),
-        "    if _norm == 0 or _rate is not None and _rate / (1 - _rate) * _norm < _tol:",
-        f"        return True, _k + 1, {Z}, _rate",
-        "    _old = _norm",
-        f"return False, _k + 1, {Z}, _rate"]
-    return ", ".join(lead + ["_t", "_h", "_y", "_Z0", "_scale", "_tol", "_inv_real",
-                             "_inv_complex", "_sqrt", "_isfinite"]), body
-
-
-def _radau_loop() -> Callable:
-    """The Radau IIA(5) run loop for a 2-D state (``_loop_source``), the step
-    attempt of scipy's ``Radau._step_impl`` on Python floats; its ``extra``
-    arguments are the start's RHS value and Jacobian, the Newton iteration
-    (``_radau_newton``, lead arguments bound) and its tolerance, ``jac``,
-    ``rhs``, ``_inverse2``, ``_predict_factor``, ``sqrt`` and ``isfinite``."""
-    return cached_kernel(("radau_loop", 2), _radau_loop_source)
-
-
-def _radau_loop_source() -> Source:
-    """The ``(args, body)`` of ``_radau_loop()``."""
-    def poly(j):  # the last step's polynomial in component j, at _x
-        return f"((_pq[{4 + j}] * _x + _pq[{2 + j}]) * _x + _pq[{j}]) * _x + _py[{j}] - _y[{j}]"
-
     def error(f):  # the error estimate from the RHS value ``f``, and its RMS norm
         return [f"_e0, _e1 = {f}[0] + _ze0, {f}[1] + _ze1",
                 "_er0, _er1 = _a * _e0 + _b * _e1, _c * _e0 + _d * _e1",
                 "_err = _sqrt(((_er0 / _s0) ** 2 + (_er1 / _s1) ** 2) / 2)"]
 
+    terms = [f"(_dw{r}0 / _s0) ** 2 + (_dw{r}1 / _s1) ** 2" for r in range(3)]
+    newton = [  # one iteration, ``break`` when it ends
+        "try:",
+        *("    " + line for i, c in enumerate(_RC)
+          for line in evaluate([f"_f{i}0", f"_f{i}1"], f"_t + _h * ({c!r})",
+                               [f"_y0 + _z{i}0", f"_y1 + _z{i}1"])),
+        "except OverflowError:",  # a power past the float range: not finite
+        "    break",
+        "if not (" + " and ".join(f"_isfinite(_f{i}{j})" for i in range(3)
+                                  for j in (0, 1)) + "):",
+        "    break",
+        residual("_fr0", _RTI[0], 0, "_mr", "_w00"),  # TI_REAL is TI[0]
+        residual("_fr1", _RTI[0], 1, "_mr", "_w01"),
+        residual("_fc0", _RTI_COMPLEX, 0, "_mc", "complex(_w10, _w20)"),
+        residual("_fc1", _RTI_COMPLEX, 1, "_mc", "complex(_w11, _w21)"),
+        "_dc0 = _ac * _fc0 + _bc * _fc1", "_dc1 = _cc * _fc0 + _dc * _fc1",
+        "_dw00 = _a * _fr0 + _b * _fr1", "_dw01 = _c * _fr0 + _d * _fr1",
+        "_dw10 = _dc0.real", "_dw11 = _dc1.real",
+        "_dw20 = _dc0.imag", "_dw21 = _dc1.imag",
+        # sum()'s start, 0, is left out: each term is +0.0 or above, or NaN
+        f"_norm = _sqrt(({' + '.join(f'({t})' for t in terms)}) / 6)",
+        "if _old is not None:",
+        "    _rate = _norm / _old",
+        "if _rate is not None and (_rate >= 1 or "
+        f"_rate ** ({_NEWTON_MAXITER} - _k) / (1 - _rate) * _norm > _newton_tol):",
+        "    break",
+        *(f"_w{r}{j} = _w{r}{j} + _dw{r}{j}" for r in range(3) for j in (0, 1)),
+        *prod(_RT, "z", "w"),
+        "if _norm == 0 or _rate is not None and _rate / (1 - _rate) * _norm < _newton_tol:",
+        "    _converged = True",
+        "    break",
+        "_old = _norm"]
     attempt = [
         # a clamped step size starts the step-size predictor afresh
         "_h_last, _err_last = (None, None) if _clamped else (_h_abs_old, _err_old)",
@@ -1040,40 +1014,45 @@ def _radau_loop_source() -> Source:
         f"    for _cn in {tuple(_RC)!r}:",
         "        _x = (_t + _h * _cn - _pt) / _ph",
         f"        _Z0.append([{poly(0)}, {poly(1)}])",
-        "_scale = [_atol + abs(_y[0]) * _rtol, _atol + abs(_y[1]) * _rtol]",
+        "_y0, _y1 = _y",
+        "_s0, _s1 = _atol + abs(_y0) * _rtol, _atol + abs(_y1) * _rtol",
+        f"_mr = ({_MU_REAL!r}) / _h", f"_mc = ({_MU_COMPLEX!r}) / _h",
         "_converged = False",
-        "while not _converged:",
-        "    if _inv is None:",
-        f"        _inv = _inverse2({_MU_REAL!r} / _h, _J), _inverse2({_MU_COMPLEX!r} / _h, _J)",
+        "while True:",
+        "    if not _lu:",
+        "        _a, _b, _c, _d = _inverse2(_mr, _J)",
+        "        _ac, _bc, _cc, _dc = _inverse2(_mc, _J)",
+        "        _lu = True",
         "        _nlu += 2",
-        "    _converged, _n_iter, _Z, _rate = _newton(_t, _h, _y, _Z0, _scale, _newton_tol,"
-        " _inv[0], _inv[1], _sqrt, _isfinite)",
+        "    (_z00, _z01), (_z10, _z11), (_z20, _z21) = _Z0",
+        *("    " + line for line in prod(_RTI, "w", "z")),
+        "    _old = _rate = None",
+        f"    for _k in range({_NEWTON_MAXITER}):",
+        *("        " + line for line in newton),
+        "    _n_iter = _k + 1",
         "    _nfev += 3 * _n_iter",
-        "    if not _converged:",
-        "        if _current_jac:",
-        "            break",
-        "        _J = _jac(_t, _y)",
-        "        _njev += 1",
-        "        _current_jac, _inv = True, None",
+        "    if _converged or _current_jac:",
+        "        break",
+        "    _J = _jac(_t, _y)",
+        "    _njev += 1",
+        "    _current_jac, _lu = True, False",
         "if not _converged:",
-        "    _inv = None",
+        "    _lu = False",
         "    _sa = abs(_h) * 0.5",
         "    continue",
-        "(_z00, _z01), (_z10, _z11), (_z20, _z21) = _Z",
-        "_yn = [_y[0] + _z20, _y[1] + _z21]",
+        "_yn = [_y0 + _z20, _y1 + _z21]",
         *(f"_ze{j} = (_z0{j} * {_RE[0]!r} + _z1{j} * {_RE[1]!r} + _z2{j} * {_RE[2]!r}) / _h"
           for j in (0, 1)),
-        "_a, _b, _c, _d = _inv[0]",
-        *(f"_s{j} = _atol + max(abs(_y[{j}]), abs(_yn[{j}])) * _rtol" for j in (0, 1)),
+        *(f"_s{j} = _atol + max(abs(_y{j}), abs(_yn[{j}])) * _rtol" for j in (0, 1)),
         *error("_f"),
         f"_safety = 0.9 * {2 * _NEWTON_MAXITER + 1} / ({2 * _NEWTON_MAXITER} + _n_iter)",
         "if _rejected and _err > 1:",
-        "    _fe = _rhs(_t, [_y[0] + _er0, _y[1] + _er1])",
+        "    _fe = _fun(_t, [_y0 + _er0, _y1 + _er1])",
         "    _nfev += 1",
         *("    " + line for line in error("_fe")),
         "_factor = _predict(abs(_h), _h_last, _err, _err_last)",
         "if _err > 1:",
-        "    _inv = None",
+        "    _lu = False",
         f"    _sa, _rejected = abs(_h) * max({tab.RADAU_MIN_FACTOR!r}, _safety * _factor), True",
         "    continue",
         "_recompute = _n_iter > 2 and _rate > 1e-3",
@@ -1081,8 +1060,8 @@ def _radau_loop_source() -> Source:
         "if not _recompute and _factor < 1.2:",
         "    _factor = 1.0",
         "else:",
-        "    _inv = None",
-        "_fn = _rhs(_tn, _yn)",
+        "    _lu = False",
+        "_fn = _fun(_tn, _yn)",
         "_nfev += 1",
         "if _recompute:",
         "    _J = _jac(_tn, _yn)",
@@ -1098,9 +1077,10 @@ def _radau_loop_source() -> Source:
         "_y, _f = _yn, _fn",
         "_sa = abs(_h) * _factor",
         "break"]
-    setup = ["_current_jac, _inv, _h_abs_old, _err_old, _prev = True, None, None, None, None"]
-    return _loop_source(2, [], ["_f", "_J", "_newton", "_newton_tol", "_jac", "_rhs",
-                                "_inverse2", "_predict", "_sqrt", "_isfinite"], setup, attempt)
+    setup = [*bind,
+             "_current_jac, _lu, _h_abs_old, _err_old, _prev = True, False, None, None, None"]
+    return _loop_source(2, lead, ["_f", "_J", "_newton_tol", "_jac", "_fun", "_inverse2",
+                                  "_predict", "_sqrt", "_isfinite"], setup, attempt)
 
 
 def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
@@ -1116,10 +1096,10 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
     is the closed-form inverse of the real and the complex 2x2 matrix
     (``_inverse2``, two "LU" per factorization in ``nlu``) and every
     operation runs on Python floats.  Bit-identity with scipy's ``Radau`` is
-    not sought.  The Newton iteration is ``_radau_newton``: an ``rhs`` that
-    carries its field's ``kernel`` (``_as_rhs``) is inlined in each of its
-    stage evaluations, which then make no call; ``rhs`` itself serves the
-    start, each accepted step's end and a rejected step's error estimate.
+    not sought.  An ``rhs`` that carries its field's ``kernel``
+    (``_as_rhs``) is inlined in each stage evaluation of the Newton
+    iteration, which then makes no call; ``rhs`` itself serves the start,
+    each accepted step's end and a rejected step's error estimate.
     Each step keeps its collocation polynomial as dense output, which also
     predicts the next step's stages.  The inputs are checked and the first
     step chosen as scipy does (``_start``, with the error estimate's order
@@ -1131,8 +1111,8 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
     if J.shape != (2, 2):
         raise ValueError(f"`jac` is expected to have shape (2, 2), but actually has {J.shape}.")
     run.njev = 1
-    return run.segment(_radau_loop(), run.f, J.tolist(), _fused(rhs, _radau_newton), newton_tol,
-                       jac, rhs, _inverse2, _predict_factor, math.sqrt, math.isfinite)
+    return run.segment(_fused(rhs, _radau_loop), run.f, J.tolist(), newton_tol, jac, rhs,
+                       _inverse2, _predict_factor, math.sqrt, math.isfinite)
 
 
 def flow(

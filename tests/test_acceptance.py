@@ -49,6 +49,7 @@ from regtang.errors import (
     NoReturn,
     NotConverged,
 )
+from regtang.maps import fit_line
 from regtang.regularize import SlowManifold
 from regtang.scenarios import (
     boundary_cycle_system,
@@ -137,7 +138,7 @@ def test_departure_law_ratio_tends_to_one_from_above():
     ratios = [find_x_epsilon(sys, cfg, e) / (eta * e ** lam_star) for e in eps_values]
     # the excess over 1 roughly halves per decade; its exponent is reported,
     # not gated: the paper states no next-order term
-    slope = np.polyfit(np.log(eps_values), np.log(np.array(ratios) - 1.0), 1)[0]
+    slope, _, _ = fit_line(np.log(eps_values), np.log(np.array(ratios) - 1.0))
     ok = all(1.0 < r < 1.001 for r in ratios) and \
         all(b < a for a, b in zip(ratios, ratios[1:]))
     print(f"[{'PASS' if ok else 'FAIL'}] departure law (1,2): x_eps/(eta eps^lambda*) = "
@@ -205,19 +206,16 @@ def test_criterion_04_transition_map_contraction():
             d, l = _image_diameter(sys, cfg, eps, side)
             diams.append(d)
             lens.append(l)
-        xs = np.array([e ** -0.5 for e in eps_values])
-        ys = np.log(diams)
-        A = np.column_stack([xs, np.ones_like(xs)])
-        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+        slope, _, _ = fit_line(np.array([e ** -0.5 for e in eps_values]), np.log(diams))
         # below eps ~ 1e-3 the true diameter (~exp(-c/sqrt(eps))) sinks under
         # the double-precision floor, so the decay is checked as: negative
         # fitted slope, strictly decreasing measured diameters, and the hard
         # diameter bound at the smallest eps
         decreasing = all(a > b for a, b in zip(diams, diams[1:]))
         hard = diams[-1] < 1e-10 * lens[-1]
-        good = coef[0] < 0 and decreasing and hard
+        good = slope < 0 and decreasing and hard
         ok = ok and good
-        details.append(f"{side}: slope={coef[0]:.3f} decreasing={decreasing} "
+        details.append(f"{side}: slope={slope:.3f} decreasing={decreasing} "
                        f"diam(1e-3)={diams[-1]:.2e} vs 1e-10*len={1e-10 * lens[-1]:.2e}")
     report(4, ok, "log image diameter falls in eps^-1/2, floor met: "
                   + "; ".join(details))

@@ -441,6 +441,7 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     ["upper-map", "--eps", "nan"],
     ["chart", "--alpha", "nan"],
     ["simulate", "--tmax", "nan"],
+    ["simulate", "--x0", "1e155"],
     ["scaling", "--eps-decades=nan:-2"],
     ["scaling", "--workers", "0"],
     ["scaling", "--workers", "-3"],

@@ -1021,7 +1021,12 @@ def test_radau_counts_every_rhs_call():
 
 def _collocation_loop(rhs, t, y, h, Z0, scale, tol, inv_real, inv_complex):
     """scipy's ``radau.solve_collocation_system`` for a 2-D state as a loop
-    over lists on Python floats: the reference for ``_radau_newton``."""
+    over lists on Python floats, the reference for the Newton iteration of
+    the generated Radau loop: ``(outcome, iterations, Z, rate)``, the
+    outcome ``"converged"``, ``"diverged"`` (rate >= 1), ``"slow"`` (too
+    slow to converge in time), ``"not finite"`` (a stage value), ``"overflow"``
+    (a stage raised ``OverflowError``, a kernel's power past the float range)
+    or ``"maxiter"``."""
     from regtang import _tableaux as tab
 
     maxiter = tab.NEWTON_MAXITER
@@ -1034,10 +1039,16 @@ def _collocation_loop(rhs, t, y, h, Z0, scale, tol, inv_real, inv_complex):
     ch = [h * cn for cn in tab.RADAU_C]
     y0, y1 = y
     dW_norm_old = rate = None
+    outcome = "maxiter"
     for k in range(maxiter):
-        (f00, f01), (f10, f11), (f20, f21) = [
-            rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]) for i in range(3)]
+        try:
+            (f00, f01), (f10, f11), (f20, f21) = [
+                rhs(t + ch[i], [y0 + Z[i][0], y1 + Z[i][1]]) for i in range(3)]
+        except OverflowError:
+            outcome = "overflow"
+            break
         if not all(map(math.isfinite, (f00, f01, f10, f11, f20, f21))):
+            outcome = "not finite"
             break
         fr0 = f00 * r0 + f10 * r1 + f20 * r2 - m_real * W[0][0]
         fr1 = f01 * r0 + f11 * r1 + f21 * r2 - m_real * W[0][1]
@@ -1052,56 +1063,31 @@ def _collocation_loop(rhs, t, y, h, Z0, scale, tol, inv_real, inv_complex):
             rate = dW_norm / dW_norm_old
         if rate is not None and (rate >= 1 or
                                  rate ** (maxiter - k) / (1 - rate) * dW_norm > tol):
+            outcome = "diverged" if rate >= 1 else "slow"
             break
         W = [[w + dw for w, dw in zip(wr, dwr)] for wr, dwr in zip(W, dW)]
         Z = [[row[0] * W[0][j] + row[1] * W[1][j] + row[2] * W[2][j] for j in (0, 1)]
              for row in tab.RADAU_T]
         if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
-            return True, k + 1, Z, rate
+            return "converged", k + 1, Z, rate
         dW_norm_old = dW_norm
-    return False, k + 1, Z, rate
-
-
-def _hexed(out):
-    """A Newton result with every float as its hex string."""
-    converged, iters, Z, rate = out
-    return (converged, iters, [[float.hex(z) for z in row] for row in Z],
-            None if rate is None else float.hex(rate))
+    return outcome, k + 1, Z, rate
 
 
 def test_the_generated_newton_iteration_is_the_loop_bit_for_bit():
-    # converging, diverging (rate >= 1) and non-finite solves of the stiff
-    # linear field, also with a wrong Jacobian, and of a band field near its
-    # fold, called and inlined
-    from regtang import BandField, _tableaux as tab
-    from regtang.integrate import _inverse2, _radau_newton
-    from regtang.maps import TransitionConfig
-    from regtang.scenarios import canonical_system
-
-    def blow_up(t, p):  # its stages overflow to inf
-        return p[0] * 1e308, p[1] * 1e308
-
-    band = BandField(canonical_system(2), TransitionConfig(2, 6).tf, 1e-6)
-    band_rhs, (fn, lead) = _as_rhs(band), band.kernel
-    called, near_fold, y_lin = _radau_newton(None), [-0.01, 0.97], [0.3, 2.0]
-    cases = [  # (rhs, its Newton iteration with the lead arguments bound, J, y)
-        (_stiff_linear, partial(called, _stiff_linear), _stiff_linear_jac(0.0, y_lin), y_lin),
-        (_stiff_linear, partial(called, _stiff_linear), ((0.0, 0.0), (0.0, 0.0)), y_lin),
-        (band_rhs, partial(called, band_rhs), band.jacobian(*near_fold), near_fold),
-        (band_rhs, partial(_radau_newton(fn.source), *lead), band.jacobian(*near_fold),
-         near_fold),
-        (blow_up, partial(called, blow_up), ((1e308, 0.0), (0.0, 1e308)), [2.0, 3.0])]
+    # the Radau legs of _LOOP_CASES run on the generated loop, whose Newton
+    # iteration is written into its step attempt, as on the reference loop,
+    # whose Newton iteration is _collocation_loop; between them they meet
+    # every way the iteration ends: converged, diverging (rate >= 1), too
+    # slow, a stage value that is not finite and a stage whose kernel power
+    # overflows.  Each leg calls the field, or inlines its kernel
     seen = set()
-    for rhs, newton, J, y in cases:
-        scale = [1e-12 + abs(v) * 1e-10 for v in y]
-        for h in (1e-9, 1e-6, 1e-3, 0.1, 2.0):
-            inv = _inverse2(tab.MU_REAL / h, J), _inverse2(tab.MU_COMPLEX / h, J)
-            for Z0 in ([[0.0, 0.0]] * 3, [[1e-7, -2e-7], [3e-7, 1e-8], [-4e-7, 5e-7]]):
-                want = _collocation_loop(rhs, 0.5, y, h, Z0, scale, 0.03, *inv)
-                got = newton(0.5, h, y, Z0, scale, 0.03, *inv, math.sqrt, math.isfinite)
-                assert _hexed(got) == _hexed(want)
-                seen.add((want[0], want[3] is not None and want[3] >= 1))
-    assert seen == {(True, False), (False, True), (False, False)}
+    for name, (stepper, *_) in _LOOP_CASES.items():
+        if stepper == "radau":
+            outcomes, _, case_seen = _both_loops(name)
+            assert outcomes[0] == outcomes[1]
+            seen |= case_seen
+    assert seen == {"converged", "diverged", "slow", "not finite", "overflow"}
 
 
 # --------------------------------------------------------------------------
@@ -1243,6 +1229,24 @@ def test_initial_step_is_scipys(data, dim, forward, span, max_step, order, rtol,
         assert abs(t - their_t) <= 8 * np.spacing(abs(their_t))
         assert np.all(np.abs(np.subtract(y, their_y)) <=
                       4 * np.spacing(np.max(np.abs(their_y))))
+
+
+def test_initial_step_is_scipys_when_the_rate_overflows():
+    # the RMS norm of f0 / scale overflows to inf, so h0 = 0.0, and scipy
+    # divides by it as numpy does (0 / 0 is NaN): both give the first step
+    # 0.0, from which solve_ivp steps at the least step size
+    from scipy.integrate._ivp.common import select_initial_step
+
+    from regtang.integrate import _initial_step
+
+    def fun(t, y):
+        return [1e145 * y[0], 0.0]
+    y0, rest = [1e155, 2.0], (1.0, math.inf)
+    tail = (1.0, 7, 1e-10, 1e-12)
+    with np.errstate(all="ignore"):
+        theirs = select_initial_step(lambda t, y: np.array(fun(t, y)), 0.0, np.array(y0), *rest,
+                                     np.array(fun(0.0, y0)), *tail)
+    assert theirs == 0.0 == _initial_step(fun, 0.0, y0, *rest, fun(0.0, y0), *tail)
 
 
 def _formula_step(M, b, t, h, y, num, mag=False):
@@ -1675,11 +1679,13 @@ def test_an_inlined_kernel_solves_radau_newton_as_the_call_of_its_field(monkeypa
 
 def test_one_generated_newton_iteration_serves_a_field_family_at_every_eps(monkeypatch):
     # the band kernel takes eps as an argument, so the Radau legs of one
-    # system and profile at every eps share one generated Newton iteration
+    # system and profile at every eps share one generated run loop, which
+    # holds the Newton iteration: one kernel keyed ("radau", source), and no
+    # other Radau function
     from collections import OrderedDict
 
     from regtang import BandField, lambda_star, polys
-    from regtang.integrate import _radau_newton
+    from regtang.integrate import _radau_loop
     from regtang.maps import TransitionConfig, find_x_epsilon
     from regtang.scenarios import canonical_system
 
@@ -1687,11 +1693,11 @@ def test_one_generated_newton_iteration_serves_a_field_family_at_every_eps(monke
     system, cfg = canonical_system(2), TransitionConfig(2, 6, lam=0.999 * lambda_star(2, 6))
     for eps in (1e-5, 1e-6):
         find_x_epsilon(system, cfg, eps)
-    (key,) = [key for key in polys._KERNELS if key[0] == "radau"]
+    (key,) = [key for key in polys._KERNELS if "radau" in str(key[0])]
     fn = polys._KERNELS[key]
     for eps in (1e-5, 1e-6, 1e-7):
         kernel, _ = BandField(system, cfg.tf, eps).kernel
-        assert key == ("radau", kernel.source) and _radau_newton(kernel.source) is fn
+        assert key == ("radau", kernel.source) and _radau_loop(kernel.source) is fn
 
 
 def test_an_inlined_augmented_kernel_steps_as_the_call_of_its_field_bit_for_bit():
@@ -1848,10 +1854,12 @@ def _ref_dop853(rhs, t_span, y0, config, scan=None):
     return run.run(attempt)
 
 
-def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac):
-    """``_radau`` on the reference loop: its step attempt as it was."""
+def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac, seen=None):
+    """``_radau`` on the reference loop: its step attempt as it was, its
+    Newton iteration ``_collocation_loop``, which calls ``rhs``.  The
+    outcome of each Newton iteration goes into the set ``seen``, if given."""
     from regtang import _tableaux as tab
-    from regtang.integrate import _EPS, _fused, _inverse2, _predict_factor, _radau_newton
+    from regtang.integrate import _EPS, _inverse2, _predict_factor
 
     def _rms(v, scale):
         return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(v))
@@ -1865,7 +1873,6 @@ def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac):
     inv = None
     h_abs_old = error_norm_old = None
     prev = None
-    newton = _fused(rhs, _radau_newton)
 
     def attempt(t, t_new, h, rejected, clamped):
         nonlocal y, f, J, current_jac, inv, h_abs_old, error_norm_old, prev
@@ -1885,8 +1892,11 @@ def _ref_radau(rhs, t_span, y0, config, scan=None, *, jac):
             if inv is None:
                 inv = _inverse2(tab.MU_REAL / h, J), _inverse2(tab.MU_COMPLEX / h, J)
                 run.nlu += 2
-            converged, n_iter, Z, rate = newton(t, h, y, Z0, scale, newton_tol, *inv,
-                                                math.sqrt, math.isfinite)
+            outcome, n_iter, Z, rate = _collocation_loop(rhs, t, y, h, Z0, scale, newton_tol,
+                                                         *inv)
+            converged = outcome == "converged"
+            if seen is not None:
+                seen.add(outcome)
             run.nfev += 3 * n_iter
             if not converged:
                 if current_jac:
@@ -1994,6 +2004,32 @@ def _van_der_pol_jac(t, p):
     return (0.0, 1.0), (-200.0 * x * y - 1, 100.0 * (1 - x * x))
 
 
+def _power_field(rise=None):
+    """x' = -x**31 (plus ``rise``), y' = 0: past |x| ~ 1e10 the kernel's
+    power overflows."""
+    from regtang.fields import PlanarField
+    from regtang.polys import Poly2
+
+    terms = {(31, 0): -1} if rise is None else {(0, 0): rise, (31, 0): -1}
+    return PlanarField((Poly2(terms), Poly2()))
+
+
+def _numpy_power(t, p, rise=None):
+    """``_power_field`` on numpy floats: inf where the kernel's power raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = -np.float64(p[0]) ** 31
+        return float(v if rise is None else rise + v), 0.0
+
+
+def _power_jac(t, p):
+    return (-31 * p[0] ** 30, 0.0), (0.0, 0.0)
+
+
+# x' = _WALL - x**31 from x = 0 rises at rate 25 into the wall x**31 = 25.
+# A step that grew tenfold on the way predicts stages past the wall, where
+# the power is large, and the first Newton update throws the next stages
+# past the float range of the power
+_WALL = 25.0
 _RECORD = SectionSpec("vertical", 0.0, ident="record")
 _LOOP_CASES = {
     # name: (stepper, rhs, jac, t_span, y0, config, target)
@@ -2023,6 +2059,16 @@ _LOOP_CASES = {
                           (0.0, 30.0), (1.0, 1.0), IntegratorConfig(), None),
     "radau zero-length span": ("radau", _as_rhs(rotation), _rotation_jac, (2.0, 2.0),
                                (1.0, 0.0), IntegratorConfig(), SectionSpec("vertical", 0.5)),
+    # how a Newton iteration ends: each of these legs meets its way
+    "radau newton converges": ("radau", _stiff_linear, _stiff_linear_jac, (0.0, 0.5),
+                               (0.0, 2.0), IntegratorConfig(), SectionSpec("horizontal", 0.9)),
+    "radau newton diverges": ("radau", _van_der_pol, lambda t, p: ((0.0, 0.0), (0.0, 0.0)),
+                              (0.0, 1.0), (2.0, 0.0), IntegratorConfig(),
+                              SectionSpec("vertical", 1.0)),
+    "radau newton stage overflows": ("radau", _as_rhs(_power_field(_WALL)), _power_jac,
+                                     (0.0, 0.2), (0.0, 0.0), IntegratorConfig(), None),
+    "radau newton stage not finite": ("radau", partial(_numpy_power, rise=_WALL), _power_jac,
+                                      (0.0, 0.2), (0.0, 0.0), IntegratorConfig(), None),
 }
 
 
@@ -2046,7 +2092,32 @@ _TAKEN = {  # name: whether the generated loop's run took the path named
     "radau underflow": lambda err: isinstance(err, StepSizeUnderflow),
     "radau domain exit": lambda err: isinstance(err, DomainExit),
     "radau zero-length span": lambda seg: seg.h.tolist() == [0.0] and seg.coef is None,
+    # the Newton outcome the reference run meets (``_collocation_loop``)
+    "radau newton converges": "converged",
+    "radau newton diverges": "diverged",
+    "radau newton stage overflows": "overflow",
+    "radau newton stage not finite": "not finite",
 }
+
+
+def _both_loops(name):
+    """Case ``name`` of ``_LOOP_CASES`` run on its generated loop and on its
+    reference loop: each run's ``_run_outcome``, the generated run's segment
+    or error, and the Newton outcomes the reference Radau run met."""
+    stepper, rhs, jac, t_span, y0, cfg, target = _LOOP_CASES[name]
+    if target == "previous":
+        target = SectionSpec("horizontal", _free_rotation_level())
+    kw, seen = {} if jac is None else {"jac": jac}, set()
+    runs = {"dop853": (_dop853, _ref_dop853), "radau": (_radau, partial(_ref_radau, seen=seen))}
+    outcomes, results = [], []
+    for run in runs[stepper]:
+        scan = _Scan(rhs, math.sqrt(cfg.event_tol), [_RECORD], target)
+        try:
+            results.append(run(rhs, t_span, np.array(y0), cfg, scan, **kw))
+        except (DomainExit, StepSizeUnderflow) as err:
+            results.append(err)
+        outcomes.append(_run_outcome(results[-1], scan))
+    return outcomes, results[0], seen
 
 
 @pytest.mark.parametrize("name", list(_LOOP_CASES))
@@ -2054,20 +2125,9 @@ def test_each_generated_run_loop_is_the_python_step_loop_bit_for_bit(name):
     # the generated loop and the Python loop with its attempt closure give
     # the same steps, states, dense output, work counts, hit, events and
     # touches, or the same error, on legs that take each of its paths
-    stepper, rhs, jac, t_span, y0, cfg, target = _LOOP_CASES[name]
-    if target == "previous":
-        target = SectionSpec("horizontal", _free_rotation_level())
-    kw = {} if jac is None else {"jac": jac}
-    outcomes = []
-    for run in {"dop853": (_dop853, _ref_dop853), "radau": (_radau, _ref_radau)}[stepper]:
-        scan = _Scan(rhs, math.sqrt(cfg.event_tol), [_RECORD], target)
-        try:
-            result = run(rhs, t_span, np.array(y0), cfg, scan, **kw)
-        except (DomainExit, StepSizeUnderflow) as err:
-            result = err
-        outcomes.append(_run_outcome(result, scan))
-        if not outcomes[1:]:
-            assert _TAKEN[name](result)
+    outcomes, result, seen = _both_loops(name)
+    taken = _TAKEN[name]
+    assert taken in seen if isinstance(taken, str) else taken(result)
     assert outcomes[0] == outcomes[1]
 
 
@@ -2158,20 +2218,21 @@ def test_an_inlined_kernel_binds_only_the_arguments_its_body_reads():
 
 
 def test_a_generated_stepper_binds_each_lead_argument_once():
-    # eps, the kernels' lead argument, is bound once in the DOP853 loop's
-    # set-up and once on entry to the Newton iteration, in no stage
+    # eps, the kernels' lead argument, is bound once in each loop's set-up,
+    # before its ``while True:``, in no stage
     from regtang import BandField, RegularizedField, phi_family
-    from regtang.integrate import _dop853_loop, _radau_newton
+    from regtang.integrate import _dop853_loop, _radau_loop
     from regtang.scenarios import boundary_cycle_system, canonical_system
 
     band = BandField(canonical_system(k=2), phi_family(3), 1e-4)
     reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
-    for fn, n in ((band.kernel[0], 2), (reg.kernel[0], 2), (reg.augmented_kernel[0], 3)):
-        _, body = _dop853_loop(n, fn.source).source
+    loops = [_dop853_loop(n, fn.source) for fn, n in (
+        (band.kernel[0], 2), (reg.kernel[0], 2), (reg.augmented_kernel[0], 3))]
+    loops += [_radau_loop(fn.source) for fn in (band.kernel[0], reg.kernel[0])]
+    for loop in loops:
+        _, body = loop.source
         assert [line for line in body if "eps =" in line] == ["eps = _p0"]
         assert body.index("eps = _p0") < body.index("while True:")
-    _, body = _radau_newton(band.kernel[0].source).source
-    assert [line for line in body if "eps =" in line] == ["eps = _p0"] == list(body[:1])
 
 
 def test_a_kernel_that_assigns_a_lead_argument_is_not_inlined():
@@ -2399,18 +2460,6 @@ def test_a_landed_segment_joins_the_two_runs_as_concatenate_did(monkeypatch, k, 
     assert got.tobytes() == want.tobytes()
 
 
-def _power_field():
-    """x' = -x**31, y' = 0: past |x| ~ 1e10 the kernel's power overflows."""
-    from regtang.fields import PlanarField
-    from regtang.polys import Poly2
-
-    return PlanarField((Poly2({(31, 0): -1}), Poly2()))
-
-
-def _numpy_power(t, p):
-    """``_power_field`` on numpy floats: inf where the kernel's power raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(-np.float64(p[0]) ** 31), 0.0
 
 
 def test_a_stage_past_the_float_range_rejects_the_step_as_scipy_does():
@@ -2437,14 +2486,13 @@ def test_a_stage_past_the_float_range_rejects_the_step_as_scipy_does():
 
 def test_a_newton_stage_past_the_float_range_does_not_converge():
     # a Newton iterate whose stage state overflows the kernel's power ends
-    # the iteration unconverged, as a stage value that is not finite does
-    from regtang import _tableaux as tab
-    from regtang.integrate import _fused, _inverse2, _radau_newton
-
-    h, J = 0.1, ((-31 * 3.0 ** 30, 0.0), (0.0, 0.0))
-    Z0 = [[1e10, 0.0], [1e10, 0.0], [1e10, 0.0]]
-    args = (0.0, h, [3.0, 0.0], Z0, [1e-12, 1e-12], 0.03, _inverse2(tab.MU_REAL / h, J),
-            _inverse2(tab.MU_COMPLEX / h, J), math.sqrt, math.isfinite)
-    inlined = _fused(_as_rhs(_power_field()), _radau_newton)
-    not_finite = _fused(_numpy_power, _radau_newton)
-    assert inlined(*args) == not_finite(*args) == (False, 1, ((1e10, 0.0),) * 3, None)
+    # the iteration unconverged, as a stage value that is not finite does:
+    # the leg into the power wall with the kernel inlined is, bit for bit,
+    # the leg on numpy's power, which gives inf there
+    runs = []
+    for name, meets in (("radau newton stage overflows", "overflow"),
+                        ("radau newton stage not finite", "not finite")):
+        (outcome, _), _, seen = _both_loops(name)
+        assert meets in seen
+        runs.append(outcome)
+    assert runs[0] == runs[1]

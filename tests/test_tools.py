@@ -14,7 +14,8 @@ def _tree(path):
 
 def test_opcount_gives_the_same_counts_on_every_run():
     # two smoke passes of departure count the same bytecodes, generated and
-    # other, and leave no file under perfbench/
+    # other, and the same generated functions run, and leave no file under
+    # perfbench/
     before = _tree(os.path.join(ROOT, "perfbench"))
     runs = [json.loads(subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "opcount.py"), "departure", "--smoke"],
@@ -22,4 +23,5 @@ def test_opcount_gives_the_same_counts_on_every_run():
         for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0]["failed"] == 0 and runs[0]["kernel"] > runs[0]["other"] > 0
+    assert runs[0]["kernels"] > 0
     assert _tree(os.path.join(ROOT, "perfbench")) == before

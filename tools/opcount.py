@@ -8,9 +8,10 @@ pass as a warm-up, which generates every kernel the pass needs, and then one
 pass under ``sys.settrace`` with opcode events.  It prints one JSON object:
 the bytecodes executed in frames of generated code (``kernel``: the file
 name ``<regtang kernel ...>`` of ``polys.cached_kernel``, the fields'
-kernels and the steppers' loops and Newton iterations), those executed in
-all other Python frames (``other``) and the traced pass's failed cases
-(``failed``).  The counts are the same on every run of one checkout,
+kernels and the steppers' loops), those executed in all other Python
+frames (``other``), the number of distinct generated functions the traced
+pass ran (``kernels``, told apart by their file names) and the traced
+pass's failed cases (``failed``).  The counts are the same on every run of one checkout,
 however busy the machine is.  ``--smoke`` runs the workload's smoke passes
 (its largest-eps cases only).  The ``cycle`` workload's CLI runs write into
 a temporary directory, and no file is written under ``perfbench/``,
@@ -39,8 +40,9 @@ def parse_args(argv):
 
 def traced_pass(run) -> dict:
     """Run ``run()`` under opcode tracing; the bytecodes it executed in
-    generated frames and in all others."""
-    counts = [0, 0]
+    generated frames and in all others, and how many generated functions
+    ran."""
+    counts, kernels = [0, 0], set()
 
     def in_kernel(frame, event, arg):
         if event == "opcode":
@@ -54,14 +56,18 @@ def traced_pass(run) -> dict:
 
     def on_call(frame, event, arg):
         frame.f_trace_opcodes, frame.f_trace_lines = True, False
-        return in_kernel if frame.f_code.co_filename.startswith(KERNEL_FILE) else elsewhere
+        name = frame.f_code.co_filename
+        if name.startswith(KERNEL_FILE):
+            kernels.add(name)
+            return in_kernel
+        return elsewhere
 
     sys.settrace(on_call)
     try:
         run()
     finally:
         sys.settrace(None)
-    return {"kernel": counts[0], "other": counts[1]}
+    return {"kernel": counts[0], "other": counts[1], "kernels": len(kernels)}
 
 
 def main(argv=None) -> int:
