@@ -60,7 +60,6 @@ from .regularize import (
     SlowManifold,
     departure_coefficient,
     sandwich_exponent,
-    sandwich_constant,
     SandwichReport,
     slow_manifold_sandwich_check,
     manifold_table_csv,
@@ -72,9 +71,7 @@ from .maps import (
     lambda_star,
     find_x_epsilon,
     tangency_curve_psi,
-    grazing_orbit_height,
     predicted_upper_boundary,
-    predicted_targets,
     upper_transition_map,
     lower_transition_map,
     fit_scaling,
@@ -99,7 +96,6 @@ from .cycles import (
     return_map,
     cycle_multiplier,
     cycle_analysis,
-    exterior_map,
     loop_period,
     default_bracket,
     unique_root_scan,
@@ -115,7 +111,6 @@ from .scenarios import (
     time_reversed,
     oval_point,
     oval_polyline,
-    single_contact_in_window,
     build_scenario,
     SCENARIOS,
 )

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConditionViolated, DomainExit, NoCrossing, NoExit
-from .integrate import IntegratorConfig, SectionSpec, flow, flow_to_section_traj
+from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj
 from .phi import TransitionFunction, phi_bracket_constant, phi_family, upsilon_poly
 
 
@@ -33,11 +33,10 @@ def _check_orders(k: int, n: int):
         )
 
 
-# Both chart integrations run far tighter than the maps' default: u* and eta
+# The chart integration runs far tighter than the maps' default: u* and eta
 # are model constants, not by-products of a leg.
 CHART_INTEG = IntegratorConfig(rtol=1e-12, atol=1e-14)
 CHART_U_MAX = 20.0  # planar_model_crossing gives up at u = CHART_U_MAX
-FD_STEP = 1e-6  # central-difference step of the equatorial chart's Jacobian
 
 
 # --------------------------------------------------------------------------
@@ -150,13 +149,16 @@ def departure_prefactor(k: int, n: int, alpha: float = 1.0,
 
 
 # --------------------------------------------------------------------------
-# equatorial chart: equilibrium and spectrum
+# equatorial chart: equilibrium and rate
 # --------------------------------------------------------------------------
 
 @dataclass
 class EquatorialChart:
-    """Desingularized flow in the chart covering the sliding-to-departure
-    passage: coordinates (x1, r1, e1), with e1*r1**(1+2k(n-1)) invariant.
+    """The chart covering the sliding-to-departure passage, coordinates
+    (x1, r1, e1): the closed forms of its hyperbolic equilibrium
+    (``x1_star``, 0, 0) and of its contraction rate ``lambda1``.  The
+    constructor checks the orders and builds the profile's bracket constant
+    and Upsilon polynomial, from which the desingularized flow is formed.
     """
 
     k: int
@@ -173,22 +175,6 @@ class EquatorialChart:
         self.bracket = phi_bracket_constant(self.tf, self.n)
         self.upsilon = upsilon_poly(self.tf, self.n)
 
-    # -- pieces ------------------------------------------------------------
-
-    def H(self, x1: float, r1: float) -> float:
-        k, n = self.k, self.n
-        s = r1 ** (2 * k - 1)
-        return (x1 ** (2 * k - 1) * self.alpha
-                + 0.5 * self.bracket * (1.0 - s * self.upsilon(-s)))
-
-    def rhs(self, t: float, p) -> Tuple[float, float, float]:
-        x1, r1, e1 = p
-        k, n = self.k, self.n
-        hj = self.H(x1, r1) / (2 * k - 1)
-        return (e1 + n * x1 * hj, -r1 * hj, (1 + 2 * k * (n - 1)) * e1 * hj)
-
-    # -- equilibrium data ----------------------------------------------------
-
     @property
     def x1_star(self) -> float:
         return -((self.bracket / (2.0 * self.alpha)) ** (1.0 / (2 * self.k - 1)))
@@ -196,33 +182,3 @@ class EquatorialChart:
     @property
     def lambda1(self) -> float:
         return -0.5 * self.bracket * self.n
-
-    def equilibrium_residual(self) -> float:
-        return float(np.max(np.abs(self.rhs(0.0, (self.x1_star, 0.0, 0.0)))))
-
-    def jacobian_fd(self) -> np.ndarray:
-        """Central-difference Jacobian of the flow at the equilibrium."""
-        p = np.array([self.x1_star, 0.0, 0.0])
-        J = np.empty((3, 3))
-        for j in range(3):
-            dp = np.zeros(3)
-            dp[j] = FD_STEP
-            J[:, j] = (np.array(self.rhs(0.0, p + dp))
-                       - np.array(self.rhs(0.0, p - dp))) / (2 * FD_STEP)
-        return J
-
-    def eigenvalues(self) -> np.ndarray:
-        ev = np.linalg.eigvals(self.jacobian_fd())
-        return np.sort_complex(ev)
-
-    def invariant_drift(self, start, t_span: Tuple[float, float]) -> float:
-        """Max drift of e1 * r1**(1+2k(n-1)) along a trajectory (exact invariant).
-
-        Raises DomainExit if the orbit leaves the integrator's norm bound
-        within ``t_span``, and StepSizeUnderflow if the solver cannot cover it.
-        """
-        p = 1 + 2 * self.k * (self.n - 1)
-        c0 = start[2] * start[1] ** p
-        traj = flow(self.rhs, start, t_span, CHART_INTEG)
-        vals = traj.points[:, 2] * traj.points[:, 1] ** p
-        return float(np.max(np.abs(vals - c0)))

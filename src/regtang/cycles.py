@@ -2,10 +2,10 @@
 two-zone systems whose sliding segment ends at a visible even contact.
 
 The full return map is integrated directly in the original variables (the
-smoothed field is not stiff at the eps values of interest here); a composed
-variant chains the layer transition map with the outer excursion and serves
-as an independent cross-check when the return crossing sits above the layer.
-Derivatives of section maps come from the variational formula
+smoothed field is not stiff at the eps values of interest here).  The tests
+cross-check it against the composition of the layer transition map with the
+outer excursion of the upper field, when the return crossing sits above the
+layer.  Derivatives of section maps come from the variational formula
 
     P'(y0) = [F_x(p0) / F_x(p1)] * exp( integral of div F along the orbit ),
 
@@ -115,14 +115,14 @@ def find_cycle(return_fn: Callable[[float], float],
 
 
 # --------------------------------------------------------------------------
-# variational derivative of a planar section-to-section map
+# the state that carries the divergence integral
 # --------------------------------------------------------------------------
 
-def _augmented_rhs(field):
-    """The right-hand side of the state (x, y, divergence integral) under
-    ``field`` (a ``PlanarField`` or ``RegularizedField``): a call of its
-    ``augmented``, which carries the field's ``augmented_kernel``, so that
-    a DOP853 leg inlines it into its step."""
+def _augmented_rhs(field: RegularizedField):
+    """The right-hand side of the state (x, y, divergence integral) under the
+    ``RegularizedField`` ``field``: a call of its ``augmented``, which
+    carries the field's ``augmented_kernel``, so that a DOP853 leg inlines
+    it into its step."""
     ev = field.augmented
 
     def rhs(t, p):
@@ -132,37 +132,9 @@ def _augmented_rhs(field):
     return rhs
 
 
-def section_map_derivative_factor(field_eval, p0, p1, s_integral: float) -> float:
-    """P'(y0) for a map between two vertical sections."""
-    a = field_eval(p0[0], p0[1])[0]
-    b = field_eval(p1[0], p1[1])[0]
-    return a / b * math.exp(s_integral)
-
-
 # --------------------------------------------------------------------------
-# outer excursion (upper field only)
+# the upper field's loop
 # --------------------------------------------------------------------------
-
-def exterior_map(system: FilippovSystem, y_in: float, theta: float, rho: float) -> dict:
-    """Follow the upper field from (theta, y_in) around the outer loop to the
-    inflow section {x = -rho}, reporting the arrival height and the map's
-    derivative K (variational; K > 0 and exponentially small for strongly
-    dissipative loops).
-    """
-    ev = system.x_plus.eval
-    rhs = _augmented_rhs(system.x_plus)
-    sec = SectionSpec("vertical", -rho, interval=(0.0, 1.0), direction="up",
-                      ident="inflow")
-    try:
-        hit, traj = flow_to_section_traj(rhs, (theta, y_in, 0.0), sec)
-    except (NoCrossing, DomainExit) as exc:
-        raise NoReturn(f"outer excursion from (theta, {y_in:g}) lost: {exc}") from exc
-    y_out = float(hit.point[1])
-    s_int = float(hit.point[2])
-    K = section_map_derivative_factor(ev, (theta, y_in), (-rho, y_out), s_int)
-    return {"y_out": y_out, "t_flight": float(hit.t), "K": K,
-            "s_integral": s_int, "trajectory": traj}
-
 
 def loop_period(system: FilippovSystem) -> float:
     """Period of the upper-field loop through (0, 2): time of first return

@@ -8,7 +8,6 @@ and Lie derivatives are evaluated from their exact polynomial chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -26,8 +25,7 @@ class PlanarField:
     ``eval(x, y)`` is the kernel generated from them at construction; it
     returns the tuple ``(u, v)`` of Python floats.  ``kernel`` is
     ``(eval, ())``, the kernel and the arguments it takes before the state,
-    which a DOP853 leg inlines into its step.  ``augmented(x, y, w)`` and
-    ``augmented_kernel`` are the same for the field and its divergence.
+    which a DOP853 leg inlines into its step.
     """
 
     poly_form: Tuple[Poly2, Poly2]
@@ -41,23 +39,6 @@ class PlanarField:
     def divergence(self) -> Callable[[float, float], float]:
         """The exact divergence as a float kernel."""
         return (self.poly_form[0].diff_x() + self.poly_form[1].diff_y()).compiled()
-
-    @cached_property
-    def augmented_kernel(self):
-        """The kernel of the field with its divergence, ``(fn, ())``,
-        ``fn(x, y, w) -> (u, v, div)`` for a state that carries the
-        divergence integral w, which it does not read; the statements of
-        ``eval`` and ``divergence()``, so it returns their numbers."""
-        p1, p2 = self.poly_form
-        div = p1.diff_x() + p2.diff_y()
-        lines, form = float_parts([("u", p1), ("v", p2), ("div", div)])
-        return compile_kernel(
-            "x, y, w", power_lines([p1, p2, div]) + lines
-            + [f"return ({form['u']}, {form['v']}, {form['div']})"]), ()
-
-    def augmented(self, x: float, y: float, w: float) -> Tuple[float, float, float]:
-        fn, _ = self.augmented_kernel
-        return fn(x, y, w)
 
 
 def field_from_polys(p1: Poly2, p2: Poly2) -> PlanarField:

@@ -51,18 +51,18 @@ is ported and checked against scipy by the tests: the coefficient tables
 step at a time (scipy's ``OdeSolution``) and ``brentq`` bit for bit; the
 DOP853 steps and the first-step choice to rounding.
 
-A run ends in one of three ways: at its span's end; at the first crossing
-its scan's target admits; or by raising ``DomainExit``, when the state it
-keeps for a step (the hit, if the step has one, else the step's end) leaves
-the max-norm bound ``NORM_GUARD``.  Events have one path, dense-output event
-location (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): the run scans
-each accepted step on a sub-step grid as it goes (``_Scan``) and finds every
-crossing of a section, the two of a dip between grid points among them, and
-every touch, a turning point of the residual within ``sqrt(event_tol)`` of
-zero.  Past a crossing outside the target's interval or against its
-direction the same solver steps on.  A leg that ends on one of its field's
-``kinks`` takes the crossing step again, to end just past the section
-(``_land``).  A leg without an admissible crossing raises
+A run ends in one of three ways: at its span's end; at the first crossing its
+scan's target admits; or by raising ``DomainExit``, when the state it keeps
+for a step (the hit, if the step has one, else the step's end), or its start
+state, before any RHS call, leaves the max-norm bound ``NORM_GUARD``.  Events
+have one path, dense-output event location (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.6): the run scans each accepted step on a sub-step grid as it goes
+(``_Scan``) and finds every crossing of a section, the two of a dip between
+grid points among them, and every touch, a turning point of the residual
+within ``sqrt(event_tol)`` of zero.  Past a crossing outside the target's
+interval or against its direction the same solver steps on.  A leg that ends
+on one of its field's ``kinks`` takes the crossing step again, to end just
+past the section (``_land``).  A leg without an admissible crossing raises
 ``TangentialGraze`` (a ``NoCrossing``) at its target's first touch, and a
 plain ``NoCrossing`` if there is none.
 """
@@ -99,20 +99,17 @@ DENSE_BLOCK = 8192
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
     event_tol: float = 1e-12
     max_time: float = 1e6
 
     def __post_init__(self):
-        # NaN fails each test; max_step <= 0 is left to ``_start`` (scipy's error)
+        # NaN fails each test
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("tolerances must be positive")
         if not 0 < self.event_tol <= self.rtol:
             raise ValueError("event_tol must be positive and must not exceed rtol")
         if not 0 < self.max_time < math.inf:
             raise ValueError("max_time must be finite and positive")
-        if math.isnan(self.max_step):
-            raise ValueError("max_step must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -511,13 +508,21 @@ class _Scan:
         return self.hit
 
 
+def _guard(t: float, y: Sequence[float]):
+    """Raise ``DomainExit`` at ``t`` if the kept state ``y`` has a max norm
+    above ``NORM_GUARD``."""
+    if max(map(abs, y)) > NORM_GUARD:
+        raise DomainExit(f"trajectory norm exceeded {NORM_GUARD:g} at t={t:g}",
+                         t=t, point=np.array(y))
+
+
 def _rms_norm(x: List[float]) -> float:
     """scipy's RMS ``norm``, summed left to right on Python floats."""
     return math.sqrt(sum(v * v for v in x)) / len(x) ** 0.5
 
 
 def _initial_step(fun: Callable[[float, List[float]], List[float]], t0: float,
-                  y0: List[float], t_bound: float, max_step: float, f0: List[float],
+                  y0: List[float], t_bound: float, f0: List[float],
                   direction: float, order: int, rtol: float, atol: float) -> float:
     """scipy's ``select_initial_step`` (Hairer, Norsett & Wanner, *Solving
     ODEs I*, II.4): the first step size of a method whose error estimate is
@@ -545,17 +550,19 @@ def _initial_step(fun: Callable[[float, List[float]], List[float]], t0: float,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
-    return min(100 * h0, h1, interval_length, max_step)
+    return min(100 * h0, h1, interval_length)
 
 
 def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
            config: IntegratorConfig, order: int):
     """What scipy's solver constructors do before the first step.
 
-    The inputs are checked as ``check_arguments``, ``validate_max_step`` and
-    ``validate_tol`` check them, with the same errors (``ValueError``) and the
-    same warning and clamp for an rtol below 100 eps; ``rhs`` is called at the
-    start, and the first step is chosen (``_initial_step``).  Returns ``(y, f,
+    The inputs are checked as ``check_arguments`` and ``validate_tol`` check
+    them, with the same errors (``ValueError``) and the same warning and clamp
+    for an rtol below 100 eps.  A start whose max norm exceeds ``NORM_GUARD``
+    raises ``DomainExit`` at ``t``, before any RHS call (its RHS may compute a
+    power past the float range); else ``rhs`` is called at the start, and the
+    first step is chosen (``_initial_step``).  Returns ``(y, f,
     rtol, atol, direction, h_abs, nfev)``: the start state and its RHS value
     as lists of Python floats, the rest as Python floats and the count of
     RHS calls.
@@ -570,8 +577,6 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     y = y.tolist()
-    if config.max_step <= 0:
-        raise ValueError("`max_step` must be positive.")
     rtol, atol = config.rtol, config.atol
     if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
@@ -581,6 +586,7 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
         raise ValueError("`atol` must be positive.")
     # numpy's sign of the span: NaN for a NaN span
     direction = 1.0 if t_bound >= t else -1.0 if t_bound < t else math.nan
+    _guard(t, y)
     nfev = 0
 
     def fun(s: float, p: List[float]) -> List[float]:
@@ -588,8 +594,7 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
         nfev += 1
         return list(map(float, rhs(s, p)))
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, config.max_step, f, direction, order,
-                          rtol, atol)
+    h_abs = _initial_step(fun, t, y, t_bound, f, direction, order, rtol, atol)
     return y, f, float(rtol), float(atol), direction, float(h_abs), nfev
 
 
@@ -665,11 +670,11 @@ def _loop_source(n: int, lead: Sequence[str], extra: Sequence[str], setup: Seque
     generator running scipy's ``OdeSolver.step`` loop around a stepper's step
     attempt, with the stepper's state in its locals.
 
-    ``loop(*lead, t, t_bound, direction, h_abs, max_step, y, rtol, atol,
-    nfev, njev, nlu, levels, band2, ts, ys, hs, cs, nextafter, underflow,
-    *extra)`` steps from ``(t, y)``: each step's proposed size is clamped to
-    [min_step, max_step], each try clipped to ``t_bound``, and a size below
-    min_step raises ``underflow``.  The ``attempt`` lines (after ``setup``)
+    ``loop(*lead, t, t_bound, direction, h_abs, y, rtol, atol, nfev, njev,
+    nlu, levels, band2, ts, ys, hs, cs, nextafter, underflow, *extra)`` steps
+    from ``(t, y)``: each step's proposed size is raised to at least
+    min_step, each try clipped to ``t_bound``, and a size below min_step
+    raises ``underflow``.  The ``attempt`` lines (after ``setup``)
     try the step ``_h`` from ``_t`` to ``_tn`` (``_rejected``: an earlier try
     was; ``_clamped``: the first size was) and ``continue`` with the next
     try's size ``_sa``, or set the next step's size ``_sa``, the new state
@@ -689,7 +694,7 @@ def _loop_source(n: int, lead: Sequence[str], extra: Sequence[str], setup: Seque
         *setup,
         "while True:",
         "    _min = 10 * abs(_nextafter(_t, _far) - _t)",
-        "    _sa = _max_step if _h_abs > _max_step else _min if _h_abs < _min else _h_abs",
+        "    _sa = _min if _h_abs < _min else _h_abs",
         "    _clamped, _rejected = _sa != _h_abs, False",
         "    while True:",
         "        if _sa < _min:",
@@ -710,8 +715,8 @@ def _loop_source(n: int, lead: Sequence[str], extra: Sequence[str], setup: Seque
         "        _ts.append(_tn)", "        _ys.append(_yn)",
         "        _hs.append(_h)", "        _cs.append(_rows)",
         "    _t, _yo = _tn, _yn"]
-    args = ("_t, _tb, _dir, _h_abs, _max_step, _y, _rtol, _atol, _nfev, _njev, _nlu, _lv, "
-            "_band2, _ts, _ys, _hs, _cs, _nextafter, _underflow")
+    args = ("_t, _tb, _dir, _h_abs, _y, _rtol, _atol, _nfev, _njev, _nlu, _lv, _band2, "
+            "_ts, _ys, _hs, _cs, _nextafter, _underflow")
     return ", ".join([*lead, args, *extra]), body
 
 
@@ -820,7 +825,7 @@ class _Run:
         self.t, self.t_bound = map(float, t_span)
         self.y, self.f, self.rtol, self.atol, self.direction, self.h_abs, self.nfev = _start(
             rhs, self.t, self.t_bound, y0, config, order)
-        self.max_step, self.horner, self.njev, self.nlu = config.max_step, horner, 0, 0
+        self.horner, self.njev, self.nlu = horner, 0, 0
         self.ts, self.ys, self.hs, self.cs = [self.t], [self.y], [], []
         self.scan = _Scan(rhs, 0.0) if scan is None else scan
 
@@ -834,9 +839,9 @@ class _Run:
         else:
             levels = [tuple(sec.c for sec in scan.sections if sec.kind == kind)
                       for kind in ("vertical", "horizontal")]
-            steps = loop(self.t, self.t_bound, self.direction, self.h_abs, self.max_step,
-                         self.y, self.rtol, self.atol, self.nfev, self.njev, self.nlu, levels,
-                         2 * scan.band, self.ts, self.ys, self.hs, self.cs, math.nextafter,
+            steps = loop(self.t, self.t_bound, self.direction, self.h_abs, self.y, self.rtol,
+                         self.atol, self.nfev, self.njev, self.nlu, levels, 2 * scan.band,
+                         self.ts, self.ys, self.hs, self.cs, math.nextafter,
                          StepSizeUnderflow, *extra)
             near = None
             while True:
@@ -864,9 +869,7 @@ class _Run:
             t, y = hit.t, hit.point
             if prev and self.direction * (t - t_old) <= 0:
                 del hs[-1], cs[-1], ts[-1], ys[-1]  # it ends in the previous step
-        if max(map(abs, y)) > NORM_GUARD:
-            raise DomainExit(f"trajectory norm exceeded {NORM_GUARD:g} at t={t:g}",
-                             t=t, point=np.array(y))
+        _guard(t, y)
         ts.append(t)
         ys.append(y)
         return bool(hit)
@@ -943,7 +946,8 @@ def _radau_loop(source: Optional[Source] = None) -> Callable:
     rate and convergence tests, restarted from the same predicted stages
     after a Jacobian refresh.  The constants are ``repr`` literals, complex
     where scipy's are, every product kept (T has a zero entry) and every sum
-    left to right.  Each stage evaluation calls the RHS, or, with ``source``,
+    left to right.  A norm whose square passes the float range is inf, as
+    numpy's is.  Each stage evaluation calls the RHS, or, with ``source``,
     is the field kernel's own statements (``_inliner``).  Memoized by
     ``polys.cached_kernel``.
     """
@@ -966,10 +970,14 @@ def _radau_source(source: Optional[Source]) -> Source:
         return (f"{target} = " + " + ".join(f"_f{i}{j} * ({c!r})" for i, c in enumerate(coefs))
                 + f" - {m} * {w}")
 
+    def norm(target, expr):  # a square past the float range is numpy's inf
+        return ["try:", f"    {target} = _sqrt({expr})", "except OverflowError:",
+                f"    {target} = float('inf')"]
+
     def error(f):  # the error estimate from the RHS value ``f``, and its RMS norm
         return [f"_e0, _e1 = {f}[0] + _ze0, {f}[1] + _ze1",
                 "_er0, _er1 = _a * _e0 + _b * _e1, _c * _e0 + _d * _e1",
-                "_err = _sqrt(((_er0 / _s0) ** 2 + (_er1 / _s1) ** 2) / 2)"]
+                *norm("_err", "((_er0 / _s0) ** 2 + (_er1 / _s1) ** 2) / 2")]
 
     terms = [f"(_dw{r}0 / _s0) ** 2 + (_dw{r}1 / _s1) ** 2" for r in range(3)]
     newton = [  # one iteration, ``break`` when it ends
@@ -991,7 +999,7 @@ def _radau_source(source: Optional[Source]) -> Source:
         "_dw10 = _dc0.real", "_dw11 = _dc1.real",
         "_dw20 = _dc0.imag", "_dw21 = _dc1.imag",
         # sum()'s start, 0, is left out: each term is +0.0 or above, or NaN
-        f"_norm = _sqrt(({' + '.join(f'({t})' for t in terms)}) / 6)",
+        *norm("_norm", f"({' + '.join(f'({t})' for t in terms)}) / 6"),
         "if _old is not None:",
         "    _rate = _norm / _old",
         "if _rate is not None and (_rate >= 1 or "

@@ -122,8 +122,7 @@ def find_x_epsilon(
     system: FilippovSystem,
     config: TransitionConfig,
     eps: float,
-    keep_trajectory: bool = False,
-):
+) -> float:
     """Departure abscissa: ride the layer's slow set from x = -config.L and record
     where the orbit leaves through yhat = 1.
 
@@ -137,13 +136,10 @@ def find_x_epsilon(
     integ = _band_integ(config, eps, L + config.theta)
     sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
     try:
-        hit, traj = flow_to_section_traj(band, (-L, y0), sec, integ)
+        hit, _ = flow_to_section_traj(band, (-L, y0), sec, integ)
     except (NoCrossing, DomainExit) as exc:
         raise NoExit(f"slow-set orbit never left the layer: {exc}") from exc
-    x_eps = float(hit.point[0])
-    if keep_trajectory:
-        return x_eps, traj
-    return x_eps
+    return float(hit.point[0])
 
 
 def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: float) -> float:
@@ -169,18 +165,6 @@ def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: fl
 # distinguished upper-field orbits
 # --------------------------------------------------------------------------
 
-def grazing_orbit_height(system: FilippovSystem, config: TransitionConfig,
-                         x_target: float) -> float:
-    """Height at x = x_target of the upper-field orbit through the contact (0, 0)."""
-    if x_target == 0.0:
-        return 0.0
-    direction = "forward" if x_target > 0 else "backward"
-    sec = SectionSpec("vertical", x_target)
-    hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec, config.integ,
-                                  t_direction=direction)
-    return float(hit.point[1])
-
-
 def predicted_upper_boundary(system: FilippovSystem, config: TransitionConfig,
                              eps: float) -> float:
     """Height y at x = -rho of the backward upper-field orbit from (-eps**lam, eps)."""
@@ -190,34 +174,6 @@ def predicted_upper_boundary(system: FilippovSystem, config: TransitionConfig,
     hit, _ = flow_to_section_traj(system.x_plus, (x0, eps), sec, config.integ,
                                   t_direction="backward")
     return float(hit.point[1])
-
-
-def predicted_targets(system: FilippovSystem, config: TransitionConfig,
-                      eps_values: Sequence[float]) -> dict:
-    """Fit y_eps = y_bar + a*eps + beta*eps**(2k lam) over the given eps values.
-
-    The leading-correction coefficient beta must come out negative (the inflow
-    window's upper edge bends below the naïve eps-shift); its fitted value is
-    returned for inspection.
-    """
-    if len(eps_values) < 3:
-        raise ConditionViolated("need at least 3 eps values to fit targets")
-    y_bar = grazing_orbit_height(system, config, -config.rho)
-    rows = []
-    for eps in eps_values:
-        rows.append((float(eps), predicted_upper_boundary(system, config, eps)))
-    e = np.array([r[0] for r in rows])
-    r = np.array([r[1] for r in rows]) - y_bar
-    p = 2 * config.k * config.lam
-    A = np.column_stack([e, e ** p])
-    coef, *_ = np.linalg.lstsq(A, r, rcond=None)
-    return {
-        "y_bar_rho": y_bar,
-        "a_hat": float(coef[0]),
-        "beta_hat": float(coef[1]),
-        "power": p,
-        "samples": rows,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +370,9 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
 def mirror_fixed_point(system: FilippovSystem, config: TransitionConfig,
                        eps: float, delta: float = 1e-3) -> dict:
     """Locate the mirror map's fixed point by extrapolating the midpoint
-    (mirror(psi - d) + (psi - d))/2 to d -> 0 (Neville on d, d/2, d/4, d/8).
+    (mirror(psi - d) + (psi - d))/2 to d -> 0: the constant coefficient of
+    the cubic through the midpoints at d, d/2, d/4 and d/8, fitted by
+    ``np.polynomial.polynomial.polyfit``.
     """
     psi = tangency_curve_psi(system, config, eps)
     ds = np.array([delta, delta / 2, delta / 4, delta / 8])

@@ -368,12 +368,6 @@ def sandwich_exponent(k: int, n: int) -> float:
     return (2 * k * (n - 2) + 2) / n
 
 
-def sandwich_constant(manifold: SlowManifold, k: int, n: int, L: float) -> float:
-    """A constant K >= -L^{(2k(n-2)+2)/n} * m1(-L) making the envelope valid at -L."""
-    p = sandwich_exponent(k, n)
-    return max(0.0, -(L ** p) * manifold.m1(-L)) * 1.0000001
-
-
 @dataclass
 class SandwichReport:
     """Grid-wise verdict for the two-sided slow-manifold enclosure

@@ -117,18 +117,6 @@ def time_reversed(system: FilippovSystem) -> FilippovSystem:
     )
 
 
-def single_contact_in_window(system: FilippovSystem, lo: float, hi: float,
-                             n_grid: int = 4001) -> bool:
-    """Numeric check that X2+(x, 0) has exactly one zero in [lo, hi]."""
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([float(system.x_plus.eval(x, 0.0)[1]) for x in xs])
-    signs = np.sign(vals)
-    core = signs[signs != 0]
-    changes = int(np.sum(np.diff(core) != 0))
-    zeros = int(np.sum(signs == 0))
-    return changes == 1 and zeros <= 1
-
-
 SCENARIOS: dict = {
     "canonical": canonical_system,
     "boundary-cycle": boundary_cycle_system,

@@ -445,6 +445,10 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     ["scaling", "--eps-decades=nan:-2"],
     ["scaling", "--workers", "0"],
     ["scaling", "--workers", "-3"],
+    # a start past the norm bound, whose RHS would overflow a power
+    ["simulate", "--scenario", "boundary-cycle", "--x0", "1e155"],
+    ["simulate", "--scenario", "boundary-cycle", "--y0", "1e155"],
+    ["simulate", "--scenario", "boundary-cycle-reversed", "--x0", "1e155"],
 ])
 def test_bad_numeric_inputs_exit_2_with_json(argv, capsys):
     code = main(argv)

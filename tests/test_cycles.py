@@ -11,7 +11,6 @@ from regtang import (
     TransitionConfig,
     cycle_analysis,
     default_bracket,
-    exterior_map,
     find_cycle,
     grazing_exponent_fit,
     grazing_half_map,
@@ -20,6 +19,8 @@ from regtang import (
     phi_family,
     resample_arclength,
     return_map,
+    SectionSpec,
+    flow_to_section_traj,
     tangency_curve_psi,
     unique_root_scan,
     upper_transition_map,
@@ -149,15 +150,26 @@ def test_time_reversed_system_has_no_attracting_cycle():
     assert not found
 
 
+def _exterior_y_out(system, y_in, theta, rho):
+    """The outer excursion: the height at which the upper field's orbit
+    from (theta, y_in) reaches the inflow section {x = -rho} going up,
+    around the outer loop."""
+    sec = SectionSpec("vertical", -rho, interval=(0.0, 1.0), direction="up", ident="inflow")
+    hit, _ = flow_to_section_traj(system.x_plus, (theta, y_in), sec)
+    return float(hit.point[1])
+
+
 def test_composed_transition_matches_direct_return():
+    # the upper transition map then the outer excursion is one revolution
+    # of the return map, when the return crossing sits above the layer
     sys = boundary_cycle_system(k=2)
     eps = 5e-4
     cfg = TransitionConfig(k=2, n=6, tf=TF5, lam=0.25)
     y_in = 2.0 * eps
     up = upper_transition_map(sys, cfg, eps, y_in)
-    outer = exterior_map(sys, up.y_out, cfg.theta, cfg.rho)
+    outer = _exterior_y_out(sys, up.y_out, cfg.theta, cfg.rho)
     direct = return_map(sys, TF5, eps, y_in, rho=cfg.rho)
-    assert outer["y_out"] == approx(direct.y_out, abs=1e-9)
+    assert outer == approx(direct.y_out, abs=1e-9)
 
 
 def test_grazing_half_maps_have_exact_exponents():

@@ -9,15 +9,16 @@ from regtang import (
     ConditionViolated,
     DomainError,
     IntegratorConfig,
+    SectionSpec,
     TransitionConfig,
     find_x_epsilon,
     fit_scaling,
+    flow_to_section_traj,
     lambda_star,
     lower_transition_map,
     mirror_derivative,
     mirror_fixed_point,
     mirror_map,
-    predicted_targets,
     predicted_upper_boundary,
     tangency_curve_psi,
     upper_transition_map,
@@ -132,12 +133,35 @@ def test_predicted_upper_boundary_brackets_inflow():
         assert y_hi > eps
 
 
+def _grazing_orbit_height(system, config, x_target):
+    """Height at x = x_target < 0 of the upper-field orbit through the
+    contact (0, 0)."""
+    sec = SectionSpec("vertical", x_target)
+    hit, _ = flow_to_section_traj(system.x_plus, (0.0, 0.0), sec, config.integ,
+                                  t_direction="backward")
+    return float(hit.point[1])
+
+
+def _predicted_targets(system, config, eps_values):
+    """(y_bar, a, beta): the least-squares fit y_eps = y_bar + a*eps +
+    beta*eps**(2k lam) of the predicted upper boundary over ``eps_values``,
+    y_bar the grazing orbit's height at x = -rho."""
+    y_bar = _grazing_orbit_height(system, config, -config.rho)
+    e = np.array(eps_values, dtype=float)
+    r = np.array([predicted_upper_boundary(system, config, eps) for eps in eps_values]) - y_bar
+    A = np.column_stack([e, e ** (2 * config.k * config.lam)])
+    coef, *_ = np.linalg.lstsq(A, r, rcond=None)
+    return y_bar, float(coef[0]), float(coef[1])
+
+
 def test_predicted_targets_fits_negative_beta():
+    # the inflow window's upper edge bends below the naive eps-shift of the
+    # grazing orbit: the leading correction's coefficient beta is negative
     sys = canonical_system(k=1)
     cfg = TransitionConfig(k=1, n=2)
-    out = predicted_targets(sys, cfg, [1e-2, 4e-3, 1e-3, 4e-4])
-    assert out["beta_hat"] < 0
-    assert out["y_bar_rho"] == approx(0.3**2 / 2, abs=1e-8)
+    y_bar, _, beta = _predicted_targets(sys, cfg, [1e-2, 4e-3, 1e-3, 4e-4])
+    assert beta < 0
+    assert y_bar == approx(0.3**2 / 2, abs=1e-8)
 
 
 def test_mirror_map_requires_entry_left_of_tangency():
@@ -202,6 +226,23 @@ def test_scaling_fit_serializes():
     assert d["n_points"] == 7
 
 
+def _departure_leg(monkeypatch, system, config, eps):
+    """``find_x_epsilon`` and the trajectory of its leg, caught by a wrap of
+    ``maps.flow_to_section_traj``."""
+    from regtang import maps
+
+    inner, legs = maps.flow_to_section_traj, []
+
+    def keep(*args, **kwargs):
+        hit, traj = inner(*args, **kwargs)
+        legs.append(traj)
+        return hit, traj
+    monkeypatch.setattr(maps, "flow_to_section_traj", keep)
+    x_eps = find_x_epsilon(system, config, eps)
+    (traj,) = legs
+    return x_eps, traj
+
+
 def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
     # A wrap of BandField.eval on the class sees every call made outside a
     # DOP853 step's stages, which inline the field's kernel and call nothing;
@@ -214,8 +255,7 @@ def test_every_band_rhs_call_goes_through_the_class_method(monkeypatch):
         return inner(self, x, yhat)
 
     monkeypatch.setattr(BandField, "eval", counting)
-    _, traj = find_x_epsilon(canonical_system(1), TransitionConfig(1, 2), 1e-3,
-                             keep_trajectory=True)
+    _, traj = _departure_leg(monkeypatch, canonical_system(1), TransitionConfig(1, 2), 1e-3)
     # two calls to start each run, plus one per located crossing (its
     # direction); the leg lands on the kink at yhat = 1 (``integrate._land``),
     # so the first run and the landing run each start and locate its one
@@ -255,7 +295,7 @@ def test_every_band_rhs_call_is_counted_on_a_radau_leg(monkeypatch):
 
     monkeypatch.setattr(BandField, "eval", counting)
     cfg = TransitionConfig(1, 2, lam=0.999 * lambda_star(1, 2))
-    _, traj = find_x_epsilon(canonical_system(1), cfg, 1e-5, keep_trajectory=True)
+    _, traj = _departure_leg(monkeypatch, canonical_system(1), cfg, 1e-5)
     (seg,) = traj.segments
     assert calls[0] == 2 * 2 + len(seg.h) + 1 + len(traj.events) + 1
     assert (seg.nfev, seg.njev, seg.nlu) == (3592, 233, 510)

@@ -18,7 +18,6 @@ from regtang import (
     departure_coefficient,
     manifold_table_csv,
     phi_family,
-    sandwich_constant,
     sandwich_exponent,
     slow_manifold_sandwich_check,
 )
@@ -558,9 +557,6 @@ def _ref_sources(system, tf):
         div = p1.diff_x() + p2.diff_y()
         out[f"{tag}_eval"] = ("x, y", power_lines([p1, p2]) + _float_lines(p1, "u")
                               + _float_lines(p2, "v") + ["return (u, v)"])
-        out[f"{tag}_augmented"] = ("x, y, w", power_lines([p1, p2, div]) + _float_lines(p1, "u")
-                                   + _float_lines(p2, "v") + _float_lines(div, "div")
-                                   + ["return (u, v, div)"])
         out[f"{tag}_divergence"] = ("x, y", power_lines([div]) + _float_lines(div, "v")
                                     + ["return v"])
     return out
@@ -578,7 +574,6 @@ def _lean_kernels(system, tf):
            "augmented": regularize._augmented_kernel(system, tf)}
     for tag, f in (("plus", system.x_plus), ("minus", system.x_minus)):
         out[f"{tag}_eval"] = f.eval
-        out[f"{tag}_augmented"] = f.augmented_kernel[0]
         out[f"{tag}_divergence"] = f.divergence()
     return out
 
@@ -658,7 +653,7 @@ def test_each_lean_kernel_is_the_statement_form_bit_for_bit(i, m, inputs):
     args = {"band": (eps, x, s), "band_jacobian": (eps, x, s), "mix": (eps, x, y),
             "divergence": (eps, x, y), "augmented": (eps, x, y, w)}
     for name, ref in refs.items():
-        arg = args.get(name, (x, y, w) if name.endswith("augmented") else (x, y))
+        arg = args.get(name, (x, y))
         assert _outcome(lean[name], *arg) == _outcome(ref, *arg), name
 
 

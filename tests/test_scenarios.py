@@ -12,7 +12,6 @@ from regtang.scenarios import (
     canonical_system,
     oval_point,
     oval_polyline,
-    single_contact_in_window,
     time_reversed,
 )
 
@@ -111,13 +110,6 @@ def test_time_reversed_twice_gives_back_the_system():
         for x, y in [(0.3, 0.2), (-0.1, -0.004), (0.7, 0.006), (-0.45, 1.3)]:
             for got, want in pairs:
                 assert np.array_equal(got(x, y), want(x, y))
-
-
-def test_single_contact_in_window():
-    sys = canonical_system(k=1)
-    assert single_contact_in_window(sys, -0.5, 0.5)
-    shifted = canonical_system(k=1, g=Poly1([0, 0, 1]))  # f = x + x^2: two roots
-    assert not single_contact_in_window(shifted, -2.0, 1.0)
 
 
 def test_build_scenario_dispatch():
