@@ -52,7 +52,6 @@ from .integrate import (
     flow,
     flow_to_section_traj,
     sample_dense,
-    trajectory_to_csv,
 )
 from .regularize import (
     RegularizedField,
@@ -62,7 +61,6 @@ from .regularize import (
     sandwich_exponent,
     SandwichReport,
     slow_manifold_sandwich_check,
-    manifold_table_csv,
 )
 from .maps import (
     TransitionConfig,
@@ -103,7 +101,6 @@ from .cycles import (
     resample_arclength,
     grazing_half_map,
     grazing_exponent_fit,
-    polyline_to_csv,
 )
 from .scenarios import (
     canonical_system,

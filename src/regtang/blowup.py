@@ -21,16 +21,8 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainExit, NoCrossing, NoExit
 from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj
+from .maps import departure_weight, lambda_star
 from .phi import TransitionFunction, phi_bracket_constant, phi_family, upsilon_poly
-
-
-def _check_orders(k: int, n: int):
-    if k < 1:
-        raise ConditionViolated("k must be a positive integer")
-    if n < max(2, 2 * k - 1):
-        raise ConditionViolated(
-            f"order n={n} must be at least max(2, 2k-1)={max(2, 2 * k - 1)}"
-        )
 
 
 # The chart integration runs far tighter than the maps' default: u* and eta
@@ -46,26 +38,25 @@ CHART_U_MAX = 20.0  # planar_model_crossing gives up at u = CHART_U_MAX
 def scaling_constants(k: int, n: int, alpha: float = 1.0,
                       tf: Optional[TransitionFunction] = None) -> dict:
     """c_x, c_y of the polar-chart rescaling and the departure exponent."""
-    _check_orders(k, n)
+    p = departure_weight(k, n)
     if not alpha > 0:
         raise ConditionViolated("alpha must be positive")
     tf = tf or phi_family(n - 1)
     br = phi_bracket_constant(tf, n)
-    p = 1 + 2 * k * (n - 1)
     c_x = (2.0 / (br * alpha ** (n - 1))) ** (1.0 / p)
     return {
         "c_x": c_x,
         "c_y": -alpha * c_x ** (2 * k),
         "phi_bracket": br,
         "weight": p,
-        "lambda_star": n / p,
+        "lambda_star": lambda_star(k, n),
     }
 
 
 def sigma_shift(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0,
                 tf: Optional[TransitionFunction] = None) -> float:
     """Constant s appearing in the planar model: nonzero only when n = 2k-1."""
-    _check_orders(k, n)
+    departure_weight(k, n)  # checks the orders
     if n > 2 * k - 1:
         return 0.0
     c_x = scaling_constants(k, n, alpha, tf)["c_x"]
@@ -74,7 +65,7 @@ def sigma_shift(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0,
 
 def sigma_bound(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0) -> float:
     """Lower bound sigma_{n,k} for the departure abscissa eta."""
-    _check_orders(k, n)
+    departure_weight(k, n)  # checks the orders
     if n > 2 * k - 1:
         return 0.0
     val = theta00 / alpha
@@ -104,7 +95,7 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
     t = u - u0.  Raises NoExit if no crossing occurs by u = CHART_U_MAX, or if
     |v| exceeds the integrator's norm bound first (``DomainExit``).
     """
-    _check_orders(k, n)
+    departure_weight(k, n)  # checks the orders
     base = sigma - u0 ** (2 * k - 1)
     if base <= 0:
         raise ConditionViolated("u0 must start left enough for a positive nullcline")
@@ -167,7 +158,7 @@ class EquatorialChart:
     tf: Optional[TransitionFunction] = None
 
     def __post_init__(self):
-        _check_orders(self.k, self.n)
+        departure_weight(self.k, self.n)  # checks the orders
         if not self.alpha > 0:
             raise ConditionViolated("alpha must be positive")
         if self.tf is None:

@@ -41,10 +41,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .blowup import EquatorialChart, departure_prefactor
-from .cycles import cycle_analysis, polyline_to_csv
+from .cycles import cycle_analysis
 from .errors import RegtangError
 from .fields import FilippovSystem
-from .integrate import IntegratorConfig, SectionSpec, flow, trajectory_to_csv
+from .integrate import IntegratorConfig, SectionSpec, flow
 from .maps import (
     TransitionConfig,
     fit_line,
@@ -58,16 +58,11 @@ from .regularize import (
     BandField,
     RegularizedField,
     SlowManifold,
-    manifold_table_csv,
     slow_manifold_sandwich_check,
 )
 from .scenarios import SCENARIOS, build_scenario, oval_polyline
 
-F17 = "{:.17g}"
-
-
-def _f(v: float) -> str:
-    return F17.format(float(v))
+F17 = "%.17g"  # every float written: 17 significant digits
 
 
 # --------------------------------------------------------------------------
@@ -152,9 +147,26 @@ def _header(command: str, cfg: Dict[str, object]) -> str:
         if key == "out":
             continue
         val = cfg[key]
-        sval = _f(val) if isinstance(val, float) else str(val)
+        sval = F17 % val if isinstance(val, float) else str(val)
         lines.append(f"# {key} = {sval}")
     return "\n".join(lines) + "\n"
+
+
+def _csv(command: str, cfg: Dict[str, object], cols: Sequence[str], numbers=(),
+         rows: Sequence[Sequence] = ()) -> str:
+    """One CSV file: the header block, the column names ``cols``, a line per
+    row of ``numbers`` (2-D, every cell a number; a row shorter than ``cols``
+    leaves its last cells empty), then a line per row of ``rows`` (each cell
+    a number, a string, or None for an empty cell).  A single ``%`` operation
+    formats every cell, so the block of numbers costs no Python per row."""
+    numbers = np.asarray(numbers, dtype=float)
+    width = numbers.shape[1] if numbers.ndim == 2 else 0
+    line = ",".join([F17] * width + [""] * (len(cols) - width)) + "\n"
+    template = line * len(numbers) + "".join(
+        ",".join("" if v is None else "%s" if isinstance(v, str) else F17 for v in row) + "\n"
+        for row in rows)
+    cells = numbers.ravel().tolist() + [v for row in rows for v in row if v is not None]
+    return _header(command, cfg) + ",".join(cols) + "\n" + template % tuple(cells)
 
 
 def _finish(command: str, cfg: Dict[str, object],
@@ -311,9 +323,8 @@ def _cmd_scaling(cfg: Dict[str, object]) -> int:
     tcfg = _tcfg(cfg, _system(cfg))
     fit = fit_scaling([r["eps"] for r in rows], [r["x_eps"] for r in rows],
                       predicted_slope=tcfg.lambda_star)
-    body = _header("scaling", cfg) + "eps,x_eps,psi_eps\n"
-    for r in rows:
-        body += f"{_f(r['eps'])},{_f(r['x_eps'])},{_f(r['psi_eps'])}\n"
+    cols = ("eps", "x_eps", "psi_eps")
+    body = _csv("scaling", cfg, cols, [[r[c] for c in cols] for r in rows])
     return _finish("scaling", cfg, {"scaling.csv": body},
                    {"fit": fit.as_dict(), "rows": rows})
 
@@ -345,10 +356,8 @@ def _map_sweep_row(packed) -> dict:
 
 def _cmd_map(cfg: Dict[str, object], side: str) -> int:
     rows = _sweep(_map_sweep_row, cfg, _eps_grid(cfg, 1e-3), side)
-    body = _header(f"{side}-map", cfg) + "eps,y_in,y_out\n"
-    for r in rows:
-        for y_in, y_out in r["pairs"]:
-            body += f"{_f(r['eps'])},{_f(y_in)},{_f(y_out)}\n"
+    body = _csv(f"{side}-map", cfg, ("eps", "y_in", "y_out"),
+                [(r["eps"], *pair) for r in rows for pair in r["pairs"]])
     contraction = [{k: r[k] for k in ("eps", "input_length", "image_diameter")}
                    for r in rows]
     summary: Dict[str, object] = {"contraction": contraction}
@@ -372,15 +381,15 @@ def _cmd_slow_manifold(cfg: Dict[str, object]) -> int:
     pts = int(cfg.get("points", 50))
     L = cfg.get("L", tcfg.L)   # as given: TransitionConfig raises L to rho for the maps
     xs = np.linspace(-L, -L / pts, pts)
-    body = _header("slow-manifold", cfg) + "x,m0,m1\n"
-    for x in xs:
-        body += f"{_f(x)},{_f(manifold.m0(float(x)))},{_f(manifold.m1(float(x)))}\n"
-    csvs = {"slow-manifold.csv": body}
+    csvs = {"slow-manifold.csv": _csv("slow-manifold", cfg, ("x", "m0", "m1"), [
+        (x, manifold.m0(x), manifold.m1(x)) for x in xs.tolist()])}
     band = BandField(system, tcfg.tf, float(cfg.get("eps", 1e-4)))
     report = slow_manifold_sandwich_check(
         band, tcfg.k, tcfg.n, L, tcfg.lam,
         float(cfg.get("sandwich_K", 0.0)), grid_points=pts)
-    csvs["sandwich.csv"] = _header("slow-manifold", cfg) + manifold_table_csv(report)
+    csvs["sandwich.csv"] = _csv(
+        "slow-manifold", cfg, ("x", "m0", "m1", "m_proxy", "lower_bound"),
+        np.column_stack((report.x, report.m0, report.m1, report.proxy, report.lower)))
     return _finish("slow-manifold", cfg, csvs, {"sandwich": {
         "eps": report.eps,
         "lam": report.lam,
@@ -401,7 +410,9 @@ def _cmd_simulate(cfg: Dict[str, object]) -> int:
     sections = [SectionSpec("horizontal", eps, ident="band-roof"),
                 SectionSpec("horizontal", -eps, ident="band-floor")]
     traj = flow(reg, p0, (0.0, tmax), IntegratorConfig(), sections=sections)
-    body = _header("simulate", cfg) + trajectory_to_csv(traj)
+    # one row per accepted step, then one per event, with its section id
+    body = _csv("simulate", cfg, ("t", "x", "y", "event"), np.column_stack((traj.t, traj.points)),
+                [(ev.t, *ev.point, ev.section_id) for ev in traj.events])
     events = [{"t": float(ev.t), "x": float(ev.point[0]),
                "y": float(ev.point[1]), "section": ev.section_id,
                "direction": ev.direction} for ev in traj.events]
@@ -428,15 +439,12 @@ def _cmd_cycle(cfg: Dict[str, object]) -> int:
     rows = _sweep(_cycle_row, cfg, _eps_grid(cfg, 1e-2), reference)
     cols = ("eps", "fixed_point", "period", "multiplier", "log_multiplier",
             "multiplier_arc", "hausdorff", "hausdorff_over_eps")
-    body = _header("cycle", cfg) + ",".join(cols) + "\n"
-    for r in rows:
-        body += ",".join("" if r.get(c) is None else _f(r[c]) for c in cols) + "\n"
-    csvs = {"cycle.csv": body}
+    csvs = {"cycle.csv": _csv("cycle", cfg, cols, rows=[[r.get(c) for c in cols]
+                                                         for r in rows])}
     for j, r in enumerate(rows):
         poly = r.pop("polyline", None)
         if poly is not None:
-            csvs[f"cycle-polyline-{j}.csv"] = (
-                _header("cycle", cfg) + polyline_to_csv(poly))
+            csvs[f"cycle-polyline-{j}.csv"] = _csv("cycle", cfg, ("x", "y"), poly)
     summary: Dict[str, object] = {"rows": rows}
     ratios = [r["hausdorff_over_eps"] for r in rows
               if r.get("hausdorff_over_eps") is not None]

@@ -433,11 +433,6 @@ def unique_root_scan(return_fn: Callable[[float], float],
     return roots
 
 
-def polyline_to_csv(points: np.ndarray) -> str:
-    points = np.asarray(points, dtype=float)  # one row (x, y) per point
-    return "x,y\n" + "%.17g,%.17g\n" * len(points) % tuple(points.ravel().tolist())
-
-
 # --------------------------------------------------------------------------
 # grazing half-maps near the fold with the layer roof
 # --------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class StepSizeUnderflow(RegtangError):
 
 class DomainExit(RegtangError):
     """A trajectory left the admissible region: the state a run kept at time
-    ``t`` (``point``) lies beyond the integrator's max-norm bound."""
+    ``t`` (``point``) lies beyond the integrator's max-norm bound, or its
+    right-hand side overflows at the start state."""
 
     def __init__(self, message, t=None, point=None):
         super().__init__(message)

@@ -30,6 +30,8 @@ run's start, each accepted Radau step's end and a rejected one's error, the
 scan's rates and the RK4 nudge), and ``Segment.nfev`` counts every
 evaluation.
 
+A leg is one run: ``flow`` and ``flow_to_section_traj`` return a
+``Trajectory``, which reads its times and states from its one ``Segment``.
 ``flow_to_section_traj`` picks the stepper per leg, in one place: a field
 with an exact ``jacobian`` (a ``BandField``) whose time-scale ratio
 |d yhat'/d yhat| / eps at the start point exceeds ``STIFF_RATIO`` runs
@@ -247,10 +249,27 @@ class Segment:
 
 @dataclass
 class Trajectory:
-    t: np.ndarray
-    points: np.ndarray  # one state per row, (len(t), d): d = 2, or 3 with a divergence integral
+    """One leg: its solver run ``segment`` and the section hits met on the
+    way.  ``t``, ``points`` (one state per row, (len(t), d): d = 2, or 3 with
+    a divergence integral; a view of ``segment.y``, not a copy), ``end`` and
+    ``t_end`` are read from it."""
+
+    segment: Segment = dc_field(repr=False)
     events: List[EventHit] = dc_field(default_factory=list)
-    segments: List[Segment] = dc_field(default_factory=list, repr=False)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.segment.t
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.segment.y.T
+
+    @property
+    def segments(self) -> Tuple[Segment]:
+        # read by perfbench/tracing.py until it reads ``segment`` (ROADMAP,
+        # open item 5)
+        return (self.segment,)
 
     @property
     def end(self) -> np.ndarray:
@@ -262,18 +281,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with one row per accepted step; event rows carry the section id."""
-    lines = ["t,x,y,event"]
-    for ti, (xi, yi) in zip(traj.t.tolist(), traj.points.tolist()):
-        lines.append(f"{ti:.17g},{xi:.17g},{yi:.17g},")
-    for ev in traj.events:
-        lines.append(
-            f"{ev.t:.17g},{ev.point[0]:.17g},{ev.point[1]:.17g},{ev.section_id}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _as_rhs(field) -> RHS:
@@ -561,8 +568,9 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
     them, with the same errors (``ValueError``) and the same warning and clamp
     for an rtol below 100 eps.  A start whose max norm exceeds ``NORM_GUARD``
     raises ``DomainExit`` at ``t``, before any RHS call (its RHS may compute a
-    power past the float range); else ``rhs`` is called at the start, and the
-    first step is chosen (``_initial_step``).  Returns ``(y, f,
+    power past the float range); else ``rhs`` is called at the start, where
+    a power past the float range (``OverflowError``) raises ``DomainExit`` at
+    ``t`` too, and the first step is chosen (``_initial_step``).  Returns ``(y, f,
     rtol, atol, direction, h_abs, nfev)``: the start state and its RHS value
     as lists of Python floats, the rest as Python floats and the count of
     RHS calls.
@@ -593,7 +601,11 @@ def _start(rhs: RHS, t: float, t_bound: float, y0: Sequence[float],
         nonlocal nfev
         nfev += 1
         return list(map(float, rhs(s, p)))
-    f = fun(t, y)
+    try:
+        f = fun(t, y)
+    except OverflowError:  # a power of the start state past the float range
+        raise DomainExit(f"right-hand side overflowed at the start t={t:g}",
+                         t=t, point=np.array(y)) from None
     h_abs = _initial_step(fun, t, y, t_bound, f, direction, order, rtol, atol)
     return y, f, float(rtol), float(atol), direction, float(h_abs), nfev
 
@@ -1139,7 +1151,7 @@ def flow(
     scan = _Scan(rhs, math.sqrt(config.event_tol), sections)
     seg = _dop853(rhs, t_span, np.asarray(p0, dtype=float).tolist(), config, scan)
     events = sorted(scan.events, key=lambda ev: ev.t, reverse=t_span[1] < t_span[0])
-    return Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
+    return Trajectory(seg, events)
 
 
 def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
@@ -1227,6 +1239,8 @@ def flow_to_section_traj(
 
     Known limit: a dip with two turning points between grid points is missed.
     """
+    if t_direction not in ("forward", "backward"):
+        raise ValueError(f"unknown t_direction {t_direction!r}")
     config = config or IntegratorConfig()
     rhs = _as_rhs(field)
     forward = t_direction == "forward"
@@ -1253,7 +1267,7 @@ def flow_to_section_traj(
     hit = scan.hit
     if hit is not None:
         events = sorted(scan.events + [hit], key=lambda ev: ev.t, reverse=not forward)
-        return hit, Trajectory(t=seg.t, points=seg.y.T.copy(), events=events, segments=[seg])
+        return hit, Trajectory(seg, events)
     if scan.touches:
         tg, pg = min(scan.touches, key=lambda touch: touch[0] if forward else -touch[0])
         raise TangentialGraze(
@@ -1267,8 +1281,7 @@ def flow_to_section_traj(
 
 def sample_dense(traj: Trajectory, n: int) -> np.ndarray:
     """Evaluate the dense output on n time points spanning the trajectory."""
-    (seg,) = traj.segments
-    return seg.dense(np.linspace(traj.t[0], traj.t[-1], n)).T
+    return traj.segment.dense(np.linspace(traj.t[0], traj.t[-1], n)).T
 
 
 def __getattr__(name: str):

@@ -7,14 +7,16 @@ attracting slow set of the layer flow, and leave upward shortly past the
 contact at a departure abscissa ``x_eps ~ eta * eps**lambda_star``.
 
 All layer legs are integrated in the fast variables (x, yhat = y/eps) with no
-time rescaling back and forth; the outer legs use the upper field directly.
+time rescaling back and forth (``_departure``); the outer legs use the zone
+fields directly (``_entry``).  ``departure_weight`` holds the order rule and
+the weight behind lambda*, for this module and ``blowup``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     NoReturn,
     NoRoot,
     NonPositiveQuantity,
+    RegtangError,
     SlidingCapture,
 )
 from .fields import FilippovSystem
@@ -39,9 +42,22 @@ RHO_MAX = 0.3
 THETA_MAX = 0.3
 
 
+def departure_weight(k: int, n: int) -> int:
+    """The weight 1 + 2k(n - 1) of the polar-chart rescaling, for a contact
+    of order k >= 1 and a smoothing of order n >= max(2, 2k - 1); other
+    orders raise ``ConditionViolated``."""
+    if k < 1:
+        raise ConditionViolated("k must be a positive integer")
+    if n < max(2, 2 * k - 1):
+        raise ConditionViolated(
+            f"smoothness order n={n} below max(2, 2k-1)={max(2, 2 * k - 1)}"
+        )
+    return 1 + 2 * k * (n - 1)
+
+
 def lambda_star(k: int, n: int) -> float:
     """Departure-scaling exponent: x_eps = O(eps**lambda_star)."""
-    return n / (1 + 2 * k * (n - 1))
+    return n / departure_weight(k, n)
 
 
 @dataclass
@@ -64,19 +80,13 @@ class TransitionConfig:
     integ: IntegratorConfig = dc_field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConditionViolated("k must be a positive integer")
-        if self.n < max(2, 2 * self.k - 1):
-            raise ConditionViolated(
-                f"smoothness order n={self.n} below max(2, 2k-1)={max(2, 2 * self.k - 1)}"
-            )
+        ls = lambda_star(self.k, self.n)
         if self.tf is None:
             self.tf = phi_family(self.n - 1)
         if self.tf.n_class < self.n - 1:
             raise ConditionViolated(
                 f"transition function of class {self.tf.n_class} cannot realize order n={self.n}"
             )
-        ls = lambda_star(self.k, self.n)
         if self.lam is None:
             self.lam = 0.5 * ls
         if not 0.0 < self.lam < ls:
@@ -112,10 +122,23 @@ class TransitionResult:
 # departure abscissa and tangency curve
 # --------------------------------------------------------------------------
 
-def _band_integ(config: TransitionConfig, eps: float, span: float) -> IntegratorConfig:
-    """Integrator settings of a layer leg: a fast-time budget that grows like
-    span/eps."""
-    return replace(config.integ, max_time=40.0 * (span + 1.0) / eps + 1000.0)
+# the departure leg's target: the band orbit leaves the layer upward
+DEPARTURE = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
+
+
+def _departure(system: FilippovSystem, config: TransitionConfig, eps: float,
+               start: Tuple[float, float], span: float,
+               error: Callable[[Exception], RegtangError]) -> float:
+    """The departure leg: the band flow from ``start`` = (x, yhat) up to
+    yhat = 1, within a fast-time budget that grows like span/eps; returns
+    where it leaves.  A leg that never gets there raises ``error(exc)``."""
+    band = BandField(system, config.tf, eps)
+    integ = replace(config.integ, max_time=40.0 * (span + 1.0) / eps + 1000.0)
+    try:
+        hit, _ = flow_to_section_traj(band, start, DEPARTURE, integ)
+    except (NoCrossing, DomainExit) as exc:
+        raise error(exc) from exc
+    return float(hit.point[0])
 
 
 def find_x_epsilon(
@@ -130,16 +153,9 @@ def find_x_epsilon(
     """
     config.check_eps(eps)
     L = config.L
-    manifold = SlowManifold(system, config.tf)
-    y0 = manifold.m0(-L)
-    band = BandField(system, config.tf, eps)
-    integ = _band_integ(config, eps, L + config.theta)
-    sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
-    try:
-        hit, _ = flow_to_section_traj(band, (-L, y0), sec, integ)
-    except (NoCrossing, DomainExit) as exc:
-        raise NoExit(f"slow-set orbit never left the layer: {exc}") from exc
-    return float(hit.point[0])
+    y0 = SlowManifold(system, config.tf).m0(-L)
+    return _departure(system, config, eps, (-L, y0), L + config.theta,
+                      lambda exc: NoExit(f"slow-set orbit never left the layer: {exc}"))
 
 
 def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: float) -> float:
@@ -148,17 +164,12 @@ def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: fl
         raise NonPositiveQuantity("eps must be positive")
     f = lambda x: float(system.x_plus.eval(x, eps)[1])
     b = (10.0 * eps) ** (1.0 / (2 * config.k - 1))
-    lo, hi = -b, b
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    try:  # brentq returns an end where f is 0, and checks the signs
+        return float(brentq(f, -b, b, xtol=1e-15, rtol=8.9e-16))
+    except ValueError:
         raise NoRoot(
-            f"X2+(x, eps) has no sign change on [{lo:g}, {hi:g}] at eps={eps:g}"
-        )
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+            f"X2+(x, eps) has no sign change on [{-b:g}, {b:g}] at eps={eps:g}"
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +191,17 @@ def predicted_upper_boundary(system: FilippovSystem, config: TransitionConfig,
 # transition maps
 # --------------------------------------------------------------------------
 
+def _entry(field, config: TransitionConfig, y_in: float, edge: SectionSpec,
+           orbit: str) -> float:
+    """The entry leg: ``field`` from (-rho, y_in) to the layer's ``edge``;
+    returns where it meets it."""
+    try:
+        hit, _ = flow_to_section_traj(field, (-config.rho, y_in), edge, config.integ)
+    except (NoCrossing, DomainExit) as exc:
+        raise NoCrossing(f"{orbit} from y_in={y_in:g} never met the layer {edge.ident}") from exc
+    return float(hit.point[0])
+
+
 def _layer_legs(system, config, eps, x_entry, yhat0) -> TransitionResult:
     """Legs 2 and 3 of both transition maps: the layer flow in fast variables
     from (x_entry, yhat0) to the departure through yhat = 1, then the upper
@@ -188,16 +210,10 @@ def _layer_legs(system, config, eps, x_entry, yhat0) -> TransitionResult:
         raise LeftWindow(f"layer entry at x={x_entry:g} left of -L={-config.L:g}")
 
     # Leg 2: cross the layer in fast variables.
-    band = BandField(system, config.tf, eps)
-    integ = _band_integ(config, eps, abs(x_entry) + config.theta + config.L)
-    sec = SectionSpec("horizontal", 1.0, direction="up", ident="yhat:1")
-    try:
-        hit, _ = flow_to_section_traj(band, (x_entry, yhat0), sec, integ)
-    except (NoCrossing, DomainExit) as exc:
-        raise SlidingCapture(
-            f"layer orbit from (x={x_entry:g}, yhat={yhat0:g}) never departed: {exc}"
-        ) from exc
-    x_dep = float(hit.point[0])
+    x_dep = _departure(
+        system, config, eps, (x_entry, yhat0), abs(x_entry) + config.theta + config.L,
+        lambda exc: SlidingCapture(
+            f"layer orbit from (x={x_entry:g}, yhat={yhat0:g}) never departed: {exc}"))
     if x_dep < -config.L:
         raise LeftWindow(
             f"layer orbit departed at x={x_dep:g}, left of -L={-config.L:g}"
@@ -234,15 +250,8 @@ def upper_transition_map(
     # Leg 1: descend to the layer roof y = eps.
     x_entry = -config.rho
     if y_in > eps:
-        sec = SectionSpec("horizontal", eps, direction="down", ident="roof")
-        try:
-            hit, _ = flow_to_section_traj(system.x_plus, (-config.rho, y_in),
-                                          sec, config.integ)
-        except (NoCrossing, DomainExit) as exc:
-            raise NoCrossing(
-                f"inflow orbit from y_in={y_in:g} never met the layer roof"
-            ) from exc
-        x_entry = float(hit.point[0])
+        roof = SectionSpec("horizontal", eps, direction="down", ident="roof")
+        x_entry = _entry(system.x_plus, config, y_in, roof, "inflow orbit")
     return _layer_legs(system, config, eps, x_entry, 1.0)
 
 
@@ -265,15 +274,8 @@ def lower_transition_map(
     x_entry = -config.rho
     yhat0 = y_in / eps
     if y_in < -eps:
-        sec = SectionSpec("horizontal", -eps, direction="up", ident="floor")
-        try:
-            hit, _ = flow_to_section_traj(system.x_minus, (-config.rho, y_in),
-                                          sec, config.integ)
-        except (NoCrossing, DomainExit) as exc:
-            raise NoCrossing(
-                f"lower-field orbit from y_in={y_in:g} never met the layer floor"
-            ) from exc
-        x_entry = float(hit.point[0])
+        floor = SectionSpec("horizontal", -eps, direction="up", ident="floor")
+        x_entry = _entry(system.x_minus, config, y_in, floor, "lower-field orbit")
         yhat0 = -1.0
     return _layer_legs(system, config, eps, x_entry, yhat0)
 

@@ -39,6 +39,12 @@ def _q(v) -> Fraction:
 # univariate
 # ---------------------------------------------------------------------------
 
+# A Horner chain of HORNER_SPLIT or more steps is written as statements of
+# HORNER_STEPS steps each (``Poly1.horner``).
+HORNER_SPLIT = 200
+HORNER_STEPS = 150
+
+
 class Poly1:
     """Univariate polynomial with exact rational coefficients (ascending)."""
 
@@ -107,18 +113,25 @@ class Poly1:
             acc = acc * x + c
         return acc
 
-    def horner(self, var: str) -> str:
-        """This polynomial at ``var`` as one expression, the operations of
+    def horner(self, var: str, target: str) -> Tuple[List[str], str]:
+        """This polynomial at ``var`` as ``(lines, expr)``, the operations of
         ``__call__`` in its Horner order: ``((-0.5*s)*s + 1.5)*s``.  Zero
         coefficients are skipped, which can only change the sign of a zero
-        result."""
+        result.  A chain of fewer than HORNER_SPLIT steps is one expression
+        and no line; a longer one assigns ``target`` every HORNER_STEPS
+        steps, each statement going on from the last, since an expression
+        nests as deep as its steps and the parser stops at 200 levels."""
         cs = [float(c) for c in reversed(self.coeffs)]
         if not cs:
-            return "0.0"
-        expr = repr(cs[0])
+            return [], "0.0"
+        lines, expr = [], repr(cs[0])
         for k, c in enumerate(cs[1:]):
-            expr = (f"({expr})" if k else expr) + f"*{var}" + (f" + {c!r}" if c else "")
-        return expr
+            if k and k % HORNER_STEPS == 0 and len(cs) > HORNER_SPLIT:
+                lines.append(f"{target} = {expr}")
+                expr = target
+            expr = (f"({expr})" if k and expr != target else expr) + f"*{var}" + (
+                f" + {c!r}" if c else "")
+        return lines, expr
 
     def shift(self, a) -> "Poly1":
         """Return p(x + a) as a polynomial in x (exact)."""

@@ -4,17 +4,20 @@ The switching layer ``|h| <= eps`` is replaced by the convex combination
 
     Z_eps = (1 + Phi(h/eps))/2 * X_plus + (1 - Phi(h/eps))/2 * X_minus,
 
-with ``Phi`` the saturated extension of a monotone odd bridge ``phi``.  The
-module also carries the band (fast-variable) form of the flow used inside the
-layer, and the slow-manifold expansion ``m(x, eps) = m0(x) + eps*m1(x) + ...``
-of its attracting critical set.
+with ``Phi`` the saturated extension of a monotone odd bridge ``phi``
+(``RegularizedField``).  The module also carries the band (fast-variable)
+form of the flow used inside the layer (``BandField``), which shares the
+field's set-up and ``eval`` (``_Smoothed``), and the slow-manifold expansion
+``m(x, eps) = m0(x) + eps*m1(x)`` of its attracting critical set.  Each
+field runs kernels generated from the exact coefficients: the field, the
+band Jacobian, and the field with its divergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -25,14 +28,14 @@ from .errors import (
     NonPositiveQuantity,
     TransientNotDecayed,
 )
-from .fields import FilippovSystem, PlanarField
+from .fields import FilippovSystem
 from .integrate import SectionSpec, flow_to_section_traj, sample_dense
 from .phi import TransitionFunction, phi_inverse
 from .polys import Poly2, cached_kernel, float_parts, power_lines
 
 
 # --------------------------------------------------------------------------
-# fused kernels: right-hand sides, band Jacobian, divergence
+# fused kernels: right-hand sides, band Jacobian, field with its divergence
 # --------------------------------------------------------------------------
 
 def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
@@ -44,7 +47,9 @@ def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
     a field at every eps.  With ``band`` they then take (x, s = yhat) and set
     y = eps*s where a polynomial reads y; otherwise they take (x, y) and set
     s = h(x, y)/eps.  Then c = (1 + Phi(s))/2 and d = 1 - c, with ``slope``
-    also D = Phi'(s), which is 0 outside |s| < 1, each one Horner expression;
+    also D = Phi'(s), which is 0 outside |s| < 1, each one Horner chain
+    (``Poly1.horner``, split into statements for a profile of degree 200 or
+    more);
     last, each ``(name, poly)`` of ``named`` whose float form is not an atom
     is assigned to its name.  All of it is generated from the exact
     coefficients of Phi, the polynomials and h.
@@ -57,11 +62,13 @@ def _kernel_body(system: FilippovSystem, tf: TransitionFunction, band: bool,
         lines, hv = system.h.float_form("hv")
         body = power_lines(polys + [system.h]) + lines + [f"s = {hv}/eps"]
     zero = ["    D = 0.0"] if slope else []
+    lines, phi = tf.phi_poly.horner("s", "c")
     body += ["if s >= 1.0:", "    c = 1.0", *zero,
              "elif s <= -1.0:", "    c = 0.0", *zero, "else:",
-             f"    c = 0.5*(1.0 + {tf.phi_poly.horner('s')})"]
+             *("    " + line for line in lines), f"    c = 0.5*(1.0 + {phi})"]
     if slope:
-        body.append(f"    D = {tf.derivs[1].horner('s')}")
+        lines, dphi = tf.derivs[1].horner("s", "D")
+        body += [*("    " + line for line in lines), f"    D = {dphi}"]
     lines, form = float_parts(named)
     return body + ["d = 1.0 - c"] + lines, form
 
@@ -90,12 +97,10 @@ def _memo(kind: str, system: FilippovSystem, tf: TransitionFunction, args: str,
     return cached_kernel(key, lambda: (args, body()))
 
 
-def _zone_polys(system: FilippovSystem, index=(1, 2)) -> list:
-    """``("p1", X1+), ("p2", X2+), ("m1", X1-), ("m2", X2-)``, for the
-    components in ``index``."""
-    return [(f"{tag}{i}", f.poly_form[i - 1])
-            for tag, f in (("p", system.x_plus), ("m", system.x_minus))
-            for i in index]
+def _zone_polys(system: FilippovSystem) -> list:
+    """``("p1", X1+), ("p2", X2+), ("m1", X1-), ("m2", X2-)``."""
+    return [(f"{tag}{i}", p) for tag, f in (("p", system.x_plus), ("m", system.x_minus))
+            for i, p in enumerate(f.poly_form, 1)]
 
 
 def _mix_kernel(system: FilippovSystem, tf: TransitionFunction,
@@ -145,94 +150,92 @@ def _band_jacobian_kernel(system: FilippovSystem, tf: TransitionFunction) -> Cal
     return _memo("band_jacobian", system, tf, "eps, x, s", body)
 
 
-def _divergence_body(system: FilippovSystem, tf: TransitionFunction,
-                     named: list) -> Tuple[list, dict]:
-    """Statements that assign the divergence of the regularized field,
-
-        c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
-
-    to ``div``, with s = h/eps, after ``_kernel_body``'s for ``named`` and
-    the divergences, and the float forms of ``named``; the last term is
-    added only where Phi'(s) != 0, from the zone components ``named`` does
-    not assign already.  A gradient component of h that is 0 drops its
-    term, and one that is 1 multiplies nothing, so for h = y the term is
-    Phi'(s)/(2 eps) (X2+ - X2-).
-    """
-    divs = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
-            for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
-    jump, gradient = [], []
-    for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1):
-        if g.terms:
-            jump += [part for part in _zone_polys(system, (i,)) if part not in named]
-            jump.append((f"h{i}", g))
-            gradient.append(i)
-    body, form = _kernel_body(system, tf, False, named + divs, slope=True)
-    # the jump's own statements run only where it is added
-    lines, inner_form = float_parts(jump)
-    inner = [line for line in power_lines(p for _, p in jump) if line not in body] + lines
-    form.update(inner_form)
-    terms = [_times(form[f"h{i}"], f"({form[f'p{i}']} - {form[f'm{i}']})") for i in gradient]
-    return body + [f"div = {_mix(form, 'dp', 'dm')}", "if D != 0.0:",
-                   *("    " + line for line in inner),
-                   f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})"], form
-
-
-def _divergence_kernel(system: FilippovSystem,
-                       tf: TransitionFunction) -> Callable[[float, float, float], float]:
-    """Straight-line float kernel ``(eps, x, y) -> div`` of the divergence
-    of the regularized field (``_divergence_body``)."""
-    return _memo("divergence", system, tf, "eps, x, y",
-                 lambda: _divergence_body(system, tf, [])[0] + ["return div"])
-
-
 def _augmented_kernel(system: FilippovSystem, tf: TransitionFunction) -> Callable:
     """Straight-line float kernel ``(eps, x, y, w) -> (u, v, div)`` of the
     regularized field and its divergence, for a state that carries the
-    divergence integral w, which it does not read.  It computes s, Phi(s),
-    c and d once and runs the statements of ``_mix_kernel`` and
-    ``_divergence_kernel`` on them, so it returns their numbers."""
+    divergence integral w, which it does not read.  On the statements of
+    ``_kernel_body`` (s = h/eps, c, d, D = Phi'(s)) it returns the numbers of
+    ``_mix_kernel`` and
+
+        div = c div X+ + d div X- + Phi'(s)/(2 eps) (h_x (X1+ - X1-) + h_y (X2+ - X2-)),
+
+    the last term added only where Phi'(s) != 0.  A gradient component of h
+    that is 0 drops its term, and one that is 1 multiplies nothing, so for
+    h = y the term is Phi'(s)/(2 eps) (X2+ - X2-).
+    """
     def body():
-        lines, form = _divergence_body(system, tf, _zone_polys(system))
-        return lines + [f"return ({_mix(form, 'p1', 'm1')}, {_mix(form, 'p2', 'm2')}, div)"]
+        divs = [(f"d{tag}", f.poly_form[0].diff_x() + f.poly_form[1].diff_y())
+                for tag, f in (("p", system.x_plus), ("m", system.x_minus))]
+        grad = {i: g for i, g in enumerate((system.h.diff_x(), system.h.diff_y()), 1) if g.terms}
+        lines, form = _kernel_body(system, tf, False, _zone_polys(system) + divs, slope=True)
+        # the jump's own statements run only where it is added
+        own, gform = float_parts((f"h{i}", g) for i, g in grad.items())
+        inner = [line for line in power_lines(grad.values()) if line not in lines] + own
+        terms = [_times(gform[f"h{i}"], f"({form[f'p{i}']} - {form[f'm{i}']})") for i in grad]
+        return lines + [f"div = {_mix(form, 'dp', 'dm')}", "if D != 0.0:",
+                        *("    " + line for line in inner),
+                        f"    div += D/(2.0*eps)*({' + '.join(terms) or '0.0'})",
+                        f"return ({_mix(form, 'p1', 'm1')}, {_mix(form, 'p2', 'm2')}, div)"]
     return _memo("augmented", system, tf, "eps, x, y, w", body)
 
 
 # --------------------------------------------------------------------------
-# regularized field in the original variables
+# the smoothed field, in the original and in the band variables
 # --------------------------------------------------------------------------
 
-@dataclass
-class RegularizedField:
-    """Smooth field agreeing with X_plus above the band and X_minus below.
+def _require_vertical(system: FilippovSystem):
+    if system.h != Poly2.y():
+        raise ConditionViolated(
+            "band coordinates require the switching function h(x, y) = y"
+        )
 
-    ``eval`` runs a kernel generated from system and tf, which takes eps as
-    its first argument, so the fields of one system and tf share it at every
-    eps; ``kernel`` is that kernel with its eps, ``(fn, (eps,))``.  A DOP853
-    leg inlines the kernel into its loop (``integrate._dop853_loop``), so a
-    wrap of ``eval`` on the class sees only the calls made outside the
-    step's stages, such as the run's start and the scan's rates.
-    ``divergence()`` returns a third kernel with eps bound.  A fourth, built
-    on first use, gives the field and its divergence in one:
-    ``augmented(x, y, w)`` runs it, and ``augmented_kernel`` is it with its
-    eps, for a DOP853 leg to inline.
-    """
+
+@dataclass
+class _Smoothed:
+    """What both forms of the smoothed field share: the checks, the kernel
+    and ``eval``.  ``eval`` runs a kernel generated from system and tf
+    (``_mix_kernel``), which takes eps as its first argument, so the fields
+    of one system and tf share it at every eps; ``kernel`` is that kernel
+    with its eps, ``(fn, (eps,))``.  A DOP853 leg inlines the kernel into its
+    loop (``integrate._dop853_loop``), so a wrap of ``eval`` on a field's
+    class sees only the calls made outside the step's stages, such as the
+    run's start and the scan's rates.  The two forms stay separate classes,
+    which tell their legs apart."""
 
     system: FilippovSystem
     tf: TransitionFunction
     eps: float
+    band = False  # whether eval takes the band variables (x, yhat)
 
     def __post_init__(self):
+        if self.band:
+            _require_vertical(self.system)
         if not 0.0 < self.eps < math.inf:
             raise NonPositiveQuantity("eps must be positive and finite")
         self._eps = float(self.eps)  # the kernels' argument, a Python float
-        self._rhs = _mix_kernel(self.system, self.tf, band=False)
+        self._rhs = _mix_kernel(self.system, self.tf, self.band)
         self.kernel = (self._rhs, (self._eps,))
+        if self.band:
+            self._jac = _band_jacobian_kernel(self.system, self.tf)
 
     def eval(self, x: float, y: float) -> Tuple[float, float]:
         return self._rhs(self._eps, x, y)
 
+
+@dataclass
+class RegularizedField(_Smoothed):
+    """Smooth field agreeing with X_plus above the band and X_minus below,
+    in the original variables (x, y).
+
+    A second kernel, built on first use, gives the field and its divergence
+    in one (``_augmented_kernel``): ``augmented(x, y, w)`` runs it,
+    ``augmented_kernel`` is it with its eps, for a DOP853 leg to inline, and
+    ``divergence()`` returns its divergence alone.
+    """
+
     def divergence(self) -> Callable[[float, float], float]:
-        return partial(_divergence_kernel(self.system, self.tf), self._eps)
+        fn, (eps,) = self.augmented_kernel
+        return lambda x, y: fn(eps, x, y, 0.0)[2]
 
     @cached_property
     def augmented_kernel(self):
@@ -245,19 +248,8 @@ class RegularizedField:
         return fn(*lead, x, y, w)
 
 
-# --------------------------------------------------------------------------
-# band coordinates (x, yhat = y/eps), fast time tau = t/eps
-# --------------------------------------------------------------------------
-
-def _require_vertical(system: FilippovSystem):
-    if system.h != Poly2.y():
-        raise ConditionViolated(
-            "band coordinates require the switching function h(x, y) = y"
-        )
-
-
 @dataclass
-class BandField:
+class BandField(_Smoothed):
     """The layer flow in (x, yhat) with yhat = y/eps, in fast time.
 
         dx/dtau    = eps * [c+ X1+(x, eps*yhat) + c- X1-(x, eps*yhat)]
@@ -265,32 +257,15 @@ class BandField:
 
     where c+- = (1 +- Phi(yhat))/2.  With the saturation of Phi the same
     equations remain valid outside |yhat| <= 1 and match the slow flow there.
-    As in ``RegularizedField``, ``eval`` is a method of the class that calls
-    a kernel taking eps first, ``kernel`` is that kernel with its eps, and a
-    wrap of ``eval`` on the class sees only the calls made outside a DOP853
-    step's stages.  ``jacobian(x, yhat)`` is the exact Jacobian
-    ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``, a second generated
-    kernel that calls no ``eval``.
+    ``eval(x, yhat)`` as in ``RegularizedField``; ``jacobian(x, yhat)`` is
+    the exact Jacobian ``((dx'/dx, dx'/dyhat), (dyhat'/dx, dyhat'/dyhat))``,
+    a second generated kernel that calls no ``eval``.
     """
 
-    system: FilippovSystem
-    tf: TransitionFunction
-    eps: float
+    band = True
     # the levels yhat = +-1 where Phi saturates: the field is only C^n across
     # them, and a leg that stops on one lands there (``integrate._land``)
     kinks = (-1.0, 1.0)
-
-    def __post_init__(self):
-        _require_vertical(self.system)
-        if not 0.0 < self.eps < math.inf:
-            raise NonPositiveQuantity("eps must be positive and finite")
-        self._eps = float(self.eps)  # the kernels' argument, a Python float
-        self._rhs = _mix_kernel(self.system, self.tf, band=True)
-        self._jac = _band_jacobian_kernel(self.system, self.tf)
-        self.kernel = (self._rhs, (self._eps,))
-
-    def eval(self, x: float, yhat: float) -> Tuple[float, float]:
-        return self._rhs(self._eps, x, yhat)
 
     def jacobian(self, x: float, yhat: float):
         return self._jac(self._eps, x, yhat)
@@ -343,11 +318,8 @@ class SlowManifold:
         m0p = self.m0_prime(x)
         return -m0p * (m0p * self._x10(x) - m0 * self._theta0(x)) / fx
 
-    def m(self, x: float, eps: float, order: int = 1) -> float:
-        val = self.m0(x)
-        if order >= 1:
-            val += eps * self.m1(x)
-        return val
+    def m(self, x: float, eps: float) -> float:
+        return self.m0(x) + eps * self.m1(x)
 
 
 def departure_coefficient(k: int, n: int, alpha: float, tf: TransitionFunction) -> float:
@@ -398,13 +370,6 @@ class SandwichReport:
     @property
     def upper_all_hold(self) -> bool:
         return bool(np.all(self.upper_ok))
-
-
-def manifold_table_csv(report: SandwichReport) -> str:
-    lines = ["x,m0,m1,m_proxy,lower_bound"]
-    for row in zip(report.x, report.m0, report.m1, report.proxy, report.lower):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,

@@ -177,6 +177,53 @@ def test_simulate_records_band_crossings(tmp_path):
     assert "band-roof" in names
 
 
+def test_trajectory_csv_header_and_events(tmp_path):
+    code, out, summary = run(tmp_path, "simulate", "--scenario", "boundary-cycle",
+                             "--eps", "0.01", "--tmax", "6")
+    assert code == 0
+    data = rows_of(out / "simulate.csv")
+    assert data[0] == "t,x,y,event"
+    steps, events = data[1:summary["steps"] + 1], data[summary["steps"] + 1:]
+    assert len(steps) == summary["steps"] and all(row.endswith(",") for row in steps)
+    assert [float(cell) for cell in steps[-1].split(",")[:3]][0] == summary["t_end"]
+    assert events and len(events) == len(summary["events"])
+    for row, ev in zip(events, summary["events"]):
+        t, x, y, section = row.split(",")
+        assert section == ev["section"] and section in ("band-roof", "band-floor")
+        assert (float(t), float(x), float(y)) == (ev["t"], ev["x"], ev["y"])
+
+
+def test_manifold_table_header(tmp_path):
+    code, out, _ = run(tmp_path, "slow-manifold", "--eps", "1e-4", "--lambda", "0.5",
+                       "--points", "10")
+    assert code == 0
+    table = rows_of(out / "sandwich.csv")
+    assert table[0] == "x,m0,m1,m_proxy,lower_bound"
+    assert len(table) == 11
+    for row in table[1:]:
+        cells = row.split(",")
+        assert len(cells) == 5
+        assert all("%.17g" % float(cell) == cell for cell in cells)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--phi-m", "100", "--tmax", "1"],
+    ["simulate", "--n", "101", "--tmax", "1"],
+])
+def test_a_profile_of_degree_200_or_more_builds_its_kernels(argv, tmp_path):
+    # phi_100 has degree 201: one Horner expression would nest past the
+    # parser's 200 levels
+    code, _, summary = run(tmp_path, *argv)
+    assert code == 0 and summary["t_end"] == 1.0
+
+
+def test_chart_rejects_orders_with_the_maps_text(capsys):
+    assert main(["chart", "--k", "2", "--n", "2"]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert err == {"type": "ConditionViolated",
+                   "message": "smoothness order n=2 below max(2, 2k-1)=3"}
+
+
 def test_simulate_default_n_follows_the_k_the_system_was_built_with(tmp_path):
     argv = ["simulate", "--scenario", "boundary-cycle", "--eps", "0.01", "--tmax", "10"]
     _, out, summary = run(tmp_path / "default", *argv)
@@ -449,6 +496,10 @@ def test_usage_errors_exit_2_with_json(argv, capsys):
     ["simulate", "--scenario", "boundary-cycle", "--x0", "1e155"],
     ["simulate", "--scenario", "boundary-cycle", "--y0", "1e155"],
     ["simulate", "--scenario", "boundary-cycle-reversed", "--x0", "1e155"],
+    # a start within the bound whose RHS overflows a power (x**399, x**59)
+    ["simulate", "--k", "200", "--x0", "6"],
+    ["simulate", "--k", "30", "--x0", "9e5", "--y0", "0"],
+    ["simulate", "--k", "60", "--x0", "1e6"],
 ])
 def test_bad_numeric_inputs_exit_2_with_json(argv, capsys):
     code = main(argv)

@@ -21,7 +21,6 @@ from regtang import (
     flow,
     flow_to_section_traj,
     sample_dense,
-    trajectory_to_csv,
 )
 from regtang.integrate import (
     NORM_GUARD,
@@ -376,14 +375,30 @@ def test_sample_dense_equals_pointwise_evaluation():
         assert np.array_equal(sample_dense(traj, 777), _sample_dense_pointwise(traj, 777))
 
 
-def test_trajectory_csv_header_and_events():
-    cfg = IntegratorConfig()
+def test_a_leg_reads_its_states_from_its_one_segment():
+    # t and points are the segment's own arrays, not copies, and segments
+    # is that one segment
     sec = SectionSpec("vertical", 1.0, ident="stop")
-    _, traj = flow_to_section_traj(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0), sec, cfg)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,y,event"
-    assert any("stop" in ln for ln in lines[1:])
+    _, leg = flow_to_section_traj(fld(lambda x, y: (1.0, 0.0)), (0.0, 0.0), sec)
+    for traj in (leg, flow(rotation, (1.0, 0.0), (0.0, 2.0))):
+        assert np.shares_memory(traj.points, traj.segment.y)
+        assert traj.t is traj.segment.t
+        assert traj.segments == (traj.segment,)
+        assert np.array_equal(traj.points, traj.segment.y.T)
+        assert traj.end.tolist() == traj.segment.y[:, -1].tolist()
+        assert traj.t_end == traj.segment.t[-1] and len(traj) == len(traj.segment.t)
+
+
+def test_t_direction_is_forward_or_backward():
+    # each misspelling raises, where it integrated backward, and so never
+    # met a section that only forward time reaches
+    sec = SectionSpec("vertical", 1.0)
+    cfg = IntegratorConfig(max_time=10.0)
+    drift = fld(lambda x, y: (1.0, 0.0))
+    assert flow_to_section_traj(drift, (0.0, 0.0), sec, cfg)[0].t == approx(1.0)
+    for word in ("Forward", "fwd", "", "back"):
+        with raises(ValueError, match="t_direction"):
+            flow_to_section_traj(drift, (0.0, 0.0), sec, cfg, t_direction=word)
 
 
 def test_section_residual_sign_conventions():
@@ -2438,6 +2453,20 @@ def test_a_start_past_the_norm_bound_raises_at_t0_with_no_rhs_call():
     # a start on the bound is within it
     _start(rhs, 0.0, 1.0, [NORM_GUARD, 0.0], IntegratorConfig(), 7)
     assert calls
+
+
+def test_a_start_whose_rhs_overflows_raises_at_t0():
+    # within NORM_GUARD, yet the start's RHS computes a power past the float
+    # range: both steppers raise DomainExit at t0 with the start point, as
+    # for a start past the bound
+    rhs = lambda t, p: (p[0] ** 399, p[1])
+    jac = lambda t, p: ((399 * p[0] ** 398, 0.0), (0.0, 1.0))
+    for run in (lambda span, y0: _dop853(rhs, span, y0, IntegratorConfig()),
+                lambda span, y0: _radau(rhs, span, y0, IntegratorConfig(), jac=jac)):
+        for t_span in ((2.0, 3.0), (2.0, -1.0)):
+            with raises(DomainExit, match="overflowed at the start") as info:
+                run(t_span, [6.0, 0.5])
+            assert info.value.t == 2.0 and info.value.point.tolist() == [6.0, 0.5]
 
 
 def test_an_upper_map_leg_stacks_no_rows(monkeypatch):

@@ -90,6 +90,18 @@ def test_tangency_is_zero_without_theta():
     assert tangency_curve_psi(sys, cfg, 1e-4) == approx(0.0, abs=1e-12)
 
 
+def test_tangency_without_a_sign_change_raises_no_root():
+    # X2+ = 1 has no root: NoRoot names the bracket [-b, b], b = (10 eps)^(1/(2k-1))
+    from regtang import FilippovSystem, NoRoot, Poly2
+    from regtang.fields import field_from_polys
+
+    base = canonical_system(k=1)
+    sys = FilippovSystem(field_from_polys(Poly2.const(1), Poly2.const(1)), base.x_minus, base.h)
+    with raises(NoRoot) as info:
+        tangency_curve_psi(sys, TransitionConfig(k=1, n=2), 1e-3)
+    assert str(info.value) == "X2+(x, eps) has no sign change on [-0.01, 0.01] at eps=0.001"
+
+
 def test_exact_case_upper_map_value():
     # canonical k=1, g = theta = 0: the image height has the closed form
     # y_theta - alpha*x_eps^(2k)/(2k) + eps

@@ -181,16 +181,40 @@ def test_poly1_horner_matches_call(coeffs, x):
     # one expression, the statement form's operations: its bits, the signs
     # of zeros included, and __call__'s value up to the sign of a zero
     p = Poly1(coeffs)
-    fn = compile_kernel("s", [f"return {p.horner('s')}"])
+    lines, expr = p.horner("s", "h")
+    assert lines == []
+    fn = compile_kernel("s", [f"return {expr}"])
     ref = compile_kernel("s", _horner_lines(p, "s", "P") + ["return P"])
     assert struct.pack("<d", fn(x)) == struct.pack("<d", ref(x))
     assert fn(x) == p(x)
 
 
 def test_poly1_horner_is_one_expression():
-    assert Poly1([0, Fraction(3, 2), 0, Fraction(-1, 2)]).horner("s") == "((-0.5*s)*s + 1.5)*s"
-    assert Poly1([2]).horner("s") == "2.0"
-    assert Poly1([]).horner("s") == "0.0"
+    assert Poly1([0, Fraction(3, 2), 0, Fraction(-1, 2)]).horner("s", "h") == (
+        [], "((-0.5*s)*s + 1.5)*s")
+    assert Poly1([2]).horner("s", "h") == ([], "2.0")
+    assert Poly1([]).horner("s", "h") == ([], "0.0")
+    # 199 steps still fit the parser's nesting: one expression
+    lines, expr = Poly1([1] * 200).horner("s", "h")
+    assert lines == [] and expr.count("(") == 198
+
+
+def test_a_long_horner_chain_is_split_into_statements_bit_for_bit():
+    # degree 301: one expression would nest 300 deep, past the parser's 200
+    # levels; the split form runs __call__'s operations, so its bits are
+    # __call__'s at every point
+    import random
+
+    from regtang.polys import HORNER_STEPS
+
+    rng = random.Random(301)
+    p = Poly1([Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(302)])
+    lines, expr = p.horner("s", "h")
+    assert len(lines) == 2 and all(line.startswith("h = ") for line in lines)
+    assert max(part.count("*s") for part in lines + [expr]) <= HORNER_STEPS
+    fn = compile_kernel("s", lines + [f"return {expr}"])
+    for x in [rng.uniform(-1.05, 1.05) for _ in range(2000)] + [0.0, -0.0, 1.0, -1.0]:
+        assert struct.pack("<d", fn(x)) == struct.pack("<d", p(x))
 
 
 def test_kernels_of_different_sources_are_profiled_apart():

@@ -16,7 +16,6 @@ from regtang import (
     SlowManifold,
     TransientNotDecayed,
     departure_coefficient,
-    manifold_table_csv,
     phi_family,
     sandwich_exponent,
     slow_manifold_sandwich_check,
@@ -129,7 +128,6 @@ def test_first_order_expansion_uses_m1():
     eps = 1e-4
     x = -0.25
     assert sm.m(x, eps) == approx(sm.m0(x) + eps * sm.m1(x), abs=1e-15)
-    assert sm.m(x, eps, order=0) == approx(sm.m0(x), abs=1e-15)
 
 
 def test_departure_coefficient_closed_form():
@@ -176,16 +174,6 @@ def test_sandwich_empty_grid_rejected():
     band = BandField(sys, TF1, 1e-4)
     with raises(ConditionViolated):
         slow_manifold_sandwich_check(band, 1, 2, L=0.05, lam=1e-6, K=1.0)
-
-
-def test_manifold_table_header():
-    sys = canonical_system(k=1)
-    band = BandField(sys, TF1, 1e-4)
-    rep = slow_manifold_sandwich_check(band, 1, 2, L=0.3, lam=0.5, K=1.0,
-                                       grid_points=10)
-    text = manifold_table_csv(rep)
-    assert text.splitlines()[0] == "x,m0,m1,m_proxy,lower_bound"
-    assert len(text.strip().splitlines()) == 11
 
 
 # -- the fused right-hand-side kernels -------------------------------------------
@@ -386,7 +374,8 @@ def test_equal_fields_share_their_compiled_kernels():
 def test_one_kernel_per_field_family_at_every_eps(monkeypatch):
     # 12 eps of each field, each run once on DOP853 (which inlines its
     # kernel) and its divergence taken: one mix kernel, one Jacobian, one
-    # divergence and one fused step per family, nothing per eps
+    # augmented kernel (which gives the divergence) and one fused step per
+    # family, nothing per eps
     from collections import OrderedDict
 
     from regtang import polys
@@ -425,11 +414,11 @@ def test_an_equal_field_looks_its_kernels_up_before_generating_them(monkeypatch)
     def fields(system, tf, eps):
         band = BandField(system, tf, eps) if system.h == Poly2.y() else None
         reg = RegularizedField(system, tf, eps)
-        kernels = [reg._rhs, reg.augmented_kernel[0], reg.divergence().func]
+        kernels = [reg._rhs, reg.augmented_kernel[0]]
         return kernels + ([] if band is None else [band._rhs, band._jac])
 
     first = fields(canonical_system(1), TF1, 1e-3)
-    assert len(calls) == 5 == len(set(first))
+    assert len(calls) == 4 == len(set(first))
     del calls[:]
     assert fields(canonical_system(1), phi_family(1), 2e-3) == first
     assert calls == []
@@ -548,7 +537,6 @@ def _ref_sources(system, tf):
             "dc = 0.5*D",
             "return ((eps*(c*p1x + d*m1x), eps*(dc*(p1 - m1) + eps*(c*p1y + d*m1y))), "
             "(c*p2x + d*m2x, dc*(p2 - m2) + eps*(c*p2y + d*m2y)))"]),
-        "divergence": ("eps, x, y", _ref_divergence_body(system, tf, []) + ["return div"]),
         "augmented": ("eps, x, y, w", _ref_divergence_body(system, tf, _ref_zone_polys(system))
                       + ["return (c*p1 + d*m1, c*p2 + d*m2, div)"]),
     }
@@ -570,7 +558,6 @@ def _lean_kernels(system, tf):
     out = {"band": regularize._mix_kernel(system, tf, True),
            "mix": regularize._mix_kernel(system, tf, False),
            "band_jacobian": regularize._band_jacobian_kernel(system, tf),
-           "divergence": regularize._divergence_kernel(system, tf),
            "augmented": regularize._augmented_kernel(system, tf)}
     for tag, f in (("plus", system.x_plus), ("minus", system.x_minus)):
         out[f"{tag}_eval"] = f.eval
@@ -651,7 +638,7 @@ def test_each_lean_kernel_is_the_statement_form_bit_for_bit(i, m, inputs):
     eps, x, s, y, w = inputs
     lean, refs = _kernel_pair(i, m)
     args = {"band": (eps, x, s), "band_jacobian": (eps, x, s), "mix": (eps, x, y),
-            "divergence": (eps, x, y), "augmented": (eps, x, y, w)}
+            "augmented": (eps, x, y, w)}
     for name, ref in refs.items():
         arg = args.get(name, (x, y))
         assert _outcome(lean[name], *arg) == _outcome(ref, *arg), name
@@ -667,7 +654,7 @@ def test_lean_kernels_fold_atoms_and_drop_dead_stores():
     _, band = regularize._mix_kernel(system, tf, True).source
     assert band[-1] == "return (eps*(c + d*0.0), c*x + d)"
     assert band == ("if s >= 1.0:", "    c = 1.0", "elif s <= -1.0:", "    c = 0.0", "else:",
-                    f"    c = 0.5*(1.0 + {tf.phi_poly.horner('s')})", "d = 1.0 - c",
+                    f"    c = 0.5*(1.0 + {tf.phi_poly.horner('s', 'c')[1]})", "d = 1.0 - c",
                     band[-1])
     _, jac = regularize._band_jacobian_kernel(system, tf).source
     assert "y = eps*s" not in jac and not any(line.startswith(("p", "m")) for line in jac)

@@ -7,8 +7,8 @@ what it prints (the summary, or the JSON error of a bad run) goes to
 ``OUTDIR/<name>/stdout.txt``, and the solver work of its legs to
 ``OUTDIR/<name>/work.json``: the number of legs (calls of ``flow`` and
 ``flow_to_section_traj``) and, over the legs that return, the sums of their
-segments' nfev, njev, nlu and accepted steps, counted as
-``perfbench/tracing.py``'s ``segment_counts`` counts them.  Run it on two
+solver runs' (``Trajectory.segment``) nfev, njev, nlu and accepted steps,
+counted as ``perfbench/tracing.py``'s ``segment_counts`` counts them.  Run it on two
 checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``: a change that
 keeps every float and every step leaves no difference.  Each case's wall
 seconds go to standard error, outside OUTDIR.
@@ -59,11 +59,11 @@ def _count_legs(work: dict):
         def leg(*args, **kwargs):
             work["legs"] += 1
             out = fn(*args, **kwargs)
-            for seg in (out[1] if isinstance(out, tuple) else out).segments:
-                work["nfev"] += int(seg.nfev)
-                work["njev"] += int(seg.njev)
-                work["nlu"] += int(seg.nlu)
-                work["steps"] += len(seg.t) - 1
+            seg = (out[1] if isinstance(out, tuple) else out).segment
+            work["nfev"] += int(seg.nfev)
+            work["njev"] += int(seg.njev)
+            work["nlu"] += int(seg.nlu)
+            work["steps"] += len(seg.t) - 1
             return out
         return leg
 
