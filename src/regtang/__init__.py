@@ -33,7 +33,6 @@ from .phi import (
     phi_inverse,
     phi_bracket_constant,
     phi_bracket_exact,
-    upsilon_poly,
 )
 from .fields import (
     PlanarField,

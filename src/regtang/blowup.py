@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConditionViolated, DomainExit, NoCrossing, NoExit
 from .integrate import IntegratorConfig, SectionSpec, flow_to_section_traj
 from .maps import departure_weight, lambda_star
-from .phi import TransitionFunction, phi_bracket_constant, phi_family, upsilon_poly
+from .phi import TransitionFunction, order_profile, phi_bracket_constant
 
 
 # The chart integration runs far tighter than the maps' default: u* and eta
@@ -41,8 +41,7 @@ def scaling_constants(k: int, n: int, alpha: float = 1.0,
     p = departure_weight(k, n)
     if not alpha > 0:
         raise ConditionViolated("alpha must be positive")
-    tf = tf or phi_family(n - 1)
-    br = phi_bracket_constant(tf, n)
+    br = phi_bracket_constant(order_profile(n, tf), n)
     c_x = (2.0 / (br * alpha ** (n - 1))) ** (1.0 / p)
     return {
         "c_x": c_x,
@@ -148,8 +147,9 @@ class EquatorialChart:
     """The chart covering the sliding-to-departure passage, coordinates
     (x1, r1, e1): the closed forms of its hyperbolic equilibrium
     (``x1_star``, 0, 0) and of its contraction rate ``lambda1``.  The
-    constructor checks the orders and builds the profile's bracket constant
-    and Upsilon polynomial, from which the desingularized flow is formed.
+    constructor checks the orders, and the profile's contact order through
+    its bracket constant (``phi.phi_bracket_exact``), which both closed
+    forms read; ``tf`` defaults to phi_{n-1} (``phi.order_profile``).
     """
 
     k: int
@@ -161,10 +161,8 @@ class EquatorialChart:
         departure_weight(self.k, self.n)  # checks the orders
         if not self.alpha > 0:
             raise ConditionViolated("alpha must be positive")
-        if self.tf is None:
-            self.tf = phi_family(self.n - 1)
+        self.tf = order_profile(self.n, self.tf)
         self.bracket = phi_bracket_constant(self.tf, self.n)
-        self.upsilon = upsilon_poly(self.tf, self.n)
 
     @property
     def x1_star(self) -> float:

@@ -53,7 +53,7 @@ from .maps import (
     predicted_upper_boundary,
     upper_transition_map,
 )
-from .phi import TransitionFunction, phi_bracket_exact, phi_family
+from .phi import TransitionFunction, order_profile, phi_bracket_exact, phi_family
 from .regularize import (
     BandField,
     RegularizedField,
@@ -234,14 +234,18 @@ def _order(cfg: Dict[str, object], system: FilippovSystem) -> int:
 
 def _tcfg(cfg: Dict[str, object], system: FilippovSystem) -> TransitionConfig:
     """The transition config of ``system``: its k, and n from ``_order``."""
-    tf = phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None
-    return TransitionConfig(k=system.params["k"], n=_order(cfg, system), tf=tf,
+    return TransitionConfig(k=system.params["k"], n=_order(cfg, system), tf=_phi_m(cfg),
                             **_given(cfg, "lam", "rho", "theta", "L"))
 
 
+def _phi_m(cfg: Dict[str, object]) -> Optional[TransitionFunction]:
+    """phi_m if --phi-m is given, else None."""
+    return phi_family(int(cfg["phi_m"])) if "phi_m" in cfg else None
+
+
 def _profile(cfg: Dict[str, object], system: FilippovSystem) -> TransitionFunction:
-    """phi_m if given, else phi_{n-1} with n from ``_order``."""
-    return phi_family(int(cfg.get("phi_m", _order(cfg, system) - 1)))
+    """phi_m if given, else the profile of the order n from ``_order``."""
+    return order_profile(_order(cfg, system), _phi_m(cfg))
 
 
 def _sweep(worker, cfg: Dict[str, object], eps_values: List[float], *args) -> list:

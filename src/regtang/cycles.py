@@ -18,7 +18,7 @@ relative, and the cycle search stops there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +48,7 @@ MAX_SECANT_ITER = 100     # find_cycle's iterations before NotConverged
 RETURN_MAX_TIME = 200.0   # time budget of one return-map revolution
 MAX_REVOLUTIONS = 4       # revolutions (two crossings each) before MaxRevolutions
 POLYLINE_SPACING = 1e-3   # arc length between cycle-polyline and Hausdorff samples
+SCAN_PIECES = 8           # pieces of the bracket unique_root_scan searches
 _EPS = float(np.finfo(float).eps)
 _PAIRS = 1 << 18          # candidate pairs per batch of the Hausdorff search
 
@@ -361,17 +362,10 @@ class CycleInfo:
     polyline: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "fixed_point": self.fixed_point,
-            "period": self.period,
-            "multiplier": self.multiplier,
-            "log_multiplier": self.log_multiplier,
-            "iterations": self.iterations,
-            "hausdorff": self.hausdorff,
-            "hausdorff_over_eps": self.hausdorff_over_eps,
-            **self.arc,
-        }
+        """Every field but ``arc`` and ``polyline``, then the arc's entries."""
+        row = {f.name: getattr(self, f.name) for f in dc_fields(self)
+               if f.name not in ("arc", "polyline")}
+        return {**row, **self.arc}
 
 
 def default_bracket(system: FilippovSystem, eps: float, rho: float) -> Tuple[float, float]:
@@ -414,14 +408,15 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
 
 
 def unique_root_scan(return_fn: Callable[[float], float],
-                     bracket: Tuple[float, float], pieces: int = 8) -> List[float]:
-    """Split the bracket, find a fixed point in every sign-changing piece, and
-    return the list of roots found (callers assert uniqueness/consistency)."""
+                     bracket: Tuple[float, float]) -> List[float]:
+    """Split the bracket into SCAN_PIECES, find a fixed point in every
+    sign-changing piece, and return the list of roots found (callers assert
+    uniqueness/consistency)."""
     a, b = bracket
-    ys = np.linspace(a, b, pieces + 1)
+    ys = np.linspace(a, b, SCAN_PIECES + 1)
     vals = [return_fn(float(y)) - float(y) for y in ys]
     roots = []
-    for i in range(pieces):
+    for i in range(SCAN_PIECES):
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
             roots.append(float(ys[i]))

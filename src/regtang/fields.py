@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateDenominator, UnresolvedContact
-from .polys import Poly2, compile_kernel, float_parts, power_lines
+from .polys import Poly2, cached_kernel, float_parts, power_lines
 
 Point = Tuple[float, float]
 
@@ -22,8 +22,9 @@ Point = Tuple[float, float]
 class PlanarField:
     """A smooth planar field given by its exact polynomial components.
 
-    ``eval(x, y)`` is the kernel generated from them at construction; it
-    returns the tuple ``(u, v)`` of Python floats.  ``kernel`` is
+    ``eval(x, y)`` is the kernel generated from them at construction,
+    memoized on them (``polys.cached_kernel``), so an equal field builds no
+    source; it returns the tuple ``(u, v)`` of Python floats.  ``kernel`` is
     ``(eval, ())``, the kernel and the arguments it takes before the state,
     which a DOP853 leg inlines into its step.
     """
@@ -31,9 +32,11 @@ class PlanarField:
     poly_form: Tuple[Poly2, Poly2]
 
     def __post_init__(self):
-        lines, form = float_parts(zip("uv", self.poly_form))
-        self.eval = compile_kernel(
-            "x, y", power_lines(self.poly_form) + lines + [f"return ({form['u']}, {form['v']})"])
+        def build():
+            lines, form = float_parts(zip("uv", self.poly_form))
+            return "x, y", (power_lines(self.poly_form) + lines
+                            + [f"return ({form['u']}, {form['v']})"])
+        self.eval = cached_kernel(("field", self.poly_form), build)
         self.kernel = (self.eval, ())
 
     def divergence(self) -> Callable[[float, float], float]:

@@ -50,8 +50,10 @@ output no one evaluates never stacks them.
 The module runs on numpy alone, with no BLAS call.  What it carries of scipy
 is ported and checked against scipy by the tests: the coefficient tables
 (``regtang._tableaux``), the input checks of a run (``_start``), the choice of
-step at a time (scipy's ``OdeSolution``) and ``brentq`` bit for bit; the
-DOP853 steps and the first-step choice to rounding.
+step at a time (scipy's ``OdeSolution``) and ``brentq``, at the one
+tolerance every root of the package is polished to (``ROOT_XTOL``,
+``ROOT_RTOL``), bit for bit; the DOP853 steps and the first-step choice to
+rounding.
 
 A run ends in one of three ways: at its span's end; at the first crossing its
 scan's target admits; or by raising ``DomainExit``, when the state it keeps
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 import ast
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -310,30 +311,24 @@ def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
     return EventHit(t, p, sec.ident, d)
 
 
-# scipy.optimize.brentq's least (and default) rtol
-BRENTQ_RTOL = 4 * _EPS
+# brentq's one tolerance, that of every root the package polishes: the
+# scan's crossings and turning points, and the tangency curve psi(eps)
+ROOT_XTOL = 1e-15
+ROOT_RTOL = 8.9e-16
+ROOT_MAXITER = 100  # iterations before brentq gives up
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
-           rtol: float = BRENTQ_RTOL, maxiter: int = 100) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """A root of ``f`` in [a, b], where ``f(a)`` and ``f(b)`` differ in sign,
     by Brent's method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4).
+    Derivatives*, ch. 4), to the tolerance ``ROOT_XTOL + ROOT_RTOL*|x|``.
 
-    This is ``scipy.optimize.brentq``: its C loop on Python floats, which
-    calls ``f`` at the same abscissae and returns the same root, bit for bit,
-    and its wrapper's checks.  ``ValueError`` for xtol <= 0, rtol below
-    ``BRENTQ_RTOL``, maxiter < 0, a NaN value of ``f`` or no sign change;
-    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    This is ``scipy.optimize.brentq`` at xtol=ROOT_XTOL, rtol=ROOT_RTOL and
+    maxiter=ROOT_MAXITER: its C loop on Python floats, which calls ``f`` at
+    the same abscissae and returns the same root, bit for bit.
+    ``ValueError`` for a NaN value of ``f`` or no sign change;
+    ``RuntimeError`` when ``ROOT_MAXITER`` iterations do not converge.
     """
-    xtol, rtol, maxiter = float(xtol), float(rtol), operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENTQ_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENTQ_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
@@ -350,14 +345,14 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
     if sign(fpre) == sign(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(ROOT_MAXITER):
         if fpre != 0 and fcur != 0 and sign(fpre) != sign(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -379,7 +374,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {ROOT_MAXITER} iterations.")
 
 
 # Every crossing of a section, and every touch, is found on a sub-step grid of
@@ -476,7 +471,7 @@ class _Scan:
                 return sec.residual_rate(self.rhs(s, point(s)))
 
             def root(a, b, f=residual):
-                return brentq(f, *sorted((a, b)), xtol=1e-15, rtol=8.9e-16)
+                return brentq(f, *sorted((a, b)))
             # with a look-behind point, grid[1] (t_old) ended the previous
             # step, which tested it for a zero
             for i in range(len(grid) - SCAN_SUBDIV - 1, len(grid)):

@@ -15,7 +15,7 @@ the weight behind lambda*, for this module and ``blowup``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fields import FilippovSystem
 from .integrate import IntegratorConfig, SectionSpec, brentq, flow_to_section_traj
-from .phi import TransitionFunction, phi_family
+from .phi import TransitionFunction, order_profile
 from .regularize import BandField, SlowManifold
 
 RHO_MAX = 0.3
@@ -81,8 +81,7 @@ class TransitionConfig:
 
     def __post_init__(self):
         ls = lambda_star(self.k, self.n)
-        if self.tf is None:
-            self.tf = phi_family(self.n - 1)
+        self.tf = order_profile(self.n, self.tf)
         if self.tf.n_class < self.n - 1:
             raise ConditionViolated(
                 f"transition function of class {self.tf.n_class} cannot realize order n={self.n}"
@@ -104,18 +103,22 @@ class TransitionConfig:
         return lambda_star(self.k, self.n)
 
     def check_eps(self, eps: float):
-        if not eps > 0:
-            raise NonPositiveQuantity("eps must be positive")
+        _positive(eps)
         if eps ** self.lam >= self.rho:
             raise ConditionViolated(
                 f"eps**lam = {eps ** self.lam:g} must stay below rho = {self.rho:g}"
             )
 
 
+def _positive(eps: float):
+    if not eps > 0:
+        raise NonPositiveQuantity("eps must be positive")
+
+
 @dataclass
 class TransitionResult:
     y_out: float
-    departure: Tuple[float, float]     # (x, yhat) leaving through yhat = 1
+    x_departure: float  # where the layer orbit leaves through yhat = 1
 
 
 # --------------------------------------------------------------------------
@@ -160,12 +163,11 @@ def find_x_epsilon(
 
 def tangency_curve_psi(system: FilippovSystem, config: TransitionConfig, eps: float) -> float:
     """Root of X2+(x, eps) = 0: where the upper field is tangent to y = eps."""
-    if not eps > 0:
-        raise NonPositiveQuantity("eps must be positive")
+    _positive(eps)
     f = lambda x: float(system.x_plus.eval(x, eps)[1])
     b = (10.0 * eps) ** (1.0 / (2 * config.k - 1))
     try:  # brentq returns an end where f is 0, and checks the signs
-        return float(brentq(f, -b, b, xtol=1e-15, rtol=8.9e-16))
+        return float(brentq(f, -b, b))
     except ValueError:
         raise NoRoot(
             f"X2+(x, eps) has no sign change on [{-b:g}, {b:g}] at eps={eps:g}"
@@ -226,7 +228,7 @@ def _layer_legs(system, config, eps, x_entry, yhat0) -> TransitionResult:
     # Leg 3: climb to the outflow section x = theta.
     sec = SectionSpec("vertical", config.theta, ident="outflow")
     hit, _ = flow_to_section_traj(system.x_plus, (x_dep, eps), sec, config.integ)
-    return TransitionResult(y_out=float(hit.point[1]), departure=(x_dep, 1.0))
+    return TransitionResult(y_out=float(hit.point[1]), x_departure=x_dep)
 
 
 def upper_transition_map(
@@ -294,25 +296,25 @@ class ScalingFit:
     rel_dev: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "n_points": self.n_points,
-            "predicted": self.predicted,
-            "rel_dev": self.rel_dev,
-        }
+        return asdict(self)
 
 
-def fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """Least-squares line y = slope*x + intercept; returns (slope, intercept, r^2)."""
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+def fit_line(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float, float]:
+    """Least-squares line y = slope*x + intercept; returns (slope, intercept, r^2).
+
+    On Python floats, from the centred normal equations, every sum taken by
+    ``math.fsum``: slope = sum(dx*dy)/sum(dx*dx) with dx = x - mean(x) and
+    dy = y - mean(y), and intercept = mean(y) - slope*mean(x).
+    """
+    xs, ys = [float(v) for v in x], [float(v) for v in y]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx, dy = [v - x_bar for v in xs], [v - y_bar for v in ys]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = y_bar - slope * x_bar
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(xs, ys))
+    ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
+    return slope, intercept, r2
 
 
 def fit_scaling(eps_values: Sequence[float], values: Sequence[float],
@@ -351,8 +353,7 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
 
     Near the fold the map is a reflection: mirror(x) = -x + 2*psi(eps) + h.o.t.
     """
-    if not eps > 0:
-        raise NonPositiveQuantity("eps must be positive")
+    _positive(eps)
     if psi is None:
         psi = tangency_curve_psi(system, config, eps)
     if x_in >= psi:
@@ -372,20 +373,23 @@ def mirror_map(system: FilippovSystem, config: TransitionConfig, eps: float,
 def mirror_fixed_point(system: FilippovSystem, config: TransitionConfig,
                        eps: float, delta: float = 1e-3) -> dict:
     """Locate the mirror map's fixed point by extrapolating the midpoint
-    (mirror(psi - d) + (psi - d))/2 to d -> 0: the constant coefficient of
-    the cubic through the midpoints at d, d/2, d/4 and d/8, fitted by
-    ``np.polynomial.polynomial.polyfit``.
+    (mirror(psi - d) + (psi - d))/2 to d -> 0: the value at d = 0 of the
+    cubic through the midpoints at d, d/2, d/4 and d/8, by Neville's table
+    on Python floats, its columns in that order.
     """
     psi = tangency_curve_psi(system, config, eps)
-    ds = np.array([delta, delta / 2, delta / 4, delta / 8])
+    ds = [delta, delta / 2, delta / 4, delta / 8]
     mids = []
     for d in ds:
         x = psi - d
         mids.append(0.5 * (mirror_map(system, config, eps, x, psi=psi) + x))
-    coef = np.polynomial.polynomial.polyfit(ds, np.array(mids), deg=len(ds) - 1)
-    fp = float(coef[0])
-    return {"psi": psi, "fixed_point": fp, "gap": abs(fp - psi),
-            "midpoints": [float(m) for m in mids], "deltas": [float(d) for d in ds]}
+    p = list(mids)
+    for k in range(1, len(ds)):
+        for i in range(len(ds) - k):
+            p[i] = (ds[i] * p[i + 1] - ds[i + k] * p[i]) / (ds[i] - ds[i + k])
+    fp = p[0]
+    return {"psi": psi, "fixed_point": fp, "gap": abs(fp - psi), "midpoints": mids,
+            "deltas": ds}
 
 
 # Where, left of the fold, and with which half-step mirror_derivative differences.

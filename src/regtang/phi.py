@@ -9,6 +9,12 @@ equals ``sign(s)`` outside [-1, 1].  The classical polynomial family
 
 realizes every class; coefficients are kept as exact rationals so endpoint
 identities are testable without tolerance.
+
+A smoothing of order n needs a profile whose contact order at 1 is exactly
+n: phi(1) = 1, phi^{(j)}(1) = 0 for 0 < j < n and phi^{(n)}(1) != 0.
+``phi_bracket_exact`` is that rule, and every constant built from the
+bracket reaches it; ``order_profile`` gives phi_{n-1}, the profile of order
+n where none is given.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import ClassMismatch, ConditionViolated, OutOfRange
 from .polys import Poly1, Q
@@ -60,12 +66,6 @@ class TransitionFunction:
             return -1.0
         return self.phi_poly(s)
 
-    def Phi_prime(self, s: float) -> float:
-        """Derivative of the extension: 0 outside the band (one-sided value at +-1)."""
-        if abs(s) >= 1.0:
-            return 0.0
-        return self.derivs[1](s)
-
 
 def phi_family(m: int) -> TransitionFunction:
     """The degree-(2m+1) odd polynomial profile of smoothness class m."""
@@ -79,6 +79,11 @@ def phi_family(m: int) -> TransitionFunction:
     anti = core.integrate()
     lead = Q((-1) ** m * math.factorial(2 * m + 1), 2 ** (2 * m) * math.factorial(m) ** 2)
     return TransitionFunction(n_class=m, phi_poly=anti.scale(lead))
+
+
+def order_profile(n: int, tf: Optional[TransitionFunction] = None) -> TransitionFunction:
+    """``tf``, or where it is None phi_{n-1}, the profile of contact order n."""
+    return phi_family(n - 1) if tf is None else tf
 
 
 def phi_inverse(tf: TransitionFunction, v: float) -> float:
@@ -115,28 +120,16 @@ def phi_bracket_constant(tf: TransitionFunction, theorem_n: int) -> float:
 
 
 def phi_bracket_exact(tf: TransitionFunction, theorem_n: int) -> Fraction:
-    """The positive constant (-1)^{n+1} phi^{(n)}(1) / n! of the class-n profile,
-    as an exact rational."""
-    val = tf.deriv_exact(theorem_n, 1)
-    if val == 0:
-        raise ClassMismatch(
-            f"phi^{{({theorem_n})}}(1) = 0: profile is flatter than class n={theorem_n}"
-        )
-    return Q((-1) ** (theorem_n + 1)) * val / math.factorial(theorem_n)
+    """The positive constant (-1)^{n+1} phi^{(n)}(1) / n! of a profile of
+    contact order exactly n at 1, as an exact rational.
 
-
-def upsilon_poly(tf: TransitionFunction, theorem_n: int) -> Poly1:
-    """Exact remainder profile Y with 1 - phi(1+s) = b_n (-s)^n (1 + s Y(s)).
-
-    Here ``b_n`` is the bracket constant for order ``theorem_n``; Y is a
-    polynomial because phi is.  Used by the first blow-up chart.
+    This is the order rule: ``ClassMismatch`` where phi^{(n)}(1) = 0, and
+    where phi(1) != 1 or a lower derivative phi^{(j)}(1), 0 < j < n, is not 0.
     """
     n = theorem_n
-    bn = phi_bracket_exact(tf, n)
-    shifted = tf.phi_poly.shift(1)              # phi(1 + s) as a polynomial in s
-    top = Poly1([Q(1)]) - shifted               # 1 - phi(1+s), valuation n
-    if top.valuation() < n:
+    val = tf.deriv_exact(n, 1)
+    if val == 0:
+        raise ClassMismatch(f"phi^{{({n})}}(1) = 0: profile is flatter than class n={n}")
+    if tf.deriv_exact(0, 1) != 1 or any(tf.deriv_exact(j, 1) for j in range(1, n)):
         raise ClassMismatch("profile has lower contact order at 1 than claimed")
-    rest = top.shift_down(n).scale(Q((-1) ** n) / bn)   # 1 + s Y(s)
-    rest = rest - Poly1([Q(1)])
-    return rest.shift_down(1) if rest.coeffs else Poly1()
+    return Q((-1) ** (n + 1)) * val / math.factorial(n)

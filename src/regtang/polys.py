@@ -6,11 +6,11 @@ Two tiny immutable polynomial types built on ``fractions.Fraction``:
 * ``Poly2`` — bivariate, sparse map ``(i, j) -> coeff`` for ``x**i * y**j``.
 
 Only the operations the rest of the package needs are implemented (ring
-arithmetic, differentiation, evaluation, composition with shifts).  Float
-evaluation of a ``Poly2`` runs straight-line code generated once from its
-exact coefficients (``compile_kernel``), so that integrator right-hand sides
-stay cheap; a polynomial that is one literal or name is written in place
-(``float_form``).  The same statements are inlined into the fused kernels of
+arithmetic, differentiation, evaluation).  Float evaluation of a ``Poly2``
+runs straight-line code generated once from its exact coefficients and
+memoized on the polynomial (``cached_kernel``), so that integrator
+right-hand sides stay cheap; a polynomial that is one literal or name is
+written in place (``float_form``).  The same statements are inlined into the fused kernels of
 ``regtang.regularize``, and a field's kernel into the steppers of
 ``regtang.integrate``.
 """
@@ -133,18 +133,6 @@ class Poly1:
                 f" + {c!r}" if c else "")
         return lines, expr
 
-    def shift(self, a) -> "Poly1":
-        """Return p(x + a) as a polynomial in x (exact)."""
-        a = _q(a)
-        out = Poly1()
-        # Horner on shifted variable: p(x+a) = sum c_i (x+a)^i
-        xs = Poly1([a, 1])
-        power = Poly1([1])
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * xs
-        return out
-
     def valuation(self) -> int:
         """Smallest degree with nonzero coefficient (0 for the zero poly)."""
         for i, c in enumerate(self.coeffs):
@@ -158,12 +146,6 @@ class Poly1:
     @staticmethod
     def monomial(degree: int, coeff=1) -> "Poly1":
         return Poly1([0] * degree + [coeff])
-
-    def shift_down(self, m: int) -> "Poly1":
-        """Divide by x**m exactly; requires valuation >= m."""
-        if any(c != 0 for c in self.coeffs[:m]):
-            raise ValueError("polynomial not divisible by x^m")
-        return Poly1(self.coeffs[m:])
 
     @property
     def degree(self) -> int:
@@ -302,10 +284,13 @@ class Poly2:
         return lines, target
 
     def compiled(self) -> Callable[[float, float], float]:
-        """Return (and cache) the generated float evaluator ``f(x, y)``."""
+        """Return (and cache) the generated float evaluator ``f(x, y)``,
+        memoized on this polynomial (``cached_kernel``)."""
         if self._fast is None:
-            lines, v = self.float_form("v")
-            self._fast = compile_kernel("x, y", power_lines([self]) + lines + [f"return {v}"])
+            def build():
+                lines, v = self.float_form("v")
+                return "x, y", power_lines([self]) + lines + [f"return {v}"]
+            self._fast = cached_kernel(("poly2", self), build)
         return self._fast
 
     def __call__(self, x: float, y: float) -> float:
@@ -321,12 +306,6 @@ class Poly2:
                     coeffs.append(Q(0))
                 coeffs[i] += c
         return Poly1(coeffs)
-
-    def divide_out_y(self) -> "Poly2":
-        """Divide by y exactly; requires every term to carry y."""
-        if any(j == 0 for (_, j) in self.terms):
-            raise ValueError("polynomial not divisible by y")
-        return Poly2({(i, j - 1): c for (i, j), c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.terms == other.terms
@@ -399,13 +378,3 @@ def cached_kernel(key: tuple, build: Callable[[], Tuple[str, Sequence[str]]]) ->
     if len(_KERNELS) > KERNEL_CACHE_SIZE:
         _KERNELS.popitem(last=False)
     return fn
-
-
-def compile_kernel(args: str, body: Sequence[str]) -> Callable:
-    """Compile ``def _kernel(args): body`` and return the function.
-
-    ``body`` reads only its arguments and its own locals, so a kernel is
-    memoized on its source alone (``cached_kernel``).
-    """
-    source = (args, tuple(body))
-    return cached_kernel(source, lambda: source)

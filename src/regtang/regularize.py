@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import FilippovSystem
 from .integrate import SectionSpec, flow_to_section_traj, sample_dense
-from .phi import TransitionFunction, phi_inverse
+from .phi import TransitionFunction, phi_bracket_exact, phi_inverse
 from .polys import Poly2, cached_kernel, float_parts, power_lines
 
 
@@ -323,15 +323,14 @@ class SlowManifold:
 
 
 def departure_coefficient(k: int, n: int, alpha: float, tf: TransitionFunction) -> float:
-    """Coefficient C in 1 - m0(x) ~ C * |x|^{(2k-1)/n} as x -> 0-.
+    """Coefficient C in 1 - m0(x) ~ C * |x|^{(2k-1)/n} as x -> 0-, for a
+    profile of contact order exactly n at 1 (``phi.phi_bracket_exact``
+    raises ``ClassMismatch`` for any other):
 
-    Equivalent closed form: C = (2*alpha*n! / |phi^{(n)}(1)|)^{1/n}.
+        C = (2*alpha*n! / |phi^{(n)}(1)|)^{1/n}.
     """
+    phi_bracket_exact(tf, n)  # the order rule
     dn = abs(tf.deriv_exact(n, 1))
-    if dn == 0:
-        raise ConditionViolated(
-            f"phi^({n})(1) = 0: the transition function is too flat for this order"
-        )
     return float((2.0 * alpha * math.factorial(n) / float(dn)) ** (1.0 / n))
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from pytest import approx
 
 from regtang import (
     BandField,
@@ -31,7 +30,6 @@ from regtang import (
     lower_transition_map,
     mirror_derivative,
     mirror_fixed_point,
-    phi_bracket_exact,
     phi_family,
     predicted_upper_boundary,
     return_map,
@@ -100,7 +98,7 @@ def cycle_battery():
     for eps in (0.02, 0.01, 0.005):
         info = cycle_analysis(sys, tf, eps, reference=ref)
         ret = lambda y: return_map(sys, tf, eps, y).y_out
-        roots = unique_root_scan(ret, default_bracket(sys, eps, 0.3), pieces=8)
+        roots = unique_root_scan(ret, default_bracket(sys, eps, 0.3))
         rows[eps] = {"info": info, "roots": roots}
     return {"rows": rows, "system": sys, "tf": tf, "reference": ref,
             "seconds": time.monotonic() - t0}

@@ -6,10 +6,12 @@ import numpy as np
 from pytest import approx, raises
 
 from regtang import (
+    ClassMismatch,
     EquatorialChart,
-    NonPositiveQuantity,
+    departure_coefficient,
     departure_prefactor,
     flow,
+    phi_family,
     planar_model_crossing,
     scaling_constants,
     sigma_bound,
@@ -17,6 +19,7 @@ from regtang import (
 )
 from regtang.blowup import CHART_INTEG
 from scipy.special import ai_zeros
+from test_phi import upsilon_poly
 
 FD_STEP = 1e-6  # central-difference step of the chart flow's Jacobian
 
@@ -26,11 +29,12 @@ def _chart_rhs(chart):
     state (x1, r1, e1): the oracle of its closed forms ``x1_star`` and
     ``lambda1``."""
     k, n, alpha = chart.k, chart.n, chart.alpha
+    upsilon = upsilon_poly(chart.tf, n)
 
     def rhs(t, p):
         x1, r1, e1 = p
         s = r1 ** (2 * k - 1)
-        H = x1 ** (2 * k - 1) * alpha + 0.5 * chart.bracket * (1.0 - s * chart.upsilon(-s))
+        H = x1 ** (2 * k - 1) * alpha + 0.5 * chart.bracket * (1.0 - s * upsilon(-s))
         hj = H / (2 * k - 1)
         return (e1 + n * x1 * hj, -r1 * hj, (1 + 2 * k * (n - 1)) * e1 * hj)
     return rhs
@@ -133,6 +137,28 @@ def test_invariant_drift_is_small():
     # e1 * r1^(1+2k(n-1)) is exactly conserved by the chart equations
     ch = EquatorialChart(1, 2, 1.0)
     assert _invariant_drift(ch, (-0.5, 0.8, 0.3), (0.0, 2.0)) < 1e-8
+
+
+LOWER_ORDER = "profile has lower contact order at 1 than claimed"
+
+
+def test_every_bracket_constant_keeps_the_order_rule():
+    # a profile whose contact order at 1 is below n: phi_1 has order 2 and
+    # phi_2 order 3, though phi^{(n)}(1) != 0 for both pairs below
+    for call in (lambda: departure_prefactor(1, 3, tf=phi_family(1)),
+                 lambda: departure_prefactor(2, 5, tf=phi_family(2)),
+                 lambda: scaling_constants(1, 3, tf=phi_family(1)),
+                 lambda: departure_coefficient(1, 3, 1.0, phi_family(1)),
+                 lambda: EquatorialChart(1, 3, tf=phi_family(1))):
+        with raises(ClassMismatch) as info:
+            call()
+        assert str(info.value) == LOWER_ORDER
+    # a profile flatter than the order: phi_1^{(4)} = 0
+    for call in (lambda: EquatorialChart(2, 4, tf=phi_family(1)),
+                 lambda: departure_coefficient(2, 4, 1.0, phi_family(1))):
+        with raises(ClassMismatch) as info:
+            call()
+        assert str(info.value) == "phi^{(4)}(1) = 0: profile is flatter than class n=4"
 
 
 def test_crossing_rejects_bad_inputs():

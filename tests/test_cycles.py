@@ -1,12 +1,13 @@
 """Return maps and the attracting cycle of the grazing-oval example."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import (
-    IntegratorConfig,
     NoBracket,
     TransitionConfig,
     cycle_analysis,
@@ -21,7 +22,6 @@ from regtang import (
     return_map,
     SectionSpec,
     flow_to_section_traj,
-    tangency_curve_psi,
     unique_root_scan,
     upper_transition_map,
 )
@@ -96,7 +96,7 @@ def test_fixed_point_is_unique_across_the_bracket():
     eps = 0.01
     bracket = default_bracket(sys, eps, 0.3)
     ret = lambda y: return_map(sys, TF5, eps, y).y_out
-    roots = unique_root_scan(ret, bracket, pieces=8)
+    roots = unique_root_scan(ret, bracket)
     assert len(roots) == 1
     assert roots[0] == approx(0.004858417375071363, rel=1e-7)
 
@@ -232,6 +232,40 @@ def test_find_cycle_on_a_synthetic_contraction():
     assert res.y_star == approx(0.1, rel=1e-10)
     with raises(NoBracket):
         find_cycle(ret, (0.5, 1.0))
+
+
+def test_find_cycle_takes_each_branch_on_scalar_maps():
+    # a displacement of exactly 0 at either end of the bracket is the cycle,
+    # found with no iteration
+    res = find_cycle(lambda y: 2.0 * y - 0.25, (0.25, 1.0))
+    assert (res.y_star, res.iterations, res.residual) == (0.25, 0, 0.0)
+    res = find_cycle(lambda y: 2.0 * y - 1.0, (0.25, 1.0))
+    assert (res.y_star, res.iterations, res.residual) == (1.0, 0, 0.0)
+    # displacements -1e20 at y = 0 and one ulp at y = 1 put the secant point
+    # on the end it moves from (stagnation): the midpoints 0.5 and 0.25
+    # instead; the second changes the bracket's side, and the secant then
+    # finds the fixed point 0.3
+    seen = []
+
+    def stagnant(y):
+        seen.append(y)
+        return -1e20 if y == 0.0 else y + (2.0 ** -52 if y == 1.0 else y - 0.3)
+    res = find_cycle(stagnant, (0.0, 1.0))
+    assert seen[:4] == [0.0, 1.0, 0.5, 0.25]
+    assert res.y_star == approx(0.3, rel=RETURN_INTEG.rtol) and res.iterations == len(seen) - 2
+    # a convex displacement: the secant points stay on one side (the far end
+    # is halved, Illinois) until one crosses and the bracket changes side
+    seen.clear()
+    res = find_cycle(lambda y: seen.append(y) or y + math.exp(4.0 * y) - 2.0, (0.0, 1.0))
+    fx = [y + math.exp(4.0 * y) - 2.0 - y for y in seen[2:]]
+    assert any(a > 0 > b or a < 0 < b for a, b in zip(fx, fx[1:]))
+    assert res.y_star == approx(math.log(2.0) / 4.0, rel=RETURN_INTEG.rtol)
+    # a jump with no fixed point: the bracket closes on it, the displacement
+    # stays 1 in size
+    with raises(NotConverged, match="within 100 iterations"):
+        find_cycle(lambda y: y + (-1.0 if y < 1.0 / 3.0 else 1.0), (0.0, 1.0))
+    with raises(NoBracket, match="same sign at both ends"):
+        find_cycle(lambda y: y + 1.0, (0.0, 1.0))
 
 
 def test_hausdorff_distance_on_the_oval_polylines():

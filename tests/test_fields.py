@@ -2,11 +2,10 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from pytest import approx, raises
+from pytest import approx
 
 from regtang import (
     FilippovSystem,
-    Poly1,
     Poly2,
     classify_sigma_point,
     contact_classification,
@@ -23,6 +22,17 @@ def test_planar_field_eval_and_divergence():
     assert np.allclose(f.eval(2.0, 1.0), [1.0, 3.0])
     div = f.divergence()
     assert div(0.3, -0.7) == approx(-1.0)
+
+
+def test_an_equal_field_shares_its_kernel_and_builds_no_source(monkeypatch):
+    # the kernel is memoized on the polynomial form: an equal field built
+    # anew gets the same function without generating its statements again
+    f = field_from_polys(Poly2.const(1), Poly2.x().pow(2) - Poly2.y())
+    from regtang import fields
+
+    monkeypatch.setattr(fields, "float_parts", None)  # a build would fail
+    twin = field_from_polys(Poly2.const(1), Poly2.x() * Poly2.x() - Poly2.y())
+    assert twin.eval is f.eval
 
 
 def test_lie_derivative_on_vertical_h_counts_orders():

@@ -22,6 +22,7 @@ from regtang import (
     flow_to_section_traj,
     sample_dense,
 )
+from regtang import integrate
 from regtang.integrate import (
     NORM_GUARD,
     SCAN_SUBDIV,
@@ -37,7 +38,7 @@ from regtang.integrate import (
     _Scan,
     _screened,
 )
-from regtang.polys import compile_kernel
+from regtang.polys import cached_kernel
 
 
 class fld:
@@ -415,12 +416,13 @@ def _scripted_loop(n, attempt):
     clamped)``: it returns ``(size, rejected, None)`` to try again with that
     size, or the next step's proposed size and ``(state, coefficient rows,
     bounds)``."""
-    loop = compile_kernel(*_loop_source(n, ["_attempt"], [], [], [
+    args, body = _loop_source(n, ["_attempt"], [], [], [
         "_sa, _rejected, _out = _attempt(_t, _tn, _h, _rejected, _clamped)",
         "if _out is None:",
         "    continue",
         "_yn, _rows, _bnd = _out",
-        "break"]))
+        "break"])
+    loop = cached_kernel(("scripted", args, tuple(body)), lambda: (args, body))
     return partial(loop, attempt)
 
 
@@ -1422,22 +1424,23 @@ def _brentq_outcome(brentq, f, a, b, **kw):
     return out, calls
 
 
+def _scipy_brentq(f, a, b, maxiter=integrate.ROOT_MAXITER):
+    """scipy's brentq at the package's one root tolerance."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=integrate.ROOT_XTOL, rtol=integrate.ROOT_RTOL,
+                  maxiter=maxiter)
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     coef=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6),
     scale=st.sampled_from([1.0, 1e-300, 1e300]),
     a=st.floats(min_value=-3.0, max_value=3.0),
     b=st.floats(min_value=-3.0, max_value=3.0),
-    xtol=st.sampled_from([2e-12, 1e-15, 1e-6, 0.0, -1.0]),
-    rtol=st.sampled_from([4 * np.finfo(float).eps, 8.9e-16, 1e-10, 1e-16]),
-    maxiter=st.sampled_from([100, 0, 1, 3, 8]),
     nan_at=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
 )
-def test_brentq_is_scipys(coef, scale, a, b, xtol, rtol, maxiter, nan_at):
-    from scipy.optimize import brentq as scipy_brentq
-
-    from regtang.integrate import brentq
-
+def test_brentq_is_scipys(coef, scale, a, b, nan_at):
     def f():
         """The polynomial, NaN from call ``nan_at`` on (counted per root search)."""
         calls = []
@@ -1451,26 +1454,24 @@ def test_brentq_is_scipys(coef, scale, a, b, xtol, rtol, maxiter, nan_at):
                 v = v * x + q
             return scale * v
         return poly
-    kw = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
-    assert _brentq_outcome(brentq, f(), a, b, **kw) == \
-        _brentq_outcome(scipy_brentq, f(), a, b, **kw)
+    assert _brentq_outcome(integrate.brentq, f(), a, b) == \
+        _brentq_outcome(_scipy_brentq, f(), a, b)
 
 
-def test_brentq_errors_are_scipys():
-    from scipy.optimize import brentq as scipy_brentq
-
-    from regtang.integrate import brentq
-
-    for f, kw in ((lambda x: x * x + 1.0, {}),                 # no sign change
-                  (lambda x: 1e-200, {}),                      # signs of tiny values
-                  (lambda x: np.nan, {}),
-                  (lambda x: x ** 3 - 0.3, dict(maxiter=2)),   # no convergence
-                  (lambda x: x - 0.3, dict(xtol=0.0)),
-                  (lambda x: x - 0.3, dict(rtol=1e-16)),
-                  (lambda x: x - 0.3, dict(maxiter=-1))):
-        theirs = _brentq_outcome(scipy_brentq, f, 0.0, 1.0, **kw)
+def test_brentq_errors_are_scipys(monkeypatch):
+    for f in (lambda x: x * x + 1.0,    # no sign change
+              lambda x: 1e-200,         # signs of tiny values
+              lambda x: np.nan):
+        theirs = _brentq_outcome(_scipy_brentq, f, 0.0, 1.0)
         assert isinstance(theirs[0], tuple)
-        assert _brentq_outcome(brentq, f, 0.0, 1.0, **kw) == theirs
+        assert _brentq_outcome(integrate.brentq, f, 0.0, 1.0) == theirs
+    # no convergence within the iteration constant, lowered to 2
+    def cubic(x):
+        return x ** 3 - 0.3
+    theirs = _brentq_outcome(partial(_scipy_brentq, maxiter=2), cubic, 0.0, 1.0)
+    assert theirs[0] == (RuntimeError, "Failed to converge after 2 iterations.")
+    monkeypatch.setattr(integrate, "ROOT_MAXITER", 2)
+    assert _brentq_outcome(integrate.brentq, cubic, 0.0, 1.0) == theirs
 
 
 def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
@@ -1496,9 +1497,14 @@ def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
 
 
 # Legs whose bytes must not depend on the BLAS kernel numpy runs: DOP853 band
-# legs of the departure abscissa and of the lower map, and a Radau leg
+# legs of the departure abscissa and of the lower map, and a Radau leg; then a
+# line fit through the departure abscissas and the mirror map's fixed point
 _KERNEL_FREE_LEGS = """
-from regtang import TransitionConfig, find_x_epsilon, lambda_star, lower_transition_map
+import math
+
+from regtang import (Poly2, TransitionConfig, find_x_epsilon, lambda_star,
+                     lower_transition_map, mirror_fixed_point)
+from regtang.maps import fit_line
 from regtang.scenarios import canonical_system
 
 one, two = canonical_system(1), canonical_system(2)
@@ -1506,6 +1512,9 @@ legs = [find_x_epsilon(one, TransitionConfig(1, 2), eps) for eps in (1e-2, 1e-3,
 legs += [lower_transition_map(one, TransitionConfig(1, 2), 1e-3, y_in).y_out
          for y_in in (-2e-3, -5e-4, 5e-4)]
 legs.append(find_x_epsilon(two, TransitionConfig(2, 6, lam=0.999 * lambda_star(2, 6)), 1e-6))
+legs += fit_line([math.log(eps) for eps in (1e-2, 1e-3, 1e-4)], [math.log(x) for x in legs[:3]])
+legs.append(mirror_fixed_point(canonical_system(1, theta=Poly2.const(-1)), TransitionConfig(1, 2),
+                               1e-4)["fixed_point"])
 """
 
 
@@ -1574,11 +1583,18 @@ def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
     cfg = IntegratorConfig()
     reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
     band = BandField(canonical_system(k=1), phi_family(1), 1e-3)
+    level = SectionSpec("horizontal", 0.0)
     cases = [  # the return-map leg of the cycle study, 3-D; a band leg, 2-D
         (_augmented_rhs(reg), (-0.3, 0.02, 0.0),
          SectionSpec("vertical", -0.3, direction="up")),
         (_as_rhs(band), (-0.2, 1.0), SectionSpec("horizontal", 1.0, direction="up")),
+        # a residual rate of 0 at the start: steps of 1e-3, the residual
+        # t^3/300 clears 10 event_tol on the second; one that stays 0 takes
+        # all 60 steps
+        (lambda t, p: (1.0, 0.01 * p[0] * p[0]), (0.0, 0.0), level),
+        (lambda t, p: (1.0, 0.0), (0.0, 0.0), level),
     ]
+    steps = []  # of the last two cases, in units of 1e-3
     for rhs, p0, sec in cases:
         for forward in (True, False):
             t, p = _nudge_off_section(rhs, 0.0, list(p0), sec, cfg, forward)
@@ -1586,6 +1602,8 @@ def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
             assert t == t_ref and t != 0.0
             assert p == p_ref.tolist()
             assert all(type(c) is float for c in p)
+            steps.append(round(abs(t) / 1e-3, 6))
+    assert steps[-4:] == [2.0, 2.0, 60.0, 60.0]
 
 
 class _PlainCallable:
@@ -2559,3 +2577,31 @@ def test_a_newton_stage_past_the_float_range_does_not_converge():
         assert meets in seen
         runs.append(outcome)
     assert runs[0] == runs[1]
+
+
+def test_a_landing_run_that_falls_short_leaves_the_first_run(monkeypatch):
+    # at rtol 1e-4 the step that crosses yhat = 1 of this band leg puts the
+    # crossing early, at t = 117.2469: the landing run, to 1.001 times the
+    # way there, ends short of yhat = 1, so the leg is the first run, as a
+    # field without kinks runs it
+    from regtang import BandField, phi_family
+    from regtang.scenarios import canonical_system
+
+    band = BandField(canonical_system(1), phi_family(1), 1e-3)
+    cfg = IntegratorConfig(rtol=1e-4, atol=1e-7, max_time=1e5)
+    roof = SectionSpec("horizontal", 1.0, direction="up")
+    land, landings = integrate._land, []
+
+    def spied(leg, seg, scan):
+        out = land(leg, seg, scan)
+        landings.append(out[0] is seg and out[1] is scan)
+        return out
+    monkeypatch.setattr(integrate, "_land", spied)
+    hit, traj = flow_to_section_traj(band, (-0.1, 0.0), roof, cfg)
+    assert landings == [True]
+    monkeypatch.setattr(BandField, "kinks", ())
+    plain_hit, plain = flow_to_section_traj(band, (-0.1, 0.0), roof, cfg)
+    assert landings == [True]
+    assert (hit.t, hit.point.tolist()) == (plain_hit.t, plain_hit.point.tolist())
+    assert traj.t.tobytes() == plain.t.tobytes()
+    assert traj.points.tobytes() == plain.points.tobytes()

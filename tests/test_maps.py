@@ -1,5 +1,9 @@
 """Transition maps across the smoothing layer and their scaling laws."""
 
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from pytest import approx, raises
@@ -23,6 +27,7 @@ from regtang import (
     tangency_curve_psi,
     upper_transition_map,
 )
+from regtang.maps import fit_line
 from regtang.scenarios import canonical_system
 
 
@@ -112,8 +117,7 @@ def test_exact_case_upper_map_value():
     res = upper_transition_map(sys, cfg, eps, 2.0 * eps)
     y_theta = 0.3**2 / 2
     assert res.y_out == approx(y_theta - x_eps**2 / 2 + eps, abs=1e-8)
-    assert res.departure[0] == approx(x_eps, rel=1e-3)
-    assert res.departure[1] == approx(1.0)
+    assert res.x_departure == approx(x_eps, rel=1e-3)
 
 
 def test_upper_map_at_small_eps_finds_the_dip_below_the_roof():
@@ -123,7 +127,7 @@ def test_upper_map_at_small_eps_finds_the_dip_below_the_roof():
     cfg = TransitionConfig(k=1, n=2)
     eps = 1e-5
     res = upper_transition_map(sys, cfg, eps, predicted_upper_boundary(sys, cfg, eps))
-    x_dep = res.departure[0]
+    x_dep = res.x_departure
     assert res.y_out == approx(0.3**2 / 2 - x_dep**2 / 2 + eps, abs=1e-8)
 
 
@@ -228,6 +232,60 @@ def test_fit_scaling_needs_enough_points():
         fit_scaling([1e-3, 1e-2, 1e-1], [1.0, 2.0, 3.0])
     with raises(ConditionViolated):
         fit_scaling(np.linspace(1e-3, 2e-3, 7), np.ones(7))  # narrow span
+
+
+def _exact_line(x, y):
+    """The least-squares line through the float points, in exact arithmetic:
+    (slope, intercept, mean x, mean y)."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - x_bar) * (b - y_bar) for a, b in zip(xs, ys))
+             / sum((a - x_bar) ** 2 for a in xs))
+    return slope, y_bar - slope * x_bar, x_bar, y_bar
+
+
+def test_fit_line_is_the_exact_least_squares_line_to_rounding():
+    # fixed log-log data: 3 to 12 points of a noisy power law over up to 13
+    # decades; the slope to 1e-15 relative, the intercept to 1e-15 of the
+    # terms it is the difference of
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        x = sorted(math.log(10.0 ** rng.uniform(-14.0, -1.0)) for _ in range(n))
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+        y = [a * v + b + rng.gauss(0.0, 0.05) for v in x]
+        slope, intercept, r2 = fit_line(x, y)
+        s, i, x_bar, y_bar = _exact_line(x, y)
+        assert abs(Fraction(slope) - s) <= 1e-15 * abs(s)
+        assert abs(Fraction(intercept) - i) <= 1e-15 * (abs(y_bar) + abs(s * x_bar))
+        assert 0.0 < r2 <= 1.0
+
+
+def test_mirror_fixed_point_is_the_cubic_through_the_midpoints_at_zero(monkeypatch):
+    # a scalar mirror map in place of the legs: Neville's table gives the
+    # exact Lagrange cubic's value at d = 0 to within one ulp of each
+    # weighted midpoint (the weights -1/21, 2/3, -8/3, 64/21 at d, d/2, d/4,
+    # d/8 sum to 135/21 in magnitude); it is off by under 1 ulp of psi here,
+    # a least-squares polyfit by 12 to 14
+    from regtang import maps
+
+    psi = 0.1
+    monkeypatch.setattr(maps, "tangency_curve_psi", lambda *args: psi)
+    monkeypatch.setattr(maps, "mirror_map", lambda system, config, eps, x, psi: (
+        -x + 2.0 * psi + 0.3 * (x - psi) ** 2 + 5.0 * (x - psi) ** 3 - 40.0 * (x - psi) ** 5))
+    for delta in (1e-3, 5e-4, 0.07):
+        out = maps.mirror_fixed_point(None, None, 1e-3, delta=delta)
+        ds, mids = out["deltas"], out["midpoints"]
+        assert ds == [delta, delta / 2, delta / 4, delta / 8]
+        exact = Fraction(0)
+        for i, (di, mi) in enumerate(zip(ds, mids)):
+            w = Fraction(1)
+            for j, dj in enumerate(ds):
+                if j != i:
+                    w *= Fraction(dj) / (Fraction(dj) - Fraction(di))
+            exact += w * Fraction(mi)
+        assert abs(Fraction(out["fixed_point"]) - exact) <= 2.0 ** -52 * 135 / 21 * psi
+        assert out["gap"] == abs(out["fixed_point"] - psi)
 
 
 def test_scaling_fit_serializes():

@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
-from pytest import approx, raises
+from pytest import approx
 
 from regtang import Poly1, Poly2
-from regtang.polys import compile_kernel
+from regtang.polys import cached_kernel
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
 
 
 def p1(coeffs):
     return Poly1([Fraction(c) for c in coeffs])
+
+
+def _compile(args, body):
+    """``def _kernel(args): body``, memoized on its source."""
+    return cached_kernel(("test", args, tuple(body)), lambda: (args, body))
 
 
 def test_eval_exact_matches_float_call():
@@ -37,19 +42,6 @@ def test_monomial_degree_valuation():
     assert m.eval_exact(2) == 112
     assert p1([0, 0, 3, 1]).valuation() == 2
     assert Poly1([Fraction(0)]).is_zero()
-
-
-def test_shift_is_composition():
-    p = p1([1, 2, 3])
-    s = p.shift(Fraction(1))  # x -> x + 1
-    assert s.eval_exact(Fraction(0)) == p.eval_exact(Fraction(1))
-    assert s.eval_exact(Fraction(-1)) == p.eval_exact(Fraction(0))
-
-
-def test_shift_down_strips_low_monomials():
-    p = Poly1.monomial(5, Fraction(3)) + Poly1.monomial(3, Fraction(1))
-    q = p.shift_down(3)
-    assert q.eval_exact(Fraction(2)) == 3 * 4 + 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -90,12 +82,6 @@ def test_poly2_at_y0_and_lift():
     assert back == p
 
 
-def test_poly2_divide_out_y():
-    q = Poly2.y() * (Poly2.x() + Poly2.const(2))
-    r = q.divide_out_y()
-    assert r.eval_exact(5, 0) == 7
-
-
 def test_compiled_matches_exact_on_grid():
     q = Poly2.x().pow(3) - Poly2.y() * Poly2.x() + Poly2.const(Fraction(1, 4))
     fn = q.compiled()
@@ -105,6 +91,16 @@ def test_compiled_matches_exact_on_grid():
 
 
 # -- generated float kernels ----------------------------------------------------
+
+def test_equal_polynomials_share_one_kernel_and_build_no_source(monkeypatch):
+    # the kernel is memoized on the polynomial: an equal one built anew gets
+    # the same function without generating its statements again
+    q = Poly2.x().pow(2) * Poly2.y() + Poly2.const(Fraction(1, 3))
+    fn = q.compiled()
+    twin = Poly2.y() * Poly2.x().pow(2) + Poly2.const(Fraction(1, 3))
+    monkeypatch.setattr(Poly2, "float_form", None)  # a build would fail
+    assert twin.compiled() is fn
+
 
 def _old_horner(p, x):
     acc = 0.0
@@ -183,8 +179,8 @@ def test_poly1_horner_matches_call(coeffs, x):
     p = Poly1(coeffs)
     lines, expr = p.horner("s", "h")
     assert lines == []
-    fn = compile_kernel("s", [f"return {expr}"])
-    ref = compile_kernel("s", _horner_lines(p, "s", "P") + ["return P"])
+    fn = _compile("s", [f"return {expr}"])
+    ref = _compile("s", _horner_lines(p, "s", "P") + ["return P"])
     assert struct.pack("<d", fn(x)) == struct.pack("<d", ref(x))
     assert fn(x) == p(x)
 
@@ -212,7 +208,7 @@ def test_a_long_horner_chain_is_split_into_statements_bit_for_bit():
     lines, expr = p.horner("s", "h")
     assert len(lines) == 2 and all(line.startswith("h = ") for line in lines)
     assert max(part.count("*s") for part in lines + [expr]) <= HORNER_STEPS
-    fn = compile_kernel("s", lines + [f"return {expr}"])
+    fn = _compile("s", lines + [f"return {expr}"])
     for x in [rng.uniform(-1.05, 1.05) for _ in range(2000)] + [0.0, -0.0, 1.0, -1.0]:
         assert struct.pack("<d", fn(x)) == struct.pack("<d", p(x))
 
@@ -222,8 +218,8 @@ def test_kernels_of_different_sources_are_profiled_apart():
     import io
     import pstats
 
-    double = compile_kernel("x", ["return 2.0 * x"])
-    square = compile_kernel("x", ["return x * x"])
+    double = _compile("x", ["return 2.0 * x"])
+    square = _compile("x", ["return x * x"])
     files = {double.__code__.co_filename, square.__code__.co_filename}
     assert len(files) == 2 and all(f.startswith("<regtang kernel ") for f in files)
     profile = cProfile.Profile()

@@ -4,23 +4,27 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from pytest import approx, raises
 
 from regtang import (
     BandField,
     ConditionViolated,
-    IntegratorConfig,
     NonPositiveQuantity,
     RegularizedField,
+    SectionSpec,
     SlowManifold,
     TransientNotDecayed,
     departure_coefficient,
+    flow_to_section_traj,
     phi_family,
     sandwich_exponent,
     slow_manifold_sandwich_check,
 )
+from regtang.maps import fit_line
 from regtang.scenarios import boundary_cycle_system, canonical_system
+from test_phi import Phi_prime
 
 TF1 = phi_family(1)
 
@@ -128,6 +132,30 @@ def test_first_order_expansion_uses_m1():
     eps = 1e-4
     x = -0.25
     assert sm.m(x, eps) == approx(sm.m0(x) + eps * sm.m1(x), abs=1e-15)
+
+
+@pytest.mark.parametrize("k, m, eps_values", [
+    (1, 1, (1e-3, 1e-4, 1e-5)),
+    (1, 3, (1e-3, 1e-4, 1e-5)),
+    (2, 1, (1e-4, 3e-5, 1e-5)),
+])
+def test_slow_manifold_first_order_error_falls_as_eps_squared(k, m, eps_values):
+    # Fenichel: the band orbit from (-0.3, m0 + eps m1) stays within O(eps^2)
+    # of m0 + eps m1, so at x = -0.1 the error over eps^2 keeps within a
+    # factor 1.5 over each range (79.9, 83.8, 84.6 for (1, phi_1); 61.8,
+    # 65.0, 66.5 for (1, phi_3); 2.97e3, 3.15e3, 3.20e3 for (2, phi_1))
+    system, tf = canonical_system(k), phi_family(m)
+    sm = SlowManifold(system, tf)
+    end = SectionSpec("vertical", -0.1)
+    errors = []
+    for eps in eps_values:
+        hit, _ = flow_to_section_traj(BandField(system, tf, eps), (-0.3, sm.m(-0.3, eps)), end)
+        errors.append(abs(float(hit.point[1]) - sm.m(-0.1, eps)))
+    ratios = [e / eps ** 2 for e, eps in zip(errors, eps_values)]
+    slope = fit_line([math.log(eps) for eps in eps_values], [math.log(e) for e in errors])[0]
+    print(f"(k={k}, phi_{m}): error/eps^2 = {', '.join(f'{r:.4g}' for r in ratios)}; "
+          f"fitted slope {slope:.4f}")
+    assert max(ratios) <= 1.5 * min(ratios)
 
 
 def test_departure_coefficient_closed_form():
@@ -281,7 +309,7 @@ def _composed_divergence(system, tf, eps, jump, x, y):
     div_p = (p1.diff_x() + p2.diff_y())(x, y)
     div_m = (m1.diff_x() + m2.diff_y())(x, y)
     base = c * div_p + (1.0 - c) * div_m
-    dphi = tf.Phi_prime(s)
+    dphi = Phi_prime(tf, s)
     if dphi != 0.0:
         vp, vm = system.x_plus.eval(x, y), system.x_minus.eval(x, y)
         base += dphi / (2.0 * eps) * jump(float(vp[0]) - float(vm[0]),

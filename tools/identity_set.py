@@ -11,11 +11,8 @@ solver runs' (``Trajectory.segment``) nfev, njev, nlu and accepted steps,
 counted as ``perfbench/tracing.py``'s ``segment_counts`` counts them.  Run it on two
 checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``: a change that
 keeps every float and every step leaves no difference.  Each case's wall
-seconds go to standard error, outside OUTDIR.
-Only the fits of ``maps.fit_line`` (the ``fit`` and
-``contraction_fit`` fields) depend on the OpenBLAS kernel numpy picks for the
-CPU, through ``lstsq``; compare those from one machine.  Every other byte is
-the same under every kernel (``OPENBLAS_CORETYPE``).
+seconds go to standard error, outside OUTDIR.  No byte depends on the
+OpenBLAS kernel numpy picks for the CPU (``OPENBLAS_CORETYPE``).
 """
 
 from __future__ import annotations
