@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +35,24 @@ CHART_U_MAX = 20.0  # planar_model_crossing gives up at u = CHART_U_MAX
 # scaling constants
 # --------------------------------------------------------------------------
 
+def _bracket(k: int, n: int, alpha: float,
+             tf: Optional[TransitionFunction]) -> Tuple[TransitionFunction, float]:
+    """The profile (``tf``, or phi_{n-1}: ``phi.order_profile``) and its
+    bracket constant, after the checks that every constant of the rescaling
+    makes first: the orders (``departure_weight``), alpha > 0 and the
+    profile's order rule (``phi.phi_bracket_exact``)."""
+    departure_weight(k, n)
+    if not alpha > 0:
+        raise ConditionViolated("alpha must be positive")
+    tf = order_profile(n, tf)
+    return tf, phi_bracket_constant(tf, n)
+
+
 def scaling_constants(k: int, n: int, alpha: float = 1.0,
                       tf: Optional[TransitionFunction] = None) -> dict:
     """c_x, c_y of the polar-chart rescaling and the departure exponent."""
+    _, br = _bracket(k, n, alpha, tf)
     p = departure_weight(k, n)
-    if not alpha > 0:
-        raise ConditionViolated("alpha must be positive")
-    br = phi_bracket_constant(order_profile(n, tf), n)
     c_x = (2.0 / (br * alpha ** (n - 1))) ** (1.0 / p)
     return {
         "c_x": c_x,
@@ -55,16 +66,15 @@ def scaling_constants(k: int, n: int, alpha: float = 1.0,
 def sigma_shift(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0,
                 tf: Optional[TransitionFunction] = None) -> float:
     """Constant s appearing in the planar model: nonzero only when n = 2k-1."""
-    departure_weight(k, n)  # checks the orders
+    c_x = scaling_constants(k, n, alpha, tf)["c_x"]
     if n > 2 * k - 1:
         return 0.0
-    c_x = scaling_constants(k, n, alpha, tf)["c_x"]
     return -theta00 / (alpha * c_x ** n)
 
 
 def sigma_bound(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0) -> float:
     """Lower bound sigma_{n,k} for the departure abscissa eta."""
-    departure_weight(k, n)  # checks the orders
+    _bracket(k, n, alpha, None)  # checks the orders and alpha
     if n > 2 * k - 1:
         return 0.0
     val = theta00 / alpha
@@ -147,9 +157,9 @@ class EquatorialChart:
     """The chart covering the sliding-to-departure passage, coordinates
     (x1, r1, e1): the closed forms of its hyperbolic equilibrium
     (``x1_star``, 0, 0) and of its contraction rate ``lambda1``.  The
-    constructor checks the orders, and the profile's contact order through
-    its bracket constant (``phi.phi_bracket_exact``), which both closed
-    forms read; ``tf`` defaults to phi_{n-1} (``phi.order_profile``).
+    constructor makes the checks of ``scaling_constants`` (``_bracket``) and
+    keeps the profile's bracket constant, which both closed forms read;
+    ``tf`` defaults to phi_{n-1} (``phi.order_profile``).
     """
 
     k: int
@@ -158,11 +168,7 @@ class EquatorialChart:
     tf: Optional[TransitionFunction] = None
 
     def __post_init__(self):
-        departure_weight(self.k, self.n)  # checks the orders
-        if not self.alpha > 0:
-            raise ConditionViolated("alpha must be positive")
-        self.tf = order_profile(self.n, self.tf)
-        self.bracket = phi_bracket_constant(self.tf, self.n)
+        self.tf, self.bracket = _bracket(self.k, self.n, self.alpha, self.tf)
 
     @property
     def x1_star(self) -> float:

@@ -1173,8 +1173,13 @@ def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
 
 # Stepper crossover: a leg whose field has an exact ``jacobian`` runs Radau
 # IIA when its time-scale ratio |d yhat'/d yhat| / eps at the start point is
-# above this (the per-leg table behind it is in CHANGES.md).
-STIFF_RATIO = 1e4
+# above this.  The band legs' start ratios leave a gap: from 2.6e3 up (the
+# departure legs) Radau takes fewer RHS calls and lands nearer the converged
+# value; up to 951 (the map legs at rtol 1e-12) DOP853 takes half the calls
+# and a quarter of the time.  1.5e3 is the gap's geometric middle.  The
+# per-leg table, measured with tools/ladder.py, is CHANGES.md's "stiff
+# crossover" entry.
+STIFF_RATIO = 1.5e3
 
 
 def _stepper(field, p: List[float]):

@@ -148,6 +148,7 @@ def test_every_bracket_constant_keeps_the_order_rule():
     for call in (lambda: departure_prefactor(1, 3, tf=phi_family(1)),
                  lambda: departure_prefactor(2, 5, tf=phi_family(2)),
                  lambda: scaling_constants(1, 3, tf=phi_family(1)),
+                 lambda: sigma_shift(1, 3, tf=phi_family(1)),
                  lambda: departure_coefficient(1, 3, 1.0, phi_family(1)),
                  lambda: EquatorialChart(1, 3, tf=phi_family(1))):
         with raises(ClassMismatch) as info:
@@ -159,6 +160,19 @@ def test_every_bracket_constant_keeps_the_order_rule():
         with raises(ClassMismatch) as info:
             call()
         assert str(info.value) == "phi^{(4)}(1) = 0: profile is flatter than class n=4"
+
+
+def test_every_scaling_constant_rejects_a_nonpositive_alpha():
+    # the shift is 0 past n = 2k - 1 and the bound only reads theta00/alpha,
+    # yet both check alpha as scaling_constants does
+    from regtang import ConditionViolated
+
+    for call in (lambda: scaling_constants(1, 3, alpha=-1.0),
+                 lambda: sigma_shift(1, 3, alpha=-1.0),
+                 lambda: sigma_bound(2, 3, alpha=0.0, theta00=0.5),
+                 lambda: EquatorialChart(2, 3, alpha=0.0)):
+        with raises(ConditionViolated, match="alpha must be positive"):
+            call()
 
 
 def test_crossing_rejects_bad_inputs():

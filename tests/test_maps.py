@@ -51,8 +51,10 @@ def test_transition_config_validation():
 
 # x_eps(1e-4) of (1,2), converged: DOP853 at rtol 1e-10 ... 1e-13 and Radau at
 # 1e-12 and 1e-13 lie within 5.1e-12 of it, their band legs landing on
-# yhat = 1 (``integrate._land``).  The pin is checked at rtol 1e-12, where it
-# is 2.2e-12 off.
+# yhat = 1 (``integrate._land``).  The leg starts at a time-scale ratio of
+# 8.4e3, above ``STIFF_RATIO``, so it runs Radau: 1.1e-12 off the pin at the
+# default tolerance (5.0e-12 on DOP853) and 4.9e-12 off at rtol 1e-12, where
+# the pin is checked (2.2e-12 on DOP853).
 X_EPS_CONVERGED = 0.0024271024584675573
 
 
@@ -375,13 +377,14 @@ def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):
     from regtang import maps
     from regtang.integrate import STIFF_RATIO, _dop853, _stepper
 
-    legs = []
+    legs, ratios = [], []
     inner = maps.flow_to_section_traj
 
-    def recording(field, *args, **kwargs):
-        hit, traj = inner(field, *args, **kwargs)
+    def recording(field, p0, *args, **kwargs):
+        hit, traj = inner(field, p0, *args, **kwargs)
         if isinstance(field, BandField):
             legs.append((field.eps, traj.segments[0]))
+            ratios.append(abs(field.jacobian(*p0)[1][1]) / field.eps)
         return hit, traj
 
     monkeypatch.setattr(maps, "flow_to_section_traj", recording)
@@ -402,3 +405,18 @@ def test_the_stepper_is_chosen_per_leg_from_the_time_scale_ratio(monkeypatch):
     assert abs(poly.jacobian(*start)[1][1]) > STIFF_RATIO * poly.eps
     assert _stepper(poly, start) is not _dop853
     assert _stepper(BandField(sys, tf, 1e-2), start) is _dop853
+
+    # the legs on either side of the switch: the departure leg at
+    # eps = 10**-3.5 runs Radau, at 8,032 nfev on DOP853; the lower-map legs
+    # at rtol 1e-12 that start nearest the switch (eps = 1e-3) and the
+    # departure leg at eps = 1e-3 stay on DOP853
+    legs.clear()
+    ratios.clear()
+    find_x_epsilon(sys, TransitionConfig(1, 2), 10 ** -3.5)
+    assert legs[0][1].njev > 0 and legs[0][1].nfev <= 4000
+    for y_in in (-0.15625e-3, 0.2125e-3):
+        lower_transition_map(sys, tight, 1e-3, y_in)
+    find_x_epsilon(sys, TransitionConfig(1, 2), 1e-3)
+    assert all(seg.njev == 0 for _, seg in legs[1:])
+    assert [round(r) for r in ratios] == [2645, 951, 931, 837]
+    assert max(ratios[1:]) < STIFF_RATIO < ratios[0]

@@ -66,3 +66,22 @@ def test_identity_set_writes_the_same_files_on_every_run(tmp_path):
     assert all(w["legs"] > 0 and w["nfev"] > 0 for w in work.values())
     assert work[os.path.join("scaling-radau", "work.json")]["njev"] > 0
     assert _repo_files() == before
+
+
+def test_ladder_runs_one_leg_on_both_steppers():
+    # at eps = 1e-2 the leg starts far below the switch: unforced it runs
+    # DOP853, and forced onto each stepper every rung lands within a few
+    # rtol of the ladder's converged value
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = json.loads(subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ladder.py"), "--k", "1", "--n", "2",
+         "--eps", "1e-2"], cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        timeout=300).stdout)
+    assert out["stepper"] == "dop853" and 80 < out["start_ratio"] < out["STIFF_RATIO"]
+    assert out["spread"] < 1e-11
+    assert out["dop853"]["default"]["njev"] == 0 < out["radau"]["default"]["njev"]
+    for name in ("dop853", "radau"):
+        assert len(out[name]["x"]) == len(out["rtols"]) == 4
+        assert max(out[name]["rel_dist"]) < 1e-10
+        assert all(out[name]["default"][key] > 0 for key in ("nfev", "steps", "ms"))

@@ -31,7 +31,8 @@ from regtang import cli, integrate
 
 CASES = {
     "scaling": ["scaling", "--eps-decades=-4:-2", "--points", "6"],
-    # its smaller-eps band legs are stiff and run Radau IIA; no other case runs it
+    # every band leg of it is stiff and runs Radau IIA; "scaling" runs Radau at
+    # its two smallest eps only (1e-4 and 2.5e-4)
     "scaling-radau": ["scaling", "--eps-decades=-6:-4", "--points", "6"],
     "upper-map": ["upper-map", "--eps-decades=-3:-2", "--points", "3"],
     # its inflow orbits dip below the roof within one step and between two
