@@ -35,24 +35,29 @@ CHART_U_MAX = 20.0  # planar_model_crossing gives up at u = CHART_U_MAX
 # scaling constants
 # --------------------------------------------------------------------------
 
-def _bracket(k: int, n: int, alpha: float,
-             tf: Optional[TransitionFunction]) -> Tuple[TransitionFunction, float]:
-    """The profile (``tf``, or phi_{n-1}: ``phi.order_profile``) and its
-    bracket constant, after the checks that every constant of the rescaling
-    makes first: the orders (``departure_weight``), alpha > 0 and the
-    profile's order rule (``phi.phi_bracket_exact``)."""
-    departure_weight(k, n)
+def _check_orders(k: int, n: int, alpha: float) -> int:
+    """The checks that every constant of the rescaling makes first, the
+    orders (``departure_weight``) and alpha > 0; returns the weight."""
+    p = departure_weight(k, n)
     if not alpha > 0:
         raise ConditionViolated("alpha must be positive")
+    return p
+
+
+def _bracket(k: int, n: int, alpha: float,
+             tf: Optional[TransitionFunction]) -> Tuple[TransitionFunction, float, int]:
+    """The profile (``tf``, or phi_{n-1}: ``phi.order_profile``), its bracket
+    constant and the weight, after ``_check_orders`` and the profile's order
+    rule (``phi.phi_bracket_exact``)."""
+    p = _check_orders(k, n, alpha)
     tf = order_profile(n, tf)
-    return tf, phi_bracket_constant(tf, n)
+    return tf, phi_bracket_constant(tf, n), p
 
 
 def scaling_constants(k: int, n: int, alpha: float = 1.0,
                       tf: Optional[TransitionFunction] = None) -> dict:
     """c_x, c_y of the polar-chart rescaling and the departure exponent."""
-    _, br = _bracket(k, n, alpha, tf)
-    p = departure_weight(k, n)
+    _, br, p = _bracket(k, n, alpha, tf)
     c_x = (2.0 / (br * alpha ** (n - 1))) ** (1.0 / p)
     return {
         "c_x": c_x,
@@ -63,18 +68,19 @@ def scaling_constants(k: int, n: int, alpha: float = 1.0,
     }
 
 
+def _shift(k: int, n: int, alpha: float, theta00: float, c_x: float) -> float:
+    return 0.0 if n > 2 * k - 1 else -theta00 / (alpha * c_x ** n)
+
+
 def sigma_shift(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0,
                 tf: Optional[TransitionFunction] = None) -> float:
     """Constant s appearing in the planar model: nonzero only when n = 2k-1."""
-    c_x = scaling_constants(k, n, alpha, tf)["c_x"]
-    if n > 2 * k - 1:
-        return 0.0
-    return -theta00 / (alpha * c_x ** n)
+    return _shift(k, n, alpha, theta00, scaling_constants(k, n, alpha, tf)["c_x"])
 
 
 def sigma_bound(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0) -> float:
     """Lower bound sigma_{n,k} for the departure abscissa eta."""
-    _bracket(k, n, alpha, None)  # checks the orders and alpha
+    _check_orders(k, n, alpha)
     if n > 2 * k - 1:
         return 0.0
     val = theta00 / alpha
@@ -135,7 +141,7 @@ def departure_prefactor(k: int, n: int, alpha: float = 1.0,
                         tf: Optional[TransitionFunction] = None) -> dict:
     """eta such that the departure abscissa scales as eta * eps**lambda_star."""
     consts = scaling_constants(k, n, alpha, tf)
-    s = sigma_shift(k, n, alpha, theta00, tf)
+    s = _shift(k, n, alpha, theta00, consts["c_x"])
     crossing = planar_model_crossing(k, n, sigma=s)
     eta = consts["c_x"] * crossing.u_star
     return {
@@ -168,7 +174,7 @@ class EquatorialChart:
     tf: Optional[TransitionFunction] = None
 
     def __post_init__(self):
-        self.tf, self.bracket = _bracket(self.k, self.n, self.alpha, self.tf)
+        self.tf, self.bracket, _ = _bracket(self.k, self.n, self.alpha, self.tf)
 
     @property
     def x1_star(self) -> float:

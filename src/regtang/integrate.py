@@ -1173,12 +1173,18 @@ def _nudge_off_section(rhs: RHS, t0: float, p0: List[float], sec: SectionSpec,
 
 # Stepper crossover: a leg whose field has an exact ``jacobian`` runs Radau
 # IIA when its time-scale ratio |d yhat'/d yhat| / eps at the start point is
-# above this.  The band legs' start ratios leave a gap: from 2.6e3 up (the
-# departure legs) Radau takes fewer RHS calls and lands nearer the converged
-# value; up to 951 (the map legs at rtol 1e-12) DOP853 takes half the calls
-# and a quarter of the time.  1.5e3 is the gap's geometric middle.  The
-# per-leg table, measured with tools/ladder.py, is CHANGES.md's "stiff
-# crossover" entry.
+# above this.  The band legs' start ratios leave a gap: up to 951 (the map
+# legs at rtol 1e-12) DOP853 takes half the RHS calls and a quarter of the
+# time; from 2,645 up (the departure legs) Radau takes fewer RHS calls and
+# lands nearer the converged value.  1.5e3 is the gap's geometric middle.
+# Fewer calls is not less time: a Radau call costs two to three DOP853 calls,
+# so the departure legs near 2.7e3 break even or lose wall time ((2,6) at
+# eps = 1e-4: 5.4 ms on Radau against 3.2 ms on DOP853), and the gain comes
+# from the legs from 8e3 up.  At 3e3 the departure benchmark's wall time is
+# 2.6 % lower, but its (1,2) leg at eps = 10**-3.5 (ratio 2,645) goes back to
+# DOP853 and lands 5.9e-11 off the converged value, where Radau lands 1.0e-12
+# off.  The per-leg table, measured with tools/ladder.py, is CHANGES.md's
+# "stiff crossover" entry.
 STIFF_RATIO = 1.5e3
 
 

@@ -1,20 +1,22 @@
 """Run one departure leg on each stepper down a tolerance ladder.
 
-    PYTHONPATH=src python tools/ladder.py --k K --n N --eps EPS [--lam-frac F]
+    PYTHONPATH=src python tools/ladder.py --k K --n N --eps EPS
 
 The leg is ``find_x_epsilon`` of ``canonical_system(K)`` with
-``TransitionConfig(K, N, lam=F * lambda_star(K, N))`` (F defaults to 0.999,
-as in the benchmark's departure workload): one band leg from the slow set at
-x = -L up to yhat = 1.  Each stepper is forced by setting
+``TransitionConfig(K, N, lam=0.999 * lambda_star(K, N))``, as in the
+benchmark's departure workload: one band leg from the slow set at x = -L up
+to yhat = 1.  Each stepper is forced by setting
 ``integrate.STIFF_RATIO`` in this process, 0 for Radau IIA and ``math.inf``
 for DOP853, and runs at each rtol of RTOLS, with atol = rtol / 100 and
 event_tol = min(rtol, 1e-12).  The first rung is the default tolerance.
 
 It prints one JSON object:
 
-* ``start_ratio``: the leg's time-scale ratio |d yhat'/d yhat| / eps at its
-  start, the number ``integrate._stepper`` compares with ``STIFF_RATIO``;
-* ``stepper``: the stepper the leg runs unforced (``radau`` or ``dop853``);
+* ``start_ratio``: the leg's time-scale ratio |d yhat'/d yhat| / eps at the
+  start point of the leg that ran, the number ``integrate._stepper`` compares
+  with ``STIFF_RATIO``;
+* ``stepper``: the stepper ``integrate._stepper`` picks for that leg unforced
+  (``radau`` or ``dop853``);
 * ``converged``: the mean of both steppers' finest rungs, and ``spread``, the
   range of the four values at the two finest rtols of both steppers,
   relative to it;
@@ -37,7 +39,6 @@ import time
 
 from regtang import IntegratorConfig, TransitionConfig, find_x_epsilon, integrate, maps
 from regtang.maps import lambda_star
-from regtang.regularize import BandField, SlowManifold
 from regtang.scenarios import canonical_system
 
 RTOLS = (1e-10, 1e-11, 1e-12, 1e-13)
@@ -50,18 +51,18 @@ def parse_args(argv):
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--n", type=int, required=True)
     ap.add_argument("--eps", type=float, required=True)
-    ap.add_argument("--lam-frac", type=float, default=0.999)
     return ap.parse_args(argv)
 
 
 def leg(system, config, eps):
-    """x_eps of the departure leg and its solver run's ``Segment``."""
-    segs = []
+    """x_eps of the departure leg, its field, its start point and its solver
+    run's ``Segment``."""
+    runs = []
     inner = maps.flow_to_section_traj
 
-    def recording(*args, **kwargs):
-        hit, traj = inner(*args, **kwargs)
-        segs.append(traj.segment)
+    def recording(field, p0, *args, **kwargs):
+        hit, traj = inner(field, p0, *args, **kwargs)
+        runs.append((field, list(p0), traj.segment))
         return hit, traj
 
     maps.flow_to_section_traj = recording
@@ -69,24 +70,23 @@ def leg(system, config, eps):
         x = find_x_epsilon(system, config, eps)
     finally:
         maps.flow_to_section_traj = inner
-    (seg,) = segs
-    return x, seg
+    (run,) = runs
+    return (x,) + run
 
 
-def ladder(k: int, n: int, eps: float, lam_frac: float = 0.999) -> dict:
+def ladder(k: int, n: int, eps: float) -> dict:
     system = canonical_system(k)
+    lam = 0.999 * lambda_star(k, n)
 
     def config(rtol):
         integ = IntegratorConfig(rtol=rtol, atol=rtol / 100, event_tol=min(rtol, 1e-12))
-        return TransitionConfig(k, n, lam=lam_frac * lambda_star(k, n), integ=integ)
+        return TransitionConfig(k, n, lam=lam, integ=integ)
 
     cfg = config(RTOLS[0])
-    cfg.check_eps(eps)
-    start = (-cfg.L, SlowManifold(system, cfg.tf).m0(-cfg.L))
-    band = BandField(system, cfg.tf, eps)
-    unforced = integrate._stepper(band, list(start))
-    out = {"k": k, "n": n, "eps": eps, "lam_frac": lam_frac,
-           "start_ratio": abs(band.jacobian(*start)[1][1]) / eps,
+    _, field, p0, _ = leg(system, cfg, eps)
+    unforced = integrate._stepper(field, p0)
+    out = {"k": k, "n": n, "eps": eps,
+           "start_ratio": abs(field.jacobian(*p0)[1][1]) / eps,
            "stepper": "dop853" if unforced is integrate._dop853 else "radau",
            "STIFF_RATIO": integrate.STIFF_RATIO, "rtols": list(RTOLS)}
     rungs, default = {}, {}
@@ -98,7 +98,7 @@ def ladder(k: int, n: int, eps: float, lam_frac: float = 0.999) -> dict:
             times = []
             for _ in range(TIMED_RUNS):
                 t0 = time.perf_counter()
-                _, seg = leg(system, cfg, eps)
+                seg = leg(system, cfg, eps)[-1]
                 times.append(time.perf_counter() - t0)
             default[name] = {"nfev": int(seg.nfev), "njev": int(seg.njev), "nlu": int(seg.nlu),
                              "steps": len(seg.t) - 1, "ms": 1e3 * min(times)}
@@ -116,7 +116,7 @@ def ladder(k: int, n: int, eps: float, lam_frac: float = 0.999) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(ladder(args.k, args.n, args.eps, args.lam_frac), indent=1))
+    print(json.dumps(ladder(args.k, args.n, args.eps), indent=1))
     return 0
 
 
