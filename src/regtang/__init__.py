@@ -91,7 +91,6 @@ from .cycles import (
     ReturnInfo,
     find_cycle,
     return_map,
-    cycle_multiplier,
     cycle_analysis,
     loop_period,
     default_bracket,

@@ -95,10 +95,7 @@ def sigma_bound(k: int, n: int, alpha: float = 1.0, theta00: float = 0.0) -> flo
 @dataclass
 class PlanarCrossing:
     u_star: float
-    v0: float
-    u0: float
     v_max: float
-    sigma: float
 
 
 def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
@@ -118,22 +115,16 @@ def planar_model_crossing(k: int, n: int, sigma: float = 0.0,
 
     def rhs(t, v):
         u = u0 + t
-        # np.float64: past the float range v**n is inf, not an OverflowError
-        return [-(u ** (2 * k - 1)) - np.float64(v[0]) ** n + sigma]
+        return [-(u ** (2 * k - 1)) - v[0] ** n + sigma]
 
-    # v starts above zero, so its first crossing of v = 0 is a downward one.
-    # A rejected trial step can take v**n past the float range; the step
-    # control discards it, so the overflow is no news to the caller.
+    # v starts above zero, so its first crossing of v = 0 is a downward one
     level = SectionSpec("vertical", 0.0, direction="down")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            hit, traj = flow_to_section_traj(rhs, (v0,), level,
-                                             replace(CHART_INTEG, max_time=CHART_U_MAX - u0))
-        except (NoCrossing, DomainExit) as exc:
-            raise NoExit(f"no crossing of v = 0 up to u = {CHART_U_MAX:g}: {exc}") from exc
-    u_star = u0 + hit.t
-    v_max = float(np.max(traj.points[:, 0]))
-    return PlanarCrossing(u_star=u_star, v0=v0, u0=u0, v_max=v_max, sigma=sigma)
+    try:
+        hit, traj = flow_to_section_traj(rhs, (v0,), level,
+                                         replace(CHART_INTEG, max_time=CHART_U_MAX - u0))
+    except (NoCrossing, DomainExit) as exc:
+        raise NoExit(f"no crossing of v = 0 up to u = {CHART_U_MAX:g}: {exc}") from exc
+    return PlanarCrossing(u_star=u0 + hit.t, v_max=float(np.max(traj.points[:, 0])))
 
 
 def departure_prefactor(k: int, n: int, alpha: float = 1.0,
@@ -145,11 +136,10 @@ def departure_prefactor(k: int, n: int, alpha: float = 1.0,
     crossing = planar_model_crossing(k, n, sigma=s)
     eta = consts["c_x"] * crossing.u_star
     return {
-        "k": k, "n": n, "sigma": s,
+        "sigma": s,
         "u_star": crossing.u_star,
         "c_x": consts["c_x"],
         "eta": eta,
-        "eta_lower_bound": sigma_bound(k, n, alpha, theta00),
         "lambda_star": consts["lambda_star"],
     }
 

@@ -41,7 +41,7 @@ from .integrate import (
 )
 from .maps import fit_line
 from .phi import TransitionFunction
-from .regularize import RegularizedField
+from .regularize import DivergenceField, RegularizedField
 
 
 MAX_SECANT_ITER = 100     # find_cycle's iterations before NotConverged
@@ -65,7 +65,6 @@ class CycleResult:
     y_star: float
     iterations: int
     residual: float
-    bracket: Tuple[float, float]
 
 
 def find_cycle(return_fn: Callable[[float], float],
@@ -82,9 +81,9 @@ def find_cycle(return_fn: Callable[[float], float],
     fa = return_fn(a) - a
     fb = return_fn(b) - b
     if fa == 0.0:
-        return CycleResult(a, 0, 0.0, (a, b))
+        return CycleResult(a, 0, 0.0)
     if fb == 0.0:
-        return CycleResult(b, 0, 0.0, (a, b))
+        return CycleResult(b, 0, 0.0)
     if fa * fb > 0:
         raise NoBracket(
             f"displacement has the same sign at both ends of [{a:g}, {b:g}] "
@@ -100,7 +99,7 @@ def find_cycle(return_fn: Callable[[float], float],
             x = 0.5 * (lo + hi)
         fx = return_fn(x) - x
         if abs(fx) <= rtol * abs(x):
-            return CycleResult(x, it, fx, (a, b))
+            return CycleResult(x, it, fx)
         if fx * fhi < 0:
             lo, flo = hi, fhi
             side = 0
@@ -113,24 +112,6 @@ def find_cycle(return_fn: Callable[[float], float],
         f"no fixed point to |P(y) - y| <= {rtol:g}|y| within {MAX_SECANT_ITER} "
         f"iterations (last y={x:g})"
     )
-
-
-# --------------------------------------------------------------------------
-# the state that carries the divergence integral
-# --------------------------------------------------------------------------
-
-def _augmented_rhs(field: RegularizedField):
-    """The right-hand side of the state (x, y, divergence integral) under the
-    ``RegularizedField`` ``field``: a call of its ``augmented``, which
-    carries the field's ``augmented_kernel``, so that a DOP853 leg inlines
-    it into its step."""
-    ev = field.augmented
-
-    def rhs(t, p):
-        x, y, w = p
-        return ev(x, y, w)
-    rhs.kernel = field.augmented_kernel
-    return rhs
 
 
 # --------------------------------------------------------------------------
@@ -165,19 +146,18 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
                extra_records: Sequence[SectionSpec] = ()) -> ReturnInfo:
     """One revolution of the smoothed flow, section {x = -rho, y > 0} to itself,
     crossings counted only with x increasing, integrated at ``RETURN_INTEG``.
+    With ``with_divergence`` the leg runs the ``DivergenceField``, whose third
+    state, the divergence integral, gives ``s_integral``.
     """
-    reg = RegularizedField(system, tf, eps)
+    if with_divergence:
+        field, p0 = DivergenceField(system, tf, eps), (-rho, y_in, 0.0)
+    else:
+        field, p0 = RegularizedField(system, tf, eps), (-rho, y_in)
     sec = SectionSpec("vertical", -rho, interval=(0.0, math.inf), direction="up",
                       ident="return")
     counter = SectionSpec("vertical", -rho, ident="anycross")
-    if with_divergence:
-        rhs = _augmented_rhs(reg)
-        p0 = (-rho, y_in, 0.0)
-    else:
-        rhs = reg
-        p0 = (-rho, y_in)
     try:
-        hit, traj = flow_to_section_traj(rhs, p0, sec, RETURN_INTEG,
+        hit, traj = flow_to_section_traj(field, p0, sec, RETURN_INTEG,
                                          record_sections=[counter, *extra_records])
     except (NoCrossing, DomainExit) as exc:
         raise NoReturn(
@@ -194,63 +174,6 @@ def return_map(system: FilippovSystem, tf: TransitionFunction, eps: float,
         trajectory=traj,
         s_integral=float(hit.point[2]) if with_divergence else None,
     )
-
-
-def cycle_multiplier(system: FilippovSystem, tf: TransitionFunction, eps: float,
-                     y_star: float, rho: float = 0.3) -> dict:
-    """Floquet multiplier of the closed orbit through (-rho, y_star), exp of
-    the loop integral of the smoothed field's divergence, and the derivative
-    (magnitude) of the outer-arc map along it, both from one revolution.
-
-    The arc runs on {y = eps} from the departure crossing (upward) to the
-    re-entry crossing (downward); outside the layer the smoothed field equals
-    the upper field, so this is the upper-field part of the cycle's
-    contraction.  The layer portion of the cycle shrinks with eps, hence this
-    factor tends to the upper-field loop rate exp(integral of div over one
-    loop) while the full Floquet multiplier keeps the layer's extra
-    squeezing on top of it.  ``trajectory`` is that revolution, with the
-    divergence integral as its third state.
-    """
-    roof = SectionSpec("horizontal", eps, ident="roof")
-    info = return_map(system, tf, eps, y_star, rho=rho, with_divergence=True,
-                      extra_records=[roof])
-    roofs = [e for e in info.trajectory.events if e.section_id == "roof"]
-    ups = [e for e in roofs if e.direction == "up"]
-    if not ups:
-        raise NoReturn("closed orbit never left the layer through its roof")
-    up = ups[0]
-    downs = [e for e in roofs if e.direction == "down"]
-    if not downs:
-        raise NoReturn("closed orbit never re-entered the layer after departing")
-    later = [e for e in downs if e.t > up.t]
-    if later:
-        dn = later[0]
-        s_arc = float(dn.point[2] - up.point[2])
-        t_arc = float(dn.t - up.t)
-    else:
-        # the revolution starts above the roof (y_star > eps) and re-enters
-        # the layer before it departs: the re-entry after the departure is
-        # that first one, one period later
-        dn = downs[0]
-        s_arc = info.s_integral - float(up.point[2] - dn.point[2])
-        t_arc = info.t_return - float(up.t - dn.t)
-    ev = system.x_plus.eval
-    a = float(ev(up.point[0], up.point[1])[1])
-    b = float(ev(dn.point[0], dn.point[1])[1])
-    value = abs(a / b) * math.exp(s_arc)
-    return {
-        "multiplier": math.exp(info.s_integral),
-        "log_multiplier": info.s_integral,
-        "period": info.t_return,
-        "closure_gap": abs(info.y_out - y_star),
-        "multiplier_arc": value,
-        "log_multiplier_arc": math.log(value),
-        "s_arc": s_arc,
-        "t_arc": t_arc,
-        "x_departure": float(up.point[0]),
-        "x_reentry": float(dn.point[0]),
-        "trajectory": info.trajectory,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -350,22 +273,41 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray,
 
 @dataclass
 class CycleInfo:
+    """The attracting cycle at eps: its fixed point on {x = -rho}, the
+    secant's iterations, its period and Floquet multiplier (exp of the loop
+    integral of the smoothed field's divergence), the Hausdorff distance of
+    its polyline to the reference (None without one), and the outer arc.
+
+    The arc runs on {y = eps} from the departure crossing (upward, at
+    ``x_departure``) to the re-entry crossing (downward, at ``x_reentry``),
+    for the time ``t_arc``, and ``s_arc`` is its divergence integral;
+    ``multiplier_arc`` is the derivative (magnitude) of the outer-arc map
+    along it.  Outside the layer the smoothed field equals the upper field,
+    so this is the upper-field part of the cycle's contraction: the layer
+    portion of the cycle shrinks with eps, hence this factor tends to the
+    upper-field loop rate exp(integral of div over one loop), while the full
+    multiplier keeps the layer's extra squeezing on top of it.
+    """
+
     eps: float
     fixed_point: float
     period: float
     multiplier: float
     log_multiplier: float
     iterations: int
-    arc: dict
-    hausdorff: Optional[float] = None
-    hausdorff_over_eps: Optional[float] = None
+    hausdorff: Optional[float]
+    hausdorff_over_eps: Optional[float]
+    multiplier_arc: float
+    log_multiplier_arc: float
+    s_arc: float
+    t_arc: float
+    x_departure: float
+    x_reentry: float
     polyline: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
-        """Every field but ``arc`` and ``polyline``, then the arc's entries."""
-        row = {f.name: getattr(self, f.name) for f in dc_fields(self)
-               if f.name not in ("arc", "polyline")}
-        return {**row, **self.arc}
+        """Every field but ``polyline``."""
+        return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "polyline"}
 
 
 def default_bracket(system: FilippovSystem, eps: float, rho: float) -> Tuple[float, float]:
@@ -383,28 +325,53 @@ def cycle_analysis(system: FilippovSystem, tf: TransitionFunction, eps: float,
                    rho: float = 0.3,
                    reference: Optional[np.ndarray] = None) -> CycleInfo:
     """Locate the attracting cycle of the smoothed system on {x = -rho, y > 0}
-    inside ``default_bracket``, compute its period and multiplier, and
-    (optionally) its Hausdorff distance to a reference polyline, all on the
-    one revolution ``cycle_multiplier`` integrates."""
+    inside ``default_bracket``, and compute its period, its multipliers and
+    (optionally) its Hausdorff distance to a reference polyline, all on one
+    revolution from the fixed point that carries the divergence integral
+    (``CycleInfo``)."""
     def ret(y: float) -> float:
         return return_map(system, tf, eps, y, rho=rho).y_out
 
     res = find_cycle(ret, default_bracket(system, eps, rho))
-    mult = cycle_multiplier(system, tf, eps, res.y_star, rho=rho)
-    arc = {k: mult[k] for k in ("multiplier_arc", "log_multiplier_arc", "s_arc",
-                                "t_arc", "x_departure", "x_reentry")}
-    info = CycleInfo(
-        eps=eps, fixed_point=res.y_star, period=mult["period"],
-        multiplier=mult["multiplier"], log_multiplier=mult["log_multiplier"],
-        iterations=res.iterations, arc=arc,
-    )
+    roof = SectionSpec("horizontal", eps, ident="roof")
+    info = return_map(system, tf, eps, res.y_star, rho=rho, with_divergence=True,
+                      extra_records=[roof])
+    roofs = [e for e in info.trajectory.events if e.section_id == "roof"]
+    ups = [e for e in roofs if e.direction == "up"]
+    if not ups:
+        raise NoReturn("closed orbit never left the layer through its roof")
+    up = ups[0]
+    downs = [e for e in roofs if e.direction == "down"]
+    if not downs:
+        raise NoReturn("closed orbit never re-entered the layer after departing")
+    later = [e for e in downs if e.t > up.t]
+    if later:
+        dn = later[0]
+        s_arc = float(dn.point[2] - up.point[2])
+        t_arc = float(dn.t - up.t)
+    else:
+        # the revolution starts above the roof (y_star > eps) and re-enters
+        # the layer before it departs: the re-entry after the departure is
+        # that first one, one period later
+        dn = downs[0]
+        s_arc = info.s_integral - float(up.point[2] - dn.point[2])
+        t_arc = info.t_return - float(up.t - dn.t)
+    ev = system.x_plus.eval
+    a = float(ev(up.point[0], up.point[1])[1])
+    b = float(ev(dn.point[0], dn.point[1])[1])
+    arc = abs(a / b) * math.exp(s_arc)
+    polyline = hausdorff = None
     if reference is not None:
         n = max(2000, int(12.0 / POLYLINE_SPACING))
-        pts = sample_dense(mult["trajectory"], n)[:, :2]
-        info.polyline = pts
-        info.hausdorff = hausdorff_distance(pts, reference, POLYLINE_SPACING)
-        info.hausdorff_over_eps = info.hausdorff / eps
-    return info
+        polyline = sample_dense(info.trajectory, n)[:, :2]
+        hausdorff = hausdorff_distance(polyline, reference, POLYLINE_SPACING)
+    return CycleInfo(
+        eps=eps, fixed_point=res.y_star, period=info.t_return,
+        multiplier=math.exp(info.s_integral), log_multiplier=info.s_integral,
+        iterations=res.iterations, hausdorff=hausdorff,
+        hausdorff_over_eps=None if hausdorff is None else hausdorff / eps,
+        multiplier_arc=arc, log_multiplier_arc=math.log(arc), s_arc=s_arc, t_arc=t_arc,
+        x_departure=float(up.point[0]), x_reentry=float(dn.point[0]), polyline=polyline)
 
 
 def unique_root_scan(return_fn: Callable[[float], float],
@@ -472,10 +439,4 @@ def grazing_exponent_fit(system: FilippovSystem, eps: float, psi: float,
         gaps.append(abs(gap))
         signs.append(math.copysign(1.0, gap))
     exponent, intercept, r2 = fit_line(np.log(ds), np.log(gaps))
-    return {
-        "exponent": exponent,
-        "kappa": signs[0] * math.exp(intercept),
-        "r2": r2,
-        "base": base,
-        "n_offsets": len(ds),
-    }
+    return {"exponent": exponent, "kappa": signs[0] * math.exp(intercept), "r2": r2}

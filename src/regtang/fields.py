@@ -26,7 +26,8 @@ class PlanarField:
     memoized on them (``polys.cached_kernel``), so an equal field builds no
     source; it returns the tuple ``(u, v)`` of Python floats.  ``kernel`` is
     ``(eval, ())``, the kernel and the arguments it takes before the state,
-    which a DOP853 leg inlines into its step.
+    which a leg inlines into its step.  A field is its own right-hand side:
+    ``field(t, p)`` is ``field.eval(*p)``.
     """
 
     poly_form: Tuple[Poly2, Poly2]
@@ -38,6 +39,9 @@ class PlanarField:
                             + [f"return ({form['u']}, {form['v']})"])
         self.eval = cached_kernel(("field", self.poly_form), build)
         self.kernel = (self.eval, ())
+
+    def __call__(self, t: float, p) -> Tuple[float, float]:
+        return self.eval(*p)
 
     def divergence(self) -> Callable[[float, float], float]:
         """The exact divergence as a float kernel."""

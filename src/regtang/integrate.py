@@ -22,12 +22,12 @@ norm bound, or at the span's end:
 
 Every right-hand side (``RHS``) takes ``(t, y)``, the state a list of Python
 floats, and returns a sequence of floats that the steppers use as it is; the
-fields' generated kernels return a tuple.  A field's RHS (``_as_rhs``) calls
-its ``eval`` and carries its generated ``kernel``, which both steppers inline
-(``_inliner``) into each stage of their generated loops: a wrap of ``eval``
-on the field's class sees only the calls made outside those stages (the
-run's start, each accepted Radau step's end and a rejected one's error, the
-scan's rates and the RK4 nudge), and ``Segment.nfev`` counts every
+fields' generated kernels return a tuple.  A field is its own RHS: its call
+runs its ``eval``, and it carries its generated ``kernel``, which both
+steppers inline (``_inliner``) into each stage of their generated loops: a
+wrap of ``eval`` on the field's class sees only the calls made outside those
+stages (the run's start, each accepted Radau step's end and a rejected one's
+error, the scan's rates and the RK4 nudge), and ``Segment.nfev`` counts every
 evaluation.
 
 A leg is one run: ``flow`` and ``flow_to_section_traj`` return a
@@ -282,23 +282,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def _as_rhs(field) -> RHS:
-    """The right-hand side of ``field``: a plain callable as it is, else a
-    call of its ``eval``, which carries the field's generated ``kernel``
-    (``fn``, ``lead``), if it has one, for ``_dop853`` and ``_radau`` to
-    inline (``_fused``)."""
-    if not hasattr(field, "eval"):  # already a right-hand side
-        return field
-    ev = field.eval
-
-    def rhs(t: float, p: List[float]) -> Sequence[float]:
-        x, y = p  # Python floats: the kernels' math stays off np.float64
-        return ev(x, y)
-
-    rhs.kernel = getattr(field, "kernel", None)
-    return rhs
 
 
 def _classify(sec: SectionSpec, t: float, p: np.ndarray, rate: float,
@@ -633,7 +616,7 @@ def _inliner(n: int, source: Optional[Source]):
     arguments are those first ones, and ``bind`` assigns each the body reads
     to its name.  A stage is then the kernel's own statements: those of its
     state arguments the body reads bound by assignment (the divergence
-    integral's state ``w`` of an augmented kernel is not), its return tuple
+    integral ``w`` of a ``DivergenceField`` is not), its return tuple
     assigned to the targets.  The steppers' own names start with ``_``,
     which no kernel generator uses.
     """
@@ -662,8 +645,8 @@ def _inliner(n: int, source: Optional[Source]):
 
 def _fused(rhs: RHS, generate: Callable[[Optional[Source]], Callable]) -> Callable:
     """The generated stepper function ``generate(source)`` with its lead
-    arguments bound: the kernel's own and its ``source`` when ``rhs``
-    carries its field's ``kernel`` (``_as_rhs``), else ``rhs`` itself."""
+    arguments bound: the kernel's own and its ``source`` when ``rhs`` is a
+    field that carries a generated ``kernel``, else ``rhs`` itself."""
     kernel = getattr(rhs, "kernel", None)
     if kernel is None:
         return partial(generate(None), rhs)
@@ -900,7 +883,7 @@ def _dop853(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
     ``rk_step``, ``_estimate_error_norm``, ``_dense_output_impl`` and step
     control in one summation order on every machine, with ``solve_ivp`` as
     its accuracy oracle.  ``rhs`` receives the state as a list of Python
-    floats.  An ``rhs`` that carries its field's ``kernel`` (``_as_rhs``) is
+    floats.  An ``rhs`` that carries a generated ``kernel`` (a field) has it
     inlined in each stage, which then makes no call; ``rhs`` itself serves
     the start and the scan.  The inputs are checked and the first step
     chosen as scipy does (``_start``).
@@ -1111,9 +1094,9 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
     is the closed-form inverse of the real and the complex 2x2 matrix
     (``_inverse2``, two "LU" per factorization in ``nlu``) and every
     operation runs on Python floats.  Bit-identity with scipy's ``Radau`` is
-    not sought.  An ``rhs`` that carries its field's ``kernel``
-    (``_as_rhs``) is inlined in each stage evaluation of the Newton
-    iteration, which then makes no call; ``rhs`` itself serves the start,
+    not sought.  An ``rhs`` that carries a generated ``kernel`` (a field)
+    has it inlined in each stage evaluation of the Newton iteration, which
+    then makes no call; ``rhs`` itself serves the start,
     each accepted step's end and a rejected step's error estimate.
     Each step keeps its collocation polynomial as dense output, which also
     predicts the next step's stages.  The inputs are checked and the first
@@ -1142,9 +1125,8 @@ def flow(
     if not (math.isfinite(t_span[0]) and math.isfinite(t_span[1])):
         raise ConditionViolated(f"t_span must be finite (got {tuple(t_span)!r})")
     config = config or IntegratorConfig()
-    rhs = _as_rhs(field)
-    scan = _Scan(rhs, math.sqrt(config.event_tol), sections)
-    seg = _dop853(rhs, t_span, np.asarray(p0, dtype=float).tolist(), config, scan)
+    scan = _Scan(field, math.sqrt(config.event_tol), sections)
+    seg = _dop853(field, t_span, np.asarray(p0, dtype=float).tolist(), config, scan)
     events = sorted(scan.events, key=lambda ev: ev.t, reverse=t_span[1] < t_span[0])
     return Trajectory(seg, events)
 
@@ -1248,7 +1230,6 @@ def flow_to_section_traj(
     if t_direction not in ("forward", "backward"):
         raise ValueError(f"unknown t_direction {t_direction!r}")
     config = config or IntegratorConfig()
-    rhs = _as_rhs(field)
     forward = t_direction == "forward"
     band = math.sqrt(config.event_tol)
 
@@ -1257,14 +1238,14 @@ def flow_to_section_traj(
     # Starting on the target section: the degenerate t=0 "crossing" is not the
     # one asked for; step off the section before the run starts.
     if abs(section.residual(p)) <= 10 * config.event_tol:
-        t0, p = _nudge_off_section(rhs, t0, p, section, config, forward)
+        t0, p = _nudge_off_section(field, t0, p, section, config, forward)
     remaining = max(config.max_time - abs(t0), 0.0)
     t_end = t0 + (remaining if forward else -remaining)
     stepper = _stepper(field, p)
 
     def leg(t_span, y0):
-        scan = _Scan(rhs, band, record_sections, section)
-        return stepper(rhs, t_span, y0, config, scan), scan
+        scan = _Scan(field, band, record_sections, section)
+        return stepper(field, t_span, y0, config, scan), scan
 
     seg, scan = leg((t0, t_end), p)
     if (scan.hit is not None and section.kind == "horizontal"

@@ -6,10 +6,11 @@ The switching layer ``|h| <= eps`` is replaced by the convex combination
 
 with ``Phi`` the saturated extension of a monotone odd bridge ``phi``
 (``RegularizedField``).  The module also carries the band (fast-variable)
-form of the flow used inside the layer (``BandField``), which shares the
-field's set-up and ``eval`` (``_Smoothed``), and the slow-manifold expansion
-``m(x, eps) = m0(x) + eps*m1(x)`` of its attracting critical set.  Each
-field runs kernels generated from the exact coefficients: the field, the
+form of the flow used inside the layer (``BandField``) and the field on a
+state that carries its divergence integral (``DivergenceField``), which share
+the field's set-up, ``eval`` and call (``_Smoothed``), and the slow-manifold
+expansion ``m(x, eps) = m0(x) + eps*m1(x)`` of its attracting critical set.
+Each field runs kernels generated from the exact coefficients: the field, the
 band Jacobian, and the field with its divergence.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -192,15 +192,16 @@ def _require_vertical(system: FilippovSystem):
 
 @dataclass
 class _Smoothed:
-    """What both forms of the smoothed field share: the checks, the kernel
-    and ``eval``.  ``eval`` runs a kernel generated from system and tf
-    (``_mix_kernel``), which takes eps as its first argument, so the fields
-    of one system and tf share it at every eps; ``kernel`` is that kernel
-    with its eps, ``(fn, (eps,))``.  A DOP853 leg inlines the kernel into its
-    loop (``integrate._dop853_loop``), so a wrap of ``eval`` on a field's
-    class sees only the calls made outside the step's stages, such as the
-    run's start and the scan's rates.  The two forms stay separate classes,
-    which tell their legs apart."""
+    """What every form of the smoothed field shares: the checks, the kernel,
+    ``eval`` and the call.  ``eval`` runs a kernel generated from system and
+    tf (``_mix_kernel``), which takes eps as its first argument, so the
+    fields of one system and tf share it at every eps; ``kernel`` is that
+    kernel with its eps, ``(fn, (eps,))``.  A field is its own right-hand
+    side: ``field(t, p)`` is ``field.eval(*p)``.  A leg inlines the kernel
+    into its loop (``integrate._dop853_loop``, ``integrate._radau_loop``), so
+    a wrap of ``eval`` on a field's class sees only the calls made outside
+    the step's stages, such as the run's start and the scan's rates.  The
+    forms stay separate classes, which tell their legs apart."""
 
     system: FilippovSystem
     tf: TransitionFunction
@@ -218,6 +219,9 @@ class _Smoothed:
         if self.band:
             self._jac = _band_jacobian_kernel(self.system, self.tf)
 
+    def __call__(self, t: float, p) -> Tuple[float, ...]:
+        return self.eval(*p)
+
     def eval(self, x: float, y: float) -> Tuple[float, float]:
         return self._rhs(self._eps, x, y)
 
@@ -225,27 +229,29 @@ class _Smoothed:
 @dataclass
 class RegularizedField(_Smoothed):
     """Smooth field agreeing with X_plus above the band and X_minus below,
-    in the original variables (x, y).
-
-    A second kernel, built on first use, gives the field and its divergence
-    in one (``_augmented_kernel``): ``augmented(x, y, w)`` runs it,
-    ``augmented_kernel`` is it with its eps, for a DOP853 leg to inline, and
-    ``divergence()`` returns its divergence alone.
-    """
+    in the original variables (x, y).  ``divergence()`` returns its
+    divergence, from the kernel of ``DivergenceField``."""
 
     def divergence(self) -> Callable[[float, float], float]:
-        fn, (eps,) = self.augmented_kernel
+        fn, eps = _augmented_kernel(self.system, self.tf), self._eps
         return lambda x, y: fn(eps, x, y, 0.0)[2]
 
-    @cached_property
-    def augmented_kernel(self):
-        """The kernel of the field with its divergence, ``(fn, (eps,))``,
-        ``fn(eps, x, y, w) -> (u, v, div)`` (``_augmented_kernel``)."""
-        return _augmented_kernel(self.system, self.tf), (self._eps,)
 
-    def augmented(self, x: float, y: float, w: float) -> Tuple[float, float, float]:
-        fn, lead = self.augmented_kernel
-        return fn(*lead, x, y, w)
+@dataclass
+class DivergenceField(RegularizedField):
+    """The regularized field on the state (x, y, w) that carries the
+    integral w of its divergence along the orbit: ``eval(x, y, w)`` returns
+    ``(u, v, div)``, and ``kernel`` is ``_augmented_kernel``, which reads no
+    w, with its eps.  A subclass, so that its legs are regularized-field
+    legs to whatever tells legs apart by class (``perfbench/tracing.py``)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._rhs = _augmented_kernel(self.system, self.tf)
+        self.kernel = (self._rhs, (self._eps,))
+
+    def eval(self, x: float, y: float, w: float) -> Tuple[float, float, float]:
+        return self._rhs(self._eps, x, y, w)
 
 
 @dataclass
@@ -359,16 +365,8 @@ class SandwichReport:
     m1: np.ndarray
     proxy: np.ndarray
     lower: np.ndarray
-    holds: np.ndarray
-    upper_ok: np.ndarray
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(np.all(self.holds))
-
-    @property
-    def upper_all_hold(self) -> bool:
-        return bool(np.all(self.upper_ok))
+    all_hold: bool        # the left inequality at every grid point
+    upper_all_hold: bool  # the right one at every grid point
 
 
 def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,
@@ -416,4 +414,5 @@ def slow_manifold_sandwich_check(band: BandField, k: int, n: int, L: float,
     K_min = max(0.0, float(np.max((m0g - proxy) * np.abs(grid) ** p / eps)))
     return SandwichReport(eps=eps, lam=lam, exponent=p, K=K, K_min=K_min,
                           x=grid, m0=m0g, m1=m1g, proxy=proxy, lower=lower,
-                          holds=lower <= proxy, upper_ok=proxy <= m0g)
+                          all_hold=bool(np.all(lower <= proxy)),
+                          upper_all_hold=bool(np.all(proxy <= m0g)))

@@ -27,7 +27,6 @@ from regtang.integrate import (
     NORM_GUARD,
     SCAN_SUBDIV,
     Segment,
-    _as_rhs,
     _dop853,
     _dop853_eval,
     _loop_source,
@@ -42,10 +41,14 @@ from regtang.polys import cached_kernel
 
 
 class fld:
-    """Wrap a (x, y) -> (dx, dy) callable in the field protocol."""
+    """Wrap a (x, y) -> (dx, dy) callable in the field protocol: ``eval``,
+    and the call ``(t, p)`` of a right-hand side, which carries no kernel."""
 
     def __init__(self, fn):
         self.fn = fn
+
+    def __call__(self, t, p):
+        return self.eval(*p)
 
     def eval(self, x, y):
         return np.asarray(self.fn(x, y), dtype=float)
@@ -65,7 +68,7 @@ def _scan_grid(seg):
 def _target_scan(sec, cfg):
     """A scan of a run of ``rotation`` whose target is ``sec``, as a leg to
     ``sec`` runs it."""
-    return _Scan(_as_rhs(rotation), math.sqrt(cfg.event_tol), target=sec)
+    return _Scan(rotation, math.sqrt(cfg.event_tol), target=sec)
 
 
 # --------------------------------------------------------------------------
@@ -633,7 +636,7 @@ def _assert_matches_solve_ivp(field, t_span, y0, cfg, target):
     """Run ``_dop853`` to ``target`` (a section, or None) and solve_ivp with
     it as a terminal event on the same inputs, and compare them
     (``_assert_close``).  Returns the ``_dop853`` segment and stop."""
-    rhs = _as_rhs(field)
+    rhs = field
     y0 = np.asarray(y0, dtype=float)
     seg, stop = _target_run(rhs, t_span, y0, cfg, target)
     ref = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cfg.rtol,
@@ -669,7 +672,7 @@ def test_driver_matches_solve_ivp_when_the_guard_fires():
     # the run raises at the end of the step that leaves the norm bound: the
     # full step of solve_ivp's that holds the bound's root, a guard event
     cfg = IntegratorConfig(max_time=100.0)
-    rhs = _as_rhs(GROWTH)
+    rhs = GROWTH
     with raises(DomainExit) as info:
         _target_run(rhs, (0.0, 100.0), np.ones(2), cfg, SectionSpec("vertical", -5.0))
     guard = _terminal(lambda p: max(abs(p)) - NORM_GUARD)
@@ -699,10 +702,10 @@ def test_driver_matches_solve_ivp_on_a_root_at_the_previous_step_end():
     # step end, which is not repeated.  The level is the run's own state,
     # so solve_ivp's run, which differs at rounding level, is no reference.
     cfg = IntegratorConfig()
-    free = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg)
+    free = _dop853(rotation, (0.0, 6.0), np.array([1.0, 0.0]), cfg)
     k = 3
     level = np.nextafter(free.y[1, k], np.inf)  # y = sin t is rising here
-    seg, stop = _target_run(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), cfg,
+    seg, stop = _target_run(rotation, (0.0, 6.0), np.array([1.0, 0.0]), cfg,
                             SectionSpec("horizontal", level))
     assert stop[0] == 0 and stop[1] == free.t[k]
     assert np.array_equal(stop[2], free.y[:, k])
@@ -714,7 +717,7 @@ def test_driver_turning_upward_roots_down_matches_a_directed_solve_ivp_event():
     # crossings: that is solve_ivp with the section as a terminal event of
     # direction -1, and the leg's one segment is the ``_dop853`` run
     cfg = IntegratorConfig()
-    rhs = _as_rhs(rotation)
+    rhs = rotation
     y0 = np.array([1.0, 0.0])
     sec = SectionSpec("horizontal", 0.5, direction="down")
     directed = _terminal(sec.residual)
@@ -769,7 +772,7 @@ def test_batched_dense_equals_pointwise_and_tracks_ode_solution(data, forward, l
     cfg = IntegratorConfig()
     span = (0.0, 8.0) if forward else (0.0, -8.0)
     target = None if level is None else SectionSpec("horizontal", level)
-    rhs = _as_rhs(fld(lambda x, y: (-y + 0.1 * x * y, x)))
+    rhs = fld(lambda x, y: (-y + 0.1 * x * y, x))
     y0 = np.array([1.0, 0.0])
     seg, stop = _target_run(rhs, span, y0, cfg, target)
     ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
@@ -973,7 +976,7 @@ def test_radau_batched_dense_equals_the_scalar_interpolant(forward, level):
     cfg = IntegratorConfig(rtol=1e-8)
     span = (0.0, 8.0) if forward else (0.0, -8.0)
     scan = None if level is None else _target_scan(SectionSpec("horizontal", level), cfg)
-    seg = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, scan, jac=_rotation_jac)
+    seg = _radau(rotation, span, np.array([1.0, 0.0]), cfg, scan, jac=_rotation_jac)
     assert seg.horner is _radau_eval
     grid = _scan_grid(seg)
     got = seg.dense(grid)
@@ -996,9 +999,9 @@ def test_radau_stops_as_dop853_does():
     # integrated to rounding and the steps grow tenfold, the last from
     # |t| ~ 11 to 100
     for span, level in (((0.0, 100.0), 30.0), ((0.0, -100.0), -30.0)):
-        scan = _Scan(_as_rhs(line), math.sqrt(cfg.event_tol),
+        scan = _Scan(line, math.sqrt(cfg.event_tol),
                      target=SectionSpec("vertical", level))
-        seg = _radau(_as_rhs(line), span, np.zeros(2), cfg, scan, jac=zero)
+        seg = _radau(line, span, np.zeros(2), cfg, scan, jac=zero)
         lo, hi = _last_step(seg)
         assert lo < level < hi
         assert scan.hit.t == approx(level, abs=1e-12)
@@ -1008,16 +1011,16 @@ def test_radau_stops_as_dop853_does():
     sec = SectionSpec("horizontal", 0.5, direction="down")
     for span, t_down in (((0.0, 1e6), 5 * np.pi / 6), ((0.0, -1e6), -11 * np.pi / 6)):
         scan, ref_scan = _target_scan(sec, cfg), _target_scan(sec, cfg)
-        seg = _radau(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, scan,
+        seg = _radau(rotation, span, np.array([1.0, 0.0]), cfg, scan,
                      jac=_rotation_jac)
-        ref = _dop853(_as_rhs(rotation), span, np.array([1.0, 0.0]), cfg, ref_scan)
+        ref = _dop853(rotation, span, np.array([1.0, 0.0]), cfg, ref_scan)
         assert seg.t[-1] == scan.hit.t and ref.t[-1] == ref_scan.hit.t
         assert scan.hit.t == approx(t_down, abs=1e-8)
         assert ref_scan.hit.t == approx(t_down, abs=1e-9)
     # the norm bound is left
     with raises(DomainExit) as info:
-        _radau(_as_rhs(GROWTH), (0.0, 100.0), np.ones(2), cfg,
-               _Scan(_as_rhs(GROWTH), 1e-6, target=SectionSpec("vertical", -5.0)),
+        _radau(GROWTH, (0.0, 100.0), np.ones(2), cfg,
+               _Scan(GROWTH, 1e-6, target=SectionSpec("vertical", -5.0)),
                jac=lambda t, p: ((1.0, 0.0), (0.0, 1.0)))
     assert T_GUARD < info.value.t < T_GUARD + 1.0
     assert info.value.point == approx([math.exp(info.value.t)] * 2, rel=1e-6)
@@ -1122,6 +1125,9 @@ class _StiffCosine:
     orbit from (0, y0) is x = t, y = cos t + (y0 - 1) exp(lambda t), and
     ``flow_to_section_traj`` runs it on Radau (|lambda| > STIFF_RATIO eps)."""
     eps = 1e-3
+
+    def __call__(self, t, p):
+        return self.eval(*p)
 
     def eval(self, x, y):
         return _stiff_linear(0.0, (x, y))
@@ -1367,7 +1373,7 @@ def test_start_checks_the_inputs_as_scipy_does():
 
     from scipy.integrate import DOP853, Radau
 
-    rhs = _as_rhs(rotation)
+    rhs = rotation
     zero = lambda t, p: ((0.0, 0.0), (0.0, 0.0))
     for y0, cfg in (((1.0, np.inf), IntegratorConfig()),
                     (((1.0, 0.0),), IntegratorConfig()),
@@ -1577,17 +1583,17 @@ def _numpy_nudge(rhs, t0, p0, sec, config, forward):
 
 def test_nudge_off_section_equals_a_numpy_rk4_bit_for_bit():
     from regtang import BandField, RegularizedField, phi_family
-    from regtang.cycles import _augmented_rhs
+    from regtang.regularize import DivergenceField
     from regtang.scenarios import boundary_cycle_system, canonical_system
 
     cfg = IntegratorConfig()
-    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    div = DivergenceField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
     band = BandField(canonical_system(k=1), phi_family(1), 1e-3)
     level = SectionSpec("horizontal", 0.0)
     cases = [  # the return-map leg of the cycle study, 3-D; a band leg, 2-D
-        (_augmented_rhs(reg), (-0.3, 0.02, 0.0),
+        (div, (-0.3, 0.02, 0.0),
          SectionSpec("vertical", -0.3, direction="up")),
-        (_as_rhs(band), (-0.2, 1.0), SectionSpec("horizontal", 1.0, direction="up")),
+        (band, (-0.2, 1.0), SectionSpec("horizontal", 1.0, direction="up")),
         # a residual rate of 0 at the start: steps of 1e-3, the residual
         # t^3/300 clears 10 event_tol on the second; one that stays 0 takes
         # all 60 steps
@@ -1651,7 +1657,7 @@ def test_an_inlined_kernel_steps_as_the_call_of_its_field_bit_for_bit(monkeypatc
         (canonical.x_plus, (-0.01, 0.001), SectionSpec("vertical", 0.5), IntegratorConfig(), ()),
     ]
     for field, p0, sec, cfg, records in legs:
-        assert _as_rhs(field).kernel is not None
+        assert field.kernel is not None
         del landings[:]
         (hit, traj), (ref_hit, ref) = [
             flow_to_section_traj(f, p0, sec, cfg, record_sections=records)
@@ -1693,7 +1699,7 @@ def test_an_inlined_kernel_solves_radau_newton_as_the_call_of_its_field(monkeypa
     flow, land = maps.flow_to_section_traj, integrate._land
 
     def both(field, *args, **kwargs):
-        assert isinstance(field, BandField) and _as_rhs(field).kernel is not None
+        assert isinstance(field, BandField) and field.kernel is not None
         legs.append([flow(f, *args, **kwargs) for f in (field, _PlainCallable(field))])
         return legs[-1][0]
 
@@ -1737,18 +1743,18 @@ def test_one_generated_newton_iteration_serves_a_field_family_at_every_eps(monke
 def test_an_inlined_augmented_kernel_steps_as_the_call_of_its_field_bit_for_bit():
     # the return-map leg with the divergence integral (3-D) inlines the
     # field's augmented kernel and steps as the leg that calls it
-    from regtang import RegularizedField, phi_family
-    from regtang.cycles import RETURN_INTEG, _augmented_rhs
+    from regtang import phi_family
+    from regtang.cycles import RETURN_INTEG
+    from regtang.regularize import DivergenceField, _augmented_kernel
     from regtang.scenarios import boundary_cycle_system
 
-    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
-    rhs = _augmented_rhs(reg)
-    assert rhs.kernel == reg.augmented_kernel
+    div = DivergenceField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    assert div.kernel == (_augmented_kernel(div.system, div.tf), (div.eps,))
     sec = SectionSpec("vertical", -0.3, (0.0, math.inf), "up")
     records = [SectionSpec("vertical", -0.3, ident="anycross")]
     _assert_same_leg(*[flow_to_section_traj(f, (-0.3, 0.02, 0.0), sec, RETURN_INTEG,
                                             record_sections=records)
-                       for f in (rhs, lambda t, p: reg.augmented(*p))])
+                       for f in (div, lambda t, p: div.eval(*p))])
 
 
 # --------------------------------------------------------------------------
@@ -2022,7 +2028,7 @@ def _free_rotation_level():
     """A level one ulp above the state at the end of the 3rd step of a free
     rotation run: the run to it ends on that step end, in the previous step
     of the scan that finds it."""
-    free = _dop853(_as_rhs(rotation), (0.0, 6.0), np.array([1.0, 0.0]), IntegratorConfig())
+    free = _dop853(rotation, (0.0, 6.0), np.array([1.0, 0.0]), IntegratorConfig())
     return float(np.nextafter(free.y[1, 3], np.inf))
 
 
@@ -2074,15 +2080,15 @@ _LOOP_CASES = {
     # name: (stepper, rhs, jac, t_span, y0, config, target)
     "rejected steps": ("dop853", _fast_mode, None, (0.0, 8.0), (1.0, 1.0),
                        IntegratorConfig(rtol=1e-6), SectionSpec("vertical", 5.0)),
-    "backward time": ("dop853", _as_rhs(rotation), None, (0.0, -5.0), (1.0, 0.0),
+    "backward time": ("dop853", rotation, None, (0.0, -5.0), (1.0, 0.0),
                       IntegratorConfig(), SectionSpec("horizontal", -0.5)),
-    "hit in the previous step": ("dop853", _as_rhs(rotation), None, (0.0, 6.0), (1.0, 0.0),
+    "hit in the previous step": ("dop853", rotation, None, (0.0, 6.0), (1.0, 0.0),
                                  IntegratorConfig(), "previous"),
     "underflow": ("dop853", _nan_past_one, None, (0.0, 2.0), (0.0, 1.0), IntegratorConfig(),
                   None),
     "domain exit": ("dop853", _growth, None, (0.0, 30.0), (1.0, 1.0), IntegratorConfig(),
                     SectionSpec("vertical", 1e7)),
-    "zero-length span": ("dop853", _as_rhs(rotation), None, (1.0, 1.0), (1.0, 0.0),
+    "zero-length span": ("dop853", rotation, None, (1.0, 1.0), (1.0, 0.0),
                          IntegratorConfig(), SectionSpec("horizontal", 0.0)),
     "radau jacobian refresh": ("radau", _van_der_pol, _van_der_pol_jac, (0.0, 1.0),
                                (2.0, 0.0), IntegratorConfig(), SectionSpec("vertical", 1.0)),
@@ -2092,7 +2098,7 @@ _LOOP_CASES = {
                         (0.0, 2.0), (0.0, 1.0), IntegratorConfig(), None),
     "radau domain exit": ("radau", _growth, lambda t, p: ((1.0, 0.0), (0.0, 1.0)),
                           (0.0, 30.0), (1.0, 1.0), IntegratorConfig(), None),
-    "radau zero-length span": ("radau", _as_rhs(rotation), _rotation_jac, (2.0, 2.0),
+    "radau zero-length span": ("radau", rotation, _rotation_jac, (2.0, 2.0),
                                (1.0, 0.0), IntegratorConfig(), SectionSpec("vertical", 0.5)),
     # how a Newton iteration ends: each of these legs meets its way
     "radau newton converges": ("radau", _stiff_linear, _stiff_linear_jac, (0.0, 0.5),
@@ -2100,11 +2106,11 @@ _LOOP_CASES = {
     "radau newton diverges": ("radau", _van_der_pol, lambda t, p: ((0.0, 0.0), (0.0, 0.0)),
                               (0.0, 1.0), (2.0, 0.0), IntegratorConfig(),
                               SectionSpec("vertical", 1.0)),
-    "radau newton stage overflows": ("radau", _as_rhs(_power_field(_WALL)), _power_jac,
+    "radau newton stage overflows": ("radau", _power_field(_WALL), _power_jac,
                                      (0.0, 0.2), (0.0, 0.0), IntegratorConfig(), None),
     "radau newton stage not finite": ("radau", partial(_numpy_power, rise=_WALL), _power_jac,
                                       (0.0, 0.2), (0.0, 0.0), IntegratorConfig(), None),
-    "radau newton norm overflows": ("radau", _as_rhs(_power_field(_LOW_WALL)), _power_jac,
+    "radau newton norm overflows": ("radau", _power_field(_LOW_WALL), _power_jac,
                                     (0.0, 1.0), (0.0, 0.0), IntegratorConfig(), None),
 }
 
@@ -2199,9 +2205,10 @@ def test_real_legs_run_on_the_generated_loops_as_on_the_python_loop():
     # the band kernel inlined, and a return-map leg carrying the divergence
     # integral: each leg, run by flow_to_section_traj on the generated loops
     # and on the reference loop, gives the same numbers
-    from regtang import BandField, RegularizedField, integrate, lambda_star, maps, phi_family
-    from regtang.cycles import RETURN_INTEG, _augmented_rhs
+    from regtang import BandField, integrate, lambda_star, maps, phi_family
+    from regtang.cycles import RETURN_INTEG
     from regtang.maps import TransitionConfig, find_x_epsilon
+    from regtang.regularize import DivergenceField
     from regtang.scenarios import boundary_cycle_system, canonical_system
 
     flow, legs = integrate.flow_to_section_traj, []
@@ -2227,12 +2234,11 @@ def test_real_legs_run_on_the_generated_loops_as_on_the_python_loop():
             find_x_epsilon(system, cfg, eps)
         finally:
             maps.flow_to_section_traj = saved
-    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
-    both(_augmented_rhs(reg), (-0.3, 0.02, 0.0), SectionSpec("vertical", -0.3, (0.0, math.inf),
-                                                             "up"), RETURN_INTEG,
-         record_sections=[SectionSpec("vertical", -0.3, ident="anycross")])
+    div = DivergenceField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    both(div, (-0.3, 0.02, 0.0), SectionSpec("vertical", -0.3, (0.0, math.inf), "up"),
+         RETURN_INTEG, record_sections=[SectionSpec("vertical", -0.3, ident="anycross")])
     assert [type(field).__name__ for field, _ in legs] == ["BandField", "BandField",
-                                                          "function"]
+                                                          "DivergenceField"]
     # the stiff leg runs Radau, the other DOP853
     assert legs[0][1][0][1].segments[0].njev > 0 == legs[1][1][0][1].segments[0].njev
     assert len(legs[2][1][0][1].segments[0].y) == 3
@@ -2246,10 +2252,13 @@ def test_an_inlined_kernel_binds_only_the_arguments_its_body_reads():
     # and never w.  The 2-D kernel of the same field binds x and y too
     from regtang import RegularizedField, phi_family
     from regtang.integrate import _dop853_loop
+    from regtang.regularize import DivergenceField
     from regtang.scenarios import boundary_cycle_system
 
-    reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
-    for (fn, _), n in ((reg.augmented_kernel, 3), (reg.kernel, 2)):
+    system = boundary_cycle_system(k=2)
+    reg = RegularizedField(system, phi_family(5), 1e-2)
+    div = DivergenceField(system, phi_family(5), 1e-2)
+    for (fn, _), n in ((div.kernel, 3), (reg.kernel, 2)):
         assert fn.source[0].split(", ")[-n:] == ["x", "y", "w"][:n]
         _, body = _dop853_loop(n, fn.source).source
         bound = [line.split(" = ")[0].strip() for line in body
@@ -2262,12 +2271,14 @@ def test_a_generated_stepper_binds_each_lead_argument_once():
     # before its ``while True:``, in no stage
     from regtang import BandField, RegularizedField, phi_family
     from regtang.integrate import _dop853_loop, _radau_loop
+    from regtang.regularize import DivergenceField
     from regtang.scenarios import boundary_cycle_system, canonical_system
 
     band = BandField(canonical_system(k=2), phi_family(3), 1e-4)
     reg = RegularizedField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
+    div = DivergenceField(boundary_cycle_system(k=2), phi_family(5), 1e-2)
     loops = [_dop853_loop(n, fn.source) for fn, n in (
-        (band.kernel[0], 2), (reg.kernel[0], 2), (reg.augmented_kernel[0], 3))]
+        (band.kernel[0], 2), (reg.kernel[0], 2), (div.kernel[0], 3))]
     loops += [_radau_loop(fn.source) for fn in (band.kernel[0], reg.kernel[0])]
     for loop in loops:
         _, body = loop.source

@@ -23,6 +23,7 @@ from regtang import (
     slow_manifold_sandwich_check,
 )
 from regtang.maps import fit_line
+from regtang.regularize import DivergenceField
 from regtang.scenarios import boundary_cycle_system, canonical_system
 from test_phi import Phi_prime
 
@@ -319,8 +320,8 @@ def _composed_divergence(system, tf, eps, jump, x, y):
 
 def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
     # h = y: the jump term is h_y (X2+ - X2-) = X2+ - X2-; the tilted
-    # h = y - x/2 adds h_x (X1+ - X1-) = -(X1+ - X1-)/2.  The augmented
-    # kernel gives eval's and this kernel's numbers at once.
+    # h = y - x/2 adds h_x (X1+ - X1-) = -(X1+ - X1-)/2.  The divergence
+    # field's kernel gives eval's and this kernel's numbers at once.
     from regtang import FilippovSystem, Poly2
 
     tilted = Poly2.y() - Poly2.x().scale(Fraction(1, 2))
@@ -332,6 +333,7 @@ def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
                       lambda d1, d2: -0.5 * d1 + d2, 0.5))
     for sys, tf, eps, jump, slope in cases:
         reg = RegularizedField(sys, tf, eps)
+        aug = DivergenceField(sys, tf, eps)
         div = reg.divergence()
         inside = 0
         for x in (-0.7, -0.3, 0.0, 0.2, 0.55):
@@ -342,7 +344,7 @@ def test_divergence_kernel_equals_the_composed_formula_bit_for_bit():
                 want = _composed_divergence(sys, tf, eps, jump, x, y)
                 assert type(got) is float
                 assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
-                assert list(map(float.hex, reg.augmented(x, y, 0.0))) == list(
+                assert list(map(float.hex, aug.eval(x, y, 0.0))) == list(
                     map(float.hex, (*reg.eval(x, y), got)))
                 inside += abs(sys.h(x, y) / eps) < 1.0
         assert inside >= 20
@@ -442,7 +444,7 @@ def test_an_equal_field_looks_its_kernels_up_before_generating_them(monkeypatch)
     def fields(system, tf, eps):
         band = BandField(system, tf, eps) if system.h == Poly2.y() else None
         reg = RegularizedField(system, tf, eps)
-        kernels = [reg._rhs, reg.augmented_kernel[0]]
+        kernels = [reg._rhs, DivergenceField(system, tf, eps).kernel[0]]
         return kernels + ([] if band is None else [band._rhs, band._jac])
 
     first = fields(canonical_system(1), TF1, 1e-3)

@@ -85,3 +85,31 @@ def test_ladder_runs_one_leg_on_both_steppers():
         assert len(out[name]["x"]) == len(out["rtols"]) == 4
         assert max(out[name]["rel_dist"]) < 1e-10
         assert all(out[name]["default"][key] > 0 for key in ("nfev", "steps", "ms"))
+
+
+def test_each_leg_keeps_its_kind(monkeypatch):
+    # perfbench/tracing.py files each leg under the kind of the field it
+    # integrates: band, reg (the divergence field of the cycle study's
+    # revolution too) or outer (a zone field, a plain callable)
+    import importlib.util
+
+    from regtang import BandField, RegularizedField, cycles, phi_family
+    from regtang.regularize import DivergenceField
+    from regtang.scenarios import boundary_cycle_system, canonical_system
+
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    system, tf, rate = boundary_cycle_system(k=2), phi_family(5), 0.5
+    kinds = [(BandField(canonical_system(k=1), phi_family(1), 1e-3), "band"),
+             (RegularizedField(system, tf, 1e-2), "reg"),
+             (DivergenceField(system, tf, 1e-2), "reg"),
+             (system.x_plus, "outer"),
+             (lambda t, p: (rate, p[0]), "outer")]
+    assert [tracing.leg_kind(field) for field, _ in kinds] == [kind for _, kind in kinds]
+    # as the tracer sees it: the one leg of a revolution with the divergence
+    with tracing.Tracer() as tracer:
+        cycles.return_map(system, tf, 1e-2, 0.005, with_divergence=True)
+    assert [span.kind for span in tracer.spans if span.kind] == ["reg"]

@@ -35,8 +35,11 @@ CASES = {
     # its two smallest eps only (1e-4 and 2.5e-4)
     "scaling-radau": ["scaling", "--eps-decades=-6:-4", "--points", "6"],
     "upper-map": ["upper-map", "--eps-decades=-3:-2", "--points", "3"],
-    # its inflow orbits dip below the roof within one step and between two
-    # grid points of the crossing scan; no other case has such a dip
+    # its inflow orbits cross the roof down and back up within one step (three
+    # such steps; "upper-map" has one), two sign changes on the scan's
+    # sub-step grid.  No case of the set reaches the scan's turning-point test
+    # (a dip between two grid points); only tests/test_integrate.py's
+    # test_a_dip_between_grid_points_* do
     "upper-map-small-eps": ["upper-map", "--eps-decades=-5:-4", "--points", "3"],
     "lower-map": ["lower-map", "--eps-decades=-3:-2", "--points", "3"],
     "slow-manifold": ["slow-manifold", "--eps", "1e-3"],
