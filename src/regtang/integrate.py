@@ -1096,8 +1096,8 @@ def _radau(rhs: RHS, t_span: Tuple[float, float], y0: Sequence[float],
     operation runs on Python floats.  Bit-identity with scipy's ``Radau`` is
     not sought.  An ``rhs`` that carries a generated ``kernel`` (a field)
     has it inlined in each stage evaluation of the Newton iteration, which
-    then makes no call; ``rhs`` itself serves the start,
-    each accepted step's end and a rejected step's error estimate.
+    then makes no call; ``rhs`` itself serves the start, each accepted
+    step's end and a rejected step's error estimate.
     Each step keeps its collocation polynomial as dense output, which also
     predicts the next step's stages.  The inputs are checked and the first
     step chosen as scipy does (``_start``, with the error estimate's order
